@@ -2,7 +2,8 @@
 
 Exit codes: 0 when all checks passed or an informational command completed,
 1 when at least one violation record was emitted, 2 for usage or parse
-errors, 3 when budget or size-limit skips occurred without violations.
+errors, 3 when skip records (budget, size limit, empty factor) occurred
+without violations.
 
 JSON-lines output is byte-stable for fixed inputs, flags, and seed; pass
 ``--timing`` to include real runtimes (which breaks byte stability).  The
@@ -58,7 +59,6 @@ class _Fatal(Exception):
 
 @dataclass
 class RunConfig:
-    command: str
     inline: list[str] = field(default_factory=list)
     paths: list[str] = field(default_factory=list)
     n: int = 3
@@ -123,16 +123,7 @@ def emit_report(records: Iterable[dict], fmt: str, output: str | None) -> None:
     """Write records as JSON lines (byte-stable) or a human table."""
     render = (lambda r: json.dumps(r, separators=(",", ":"))) \
         if fmt == "jsonl" else _format_table
-    if output in (None, "-"):
-        for record in records:
-            sys.stdout.write(render(record) + "\n")
-        return
-    try:
-        with open(output, "w", encoding="utf-8", newline="\n") as handle:
-            for record in records:
-                handle.write(render(record) + "\n")
-    except OSError as exc:
-        raise _Fatal(f"cannot write output {output!r}: {exc}") from exc
+    _write_lines(map(render, records), output)
 
 
 def _classify(record: dict, tally: dict) -> None:
@@ -176,11 +167,12 @@ def _records_for_graphs(config: RunConfig, per_graph) -> Iterator[dict]:
 def _kappa_records(config: RunConfig) -> Iterator[dict]:
     def per_graph(item: IngestItem) -> Iterator[dict]:
         g = item.graph
+        kappa = vertex_connectivity(g)
         yield {
             "graph6": encode_graph6(g),
-            "kappa": vertex_connectivity(g),
+            "kappa": kappa,
             "delta": g.min_degree,
-            "maximally_connected": vertex_connectivity(g) == g.min_degree,
+            "maximally_connected": kappa == g.min_degree,
         }
     return _records_for_graphs(config, per_graph)
 
@@ -310,29 +302,24 @@ def build_parser() -> argparse.ArgumentParser:
     gstar.add_argument("--trials", type=int, default=100)
     gstar.add_argument("--seed", type=int, default=0)
 
-    for name in ("verify", "batch"):
-        cmd = sub.add_parser(
-            name, help="verify the connectivity formula and super-connectivity")
-        add_io(cmd)
-        if name == "verify":
-            cmd.add_argument("--n", type=int, required=True)
-        else:
-            cmd.add_argument("--n", required=True, metavar="N[,N...]",
-                             help="comma-separated list of second-factor orders")
-        cmd.add_argument("--seed", type=int, default=0)
-        cmd.add_argument("--workers", type=int, default=os.cpu_count() or 1)
-        cmd.add_argument("--all-graphs", action="store_true",
-                         help="use the exhaustive corpus up to --max-order")
-        cmd.add_argument("--max-order", type=int, default=5)
-        cmd.add_argument("--filter", action="append", default=[],
-                         metavar="{connected,kd-equal,bipartite,nonbipartite}",
-                         help="corpus filter (repeatable or comma-separated)")
+    batch = sub.add_parser(
+        "batch", aliases=["verify"],
+        help="verify the connectivity formula and super-connectivity")
+    add_io(batch)
+    batch.add_argument("--n", required=True, metavar="N[,N...]",
+                       help="comma-separated list of second-factor orders")
+    batch.add_argument("--workers", type=int, default=os.cpu_count() or 1)
+    batch.add_argument("--all-graphs", action="store_true",
+                       help="use the exhaustive corpus up to --max-order")
+    batch.add_argument("--max-order", type=int, default=5)
+    batch.add_argument("--filter", action="append", default=[],
+                       metavar="{connected,kd-equal,bipartite,nonbipartite}",
+                       help="corpus filter (repeatable or comma-separated)")
     return parser
 
 
-def _config_from(args, command: str) -> RunConfig:
+def _config_from(args) -> RunConfig:
     return RunConfig(
-        command=command,
         inline=getattr(args, "g6", []),
         paths=getattr(args, "input", []),
         seed=getattr(args, "seed", 0),
@@ -395,7 +382,7 @@ def _dispatch(parser: argparse.ArgumentParser, args) -> int:
         _write_lines(lines, args.output)
         return 0
 
-    config = _config_from(args, command)
+    config = _config_from(args)
     tally = {"violations": 0, "skips": 0, "parse_errors": 0}
 
     if command == "product":
@@ -419,14 +406,11 @@ def _dispatch(parser: argparse.ArgumentParser, args) -> int:
             parser.error("gstar needs --n >= 3")
         config.n = args.n
         records = _gstar_records(config, args.trials)
-    elif command in ("verify", "batch"):
-        if command == "verify":
-            n_values = [args.n]
-        else:
-            try:
-                n_values = [int(part) for part in str(args.n).split(",") if part]
-            except ValueError:
-                parser.error(f"batch needs integer --n values, got {args.n!r}")
+    elif command in ("batch", "verify"):
+        try:
+            n_values = [int(part) for part in args.n.split(",") if part]
+        except ValueError:
+            parser.error(f"{command} needs integer --n values, got {args.n!r}")
         if any(n < 3 for n in n_values):
             parser.error("verification needs --n >= 3")
         filters = []

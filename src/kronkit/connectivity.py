@@ -22,8 +22,16 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import BudgetExceededError, PreconditionError, UnsupportedSizeError
-from .graphs import Graph, delete_vertex, is_connected, iter_bits, reachable_mask
-from .products import ProductGraph, fibers
+from .graphs import (
+    Graph,
+    delete_vertex,
+    has_isolated,
+    is_connected,
+    iter_bits,
+    mask_of,
+    reachable_mask,
+)
+from .products import ProductGraph
 
 DEFAULT_SUBSET_BUDGET = 50_000_000
 BRUTE_FORCE_MAX_ORDER = 20
@@ -227,14 +235,7 @@ def _classify_mask(g: Graph, removed: int, vertices: tuple[int, ...],
     else:
         start = (alive & -alive).bit_length() - 1
         separates = reachable_mask(g.adj, alive, start) != alive
-    isolates = False
-    m = alive
-    while m:
-        low = m & -m
-        if g.adj[low.bit_length() - 1] & alive == 0:
-            isolates = True
-            break
-        m ^= low
+    isolates = has_isolated(g.adj, alive)
     witness = None
     if removed:
         for x in range(g.order):
@@ -243,9 +244,9 @@ def _classify_mask(g: Graph, removed: int, vertices: tuple[int, ...],
                 break
     contains_fiber = None
     if product is not None:
-        for f in fibers(product):
-            if f.mask() & ~removed == 0:
-                contains_fiber = f.factor1_vertex
+        for u in range(product.factor1_order):
+            if product.fiber_mask(u) & ~removed == 0:
+                contains_fiber = u
                 break
     return CutSet(vertices, separates, isolates, witness is not None, witness,
                   contains_fiber)
@@ -261,10 +262,7 @@ def classify_cut(g: Graph, s, product: ProductGraph | None = None) -> CutSet:
     vertices = tuple(sorted(set(s)))
     if vertices and not (0 <= vertices[0] and vertices[-1] < g.order):
         raise ValueError(f"cut contains ids outside 0..{g.order - 1}")
-    removed = 0
-    for v in vertices:
-        removed |= 1 << v
-    return _classify_mask(g, removed, vertices, product)
+    return _classify_mask(g, mask_of(vertices), vertices, product)
 
 
 def enumerate_min_cuts(g: Graph, budget: int | None = None,
@@ -290,9 +288,7 @@ def enumerate_min_cuts(g: Graph, budget: int | None = None,
     full = g.full_mask()
     cuts = []
     for combo in itertools.combinations(range(g.order), kappa):
-        removed = 0
-        for v in combo:
-            removed |= 1 << v
+        removed = mask_of(combo)
         alive = full ^ removed
         if alive & (alive - 1):
             start = (alive & -alive).bit_length() - 1

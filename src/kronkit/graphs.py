@@ -71,23 +71,6 @@ class Graph:
         return (1 << self.order) - 1
 
 
-@dataclass(frozen=True)
-class DegreeSummary:
-    min_degree: int
-    degree_sequence: tuple[int, ...]
-    edge_count: int
-
-
-def degree_summary(g: Graph) -> DegreeSummary:
-    """Minimum degree, ascending degree sequence, and edge count of ``g``."""
-    seq = tuple(sorted(g.degrees()))
-    return DegreeSummary(
-        min_degree=seq[0] if seq else 0,
-        degree_sequence=seq,
-        edge_count=sum(seq) // 2,
-    )
-
-
 def graph_from_edges(order: int, edges: Iterable[tuple[int, int]],
                      label: str | None = None) -> Graph:
     """Build a validated Graph from an edge list."""
@@ -210,13 +193,39 @@ def is_connected(g: Graph) -> bool:
 
 def connected_components(g: Graph) -> list[int]:
     """Vertex masks of the components, ordered by smallest member."""
+    return components(g.adj, g.full_mask())
+
+
+def mask_of(ids: Iterable[int]) -> int:
+    """Bitmask with the bit of every vertex id in ``ids`` set."""
+    # A plain loop: the subset scan calls this per subset, and sum() over a
+    # generator is slower there.
+    mask = 0
+    for v in ids:
+        mask |= 1 << v
+    return mask
+
+
+def has_isolated(adj: Sequence[int], alive: int) -> bool:
+    """True when some vertex of ``alive`` has no neighbor inside ``alive``."""
+    m = alive
+    while m:
+        low = m & -m
+        if adj[low.bit_length() - 1] & alive == 0:
+            return True
+        m ^= low
+    return False
+
+
+def components(adj: Sequence[int], alive: int) -> list[int]:
+    """Vertex masks of the components induced on ``alive``, by smallest member."""
     comps = []
-    remaining = g.full_mask()
-    while remaining:
-        start = (remaining & -remaining).bit_length() - 1
-        comp = reachable_mask(g.adj, remaining, start)
+    rest = alive
+    while rest:
+        start = (rest & -rest).bit_length() - 1
+        comp = reachable_mask(adj, rest, start)
         comps.append(comp)
-        remaining &= ~comp
+        rest &= ~comp
     return comps
 
 

@@ -23,6 +23,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .connectivity import (
+    DEFAULT_SUBSET_BUDGET,
     CutSet,
     cut_record,
     enumerate_min_cuts,
@@ -31,13 +32,15 @@ from .connectivity import (
 from .errors import BudgetExceededError, PreconditionError, SamplingExhaustedError
 from .graphs import (
     Graph,
+    components,
     encode_graph6,
+    has_isolated,
     is_connected,
     make_complete,
+    mask_of,
     parse_graph6,
-    reachable_mask,
 )
-from .products import ProductGraph, fibers, is_bipartite, kronecker
+from .products import ProductGraph, is_bipartite, kronecker
 
 DEFAULT_MAX_REJECTIONS = 100_000
 
@@ -97,25 +100,15 @@ def _residue_system(g: Graph, product: ProductGraph,
     removed_sorted = tuple(sorted(set(removed)))
     if removed_sorted and not (0 <= removed_sorted[0] and removed_sorted[-1] < mn):
         raise ValueError(f"removed ids must lie in 0..{mn - 1}")
-    removed_mask = 0
-    for v in removed_sorted:
-        removed_mask |= 1 << v
-    residues = []
-    for f in fibers(product):
-        residues.append(tuple(v for v in f.members if not removed_mask >> v & 1))
+    removed_mask = mask_of(removed_sorted)
+    n = product.factor2_order
+    residues = [tuple(v for v in range(u * n, (u + 1) * n) if not removed_mask >> v & 1)
+                for u in range(product.factor1_order)]
     alive = product.graph.full_mask() ^ removed_mask
-    no_isolated = True
-    m = alive
-    while m:
-        low = m & -m
-        if product.graph.adj[low.bit_length() - 1] & alive == 0:
-            no_isolated = False
-            break
-        m ^= low
     conditions = ResidueConditions(
-        size_ok=len(removed_sorted) == (product.factor2_order - 1) * g.min_degree,
+        size_ok=len(removed_sorted) == (n - 1) * g.min_degree,
         residues_nonempty=all(residues),
-        no_isolated=no_isolated,
+        no_isolated=not has_isolated(product.graph.adj, alive),
     )
     return ResidueSystem(product, removed_sorted, tuple(residues), conditions)
 
@@ -127,12 +120,7 @@ def build_gstar(rs: ResidueSystem) -> GStarGraph:
         raise PreconditionError(f"residue of fiber {empty} is empty")
     m = rs.product.factor1_order
     padj = rs.product.graph.adj
-    masks = []
-    for res in rs.residues:
-        mask = 0
-        for v in res:
-            mask |= 1 << v
-        masks.append(mask)
+    masks = [mask_of(res) for res in rs.residues]
     adj = [0] * m
     witnesses: dict[tuple[int, int], tuple[int, int]] = {}
     for i in range(m):
@@ -179,32 +167,22 @@ def _sample_valid_removal(g: Graph, product: ProductGraph, rng,
         size = (n - 1) * g.min_degree
     mn = product.graph.order
     full = product.graph.full_mask()
-    fiber_masks = [f.mask() for f in fibers(product)]
+    fiber_masks = [product.fiber_mask(u) for u in range(product.factor1_order)]
     padj = product.graph.adj
     rejections = 0
     isolation_rejections = 0
     while rejections <= max_rejections:
-        picked = rng.choice(mn, size=size, replace=False)
-        removed_mask = 0
-        for v in picked:
-            removed_mask |= 1 << int(v)
+        # Python ints: a numpy int64 shift past bit 63 wraps instead of growing.
+        picked = rng.choice(mn, size=size, replace=False).tolist()
+        removed_mask = mask_of(picked)
         if any(fm & ~removed_mask == 0 for fm in fiber_masks):
             rejections += 1
             continue
-        alive = full ^ removed_mask
-        isolated = False
-        m = alive
-        while m:
-            low = m & -m
-            if padj[low.bit_length() - 1] & alive == 0:
-                isolated = True
-                break
-            m ^= low
-        if isolated:
+        if has_isolated(padj, full ^ removed_mask):
             rejections += 1
             isolation_rejections += 1
             continue
-        return tuple(sorted(int(v) for v in picked)), rejections, isolation_rejections
+        return tuple(sorted(picked)), rejections, isolation_rejections
     raise SamplingExhaustedError(
         f"no valid removal candidate after {max_rejections} rejections")
 
@@ -222,17 +200,13 @@ def _require_checker_preconditions(g: Graph, n: int, nonbipartite: bool) -> None
         raise PreconditionError("checker needs a non-bipartite factor graph")
 
 
-def check_gstar_connected(g: Graph, n: int, trials: int, seed: int,
-                          max_rejections: int = DEFAULT_MAX_REJECTIONS,
-                          removal_size: int | None = None) -> list[TrialRecord]:
-    """Sample valid removals and test the auxiliary graph for connectedness.
+def _sample_trials(g: Graph, n: int, trials: int, seed: int, max_rejections: int,
+                   removal_size: int | None, check) -> list[TrialRecord]:
+    """One record per trial: a seeded valid removal and ``check``'s verdict on it.
 
-    Any disconnected auxiliary graph is an implementation bug, so records
-    carry the full removal set for reproduction.  ``removal_size`` defaults
-    to ``(n-1) * delta``; the claim covers smaller sizes too and the same
-    machinery handles both regimes.
+    ``check`` maps the removal's residue system to the record's
+    ``(gstar_connected, split_residues)`` pair.
     """
-    _require_checker_preconditions(g, n, nonbipartite=False)
     product = kronecker(g, make_complete(n))
     g6 = encode_graph6(g)
     records = []
@@ -246,12 +220,41 @@ def check_gstar_connected(g: Graph, n: int, trials: int, seed: int,
             records.append(TrialRecord(g6, n, t, (), max_rejections, 0,
                                        None, None, error=str(exc)))
             continue
-        rs = _residue_system(g, product, removed)
-        star = build_gstar(rs)
+        gstar_connected, split = check(_residue_system(g, product, removed))
         records.append(TrialRecord(g6, n, t, removed, rej, iso_rej,
-                                   gstar_connected=is_connected(star.graph),
-                                   split_residues=None))
+                                   gstar_connected=gstar_connected,
+                                   split_residues=split))
     return records
+
+
+def _gstar_check(rs: ResidueSystem) -> tuple[bool, None]:
+    return is_connected(build_gstar(rs).graph), None
+
+
+def _split_check(rs: ResidueSystem) -> tuple[None, tuple[int, ...]]:
+    pg = rs.product.graph
+    comps = components(pg.adj, pg.full_mask() ^ mask_of(rs.removed))
+    split = []
+    for i, res in enumerate(rs.residues):
+        res_mask = mask_of(res)
+        if not any(res_mask & ~comp == 0 for comp in comps):
+            split.append(i)
+    return None, tuple(split)
+
+
+def check_gstar_connected(g: Graph, n: int, trials: int, seed: int,
+                          max_rejections: int = DEFAULT_MAX_REJECTIONS,
+                          removal_size: int | None = None) -> list[TrialRecord]:
+    """Sample valid removals and test the auxiliary graph for connectedness.
+
+    Any disconnected auxiliary graph is an implementation bug, so records
+    carry the full removal set for reproduction.  ``removal_size`` defaults
+    to ``(n-1) * delta``; the claim covers smaller sizes too and the same
+    machinery handles both regimes.
+    """
+    _require_checker_preconditions(g, n, nonbipartite=False)
+    return _sample_trials(g, n, trials, seed, max_rejections, removal_size,
+                          _gstar_check)
 
 
 def check_residue_components(g: Graph, n: int, trials: int, seed: int,
@@ -264,44 +267,8 @@ def check_residue_components(g: Graph, n: int, trials: int, seed: int,
     than one component of the surviving product.
     """
     _require_checker_preconditions(g, n, nonbipartite=True)
-    product = kronecker(g, make_complete(n))
-    padj = product.graph.adj
-    full = product.graph.full_mask()
-    g6 = encode_graph6(g)
-    records = []
-    for t in range(trials):
-        rng = np.random.default_rng([seed % 2**64, t])
-        try:
-            removed, rej, iso_rej = _sample_valid_removal(g, product, rng,
-                                                          max_rejections,
-                                                          removal_size)
-        except SamplingExhaustedError as exc:
-            records.append(TrialRecord(g6, n, t, (), max_rejections, 0,
-                                       None, None, error=str(exc)))
-            continue
-        rs = _residue_system(g, product, removed)
-        removed_mask = 0
-        for v in removed:
-            removed_mask |= 1 << v
-        alive = full ^ removed_mask
-        components = []
-        rest = alive
-        while rest:
-            start = (rest & -rest).bit_length() - 1
-            comp = reachable_mask(padj, alive, start)
-            components.append(comp)
-            rest &= ~comp
-        split = []
-        for i, res in enumerate(rs.residues):
-            res_mask = 0
-            for v in res:
-                res_mask |= 1 << v
-            if not any(res_mask & ~comp == 0 for comp in components):
-                split.append(i)
-        records.append(TrialRecord(g6, n, t, removed, rej, iso_rej,
-                                   gstar_connected=None,
-                                   split_residues=tuple(split)))
-    return records
+    return _sample_trials(g, n, trials, seed, max_rejections, removal_size,
+                          _split_check)
 
 
 # -- verification reports -------------------------------------------------------
@@ -353,29 +320,43 @@ def _formula_rhs(n: int, kappa_g: int, delta_g: int) -> int:
     return min(n * kappa_g, (n - 1) * delta_g)
 
 
-def verify_connectivity_formula(g: Graph, n: int,
-                                budget: int | None = None) -> VerificationReport:
-    """Check the product-connectivity formula by computing both sides.
-
-    The product side runs the flow-based connectivity on the constructed
-    product; the formula side combines the factor invariants.  The work proxy
-    ``(order * n) ** 3`` is charged against the budget.
-    """
+def _check_instance(g: Graph, n: int) -> None:
     if n < 3:
         raise ValueError(f"second factor needs n >= 3, got {n}")
     if g.order == 0:
         raise ValueError("factor graph must be nonempty")
-    from .connectivity import DEFAULT_SUBSET_BUDGET
-    limit = DEFAULT_SUBSET_BUDGET if budget is None else budget
-    if (g.order * n) ** 3 > limit:
-        raise BudgetExceededError(
-            f"product order {g.order * n} exceeds the flow budget",
-            required=(g.order * n) ** 3)
+
+
+def _report(g: Graph, n: int, kappa_g: int, budget: int | None,
+            verdict: bool) -> VerificationReport:
+    """The report of one instance, given the factor's connectivity.
+
+    Without ``verdict`` only the formula is checked, by flow on the product,
+    and the work proxy ``(order * n) ** 3`` is charged against the budget.
+    With it every minimum cut of the product is enumerated; a disconnected
+    product has none and gets a False verdict without a counterexample.
+    """
+    if not verdict:
+        limit = DEFAULT_SUBSET_BUDGET if budget is None else budget
+        if (g.order * n) ** 3 > limit:
+            raise BudgetExceededError(
+                f"product order {g.order * n} exceeds the flow budget",
+                required=(g.order * n) ** 3)
     start = time.perf_counter()
-    kappa_g = vertex_connectivity(g)
     delta_g = g.min_degree
     product = kronecker(g, make_complete(n))
-    product_kappa = vertex_connectivity(product.graph)
+    pg = product.graph
+    super_kappa = min_cut_count = counterexample = None
+    if not verdict:
+        product_kappa = vertex_connectivity(pg)
+    elif not is_connected(pg):
+        product_kappa, super_kappa, min_cut_count = 0, False, 0
+    else:
+        cuts = enumerate_min_cuts(pg, budget=budget, product=product)
+        product_kappa = len(cuts[0].vertices) if cuts else pg.order - 1
+        super_kappa = all(c.isolates for c in cuts)
+        min_cut_count = len(cuts)
+        counterexample = next((c for c in cuts if not c.isolates), None)
     rhs = _formula_rhs(n, kappa_g, delta_g)
     holds = product_kappa == rhs
     return VerificationReport(
@@ -385,12 +366,24 @@ def verify_connectivity_formula(g: Graph, n: int,
         product_kappa=product_kappa,
         formula_rhs=rhs,
         theorem11_holds=holds,
-        super_kappa_verdict=None,
-        min_cut_count=None,
-        non_isolating_cut=None,
+        super_kappa_verdict=super_kappa,
+        min_cut_count=min_cut_count,
+        non_isolating_cut=counterexample,
         runtime_ms=int((time.perf_counter() - start) * 1000),
-        severity=None if holds else "contradicts-paper",
+        severity=None if holds and counterexample is None else "contradicts-paper",
     )
+
+
+def verify_connectivity_formula(g: Graph, n: int,
+                                budget: int | None = None) -> VerificationReport:
+    """Check the product-connectivity formula by computing both sides.
+
+    The product side runs the flow-based connectivity on the constructed
+    product; the formula side combines the factor invariants.  The work proxy
+    ``(order * n) ** 3`` is charged against the budget.
+    """
+    _check_instance(g, n)
+    return _report(g, n, vertex_connectivity(g), budget, verdict=False)
 
 
 def verify_super_connectivity(g: Graph, n: int,
@@ -404,54 +397,13 @@ def verify_super_connectivity(g: Graph, n: int,
     factor) report a False verdict with no counterexample: there are no
     minimum cuts of a connected graph to speak about.
     """
-    if n < 3:
-        raise ValueError(f"second factor needs n >= 3, got {n}")
-    if g.order == 0:
-        raise ValueError("factor graph must be nonempty")
+    _check_instance(g, n)
     kappa_g = vertex_connectivity(g)
-    delta_g = g.min_degree
-    if kappa_g != delta_g:
+    if kappa_g != g.min_degree:
         raise PreconditionError(
             f"super-connectivity verdict needs kappa == delta, "
-            f"got {kappa_g} != {delta_g}")
-    start = time.perf_counter()
-    product = kronecker(g, make_complete(n))
-    pg = product.graph
-    rhs = _formula_rhs(n, kappa_g, delta_g)
-    if not is_connected(pg):
-        product_kappa = 0
-        report = VerificationReport(
-            instance=ReportInstance(encode_graph6(g), n),
-            kappa_G=kappa_g,
-            delta_G=delta_g,
-            product_kappa=product_kappa,
-            formula_rhs=rhs,
-            theorem11_holds=product_kappa == rhs,
-            super_kappa_verdict=False,
-            min_cut_count=0,
-            non_isolating_cut=None,
-            runtime_ms=int((time.perf_counter() - start) * 1000),
-            severity=None if product_kappa == rhs else "contradicts-paper",
-        )
-        return report
-    cuts = enumerate_min_cuts(pg, budget=budget, product=product)
-    product_kappa = len(cuts[0].vertices) if cuts else pg.order - 1
-    verdict = all(c.isolates for c in cuts)
-    counterexample = next((c for c in cuts if not c.isolates), None)
-    holds = product_kappa == rhs and verdict
-    return VerificationReport(
-        instance=ReportInstance(encode_graph6(g), n),
-        kappa_G=kappa_g,
-        delta_G=delta_g,
-        product_kappa=product_kappa,
-        formula_rhs=rhs,
-        theorem11_holds=product_kappa == rhs,
-        super_kappa_verdict=verdict,
-        min_cut_count=len(cuts),
-        non_isolating_cut=counterexample,
-        runtime_ms=int((time.perf_counter() - start) * 1000),
-        severity=None if holds else "contradicts-paper",
-    )
+            f"got {kappa_g} != {g.min_degree}")
+    return _report(g, n, kappa_g, budget, verdict=True)
 
 
 # -- batch verification ----------------------------------------------------------
@@ -459,13 +411,13 @@ def verify_super_connectivity(g: Graph, n: int,
 KNOWN_FILTERS = ("connected", "kd-equal", "bipartite", "nonbipartite")
 
 
-def _passes_filters(g: Graph, filters: Sequence[str]) -> bool:
+def _passes_filters(g: Graph, kappa_g: int | None, filters: Sequence[str]) -> bool:
     for name in filters:
         if name == "connected":
             if not is_connected(g) or g.order == 0:
                 return False
         elif name == "kd-equal":
-            if g.order == 0 or vertex_connectivity(g) != g.min_degree:
+            if kappa_g != g.min_degree:
                 return False
         elif name == "bipartite":
             if not is_bipartite(g)[0]:
@@ -478,20 +430,20 @@ def _passes_filters(g: Graph, filters: Sequence[str]) -> bool:
     return True
 
 
-def _verify_instance(g: Graph, n: int, budget: int | None):
+def _verify_instance(g: Graph, n: int, kappa_g: int | None, budget: int | None):
     instance = ReportInstance(encode_graph6(g), n)
+    if kappa_g is None:
+        return SkipRecord(instance, "empty-factor", "factor graph must be nonempty")
     try:
-        if (g.order > 0 and is_connected(g)
-                and vertex_connectivity(g) == g.min_degree):
-            return verify_super_connectivity(g, n, budget=budget)
-        return verify_connectivity_formula(g, n, budget=budget)
+        return _report(g, n, kappa_g, budget,
+                       verdict=is_connected(g) and kappa_g == g.min_degree)
     except BudgetExceededError as exc:
         return SkipRecord(instance, "size-limit", str(exc))
 
 
-def _batch_worker(item: tuple[int, str, int, int | None]):
-    index, g6, n, budget = item
-    return index, _verify_instance(parse_graph6(g6), n, budget)
+def _batch_worker(item: tuple[str, int, int | None, int | None]):
+    g6, n, kappa_g, budget = item
+    return _verify_instance(parse_graph6(g6), n, kappa_g, budget)
 
 
 def batch_verify(corpus: Iterable[Graph], n_values: Sequence[int],
@@ -500,27 +452,28 @@ def batch_verify(corpus: Iterable[Graph], n_values: Sequence[int],
     """Verify every (graph, n) pair passing the filters, then yield a summary.
 
     Records come out in corpus order regardless of ``workers``; per-instance
-    budget errors become in-stream skip records and never abort the batch.
+    budget errors and empty factors become in-stream skip records and never
+    abort the batch.  Each factor's connectivity is computed once.
     """
     for n in n_values:
         if n < 3:
             raise ValueError(f"second factor needs n >= 3, got {n}")
     items = []
     for g in corpus:
-        if not _passes_filters(g, filters):
+        kappa_g = vertex_connectivity(g) if g.order else None
+        if not _passes_filters(g, kappa_g, filters):
             continue
         for n in n_values:
-            items.append((len(items), encode_graph6(g), n, budget))
+            items.append((encode_graph6(g), n, kappa_g, budget))
     holds = violations = skips = 0
     if workers > 1 and len(items) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = pool.map(_batch_worker, items, chunksize=8)
-            for _, record in results:
+            for record in pool.map(_batch_worker, items, chunksize=8):
                 holds, violations, skips = _tally(record, holds, violations, skips)
                 yield record
     else:
         for item in items:
-            _, record = _batch_worker(item)
+            record = _batch_worker(item)
             holds, violations, skips = _tally(record, holds, violations, skips)
             yield record
     yield BatchSummary(instances=len(items), holds=holds,

@@ -11,16 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import PreconditionError
-from .graphs import Graph, is_connected, iter_bits, reachable_mask
-
-
-@dataclass(frozen=True)
-class ProductVertex:
-    """A product vertex: the factor pair plus its fixed linear id."""
-
-    factor1: int
-    factor2: int
-    linear_index: int
+from .graphs import Graph, is_connected, iter_bits, mask_of
 
 
 @dataclass(frozen=True)
@@ -39,10 +30,10 @@ class ProductGraph:
         """Factor pair of a linear id."""
         return divmod(index, self.factor2_order)
 
-    def product_vertices(self) -> list[ProductVertex]:
+    def fiber_mask(self, u: int) -> int:
+        """Bitmask of the fiber of first-factor vertex ``u``."""
         n = self.factor2_order
-        return [ProductVertex(u, v, u * n + v)
-                for u in range(self.factor1_order) for v in range(n)]
+        return ((1 << n) - 1) << (u * n)
 
 
 @dataclass(frozen=True)
@@ -57,10 +48,7 @@ class Fiber:
     members: tuple[int, ...]
 
     def mask(self) -> int:
-        m = 0
-        for v in self.members:
-            m |= 1 << v
-        return m
+        return mask_of(self.members)
 
 
 def kronecker(g1: Graph, g2: Graph) -> ProductGraph:
@@ -152,14 +140,7 @@ def fibers(product: ProductGraph) -> list[Fiber]:
 
 def linearization_rows(product: ProductGraph) -> list[str]:
     """Sidecar mapping rows ``"linear_index factor1 factor2"``, one per vertex."""
-    return [f"{pv.linear_index} {pv.factor1} {pv.factor2}"
-            for pv in product.product_vertices()]
+    n = product.factor2_order
+    return [f"{u * n + v} {u} {v}"
+            for u in range(product.factor1_order) for v in range(n)]
 
-
-def product_is_connected(product: ProductGraph) -> bool:
-    """Direct traversal check, independent of the odd-cycle criterion."""
-    g = product.graph
-    if g.order <= 1:
-        return True
-    full = g.full_mask()
-    return reachable_mask(g.adj, full, 0) == full

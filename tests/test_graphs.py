@@ -1,20 +1,26 @@
 """Tests for the core graph type, generators, and graph6 I/O."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kronkit.corpus import all_graphs
 from kronkit.errors import Graph6Error, UnsupportedSizeError
 from kronkit.graphs import (
     Graph,
+    components,
     connected_components,
-    degree_summary,
     delete_vertex,
     encode_graph6,
     graph_from_edges,
+    has_isolated,
     is_connected,
+    iter_bits,
     make_complete,
     make_cycle,
+    mask_of,
     parse_graph6,
     random_graph,
     validate,
@@ -87,7 +93,7 @@ def test_graph_from_edges_rejects_loops_and_range():
 def test_empty_graph_is_permitted():
     g = graph_from_edges(0, [])
     validate(g)
-    assert degree_summary(g).min_degree == 0
+    assert g.min_degree == 0
     assert is_connected(g)
 
 
@@ -122,10 +128,10 @@ def test_random_graph_accepts_signed_64_bit_seeds():
 @settings(max_examples=150)
 def test_constructed_graphs_are_valid(g):
     validate(g)
-    summary = degree_summary(g)
-    assert sum(summary.degree_sequence) == 2 * summary.edge_count
+    degrees = g.degrees()
+    assert sum(degrees) == 2 * g.edge_count
     if g.order:
-        assert summary.min_degree == summary.degree_sequence[0]
+        assert g.min_degree == min(degrees)
 
 
 # -- vertex deletion -----------------------------------------------------
@@ -184,6 +190,53 @@ def test_connected_components_of_two_triangles():
     assert not is_connected(g)
     assert connected_components(g) == [0b000111, 0b111000]
     assert is_connected(make_cycle(6))
+
+
+def _naive_components(g: Graph, alive: set[int]) -> list[frozenset[int]]:
+    comps = []
+    rest = set(alive)
+    while rest:
+        seen = {min(rest)}
+        queue = [min(rest)]
+        while queue:
+            x = queue.pop()
+            for y in g.neighbors(x):
+                if y in rest and y not in seen:
+                    seen.add(y)
+                    queue.append(y)
+        comps.append(frozenset(seen))
+        rest -= seen
+    return sorted(comps, key=min)
+
+
+def _alive_sets(g: Graph, seed: int) -> list[set[int]]:
+    rng = random.Random(seed)
+    samples = [set(range(g.order)), set()]
+    samples += [{v for v in range(g.order) if rng.random() < 0.6} for _ in range(4)]
+    return samples
+
+
+def test_bitmask_kernel_matches_set_based_versions():
+    graphs = [g for order in range(1, 6) for g in all_graphs(order)]
+    checked = 0
+    for i, g in enumerate(graphs):
+        for alive_set in _alive_sets(g, i):
+            alive = mask_of(alive_set)
+            assert alive == sum(2 ** v for v in alive_set)
+            lonely = any(not set(g.neighbors(v)) & alive_set for v in alive_set)
+            assert has_isolated(g.adj, alive) == lonely
+            comps = components(g.adj, alive)
+            assert [set(iter_bits(c)) for c in comps] == _naive_components(g, alive_set)
+            checked += 1
+        assert connected_components(g) == components(g.adj, g.full_mask())
+    assert checked == 6 * len(graphs) == 312
+
+
+def test_mask_of_wide_and_repeated_ids():
+    ids = [0, 63, 64, 70, 129, 64]
+    assert mask_of(ids) == sum(2 ** v for v in set(ids))
+    assert list(iter_bits(mask_of(ids))) == sorted(set(ids))
+    assert mask_of([]) == 0
 
 
 # -- graph6 --------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Tests for residue systems, the auxiliary graph, and verification records."""
 
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -144,6 +145,21 @@ def test_checkers_are_deterministic():
     assert [r.removed for r in a] != [r.removed for r in c]
 
 
+def test_samplers_on_a_product_wider_than_64_vertices():
+    # C23 x K3 has 69 vertices: removed ids past bit 63 must stay exact
+    g = make_cycle(23)
+    gstar = check_gstar_connected(g, 3, trials=30, seed=1)
+    split = check_residue_components(g, 3, trials=30, seed=1)
+    for records in (gstar, split):
+        assert all(r.error is None for r in records)
+        assert any(max(r.removed) >= 64 for r in records)
+        for r in records:
+            assert all(type(v) is int for v in r.removed)
+            assert build_residue_system(g, 3, r.removed).conditions.all_met()
+    assert all(r.gstar_connected is True for r in gstar)
+    assert all(r.split_residues == () for r in split)
+
+
 def test_gstar_connected_for_smaller_removal_sizes():
     # the connectedness claim covers removals below (n-1)*delta too
     for size in (1, 2, 3):
@@ -262,6 +278,31 @@ def test_batch_over_order_5_kd_equal_corpus():
     assert summary.violations == 0 and summary.skips == 0
     assert summary.instances == len(reports) == summary.holds
     assert summary.instances > 0
+
+
+def test_batch_computes_each_factor_connectivity_once(monkeypatch):
+    import kronkit.connectivity
+    import kronkit.product_analysis
+
+    bowtie = graph_from_edges(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])
+    factors = [make_cycle(5), make_complete(4), make_cycle(6), bowtie,
+               graph_from_edges(4, [(0, 1), (2, 3)]), make_complete(1)]
+    original = kronkit.connectivity.vertex_connectivity
+    calls = Counter()
+
+    def counted(g):
+        calls[g] += 1
+        return original(g)
+
+    monkeypatch.setattr(kronkit.connectivity, "vertex_connectivity", counted)
+    monkeypatch.setattr(kronkit.product_analysis, "vertex_connectivity", counted)
+    for filters in ((), ("kd-equal",)):
+        calls.clear()
+        records = list(batch_verify(factors, [3, 4], filters=filters))
+        assert all(calls[g] == 1 for g in factors), filters
+        items = records[-1].instances
+        assert items == (12 if not filters else 8)
+        assert sum(calls.values()) <= len(factors) + items
 
 
 def test_batch_empty_corpus():

@@ -19,7 +19,6 @@ from kronkit.products import (
     kronecker,
     linearization_rows,
     product_degree,
-    product_is_connected,
     weichsel_connected,
 )
 
@@ -178,7 +177,7 @@ def test_weichsel_agrees_with_traversal():
     pairs = itertools.product(pool[:14], repeat=2)
     count = 0
     for g1, g2 in pairs:
-        assert weichsel_connected(g1, g2) == product_is_connected(kronecker(g1, g2))
+        assert weichsel_connected(g1, g2) == is_connected(kronecker(g1, g2).graph)
         count += 1
     assert count == 196
 
@@ -208,3 +207,12 @@ def test_fibers_of_k2_times_k3():
     assert [f.factor1_vertex for f in fs] == [0, 1]
     assert fs[0].members == (0, 1, 2)
     assert fs[1].mask() == 0b111000
+
+
+def test_fiber_mask_arithmetic_matches_fiber_members():
+    # C23 x K3 (69 vertices) and a 9-vertex factor times K8 (72) pass bit 63
+    for g, n in [(make_complete(2), 3), (make_cycle(5), 4), (make_cycle(23), 3),
+                 (random_graph(9, 0.5, 3), 8)]:
+        p = kronecker(g, make_complete(n))
+        fs = fibers(p)
+        assert [p.fiber_mask(f.factor1_vertex) for f in fs] == [f.mask() for f in fs]
