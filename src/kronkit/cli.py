@@ -6,9 +6,11 @@ errors, 3 when skip records (budget, size limit, empty factor) occurred
 without violations.
 
 JSON-lines output is byte-stable for fixed inputs, flags, and seed; pass
-``--timing`` to include real runtimes (which breaks byte stability).  The
-``KRONKIT_BUDGET`` environment variable overrides the default subset-scan
-budget; an explicit ``--budget`` wins over both.
+``batch --timing`` to include real runtimes (which breaks byte stability).
+Each option is registered only on the commands that read it.  For ``cuts``,
+``super-kappa`` and ``batch`` the ``KRONKIT_BUDGET`` environment variable
+overrides the default subset-scan budget, and an explicit ``--budget`` wins
+over both; the other commands ignore the variable.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .connectivity import (
@@ -26,7 +28,7 @@ from .connectivity import (
     enumerate_min_cuts,
     vertex_connectivity,
 )
-from .corpus import all_graphs
+from .corpus import graphs_up_to
 from .errors import BudgetExceededError, Graph6Error, PreconditionError
 from .graphs import (
     Graph,
@@ -51,23 +53,11 @@ from .product_analysis import (
 from .products import is_bipartite, kronecker, linearization_rows
 
 GRAPH6_HEADER = ">>graph6<<"
+MAX_CORPUS_ORDER = 8  # --all-graphs at order 9 does not finish in practical time
 
 
 class _Fatal(Exception):
     """Unrecoverable input problem; maps to exit code 2."""
-
-
-@dataclass
-class RunConfig:
-    inline: list[str] = field(default_factory=list)
-    paths: list[str] = field(default_factory=list)
-    n: int = 3
-    seed: int = 0
-    budget: int | None = None
-    output: str | None = None
-    fmt: str = "jsonl"
-    workers: int = 1
-    timing: bool = False
 
 
 # -- ingestion -----------------------------------------------------------------
@@ -103,13 +93,13 @@ def ingest_corpus(paths: Iterable[str]) -> Iterator[IngestItem]:
                     yield IngestItem(location, None, error=str(exc))
 
 
-def _gather_inputs(config: RunConfig) -> Iterator[IngestItem]:
-    for idx, text in enumerate(config.inline):
+def _gather_inputs(args) -> Iterator[IngestItem]:
+    for idx, text in enumerate(args.g6):
         try:
             yield IngestItem(f"arg:{idx}", parse_graph6(text))
         except Graph6Error as exc:
             raise _Fatal(f"inline graph6 argument {idx}: {exc}") from exc
-    yield from ingest_corpus(config.paths)
+    yield from ingest_corpus(args.input)
 
 
 # -- emission ------------------------------------------------------------------
@@ -156,93 +146,88 @@ def _exit_code(tally: dict) -> int:
 
 # -- command implementations -----------------------------------------------------
 
-def _records_for_graphs(config: RunConfig, per_graph) -> Iterator[dict]:
-    for item in _gather_inputs(config):
+def _skip(g: Graph, reason: str, detail: str) -> dict:
+    return {"instance": {"graph6": encode_graph6(g)}, "skip": reason, "detail": detail}
+
+
+def _records_for_graphs(args, per_graph, *params) -> Iterator[dict]:
+    """Records of ``per_graph(g, *params)`` for each input graph, in order.
+
+    Parse errors and empty factors become in-stream records here, so the
+    per-graph functions see only graphs with at least one vertex.
+    """
+    for item in _gather_inputs(args):
         if item.error is not None:
             yield {"source": item.location, "error": item.error}
-            continue
-        yield from per_graph(item)
+        elif item.graph.order == 0:
+            yield _skip(item.graph, "empty-factor", "factor graph must be nonempty")
+        else:
+            yield from per_graph(item.graph, *params)
 
 
-def _kappa_records(config: RunConfig) -> Iterator[dict]:
-    def per_graph(item: IngestItem) -> Iterator[dict]:
-        g = item.graph
-        kappa = vertex_connectivity(g)
-        yield {
-            "graph6": encode_graph6(g),
-            "kappa": kappa,
-            "delta": g.min_degree,
-            "maximally_connected": kappa == g.min_degree,
-        }
-    return _records_for_graphs(config, per_graph)
+def _kappa_records(g: Graph) -> Iterator[dict]:
+    kappa = vertex_connectivity(g)
+    yield {
+        "graph6": encode_graph6(g),
+        "kappa": kappa,
+        "delta": g.min_degree,
+        "maximally_connected": kappa == g.min_degree,
+    }
 
 
-def _super_kappa_records(config: RunConfig) -> Iterator[dict]:
-    def per_graph(item: IngestItem) -> Iterator[dict]:
-        g = item.graph
-        try:
-            result = connectivity_result(g, budget=config.budget)
-        except BudgetExceededError as exc:
-            yield {"instance": {"graph6": encode_graph6(g)},
-                   "skip": "size-limit", "detail": str(exc)}
-            return
-        counterexample = next((c for c in result.min_cuts if not c.isolates), None)
-        yield {
-            "graph6": encode_graph6(g),
-            "kappa": result.kappa,
-            "delta": result.delta,
-            "maximally_connected": result.maximally_connected,
-            "super_kappa": result.super_kappa,
-            "min_cut_count": len(result.min_cuts),
-            "non_isolating_cut": (None if counterexample is None
-                                  else cut_record(counterexample)),
-        }
-    return _records_for_graphs(config, per_graph)
-
-
-def _cuts_records(config: RunConfig, graph: Graph) -> Iterator[dict]:
+def _super_kappa_records(g: Graph, budget: int | None) -> Iterator[dict]:
     try:
-        for cut in enumerate_min_cuts(graph, budget=config.budget):
+        result = connectivity_result(g, budget=budget)
+    except BudgetExceededError as exc:
+        yield _skip(g, "size-limit", str(exc))
+        return
+    counterexample = next((c for c in result.min_cuts if not c.isolates), None)
+    yield {
+        "graph6": encode_graph6(g),
+        "kappa": result.kappa,
+        "delta": result.delta,
+        "maximally_connected": result.maximally_connected,
+        "super_kappa": result.super_kappa,
+        "min_cut_count": len(result.min_cuts),
+        "non_isolating_cut": (None if counterexample is None
+                              else cut_record(counterexample)),
+    }
+
+
+def _cuts_records(g: Graph, budget: int | None) -> Iterator[dict]:
+    try:
+        for cut in enumerate_min_cuts(g, budget=budget):
             yield cut_record(cut)
     except BudgetExceededError as exc:
-        yield {"instance": {"graph6": encode_graph6(graph)},
-               "skip": "size-limit", "detail": str(exc)}
+        yield _skip(g, "size-limit", str(exc))
     except PreconditionError as exc:
         raise _Fatal(str(exc)) from exc
 
 
-def _gstar_records(config: RunConfig, trials: int) -> Iterator[dict]:
-    def per_graph(item: IngestItem) -> Iterator[dict]:
-        g = item.graph
-        try:
-            records = check_gstar_connected(g, config.n, trials, config.seed)
-            if not is_bipartite(g)[0]:
-                records += check_residue_components(g, config.n, trials,
-                                                    config.seed)
-        except PreconditionError as exc:
-            yield {"instance": {"graph6": encode_graph6(g), "n": config.n},
-                   "error": str(exc)}
-            return
-        for rec in records:
-            yield trial_record(rec)
-    return _records_for_graphs(config, per_graph)
+def _gstar_records(g: Graph, n: int, trials: int, seed: int) -> Iterator[dict]:
+    try:
+        records = check_gstar_connected(g, n, trials, seed)
+        if not is_bipartite(g)[0]:
+            records += check_residue_components(g, n, trials, seed)
+    except PreconditionError as exc:
+        yield {"instance": {"graph6": encode_graph6(g), "n": n}, "error": str(exc)}
+        return
+    for rec in records:
+        yield trial_record(rec)
 
 
-def _verify_records(config: RunConfig, n_values: list[int], filters: list[str],
-                    use_all_graphs: bool, max_order: int) -> Iterator[dict]:
-    corpus: list[Graph] = []
-    if use_all_graphs:
-        for order in range(1, max_order + 1):
-            corpus.extend(all_graphs(order))
-    for item in _gather_inputs(config):
+def _verify_records(args, n_values: list[int], filters: list[str],
+                    budget: int | None) -> Iterator[dict]:
+    corpus = graphs_up_to(args.max_order, connected=False) if args.all_graphs else []
+    for item in _gather_inputs(args):
         if item.error is not None:
             yield {"source": item.location, "error": item.error}
             continue
         corpus.append(item.graph)
     for record in batch_verify(corpus, n_values, filters=tuple(filters),
-                               budget=config.budget, workers=config.workers):
+                               budget=budget, workers=args.workers):
         if isinstance(record, VerificationReport):
-            yield report_record(record, with_timing=config.timing)
+            yield report_record(record, with_timing=args.timing)
         elif isinstance(record, SkipRecord):
             yield skip_record(record)
         elif isinstance(record, BatchSummary):
@@ -257,18 +242,19 @@ def build_parser() -> argparse.ArgumentParser:
         description="Connectivity toolkit for Kronecker products of graphs.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_io(p: argparse.ArgumentParser, single: bool = False) -> None:
+    def add_io(p: argparse.ArgumentParser, fmt: bool = True,
+               budget: bool = False) -> None:
         p.add_argument("--g6", action="append", default=[], metavar="STRING",
                        help="inline graph6 string (repeatable)")
         p.add_argument("--input", action="append", default=[], metavar="PATH",
                        help="newline-delimited graph6 file (repeatable)")
-        p.add_argument("--format", choices=("jsonl", "table"), default="jsonl")
+        if fmt:
+            p.add_argument("--format", choices=("jsonl", "table"), default="jsonl")
         p.add_argument("--output", default=None, metavar="PATH",
                        help="destination file; default standard output")
-        p.add_argument("--budget", type=int, default=None,
-                       help="subset-scan budget (overrides KRONKIT_BUDGET)")
-        p.add_argument("--timing", action="store_true",
-                       help="include real runtimes (breaks byte stability)")
+        if budget:
+            p.add_argument("--budget", type=int, default=None,
+                           help="subset-scan budget (overrides KRONKIT_BUDGET)")
 
     gen = sub.add_parser("gen", help="emit generated graphs as graph6")
     gen.add_argument("family", choices=("complete", "cycle", "random"))
@@ -281,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--output", default=None)
 
     product = sub.add_parser("product", help="emit the product with a complete graph")
-    add_io(product)
+    add_io(product, fmt=False)
     product.add_argument("--n", type=int, required=True,
                          help="order of the complete second factor (>= 2)")
     product.add_argument("--mapping", default=None, metavar="PATH",
@@ -291,10 +277,10 @@ def build_parser() -> argparse.ArgumentParser:
     add_io(kappa)
 
     cuts = sub.add_parser("cuts", help="enumerate all minimum separating sets")
-    add_io(cuts)
+    add_io(cuts, budget=True)
 
     supk = sub.add_parser("super-kappa", help="super-connectivity verdict")
-    add_io(supk)
+    add_io(supk, budget=True)
 
     gstar = sub.add_parser("gstar", help="sampled residue-graph checks")
     add_io(gstar)
@@ -305,7 +291,9 @@ def build_parser() -> argparse.ArgumentParser:
     batch = sub.add_parser(
         "batch", aliases=["verify"],
         help="verify the connectivity formula and super-connectivity")
-    add_io(batch)
+    add_io(batch, budget=True)
+    batch.add_argument("--timing", action="store_true",
+                       help="include real runtimes (breaks byte stability)")
     batch.add_argument("--n", required=True, metavar="N[,N...]",
                        help="comma-separated list of second-factor orders")
     batch.add_argument("--workers", type=int, default=os.cpu_count() or 1)
@@ -318,29 +306,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from(args) -> RunConfig:
-    return RunConfig(
-        inline=getattr(args, "g6", []),
-        paths=getattr(args, "input", []),
-        seed=getattr(args, "seed", 0),
-        budget=_resolve_budget(getattr(args, "budget", None)),
-        output=getattr(args, "output", None),
-        fmt=getattr(args, "format", "jsonl"),
-        workers=getattr(args, "workers", 1),
-        timing=getattr(args, "timing", False),
-    )
+def _budget(parser: argparse.ArgumentParser, args) -> int | None:
+    """``--budget``, else ``KRONKIT_BUDGET``, else None for the default budget."""
+    name, value = "--budget", args.budget
+    if value is None:
+        name, text = "KRONKIT_BUDGET", os.environ.get("KRONKIT_BUDGET")
+        if not text:
+            return None
+        try:
+            value = int(text)
+        except ValueError:
+            parser.error(f"{name} must be an integer, got {text!r}")
+    if value < 0:
+        parser.error(f"{name} must be >= 0, got {value}")
+    return value
 
 
-def _resolve_budget(flag_value: int | None) -> int | None:
-    if flag_value is not None:
-        return flag_value
-    env = os.environ.get("KRONKIT_BUDGET")
-    return int(env) if env else None
-
-
-def _single_graph(config: RunConfig) -> Graph:
+def _single_graph(args) -> Graph:
     graphs = []
-    for item in _gather_inputs(config):
+    for item in _gather_inputs(args):
         if item.error is not None:
             raise _Fatal(f"{item.location}: {item.error}")
         graphs.append(item.graph)
@@ -382,30 +366,31 @@ def _dispatch(parser: argparse.ArgumentParser, args) -> int:
         _write_lines(lines, args.output)
         return 0
 
-    config = _config_from(args)
-    tally = {"violations": 0, "skips": 0, "parse_errors": 0}
-
     if command == "product":
         if args.n < 2:
             parser.error("product needs --n >= 2")
-        g = _single_graph(config)
+        g = _single_graph(args)
         product = kronecker(g, make_complete(args.n))
-        _write_lines([encode_graph6(product.graph)], config.output)
+        _write_lines([encode_graph6(product.graph)], args.output)
         if args.mapping:
             _write_lines(linearization_rows(product), args.mapping)
         return 0
 
     if command == "kappa":
-        records = _kappa_records(config)
+        records = _records_for_graphs(args, _kappa_records)
     elif command == "super-kappa":
-        records = _super_kappa_records(config)
+        records = _records_for_graphs(args, _super_kappa_records,
+                                      _budget(parser, args))
     elif command == "cuts":
-        records = _cuts_records(config, _single_graph(config))
+        budget = _budget(parser, args)
+        records = _cuts_records(_single_graph(args), budget)
     elif command == "gstar":
         if args.n < 3:
             parser.error("gstar needs --n >= 3")
-        config.n = args.n
-        records = _gstar_records(config, args.trials)
+        if args.trials < 0:
+            parser.error(f"gstar needs --trials >= 0, got {args.trials}")
+        records = _records_for_graphs(args, _gstar_records, args.n, args.trials,
+                                      args.seed)
     elif command in ("batch", "verify"):
         try:
             n_values = [int(part) for part in args.n.split(",") if part]
@@ -413,15 +398,20 @@ def _dispatch(parser: argparse.ArgumentParser, args) -> int:
             parser.error(f"{command} needs integer --n values, got {args.n!r}")
         if any(n < 3 for n in n_values):
             parser.error("verification needs --n >= 3")
+        if args.workers < 1:
+            parser.error(f"{command} needs --workers >= 1, got {args.workers}")
+        if args.all_graphs and args.max_order > MAX_CORPUS_ORDER:
+            parser.error(f"--all-graphs needs --max-order <= {MAX_CORPUS_ORDER}, "
+                         f"got {args.max_order}")
         filters = []
         for chunk in args.filter:
             filters.extend(part for part in chunk.split(",") if part)
-        records = _verify_records(config, n_values, filters,
-                                  args.all_graphs, args.max_order)
+        records = _verify_records(args, n_values, filters, _budget(parser, args))
     else:  # pragma: no cover - argparse enforces the choices
         parser.error(f"unknown command {command!r}")
 
-    emit_report(_tallied(records, tally), config.fmt, config.output)
+    tally = {"violations": 0, "skips": 0, "parse_errors": 0}
+    emit_report(_tallied(records, tally), args.format, args.output)
     return _exit_code(tally)
 
 

@@ -31,7 +31,6 @@ from .graphs import (
     mask_of,
     reachable_mask,
 )
-from .products import ProductGraph
 
 DEFAULT_SUBSET_BUDGET = 50_000_000
 BRUTE_FORCE_MAX_ORDER = 20
@@ -43,8 +42,6 @@ class CutSet:
 
     ``isolates`` means some surviving vertex has no surviving neighbor;
     ``is_neighborhood`` means the set equals ``N(witness)`` exactly.
-    ``contains_fiber`` is the smallest index of a product fiber wholly inside
-    the set, when a product context was supplied.
     """
 
     vertices: tuple[int, ...]
@@ -52,7 +49,6 @@ class CutSet:
     isolates: bool
     is_neighborhood: bool
     witness: int | None
-    contains_fiber: int | None = None
 
 
 @dataclass(frozen=True)
@@ -224,8 +220,7 @@ def brute_force_connectivity(g: Graph) -> int:
 
 # -- cut classification and enumeration ---------------------------------------
 
-def _classify_mask(g: Graph, removed: int, vertices: tuple[int, ...],
-                   product: ProductGraph | None = None) -> CutSet:
+def _classify_mask(g: Graph, removed: int, vertices: tuple[int, ...]) -> CutSet:
     full = g.full_mask()
     alive = full & ~removed
     if alive == 0:
@@ -242,31 +237,22 @@ def _classify_mask(g: Graph, removed: int, vertices: tuple[int, ...],
             if g.adj[x] == removed:
                 witness = x
                 break
-    contains_fiber = None
-    if product is not None:
-        for u in range(product.factor1_order):
-            if product.fiber_mask(u) & ~removed == 0:
-                contains_fiber = u
-                break
-    return CutSet(vertices, separates, isolates, witness is not None, witness,
-                  contains_fiber)
+    return CutSet(vertices, separates, isolates, witness is not None, witness)
 
 
-def classify_cut(g: Graph, s, product: ProductGraph | None = None) -> CutSet:
+def classify_cut(g: Graph, s) -> CutSet:
     """Classify an arbitrary vertex set of ``g``.
 
     Non-separating sets come back with ``separates=False`` rather than an
-    error.  Pass the product the graph was built from to get fiber
-    containment as well.
+    error.
     """
     vertices = tuple(sorted(set(s)))
     if vertices and not (0 <= vertices[0] and vertices[-1] < g.order):
         raise ValueError(f"cut contains ids outside 0..{g.order - 1}")
-    return _classify_mask(g, mask_of(vertices), vertices, product)
+    return _classify_mask(g, mask_of(vertices), vertices)
 
 
-def enumerate_min_cuts(g: Graph, budget: int | None = None,
-                       product: ProductGraph | None = None) -> list[CutSet]:
+def enumerate_min_cuts(g: Graph, budget: int | None = None) -> list[CutSet]:
     """Every separating set of size exactly kappa(g), lexicographically.
 
     The scan visits all ``C(order, kappa)`` subsets; when that count exceeds
@@ -294,7 +280,7 @@ def enumerate_min_cuts(g: Graph, budget: int | None = None,
             start = (alive & -alive).bit_length() - 1
             if reachable_mask(adj, alive, start) == alive:
                 continue
-        cuts.append(_classify_mask(g, removed, combo, product))
+        cuts.append(_classify_mask(g, removed, combo))
     return cuts
 
 

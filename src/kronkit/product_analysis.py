@@ -344,15 +344,14 @@ def _report(g: Graph, n: int, kappa_g: int, budget: int | None,
                 required=(g.order * n) ** 3)
     start = time.perf_counter()
     delta_g = g.min_degree
-    product = kronecker(g, make_complete(n))
-    pg = product.graph
+    pg = kronecker(g, make_complete(n)).graph
     super_kappa = min_cut_count = counterexample = None
     if not verdict:
         product_kappa = vertex_connectivity(pg)
     elif not is_connected(pg):
         product_kappa, super_kappa, min_cut_count = 0, False, 0
     else:
-        cuts = enumerate_min_cuts(pg, budget=budget, product=product)
+        cuts = enumerate_min_cuts(pg, budget=budget)
         product_kappa = len(cuts[0].vertices) if cuts else pg.order - 1
         super_kappa = all(c.isolates for c in cuts)
         min_cut_count = len(cuts)

@@ -286,3 +286,72 @@ def test_usage_error_exit_code(capsys):
     capsys.readouterr()
     assert main(["no-such-command"]) == 2
     capsys.readouterr()
+
+
+# -- per-command options and input guards --------------------------------------------
+
+@pytest.mark.parametrize("argv", [
+    ["kappa", "--timing", "--g6", "Bw"],
+    ["kappa", "--budget", "5", "--g6", "Bw"],
+    ["product", "--format", "table", "--n", "3", "--g6", "Cr"],
+    ["gstar", "--budget", "5", "--n", "3", "--g6", "Bw"],
+    ["cuts", "--timing", "--g6", "Bw"],
+], ids=lambda argv: f"{argv[0]}{argv[1]}")
+def test_options_are_registered_only_where_read(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert "unrecognized arguments" in err
+
+
+def test_budget_variable_is_ignored_by_commands_without_budget(capsys, monkeypatch):
+    monkeypatch.setenv("KRONKIT_BUDGET", "abc")
+    code, out, _ = run_cli(["kappa", "--g6", "Bw"], capsys)
+    assert code == 0
+    assert jsonl(out)[0]["kappa"] == 2
+
+
+@pytest.mark.parametrize("command", ["kappa", "super-kappa", "gstar"])
+def test_empty_factor_is_an_in_stream_skip(command, capsys):
+    argv = [command, "--g6", "Bw", "--g6", "?"]
+    if command == "gstar":
+        argv += ["--n", "3", "--trials", "2"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 3 and err == ""
+    records = jsonl(out)
+    # Bw's records come first and intact; the run goes on past the empty factor
+    assert len(records) > 1
+    assert all("skip" not in r and not r.get("error") for r in records[:-1])
+    assert all('"Bw"' in json.dumps(r) for r in records[:-1])
+    assert out.splitlines()[-1] == ('{"instance":{"graph6":"?"},"skip":"empty-factor",'
+                                    '"detail":"factor graph must be nonempty"}')
+
+
+@pytest.mark.parametrize("argv, env, message", [
+    (["batch", "--n", "3", "--g6", "Bw", "--workers", "0"], None, "--workers >= 1"),
+    (["cuts", "--g6", "Bw", "--budget", "-1"], None, "--budget must be >= 0"),
+    (["super-kappa", "--g6", "Bw"], "-4", "KRONKIT_BUDGET must be >= 0"),
+    (["batch", "--n", "3", "--g6", "Bw", "--workers", "1"], "-1",
+     "KRONKIT_BUDGET must be >= 0"),
+    (["super-kappa", "--g6", "Bw"], "abc", "KRONKIT_BUDGET must be an integer"),
+    (["cuts", "--g6", "Bw"], "1e3", "KRONKIT_BUDGET must be an integer"),
+    (["gstar", "--n", "3", "--g6", "Bw", "--trials", "-1"], None, "--trials >= 0"),
+    (["batch", "--n", "3", "--all-graphs", "--max-order", "9"], None,
+     "--max-order <= 8"),
+], ids=["workers-0", "budget-flag-negative", "budget-env-negative",
+        "budget-env-negative-batch", "budget-env-word", "budget-env-float",
+        "trials-negative", "max-order-9"])
+def test_input_guards(argv, env, message, capsys, monkeypatch):
+    def no_corpus(*_args, **_kwargs):  # fail fast instead of building order 9
+        raise AssertionError("the corpus was built before the guard")
+    monkeypatch.setattr("kronkit.cli.graphs_up_to", no_corpus)
+    if env is not None:
+        monkeypatch.setenv("KRONKIT_BUDGET", env)
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert "kronkit:" in err and message in err
+
+
+def test_budget_flag_wins_over_variable(capsys, monkeypatch):
+    monkeypatch.setenv("KRONKIT_BUDGET", "abc")
+    code, out, _ = run_cli(["cuts", "--g6", "Bw", "--budget", "100"], capsys)
+    assert code == 0 and len(jsonl(out)) == 3

@@ -217,13 +217,11 @@ def test_classify_cut_rejects_out_of_range():
         classify_cut(make_cycle(4), {0, 9})
 
 
-def test_classify_cut_reports_fiber_containment():
+def test_classify_cut_whole_fiber_does_not_separate():
     p = kronecker(make_cycle(5), make_complete(3))
-    c = classify_cut(p.graph, {0, 1, 2}, product=p)
-    assert c.contains_fiber == 0
+    c = classify_cut(p.graph, {0, 1, 2})  # fiber 0, the block 0..2
     assert not c.separates  # kappa of the product is 4
-    c = classify_cut(p.graph, {0, 1, 4}, product=p)
-    assert c.contains_fiber is None
+    assert c.vertices == (0, 1, 2) and not c.isolates
 
 
 @given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=3, max_value=9))
