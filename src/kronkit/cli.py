@@ -9,8 +9,8 @@ JSON-lines output is byte-stable for fixed inputs, flags, and seed; pass
 ``batch --timing`` to include real runtimes (which breaks byte stability).
 Each option is registered only on the commands that read it.  For ``cuts``,
 ``super-kappa`` and ``batch`` the ``KRONKIT_BUDGET`` environment variable
-overrides the default subset-scan budget, and an explicit ``--budget`` wins
-over both; the other commands ignore the variable.
+overrides the default size budget, and an explicit ``--budget`` wins over
+both; the other commands ignore the variable.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from .product_analysis import (
     SkipRecord,
     VerificationReport,
     batch_verify,
+    check_filters,
     check_gstar_connected,
     check_residue_components,
     report_record,
@@ -254,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="destination file; default standard output")
         if budget:
             p.add_argument("--budget", type=int, default=None,
-                           help="subset-scan budget (overrides KRONKIT_BUDGET)")
+                           help="size gate on C(N, kappa) (overrides KRONKIT_BUDGET)")
 
     gen = sub.add_parser("gen", help="emit generated graphs as graph6")
     gen.add_argument("family", choices=("complete", "cycle", "random"))
@@ -403,9 +404,12 @@ def _dispatch(parser: argparse.ArgumentParser, args) -> int:
         if args.all_graphs and args.max_order > MAX_CORPUS_ORDER:
             parser.error(f"--all-graphs needs --max-order <= {MAX_CORPUS_ORDER}, "
                          f"got {args.max_order}")
+        if args.all_graphs and args.max_order < 1:
+            parser.error(f"--all-graphs needs --max-order >= 1, got {args.max_order}")
         filters = []
         for chunk in args.filter:
             filters.extend(part for part in chunk.split(",") if part)
+        check_filters(filters)
         records = _verify_records(args, n_values, filters, _budget(parser, args))
     else:  # pragma: no cover - argparse enforces the choices
         parser.error(f"unknown command {command!r}")

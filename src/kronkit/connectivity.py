@@ -1,13 +1,18 @@
-"""Vertex connectivity, exhaustive minimum-cut enumeration, and the
+"""Vertex connectivity, minimum-cut enumeration, and the
 super-connectivity decision.
 
-Two independent routes are kept deliberately separate:
+The production routes share one vertex-split flow network per graph and
+Even's pair family around a minimum-degree vertex:
 
-* :func:`vertex_connectivity` counts internally disjoint paths with a
-  unit-capacity max-flow on the split digraph, minimized over the classical
-  pair family around a minimum-degree vertex.
-* :func:`brute_force_connectivity` scans vertex subsets in increasing size
-  with a union-find separation test; it is the definition-level oracle.
+* :func:`vertex_connectivity` minimizes the number of internally disjoint
+  paths over the pairs.
+* :func:`enumerate_min_cuts` reads every minimum separator of each pair
+  whose flow equals kappa off the closed sets of its residual network.
+
+The brute-force section keeps definition-level oracles for the tests:
+:func:`brute_force_connectivity` scans vertex subsets in increasing size
+with a union-find separation test, and :func:`brute_force_min_cuts` scans
+every subset of size kappa.
 
 Removing all but one vertex counts as separating (the remainder is the
 trivial one-vertex graph), so complete graphs get connectivity ``n - 1`` and
@@ -18,8 +23,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import deque
 from dataclasses import dataclass
+from typing import Iterator
 
 from .errors import BudgetExceededError, PreconditionError, UnsupportedSizeError
 from .graphs import (
@@ -72,78 +77,143 @@ def cut_record(cut: CutSet) -> dict:
 # -- flow route ---------------------------------------------------------------
 
 class _SplitFlow:
-    """Unit-capacity vertex-split network for internally disjoint path counts.
+    """Vertex-split network of a graph, for disjoint paths and minimum cuts.
 
-    Vertex ``v`` becomes ``in = 2v`` and ``out = 2v + 1`` joined by a
-    capacity-1 arc; each edge contributes ``out -> in`` arcs both ways.
+    Vertex ``v`` becomes ``in = v`` and ``out = order + v`` joined by a
+    capacity-1 arc; each edge contributes ``out -> in`` arcs both ways with
+    unlimited capacity, so every minimum cut consists of vertex arcs.  A
+    residual network is a list of out-neighbour masks, one per node.  Edge
+    arcs stay open in every residual network: vertex capacities keep the
+    flow on each arc at 0 or 1, so one bit records the reverse arc.
     """
 
-    __slots__ = ("size", "arc_to", "arc_cap", "head")
+    __slots__ = ("order", "base_out", "base_in")
 
     def __init__(self, g: Graph):
         n = g.order
-        self.size = 2 * n
-        arc_to: list[int] = []
-        arc_cap: list[int] = []
-        head: list[list[int]] = [[] for _ in range(2 * n)]
+        self.order = n
+        self.base_out = [1 << (n + v) for v in range(n)] + list(g.adj)
+        self.base_in = [m << n for m in g.adj] + [1 << v for v in range(n)]
 
-        def add(a: int, b: int) -> None:
-            head[a].append(len(arc_to))
-            arc_to.append(b)
-            arc_cap.append(1)
-            head[b].append(len(arc_to))
-            arc_to.append(a)
-            arc_cap.append(0)
+    def max_flow(self, s: int, t: int, cutoff: int) -> tuple[int, list[int]]:
+        """Internally disjoint s-t paths, counting at most ``cutoff``.
 
-        for v in range(n):
-            add(2 * v, 2 * v + 1)
-        for u, v in g.edges():
-            add(2 * u + 1, 2 * v)
-            add(2 * v + 1, 2 * u)
-        self.arc_to = arc_to
-        self.arc_cap = arc_cap
-        self.head = head
-
-    def max_disjoint_paths(self, s: int, t: int, cutoff: int) -> int:
-        """Internally disjoint s-t paths, counting at most ``cutoff``."""
-        cap = self.arc_cap.copy()
-        head, to = self.head, self.arc_to
-        src, dst = 2 * s + 1, 2 * t
+        Returns the count and the residual network it leaves.
+        """
+        n = self.order
+        out = self.base_out.copy()
+        src, dst = n + s, t
         flow = 0
         while flow < cutoff:
-            prev_arc = [-1] * self.size
-            prev_arc[src] = -2
-            queue = deque([src])
-            found = False
-            while queue:
-                x = queue.popleft()
-                if x == dst:
-                    found = True
-                    break
-                for a in head[x]:
-                    y = to[a]
-                    if cap[a] and prev_arc[y] == -1:
-                        prev_arc[y] = a
-                        queue.append(y)
-            if not found:
+            parent = {}
+            seen = 1 << src
+            frontier = [src]
+            while frontier and not seen >> dst & 1:
+                layer = []
+                for x in frontier:
+                    new = out[x] & ~seen
+                    seen |= new
+                    while new:
+                        low = new & -new
+                        y = low.bit_length() - 1
+                        parent[y] = x
+                        layer.append(y)
+                        new ^= low
+                frontier = layer
+            if not seen >> dst & 1:
                 break
-            x = dst
-            while x != src:
-                a = prev_arc[x]
-                cap[a] -= 1
-                cap[a ^ 1] += 1
-                x = to[a ^ 1]
+            y = dst
+            while y != src:
+                x = parent[y]
+                if abs(x - y) == n:  # a vertex arc, used or given back
+                    out[x] ^= 1 << y
+                    out[y] |= 1 << x
+                elif x >= n:  # an edge arc: stays open, can now be undone
+                    out[y] |= 1 << x
+                else:  # undoes the flow on edge arc y -> x
+                    out[x] ^= 1 << y
+                y = x
             flow += 1
-        return flow
+        return flow, out
+
+    def min_separators(self, s: int, t: int, out: list[int]) -> set[int]:
+        """Vertex masks of the minimum s-t separators, given a maximum flow.
+
+        ``out`` is the flow's residual network.  The minimum cuts are the
+        node sets closed under residual arcs that hold the source ``s_out``
+        and not the sink ``t_in`` (Picard and Queyranne 1980), so they lie
+        between the source's reach and the complement of the sink's
+        co-reach.  A minimum cut takes one saturated vertex arc from each
+        flow path, and the closure fixes every other node of the paths: a
+        path vertex before the cut lies inside, one after it outside.  So
+        the cuts correspond one to one to the placements of the flow nodes
+        (the in- and out-nodes of the vertices the flow passes through) that
+        extend to a closed set, and the search branches only on those: the
+        lowest undecided flow node either joins with everything it reaches
+        or stays out with everything that reaches it.  Neither branch can
+        fail, and once no flow node is undecided the inside set is closed,
+        so each leaf is a distinct cut and the search visits fewer than two
+        states per cut.  A vertex off the flow is never cut: its open
+        vertex arc takes its out-node inside along with its in-node.  Empty
+        when the source reaches the sink, that is when the flow was cut off
+        below its maximum.
+        """
+        n = self.order
+        nodes = (1 << 2 * n) - 1
+        inside = reachable_mask(out, nodes, n + s) | (1 << s)
+        if inside >> t & 1:
+            return set()
+        inn = self.base_in.copy()
+        for x, (now, base) in enumerate(zip(out, self.base_out)):
+            for y in iter_bits(now ^ base):
+                inn[y] ^= 1 << x
+        outside = reachable_mask(inn, nodes, t) | (1 << (n + t))
+        flow_nodes = 0
+        for v in range(n):
+            if not out[v] >> (n + v) & 1:
+                flow_nodes |= (1 << v) | (1 << (n + v))
+        found = set()
+        stack = [(inside, outside)]
+        while stack:
+            inside, outside = stack.pop()
+            free = flow_nodes & ~(inside | outside)
+            if not free:
+                found.add(inside & ~(inside >> n) & ((1 << n) - 1))
+                continue
+            u = (free & -free).bit_length() - 1
+            stack.append((inside | reachable_mask(out, nodes & ~inside, u), outside))
+            stack.append((inside, outside | reachable_mask(inn, nodes & ~outside, u)))
+        return found
+
+
+def _even_pairs(g: Graph) -> Iterator[tuple[int, int]]:
+    """Even's pair family around a fixed minimum-degree vertex ``s``.
+
+    The pairs are ``s`` with each non-neighbour, then each non-adjacent pair
+    of neighbours of ``s``.  Every minimum cut of a non-complete graph
+    separates one of them: a cut that misses ``s`` separates it from a
+    non-neighbour, and one that holds ``s`` separates two of its neighbours,
+    because each vertex of a minimum cut has a neighbour in every remaining
+    component.  A complete graph has no pairs.
+    """
+    s = min(range(g.order), key=lambda v: (g.degree(v), v))
+    s_mask = g.adj[s]
+    for t in range(g.order):
+        if t != s and not s_mask >> t & 1:
+            yield s, t
+    nbrs = list(iter_bits(s_mask))
+    for i, x in enumerate(nbrs):
+        for y in nbrs[i + 1:]:
+            if not g.has_edge(x, y):
+                yield x, y
 
 
 def vertex_connectivity(g: Graph) -> int:
     """Connectivity of ``g`` via disjoint-path counts.
 
     0 for disconnected graphs and the one-vertex graph, ``n - 1`` for
-    complete graphs.  Otherwise the minimum runs over all non-neighbors of a
-    fixed minimum-degree vertex ``s`` and over all non-adjacent pairs of
-    neighbors of ``s``; one of these pairs crosses every minimum cut.
+    complete graphs.  Otherwise the minimum of the local connectivities over
+    Even's pair family, one of which crosses every minimum cut.
     """
     if g.order == 0:
         raise ValueError("connectivity is undefined for the empty graph")
@@ -154,18 +224,10 @@ def vertex_connectivity(g: Graph) -> int:
     n = g.order
     if all(m.bit_count() == n - 1 for m in g.adj):
         return n - 1
-    s = min(range(n), key=lambda v: (g.degree(v), v))
-    flow = _SplitFlow(g)
+    net = _SplitFlow(g)
     best = n - 1
-    s_mask = g.adj[s]
-    for t in range(n):
-        if t != s and not s_mask >> t & 1:
-            best = min(best, flow.max_disjoint_paths(s, t, best))
-    nbrs = list(iter_bits(s_mask))
-    for i, x in enumerate(nbrs):
-        for y in nbrs[i + 1:]:
-            if not g.has_edge(x, y):
-                best = min(best, flow.max_disjoint_paths(x, y, best))
+    for s, t in _even_pairs(g):
+        best = min(best, net.max_flow(s, t, best)[0])
     return best
 
 
@@ -218,6 +280,33 @@ def brute_force_connectivity(g: Graph) -> int:
     return g.order - 1  # unreachable: size n-1 always leaves K_1
 
 
+def brute_force_min_cuts(g: Graph) -> list[CutSet]:
+    """Every separating set of size kappa(g), by scanning all subsets of that size.
+
+    The test oracle for :func:`enumerate_min_cuts`: the same preconditions
+    and lexicographic order, no budget, guarded to order <= 20.
+    """
+    if g.order < 2:
+        raise PreconditionError("min-cut enumeration needs order >= 2")
+    if not is_connected(g):
+        raise PreconditionError("min-cut enumeration needs a connected graph")
+    if g.order > BRUTE_FORCE_MAX_ORDER:
+        raise UnsupportedSizeError(
+            f"brute-force scan is guarded to order <= {BRUTE_FORCE_MAX_ORDER}, "
+            f"got {g.order}")
+    full = g.full_mask()
+    cuts = []
+    for combo in itertools.combinations(range(g.order), vertex_connectivity(g)):
+        removed = mask_of(combo)
+        alive = full ^ removed
+        if alive & (alive - 1):
+            start = (alive & -alive).bit_length() - 1
+            if reachable_mask(g.adj, alive, start) == alive:
+                continue
+        cuts.append(_classify_mask(g, removed, combo))
+    return cuts
+
+
 # -- cut classification and enumeration ---------------------------------------
 
 def _classify_mask(g: Graph, removed: int, vertices: tuple[int, ...]) -> CutSet:
@@ -255,33 +344,45 @@ def classify_cut(g: Graph, s) -> CutSet:
 def enumerate_min_cuts(g: Graph, budget: int | None = None) -> list[CutSet]:
     """Every separating set of size exactly kappa(g), lexicographically.
 
-    The scan visits all ``C(order, kappa)`` subsets; when that count exceeds
-    the budget (default ``DEFAULT_SUBSET_BUDGET``) a
-    :class:`BudgetExceededError` reports the required count instead.
+    One vertex-split network serves every pair of Even's family; for each
+    pair whose maximum flow equals kappa, the minimum separators are read
+    off the closed sets of the residual network.  Past the flows, each pair
+    costs fewer than two reachability searches per cut it separates, so the
+    work grows with the pairs and the cuts found rather than with
+    ``C(order, kappa)`` or with the components a cut leaves.  The union
+    over the pairs is every minimum cut.  A complete graph has the ``order`` sets of
+    size ``order - 1``, each leaving one vertex.
+
+    ``C(order, kappa)``, the number of subsets of size kappa, remains a size
+    gate: above the budget (default ``DEFAULT_SUBSET_BUDGET``) a
+    :class:`BudgetExceededError` reports it as the required count.
     """
     if g.order < 2:
         raise PreconditionError("min-cut enumeration needs order >= 2")
     if not is_connected(g):
         raise PreconditionError("min-cut enumeration needs a connected graph")
-    kappa = vertex_connectivity(g)
+    n = g.order
+    net = _SplitFlow(g)
+    kappa, attaining = n - 1, []
+    for s, t in _even_pairs(g):
+        value, out = net.max_flow(s, t, kappa)
+        if value < kappa:
+            kappa, attaining = value, []
+        # A flow stopped at the cutoff may hide a larger local connectivity;
+        # min_separators finds no cut for such a pair.
+        attaining.append((s, t, out))
     limit = DEFAULT_SUBSET_BUDGET if budget is None else budget
-    required = math.comb(g.order, kappa)
+    required = math.comb(n, kappa)
     if required > limit:
         raise BudgetExceededError(
-            f"enumerating C({g.order},{kappa}) = {required} subsets exceeds "
+            f"enumerating C({n},{kappa}) = {required} subsets exceeds "
             f"budget {limit}", required=required)
-    adj = g.adj
-    full = g.full_mask()
-    cuts = []
-    for combo in itertools.combinations(range(g.order), kappa):
-        removed = mask_of(combo)
-        alive = full ^ removed
-        if alive & (alive - 1):
-            start = (alive & -alive).bit_length() - 1
-            if reachable_mask(adj, alive, start) == alive:
-                continue
-        cuts.append(_classify_mask(g, removed, combo))
-    return cuts
+    # Only a complete graph has no pairs; each of its cuts leaves one vertex.
+    masks = set() if attaining else {g.full_mask() ^ (1 << v) for v in range(n)}
+    for s, t, out in attaining:
+        masks |= net.min_separators(s, t, out)
+    cuts = sorted(tuple(iter_bits(m)) for m in masks)
+    return [_classify_mask(g, mask_of(c), c) for c in cuts]
 
 
 def is_super_kappa(g: Graph, budget: int | None = None) -> bool:

@@ -22,9 +22,12 @@ class PreconditionError(KronkitError, ValueError):
 
 
 class BudgetExceededError(KronkitError, RuntimeError):
-    """A subset scan would exceed the configured budget.
+    """An instance is larger than the configured budget allows.
 
-    ``required`` is the number of subsets the scan would have to visit.
+    ``required`` is its size in the budget's unit: ``C(N, kappa)``, the
+    number of vertex subsets of size kappa, for minimum-cut enumeration on
+    an ``N``-vertex graph, and ``N ** 3`` for the formula-only check of an
+    ``N``-vertex product.
     """
 
     def __init__(self, message: str, required: int):

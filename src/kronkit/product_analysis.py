@@ -410,6 +410,13 @@ def verify_super_connectivity(g: Graph, n: int,
 KNOWN_FILTERS = ("connected", "kd-equal", "bipartite", "nonbipartite")
 
 
+def check_filters(filters: Sequence[str]) -> None:
+    """Raise ``ValueError`` naming the first filter outside ``KNOWN_FILTERS``."""
+    for name in filters:
+        if name not in KNOWN_FILTERS:
+            raise ValueError(f"unknown filter {name!r}; known: {KNOWN_FILTERS}")
+
+
 def _passes_filters(g: Graph, kappa_g: int | None, filters: Sequence[str]) -> bool:
     for name in filters:
         if name == "connected":
@@ -424,8 +431,6 @@ def _passes_filters(g: Graph, kappa_g: int | None, filters: Sequence[str]) -> bo
         elif name == "nonbipartite":
             if is_bipartite(g)[0]:
                 return False
-        else:
-            raise ValueError(f"unknown filter {name!r}; known: {KNOWN_FILTERS}")
     return True
 
 
@@ -457,6 +462,7 @@ def batch_verify(corpus: Iterable[Graph], n_values: Sequence[int],
     for n in n_values:
         if n < 3:
             raise ValueError(f"second factor needs n >= 3, got {n}")
+    check_filters(filters)
     items = []
     for g in corpus:
         kappa_g = vertex_connectivity(g) if g.order else None

@@ -337,9 +337,13 @@ def test_empty_factor_is_an_in_stream_skip(command, capsys):
     (["gstar", "--n", "3", "--g6", "Bw", "--trials", "-1"], None, "--trials >= 0"),
     (["batch", "--n", "3", "--all-graphs", "--max-order", "9"], None,
      "--max-order <= 8"),
+    (["batch", "--n", "3", "--all-graphs", "--max-order", "0"], None,
+     "--max-order >= 1, got 0"),
+    (["batch", "--n", "3", "--all-graphs", "--max-order", "-2"], None,
+     "--max-order >= 1, got -2"),
 ], ids=["workers-0", "budget-flag-negative", "budget-env-negative",
         "budget-env-negative-batch", "budget-env-word", "budget-env-float",
-        "trials-negative", "max-order-9"])
+        "trials-negative", "max-order-9", "max-order-0", "max-order-negative"])
 def test_input_guards(argv, env, message, capsys, monkeypatch):
     def no_corpus(*_args, **_kwargs):  # fail fast instead of building order 9
         raise AssertionError("the corpus was built before the guard")
@@ -355,3 +359,14 @@ def test_budget_flag_wins_over_variable(capsys, monkeypatch):
     monkeypatch.setenv("KRONKIT_BUDGET", "abc")
     code, out, _ = run_cli(["cuts", "--g6", "Bw", "--budget", "100"], capsys)
     assert code == 0 and len(jsonl(out)) == 3
+
+
+def test_unknown_filter_is_rejected_before_any_record(capsys, tmp_path):
+    # The parse-error record of the second line used to stream before the
+    # filter name was checked, and the run then aborted without a summary.
+    corpus = tmp_path / "two.g6"
+    corpus.write_text("Bw\n!!\n", encoding="utf-8")
+    code, out, err = run_cli(["batch", "--n", "3", "--input", str(corpus),
+                              "--filter", "connected,bogus", "--workers", "1"], capsys)
+    assert code == 2 and out == ""
+    assert "kronkit:" in err and "unknown filter 'bogus'" in err

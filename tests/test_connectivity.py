@@ -3,11 +3,12 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kronkit.connectivity import (
     brute_force_connectivity,
+    brute_force_min_cuts,
     classify_cut,
     connectivity_result,
     cut_record,
@@ -161,6 +162,106 @@ def test_enumeration_complete_exhaustively_up_to_order_7():
             cuts = enumerate_min_cuts(g)
             assert [c.vertices for c in cuts] == nx_min_cuts(
                 g, vertex_connectivity(g))
+
+
+def test_enumeration_equals_subset_scan_on_every_connected_graph_to_order_7():
+    # Runs without networkx, and compares the classifications too.
+    from kronkit.corpus import connected_graphs
+
+    count = 0
+    for order in range(2, 8):
+        for g in connected_graphs(order):
+            assert enumerate_min_cuts(g) == brute_force_min_cuts(g), g
+            count += 1
+    assert count == 995
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_enumeration_equals_subset_scan_on_products(n):
+    from kronkit.corpus import connected_graphs
+
+    for order in range(1, 6):
+        for g in connected_graphs(order):
+            pg = kronecker(g, make_complete(n)).graph
+            if is_connected(pg):
+                assert enumerate_min_cuts(pg) == brute_force_min_cuts(pg), (g, n)
+
+
+@pytest.mark.parametrize("n, expected", [
+    (None, [(0,)]),
+    (3, [(0, 1), (0, 2), (1, 2)]),  # two of the three copies of the centre
+])
+def test_enumeration_stays_small_when_a_cut_leaves_many_components(
+        monkeypatch, n, expected):
+    """The centre of K_{1,20} leaves 20 components, and each minimum cut of
+    K_{1,20} x K_3 leaves 21.  The search branches only on the vertices the
+    flow passes through, so it makes a few reachability searches per pair;
+    branching on the vertices off the flow too would take billions."""
+    import kronkit.connectivity as connectivity
+
+    star = graph_from_edges(21, [(0, leaf) for leaf in range(1, 21)])
+    g = star if n is None else kronecker(star, make_complete(n)).graph
+    calls = 0
+    reachable = connectivity.reachable_mask
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        assert calls <= 1000, "minimum-cut search is not output-sensitive"
+        return reachable(*args)
+
+    monkeypatch.setattr(connectivity, "reachable_mask", counted)
+    cuts = enumerate_min_cuts(g)
+    assert [c.vertices for c in cuts] == expected
+    assert all(c.isolates and c.is_neighborhood for c in cuts)
+
+
+def test_subset_scan_oracle_guards():
+    with pytest.raises(PreconditionError):
+        brute_force_min_cuts(make_complete(1))
+    with pytest.raises(PreconditionError):
+        brute_force_min_cuts(graph_from_edges(4, [(0, 1)]))
+    with pytest.raises(UnsupportedSizeError):
+        brute_force_min_cuts(make_cycle(21))
+
+
+@pytest.mark.parametrize("g6, n", [("Dhc", 3), ("Cr", 4)])  # C5 x K3, C4 x K4
+def test_enumeration_equals_networkx_all_node_cuts(g6, n):
+    nx = pytest.importorskip("networkx")
+    from kronkit.graphs import parse_graph6
+
+    pg = kronecker(parse_graph6(g6), make_complete(n)).graph
+    h = nx.Graph()
+    h.add_nodes_from(range(pg.order))
+    h.add_edges_from(pg.edges())
+    expected = sorted(tuple(sorted(cut)) for cut in nx.all_node_cuts(h))
+    assert [c.vertices for c in enumerate_min_cuts(pg)] == expected
+
+
+@given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=2, max_value=5),
+       st.permutations(range(5)),
+       st.integers(min_value=3, max_value=5).flatmap(
+           lambda n: st.permutations(range(n))))
+@settings(max_examples=60, deadline=None)
+def test_min_cuts_invariant_under_relabelling_the_factors(seed, order, rho, pi):
+    """Permuting the K_n labels maps the minimum cuts of G x K_n onto
+    themselves; relabelling G as well maps them onto those of the relabelled
+    product, whose flows run on other pairs."""
+    g = random_graph(order, 0.6, seed)
+    assume(is_connected(g))
+    n = len(pi)
+    rho = [r for r in rho if r < order]
+
+    def moved(cuts, vertex_map):
+        return {tuple(sorted(vertex_map[u] * n + pi[i]
+                             for u, i in (divmod(v, n) for v in c.vertices))): c.isolates
+                for c in cuts}
+
+    cuts = enumerate_min_cuts(kronecker(g, make_complete(n)).graph)
+    assert moved(cuts, range(order)) == {c.vertices: c.isolates for c in cuts}
+    h = graph_from_edges(order, [(rho[u], rho[v]) for u, v in g.edges()])
+    relabelled = enumerate_min_cuts(kronecker(h, make_complete(n)).graph)
+    assert moved(cuts, rho) == {c.vertices: c.isolates for c in relabelled}
 
 
 # -- super-connectivity ------------------------------------------------------

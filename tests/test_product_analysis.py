@@ -228,6 +228,21 @@ def test_super_connectivity_budget_error():
         verify_super_connectivity(make_complete(6), 3, budget=100)
 
 
+def test_k44_times_k3_is_flagged_with_a_column_cut():
+    # An order-8 factor: the product has 24 vertices and kappa 8, and a
+    # column {3u + v} is a minimum cut leaving two copies of K_{4,4}.
+    k44 = graph_from_edges(8, [(a, b) for a in range(4) for b in range(4, 8)])
+    report = verify_super_connectivity(k44, 3)
+    assert report.severity == "contradicts-paper"
+    assert report.super_kappa_verdict is False
+    assert report.product_kappa == report.formula_rhs == 8
+    assert report.min_cut_count == 9  # three columns, six neighbourhoods
+    columns = [tuple(3 * u + v for u in range(8)) for v in range(3)]
+    cut = report.non_isolating_cut
+    assert cut.vertices in columns
+    assert cut.separates and not cut.isolates and not cut.is_neighborhood
+
+
 def test_fiber_deletion_identity_on_sampled_instances():
     # removing a whole fiber plus extras equals deleting the factor vertex
     # first and removing the leftover ids, under the documented relabeling
