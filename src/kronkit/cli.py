@@ -7,10 +7,12 @@ without violations.
 
 JSON-lines output is byte-stable for fixed inputs, flags, and seed; pass
 ``batch --timing`` to include real runtimes (which breaks byte stability).
-Each option is registered only on the commands that read it.  For ``cuts``,
-``super-kappa`` and ``batch`` the ``KRONKIT_BUDGET`` environment variable
-overrides the default size budget, and an explicit ``--budget`` wins over
-both; the other commands ignore the variable.
+Each option is registered only on the commands that read it.  ``cuts``,
+``super-kappa`` and ``batch`` give each instance a budget of residual
+searches in the flow network (``DEFAULT_BUDGET``); an instance that needs
+more becomes a ``size-limit`` skip record.  The ``KRONKIT_BUDGET``
+environment variable overrides the default, and an explicit ``--budget``
+wins over both; the other commands ignore the variable.
 """
 
 from __future__ import annotations
@@ -55,6 +57,11 @@ from .products import is_bipartite, kronecker, linearization_rows
 
 GRAPH6_HEADER = ">>graph6<<"
 MAX_CORPUS_ORDER = 8  # --all-graphs at order 9 does not finish in practical time
+# Residual searches allowed per instance.  The order-8 kd-equal sweep at
+# n = 3, 4, 5 needs at most 4385 (K_8 x K_5), so the default stops only a
+# runaway instance: a search takes some 25 us on that sweep's products and
+# some 80 us on the 128-vertex Q_5 x K_4 (2-core Xeon VM).
+DEFAULT_BUDGET = 1_000_000
 
 
 class _Fatal(Exception):
@@ -151,6 +158,10 @@ def _skip(g: Graph, reason: str, detail: str) -> dict:
     return {"instance": {"graph6": encode_graph6(g)}, "skip": reason, "detail": detail}
 
 
+def _size_limit(g: Graph, exc: BudgetExceededError) -> dict:
+    return {**_skip(g, "size-limit", str(exc)), "budget": exc.budget}
+
+
 def _records_for_graphs(args, per_graph, *params) -> Iterator[dict]:
     """Records of ``per_graph(g, *params)`` for each input graph, in order.
 
@@ -176,11 +187,11 @@ def _kappa_records(g: Graph) -> Iterator[dict]:
     }
 
 
-def _super_kappa_records(g: Graph, budget: int | None) -> Iterator[dict]:
+def _super_kappa_records(g: Graph, budget: int) -> Iterator[dict]:
     try:
         result = connectivity_result(g, budget=budget)
     except BudgetExceededError as exc:
-        yield _skip(g, "size-limit", str(exc))
+        yield _size_limit(g, exc)
         return
     counterexample = next((c for c in result.min_cuts if not c.isolates), None)
     yield {
@@ -195,12 +206,12 @@ def _super_kappa_records(g: Graph, budget: int | None) -> Iterator[dict]:
     }
 
 
-def _cuts_records(g: Graph, budget: int | None) -> Iterator[dict]:
+def _cuts_records(g: Graph, budget: int) -> Iterator[dict]:
     try:
         for cut in enumerate_min_cuts(g, budget=budget):
             yield cut_record(cut)
     except BudgetExceededError as exc:
-        yield _skip(g, "size-limit", str(exc))
+        yield _size_limit(g, exc)
     except PreconditionError as exc:
         raise _Fatal(str(exc)) from exc
 
@@ -218,7 +229,7 @@ def _gstar_records(g: Graph, n: int, trials: int, seed: int) -> Iterator[dict]:
 
 
 def _verify_records(args, n_values: list[int], filters: list[str],
-                    budget: int | None) -> Iterator[dict]:
+                    budget: int) -> Iterator[dict]:
     corpus = graphs_up_to(args.max_order, connected=False) if args.all_graphs else []
     for item in _gather_inputs(args):
         if item.error is not None:
@@ -255,7 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="destination file; default standard output")
         if budget:
             p.add_argument("--budget", type=int, default=None,
-                           help="size gate on C(N, kappa) (overrides KRONKIT_BUDGET)")
+                           help="residual searches allowed per instance, default "
+                                f"{DEFAULT_BUDGET} (overrides KRONKIT_BUDGET)")
 
     gen = sub.add_parser("gen", help="emit generated graphs as graph6")
     gen.add_argument("family", choices=("complete", "cycle", "random"))
@@ -307,13 +319,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _budget(parser: argparse.ArgumentParser, args) -> int | None:
-    """``--budget``, else ``KRONKIT_BUDGET``, else None for the default budget."""
+def _budget(parser: argparse.ArgumentParser, args) -> int:
+    """``--budget``, else ``KRONKIT_BUDGET``, else ``DEFAULT_BUDGET``."""
     name, value = "--budget", args.budget
     if value is None:
         name, text = "KRONKIT_BUDGET", os.environ.get("KRONKIT_BUDGET")
         if not text:
-            return None
+            return DEFAULT_BUDGET
         try:
             value = int(text)
         except ValueError:
@@ -355,6 +367,8 @@ def main(argv: list[str] | None = None) -> int:
 def _dispatch(parser: argparse.ArgumentParser, args) -> int:
     command = args.command
     if command == "gen":
+        if args.count < 1:
+            parser.error(f"gen needs --count >= 1, got {args.count}")
         lines = []
         if args.family == "complete":
             lines.append(encode_graph6(make_complete(args.order)))

@@ -9,6 +9,9 @@ Even's pair family around a minimum-degree vertex:
 * :func:`enumerate_min_cuts` reads every minimum separator of each pair
   whose flow equals kappa off the closed sets of its residual network.
 
+Both charge each residual search of the network, the one unit of work,
+against an optional budget.
+
 The brute-force section keeps definition-level oracles for the tests:
 :func:`brute_force_connectivity` scans vertex subsets in increasing size
 with a union-find separation test, and :func:`brute_force_min_cuts` scans
@@ -22,14 +25,12 @@ their minimum cuts isolate the lone survivor.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import BudgetExceededError, PreconditionError, UnsupportedSizeError
 from .graphs import (
     Graph,
-    delete_vertex,
     has_isolated,
     is_connected,
     iter_bits,
@@ -37,7 +38,6 @@ from .graphs import (
     reachable_mask,
 )
 
-DEFAULT_SUBSET_BUDGET = 50_000_000
 BRUTE_FORCE_MAX_ORDER = 20
 
 
@@ -85,15 +85,35 @@ class _SplitFlow:
     residual network is a list of out-neighbour masks, one per node.  Edge
     arcs stay open in every residual network: vertex capacities keep the
     flow on each arc at 0 or 1, so one bit records the reverse arc.
+
+    The network is also the one place that charges work: each residual
+    search, that is each breadth-first search for an augmenting path and
+    each reachability search over a residual network, costs one unit of
+    ``budget``, and the first search past it raises
+    :class:`BudgetExceededError`.  ``budget=None`` means no limit.
     """
 
-    __slots__ = ("order", "base_out", "base_in")
+    __slots__ = ("order", "base_out", "base_in", "budget", "spent")
 
-    def __init__(self, g: Graph):
+    def __init__(self, g: Graph, budget: int | None = None):
         n = g.order
         self.order = n
         self.base_out = [1 << (n + v) for v in range(n)] + list(g.adj)
         self.base_in = [m << n for m in g.adj] + [1 << v for v in range(n)]
+        self.budget = budget
+        self.spent = 0
+
+    def _charge(self) -> None:
+        """Count one residual search; raise once the budget is exceeded."""
+        self.spent += 1
+        if self.budget is not None and self.spent > self.budget:
+            raise BudgetExceededError(
+                f"needs more than {self.budget} residual searches",
+                budget=self.budget)
+
+    def _reach(self, masks: list[int], within: int, start: int) -> int:
+        self._charge()
+        return reachable_mask(masks, within, start)
 
     def max_flow(self, s: int, t: int, cutoff: int) -> tuple[int, list[int]]:
         """Internally disjoint s-t paths, counting at most ``cutoff``.
@@ -105,6 +125,7 @@ class _SplitFlow:
         src, dst = n + s, t
         flow = 0
         while flow < cutoff:
+            self._charge()
             parent = {}
             seen = 1 << src
             frontier = [src]
@@ -160,14 +181,14 @@ class _SplitFlow:
         """
         n = self.order
         nodes = (1 << 2 * n) - 1
-        inside = reachable_mask(out, nodes, n + s) | (1 << s)
+        inside = self._reach(out, nodes, n + s) | (1 << s)
         if inside >> t & 1:
             return set()
         inn = self.base_in.copy()
         for x, (now, base) in enumerate(zip(out, self.base_out)):
             for y in iter_bits(now ^ base):
                 inn[y] ^= 1 << x
-        outside = reachable_mask(inn, nodes, t) | (1 << (n + t))
+        outside = self._reach(inn, nodes, t) | (1 << (n + t))
         flow_nodes = 0
         for v in range(n):
             if not out[v] >> (n + v) & 1:
@@ -181,8 +202,8 @@ class _SplitFlow:
                 found.add(inside & ~(inside >> n) & ((1 << n) - 1))
                 continue
             u = (free & -free).bit_length() - 1
-            stack.append((inside | reachable_mask(out, nodes & ~inside, u), outside))
-            stack.append((inside, outside | reachable_mask(inn, nodes & ~outside, u)))
+            stack.append((inside | self._reach(out, nodes & ~inside, u), outside))
+            stack.append((inside, outside | self._reach(inn, nodes & ~outside, u)))
         return found
 
 
@@ -208,12 +229,13 @@ def _even_pairs(g: Graph) -> Iterator[tuple[int, int]]:
                 yield x, y
 
 
-def vertex_connectivity(g: Graph) -> int:
+def vertex_connectivity(g: Graph, budget: int | None = None) -> int:
     """Connectivity of ``g`` via disjoint-path counts.
 
     0 for disconnected graphs and the one-vertex graph, ``n - 1`` for
     complete graphs.  Otherwise the minimum of the local connectivities over
-    Even's pair family, one of which crosses every minimum cut.
+    Even's pair family, one of which crosses every minimum cut.  The flows'
+    searches are charged against ``budget`` (see :class:`_SplitFlow`).
     """
     if g.order == 0:
         raise ValueError("connectivity is undefined for the empty graph")
@@ -224,7 +246,7 @@ def vertex_connectivity(g: Graph) -> int:
     n = g.order
     if all(m.bit_count() == n - 1 for m in g.adj):
         return n - 1
-    net = _SplitFlow(g)
+    net = _SplitFlow(g, budget)
     best = n - 1
     for s, t in _even_pairs(g):
         best = min(best, net.max_flow(s, t, best)[0])
@@ -353,16 +375,16 @@ def enumerate_min_cuts(g: Graph, budget: int | None = None) -> list[CutSet]:
     over the pairs is every minimum cut.  A complete graph has the ``order`` sets of
     size ``order - 1``, each leaving one vertex.
 
-    ``C(order, kappa)``, the number of subsets of size kappa, remains a size
-    gate: above the budget (default ``DEFAULT_SUBSET_BUDGET``) a
-    :class:`BudgetExceededError` reports it as the required count.
+    Every search of the flows and of the separator reading is charged
+    against ``budget``, one unit each; the first search past it raises
+    :class:`BudgetExceededError`.  ``None`` means no limit.
     """
     if g.order < 2:
         raise PreconditionError("min-cut enumeration needs order >= 2")
     if not is_connected(g):
         raise PreconditionError("min-cut enumeration needs a connected graph")
     n = g.order
-    net = _SplitFlow(g)
+    net = _SplitFlow(g, budget)
     kappa, attaining = n - 1, []
     for s, t in _even_pairs(g):
         value, out = net.max_flow(s, t, kappa)
@@ -371,31 +393,12 @@ def enumerate_min_cuts(g: Graph, budget: int | None = None) -> list[CutSet]:
         # A flow stopped at the cutoff may hide a larger local connectivity;
         # min_separators finds no cut for such a pair.
         attaining.append((s, t, out))
-    limit = DEFAULT_SUBSET_BUDGET if budget is None else budget
-    required = math.comb(n, kappa)
-    if required > limit:
-        raise BudgetExceededError(
-            f"enumerating C({n},{kappa}) = {required} subsets exceeds "
-            f"budget {limit}", required=required)
     # Only a complete graph has no pairs; each of its cuts leaves one vertex.
     masks = set() if attaining else {g.full_mask() ^ (1 << v) for v in range(n)}
     for s, t, out in attaining:
         masks |= net.min_separators(s, t, out)
     cuts = sorted(tuple(iter_bits(m)) for m in masks)
     return [_classify_mask(g, mask_of(c), c) for c in cuts]
-
-
-def is_super_kappa(g: Graph, budget: int | None = None) -> bool:
-    """True when every minimum separating set isolates a vertex.
-
-    Disconnected graphs report False (their connectivity is 0 and the
-    property is about minimum separating sets of connected graphs).
-    """
-    if g.order == 0:
-        raise ValueError("super-connectivity is undefined for the empty graph")
-    if not is_connected(g):
-        return False
-    return all(c.isolates for c in enumerate_min_cuts(g, budget))
 
 
 def connectivity_result(g: Graph, budget: int | None = None) -> ConnectivityResult:
@@ -415,17 +418,3 @@ def connectivity_result(g: Graph, budget: int | None = None) -> ConnectivityResu
         super_kappa=all(c.isolates for c in cuts),
     )
 
-
-def kappa_of_deletion_check(g: Graph) -> bool:
-    """Single-vertex deletions lower connectivity by at most one.
-
-    Always true for simple graphs; a False here signals an implementation
-    bug, so the checker exists as a cross-validation hook.
-    """
-    if g.order < 2:
-        raise PreconditionError("deletion check needs order >= 2")
-    kappa = vertex_connectivity(g)
-    for v in range(g.order):
-        if vertex_connectivity(delete_vertex(g, v)) < kappa - 1:
-            return False
-    return True

@@ -22,17 +22,17 @@ class PreconditionError(KronkitError, ValueError):
 
 
 class BudgetExceededError(KronkitError, RuntimeError):
-    """An instance is larger than the configured budget allows.
+    """An instance needs more residual searches than the budget allows.
 
-    ``required`` is its size in the budget's unit: ``C(N, kappa)``, the
-    number of vertex subsets of size kappa, for minimum-cut enumeration on
-    an ``N``-vertex graph, and ``N ** 3`` for the formula-only check of an
-    ``N``-vertex product.
+    The flow network behind connectivity and minimum-cut enumeration
+    charges one unit per search: each breadth-first search for an
+    augmenting path and each reachability search over a residual network.
+    ``budget`` is the number of searches that was allowed.
     """
 
-    def __init__(self, message: str, required: int):
+    def __init__(self, message: str, budget: int):
         super().__init__(message)
-        self.required = required
+        self.budget = budget
 
 
 class SamplingExhaustedError(KronkitError, RuntimeError):

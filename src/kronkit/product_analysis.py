@@ -23,7 +23,6 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .connectivity import (
-    DEFAULT_SUBSET_BUDGET,
     CutSet,
     cut_record,
     enumerate_min_cuts,
@@ -303,9 +302,12 @@ class VerificationReport:
 
 @dataclass(frozen=True)
 class SkipRecord:
+    """A skipped instance; ``budget`` is set on ``size-limit`` skips."""
+
     instance: ReportInstance
     reason: str
     detail: str
+    budget: int | None = None
 
 
 @dataclass(frozen=True)
@@ -331,23 +333,18 @@ def _report(g: Graph, n: int, kappa_g: int, budget: int | None,
             verdict: bool) -> VerificationReport:
     """The report of one instance, given the factor's connectivity.
 
-    Without ``verdict`` only the formula is checked, by flow on the product,
-    and the work proxy ``(order * n) ** 3`` is charged against the budget.
+    Without ``verdict`` only the formula is checked, by flow on the product.
     With it every minimum cut of the product is enumerated; a disconnected
     product has none and gets a False verdict without a counterexample.
+    Either route charges the product's residual searches against
+    ``budget`` (None for no limit).
     """
-    if not verdict:
-        limit = DEFAULT_SUBSET_BUDGET if budget is None else budget
-        if (g.order * n) ** 3 > limit:
-            raise BudgetExceededError(
-                f"product order {g.order * n} exceeds the flow budget",
-                required=(g.order * n) ** 3)
     start = time.perf_counter()
     delta_g = g.min_degree
     pg = kronecker(g, make_complete(n)).graph
     super_kappa = min_cut_count = counterexample = None
     if not verdict:
-        product_kappa = vertex_connectivity(pg)
+        product_kappa = vertex_connectivity(pg, budget=budget)
     elif not is_connected(pg):
         product_kappa, super_kappa, min_cut_count = 0, False, 0
     else:
@@ -378,8 +375,8 @@ def verify_connectivity_formula(g: Graph, n: int,
     """Check the product-connectivity formula by computing both sides.
 
     The product side runs the flow-based connectivity on the constructed
-    product; the formula side combines the factor invariants.  The work proxy
-    ``(order * n) ** 3`` is charged against the budget.
+    product; the formula side combines the factor invariants.  The product's
+    residual searches are charged against ``budget`` (None for no limit).
     """
     _check_instance(g, n)
     return _report(g, n, vertex_connectivity(g), budget, verdict=False)
@@ -442,7 +439,7 @@ def _verify_instance(g: Graph, n: int, kappa_g: int | None, budget: int | None):
         return _report(g, n, kappa_g, budget,
                        verdict=is_connected(g) and kappa_g == g.min_degree)
     except BudgetExceededError as exc:
-        return SkipRecord(instance, "size-limit", str(exc))
+        return SkipRecord(instance, "size-limit", str(exc), exc.budget)
 
 
 def _batch_worker(item: tuple[str, int, int | None, int | None]):
@@ -457,7 +454,8 @@ def batch_verify(corpus: Iterable[Graph], n_values: Sequence[int],
 
     Records come out in corpus order regardless of ``workers``; per-instance
     budget errors and empty factors become in-stream skip records and never
-    abort the batch.  Each factor's connectivity is computed once.
+    abort the batch.  ``budget`` caps each product's residual searches (None
+    for no limit).  Each factor's connectivity is computed once.
     """
     for n in n_values:
         if n < 3:
@@ -520,11 +518,14 @@ def report_record(report: VerificationReport, with_timing: bool = False) -> dict
 
 
 def skip_record(skip: SkipRecord) -> dict:
-    return {
+    record = {
         "instance": {"graph6": skip.instance.graph6, "n": skip.instance.n},
         "skip": skip.reason,
         "detail": skip.detail,
     }
+    if skip.budget is not None:
+        record["budget"] = skip.budget
+    return record
 
 
 def summary_record(summary: BatchSummary) -> dict:

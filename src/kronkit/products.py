@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import PreconditionError
-from .graphs import Graph, is_connected, iter_bits, mask_of
+from .graphs import Graph, is_connected, iter_bits
 
 
 @dataclass(frozen=True)
@@ -31,24 +31,13 @@ class ProductGraph:
         return divmod(index, self.factor2_order)
 
     def fiber_mask(self, u: int) -> int:
-        """Bitmask of the fiber of first-factor vertex ``u``."""
+        """Bitmask of the fiber of first-factor vertex ``u``: ids ``u * n + v``.
+
+        Fibers are independent sets (the second factor has no loops) and
+        together partition the product vertex set.
+        """
         n = self.factor2_order
         return ((1 << n) - 1) << (u * n)
-
-
-@dataclass(frozen=True)
-class Fiber:
-    """All product vertices sharing one first-factor vertex.
-
-    Fibers are independent sets (the second factor has no loops) and the
-    fiber family partitions the product vertex set.
-    """
-
-    factor1_vertex: int
-    members: tuple[int, ...]
-
-    def mask(self) -> int:
-        return mask_of(self.members)
 
 
 def kronecker(g1: Graph, g2: Graph) -> ProductGraph:
@@ -129,13 +118,6 @@ def weichsel_connected(g1: Graph, g2: Graph) -> bool:
         if g.edge_count == 0:
             raise PreconditionError(f"{name} factor has no edges")
     return not is_bipartite(g1)[0] or not is_bipartite(g2)[0]
-
-
-def fibers(product: ProductGraph) -> list[Fiber]:
-    """The first-factor fibers of a product, in first-factor vertex order."""
-    n = product.factor2_order
-    return [Fiber(u, tuple(range(u * n, (u + 1) * n)))
-            for u in range(product.factor1_order)]
 
 
 def linearization_rows(product: ProductGraph) -> list[str]:

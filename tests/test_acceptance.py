@@ -19,7 +19,7 @@ import numpy as np
 from kronkit.cli import main
 from kronkit.connectivity import (
     brute_force_connectivity,
-    is_super_kappa,
+    connectivity_result,
     vertex_connectivity,
 )
 from kronkit.graphs import (
@@ -181,7 +181,7 @@ def test_criterion_5_every_minimum_product_cut_isolates(connected_upto_6):
 def test_criterion_6_cycle_family_verdicts():
     expected = {3: True, 4: True, 5: True, 6: False, 7: False, 8: False,
                 9: False, 10: False}
-    actual = {n: is_super_kappa(make_cycle(n)) for n in expected}
+    actual = {n: connectivity_result(make_cycle(n)).super_kappa for n in expected}
     print(f"\n[criterion 6] cycle super-connectivity verdicts: "
           f"{'PASS' if actual == expected else 'FAIL ' + str(actual)}")
     assert actual == expected

@@ -88,6 +88,32 @@ def test_super_kappa_budget_skip(capsys, monkeypatch):
     assert code == 3
     (rec,) = jsonl(out)
     assert rec["skip"] == "size-limit"
+    assert rec["budget"] == 2
+
+
+def test_default_budget_verifies_k44_times_k4(capsys):
+    # The subset count C(32, 12) once refused this instance; its residual
+    # searches number a few thousand.
+    code, out, _ = run_cli(["batch", "--n", "4", "--g6", "G?~vf_", "--workers", "1"],
+                           capsys)
+    assert code == 0
+    rec, summary = jsonl(out)
+    assert "skip" not in rec
+    assert rec["super_kappa_verdict"] is True and rec["min_cut_count"] == 8
+    assert summary["skips"] == 0
+
+
+def test_budget_skips_both_verification_routes(capsys):
+    # C5 (kappa == delta) takes the verdict route; the bowtie DxK
+    # (kappa 1 < delta 2) takes the formula route.
+    code, out, _ = run_cli(["batch", "--n", "3", "--g6", "Dhc", "--g6", "DxK",
+                            "--budget", "5", "--workers", "1"], capsys)
+    assert code == 3
+    verdict, formula, summary = jsonl(out)
+    for rec, g6 in ((verdict, "Dhc"), (formula, "DxK")):
+        assert rec["instance"] == {"graph6": g6, "n": 3}
+        assert rec["skip"] == "size-limit" and rec["budget"] == 5
+    assert summary["skips"] == 2
 
 
 # -- ingestion ------------------------------------------------------------------
@@ -262,15 +288,22 @@ def test_batch_empty_factor_is_an_in_stream_skip(capsys):
 
 
 def test_verify_byte_determinism_across_worker_counts(tmp_path, capsys):
-    base = ["verify", "--n", "3", "--all-graphs", "--max-order", "4",
-            "--filter", "connected,kd-equal"]
-    out1 = tmp_path / "w1.jsonl"
-    out2 = tmp_path / "w2.jsonl"
-    # exit 1 on both runs: the K_2 and C_4 violations are real and stable
-    assert main(base + ["--workers", "1", "--output", str(out1)]) == 1
-    assert main(base + ["--workers", "2", "--output", str(out2)]) == 1
-    capsys.readouterr()
-    assert out1.read_bytes() == out2.read_bytes()
+    runs = [
+        # exit 1: the K_2 and C_4 violations are real and stable
+        (["verify", "--n", "3", "--all-graphs", "--max-order", "4",
+          "--filter", "connected,kd-equal"], 1),
+        # exit 3: the golden batch run, whose budget skips must not depend
+        # on how the instances are spread over the workers
+        (["batch", "--n", "3,4,5", "--all-graphs", "--max-order", "6",
+          "--filter", "connected,nonbipartite", "--budget", "1000"], 3),
+    ]
+    for i, (base, code) in enumerate(runs):
+        out1 = tmp_path / f"w1-{i}.jsonl"
+        out2 = tmp_path / f"w2-{i}.jsonl"
+        assert main(base + ["--workers", "1", "--output", str(out1)]) == code
+        assert main(base + ["--workers", "2", "--output", str(out2)]) == code
+        capsys.readouterr()
+        assert out1.read_bytes() == out2.read_bytes()
 
 
 def test_table_format_output(capsys):
@@ -341,9 +374,13 @@ def test_empty_factor_is_an_in_stream_skip(command, capsys):
      "--max-order >= 1, got 0"),
     (["batch", "--n", "3", "--all-graphs", "--max-order", "-2"], None,
      "--max-order >= 1, got -2"),
+    (["gen", "random", "--order", "5", "--count", "0"], None, "--count >= 1, got 0"),
+    (["gen", "random", "--order", "5", "--count", "-2"], None,
+     "--count >= 1, got -2"),
 ], ids=["workers-0", "budget-flag-negative", "budget-env-negative",
         "budget-env-negative-batch", "budget-env-word", "budget-env-float",
-        "trials-negative", "max-order-9", "max-order-0", "max-order-negative"])
+        "trials-negative", "max-order-9", "max-order-0", "max-order-negative",
+        "count-0", "count-negative"])
 def test_input_guards(argv, env, message, capsys, monkeypatch):
     def no_corpus(*_args, **_kwargs):  # fail fast instead of building order 9
         raise AssertionError("the corpus was built before the guard")

@@ -13,12 +13,11 @@ from kronkit.connectivity import (
     connectivity_result,
     cut_record,
     enumerate_min_cuts,
-    is_super_kappa,
-    kappa_of_deletion_check,
     vertex_connectivity,
 )
 from kronkit.errors import BudgetExceededError, PreconditionError, UnsupportedSizeError
 from kronkit.graphs import (
+    delete_vertex,
     graph_from_edges,
     is_connected,
     make_complete,
@@ -135,9 +134,20 @@ def test_enumeration_is_lexicographic_and_budgeted():
     assert [c.vertices for c in cuts] == sorted(c.vertices for c in cuts)
     with pytest.raises(BudgetExceededError) as err:
         enumerate_min_cuts(make_cycle(12), budget=10)
-    assert err.value.required > 10
+    assert err.value.budget == 10
     with pytest.raises(PreconditionError):
         enumerate_min_cuts(graph_from_edges(4, [(0, 1)]))
+
+
+def test_vertex_connectivity_charges_each_search_against_the_budget():
+    # C12 has ten pairs.  The first flow makes three searches (two paths,
+    # then one that finds none); the other nine stop at the cutoff of 2
+    # after two each.
+    g = make_cycle(12)
+    assert vertex_connectivity(g, budget=21) == 2
+    with pytest.raises(BudgetExceededError) as err:
+        vertex_connectivity(g, budget=20)
+    assert err.value.budget == 20
 
 
 def test_enumeration_complete_against_networkx_scan():
@@ -267,15 +277,15 @@ def test_min_cuts_invariant_under_relabelling_the_factors(seed, order, rho, pi):
 # -- super-connectivity ------------------------------------------------------
 
 def test_super_kappa_of_cycles():
-    assert is_super_kappa(make_cycle(3))
-    assert is_super_kappa(make_cycle(4))
-    assert is_super_kappa(make_cycle(5))
+    assert connectivity_result(make_cycle(3)).super_kappa
+    assert connectivity_result(make_cycle(4)).super_kappa
+    assert connectivity_result(make_cycle(5)).super_kappa
     for n in (6, 7, 8, 9, 10):
-        assert not is_super_kappa(make_cycle(n))
+        assert not connectivity_result(make_cycle(n)).super_kappa
 
 
 def test_super_kappa_of_disconnected_is_false():
-    assert not is_super_kappa(graph_from_edges(4, [(0, 1), (2, 3)]))
+    assert not connectivity_result(graph_from_edges(4, [(0, 1), (2, 3)])).super_kappa
 
 
 def test_super_kappa_implies_maximally_connected():
@@ -345,9 +355,15 @@ def test_cut_record_schema():
 
 # -- deletion check ----------------------------------------------------------
 
+def _deletion_lowers_kappa_by_at_most_one(g):
+    kappa = vertex_connectivity(g)
+    return all(vertex_connectivity(delete_vertex(g, v)) >= kappa - 1
+               for v in range(g.order))
+
+
 def test_deletion_check_examples():
-    assert kappa_of_deletion_check(make_complete(5))
-    assert kappa_of_deletion_check(make_cycle(6))
+    assert _deletion_lowers_kappa_by_at_most_one(make_complete(5))
+    assert _deletion_lowers_kappa_by_at_most_one(make_cycle(6))
 
 
 def test_deletion_check_on_seeded_connected_graphs():
@@ -358,6 +374,6 @@ def test_deletion_check_on_seeded_connected_graphs():
         g = random_graph(2 + seed % 8, 0.45, seed)
         if not is_connected(g):
             continue
-        assert kappa_of_deletion_check(g)
+        assert _deletion_lowers_kappa_by_at_most_one(g)
         count += 1
     assert count == 300

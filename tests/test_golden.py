@@ -26,8 +26,8 @@ def test_golden_batch_formula_verdict_and_skip_routes(capsys):
          "--budget", "1000"], capsys)
     assert code == 3
     records = [json.loads(line) for line in out.splitlines()]
-    assert sum(r.get("skip") == "size-limit" for r in records) == 294
-    assert digest == "ec360a63643ea2fa43df3078df93b84067db5fe5f42688ff2c636ba5ab43efc5"
+    assert sum(r.get("skip") == "size-limit" for r in records) == 10
+    assert digest == "8fff1f48ceb116d6544236ccfef6d400ca003cc42ea0e93552da622345665dcc"
 
 
 def test_golden_gstar_trials(capsys):

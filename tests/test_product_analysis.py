@@ -305,9 +305,9 @@ def test_batch_computes_each_factor_connectivity_once(monkeypatch):
     original = kronkit.connectivity.vertex_connectivity
     calls = Counter()
 
-    def counted(g):
+    def counted(g, budget=None):
         calls[g] += 1
-        return original(g)
+        return original(g, budget)
 
     monkeypatch.setattr(kronkit.connectivity, "vertex_connectivity", counted)
     monkeypatch.setattr(kronkit.product_analysis, "vertex_connectivity", counted)
@@ -328,9 +328,10 @@ def test_batch_empty_corpus():
 def test_batch_skips_oversized_instance():
     big = random_graph(30, 0.5, 1)
     assert is_connected(big)
-    records = list(batch_verify([big], [3]))
+    records = list(batch_verify([big], [3], budget=1000))
     assert isinstance(records[0], SkipRecord)
     assert records[0].reason == "size-limit"
+    assert records[0].budget == 1000
     assert records[-1] == BatchSummary(1, 0, 0, 1)
 
 

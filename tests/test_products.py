@@ -8,13 +8,14 @@ from kronkit.errors import PreconditionError
 from kronkit.graphs import (
     graph_from_edges,
     is_connected,
+    iter_bits,
     make_complete,
     make_cycle,
+    mask_of,
     random_graph,
     validate,
 )
 from kronkit.products import (
-    fibers,
     is_bipartite,
     kronecker,
     linearization_rows,
@@ -184,18 +185,24 @@ def test_weichsel_agrees_with_traversal():
 
 # -- fibers ---------------------------------------------------------------
 
+def _fiber_members(p, u):
+    """The fiber of ``u`` by definition: the ids ``u * n + v`` for ``v < n``."""
+    n = p.factor2_order
+    return [u * n + v for v in range(n)]
+
+
 def test_fibers_partition_and_independence():
     p = kronecker(make_cycle(5), make_complete(3))
-    fs = fibers(p)
+    fs = [list(iter_bits(p.fiber_mask(u))) for u in range(p.factor1_order)]
     assert len(fs) == 5
-    assert all(len(f.members) == 3 for f in fs)
+    assert all(len(f) == 3 for f in fs)
     seen = set()
     for f in fs:
-        for a in f.members:
+        for a in f:
             assert a not in seen
             seen.add(a)
-        for a in f.members:
-            for b in f.members:
+        for a in f:
+            for b in f:
                 if a != b:
                     assert not p.graph.has_edge(a, b)
     assert seen == set(range(15))
@@ -203,10 +210,10 @@ def test_fibers_partition_and_independence():
 
 def test_fibers_of_k2_times_k3():
     p = kronecker(make_complete(2), make_complete(3))
-    fs = fibers(p)
-    assert [f.factor1_vertex for f in fs] == [0, 1]
-    assert fs[0].members == (0, 1, 2)
-    assert fs[1].mask() == 0b111000
+    assert p.factor1_order == 2
+    assert _fiber_members(p, 0) == [0, 1, 2]
+    assert p.fiber_mask(0) == 0b000111
+    assert p.fiber_mask(1) == 0b111000
 
 
 def test_fiber_mask_arithmetic_matches_fiber_members():
@@ -214,5 +221,5 @@ def test_fiber_mask_arithmetic_matches_fiber_members():
     for g, n in [(make_complete(2), 3), (make_cycle(5), 4), (make_cycle(23), 3),
                  (random_graph(9, 0.5, 3), 8)]:
         p = kronecker(g, make_complete(n))
-        fs = fibers(p)
-        assert [p.fiber_mask(f.factor1_vertex) for f in fs] == [f.mask() for f in fs]
+        assert [p.fiber_mask(u) for u in range(g.order)] == \
+            [mask_of(_fiber_members(p, u)) for u in range(g.order)]
