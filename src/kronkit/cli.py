@@ -270,14 +270,17 @@ def build_parser() -> argparse.ArgumentParser:
                                 f"{DEFAULT_BUDGET} (overrides KRONKIT_BUDGET)")
 
     gen = sub.add_parser("gen", help="emit generated graphs as graph6")
-    gen.add_argument("family", choices=("complete", "cycle", "random"))
-    gen.add_argument("--order", type=int, required=True)
-    gen.add_argument("--p", type=float, default=0.5,
-                     help="edge probability for the random family")
-    gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--count", type=int, default=1,
-                     help="number of random graphs (seeds seed, seed+1, ...)")
-    gen.add_argument("--output", default=None)
+    families = gen.add_subparsers(dest="family", required=True)
+    for name in ("complete", "cycle", "random"):
+        family = families.add_parser(name)
+        family.add_argument("--order", type=int, required=True)
+        family.add_argument("--output", default=None)
+    random_family = families.choices["random"]
+    random_family.add_argument("--p", type=float, default=0.5,
+                               help="edge probability")
+    random_family.add_argument("--seed", type=int, default=0)
+    random_family.add_argument("--count", type=int, default=1,
+                               help="number of graphs (seeds seed, seed+1, ...)")
 
     product = sub.add_parser("product", help="emit the product with a complete graph")
     add_io(product, fmt=False)
@@ -367,17 +370,15 @@ def main(argv: list[str] | None = None) -> int:
 def _dispatch(parser: argparse.ArgumentParser, args) -> int:
     command = args.command
     if command == "gen":
-        if args.count < 1:
-            parser.error(f"gen needs --count >= 1, got {args.count}")
-        lines = []
         if args.family == "complete":
-            lines.append(encode_graph6(make_complete(args.order)))
+            lines = [encode_graph6(make_complete(args.order))]
         elif args.family == "cycle":
-            lines.append(encode_graph6(make_cycle(args.order)))
+            lines = [encode_graph6(make_cycle(args.order))]
         else:
-            for i in range(args.count):
-                lines.append(encode_graph6(
-                    random_graph(args.order, args.p, args.seed + i)))
+            if args.count < 1:
+                parser.error(f"gen needs --count >= 1, got {args.count}")
+            lines = [encode_graph6(random_graph(args.order, args.p, args.seed + i))
+                     for i in range(args.count)]
         _write_lines(lines, args.output)
         return 0
 

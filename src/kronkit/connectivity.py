@@ -10,7 +10,8 @@ Even's pair family around a minimum-degree vertex:
   whose flow equals kappa off the closed sets of its residual network.
 
 Both charge each residual search of the network, the one unit of work,
-against an optional budget.
+against an optional budget.  Both take optional automorphisms of the graph
+and then solve one pair per orbit of those that fix the family's source.
 
 The brute-force section keeps definition-level oracles for the tests:
 :func:`brute_force_connectivity` scans vertex subsets in increasing size
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Sequence
 
 from .errors import BudgetExceededError, PreconditionError, UnsupportedSizeError
 from .graphs import (
@@ -207,8 +208,28 @@ class _SplitFlow:
         return found
 
 
-def _even_pairs(g: Graph) -> Iterator[tuple[int, int]]:
-    """Even's pair family around a fixed minimum-degree vertex ``s``.
+def _moves(perm: list[int]) -> list[tuple[int, int]]:
+    """A vertex permutation as ``(shift, mask)`` pairs: the bits of ``mask``
+    all move by ``shift``, so a permutation of few distinct shifts, such as
+    a relabelling of a product's fibers, moves a whole vertex mask in a few
+    big-integer operations."""
+    by_shift: dict[int, int] = {}
+    for x, y in enumerate(perm):
+        by_shift[y - x] = by_shift.get(y - x, 0) | (1 << x)
+    return list(by_shift.items())
+
+
+def _permute(moves: list[tuple[int, int]], mask: int) -> int:
+    image = 0
+    for shift, part in moves:
+        image |= (mask & part) << shift if shift >= 0 else (mask & part) >> -shift
+    return image
+
+
+def _even_pairs(g: Graph, symmetry: Sequence[Sequence[int]] = ()
+                ) -> tuple[list[tuple[int, int]], list[list[tuple[int, int]]]]:
+    """Even's pair family around a fixed minimum-degree vertex ``s``, up to
+    symmetry, with the generators that fix ``s``.
 
     The pairs are ``s`` with each non-neighbour, then each non-adjacent pair
     of neighbours of ``s``.  Every minimum cut of a non-complete graph
@@ -216,26 +237,66 @@ def _even_pairs(g: Graph) -> Iterator[tuple[int, int]]:
     non-neighbour, and one that holds ``s`` separates two of its neighbours,
     because each vertex of a minimum cut has a neighbour in every remaining
     component.  A complete graph has no pairs.
+
+    ``symmetry`` holds generator permutations of the vertex ids.  Each must
+    be a permutation of ``range(order)`` and an automorphism, or
+    ``ValueError`` is raised.  The generators that fix ``s`` map the family
+    onto itself, pairs normalised as ``(s, t)`` or ``(min, max)``, and only
+    the first pair of each orbit under them is kept.  They come back as
+    :func:`_moves` lists, so that callers can close results under them.
     """
-    s = min(range(g.order), key=lambda v: (g.degree(v), v))
+    order = g.order
+    s = min(range(order), key=lambda v: (g.degree(v), v))
+    fixing = []
+    for perm in symmetry:
+        perm = list(perm)
+        if sorted(perm) != list(range(order)):
+            raise ValueError(
+                f"symmetry generator {perm} is not a permutation of 0..{order - 1}")
+        moves = _moves(perm)
+        if any(_permute(moves, g.adj[v]) != g.adj[perm[v]] for v in range(order)):
+            raise ValueError(f"symmetry generator {perm} is not an automorphism")
+        if perm[s] == s:
+            fixing.append((perm, moves))
     s_mask = g.adj[s]
-    for t in range(g.order):
-        if t != s and not s_mask >> t & 1:
-            yield s, t
+    family = [(s, t) for t in range(order) if t != s and not s_mask >> t & 1]
     nbrs = list(iter_bits(s_mask))
     for i, x in enumerate(nbrs):
-        for y in nbrs[i + 1:]:
-            if not g.has_edge(x, y):
-                yield x, y
+        family.extend((x, y) for y in nbrs[i + 1:] if not g.has_edge(x, y))
+    if not fixing:
+        return family, []
+    seen: set[tuple[int, int]] = set()
+    representatives = []
+    for pair in family:
+        if pair in seen:
+            continue
+        representatives.append(pair)
+        seen.add(pair)
+        orbit = [pair]
+        while orbit:
+            x, y = orbit.pop()
+            for perm, _ in fixing:
+                a, b = perm[x], perm[y]
+                image = (a, b) if a == s or a < b else (b, a)
+                if image not in seen:
+                    seen.add(image)
+                    orbit.append(image)
+    return representatives, [moves for _, moves in fixing]
 
 
-def vertex_connectivity(g: Graph, budget: int | None = None) -> int:
+def vertex_connectivity(g: Graph, budget: int | None = None,
+                        symmetry: Sequence[Sequence[int]] = ()) -> int:
     """Connectivity of ``g`` via disjoint-path counts.
 
     0 for disconnected graphs and the one-vertex graph, ``n - 1`` for
     complete graphs.  Otherwise the minimum of the local connectivities over
     Even's pair family, one of which crosses every minimum cut.  The flows'
     searches are charged against ``budget`` (see :class:`_SplitFlow`).
+
+    ``symmetry`` takes automorphisms of ``g`` as vertex permutations, checked
+    by :func:`_even_pairs` once ``g`` is known to be connected; a pair and
+    its images have the same local connectivity, so one flow per orbit of
+    the generators that fix ``s`` suffices.
     """
     if g.order == 0:
         raise ValueError("connectivity is undefined for the empty graph")
@@ -243,12 +304,10 @@ def vertex_connectivity(g: Graph, budget: int | None = None) -> int:
         return 0
     if not is_connected(g):
         return 0
-    n = g.order
-    if all(m.bit_count() == n - 1 for m in g.adj):
-        return n - 1
+    pairs, _ = _even_pairs(g, symmetry)
     net = _SplitFlow(g, budget)
-    best = n - 1
-    for s, t in _even_pairs(g):
+    best = g.order - 1
+    for s, t in pairs:
         best = min(best, net.max_flow(s, t, best)[0])
     return best
 
@@ -363,7 +422,8 @@ def classify_cut(g: Graph, s) -> CutSet:
     return _classify_mask(g, mask_of(vertices), vertices)
 
 
-def enumerate_min_cuts(g: Graph, budget: int | None = None) -> list[CutSet]:
+def enumerate_min_cuts(g: Graph, budget: int | None = None,
+                       symmetry: Sequence[Sequence[int]] = ()) -> list[CutSet]:
     """Every separating set of size exactly kappa(g), lexicographically.
 
     One vertex-split network serves every pair of Even's family; for each
@@ -375,6 +435,13 @@ def enumerate_min_cuts(g: Graph, budget: int | None = None) -> list[CutSet]:
     over the pairs is every minimum cut.  A complete graph has the ``order`` sets of
     size ``order - 1``, each leaving one vertex.
 
+    ``symmetry`` takes automorphisms of ``g`` as vertex permutations (see
+    :func:`_even_pairs`).  The flows and separators then run on one pair
+    per orbit of the generators that fix ``s``, and the cut masks are closed
+    under those generators before they are classified: an automorphism that
+    fixes ``s`` maps the minimum cuts of a pair onto those of its image.
+    The closure permutes bits and searches nothing.
+
     Every search of the flows and of the separator reading is charged
     against ``budget``, one unit each; the first search past it raises
     :class:`BudgetExceededError`.  ``None`` means no limit.
@@ -384,9 +451,10 @@ def enumerate_min_cuts(g: Graph, budget: int | None = None) -> list[CutSet]:
     if not is_connected(g):
         raise PreconditionError("min-cut enumeration needs a connected graph")
     n = g.order
+    pairs, stabiliser = _even_pairs(g, symmetry)
     net = _SplitFlow(g, budget)
     kappa, attaining = n - 1, []
-    for s, t in _even_pairs(g):
+    for s, t in pairs:
         value, out = net.max_flow(s, t, kappa)
         if value < kappa:
             kappa, attaining = value, []
@@ -397,6 +465,14 @@ def enumerate_min_cuts(g: Graph, budget: int | None = None) -> list[CutSet]:
     masks = set() if attaining else {g.full_mask() ^ (1 << v) for v in range(n)}
     for s, t, out in attaining:
         masks |= net.min_separators(s, t, out)
+    unclosed = list(masks)
+    while unclosed:
+        mask = unclosed.pop()
+        for moves in stabiliser:
+            image = _permute(moves, mask)
+            if image not in masks:
+                masks.add(image)
+                unclosed.append(image)
     cuts = sorted(tuple(iter_bits(m)) for m in masks)
     return [_classify_mask(g, mask_of(c), c) for c in cuts]
 

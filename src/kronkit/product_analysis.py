@@ -337,18 +337,22 @@ def _report(g: Graph, n: int, kappa_g: int, budget: int | None,
     With it every minimum cut of the product is enumerated; a disconnected
     product has none and gets a False verdict without a counterexample.
     Either route charges the product's residual searches against
-    ``budget`` (None for no limit).
+    ``budget`` (None for no limit), and either passes the ``K_n`` label
+    transpositions as the product's symmetry: the flows and separators run
+    on one pair per orbit of the relabellings that fix the pair family's
+    source vertex, whose label is 0.
     """
     start = time.perf_counter()
     delta_g = g.min_degree
-    pg = kronecker(g, make_complete(n)).graph
+    product = kronecker(g, make_complete(n))
+    pg, labels = product.graph, product.label_transpositions()
     super_kappa = min_cut_count = counterexample = None
     if not verdict:
-        product_kappa = vertex_connectivity(pg, budget=budget)
+        product_kappa = vertex_connectivity(pg, budget=budget, symmetry=labels)
     elif not is_connected(pg):
         product_kappa, super_kappa, min_cut_count = 0, False, 0
     else:
-        cuts = enumerate_min_cuts(pg, budget=budget)
+        cuts = enumerate_min_cuts(pg, budget=budget, symmetry=labels)
         product_kappa = len(cuts[0].vertices) if cuts else pg.order - 1
         super_kappa = all(c.isolates for c in cuts)
         min_cut_count = len(cuts)

@@ -295,7 +295,7 @@ def test_verify_byte_determinism_across_worker_counts(tmp_path, capsys):
         # exit 3: the golden batch run, whose budget skips must not depend
         # on how the instances are spread over the workers
         (["batch", "--n", "3,4,5", "--all-graphs", "--max-order", "6",
-          "--filter", "connected,nonbipartite", "--budget", "1000"], 3),
+          "--filter", "connected,nonbipartite", "--budget", "150"], 3),
     ]
     for i, (base, code) in enumerate(runs):
         out1 = tmp_path / f"w1-{i}.jsonl"
@@ -377,10 +377,15 @@ def test_empty_factor_is_an_in_stream_skip(command, capsys):
     (["gen", "random", "--order", "5", "--count", "0"], None, "--count >= 1, got 0"),
     (["gen", "random", "--order", "5", "--count", "-2"], None,
      "--count >= 1, got -2"),
+    (["gen", "complete", "--order", "4", "--p", "7", "--seed", "-3"], None,
+     "unrecognized arguments: --p 7 --seed -3"),
+    (["gen", "cycle", "--order", "5", "--count", "3"], None,
+     "unrecognized arguments: --count 3"),
 ], ids=["workers-0", "budget-flag-negative", "budget-env-negative",
         "budget-env-negative-batch", "budget-env-word", "budget-env-float",
         "trials-negative", "max-order-9", "max-order-0", "max-order-negative",
-        "count-0", "count-negative"])
+        "count-0", "count-negative", "gen-complete-random-options",
+        "gen-cycle-count"])
 def test_input_guards(argv, env, message, capsys, monkeypatch):
     def no_corpus(*_args, **_kwargs):  # fail fast instead of building order 9
         raise AssertionError("the corpus was built before the guard")

@@ -274,6 +274,66 @@ def test_min_cuts_invariant_under_relabelling_the_factors(seed, order, rho, pi):
     assert moved(cuts, rho) == {c.vertices: c.isolates for c in relabelled}
 
 
+# -- symmetry-reduced route ---------------------------------------------------
+
+def _products(max_order, n_values):
+    from kronkit.corpus import connected_graphs
+
+    for order in range(1, max_order + 1):
+        for g in connected_graphs(order):
+            for n in n_values:
+                yield g, kronecker(g, make_complete(n))
+
+
+def test_label_symmetry_keeps_every_minimum_cut_of_kd_equal_products():
+    count = 0
+    for g, product in _products(6, (3, 4, 5)):
+        pg = product.graph
+        if vertex_connectivity(g) != g.min_degree or not is_connected(pg):
+            continue
+        labels = product.label_transpositions()
+        assert enumerate_min_cuts(pg, symmetry=labels) == enumerate_min_cuts(pg), g
+        count += 1
+    assert count > 100
+
+
+def test_label_symmetry_keeps_product_connectivity():
+    for g, product in _products(6, (3, 4, 5)):
+        pg = product.graph
+        labels = product.label_transpositions()
+        assert vertex_connectivity(pg, symmetry=labels) == vertex_connectivity(pg), g
+
+
+@pytest.mark.parametrize("perm, message", [
+    ([1, 0, 2, 3, 4], "not an automorphism"),
+    ([0, 0, 2, 3, 4], "not a permutation"),
+    ([0, 1, 2, 3], "not a permutation"),
+    ([4, 0, 1, 2, 3, 5], "not a permutation"),
+], ids=["transposition", "repeated-id", "short", "long"])
+def test_symmetry_generators_are_checked(perm, message):
+    g = make_cycle(5)
+    rotation = [1, 2, 3, 4, 0]
+    assert vertex_connectivity(g, symmetry=[rotation]) == 2
+    for route in (vertex_connectivity, enumerate_min_cuts):
+        with pytest.raises(ValueError, match=message):
+            route(g, symmetry=[rotation, perm])
+
+
+def test_label_symmetry_spends_fewer_searches_on_k44_times_k4():
+    # K_{4,4} x K_4 has 85 pairs in Even's family and 27 orbits under the
+    # relabellings that fix label 0; the plain route needs 1319 searches.
+    from kronkit.graphs import parse_graph6
+
+    product = kronecker(parse_graph6("G?~vf_"), make_complete(4))
+    pg, labels = product.graph, product.label_transpositions()
+    cuts = enumerate_min_cuts(pg, budget=415, symmetry=labels)
+    assert cuts == enumerate_min_cuts(pg) and len(cuts) == 8
+    with pytest.raises(BudgetExceededError):
+        enumerate_min_cuts(pg, budget=414, symmetry=labels)
+    with pytest.raises(BudgetExceededError):
+        enumerate_min_cuts(pg, budget=415)
+
+
 # -- super-connectivity ------------------------------------------------------
 
 def test_super_kappa_of_cycles():

@@ -23,11 +23,11 @@ def test_golden_batch_formula_verdict_and_skip_routes(capsys):
     code, out, digest = _run(
         ["batch", "--n", "3,4,5", "--all-graphs", "--max-order", "6",
          "--filter", "connected,nonbipartite", "--workers", "1",
-         "--budget", "1000"], capsys)
+         "--budget", "150"], capsys)
     assert code == 3
     records = [json.loads(line) for line in out.splitlines()]
-    assert sum(r.get("skip") == "size-limit" for r in records) == 10
-    assert digest == "8fff1f48ceb116d6544236ccfef6d400ca003cc42ea0e93552da622345665dcc"
+    assert sum(r.get("skip") == "size-limit" for r in records) == 45
+    assert digest == "efed98fe8c4d1fb1b6225b22178391b4c930bdaa403bd29505e70d871e09063b"
 
 
 def test_golden_gstar_trials(capsys):

@@ -305,9 +305,9 @@ def test_batch_computes_each_factor_connectivity_once(monkeypatch):
     original = kronkit.connectivity.vertex_connectivity
     calls = Counter()
 
-    def counted(g, budget=None):
+    def counted(g, budget=None, symmetry=()):
         calls[g] += 1
-        return original(g, budget)
+        return original(g, budget, symmetry)
 
     monkeypatch.setattr(kronkit.connectivity, "vertex_connectivity", counted)
     monkeypatch.setattr(kronkit.product_analysis, "vertex_connectivity", counted)
