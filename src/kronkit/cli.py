@@ -58,9 +58,9 @@ from .products import is_bipartite, kronecker, linearization_rows
 GRAPH6_HEADER = ">>graph6<<"
 MAX_CORPUS_ORDER = 8  # --all-graphs at order 9 does not finish in practical time
 # Residual searches allowed per instance.  The order-8 kd-equal sweep at
-# n = 3, 4, 5 needs at most 4385 (K_8 x K_5), so the default stops only a
-# runaway instance: a search takes some 25 us on that sweep's products and
-# some 80 us on the 128-vertex Q_5 x K_4 (2-core Xeon VM).
+# n = 3, 4, 5 needs at most 335 (G]~v~w x K_5), so the default stops only a
+# runaway instance: a search takes some 90 us on the 128-vertex Q_5 x K_4,
+# which needs 1318 (2-core Xeon VM).
 DEFAULT_BUDGET = 1_000_000
 
 

@@ -87,11 +87,16 @@ class _SplitFlow:
     arcs stay open in every residual network: vertex capacities keep the
     flow on each arc at 0 or 1, so one bit records the reverse arc.
 
+    A flow between non-adjacent ``s`` and ``t`` starts from the paths
+    through their common neighbours, which :meth:`max_flow` reads off one
+    mask instead of searching for them.
+
     The network is also the one place that charges work: each residual
     search, that is each breadth-first search for an augmenting path and
     each reachability search over a residual network, costs one unit of
     ``budget``, and the first search past it raises
-    :class:`BudgetExceededError`.  ``budget=None`` means no limit.
+    :class:`BudgetExceededError`.  Seeding the common-neighbour paths
+    searches nothing and is not charged.  ``budget=None`` means no limit.
     """
 
     __slots__ = ("order", "base_out", "base_in", "budget", "spent")
@@ -119,34 +124,50 @@ class _SplitFlow:
     def max_flow(self, s: int, t: int, cutoff: int) -> tuple[int, list[int]]:
         """Internally disjoint s-t paths, counting at most ``cutoff``.
 
-        Returns the count and the residual network it leaves.
+        Returns the count and the residual network it leaves.  ``s`` and
+        ``t`` must be non-adjacent, as every pair of Even's family is.  The
+        flow starts from the paths ``s - m - t`` through the common
+        neighbours ``m``, taken in increasing order up to ``cutoff``: they
+        share no inner vertex, so one mask operation gives them all, and
+        seeding them is not charged.  Each further path costs one
+        breadth-first search, which keeps one node mask per layer and
+        traces the path back through the lowest node of each earlier layer
+        that has a residual arc to the current one.
         """
         n = self.order
         out = self.base_out.copy()
         src, dst = n + s, t
         flow = 0
+        common = self.base_out[src] & self.base_out[n + t]
+        while common and flow < cutoff:
+            low = common & -common
+            m = low.bit_length() - 1
+            out[t] |= 1 << (n + m)
+            out[n + m] |= low
+            out[m] = 1 << src  # its vertex arc is used; s_out -> m can be undone
+            common ^= low
+            flow += 1
         while flow < cutoff:
             self._charge()
-            parent = {}
-            seen = 1 << src
-            frontier = [src]
+            seen = frontier = 1 << src
+            layers = []
             while frontier and not seen >> dst & 1:
-                layer = []
-                for x in frontier:
-                    new = out[x] & ~seen
-                    seen |= new
-                    while new:
-                        low = new & -new
-                        y = low.bit_length() - 1
-                        parent[y] = x
-                        layer.append(y)
-                        new ^= low
-                frontier = layer
+                layers.append(frontier)
+                reach = 0
+                while frontier:
+                    low = frontier & -frontier
+                    reach |= out[low.bit_length() - 1]
+                    frontier ^= low
+                frontier = reach & ~seen
+                seen |= frontier
             if not seen >> dst & 1:
                 break
             y = dst
-            while y != src:
-                x = parent[y]
+            for layer in reversed(layers):
+                x = (layer & -layer).bit_length() - 1
+                while not out[x] >> y & 1:
+                    layer &= layer - 1
+                    x = (layer & -layer).bit_length() - 1
                 if abs(x - y) == n:  # a vertex arc, used or given back
                     out[x] ^= 1 << y
                     out[y] |= 1 << x
@@ -185,15 +206,16 @@ class _SplitFlow:
         inside = self._reach(out, nodes, n + s) | (1 << s)
         if inside >> t & 1:
             return set()
-        inn = self.base_in.copy()
-        for x, (now, base) in enumerate(zip(out, self.base_out)):
-            for y in iter_bits(now ^ base):
-                inn[y] ^= 1 << x
-        outside = self._reach(inn, nodes, t) | (1 << (n + t))
         flow_nodes = 0
         for v in range(n):
             if not out[v] >> (n + v) & 1:
                 flow_nodes |= (1 << v) | (1 << (n + v))
+        # Only the flow nodes and the sink differ from the base network.
+        inn = self.base_in.copy()
+        for x in iter_bits(flow_nodes | (1 << t)):
+            for y in iter_bits(out[x] ^ self.base_out[x]):
+                inn[y] ^= 1 << x
+        outside = self._reach(inn, nodes, t) | (1 << (n + t))
         found = set()
         stack = [(inside, outside)]
         while stack:

@@ -93,7 +93,7 @@ def test_super_kappa_budget_skip(capsys, monkeypatch):
 
 def test_default_budget_verifies_k44_times_k4(capsys):
     # The subset count C(32, 12) once refused this instance; its residual
-    # searches number a few thousand.
+    # searches number a few hundred.
     code, out, _ = run_cli(["batch", "--n", "4", "--g6", "G?~vf_", "--workers", "1"],
                            capsys)
     assert code == 0
@@ -295,7 +295,7 @@ def test_verify_byte_determinism_across_worker_counts(tmp_path, capsys):
         # exit 3: the golden batch run, whose budget skips must not depend
         # on how the instances are spread over the workers
         (["batch", "--n", "3,4,5", "--all-graphs", "--max-order", "6",
-          "--filter", "connected,nonbipartite", "--budget", "150"], 3),
+          "--filter", "connected,nonbipartite", "--budget", "40"], 3),
     ]
     for i, (base, code) in enumerate(runs):
         out1 = tmp_path / f"w1-{i}.jsonl"

@@ -140,14 +140,77 @@ def test_enumeration_is_lexicographic_and_budgeted():
 
 
 def test_vertex_connectivity_charges_each_search_against_the_budget():
-    # C12 has ten pairs.  The first flow makes three searches (two paths,
-    # then one that finds none); the other nine stop at the cutoff of 2
-    # after two each.
+    # C12 has ten pairs, three of them with a common neighbour, whose path
+    # is seeded without a search.  The first pair, (0, 2), searches once for
+    # its second path and once more to find none; the seven pairs without a
+    # common neighbour stop at the cutoff of 2 after two searches each, the
+    # other two after one.
     g = make_cycle(12)
-    assert vertex_connectivity(g, budget=21) == 2
+    assert vertex_connectivity(g, budget=18) == 2
     with pytest.raises(BudgetExceededError) as err:
-        vertex_connectivity(g, budget=20)
-    assert err.value.budget == 20
+        vertex_connectivity(g, budget=17)
+    assert err.value.budget == 17
+
+
+def _separates(nbrs, removed, s, t):
+    """Plain breadth-first search over neighbour lists: is ``t``
+    unreachable from ``s`` once ``removed`` is deleted?"""
+    seen, frontier = set(removed) | {s}, [s]
+    while frontier:
+        frontier = [y for x in frontier for y in nbrs[x] if y not in seen]
+        seen.update(frontier)
+    return t not in seen
+
+
+def test_pair_flows_and_separators_against_networkx_and_subset_scan():
+    """``max_flow`` and ``min_separators`` on single non-adjacent pairs of
+    every connected graph to order 6 and of ``G x K_3`` for every connected
+    ``G`` to order 4: the flow equals networkx's local connectivity, the
+    separators are exactly the minimum s-t separators found by scanning
+    subsets, and a flow cut off below its maximum stops at the cutoff and
+    yields no separator."""
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.connectivity import (
+        build_auxiliary_node_connectivity,
+        local_node_connectivity,
+    )
+    from networkx.algorithms.flow import build_residual_network
+
+    from kronkit.connectivity import _SplitFlow
+    from kronkit.corpus import connected_graphs
+
+    graphs = [g for order in range(2, 7) for g in connected_graphs(order)]
+    graphs += [kronecker(g, make_complete(3)).graph
+               for order in range(1, 5) for g in connected_graphs(order)]
+    pairs = cut_off = crowded = 0
+    for g in graphs:
+        h = nx.Graph()
+        h.add_nodes_from(range(g.order))
+        h.add_edges_from(g.edges())
+        aux = build_auxiliary_node_connectivity(h)
+        residual = build_residual_network(aux, "capacity")
+        nbrs = [g.neighbors(v) for v in range(g.order)]
+        net = _SplitFlow(g)
+        for s, t in itertools.permutations(range(g.order), 2):
+            if g.has_edge(s, t):
+                continue
+            value, out = net.max_flow(s, t, g.order)
+            assert value == local_node_connectivity(
+                h, s, t, auxiliary=aux, residual=residual), (g, s, t)
+            inner = [v for v in range(g.order) if v not in (s, t)]
+            expected = {sum(1 << v for v in combo)
+                        for combo in itertools.combinations(inner, value)
+                        if _separates(nbrs, combo, s, t)}
+            assert net.min_separators(s, t, out) == expected, (g, s, t)
+            common = len(set(nbrs[s]) & set(nbrs[t]))
+            for cutoff in range(value):
+                short, out = net.max_flow(s, t, cutoff)
+                assert short == cutoff, (g, s, t, cutoff)
+                assert net.min_separators(s, t, out) == set(), (g, s, t, cutoff)
+                cut_off += 1
+                crowded += common > cutoff
+            pairs += 1
+    assert (pairs, cut_off, crowded) == (2242, 4680, 3146)
 
 
 def test_enumeration_complete_against_networkx_scan():
@@ -321,17 +384,17 @@ def test_symmetry_generators_are_checked(perm, message):
 
 def test_label_symmetry_spends_fewer_searches_on_k44_times_k4():
     # K_{4,4} x K_4 has 85 pairs in Even's family and 27 orbits under the
-    # relabellings that fix label 0; the plain route needs 1319 searches.
+    # relabellings that fix label 0; the plain route needs 587 searches.
     from kronkit.graphs import parse_graph6
 
     product = kronecker(parse_graph6("G?~vf_"), make_complete(4))
     pg, labels = product.graph, product.label_transpositions()
-    cuts = enumerate_min_cuts(pg, budget=415, symmetry=labels)
+    cuts = enumerate_min_cuts(pg, budget=195, symmetry=labels)
     assert cuts == enumerate_min_cuts(pg) and len(cuts) == 8
     with pytest.raises(BudgetExceededError):
-        enumerate_min_cuts(pg, budget=414, symmetry=labels)
+        enumerate_min_cuts(pg, budget=194, symmetry=labels)
     with pytest.raises(BudgetExceededError):
-        enumerate_min_cuts(pg, budget=415)
+        enumerate_min_cuts(pg, budget=195)
 
 
 # -- super-connectivity ------------------------------------------------------

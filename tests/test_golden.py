@@ -23,11 +23,11 @@ def test_golden_batch_formula_verdict_and_skip_routes(capsys):
     code, out, digest = _run(
         ["batch", "--n", "3,4,5", "--all-graphs", "--max-order", "6",
          "--filter", "connected,nonbipartite", "--workers", "1",
-         "--budget", "150"], capsys)
+         "--budget", "40"], capsys)
     assert code == 3
     records = [json.loads(line) for line in out.splitlines()]
-    assert sum(r.get("skip") == "size-limit" for r in records) == 45
-    assert digest == "efed98fe8c4d1fb1b6225b22178391b4c930bdaa403bd29505e70d871e09063b"
+    assert sum(r.get("skip") == "size-limit" for r in records) == 210
+    assert digest == "128822a5653e4f4371b5a383f236526ed4b2af977cd7c0180160daca85236c3d"
 
 
 def test_golden_gstar_trials(capsys):
