@@ -119,7 +119,9 @@ def _format_table(record: dict) -> str:
 
 def emit_report(records: Iterable[dict], fmt: str, output: str | None) -> None:
     """Write records as JSON lines (byte-stable) or a human table."""
-    render = (lambda r: json.dumps(r, separators=(",", ":"))) \
+    # One encoder for the whole stream: json.dumps with non-default
+    # separators builds a new one per call.
+    render = json.JSONEncoder(separators=(",", ":")).encode \
         if fmt == "jsonl" else _format_table
     _write_lines(map(render, records), output)
 

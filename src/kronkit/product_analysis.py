@@ -15,6 +15,7 @@ asserting, so long corpus runs always finish with evidence in hand.
 
 from __future__ import annotations
 
+import functools
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -35,6 +36,7 @@ from .graphs import (
     encode_graph6,
     has_isolated,
     is_connected,
+    iter_bits,
     make_complete,
     mask_of,
     parse_graph6,
@@ -58,8 +60,12 @@ class ResidueConditions:
 
 @dataclass(frozen=True)
 class ResidueSystem:
-    """A removal candidate together with the per-fiber survivors."""
+    """A removal candidate together with the per-fiber survivors.
 
+    ``factor`` is the first factor ``g`` of ``product = g x K_n``.
+    """
+
+    factor: Graph
     product: ProductGraph
     removed: tuple[int, ...]
     residues: tuple[tuple[int, ...], ...]
@@ -90,49 +96,62 @@ def build_residue_system(g: Graph, n: int, removed: Iterable[int]) -> ResidueSys
     if not is_connected(g) or g.order == 0:
         raise PreconditionError("residue systems need a connected factor graph")
     product = kronecker(g, make_complete(n))
-    return _residue_system(g, product, removed)
-
-
-def _residue_system(g: Graph, product: ProductGraph,
-                    removed: Iterable[int]) -> ResidueSystem:
     mn = product.graph.order
     removed_sorted = tuple(sorted(set(removed)))
     if removed_sorted and not (0 <= removed_sorted[0] and removed_sorted[-1] < mn):
         raise ValueError(f"removed ids must lie in 0..{mn - 1}")
-    removed_mask = mask_of(removed_sorted)
-    n = product.factor2_order
-    residues = [tuple(v for v in range(u * n, (u + 1) * n) if not removed_mask >> v & 1)
-                for u in range(product.factor1_order)]
-    alive = product.graph.full_mask() ^ removed_mask
+    alive = product.graph.full_mask() ^ mask_of(removed_sorted)
+    residues = _residues(product, alive)
     conditions = ResidueConditions(
         size_ok=len(removed_sorted) == (n - 1) * g.min_degree,
         residues_nonempty=all(residues),
         no_isolated=not has_isolated(product.graph.adj, alive),
     )
-    return ResidueSystem(product, removed_sorted, tuple(residues), conditions)
+    return ResidueSystem(g, product, removed_sorted, residues, conditions)
+
+
+def _residues(product: ProductGraph, alive: int) -> tuple[tuple[int, ...], ...]:
+    """The surviving ids of each fiber, fiber by fiber."""
+    return tuple(tuple(iter_bits(alive & product.fiber_mask(u)))
+                 for u in range(product.factor1_order))
 
 
 def build_gstar(rs: ResidueSystem) -> GStarGraph:
-    """Auxiliary graph of a residue system; every residue must be nonempty."""
+    """Auxiliary graph of a residue system; every residue must be nonempty.
+
+    In ``g x K_n``, ``(i, a) ~ (j, b)`` exactly when ``i ~ j`` in ``g`` and
+    ``a != b``, so the residues of adjacent fibers ``i`` and ``j`` are joined
+    unless both are the same single label.  The witness is the product edge
+    that a scan of residue ``i`` in increasing id meets first: the lowest
+    survivor ``a`` of fiber ``i`` with a neighbour in residue ``j``, and
+    that neighbour's lowest id.
+    """
     if not rs.conditions.residues_nonempty:
         empty = next(i for i, r in enumerate(rs.residues) if not r)
         raise PreconditionError(f"residue of fiber {empty} is empty")
-    m = rs.product.factor1_order
-    padj = rs.product.graph.adj
-    masks = [mask_of(res) for res in rs.residues]
-    adj = [0] * m
+    n = rs.product.factor2_order
+    residues = rs.residues
+    fadj = rs.factor.adj
+    adj = [0] * len(residues)
     witnesses: dict[tuple[int, int], tuple[int, int]] = {}
-    for i in range(m):
-        for j in range(i + 1, m):
-            for a in rs.residues[i]:
-                hit = padj[a] & masks[j]
-                if hit:
-                    adj[i] |= 1 << j
-                    adj[j] |= 1 << i
-                    witnesses[(i, j)] = (a, (hit & -hit).bit_length() - 1)
-                    break
-    singles = frozenset(i for i, r in enumerate(rs.residues) if len(r) == 1)
-    return GStarGraph(Graph(m, tuple(adj)), witnesses, singles)
+    for i, res_i in enumerate(residues):
+        a = res_i[0]
+        for j in iter_bits(fadj[i] >> (i + 1) << (i + 1)):
+            res_j = residues[j]
+            b = res_j[0]
+            if (b - a) % n:
+                witness = (a, b)
+            elif len(res_j) > 1:
+                witness = (a, res_j[1])
+            elif len(res_i) > 1:
+                witness = (res_i[1], b)
+            else:
+                continue
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+            witnesses[(i, j)] = witness
+    singles = frozenset(i for i, r in enumerate(residues) if len(r) == 1)
+    return GStarGraph(Graph(len(residues), tuple(adj)), witnesses, singles)
 
 
 # -- sampled structural checks -------------------------------------------------
@@ -152,38 +171,56 @@ class TrialRecord:
     error: str | None = None
 
 
-def _sample_valid_removal(g: Graph, product: ProductGraph, rng,
-                          max_rejections: int,
-                          size: int | None = None) -> tuple[tuple[int, ...], int, int]:
-    """Uniform removal candidate meeting the removal conditions, by rejection.
+def _sample_valid_removal(g: Graph, product: ProductGraph, rng, max_rejections: int,
+                          size: int) -> tuple[tuple[int, ...], int, int, int]:
+    """Uniform ``size``-subset of the product meeting the residue and
+    isolation conditions, by rejection.
 
-    ``size`` defaults to ``(n-1) * delta``; smaller sizes run through the
-    same machinery (the residue and isolation conditions are unchanged).
-    Returns (removed, rejections, isolation-only rejections).
+    The conditions are read per fiber rather than per product vertex: with
+    ``L_u`` the surviving labels of fiber ``u``, every ``L_u`` must be
+    nonempty, and a survivor ``(u, x)`` is isolated exactly when the labels
+    surviving in the neighbouring fibers, together, lie inside ``{x}``.
+    Returns (removed, surviving ids as a mask, rejections, isolation-only
+    rejections).
     """
     n = product.factor2_order
-    if size is None:
-        size = (n - 1) * g.min_degree
     mn = product.graph.order
     full = product.graph.full_mask()
-    fiber_masks = [product.fiber_mask(u) for u in range(product.factor1_order)]
-    padj = product.graph.adj
+    label_mask = (1 << n) - 1
+    shifts = range(0, mn, n)
     rejections = 0
     isolation_rejections = 0
     while rejections <= max_rejections:
         # Python ints: a numpy int64 shift past bit 63 wraps instead of growing.
         picked = rng.choice(mn, size=size, replace=False).tolist()
-        removed_mask = mask_of(picked)
-        if any(fm & ~removed_mask == 0 for fm in fiber_masks):
+        alive = full ^ mask_of(picked)
+        labels = [alive >> s & label_mask for s in shifts]
+        if not all(labels):
             rejections += 1
             continue
-        if has_isolated(padj, full ^ removed_mask):
+        if _fiber_isolates(g.adj, labels):
             rejections += 1
             isolation_rejections += 1
             continue
-        return tuple(sorted(picked)), rejections, isolation_rejections
+        return tuple(sorted(picked)), alive, rejections, isolation_rejections
     raise SamplingExhaustedError(
         f"no valid removal candidate after {max_rejections} rejections")
+
+
+def _fiber_isolates(fadj: Sequence[int], labels: Sequence[int]) -> bool:
+    """True when some survivor of ``g x K_n`` has no surviving neighbour.
+
+    ``labels[u]`` is the nonempty label mask of fiber ``u``'s survivors.
+    """
+    for u, mask in enumerate(fadj):
+        seen = 0
+        while mask:
+            low = mask & -mask
+            seen |= labels[low.bit_length() - 1]
+            mask ^= low
+        if seen & (seen - 1) == 0 and (seen == 0 or seen & labels[u]):
+            return True
+    return False
 
 
 def _require_checker_preconditions(g: Graph, n: int, nonbipartite: bool) -> None:
@@ -199,6 +236,46 @@ def _require_checker_preconditions(g: Graph, n: int, nonbipartite: bool) -> None
         raise PreconditionError("checker needs a non-bipartite factor graph")
 
 
+def _require_sampler_args(g: Graph, n: int, trials: int, max_rejections: int,
+                          removal_size: int | None) -> None:
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
+    if max_rejections < 0:
+        raise ValueError(f"max_rejections must be >= 0, got {max_rejections}")
+    if removal_size is not None and not 0 <= removal_size <= g.order * n:
+        raise ValueError(f"removal_size must lie in 0..{g.order * n}, got {removal_size}")
+
+
+@functools.lru_cache(maxsize=1)
+def _draw_trials(g: Graph, n: int, trials: int, seed: int, max_rejections: int,
+                 removal_size: int | None) -> tuple[tuple, ...]:
+    """One ``(residue system, rejections, isolation rejections, error)`` per
+    trial; the residue system is None exactly when sampling ran out.
+
+    Trial ``t`` draws from a generator seeded with ``[seed, t]``, so both
+    checkers see the same removals for the same arguments; the cache keeps
+    the most recent draw only, which a checker run right after another on
+    the same arguments reuses.  Call with positional arguments: the cache
+    keys on them as given.
+    """
+    product = kronecker(g, make_complete(n))
+    size = (n - 1) * g.min_degree if removal_size is None else removal_size
+    conditions = ResidueConditions(size_ok=size == (n - 1) * g.min_degree,
+                                   residues_nonempty=True, no_isolated=True)
+    draws = []
+    for t in range(trials):
+        rng = np.random.default_rng([seed % 2**64, t])
+        try:
+            removed, alive, rej, iso_rej = _sample_valid_removal(g, product, rng,
+                                                                 max_rejections, size)
+        except SamplingExhaustedError as exc:
+            draws.append((None, max_rejections, 0, str(exc)))
+            continue
+        rs = ResidueSystem(g, product, removed, _residues(product, alive), conditions)
+        draws.append((rs, rej, iso_rej, None))
+    return tuple(draws)
+
+
 def _sample_trials(g: Graph, n: int, trials: int, seed: int, max_rejections: int,
                    removal_size: int | None, check) -> list[TrialRecord]:
     """One record per trial: a seeded valid removal and ``check``'s verdict on it.
@@ -206,23 +283,19 @@ def _sample_trials(g: Graph, n: int, trials: int, seed: int, max_rejections: int
     ``check`` maps the removal's residue system to the record's
     ``(gstar_connected, split_residues)`` pair.
     """
-    product = kronecker(g, make_complete(n))
+    _require_sampler_args(g, n, trials, max_rejections, removal_size)
     g6 = encode_graph6(g)
     records = []
-    for t in range(trials):
-        rng = np.random.default_rng([seed % 2**64, t])
-        try:
-            removed, rej, iso_rej = _sample_valid_removal(g, product, rng,
-                                                          max_rejections,
-                                                          removal_size)
-        except SamplingExhaustedError as exc:
-            records.append(TrialRecord(g6, n, t, (), max_rejections, 0,
-                                       None, None, error=str(exc)))
-            continue
-        gstar_connected, split = check(_residue_system(g, product, removed))
-        records.append(TrialRecord(g6, n, t, removed, rej, iso_rej,
-                                   gstar_connected=gstar_connected,
-                                   split_residues=split))
+    for t, (rs, rej, iso_rej, error) in enumerate(
+            _draw_trials(g, n, trials, seed, max_rejections, removal_size)):
+        if rs is None:
+            records.append(TrialRecord(g6, n, t, (), rej, iso_rej, None, None,
+                                       error=error))
+        else:
+            gstar_connected, split = check(rs)
+            records.append(TrialRecord(g6, n, t, rs.removed, rej, iso_rej,
+                                       gstar_connected=gstar_connected,
+                                       split_residues=split))
     return records
 
 
@@ -233,6 +306,8 @@ def _gstar_check(rs: ResidueSystem) -> tuple[bool, None]:
 def _split_check(rs: ResidueSystem) -> tuple[None, tuple[int, ...]]:
     pg = rs.product.graph
     comps = components(pg.adj, pg.full_mask() ^ mask_of(rs.removed))
+    if len(comps) == 1:
+        return None, ()
     split = []
     for i, res in enumerate(rs.residues):
         res_mask = mask_of(res)

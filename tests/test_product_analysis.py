@@ -1,6 +1,7 @@
 """Tests for residue systems, the auxiliary graph, and verification records."""
 
 import itertools
+import random
 from collections import Counter
 
 import pytest
@@ -9,8 +10,10 @@ from kronkit.connectivity import classify_cut, vertex_connectivity
 from kronkit.corpus import connected_graphs
 from kronkit.errors import BudgetExceededError, PreconditionError
 from kronkit.graphs import (
+    Graph,
     delete_vertex,
     graph_from_edges,
+    has_isolated,
     is_connected,
     make_complete,
     make_cycle,
@@ -18,6 +21,7 @@ from kronkit.graphs import (
 )
 from kronkit.product_analysis import (
     BatchSummary,
+    GStarGraph,
     SkipRecord,
     VerificationReport,
     batch_verify,
@@ -30,6 +34,7 @@ from kronkit.product_analysis import (
     verify_connectivity_formula,
     verify_super_connectivity,
 )
+from kronkit import product_analysis
 from kronkit.products import kronecker
 
 
@@ -102,6 +107,68 @@ def test_gstar_singleton_classes():
     assert 0 in star.singleton_classes
 
 
+def _scan_gstar(rs):
+    """Oracle: G* by scanning the surviving product edges between residues."""
+    m = rs.product.factor1_order
+    padj = rs.product.graph.adj
+    masks = [sum(1 << v for v in res) for res in rs.residues]
+    adj = [0] * m
+    witnesses = {}
+    for i in range(m):
+        for j in range(i + 1, m):
+            for a in rs.residues[i]:
+                hit = padj[a] & masks[j]
+                if hit:
+                    adj[i] |= 1 << j
+                    adj[j] |= 1 << i
+                    witnesses[(i, j)] = (a, (hit & -hit).bit_length() - 1)
+                    break
+    singles = frozenset(i for i, r in enumerate(rs.residues) if len(r) == 1)
+    return GStarGraph(Graph(m, tuple(adj)), witnesses, singles)
+
+
+def _kd_equal_factors(max_order):
+    return [g for order in range(2, max_order + 1) for g in connected_graphs(order)
+            if vertex_connectivity(g) == g.min_degree]
+
+
+def _random_nonempty_removal(g, n, rnd):
+    """Each fiber keeps a random nonempty set of labels."""
+    removed = []
+    for u in range(g.order):
+        keep = rnd.sample(range(n), rnd.randint(1, n))
+        removed += [u * n + v for v in range(n) if v not in keep]
+    return removed
+
+
+def test_gstar_matches_the_product_edge_scan_on_kd_equal_factors():
+    rnd = random.Random(9)
+    checked = 0
+    for g in _kd_equal_factors(6):
+        for n in (3, 4, 5):
+            removals = [()] + [_random_nonempty_removal(g, n, rnd) for _ in range(3)]
+            removals += [r.removed for r in check_gstar_connected(g, n, 3, seed=n)]
+            for removed in removals:
+                rs = build_residue_system(g, n, removed)
+                assert build_gstar(rs) == _scan_gstar(rs), (g, n, removed)
+                checked += 1
+    assert checked > 2000
+
+
+@pytest.mark.parametrize("removed, joined", [
+    ((), True),
+    ((1, 2, 4, 5), False),      # fibers 0 and 1 both left with label 0
+    ((1, 2, 3, 5), True),       # fiber 0 left with label 0, fiber 1 with label 1
+    ((1, 2, 5), True),          # fiber 0 = {0}, fiber 1 = {0, 1}
+    ((2, 4, 5), True),          # fiber 0 = {0, 1}, fiber 1 = {0}
+])
+def test_gstar_edge_cases_match_the_product_edge_scan(removed, joined):
+    rs = build_residue_system(make_cycle(5), 3, removed)
+    star = build_gstar(rs)
+    assert star == _scan_gstar(rs)
+    assert bool(star.graph.adj[0] >> 1 & 1) is joined
+
+
 # -- sampled checks -----------------------------------------------------------
 
 def test_gstar_connected_on_sampled_removals():
@@ -167,6 +234,81 @@ def test_gstar_connected_for_smaller_removal_sizes():
                                         removal_size=size)
         assert all(r.error is None and r.gstar_connected for r in records)
         assert all(len(r.removed) == size for r in records)
+
+
+@pytest.mark.parametrize("checker", [check_gstar_connected, check_residue_components])
+@pytest.mark.parametrize("kwargs, name", [
+    ({"removal_size": -1}, "removal_size"),
+    ({"removal_size": 16}, "removal_size"),   # C5 x K3 has 15 vertices
+    ({"max_rejections": -1}, "max_rejections"),
+    ({"trials": -2}, "trials"),
+])
+def test_samplers_reject_bad_arguments(checker, kwargs, name):
+    args = {"trials": 3, "seed": 0, **kwargs}
+    with pytest.raises(ValueError, match=name):
+        checker(make_cycle(5), 3, **args)
+
+
+def test_removal_of_every_vertex_exhausts_sampling():
+    records = check_gstar_connected(make_cycle(5), 3, trials=2, seed=0,
+                                    max_rejections=3, removal_size=15)
+    assert [(r.rejections, r.removed, r.gstar_connected) for r in records] == [
+        (3, (), None)] * 2
+    assert all("after 3 rejections" in r.error for r in records)
+
+
+def test_fiber_isolation_test_matches_the_product_scan():
+    # every removal that leaves each fiber nonempty, on small products; the
+    # last factor's isolated vertex leaves its whole fiber isolated
+    factors = (make_cycle(5), make_complete(4), graph_from_edges(3, [(0, 1), (1, 2)]),
+               graph_from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]),
+               graph_from_edges(4, [(0, 1), (1, 2), (2, 0)]))
+    for g in factors:
+        product = kronecker(g, make_complete(3))
+        for alive in range(1 << product.graph.order):
+            labels = [alive >> (3 * u) & 7 for u in range(g.order)]
+            if all(labels):
+                assert (product_analysis._fiber_isolates(g.adj, labels)
+                        == has_isolated(product.graph.adj, alive)), (g, alive)
+
+
+def test_residue_checker_reuses_the_gstar_draw():
+    draws = product_analysis._draw_trials
+    for g in (make_cycle(5), make_complete(4), make_cycle(7)):
+        check_gstar_connected(g, 4, 15, 5)
+        hits = draws.cache_info().hits
+        shared = check_residue_components(g, 4, 15, 5)
+        assert draws.cache_info().hits == hits + 1
+        draws.cache_clear()
+        assert check_residue_components(g, 4, 15, 5) == shared
+
+
+@pytest.mark.parametrize("change", [
+    {"seed": 6}, {"n": 3}, {"trials": 14}, {"max_rejections": 50},
+    {"removal_size": 5},
+])
+def test_changed_sampler_arguments_never_reuse_a_draw(change):
+    draws = product_analysis._draw_trials
+    base = {"g": make_cycle(5), "n": 4, "trials": 15, "seed": 5,
+            "max_rejections": 100, "removal_size": None}
+    changed = {**base, **change}
+    check_gstar_connected(**base)
+    misses = draws.cache_info().misses
+    after_base = check_residue_components(**changed)
+    assert draws.cache_info().misses == misses + 1
+    draws.cache_clear()
+    assert check_residue_components(**changed) == after_base
+    assert draws.cache_info().currsize == 1
+
+
+def test_sampled_conditions_equal_the_residue_system_conditions():
+    for g, n, size in ((make_cycle(5), 3, None), (make_complete(4), 4, None),
+                       (make_cycle(5), 3, 2), (make_cycle(7), 5, 6)):
+        for rs, _, _, error in product_analysis._draw_trials(g, n, 20, 3, 1000, size):
+            assert error is None
+            fresh = build_residue_system(g, n, rs.removed)
+            assert rs.conditions == fresh.conditions
+            assert rs.residues == fresh.residues
 
 
 # -- verification -------------------------------------------------------------
