@@ -9,10 +9,8 @@ JSON-lines output is byte-stable for fixed inputs, flags, and seed; pass
 ``batch --timing`` to include real runtimes (which breaks byte stability).
 Each option is registered only on the commands that read it.  ``cuts``,
 ``super-kappa`` and ``batch`` give each instance a budget of residual
-searches in the flow network (``DEFAULT_BUDGET``); an instance that needs
-more becomes a ``size-limit`` skip record.  The ``KRONKIT_BUDGET``
-environment variable overrides the default, and an explicit ``--budget``
-wins over both; the other commands ignore the variable.
+searches in the flow network, ``--budget`` or else ``DEFAULT_BUDGET``; an
+instance that needs more becomes a ``size-limit`` skip record.
 """
 
 from __future__ import annotations
@@ -41,6 +39,7 @@ from .graphs import (
     random_graph,
 )
 from .product_analysis import (
+    KNOWN_FILTERS,
     BatchSummary,
     SkipRecord,
     VerificationReport,
@@ -267,9 +266,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", default=None, metavar="PATH",
                        help="destination file; default standard output")
         if budget:
-            p.add_argument("--budget", type=int, default=None,
+            p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                            help="residual searches allowed per instance, default "
-                                f"{DEFAULT_BUDGET} (overrides KRONKIT_BUDGET)")
+                                f"{DEFAULT_BUDGET}")
 
     gen = sub.add_parser("gen", help="emit generated graphs as graph6")
     families = gen.add_subparsers(dest="family", required=True)
@@ -319,25 +318,15 @@ def build_parser() -> argparse.ArgumentParser:
                        help="use the exhaustive corpus up to --max-order")
     batch.add_argument("--max-order", type=int, default=5)
     batch.add_argument("--filter", action="append", default=[],
-                       metavar="{connected,kd-equal,bipartite,nonbipartite}",
+                       metavar="{" + ",".join(KNOWN_FILTERS) + "}",
                        help="corpus filter (repeatable or comma-separated)")
     return parser
 
 
 def _budget(parser: argparse.ArgumentParser, args) -> int:
-    """``--budget``, else ``KRONKIT_BUDGET``, else ``DEFAULT_BUDGET``."""
-    name, value = "--budget", args.budget
-    if value is None:
-        name, text = "KRONKIT_BUDGET", os.environ.get("KRONKIT_BUDGET")
-        if not text:
-            return DEFAULT_BUDGET
-        try:
-            value = int(text)
-        except ValueError:
-            parser.error(f"{name} must be an integer, got {text!r}")
-    if value < 0:
-        parser.error(f"{name} must be >= 0, got {value}")
-    return value
+    if args.budget < 0:
+        parser.error(f"--budget must be >= 0, got {args.budget}")
+    return args.budget
 
 
 def _single_graph(args) -> Graph:
@@ -354,17 +343,10 @@ def _single_graph(args) -> Graph:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
+        return _dispatch(parser, parser.parse_args(argv))
+    except SystemExit as exc:  # --help, and parser.error while parsing or after
         return exc.code if isinstance(exc.code, int) else 2
-    try:
-        return _dispatch(parser, args)
-    except SystemExit as exc:  # parser.error inside dispatch
-        return exc.code if isinstance(exc.code, int) else 2
-    except _Fatal as exc:
-        print(f"kronkit: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (_Fatal, ValueError) as exc:
         print(f"kronkit: {exc}", file=sys.stderr)
         return 2
 

@@ -285,8 +285,6 @@ def _even_pairs(g: Graph, symmetry: Sequence[Sequence[int]] = ()
     nbrs = list(iter_bits(s_mask))
     for i, x in enumerate(nbrs):
         family.extend((x, y) for y in nbrs[i + 1:] if not g.has_edge(x, y))
-    if not fixing:
-        return family, []
     seen: set[tuple[int, int]] = set()
     representatives = []
     for pair in family:

@@ -2,8 +2,8 @@
 
 Vertices are dense integer ids ``0..order-1``.  Adjacency is one Python int
 bitmask per vertex; arbitrary-precision ints cover every order this toolkit
-targets while keeping neighborhood tests and traversals cheap for the
-subset-scan loops in the connectivity modules.
+targets while keeping neighborhood tests and traversals cheap for the flows,
+the cut enumeration and the residue sampler.
 """
 
 from __future__ import annotations
@@ -198,8 +198,8 @@ def connected_components(g: Graph) -> list[int]:
 
 def mask_of(ids: Iterable[int]) -> int:
     """Bitmask with the bit of every vertex id in ``ids`` set."""
-    # A plain loop: the subset scan calls this per subset, and sum() over a
-    # generator is slower there.
+    # A plain loop: the residue sampler calls this once per draw, and sum()
+    # over a generator is slower there.
     mask = 0
     for v in ids:
         mask |= 1 << v

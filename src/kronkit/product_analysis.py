@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -223,29 +224,6 @@ def _fiber_isolates(fadj: Sequence[int], labels: Sequence[int]) -> bool:
     return False
 
 
-def _require_checker_preconditions(g: Graph, n: int, nonbipartite: bool) -> None:
-    if n < 3:
-        raise ValueError(f"second factor needs n >= 3, got {n}")
-    if not is_connected(g) or g.order == 0:
-        raise PreconditionError("checker needs a connected factor graph")
-    kappa = vertex_connectivity(g)
-    if kappa != g.min_degree or kappa == 0:
-        raise PreconditionError(
-            "checker needs kappa equal to the minimum degree and positive")
-    if nonbipartite and is_bipartite(g)[0]:
-        raise PreconditionError("checker needs a non-bipartite factor graph")
-
-
-def _require_sampler_args(g: Graph, n: int, trials: int, max_rejections: int,
-                          removal_size: int | None) -> None:
-    if trials < 0:
-        raise ValueError(f"trials must be >= 0, got {trials}")
-    if max_rejections < 0:
-        raise ValueError(f"max_rejections must be >= 0, got {max_rejections}")
-    if removal_size is not None and not 0 <= removal_size <= g.order * n:
-        raise ValueError(f"removal_size must lie in 0..{g.order * n}, got {removal_size}")
-
-
 @functools.lru_cache(maxsize=1)
 def _draw_trials(g: Graph, n: int, trials: int, seed: int, max_rejections: int,
                  removal_size: int | None) -> tuple[tuple, ...]:
@@ -257,7 +235,25 @@ def _draw_trials(g: Graph, n: int, trials: int, seed: int, max_rejections: int,
     the most recent draw only, which a checker run right after another on
     the same arguments reuses.  Call with positional arguments: the cache
     keys on them as given.
+
+    The checkers' shared preconditions are checked here, so a reused draw
+    does not compute the factor's connectivity again.  The cache keeps no
+    exception, so a hit means that these arguments passed the checks.
     """
+    if n < 3:
+        raise ValueError(f"second factor needs n >= 3, got {n}")
+    if not is_connected(g) or g.order == 0:
+        raise PreconditionError("checker needs a connected factor graph")
+    kappa = vertex_connectivity(g)
+    if kappa != g.min_degree or kappa == 0:
+        raise PreconditionError(
+            "checker needs kappa equal to the minimum degree and positive")
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
+    if max_rejections < 0:
+        raise ValueError(f"max_rejections must be >= 0, got {max_rejections}")
+    if removal_size is not None and not 0 <= removal_size <= g.order * n:
+        raise ValueError(f"removal_size must lie in 0..{g.order * n}, got {removal_size}")
     product = kronecker(g, make_complete(n))
     size = (n - 1) * g.min_degree if removal_size is None else removal_size
     conditions = ResidueConditions(size_ok=size == (n - 1) * g.min_degree,
@@ -276,18 +272,16 @@ def _draw_trials(g: Graph, n: int, trials: int, seed: int, max_rejections: int,
     return tuple(draws)
 
 
-def _sample_trials(g: Graph, n: int, trials: int, seed: int, max_rejections: int,
-                   removal_size: int | None, check) -> list[TrialRecord]:
-    """One record per trial: a seeded valid removal and ``check``'s verdict on it.
+def _trial_records(g: Graph, n: int, draws: tuple[tuple, ...],
+                   check) -> list[TrialRecord]:
+    """One record per drawn trial: its removal and ``check``'s verdict on it.
 
     ``check`` maps the removal's residue system to the record's
     ``(gstar_connected, split_residues)`` pair.
     """
-    _require_sampler_args(g, n, trials, max_rejections, removal_size)
     g6 = encode_graph6(g)
     records = []
-    for t, (rs, rej, iso_rej, error) in enumerate(
-            _draw_trials(g, n, trials, seed, max_rejections, removal_size)):
+    for t, (rs, rej, iso_rej, error) in enumerate(draws):
         if rs is None:
             records.append(TrialRecord(g6, n, t, (), rej, iso_rej, None, None,
                                        error=error))
@@ -326,9 +320,8 @@ def check_gstar_connected(g: Graph, n: int, trials: int, seed: int,
     to ``(n-1) * delta``; the claim covers smaller sizes too and the same
     machinery handles both regimes.
     """
-    _require_checker_preconditions(g, n, nonbipartite=False)
-    return _sample_trials(g, n, trials, seed, max_rejections, removal_size,
-                          _gstar_check)
+    draws = _draw_trials(g, n, trials, seed, max_rejections, removal_size)
+    return _trial_records(g, n, draws, _gstar_check)
 
 
 def check_residue_components(g: Graph, n: int, trials: int, seed: int,
@@ -338,11 +331,13 @@ def check_residue_components(g: Graph, n: int, trials: int, seed: int,
 
     Requires a connected non-bipartite factor with connectivity equal to its
     minimum degree; each record lists the residues (if any) that meet more
-    than one component of the surviving product.
+    than one component of the surviving product.  The bipartite check runs
+    after the draw, so the draw's input checks report first.
     """
-    _require_checker_preconditions(g, n, nonbipartite=True)
-    return _sample_trials(g, n, trials, seed, max_rejections, removal_size,
-                          _split_check)
+    draws = _draw_trials(g, n, trials, seed, max_rejections, removal_size)
+    if is_bipartite(g)[0]:
+        raise PreconditionError("checker needs a non-bipartite factor graph")
+    return _trial_records(g, n, draws, _split_check)
 
 
 # -- verification reports -------------------------------------------------------
@@ -483,31 +478,22 @@ def verify_super_connectivity(g: Graph, n: int,
 
 # -- batch verification ----------------------------------------------------------
 
-KNOWN_FILTERS = ("connected", "kd-equal", "bipartite", "nonbipartite")
+# Corpus filters: each name's predicate on a factor and its connectivity,
+# which is None for the empty factor.
+FILTERS = {
+    "connected": lambda g, kappa_g: g.order > 0 and is_connected(g),
+    "kd-equal": lambda g, kappa_g: kappa_g == g.min_degree,
+    "bipartite": lambda g, kappa_g: is_bipartite(g)[0],
+    "nonbipartite": lambda g, kappa_g: not is_bipartite(g)[0],
+}
+KNOWN_FILTERS = tuple(FILTERS)
 
 
 def check_filters(filters: Sequence[str]) -> None:
-    """Raise ``ValueError`` naming the first filter outside ``KNOWN_FILTERS``."""
+    """Raise ``ValueError`` naming the first filter outside ``FILTERS``."""
     for name in filters:
-        if name not in KNOWN_FILTERS:
+        if name not in FILTERS:
             raise ValueError(f"unknown filter {name!r}; known: {KNOWN_FILTERS}")
-
-
-def _passes_filters(g: Graph, kappa_g: int | None, filters: Sequence[str]) -> bool:
-    for name in filters:
-        if name == "connected":
-            if not is_connected(g) or g.order == 0:
-                return False
-        elif name == "kd-equal":
-            if kappa_g != g.min_degree:
-                return False
-        elif name == "bipartite":
-            if not is_bipartite(g)[0]:
-                return False
-        elif name == "nonbipartite":
-            if is_bipartite(g)[0]:
-                return False
-    return True
 
 
 def _verify_instance(g: Graph, n: int, kappa_g: int | None, budget: int | None):
@@ -543,19 +529,17 @@ def batch_verify(corpus: Iterable[Graph], n_values: Sequence[int],
     items = []
     for g in corpus:
         kappa_g = vertex_connectivity(g) if g.order else None
-        if not _passes_filters(g, kappa_g, filters):
+        if not all(FILTERS[name](g, kappa_g) for name in filters):
             continue
         for n in n_values:
             items.append((encode_graph6(g), n, kappa_g, budget))
     holds = violations = skips = 0
-    if workers > 1 and len(items) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for record in pool.map(_batch_worker, items, chunksize=8):
-                holds, violations, skips = _tally(record, holds, violations, skips)
-                yield record
-    else:
-        for item in items:
-            record = _batch_worker(item)
+    with ExitStack() as stack:
+        run = map
+        if workers > 1 and len(items) > 1:
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+            run = functools.partial(pool.map, chunksize=8)
+        for record in run(_batch_worker, items):
             holds, violations, skips = _tally(record, holds, violations, skips)
             yield record
     yield BatchSummary(instances=len(items), holds=holds,

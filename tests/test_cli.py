@@ -6,6 +6,7 @@ import pytest
 
 from kronkit.cli import main
 from kronkit.graphs import encode_graph6, make_complete, make_cycle, parse_graph6
+from kronkit.product_analysis import KNOWN_FILTERS
 
 
 def run_cli(argv, capsys):
@@ -81,10 +82,9 @@ def test_super_kappa_on_c6_is_informational(capsys):
                                         "neighborhood_of": None}
 
 
-def test_super_kappa_budget_skip(capsys, monkeypatch):
-    monkeypatch.setenv("KRONKIT_BUDGET", "2")
+def test_super_kappa_budget_skip(capsys):
     code, out, _ = run_cli(
-        ["super-kappa", "--g6", encode_graph6(make_cycle(6))], capsys)
+        ["super-kappa", "--g6", encode_graph6(make_cycle(6)), "--budget", "2"], capsys)
     assert code == 3
     (rec,) = jsonl(out)
     assert rec["skip"] == "size-limit"
@@ -336,13 +336,6 @@ def test_options_are_registered_only_where_read(argv, capsys):
     assert "unrecognized arguments" in err
 
 
-def test_budget_variable_is_ignored_by_commands_without_budget(capsys, monkeypatch):
-    monkeypatch.setenv("KRONKIT_BUDGET", "abc")
-    code, out, _ = run_cli(["kappa", "--g6", "Bw"], capsys)
-    assert code == 0
-    assert jsonl(out)[0]["kappa"] == 2
-
-
 @pytest.mark.parametrize("command", ["kappa", "super-kappa", "gstar"])
 def test_empty_factor_is_an_in_stream_skip(command, capsys):
     argv = [command, "--g6", "Bw", "--g6", "?"]
@@ -359,48 +352,53 @@ def test_empty_factor_is_an_in_stream_skip(command, capsys):
                                     '"detail":"factor graph must be nonempty"}')
 
 
-@pytest.mark.parametrize("argv, env, message", [
-    (["batch", "--n", "3", "--g6", "Bw", "--workers", "0"], None, "--workers >= 1"),
-    (["cuts", "--g6", "Bw", "--budget", "-1"], None, "--budget must be >= 0"),
-    (["super-kappa", "--g6", "Bw"], "-4", "KRONKIT_BUDGET must be >= 0"),
-    (["batch", "--n", "3", "--g6", "Bw", "--workers", "1"], "-1",
-     "KRONKIT_BUDGET must be >= 0"),
-    (["super-kappa", "--g6", "Bw"], "abc", "KRONKIT_BUDGET must be an integer"),
-    (["cuts", "--g6", "Bw"], "1e3", "KRONKIT_BUDGET must be an integer"),
-    (["gstar", "--n", "3", "--g6", "Bw", "--trials", "-1"], None, "--trials >= 0"),
-    (["batch", "--n", "3", "--all-graphs", "--max-order", "9"], None,
-     "--max-order <= 8"),
-    (["batch", "--n", "3", "--all-graphs", "--max-order", "0"], None,
+@pytest.mark.parametrize("argv, message", [
+    (["batch", "--n", "3", "--g6", "Bw", "--workers", "0"], "--workers >= 1"),
+    (["cuts", "--g6", "Bw", "--budget", "-1"], "--budget must be >= 0"),
+    (["gstar", "--n", "3", "--g6", "Bw", "--trials", "-1"], "--trials >= 0"),
+    (["batch", "--n", "3", "--all-graphs", "--max-order", "9"], "--max-order <= 8"),
+    (["batch", "--n", "3", "--all-graphs", "--max-order", "0"],
      "--max-order >= 1, got 0"),
-    (["batch", "--n", "3", "--all-graphs", "--max-order", "-2"], None,
+    (["batch", "--n", "3", "--all-graphs", "--max-order", "-2"],
      "--max-order >= 1, got -2"),
-    (["gen", "random", "--order", "5", "--count", "0"], None, "--count >= 1, got 0"),
-    (["gen", "random", "--order", "5", "--count", "-2"], None,
-     "--count >= 1, got -2"),
-    (["gen", "complete", "--order", "4", "--p", "7", "--seed", "-3"], None,
+    (["gen", "random", "--order", "5", "--count", "0"], "--count >= 1, got 0"),
+    (["gen", "random", "--order", "5", "--count", "-2"], "--count >= 1, got -2"),
+    (["gen", "complete", "--order", "4", "--p", "7", "--seed", "-3"],
      "unrecognized arguments: --p 7 --seed -3"),
-    (["gen", "cycle", "--order", "5", "--count", "3"], None,
+    (["gen", "cycle", "--order", "5", "--count", "3"],
      "unrecognized arguments: --count 3"),
-], ids=["workers-0", "budget-flag-negative", "budget-env-negative",
-        "budget-env-negative-batch", "budget-env-word", "budget-env-float",
-        "trials-negative", "max-order-9", "max-order-0", "max-order-negative",
-        "count-0", "count-negative", "gen-complete-random-options",
-        "gen-cycle-count"])
-def test_input_guards(argv, env, message, capsys, monkeypatch):
+], ids=["workers-0", "budget-flag-negative", "trials-negative", "max-order-9",
+        "max-order-0", "max-order-negative", "count-0", "count-negative",
+        "gen-complete-random-options", "gen-cycle-count"])
+def test_input_guards(argv, message, capsys, monkeypatch):
     def no_corpus(*_args, **_kwargs):  # fail fast instead of building order 9
         raise AssertionError("the corpus was built before the guard")
     monkeypatch.setattr("kronkit.cli.graphs_up_to", no_corpus)
-    if env is not None:
-        monkeypatch.setenv("KRONKIT_BUDGET", env)
     code, out, err = run_cli(argv, capsys)
     assert code == 2 and out == ""
     assert "kronkit:" in err and message in err
 
 
-def test_budget_flag_wins_over_variable(capsys, monkeypatch):
+def test_budget_is_not_read_from_the_environment(capsys, monkeypatch):
+    # The budget comes from --budget or the default only: a variable that
+    # once set it must neither shrink it nor break a command.
+    monkeypatch.setenv("KRONKIT_BUDGET", "2")
+    code, out, _ = run_cli(
+        ["super-kappa", "--g6", encode_graph6(make_cycle(6))], capsys)
+    assert code == 0 and "skip" not in jsonl(out)[0]
     monkeypatch.setenv("KRONKIT_BUDGET", "abc")
-    code, out, _ = run_cli(["cuts", "--g6", "Bw", "--budget", "100"], capsys)
-    assert code == 0 and len(jsonl(out)) == 3
+    for argv, records in ((["kappa", "--g6", "Bw"], 1),
+                          (["cuts", "--g6", "Bw", "--budget", "100"], 3)):
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0 and len(jsonl(out)) == records
+
+
+def test_filter_metavar_lists_the_filter_table(capsys):
+    code, out, _ = run_cli(["batch", "--help"], capsys)
+    assert code == 0
+    metavar = "{" + ",".join(KNOWN_FILTERS) + "}"
+    assert f"--filter {metavar}" in out
+    assert out.count("--filter {") == 2  # usage line and option list
 
 
 def test_unknown_filter_is_rejected_before_any_record(capsys, tmp_path):

@@ -1,9 +1,9 @@
 """Exact bytes of fixed CLI runs, pinned by the sha256 of standard output.
 
-The batch run covers the formula route, the verdict route and the skip
-route; the gstar run covers both residue samplers.  The panel runs pin
-``kappa``, ``super-kappa --format table``, ``cuts`` (one run per graph) and
-``product --mapping`` on small factors.  Any change to the records of these
+The batch runs cover the formula route, the verdict route with its
+violation records, and the skip route; the gstar run covers both residue
+samplers.  The panel runs pin ``kappa``, ``super-kappa --format table``,
+``cuts`` (one run per graph) and ``product --mapping`` on small factors.  Any change to the records of these
 runs, however small, fails here.
 """
 
@@ -28,6 +28,16 @@ def test_golden_batch_formula_verdict_and_skip_routes(capsys):
     records = [json.loads(line) for line in out.splitlines()]
     assert sum(r.get("skip") == "size-limit" for r in records) == 210
     assert digest == "128822a5653e4f4371b5a383f236526ed4b2af977cd7c0180160daca85236c3d"
+
+
+def test_golden_batch_violation_records(capsys):
+    code, out, digest = _run(
+        ["batch", "--n", "3,4", "--all-graphs", "--max-order", "6",
+         "--filter", "connected,kd-equal", "--workers", "1"], capsys)
+    assert code == 1
+    assert out.splitlines()[-1] == \
+        '{"instances":270,"holds":267,"violations":3,"skips":0}'
+    assert digest == "a9bf01bd72db0c496c59c36f9f5cc6fd26182d923088b91189c03b457d89e214"
 
 
 def test_golden_gstar_trials(capsys):

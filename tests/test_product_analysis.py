@@ -17,6 +17,7 @@ from kronkit.graphs import (
     is_connected,
     make_complete,
     make_cycle,
+    parse_graph6,
     random_graph,
 )
 from kronkit.product_analysis import (
@@ -202,6 +203,42 @@ def test_residue_component_checker():
 def test_residue_component_checker_rejects_bipartite():
     with pytest.raises(PreconditionError):
         check_residue_components(make_cycle(6), 3, 5, 0)
+
+
+BOWTIE = graph_from_edges(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])
+KAPPA_MESSAGE = "checker needs kappa equal to the minimum degree and positive"
+
+
+@pytest.mark.parametrize("checker", [check_gstar_connected, check_residue_components])
+@pytest.mark.parametrize("g, n, error, message", [
+    (make_cycle(5), 2, ValueError, "second factor needs n >= 3, got 2"),
+    (graph_from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]), 3,
+     PreconditionError, "checker needs a connected factor graph"),
+    (BOWTIE, 3, PreconditionError, KAPPA_MESSAGE),
+    # K_1 is bipartite too; the kappa check reports first on both checkers
+    (make_complete(1), 3, PreconditionError, KAPPA_MESSAGE),
+], ids=["n-2", "disconnected", "bowtie", "k1"])
+def test_checker_preconditions(checker, g, n, error, message):
+    product_analysis._draw_trials.cache_clear()
+    with pytest.raises(error) as info:
+        checker(g, n, 5, 0)
+    assert str(info.value) == message
+
+
+def test_checker_pair_computes_factor_connectivity_once(monkeypatch):
+    original = product_analysis.vertex_connectivity
+    calls = Counter()
+
+    def counted(g, budget=None, symmetry=()):
+        calls[g] += 1
+        return original(g, budget, symmetry)
+
+    monkeypatch.setattr(product_analysis, "vertex_connectivity", counted)
+    product_analysis._draw_trials.cache_clear()
+    c5 = make_cycle(5)
+    check_gstar_connected(c5, 3, 10, 0)
+    check_residue_components(c5, 3, 10, 0)
+    assert calls == Counter({c5: 1})
 
 
 def test_checkers_are_deterministic():
@@ -482,6 +519,30 @@ def test_batch_rejects_small_n_and_unknown_filter():
         list(batch_verify([make_cycle(5)], [2]))
     with pytest.raises(ValueError):
         list(batch_verify([make_cycle(5)], [3], filters=("planar",)))
+
+
+def test_filter_table_matches_networkx_definitions():
+    nx = pytest.importorskip("networkx")
+    from kronkit.corpus import graphs_up_to
+    from kronkit.graphs import encode_graph6
+
+    corpus = [encode_graph6(g) for g in graphs_up_to(5, connected=False)]
+
+    def kd_equal(h):  # kappa == delta, with the empty graph excluded
+        return h.order() > 0 and nx.node_connectivity(h) == min(d for _, d in h.degree)
+
+    definitions = {
+        "connected": nx.is_connected,
+        "kd-equal": kd_equal,
+        "bipartite": nx.is_bipartite,
+        "nonbipartite": lambda h: not nx.is_bipartite(h),
+    }
+    assert set(definitions) == set(product_analysis.KNOWN_FILTERS)
+    graphs = {g6: nx.from_graph6_bytes(g6.encode()) for g6 in corpus}
+    for name, definition in definitions.items():
+        records = batch_verify(map(parse_graph6, corpus), [3], filters=(name,))
+        kept = [r.instance.graph6 for r in records if not isinstance(r, BatchSummary)]
+        assert kept == [g6 for g6 in corpus if definition(graphs[g6])], name
 
 
 def test_batch_parallel_matches_serial():
