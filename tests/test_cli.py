@@ -381,16 +381,24 @@ def test_input_guards(argv, message, capsys, monkeypatch):
 
 def test_budget_is_not_read_from_the_environment(capsys, monkeypatch):
     # The budget comes from --budget or the default only: a variable that
-    # once set it must neither shrink it nor break a command.
+    # once set it must not shrink it.
     monkeypatch.setenv("KRONKIT_BUDGET", "2")
     code, out, _ = run_cli(
         ["super-kappa", "--g6", encode_graph6(make_cycle(6))], capsys)
     assert code == 0 and "skip" not in jsonl(out)[0]
+
+
+def test_budget_variable_is_ignored_by_commands_without_budget(capsys, monkeypatch):
     monkeypatch.setenv("KRONKIT_BUDGET", "abc")
-    for argv, records in ((["kappa", "--g6", "Bw"], 1),
-                          (["cuts", "--g6", "Bw", "--budget", "100"], 3)):
-        code, out, _ = run_cli(argv, capsys)
-        assert code == 0 and len(jsonl(out)) == records
+    code, out, _ = run_cli(["kappa", "--g6", "Bw"], capsys)
+    assert code == 0
+    assert jsonl(out)[0]["kappa"] == 2
+
+
+def test_budget_flag_wins_over_variable(capsys, monkeypatch):
+    monkeypatch.setenv("KRONKIT_BUDGET", "abc")
+    code, out, _ = run_cli(["cuts", "--g6", "Bw", "--budget", "100"], capsys)
+    assert code == 0 and len(jsonl(out)) == 3
 
 
 def test_filter_metavar_lists_the_filter_table(capsys):
