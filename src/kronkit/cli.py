@@ -80,10 +80,12 @@ def ingest_corpus(paths: Iterable[str]) -> Iterator[IngestItem]:
     """Stream (location, graph) pairs from newline-delimited graph6 files.
 
     Malformed lines become in-stream error items; a missing file is fatal.
+    Each byte outside ASCII decodes to one replacement character, so such a
+    line fails the graph6 alphabet check at its byte offset.
     """
     for path in paths:
         try:
-            handle = open(path, "r", encoding="ascii")
+            handle = open(path, "r", encoding="ascii", errors="replace")
         except OSError as exc:
             raise _Fatal(f"cannot read input file {path!r}: {exc}") from exc
         with handle:
@@ -396,6 +398,8 @@ def _dispatch(parser: argparse.ArgumentParser, args) -> int:
             n_values = [int(part) for part in args.n.split(",") if part]
         except ValueError:
             parser.error(f"{command} needs integer --n values, got {args.n!r}")
+        if not n_values:
+            parser.error(f"{command} needs at least one --n value")
         if any(n < 3 for n in n_values):
             parser.error("verification needs --n >= 3")
         if args.workers < 1:

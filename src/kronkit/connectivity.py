@@ -47,13 +47,13 @@ class CutSet:
     """A vertex set with its separation classification.
 
     ``isolates`` means some surviving vertex has no surviving neighbor;
-    ``is_neighborhood`` means the set equals ``N(witness)`` exactly.
+    ``witness`` is the lowest vertex whose neighborhood the set equals
+    exactly, or None when there is none.
     """
 
     vertices: tuple[int, ...]
     separates: bool
     isolates: bool
-    is_neighborhood: bool
     witness: int | None
 
 
@@ -427,7 +427,7 @@ def _classify_mask(g: Graph, removed: int, vertices: tuple[int, ...]) -> CutSet:
             if g.adj[x] == removed:
                 witness = x
                 break
-    return CutSet(vertices, separates, isolates, witness is not None, witness)
+    return CutSet(vertices, separates, isolates, witness)
 
 
 def classify_cut(g: Graph, s) -> CutSet:

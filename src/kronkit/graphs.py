@@ -8,7 +8,7 @@ the cut enumeration and the residue sampler.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -32,13 +32,11 @@ class Graph:
     """Simple undirected graph on vertices ``0..order-1``.
 
     ``adj[v]`` is the neighbor bitmask of vertex ``v``.  Instances are
-    immutable and safe to share read-only across workers.  ``label`` is a
-    display tag only and does not take part in equality.
+    immutable and safe to share read-only across workers.
     """
 
     order: int
     adj: tuple[int, ...]
-    label: str | None = field(default=None, compare=False)
 
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
@@ -71,8 +69,7 @@ class Graph:
         return (1 << self.order) - 1
 
 
-def graph_from_edges(order: int, edges: Iterable[tuple[int, int]],
-                     label: str | None = None) -> Graph:
+def graph_from_edges(order: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a validated Graph from an edge list."""
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
@@ -84,7 +81,7 @@ def graph_from_edges(order: int, edges: Iterable[tuple[int, int]],
             raise ValueError(f"self-loop at vertex {u} is not allowed")
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-    return Graph(order, tuple(adj), label)
+    return Graph(order, tuple(adj))
 
 
 def validate(g: Graph) -> None:
@@ -109,7 +106,7 @@ def make_complete(n: int) -> Graph:
     if n < 1:
         raise ValueError(f"complete graph needs n >= 1, got {n}")
     full = (1 << n) - 1
-    return Graph(n, tuple(full ^ (1 << v) for v in range(n)), label=f"K{n}")
+    return Graph(n, tuple(full ^ (1 << v) for v in range(n)))
 
 
 def make_cycle(n: int) -> Graph:
@@ -121,7 +118,7 @@ def make_cycle(n: int) -> Graph:
         j = (i + 1) % n
         adj[i] |= 1 << j
         adj[j] |= 1 << i
-    return Graph(n, tuple(adj), label=f"C{n}")
+    return Graph(n, tuple(adj))
 
 
 def random_graph(order: int, edge_probability: float, seed: int) -> Graph:
@@ -189,11 +186,6 @@ def is_connected(g: Graph) -> bool:
         return True
     full = g.full_mask()
     return reachable_mask(g.adj, full, 0) == full
-
-
-def connected_components(g: Graph) -> list[int]:
-    """Vertex masks of the components, ordered by smallest member."""
-    return components(g.adj, g.full_mask())
 
 
 def mask_of(ids: Iterable[int]) -> int:

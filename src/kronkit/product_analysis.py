@@ -55,9 +55,6 @@ class ResidueConditions:
     residues_nonempty: bool
     no_isolated: bool
 
-    def all_met(self) -> bool:
-        return self.size_ok and self.residues_nonempty and self.no_isolated
-
 
 @dataclass(frozen=True)
 class ResidueSystem:
@@ -71,20 +68,6 @@ class ResidueSystem:
     removed: tuple[int, ...]
     residues: tuple[tuple[int, ...], ...]
     conditions: ResidueConditions
-
-
-@dataclass(frozen=True)
-class GStarGraph:
-    """Auxiliary graph on nonempty fiber residues.
-
-    Vertex ``i`` stands for the residue of fiber ``i``; an edge carries one
-    surviving product edge as witness.  ``singleton_classes`` lists the
-    residues of size one.
-    """
-
-    graph: Graph
-    edge_witnesses: dict[tuple[int, int], tuple[int, int]]
-    singleton_classes: frozenset[int]
 
 
 def build_residue_system(g: Graph, n: int, removed: Iterable[int]) -> ResidueSystem:
@@ -117,15 +100,13 @@ def _residues(product: ProductGraph, alive: int) -> tuple[tuple[int, ...], ...]:
                  for u in range(product.factor1_order))
 
 
-def build_gstar(rs: ResidueSystem) -> GStarGraph:
+def build_gstar(rs: ResidueSystem) -> Graph:
     """Auxiliary graph of a residue system; every residue must be nonempty.
 
-    In ``g x K_n``, ``(i, a) ~ (j, b)`` exactly when ``i ~ j`` in ``g`` and
-    ``a != b``, so the residues of adjacent fibers ``i`` and ``j`` are joined
-    unless both are the same single label.  The witness is the product edge
-    that a scan of residue ``i`` in increasing id meets first: the lowest
-    survivor ``a`` of fiber ``i`` with a neighbour in residue ``j``, and
-    that neighbour's lowest id.
+    Vertex ``i`` stands for the residue of fiber ``i``.  In ``g x K_n``,
+    ``(i, a) ~ (j, b)`` exactly when ``i ~ j`` in ``g`` and ``a != b``, so
+    the residues of adjacent fibers ``i`` and ``j`` are joined unless both
+    are the same single label.
     """
     if not rs.conditions.residues_nonempty:
         empty = next(i for i, r in enumerate(rs.residues) if not r)
@@ -134,25 +115,14 @@ def build_gstar(rs: ResidueSystem) -> GStarGraph:
     residues = rs.residues
     fadj = rs.factor.adj
     adj = [0] * len(residues)
-    witnesses: dict[tuple[int, int], tuple[int, int]] = {}
     for i, res_i in enumerate(residues):
-        a = res_i[0]
         for j in iter_bits(fadj[i] >> (i + 1) << (i + 1)):
             res_j = residues[j]
-            b = res_j[0]
-            if (b - a) % n:
-                witness = (a, b)
-            elif len(res_j) > 1:
-                witness = (a, res_j[1])
-            elif len(res_i) > 1:
-                witness = (res_i[1], b)
-            else:
+            if len(res_i) == len(res_j) == 1 and (res_j[0] - res_i[0]) % n == 0:
                 continue
             adj[i] |= 1 << j
             adj[j] |= 1 << i
-            witnesses[(i, j)] = witness
-    singles = frozenset(i for i, r in enumerate(residues) if len(r) == 1)
-    return GStarGraph(Graph(len(residues), tuple(adj)), witnesses, singles)
+    return Graph(len(residues), tuple(adj))
 
 
 # -- sampled structural checks -------------------------------------------------
@@ -294,7 +264,7 @@ def _trial_records(g: Graph, n: int, draws: tuple[tuple, ...],
 
 
 def _gstar_check(rs: ResidueSystem) -> tuple[bool, None]:
-    return is_connected(build_gstar(rs).graph), None
+    return is_connected(build_gstar(rs)), None
 
 
 def _split_check(rs: ResidueSystem) -> tuple[None, tuple[int, ...]]:

@@ -22,14 +22,6 @@ class ProductGraph:
     factor1_order: int
     factor2_order: int
 
-    def vertex(self, u: int, v: int) -> int:
-        """Linear id of the product vertex ``(u, v)``."""
-        return u * self.factor2_order + v
-
-    def unpack(self, index: int) -> tuple[int, int]:
-        """Factor pair of a linear id."""
-        return divmod(index, self.factor2_order)
-
     def fiber_mask(self, u: int) -> int:
         """Bitmask of the fiber of first-factor vertex ``u``: ids ``u * n + v``.
 
@@ -72,15 +64,6 @@ def kronecker(g1: Graph, g2: Graph) -> ProductGraph:
                 mask |= col << (w * n2)
             adj.append(mask)
     return ProductGraph(Graph(g1.order * n2, tuple(adj)), g1.order, n2)
-
-
-def product_degree(g1: Graph, g2: Graph, u: int, v: int) -> int:
-    """Degree of product vertex ``(u, v)``: the product of the factor degrees."""
-    if not 0 <= u < g1.order:
-        raise ValueError(f"vertex {u} out of range for first factor")
-    if not 0 <= v < g2.order:
-        raise ValueError(f"vertex {v} out of range for second factor")
-    return g1.degree(u) * g2.degree(v)
 
 
 def is_bipartite(g: Graph) -> tuple[bool, list[int] | None]:

@@ -133,6 +133,26 @@ def test_file_ingestion_with_malformed_line(tmp_path, capsys):
     assert code == 2  # parse error present, no violations
 
 
+@pytest.mark.parametrize("argv", [["kappa"], ["batch", "--n", "4", "--workers", "1"]],
+                         ids=["kappa", "batch"])
+def test_non_ascii_byte_is_an_in_stream_parse_error(argv, tmp_path, capsys):
+    # Each undecodable byte reaches the graph6 check as one character, so
+    # the line gets a parse-error record and the other lines still run.
+    path = tmp_path / "bad.g6"
+    path.write_bytes(b"Bw\n\xc3\xa9\nCr\n")
+    code, out, err = run_cli(argv + ["--input", str(path)], capsys)
+    assert code == 2 and err == ""  # parse error present, no violations
+    records = jsonl(out)
+    assert [r for r in records if "source" in r] == [{
+        "source": f"{path}:2",
+        "error": "character '\ufffd' outside graph6 alphabet (byte offset 0)"}]
+    graphs = [r["graph6"] if "graph6" in r else r["instance"]["graph6"]
+              for r in records if "graph6" in r or "instance" in r]
+    assert graphs == ["Bw", "Cr"]
+    if argv[0] == "batch":
+        assert records[-1] == {"instances": 2, "holds": 2, "violations": 0, "skips": 0}
+
+
 def test_missing_file_is_fatal(capsys):
     code, _, err = run_cli(["kappa", "--input", "/no/such/file.g6"], capsys)
     assert code == 2 and "cannot read" in err
@@ -354,6 +374,7 @@ def test_empty_factor_is_an_in_stream_skip(command, capsys):
 
 @pytest.mark.parametrize("argv, message", [
     (["batch", "--n", "3", "--g6", "Bw", "--workers", "0"], "--workers >= 1"),
+    (["batch", "--n", ",", "--g6", "Bw"], "batch needs at least one --n value"),
     (["cuts", "--g6", "Bw", "--budget", "-1"], "--budget must be >= 0"),
     (["gstar", "--n", "3", "--g6", "Bw", "--trials", "-1"], "--trials >= 0"),
     (["batch", "--n", "3", "--all-graphs", "--max-order", "9"], "--max-order <= 8"),
@@ -367,7 +388,7 @@ def test_empty_factor_is_an_in_stream_skip(command, capsys):
      "unrecognized arguments: --p 7 --seed -3"),
     (["gen", "cycle", "--order", "5", "--count", "3"],
      "unrecognized arguments: --count 3"),
-], ids=["workers-0", "budget-flag-negative", "trials-negative", "max-order-9",
+], ids=["workers-0", "n-empty", "budget-flag-negative", "trials-negative", "max-order-9",
         "max-order-0", "max-order-negative", "count-0", "count-negative",
         "gen-complete-random-options", "gen-cycle-count"])
 def test_input_guards(argv, message, capsys, monkeypatch):

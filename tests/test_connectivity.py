@@ -126,7 +126,7 @@ def test_min_cuts_of_complete_graphs_isolate_survivor():
         cuts = enumerate_min_cuts(make_complete(n))
         assert len(cuts) == n
         assert all(len(c.vertices) == n - 1 for c in cuts)
-        assert all(c.isolates and c.is_neighborhood for c in cuts)
+        assert all(c.isolates and c.witness is not None for c in cuts)
 
 
 def test_enumeration_is_lexicographic_and_budgeted():
@@ -286,7 +286,7 @@ def test_enumeration_stays_small_when_a_cut_leaves_many_components(
     monkeypatch.setattr(connectivity, "reachable_mask", counted)
     cuts = enumerate_min_cuts(g)
     assert [c.vertices for c in cuts] == expected
-    assert all(c.isolates and c.is_neighborhood for c in cuts)
+    assert all(c.isolates and c.witness is not None for c in cuts)
 
 
 def test_subset_scan_oracle_guards():
@@ -431,7 +431,7 @@ def test_isolating_iff_neighborhood_on_min_cuts_when_kd_equal():
         if res.kappa != res.delta:
             continue
         for c in res.min_cuts:
-            assert c.isolates == c.is_neighborhood
+            assert c.isolates == (c.witness is not None)
 
 
 # -- classification ----------------------------------------------------------
@@ -439,9 +439,9 @@ def test_isolating_iff_neighborhood_on_min_cuts_when_kd_equal():
 def test_classify_cut_on_c6():
     g = make_cycle(6)
     c = classify_cut(g, {1, 3})
-    assert c.separates and c.isolates and c.is_neighborhood and c.witness == 2
+    assert c.separates and c.isolates and c.witness == 2
     c = classify_cut(g, {0, 3})
-    assert c.separates and not c.isolates and not c.is_neighborhood
+    assert c.separates and not c.isolates and c.witness is None
     c = classify_cut(g, set())
     assert not c.separates and not c.isolates
 
@@ -465,7 +465,7 @@ def test_neighborhood_cuts_always_isolate(seed, order):
     for x in range(order):
         nb = set(g.neighbors(x))
         c = classify_cut(g, nb)
-        if c.is_neighborhood:
+        if c.witness is not None:
             assert c.isolates
 
 

@@ -19,7 +19,6 @@ from kronkit.products import (
     is_bipartite,
     kronecker,
     linearization_rows,
-    product_degree,
     weichsel_connected,
 )
 
@@ -54,30 +53,28 @@ def test_kronecker_rejects_empty_factor():
 
 
 def test_product_vertex_linearization():
-    p = kronecker(make_cycle(5), make_complete(3))
-    for u in range(5):
-        for v in range(3):
-            idx = p.vertex(u, v)
-            assert idx == u * 3 + v
-            assert p.unpack(idx) == (u, v)
+    c5, k3 = make_cycle(5), make_complete(3)
+    p = kronecker(c5, k3)
+    rows = [tuple(map(int, row.split())) for row in linearization_rows(p)]
+    assert [(u, v) for _, u, v in rows] == list(itertools.product(range(5), range(3)))
+    for idx, u, v in rows:
+        assert idx == u * 3 + v
+    # id u*3+v is the pair (u, v): two ids are adjacent exactly when both
+    # of their factor pairs are
+    for (i, u1, v1), (j, u2, v2) in itertools.combinations(rows, 2):
+        assert p.graph.has_edge(i, j) == (c5.has_edge(u1, u2) and k3.has_edge(v1, v2))
     assert linearization_rows(p)[:4] == ["0 0 0", "1 0 1", "2 0 2", "3 1 0"]
 
 
 def test_product_degree_examples():
     c5, k3, k4 = make_cycle(5), make_complete(3), make_complete(4)
+    p = kronecker(c5, k3).graph
     for u in range(5):
         for v in range(3):
-            assert product_degree(c5, k3, u, v) == 4
-    assert product_degree(k4, k3, 0, 0) == 6
+            assert p.degree(u * 3 + v) == c5.degree(u) * k3.degree(v) == 4
+    assert kronecker(k4, k3).graph.degree(0 * 3 + 0) == 6
     lonely = graph_from_edges(3, [(0, 1)])  # vertex 2 isolated
-    assert product_degree(lonely, k3, 2, 0) == 0
-
-
-def test_product_degree_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        product_degree(make_cycle(3), make_complete(3), 3, 0)
-    with pytest.raises(ValueError):
-        product_degree(make_cycle(3), make_complete(3), 0, 5)
+    assert kronecker(lonely, k3).graph.degree(2 * 3 + 0) == 0
 
 
 def _check_count_identities(g1, g2):
