@@ -55,7 +55,7 @@ from .product_analysis import (
 from .products import is_bipartite, kronecker, linearization_rows
 
 GRAPH6_HEADER = ">>graph6<<"
-MAX_CORPUS_ORDER = 8  # --all-graphs at order 9 does not finish in practical time
+MAX_CORPUS_ORDER = 8  # all_graphs(9) takes 251 s (one run, 2-core Xeon VM)
 # Residual searches allowed per instance.  The order-8 kd-equal sweep at
 # n = 3, 4, 5 needs at most 335 (G]~v~w x K_5), so the default stops only a
 # runaway instance: a search takes some 90 us on the 128-vertex Q_5 x K_4,
@@ -367,6 +367,12 @@ def _dispatch(parser: argparse.ArgumentParser, args) -> int:
                      for i in range(args.count)]
         _write_lines(lines, args.output)
         return 0
+
+    # Opening --output empties it before the lazy record stream reads the inputs.
+    if args.output not in (None, "-") and os.path.exists(args.output):
+        for path in args.input:
+            if os.path.exists(path) and os.path.samefile(path, args.output):
+                parser.error(f"--output {args.output!r} is also an --input file")
 
     if command == "product":
         if args.n < 2:

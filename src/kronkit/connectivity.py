@@ -505,7 +505,7 @@ def connectivity_result(g: Graph, budget: int | None = None) -> ConnectivityResu
     if g.order == 1 or not is_connected(g):
         return ConnectivityResult(0, delta, delta == 0, (), False)
     cuts = tuple(enumerate_min_cuts(g, budget))
-    kappa = len(cuts[0].vertices) if cuts else g.order - 1
+    kappa = len(cuts[0].vertices)
     return ConnectivityResult(
         kappa=kappa,
         delta=delta,

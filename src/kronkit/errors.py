@@ -33,7 +33,3 @@ class BudgetExceededError(KronkitError, RuntimeError):
     def __init__(self, message: str, budget: int):
         super().__init__(message)
         self.budget = budget
-
-
-class SamplingExhaustedError(KronkitError, RuntimeError):
-    """Rejection sampling hit its cap without producing a valid sample."""

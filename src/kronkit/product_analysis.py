@@ -30,7 +30,7 @@ from .connectivity import (
     enumerate_min_cuts,
     vertex_connectivity,
 )
-from .errors import BudgetExceededError, PreconditionError, SamplingExhaustedError
+from .errors import BudgetExceededError, PreconditionError
 from .graphs import (
     Graph,
     components,
@@ -44,7 +44,7 @@ from .graphs import (
 )
 from .products import ProductGraph, is_bipartite, kronecker
 
-DEFAULT_MAX_REJECTIONS = 100_000
+MAX_REJECTIONS = 100_000
 
 
 # -- residue systems ----------------------------------------------------------
@@ -142,26 +142,33 @@ class TrialRecord:
     error: str | None = None
 
 
-def _sample_valid_removal(g: Graph, product: ProductGraph, rng, max_rejections: int,
-                          size: int) -> tuple[tuple[int, ...], int, int, int]:
-    """Uniform ``size``-subset of the product meeting the residue and
-    isolation conditions, by rejection.
+# A sampled removal is drawn at the right size and sampled for the rest.
+_SAMPLED = ResidueConditions(size_ok=True, residues_nonempty=True, no_isolated=True)
+
+
+def _sample_valid_removal(g: Graph, product: ProductGraph,
+                          rng) -> tuple[ResidueSystem | None, int, int]:
+    """Uniform ``(n-1) * delta``-subset of the product meeting the residue
+    and isolation conditions, by rejection, as a residue system.
 
     The conditions are read per fiber rather than per product vertex: with
     ``L_u`` the surviving labels of fiber ``u``, every ``L_u`` must be
     nonempty, and a survivor ``(u, x)`` is isolated exactly when the labels
     surviving in the neighbouring fibers, together, lie inside ``{x}``.
-    Returns (removed, surviving ids as a mask, rejections, isolation-only
-    rejections).
+    Returns (residue system, rejections, isolation-only rejections); the
+    residue system is None when ``MAX_REJECTIONS + 1`` draws in a row were
+    rejected.
     """
     n = product.factor2_order
     mn = product.graph.order
+    size = (n - 1) * g.min_degree
     full = product.graph.full_mask()
     label_mask = (1 << n) - 1
     shifts = range(0, mn, n)
+    cap = MAX_REJECTIONS
     rejections = 0
     isolation_rejections = 0
-    while rejections <= max_rejections:
+    while rejections <= cap:
         # Python ints: a numpy int64 shift past bit 63 wraps instead of growing.
         picked = rng.choice(mn, size=size, replace=False).tolist()
         alive = full ^ mask_of(picked)
@@ -173,9 +180,10 @@ def _sample_valid_removal(g: Graph, product: ProductGraph, rng, max_rejections: 
             rejections += 1
             isolation_rejections += 1
             continue
-        return tuple(sorted(picked)), alive, rejections, isolation_rejections
-    raise SamplingExhaustedError(
-        f"no valid removal candidate after {max_rejections} rejections")
+        rs = ResidueSystem(g, product, tuple(sorted(picked)),
+                           _residues(product, alive), _SAMPLED)
+        return rs, rejections, isolation_rejections
+    return None, rejections, isolation_rejections
 
 
 def _fiber_isolates(fadj: Sequence[int], labels: Sequence[int]) -> bool:
@@ -195,10 +203,9 @@ def _fiber_isolates(fadj: Sequence[int], labels: Sequence[int]) -> bool:
 
 
 @functools.lru_cache(maxsize=1)
-def _draw_trials(g: Graph, n: int, trials: int, seed: int, max_rejections: int,
-                 removal_size: int | None) -> tuple[tuple, ...]:
-    """One ``(residue system, rejections, isolation rejections, error)`` per
-    trial; the residue system is None exactly when sampling ran out.
+def _draw_trials(g: Graph, n: int, trials: int, seed: int) -> tuple[tuple, ...]:
+    """One ``(residue system, rejections, isolation rejections)`` per trial;
+    the residue system is None exactly when sampling ran out.
 
     Trial ``t`` draws from a generator seeded with ``[seed, t]``, so both
     checkers see the same removals for the same arguments; the cache keeps
@@ -220,26 +227,9 @@ def _draw_trials(g: Graph, n: int, trials: int, seed: int, max_rejections: int,
             "checker needs kappa equal to the minimum degree and positive")
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
-    if max_rejections < 0:
-        raise ValueError(f"max_rejections must be >= 0, got {max_rejections}")
-    if removal_size is not None and not 0 <= removal_size <= g.order * n:
-        raise ValueError(f"removal_size must lie in 0..{g.order * n}, got {removal_size}")
     product = kronecker(g, make_complete(n))
-    size = (n - 1) * g.min_degree if removal_size is None else removal_size
-    conditions = ResidueConditions(size_ok=size == (n - 1) * g.min_degree,
-                                   residues_nonempty=True, no_isolated=True)
-    draws = []
-    for t in range(trials):
-        rng = np.random.default_rng([seed % 2**64, t])
-        try:
-            removed, alive, rej, iso_rej = _sample_valid_removal(g, product, rng,
-                                                                 max_rejections, size)
-        except SamplingExhaustedError as exc:
-            draws.append((None, max_rejections, 0, str(exc)))
-            continue
-        rs = ResidueSystem(g, product, removed, _residues(product, alive), conditions)
-        draws.append((rs, rej, iso_rej, None))
-    return tuple(draws)
+    rngs = (np.random.default_rng([seed % 2**64, t]) for t in range(trials))
+    return tuple(_sample_valid_removal(g, product, rng) for rng in rngs)
 
 
 def _trial_records(g: Graph, n: int, draws: tuple[tuple, ...],
@@ -251,15 +241,12 @@ def _trial_records(g: Graph, n: int, draws: tuple[tuple, ...],
     """
     g6 = encode_graph6(g)
     records = []
-    for t, (rs, rej, iso_rej, error) in enumerate(draws):
+    for t, (rs, rej, iso_rej) in enumerate(draws):
         if rs is None:
-            records.append(TrialRecord(g6, n, t, (), rej, iso_rej, None, None,
-                                       error=error))
+            error = f"no valid removal candidate after {rej} rejections"
+            records.append(TrialRecord(g6, n, t, (), rej, iso_rej, None, None, error))
         else:
-            gstar_connected, split = check(rs)
-            records.append(TrialRecord(g6, n, t, rs.removed, rej, iso_rej,
-                                       gstar_connected=gstar_connected,
-                                       split_residues=split))
+            records.append(TrialRecord(g6, n, t, rs.removed, rej, iso_rej, *check(rs)))
     return records
 
 
@@ -280,23 +267,19 @@ def _split_check(rs: ResidueSystem) -> tuple[None, tuple[int, ...]]:
     return None, tuple(split)
 
 
-def check_gstar_connected(g: Graph, n: int, trials: int, seed: int,
-                          max_rejections: int = DEFAULT_MAX_REJECTIONS,
-                          removal_size: int | None = None) -> list[TrialRecord]:
+def check_gstar_connected(g: Graph, n: int, trials: int,
+                          seed: int) -> list[TrialRecord]:
     """Sample valid removals and test the auxiliary graph for connectedness.
 
     Any disconnected auxiliary graph is an implementation bug, so records
-    carry the full removal set for reproduction.  ``removal_size`` defaults
-    to ``(n-1) * delta``; the claim covers smaller sizes too and the same
-    machinery handles both regimes.
+    carry the full removal set for reproduction.
     """
-    draws = _draw_trials(g, n, trials, seed, max_rejections, removal_size)
+    draws = _draw_trials(g, n, trials, seed)
     return _trial_records(g, n, draws, _gstar_check)
 
 
-def check_residue_components(g: Graph, n: int, trials: int, seed: int,
-                             max_rejections: int = DEFAULT_MAX_REJECTIONS,
-                             removal_size: int | None = None) -> list[TrialRecord]:
+def check_residue_components(g: Graph, n: int, trials: int,
+                             seed: int) -> list[TrialRecord]:
     """Sample valid removals and test that no residue straddles components.
 
     Requires a connected non-bipartite factor with connectivity equal to its
@@ -304,7 +287,7 @@ def check_residue_components(g: Graph, n: int, trials: int, seed: int,
     than one component of the surviving product.  The bipartite check runs
     after the draw, so the draw's input checks report first.
     """
-    draws = _draw_trials(g, n, trials, seed, max_rejections, removal_size)
+    draws = _draw_trials(g, n, trials, seed)
     if is_bipartite(g)[0]:
         raise PreconditionError("checker needs a non-bipartite factor graph")
     return _trial_records(g, n, draws, _split_check)
@@ -393,7 +376,7 @@ def _report(g: Graph, n: int, kappa_g: int, budget: int | None,
         product_kappa, super_kappa, min_cut_count = 0, False, 0
     else:
         cuts = enumerate_min_cuts(pg, budget=budget, symmetry=labels)
-        product_kappa = len(cuts[0].vertices) if cuts else pg.order - 1
+        product_kappa = len(cuts[0].vertices)
         super_kappa = all(c.isolates for c in cuts)
         min_cut_count = len(cuts)
         counterexample = next((c for c in cuts if not c.isolates), None)
@@ -414,20 +397,18 @@ def _report(g: Graph, n: int, kappa_g: int, budget: int | None,
     )
 
 
-def verify_connectivity_formula(g: Graph, n: int,
-                                budget: int | None = None) -> VerificationReport:
+def verify_connectivity_formula(g: Graph, n: int) -> VerificationReport:
     """Check the product-connectivity formula by computing both sides.
 
     The product side runs the flow-based connectivity on the constructed
-    product; the formula side combines the factor invariants.  The product's
-    residual searches are charged against ``budget`` (None for no limit).
+    product, with no limit on its residual searches; the formula side
+    combines the factor invariants.
     """
     _check_instance(g, n)
-    return _report(g, n, vertex_connectivity(g), budget, verdict=False)
+    return _report(g, n, vertex_connectivity(g), None, verdict=False)
 
 
-def verify_super_connectivity(g: Graph, n: int,
-                              budget: int | None = None) -> VerificationReport:
+def verify_super_connectivity(g: Graph, n: int) -> VerificationReport:
     """Full verdict for a factor with connectivity equal to minimum degree.
 
     Enumerates every minimum separating set of the product and requires each
@@ -443,7 +424,7 @@ def verify_super_connectivity(g: Graph, n: int,
         raise PreconditionError(
             f"super-connectivity verdict needs kappa == delta, "
             f"got {kappa_g} != {g.min_degree}")
-    return _report(g, n, kappa_g, budget, verdict=True)
+    return _report(g, n, kappa_g, None, verdict=True)
 
 
 # -- batch verification ----------------------------------------------------------
@@ -490,8 +471,10 @@ def batch_verify(corpus: Iterable[Graph], n_values: Sequence[int],
     Records come out in corpus order regardless of ``workers``; per-instance
     budget errors and empty factors become in-stream skip records and never
     abort the batch.  ``budget`` caps each product's residual searches (None
-    for no limit).  Each factor's connectivity is computed once.
+    for no limit).  Each factor's connectivity is computed once, and a
+    repeated ``n`` counts once, where it first appears.
     """
+    n_values = list(dict.fromkeys(n_values))
     for n in n_values:
         if n < 3:
             raise ValueError(f"second factor needs n >= 3, got {n}")

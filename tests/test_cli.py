@@ -153,6 +153,22 @@ def test_non_ascii_byte_is_an_in_stream_parse_error(argv, tmp_path, capsys):
         assert records[-1] == {"instances": 2, "holds": 2, "violations": 0, "skips": 0}
 
 
+@pytest.mark.parametrize("argv", [
+    ["kappa"], ["super-kappa"], ["gstar", "--n", "3", "--trials", "2"],
+    ["batch", "--n", "3", "--workers", "1"],
+], ids=["kappa", "super-kappa", "gstar", "batch"])
+def test_output_naming_an_input_leaves_the_input_intact(argv, tmp_path, capsys,
+                                                        monkeypatch):
+    # The same file under another spelling: the check compares files, not names.
+    path = tmp_path / "f.g6"
+    path.write_text("Bw\nCr\n")
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(argv + ["--input", str(path), "--output", "f.g6"], capsys)
+    assert code == 2 and out == ""
+    assert "kronkit:" in err and "--output 'f.g6' is also an --input file" in err
+    assert path.read_text() == "Bw\nCr\n"
+
+
 def test_missing_file_is_fatal(capsys):
     code, _, err = run_cli(["kappa", "--input", "/no/such/file.g6"], capsys)
     assert code == 2 and "cannot read" in err
@@ -280,6 +296,15 @@ def test_batch_multiple_n_values(capsys):
     records = jsonl(out)
     assert [r["instance"]["n"] for r in records[:-1]] == [3, 4]
     assert records[-1]["holds"] == 2
+
+
+def test_batch_repeated_n_values_count_once(capsys):
+    code, out, _ = run_cli(["batch", "--n", "4,3,4", "--g6", "Bw", "--workers", "1"],
+                           capsys)
+    assert code == 0
+    records = jsonl(out)
+    assert [r["instance"]["n"] for r in records[:-1]] == [4, 3]
+    assert records[-1] == {"instances": 2, "holds": 2, "violations": 0, "skips": 0}
 
 
 def test_verify_is_an_alias_of_batch(capsys):

@@ -1,9 +1,11 @@
-"""Every name a kronkit module imports is used in that module, and every
-public name a module defines has a reader.
+"""Every name a kronkit module imports is used in that module, every public
+name a module defines has a reader, and every defaulted parameter of a
+public function has a caller that sets it.
 
 No linter runs on this repository, so these are the checks that a deletion
-leaves no dead import behind and that no API outlives its last reader.
-``__init__.py`` is left out of both: it imports to re-export.  Names the
+leaves no dead import behind, that no API outlives its last reader, and that
+no option is kept that only the tests set.
+``__init__.py`` is left out of all three: it imports to re-export.  Names the
 benchmark rebinds, such as ``product_analysis.parse_graph6``, are used in
 their modules too, so they pass the same check.
 """
@@ -105,6 +107,75 @@ def _unread_api() -> list[str]:
 
 def test_public_api_has_a_reader_outside_the_tests():
     assert _unread_api() == TEST_ONLY_API
+
+
+def _passed_arguments(trees) -> dict[str, tuple[int, set[str]]]:
+    """For each called name, the most positional arguments any call passes
+    before its first ``*`` unpacking, and the keywords any call names."""
+    passed = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name is None:
+                continue
+            positional = 0
+            for arg in node.args:
+                if isinstance(arg, ast.Starred):
+                    break
+                positional += 1
+            most, keywords = passed.get(name, (0, set()))
+            passed[name] = (max(most, positional),
+                            keywords | {k.arg for k in node.keywords if k.arg})
+    return passed
+
+
+def _defaulted_parameters(qualname: str, node: ast.FunctionDef):
+    """``(index among the arguments a call passes, name)`` of each parameter
+    with a default; the index is None for a keyword-only parameter."""
+    args = node.args
+    positional = args.posonlyargs + args.args
+    first_default = len(positional) - len(args.defaults)
+    bound = 1 if "." in qualname else 0  # a method's self
+    for index, arg in enumerate(positional[first_default:], start=first_default):
+        yield index - bound, arg.arg
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield None, arg.arg
+
+
+def _unset_parameters() -> list[str]:
+    """The defaulted parameters of public functions and methods that no call
+    in ``src/`` or ``bench/`` passes."""
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in READERS}
+    passed = _passed_arguments(trees.values())
+    unset = []
+    for path in MODULES:
+        for qualname, node in _public_api(trees[path]):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            most, keywords = passed.get(qualname.rpartition(".")[2], (0, set()))
+            for index, name in _defaulted_parameters(qualname, node):
+                if name not in keywords and (index is None or most <= index):
+                    unset.append(f"{qualname}({name})")
+    return sorted(unset)
+
+
+def test_every_defaulted_parameter_has_a_caller_that_sets_it():
+    # A value only the tests set is a constant, not an option.
+    assert _unset_parameters() == []
+
+
+def test_unset_parameter_is_reported():
+    tree = ast.parse("def f(a, b=1, *, c=2):\n    pass\n"
+                     "class K:\n    def m(self, d=3):\n        pass\n")
+    api = dict(_public_api(tree))
+    assert list(_defaulted_parameters("f", api["f"])) == [(1, "b"), (None, "c")]
+    assert list(_defaulted_parameters("K.m", api["K.m"])) == [(0, "d")]
+    calls = ast.parse("f(0, *rest)\nf(0, 1)\nx.m(c=5)\n")
+    assert _passed_arguments([calls]) == {"f": (2, set()), "m": (0, {"c"})}
 
 
 def test_package_exports_what_it_imports():

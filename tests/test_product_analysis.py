@@ -4,11 +4,12 @@ import itertools
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from kronkit.connectivity import classify_cut, vertex_connectivity
 from kronkit.corpus import connected_graphs
-from kronkit.errors import BudgetExceededError, PreconditionError
+from kronkit.errors import PreconditionError
 from kronkit.graphs import (
     Graph,
     delete_vertex,
@@ -248,33 +249,64 @@ def test_samplers_on_a_product_wider_than_64_vertices():
 
 
 def test_gstar_connected_for_smaller_removal_sizes():
-    # the connectedness claim covers removals below (n-1)*delta too
+    # the connectedness claim covers removals below (n-1)*delta = 4 too; the
+    # samplers draw only that size, so every smaller valid removal is checked
+    connected = 0
     for size in (1, 2, 3):
-        records = check_gstar_connected(make_cycle(5), 3, trials=25, seed=13,
-                                        removal_size=size)
-        assert all(r.error is None and r.gstar_connected for r in records)
-        assert all(len(r.removed) == size for r in records)
+        for removed in itertools.combinations(range(15), size):
+            rs = build_residue_system(make_cycle(5), 3, removed)
+            if rs.conditions.residues_nonempty and rs.conditions.no_isolated:
+                assert is_connected(build_gstar(rs)), removed
+                connected += 1
+    assert connected == 570
 
 
 @pytest.mark.parametrize("checker", [check_gstar_connected, check_residue_components])
-@pytest.mark.parametrize("kwargs, name", [
-    ({"removal_size": -1}, "removal_size"),
-    ({"removal_size": 16}, "removal_size"),   # C5 x K3 has 15 vertices
-    ({"max_rejections": -1}, "max_rejections"),
-    ({"trials": -2}, "trials"),
-])
-def test_samplers_reject_bad_arguments(checker, kwargs, name):
-    args = {"trials": 3, "seed": 0, **kwargs}
-    with pytest.raises(ValueError, match=name):
-        checker(make_cycle(5), 3, **args)
+def test_samplers_reject_bad_arguments(checker):
+    with pytest.raises(ValueError, match="trials"):
+        checker(make_cycle(5), 3, trials=-2, seed=0)
 
 
-def test_removal_of_every_vertex_exhausts_sampling():
-    records = check_gstar_connected(make_cycle(5), 3, trials=2, seed=0,
-                                    max_rejections=3, removal_size=15)
-    assert [(r.rejections, r.removed, r.gstar_connected) for r in records] == [
-        (3, (), None)] * 2
-    assert all("after 3 rejections" in r.error for r in records)
+def _replay_trial(g, n, seed, t, cap):
+    """(removed, rejections, isolation rejections) of trial ``t``, read off
+    the trial's generator stream with the residue-system oracle."""
+    rng = np.random.default_rng([seed, t])
+    rejections = isolation_rejections = 0
+    while rejections <= cap:
+        picked = rng.choice(g.order * n, size=(n - 1) * g.min_degree, replace=False)
+        conditions = build_residue_system(g, n, picked.tolist()).conditions
+        if conditions.residues_nonempty and conditions.no_isolated:
+            return tuple(sorted(picked.tolist())), rejections, isolation_rejections
+        rejections += 1
+        if conditions.residues_nonempty:
+            isolation_rejections += 1
+    return (), rejections, isolation_rejections
+
+
+@pytest.mark.parametrize("cap, seed, trials, exhausted", [
+    (0, 0, 6, [(2, 1, 1), (3, 1, 0)]),
+    (1, 3, 8, [(7, 2, 1)]),   # one draw of each kind rejected
+], ids=["cap-0", "cap-1"])
+def test_exhausted_sampling_reports_every_rejection(cap, seed, trials, exhausted,
+                                                    monkeypatch):
+    monkeypatch.setattr(product_analysis, "MAX_REJECTIONS", cap)
+    product_analysis._draw_trials.cache_clear()
+    try:
+        triangle = make_complete(3)
+        for checker in (check_gstar_connected, check_residue_components):
+            records = checker(triangle, 3, trials, seed)
+            assert [(r.removed, r.rejections, r.isolation_rejections)
+                    for r in records] == [_replay_trial(triangle, 3, seed, t, cap)
+                                          for t in range(trials)]
+            assert [(r.trial, r.rejections, r.isolation_rejections)
+                    for r in records if r.error] == exhausted
+            for r in records:
+                if r.error:
+                    assert r.error == (f"no valid removal candidate after "
+                                       f"{r.rejections} rejections")
+                    assert r.gstar_connected is None and r.split_residues is None
+    finally:
+        product_analysis._draw_trials.cache_clear()
 
 
 def test_fiber_isolation_test_matches_the_product_scan():
@@ -304,13 +336,11 @@ def test_residue_checker_reuses_the_gstar_draw():
 
 
 @pytest.mark.parametrize("change", [
-    {"seed": 6}, {"n": 3}, {"trials": 14}, {"max_rejections": 50},
-    {"removal_size": 5},
+    {"seed": 6}, {"n": 3}, {"trials": 14}, {"g": make_complete(4)},
 ])
 def test_changed_sampler_arguments_never_reuse_a_draw(change):
     draws = product_analysis._draw_trials
-    base = {"g": make_cycle(5), "n": 4, "trials": 15, "seed": 5,
-            "max_rejections": 100, "removal_size": None}
+    base = {"g": make_cycle(5), "n": 4, "trials": 15, "seed": 5}
     changed = {**base, **change}
     check_gstar_connected(**base)
     misses = draws.cache_info().misses
@@ -322,10 +352,9 @@ def test_changed_sampler_arguments_never_reuse_a_draw(change):
 
 
 def test_sampled_conditions_equal_the_residue_system_conditions():
-    for g, n, size in ((make_cycle(5), 3, None), (make_complete(4), 4, None),
-                       (make_cycle(5), 3, 2), (make_cycle(7), 5, 6)):
-        for rs, _, _, error in product_analysis._draw_trials(g, n, 20, 3, 1000, size):
-            assert error is None
+    for g, n in ((make_cycle(5), 3), (make_complete(4), 4), (make_cycle(7), 5)):
+        for rs, _, _ in product_analysis._draw_trials(g, n, 20, 3):
+            assert rs is not None
             fresh = build_residue_system(g, n, rs.removed)
             assert rs.conditions == fresh.conditions
             assert rs.residues == fresh.residues
@@ -383,11 +412,6 @@ def test_super_connectivity_requires_kd_equal():
     bowtie = graph_from_edges(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])
     with pytest.raises(PreconditionError):
         verify_super_connectivity(bowtie, 3)
-
-
-def test_super_connectivity_budget_error():
-    with pytest.raises(BudgetExceededError):
-        verify_super_connectivity(make_complete(6), 3, budget=100)
 
 
 def test_k44_times_k3_is_flagged_with_a_column_cut():
