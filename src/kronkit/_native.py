@@ -1,0 +1,71 @@
+"""Build and load the C split-flow kernel, ``_splitflow.c``.
+
+The kernel is compiled on first use with the system C compiler into the
+per-user cache (``$XDG_CACHE_HOME/kronkit``, else ``~/.cache/kronkit``), under
+a name keyed by the sha256 of the source and the compiler flags, so a
+changed kernel is never loaded from a stale build.  The compiler writes a
+temporary file that ``os.replace`` then moves into place, so processes that
+build at the same time, such as pool workers, each load a complete library.
+
+:func:`library` returns None when the source, the compiler or the cache is
+unusable; :mod:`kronkit.connectivity` then uses its Python network, which
+gives the same flows, cuts and searches.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import functools
+import hashlib
+import os
+import platform
+import subprocess
+import tempfile
+from pathlib import Path
+
+SOURCE = Path(__file__).with_name("_splitflow.c")
+COMPILER = "cc"
+FLAGS = ("-O2", "-shared", "-fPIC")
+
+_WORDS = ctypes.POINTER(ctypes.c_uint64)
+
+
+def _cache_dir() -> Path:
+    root = os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache"
+    return Path(root) / "kronkit"
+
+
+def _build(path: Path) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.stem, suffix=".tmp")
+    os.close(fd)
+    try:
+        subprocess.run([COMPILER, *FLAGS, "-o", tmp, str(SOURCE)],
+                       check=True, capture_output=True, timeout=300)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+@functools.cache
+def library() -> ctypes.CDLL | None:
+    """The loaded kernel, built first if the cache lacks it, or None."""
+    try:
+        source = SOURCE.read_bytes()
+        key = hashlib.sha256(source + " ".join(FLAGS).encode()).hexdigest()[:16]
+        path = _cache_dir() / f"splitflow-{key}-{platform.machine()}.so"
+        if not path.exists():
+            _build(path)
+        lib = ctypes.CDLL(str(path))
+    except (OSError, RuntimeError, subprocess.SubprocessError):
+        return None
+    lib.splitflow_init.argtypes = [_WORDS]
+    lib.splitflow_init.restype = None
+    lib.splitflow_max_flow.argtypes = [_WORDS, ctypes.c_int, ctypes.c_int,
+                                       ctypes.c_int, _WORDS]
+    lib.splitflow_max_flow.restype = ctypes.c_int
+    lib.splitflow_min_separators.argtypes = [_WORDS, ctypes.c_int, ctypes.c_int,
+                                             _WORDS, _WORDS, ctypes.c_int64]
+    lib.splitflow_min_separators.restype = ctypes.c_int64
+    return lib

@@ -1,0 +1,200 @@
+/* The vertex-split flow network of kronkit.connectivity._SplitFlow for
+ * graphs of at most 64 vertices, whose 128 nodes fit one unsigned __int128
+ * mask.  Each function follows the Python method of the same name step for
+ * step: the same common-neighbour seeding, layered breadth-first search and
+ * lowest-node trace-back in max_flow, and the same reachability searches in
+ * the same stack order in min_separators.  Every residual search is counted
+ * in the network's header, and a function returns -1 at the first search
+ * past the budget, so that Python raises BudgetExceededError after exactly
+ * the searches its own network would have made.
+ *
+ * A network is one array of 64-bit words, laid out as
+ *
+ *     [0] order n    [1] budget (int64)    [2] searches spent
+ *     [3 .. 3+n)     adjacency masks of the graph
+ *     then 2n masks base_out and 2n masks base_in, two words each,
+ *
+ * filled by splitflow_init from the first 3 + n words.  A residual network
+ * is an array of 2n masks.  Node v is the in-node of vertex v and n + v its
+ * out-node, as in the Python class.
+ *
+ * Build: cc -O2 -shared -fPIC -o _splitflow.so _splitflow.c
+ */
+
+#include <stdint.h>
+
+/* The word arrays come from ctypes, which aligns them to 8 bytes only. */
+typedef unsigned __int128 mask_t __attribute__((aligned(8)));
+
+#define HEADER 3
+#define MAX_NODES 128
+#define BIT(i) ((mask_t)1 << (i))
+
+static inline int low_bit(mask_t m)
+{
+    uint64_t lo = (uint64_t)m;
+    return lo ? __builtin_ctzll(lo) : 64 + __builtin_ctzll((uint64_t)(m >> 64));
+}
+
+static inline mask_t *base_out(uint64_t *net)
+{
+    return (mask_t *)(net + HEADER + net[0]);
+}
+
+static inline mask_t *base_in(uint64_t *net)
+{
+    return base_out(net) + 2 * net[0];
+}
+
+/* Count one residual search; nonzero once the budget is exceeded. */
+static inline int charge(uint64_t *net)
+{
+    net[2] += 1;
+    return (int64_t)net[2] > (int64_t)net[1];
+}
+
+/* kronkit.graphs.reachable_mask over 128-bit masks. */
+static mask_t reach(const mask_t *adj, mask_t within, int start)
+{
+    mask_t seen = BIT(start), frontier = seen;
+    while (frontier) {
+        mask_t acc = 0;
+        for (mask_t m = frontier; m; m &= m - 1)
+            acc |= adj[low_bit(m)];
+        frontier = acc & within & ~seen;
+        seen |= frontier;
+    }
+    return seen;
+}
+
+void splitflow_init(uint64_t *net)
+{
+    int n = (int)net[0];
+    const uint64_t *adj = net + HEADER;
+    mask_t *out = base_out(net), *in = base_in(net);
+    for (int v = 0; v < n; v++) {
+        out[v] = BIT(n + v);
+        out[n + v] = adj[v];
+        in[v] = (mask_t)adj[v] << n;
+        in[n + v] = BIT(v);
+    }
+}
+
+int splitflow_max_flow(uint64_t *net, int s, int t, int cutoff, mask_t *out)
+{
+    int n = (int)net[0];
+    const mask_t *base = base_out(net);
+    mask_t layers[MAX_NODES];
+    for (int x = 0; x < 2 * n; x++)
+        out[x] = base[x];
+    int src = n + s, dst = t, flow = 0;
+    mask_t common = base[src] & base[n + t];
+    while (common && flow < cutoff) {
+        int m = low_bit(common);
+        out[t] |= BIT(n + m);
+        out[n + m] |= BIT(m);
+        out[m] = BIT(src); /* its vertex arc is used; s_out -> m can be undone */
+        common &= common - 1;
+        flow++;
+    }
+    while (flow < cutoff) {
+        if (charge(net))
+            return -1;
+        mask_t seen = BIT(src), frontier = seen;
+        int depth = 0; /* each layer holds a new node, so at most 2n layers */
+        while (frontier && !(seen >> dst & 1)) {
+            layers[depth++] = frontier;
+            mask_t acc = 0;
+            for (; frontier; frontier &= frontier - 1)
+                acc |= out[low_bit(frontier)];
+            frontier = acc & ~seen;
+            seen |= frontier;
+        }
+        if (!(seen >> dst & 1))
+            break;
+        int y = dst;
+        while (depth--) {
+            mask_t layer = layers[depth];
+            int x = low_bit(layer);
+            while (!(out[x] >> y & 1)) {
+                layer &= layer - 1;
+                x = low_bit(layer);
+            }
+            if (x - y == n || y - x == n) { /* a vertex arc, used or given back */
+                out[x] ^= BIT(y);
+                out[y] |= BIT(x);
+            } else if (x >= n) { /* an edge arc: stays open, can now be undone */
+                out[y] |= BIT(x);
+            } else { /* undoes the flow on edge arc y -> x */
+                out[x] ^= BIT(y);
+            }
+            y = x;
+        }
+        flow++;
+    }
+    return flow;
+}
+
+/* Writes the vertex mask of each minimum s-t separator to cuts[0 ..
+ * capacity) and returns how many the search found, which may exceed
+ * capacity: the caller then grows the buffer, restores the spent count and
+ * calls again.  Returns -1 at the first search past the budget. */
+int64_t splitflow_min_separators(uint64_t *net, int s, int t, const mask_t *out,
+                                 uint64_t *cuts, int64_t capacity)
+{
+    int n = (int)net[0];
+    const mask_t *bout = base_out(net);
+    mask_t nodes = 2 * n == MAX_NODES ? ~(mask_t)0 : BIT(2 * n) - 1;
+    mask_t vertices = BIT(n) - 1;
+    if (charge(net))
+        return -1;
+    mask_t inside = reach(out, nodes, n + s) | BIT(s);
+    if (inside >> t & 1)
+        return 0;
+    mask_t flow_nodes = 0;
+    for (int v = 0; v < n; v++)
+        if (!(out[v] >> (n + v) & 1))
+            flow_nodes |= BIT(v) | BIT(n + v);
+    /* Only the flow nodes and the sink differ from the base network. */
+    mask_t in[MAX_NODES];
+    const mask_t *bin = base_in(net);
+    for (int x = 0; x < 2 * n; x++)
+        in[x] = bin[x];
+    for (mask_t xs = flow_nodes | BIT(t); xs; xs &= xs - 1) {
+        int x = low_bit(xs);
+        for (mask_t ys = out[x] ^ bout[x]; ys; ys &= ys - 1)
+            in[low_bit(ys)] ^= BIT(x);
+    }
+    if (charge(net))
+        return -1;
+    mask_t outside = reach(in, nodes, t) | BIT(n + t);
+    /* Each branch decides at least one flow node, so the stack holds at
+     * most one entry per flow node plus one. */
+    mask_t stack_in[MAX_NODES + 1], stack_out[MAX_NODES + 1];
+    int top = 0;
+    int64_t found = 0;
+    stack_in[top] = inside;
+    stack_out[top++] = outside;
+    while (top) {
+        top--;
+        inside = stack_in[top];
+        outside = stack_out[top];
+        mask_t undecided = flow_nodes & ~(inside | outside);
+        if (!undecided) {
+            if (found < capacity)
+                cuts[found] = (uint64_t)(inside & ~(inside >> n) & vertices);
+            found++;
+            continue;
+        }
+        int u = low_bit(undecided);
+        if (charge(net))
+            return -1;
+        stack_in[top] = inside | reach(out, nodes & ~inside, u);
+        stack_out[top++] = outside;
+        if (charge(net))
+            return -1;
+        stack_in[top] = inside;
+        stack_out[top++] = outside | reach(in, nodes & ~outside, u);
+    }
+    return found;
+}

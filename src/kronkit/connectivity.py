@@ -13,6 +13,11 @@ Both charge each residual search of the network, the one unit of work,
 against an optional budget.  Both take optional automorphisms of the graph
 and then solve one pair per orbit of those that fix the family's source.
 
+The network runs in C (``_splitflow.c``, built on first use by
+:mod:`kronkit._native`) for graphs of at most 64 vertices, and in Python
+for larger graphs or when the C kernel cannot be built.  The two give the
+same flows, cuts and searches; the Python one is the tests' oracle.
+
 The brute-force section keeps definition-level oracles for the tests:
 :func:`brute_force_connectivity` scans vertex subsets in increasing size
 with a union-find separation test, and :func:`brute_force_min_cuts` scans
@@ -25,10 +30,12 @@ their minimum cuts isolate the lone survivor.
 
 from __future__ import annotations
 
+import ctypes
 import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
+from . import _native
 from .errors import BudgetExceededError, PreconditionError, UnsupportedSizeError
 from .graphs import (
     Graph,
@@ -77,6 +84,30 @@ def cut_record(cut: CutSet) -> dict:
 
 # -- flow route ---------------------------------------------------------------
 
+# The native kernel's node masks hold 128 bits: two nodes per vertex.
+_NATIVE_MAX_ORDER = 64
+# Cut masks the native network's result buffer holds before it must grow.
+_NATIVE_CUTS = 64
+_INT64_MAX = (1 << 63) - 1
+
+
+def _over_budget(budget: int) -> BudgetExceededError:
+    return BudgetExceededError(f"needs more than {budget} residual searches",
+                               budget=budget)
+
+
+def _split_flow(g: Graph, budget: int | None):
+    """The split-flow network of ``g``: the C kernel for graphs of at most
+    ``_NATIVE_MAX_ORDER`` vertices when it builds and loads, otherwise the
+    Python one.  Both give the same flows, residual networks, separators
+    and charged searches."""
+    if g.order <= _NATIVE_MAX_ORDER:
+        lib = _native.library()
+        if lib is not None:
+            return _NativeSplitFlow(g, budget, lib)
+    return _SplitFlow(g, budget)
+
+
 class _SplitFlow:
     """Vertex-split network of a graph, for disjoint paths and minimum cuts.
 
@@ -113,9 +144,7 @@ class _SplitFlow:
         """Count one residual search; raise once the budget is exceeded."""
         self.spent += 1
         if self.budget is not None and self.spent > self.budget:
-            raise BudgetExceededError(
-                f"needs more than {self.budget} residual searches",
-                budget=self.budget)
+            raise _over_budget(self.budget)
 
     def _reach(self, masks: list[int], within: int, start: int) -> int:
         self._charge()
@@ -230,6 +259,62 @@ class _SplitFlow:
         return found
 
 
+class _NativeSplitFlow:
+    """:class:`_SplitFlow` run by the C kernel ``_splitflow.c``, for graphs
+    of at most 64 vertices.
+
+    The network is one word array: a header holding the order, the budget
+    and the searches spent, the adjacency, and the base masks that the
+    kernel builds from it (the layout is documented in the C file).  A
+    residual network is a word array of two words per node, which
+    :meth:`min_separators` takes back.  The kernel charges every search as
+    :class:`_SplitFlow` does and stops at the first one past the budget;
+    this class then raises :class:`BudgetExceededError`.
+    """
+
+    __slots__ = ("budget", "_lib", "_net", "_residual", "_cuts")
+
+    def __init__(self, g: Graph, budget: int | None, lib: ctypes.CDLL):
+        n = g.order
+        # The kernel reads the budget as a signed 64-bit word.
+        limit = _INT64_MAX if budget is None else min(max(budget, -1), _INT64_MAX)
+        self.budget = budget
+        self._lib = lib
+        self._net = (ctypes.c_uint64 * (3 + 9 * n))(
+            n, limit % (1 << 64), 0, *g.adj)
+        lib.splitflow_init(self._net)
+        self._residual = ctypes.c_uint64 * (4 * n)
+        self._cuts = (ctypes.c_uint64 * _NATIVE_CUTS)()
+
+    @property
+    def spent(self) -> int:
+        return self._net[2]
+
+    def max_flow(self, s: int, t: int, cutoff: int) -> tuple[int, ctypes.Array]:
+        """See :meth:`_SplitFlow.max_flow`."""
+        out = self._residual()
+        flow = self._lib.splitflow_max_flow(self._net, s, t, cutoff, out)
+        if flow < 0:
+            raise _over_budget(self.budget)
+        return flow, out
+
+    def min_separators(self, s: int, t: int, out: ctypes.Array) -> set[int]:
+        """See :meth:`_SplitFlow.min_separators`."""
+        spent = self._net[2]
+        found = self._lib.splitflow_min_separators(
+            self._net, s, t, out, self._cuts, len(self._cuts))
+        if found > len(self._cuts):
+            # Search again into a buffer that holds every cut, charging the
+            # same searches once.
+            self._net[2] = spent
+            self._cuts = (ctypes.c_uint64 * found)()
+            found = self._lib.splitflow_min_separators(
+                self._net, s, t, out, self._cuts, found)
+        if found < 0:
+            raise _over_budget(self.budget)
+        return set(self._cuts[:found])
+
+
 def _moves(perm: list[int]) -> list[tuple[int, int]]:
     """A vertex permutation as ``(shift, mask)`` pairs: the bits of ``mask``
     all move by ``shift``, so a permutation of few distinct shifts, such as
@@ -325,7 +410,7 @@ def vertex_connectivity(g: Graph, budget: int | None = None,
     if not is_connected(g):
         return 0
     pairs, _ = _even_pairs(g, symmetry)
-    net = _SplitFlow(g, budget)
+    net = _split_flow(g, budget)
     best = g.order - 1
     for s, t in pairs:
         best = min(best, net.max_flow(s, t, best)[0])
@@ -472,7 +557,7 @@ def enumerate_min_cuts(g: Graph, budget: int | None = None,
         raise PreconditionError("min-cut enumeration needs a connected graph")
     n = g.order
     pairs, stabiliser = _even_pairs(g, symmetry)
-    net = _SplitFlow(g, budget)
+    net = _split_flow(g, budget)
     kappa, attaining = n - 1, []
     for s, t in pairs:
         value, out = net.max_flow(s, t, kappa)

@@ -152,6 +152,21 @@ def test_vertex_connectivity_charges_each_search_against_the_budget():
     assert err.value.budget == 17
 
 
+@pytest.fixture(params=["python", "native"])
+def kernel(request, monkeypatch):
+    """Routes every split-flow network through one kernel and returns its
+    class: the Python network, or the C one, skipped when it does not
+    build (``test_native`` fails then if a compiler is present)."""
+    from kronkit import _native, connectivity
+
+    if request.param == "python":
+        monkeypatch.setattr(connectivity, "_NATIVE_MAX_ORDER", 0)
+        return connectivity._SplitFlow
+    if _native.library() is None:
+        pytest.skip("the native kernel did not build")
+    return connectivity._NativeSplitFlow
+
+
 def _separates(nbrs, removed, s, t):
     """Plain breadth-first search over neighbour lists: is ``t``
     unreachable from ``s`` once ``removed`` is deleted?"""
@@ -162,13 +177,13 @@ def _separates(nbrs, removed, s, t):
     return t not in seen
 
 
-def test_pair_flows_and_separators_against_networkx_and_subset_scan():
-    """``max_flow`` and ``min_separators`` on single non-adjacent pairs of
-    every connected graph to order 6 and of ``G x K_3`` for every connected
-    ``G`` to order 4: the flow equals networkx's local connectivity, the
-    separators are exactly the minimum s-t separators found by scanning
-    subsets, and a flow cut off below its maximum stops at the cutoff and
-    yields no separator."""
+def test_pair_flows_and_separators_against_networkx_and_subset_scan(kernel):
+    """``max_flow`` and ``min_separators`` of each kernel on single
+    non-adjacent pairs of every connected graph to order 6 and of
+    ``G x K_3`` for every connected ``G`` to order 4: the flow equals
+    networkx's local connectivity, the separators are exactly the minimum
+    s-t separators found by scanning subsets, and a flow cut off below its
+    maximum stops at the cutoff and yields no separator."""
     nx = pytest.importorskip("networkx")
     from networkx.algorithms.connectivity import (
         build_auxiliary_node_connectivity,
@@ -176,7 +191,7 @@ def test_pair_flows_and_separators_against_networkx_and_subset_scan():
     )
     from networkx.algorithms.flow import build_residual_network
 
-    from kronkit.connectivity import _SplitFlow
+    from kronkit.connectivity import _split_flow
     from kronkit.corpus import connected_graphs
 
     graphs = [g for order in range(2, 7) for g in connected_graphs(order)]
@@ -190,7 +205,8 @@ def test_pair_flows_and_separators_against_networkx_and_subset_scan():
         aux = build_auxiliary_node_connectivity(h)
         residual = build_residual_network(aux, "capacity")
         nbrs = [g.neighbors(v) for v in range(g.order)]
-        net = _SplitFlow(g)
+        net = _split_flow(g, None)
+        assert type(net) is kernel
         for s, t in itertools.permutations(range(g.order), 2):
             if g.has_edge(s, t):
                 continue
@@ -273,8 +289,12 @@ def test_enumeration_stays_small_when_a_cut_leaves_many_components(
     """The centre of K_{1,20} leaves 20 components, and each minimum cut of
     K_{1,20} x K_3 leaves 21.  The search branches only on the vertices the
     flow passes through, so it makes a few reachability searches per pair;
-    branching on the vertices off the flow too would take billions."""
+    branching on the vertices off the flow too would take billions.  The
+    count is of the Python kernel's searches; ``test_native`` requires the
+    C kernel to make the same ones."""
     import kronkit.connectivity as connectivity
+
+    monkeypatch.setattr(connectivity, "_NATIVE_MAX_ORDER", 0)
 
     star = graph_from_edges(21, [(0, leaf) for leaf in range(1, 21)])
     g = star if n is None else kronecker(star, make_complete(n)).graph

@@ -1,0 +1,224 @@
+"""The C split-flow kernel against the Python one, which stays as the
+fallback and the oracle: identical flows, residual networks, separators and
+charged searches, the route each graph size takes, and the build on first
+use into the per-user cache."""
+
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from kronkit import _native, connectivity
+from kronkit.connectivity import (
+    _even_pairs,
+    _NativeSplitFlow,
+    _split_flow,
+    _SplitFlow,
+    enumerate_min_cuts,
+    vertex_connectivity,
+)
+from kronkit.cli import main
+from kronkit.corpus import connected_graphs
+from kronkit.errors import BudgetExceededError
+from kronkit.graphs import graph_from_edges, is_connected, make_complete, make_cycle
+from kronkit.products import kronecker
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+@pytest.fixture
+def native():
+    lib = _native.library()
+    if lib is None:
+        pytest.skip("the native kernel did not build")
+    return lambda g: _NativeSplitFlow(g, None, lib)
+
+
+@pytest.fixture
+def fresh_library(request):
+    """Forget the loaded kernel before and after the test, so that it loads
+    again under the test's cache and compiler."""
+    _native.library.cache_clear()
+    request.addfinalizer(_native.library.cache_clear)
+
+
+def _masks(out) -> list[int]:
+    """A native residual network as one mask per node, as Python keeps it."""
+    return [out[i] | out[i + 1] << 64 for i in range(0, len(out), 2)]
+
+
+def _spy(monkeypatch) -> list:
+    """Record every network the flow routes build."""
+    nets = []
+
+    def recorded(g, budget):
+        nets.append(_split_flow(g, budget))
+        return nets[-1]
+
+    monkeypatch.setattr(connectivity, "_split_flow", recorded)
+    return nets
+
+
+def _hypercube(d: int):
+    return graph_from_edges(1 << d, [(v, v | 1 << i) for v in range(1 << d)
+                                     for i in range(d) if not v >> i & 1])
+
+
+def _agree(oracle, net, s, t, cutoff, case) -> int:
+    value, out = oracle.max_flow(s, t, cutoff)
+    native_value, native_out = net.max_flow(s, t, cutoff)
+    assert (native_value, net.spent) == (value, oracle.spent), case
+    assert _masks(native_out) == out, case
+    assert net.min_separators(s, t, native_out) \
+        == oracle.min_separators(s, t, out), case
+    assert net.spent == oracle.spent, case
+    return value
+
+
+def test_kernels_agree_on_every_even_pair_of_products_to_order_6(
+        connected_upto_6, native):
+    """Every pair of Even's family of every connected ``G x K_n``, G to
+    order 6 and n = 3, 4, 5, on one network per product: the same flow
+    value, searches spent, residual network and separators, at the cutoff
+    the routes start from and at every cutoff below the flow."""
+    cases = 0
+    for g in connected_upto_6:
+        for n in (3, 4, 5):
+            pg = kronecker(g, make_complete(n)).graph
+            if not is_connected(pg):
+                continue
+            oracle, net = _SplitFlow(pg), native(pg)
+            for s, t in _even_pairs(pg)[0]:
+                value = _agree(oracle, net, s, t, pg.order - 1, (g, n, s, t))
+                for cutoff in range(value):
+                    _agree(oracle, net, s, t, cutoff, (g, n, s, t, cutoff))
+                cases += 1 + value
+    assert cases == 102822
+
+
+WORD_BOUNDARY = [
+    ("C12xK5", make_cycle(12), 5),
+    ("Q4xK4", _hypercube(4), 4),
+    ("K8xK8", make_complete(8), 8),
+] + [(f"order7-{i}xK5", connected_graphs(7)[i], 5) for i in range(0, 853, 200)]
+
+
+@pytest.mark.parametrize("g, n", [case[1:] for case in WORD_BOUNDARY],
+                         ids=[case[0] for case in WORD_BOUNDARY])
+def test_products_up_to_the_word_boundary(g, n, native, monkeypatch):
+    """Products of up to 64 vertices, whose 128 nodes fill the kernel's
+    masks, take the native route and agree with the Python kernel on the
+    cuts and the searches, and with networkx on the connectivity."""
+    nx = pytest.importorskip("networkx")
+    product = kronecker(g, make_complete(n))
+    pg, labels = product.graph, product.label_transpositions()
+    nets = _spy(monkeypatch)
+    results = {}
+    for max_order, kind in ((64, _NativeSplitFlow), (0, _SplitFlow)):
+        monkeypatch.setattr(connectivity, "_NATIVE_MAX_ORDER", max_order)
+        kappa = vertex_connectivity(pg)
+        cuts = enumerate_min_cuts(pg, symmetry=labels)
+        assert [type(net) for net in nets] == [kind, kind]
+        results[kind] = (kappa, cuts, [net.spent for net in nets])
+        nets.clear()
+    assert results[_NativeSplitFlow] == results[_SplitFlow]
+    h = nx.Graph()
+    h.add_nodes_from(range(pg.order))
+    h.add_edges_from(pg.edges())
+    assert kappa == nx.node_connectivity(h) == len(cuts[0].vertices)
+
+
+def test_products_past_the_word_boundary_take_the_python_route():
+    pg = kronecker(make_cycle(13), make_complete(5)).graph
+    assert pg.order == 65
+    assert type(_split_flow(pg, None)) is _SplitFlow
+    assert vertex_connectivity(pg) == 8
+
+
+def test_budget_runs_out_at_the_same_search_on_both_kernels(native, monkeypatch):
+    """K_{4,4} x K_3 needs 223 searches.  Every smaller budget stops both
+    kernels at its first search past the budget, also while the native
+    result buffer, cut down to one cut, has to grow and search again."""
+    product = kronecker(graph_from_edges(8, [(a, b) for a in range(4)
+                                             for b in range(4, 8)]),
+                        make_complete(3))
+    pg, labels = product.graph, product.label_transpositions()
+    monkeypatch.setattr(connectivity, "_NATIVE_CUTS", 1)
+    nets = _spy(monkeypatch)
+    for max_order, kind in ((64, _NativeSplitFlow), (0, _SplitFlow)):
+        monkeypatch.setattr(connectivity, "_NATIVE_MAX_ORDER", max_order)
+        for budget in range(223):
+            with pytest.raises(BudgetExceededError) as err:
+                enumerate_min_cuts(pg, budget=budget, symmetry=labels)
+            assert err.value.budget == budget
+            assert type(nets[-1]) is kind and nets[-1].spent == budget + 1
+        cuts = enumerate_min_cuts(pg, budget=223, symmetry=labels)
+        assert len(cuts) == 9 and nets[-1].spent == 223
+    assert len(nets[223]._cuts) > 1  # the native buffer grew
+
+
+def test_native_route_is_taken_when_a_compiler_is_present():
+    if shutil.which(_native.COMPILER) is None:
+        pytest.skip(f"no {_native.COMPILER} on PATH")
+    assert _native.library() is not None
+    assert type(_split_flow(make_cycle(5), None)) is _NativeSplitFlow
+
+
+@pytest.mark.parametrize("compiler", ["missing", "failing"])
+def test_failed_build_falls_back_to_identical_records(
+        compiler, tmp_path, monkeypatch, capsys, fresh_library):
+    argv = ["batch", "--n", "3,4", "--all-graphs", "--max-order", "5",
+            "--budget", "40"]
+    code = main(argv)
+    expected = capsys.readouterr().out
+    assert '"skip":"size-limit"' in expected
+    if compiler == "missing":
+        command = str(tmp_path / "no-such-cc")
+    else:
+        command = shutil.which("false") or pytest.skip("no false on PATH")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.setattr(_native, "COMPILER", command)
+    _native.library.cache_clear()
+    assert _native.library() is None
+    assert type(_split_flow(make_cycle(5), None)) is _SplitFlow
+    assert main(argv) == code
+    assert capsys.readouterr().out == expected
+    assert not list((tmp_path / "kronkit").iterdir())  # no build left behind
+
+
+CHILD = """
+import sys
+from kronkit import _native
+print("ready", flush=True)
+sys.stdin.readline()
+sys.exit(0 if _native.library() is not None else 1)
+"""
+
+
+def test_concurrent_first_builds_share_one_cache(tmp_path):
+    """Two processes that build into one empty cache at the same moment
+    both load the kernel, and the cache ends with one complete library."""
+    if shutil.which(_native.COMPILER) is None:
+        pytest.skip(f"no {_native.COMPILER} on PATH")
+    env = {**os.environ, "XDG_CACHE_HOME": str(tmp_path), "PYTHONPATH": str(SRC)}
+    procs = [subprocess.Popen([sys.executable, "-c", CHILD], env=env, text=True,
+                              stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+             for _ in range(2)]
+    try:
+        for proc in procs:
+            assert proc.stdout.readline() == "ready\n"
+        for proc in procs:  # both start building only now
+            proc.stdin.write("\n")
+            proc.stdin.flush()
+        for proc in procs:
+            proc.wait(timeout=300)
+    finally:
+        for proc in procs:
+            proc.kill()
+            proc.communicate()
+    assert [proc.returncode for proc in procs] == [0, 0]
+    (built,) = (tmp_path / "kronkit").iterdir()
+    assert built.suffix == ".so"
