@@ -10,8 +10,9 @@ Even's pair family around a minimum-degree vertex:
   whose flow equals kappa off the closed sets of its residual network.
 
 Both charge each residual search of the network, the one unit of work,
-against an optional budget.  Both take optional automorphisms of the graph
-and then solve one pair per orbit of those that fix the family's source.
+against an optional budget.  Both take the number of labels of a product
+``H x K_labels`` and then solve one pair per orbit of the relabellings that
+fix the family's source.
 
 The network runs in C (``_splitflow.c``, built on first use by
 :mod:`kronkit._native`) for graphs of at most 64 vertices, and in Python
@@ -33,7 +34,6 @@ from __future__ import annotations
 import ctypes
 import itertools
 from dataclasses import dataclass
-from typing import Sequence
 
 from . import _native
 from .errors import BudgetExceededError, PreconditionError, UnsupportedSizeError
@@ -315,28 +315,9 @@ class _NativeSplitFlow:
         return set(self._cuts[:found])
 
 
-def _moves(perm: list[int]) -> list[tuple[int, int]]:
-    """A vertex permutation as ``(shift, mask)`` pairs: the bits of ``mask``
-    all move by ``shift``, so a permutation of few distinct shifts, such as
-    a relabelling of a product's fibers, moves a whole vertex mask in a few
-    big-integer operations."""
-    by_shift: dict[int, int] = {}
-    for x, y in enumerate(perm):
-        by_shift[y - x] = by_shift.get(y - x, 0) | (1 << x)
-    return list(by_shift.items())
-
-
-def _permute(moves: list[tuple[int, int]], mask: int) -> int:
-    image = 0
-    for shift, part in moves:
-        image |= (mask & part) << shift if shift >= 0 else (mask & part) >> -shift
-    return image
-
-
-def _even_pairs(g: Graph, symmetry: Sequence[Sequence[int]] = ()
-                ) -> tuple[list[tuple[int, int]], list[list[tuple[int, int]]]]:
-    """Even's pair family around a fixed minimum-degree vertex ``s``, up to
-    symmetry, with the generators that fix ``s``.
+def _even_pairs(g: Graph, labels: int) -> list[tuple[int, int]]:
+    """Even's pair family around a fixed minimum-degree vertex ``s``, one
+    pair per orbit of the relabellings that fix ``s``.
 
     The pairs are ``s`` with each non-neighbour, then each non-adjacent pair
     of neighbours of ``s``.  Every minimum cut of a non-complete graph
@@ -345,52 +326,28 @@ def _even_pairs(g: Graph, symmetry: Sequence[Sequence[int]] = ()
     because each vertex of a minimum cut has a neighbour in every remaining
     component.  A complete graph has no pairs.
 
-    ``symmetry`` holds generator permutations of the vertex ids.  Each must
-    be a permutation of ``range(order)`` and an automorphism, or
-    ``ValueError`` is raised.  The generators that fix ``s`` map the family
-    onto itself, pairs normalised as ``(s, t)`` or ``(min, max)``, and only
-    the first pair of each orbit under them is kept.  They come back as
-    :func:`_moves` lists, so that callers can close results under them.
+    ``g`` is ``H x K_labels`` with ids ``u * labels + a``; ``labels=1`` is
+    any plain graph.  Every permutation of the labels is an automorphism,
+    and ``s`` has label 0, since all ids of a fiber ``u`` share a degree,
+    so the relabellings of ``1..labels-1`` map the family onto itself (pairs
+    normalised as ``(s, t)`` or ``(min, max)``).  The first pair of each
+    orbit in family order is the one whose first label is at most 1 and
+    whose second exceeds the first by at most 1: ``(s, t)`` with ``t`` of
+    label 0 or 1, or two neighbours of label 1, or of labels 1 and 2.
     """
     order = g.order
     s = min(range(order), key=lambda v: (g.degree(v), v))
-    fixing = []
-    for perm in symmetry:
-        perm = list(perm)
-        if sorted(perm) != list(range(order)):
-            raise ValueError(
-                f"symmetry generator {perm} is not a permutation of 0..{order - 1}")
-        moves = _moves(perm)
-        if any(_permute(moves, g.adj[v]) != g.adj[perm[v]] for v in range(order)):
-            raise ValueError(f"symmetry generator {perm} is not an automorphism")
-        if perm[s] == s:
-            fixing.append((perm, moves))
     s_mask = g.adj[s]
     family = [(s, t) for t in range(order) if t != s and not s_mask >> t & 1]
     nbrs = list(iter_bits(s_mask))
     for i, x in enumerate(nbrs):
         family.extend((x, y) for y in nbrs[i + 1:] if not g.has_edge(x, y))
-    seen: set[tuple[int, int]] = set()
-    representatives = []
-    for pair in family:
-        if pair in seen:
-            continue
-        representatives.append(pair)
-        seen.add(pair)
-        orbit = [pair]
-        while orbit:
-            x, y = orbit.pop()
-            for perm, _ in fixing:
-                a, b = perm[x], perm[y]
-                image = (a, b) if a == s or a < b else (b, a)
-                if image not in seen:
-                    seen.add(image)
-                    orbit.append(image)
-    return representatives, [moves for _, moves in fixing]
+    return [(x, y) for x, y in family
+            if x % labels <= 1 and y % labels <= x % labels + 1]
 
 
 def vertex_connectivity(g: Graph, budget: int | None = None,
-                        symmetry: Sequence[Sequence[int]] = ()) -> int:
+                        labels: int = 1) -> int:
     """Connectivity of ``g`` via disjoint-path counts.
 
     0 for disconnected graphs and the one-vertex graph, ``n - 1`` for
@@ -398,10 +355,9 @@ def vertex_connectivity(g: Graph, budget: int | None = None,
     Even's pair family, one of which crosses every minimum cut.  The flows'
     searches are charged against ``budget`` (see :class:`_SplitFlow`).
 
-    ``symmetry`` takes automorphisms of ``g`` as vertex permutations, checked
-    by :func:`_even_pairs` once ``g`` is known to be connected; a pair and
-    its images have the same local connectivity, so one flow per orbit of
-    the generators that fix ``s`` suffices.
+    ``g`` is ``H x K_labels`` with ids ``u * labels + a``, and ``labels=1``
+    is any plain graph.  A pair and its relabellings have the same local
+    connectivity, so one flow per orbit suffices (see :func:`_even_pairs`).
     """
     if g.order == 0:
         raise ValueError("connectivity is undefined for the empty graph")
@@ -409,7 +365,7 @@ def vertex_connectivity(g: Graph, budget: int | None = None,
         return 0
     if not is_connected(g):
         return 0
-    pairs, _ = _even_pairs(g, symmetry)
+    pairs = _even_pairs(g, labels)
     net = _split_flow(g, budget)
     best = g.order - 1
     for s, t in pairs:
@@ -528,7 +484,7 @@ def classify_cut(g: Graph, s) -> CutSet:
 
 
 def enumerate_min_cuts(g: Graph, budget: int | None = None,
-                       symmetry: Sequence[Sequence[int]] = ()) -> list[CutSet]:
+                       labels: int = 1) -> list[CutSet]:
     """Every separating set of size exactly kappa(g), lexicographically.
 
     One vertex-split network serves every pair of Even's family; for each
@@ -540,12 +496,14 @@ def enumerate_min_cuts(g: Graph, budget: int | None = None,
     over the pairs is every minimum cut.  A complete graph has the ``order`` sets of
     size ``order - 1``, each leaving one vertex.
 
-    ``symmetry`` takes automorphisms of ``g`` as vertex permutations (see
-    :func:`_even_pairs`).  The flows and separators then run on one pair
-    per orbit of the generators that fix ``s``, and the cut masks are closed
-    under those generators before they are classified: an automorphism that
-    fixes ``s`` maps the minimum cuts of a pair onto those of its image.
-    The closure permutes bits and searches nothing.
+    ``g`` is ``H x K_labels`` with ids ``u * labels + a``, and ``labels=1``
+    is any plain graph.  The flows and separators run on one pair per orbit
+    of the relabellings that fix ``s`` (see :func:`_even_pairs`), and the
+    cut masks are closed under the swaps of labels ``a`` and ``a + 1`` for
+    ``a >= 1``, which generate those relabellings, before they are
+    classified: a relabelling that fixes ``s`` maps the minimum cuts of a
+    pair onto those of its image.  The closure moves bits and searches
+    nothing.
 
     Every search of the flows and of the separator reading is charged
     against ``budget``, one unit each; the first search past it raises
@@ -556,7 +514,7 @@ def enumerate_min_cuts(g: Graph, budget: int | None = None,
     if not is_connected(g):
         raise PreconditionError("min-cut enumeration needs a connected graph")
     n = g.order
-    pairs, stabiliser = _even_pairs(g, symmetry)
+    pairs = _even_pairs(g, labels)
     net = _split_flow(g, budget)
     kappa, attaining = n - 1, []
     for s, t in pairs:
@@ -570,11 +528,13 @@ def enumerate_min_cuts(g: Graph, budget: int | None = None,
     masks = set() if attaining else {g.full_mask() ^ (1 << v) for v in range(n)}
     for s, t, out in attaining:
         masks |= net.min_separators(s, t, out)
+    column = sum(1 << v for v in range(0, n, labels))
+    swaps = [(column << a, column << (a + 1)) for a in range(1, labels - 1)]
     unclosed = list(masks)
     while unclosed:
         mask = unclosed.pop()
-        for moves in stabiliser:
-            image = _permute(moves, mask)
+        for low, high in swaps:
+            image = (mask & ~(low | high)) | (mask & low) << 1 | (mask & high) >> 1
             if image not in masks:
                 masks.add(image)
                 unclosed.append(image)

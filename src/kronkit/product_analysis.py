@@ -360,22 +360,21 @@ def _report(g: Graph, n: int, kappa_g: int, budget: int | None,
     With it every minimum cut of the product is enumerated; a disconnected
     product has none and gets a False verdict without a counterexample.
     Either route charges the product's residual searches against
-    ``budget`` (None for no limit), and either passes the ``K_n`` label
-    transpositions as the product's symmetry: the flows and separators run
-    on one pair per orbit of the relabellings that fix the pair family's
-    source vertex, whose label is 0.
+    ``budget`` (None for no limit), and either passes the ``n`` labels of
+    the ``K_n`` factor: the flows and separators run on one pair per orbit
+    of the relabellings that fix the pair family's source vertex, whose
+    label is 0.
     """
     start = time.perf_counter()
     delta_g = g.min_degree
-    product = kronecker(g, make_complete(n))
-    pg, labels = product.graph, product.label_transpositions()
+    pg = kronecker(g, make_complete(n)).graph
     super_kappa = min_cut_count = counterexample = None
     if not verdict:
-        product_kappa = vertex_connectivity(pg, budget=budget, symmetry=labels)
+        product_kappa = vertex_connectivity(pg, budget=budget, labels=n)
     elif not is_connected(pg):
         product_kappa, super_kappa, min_cut_count = 0, False, 0
     else:
-        cuts = enumerate_min_cuts(pg, budget=budget, symmetry=labels)
+        cuts = enumerate_min_cuts(pg, budget=budget, labels=n)
         product_kappa = len(cuts[0].vertices)
         super_kappa = all(c.isolates for c in cuts)
         min_cut_count = len(cuts)
@@ -490,7 +489,8 @@ def batch_verify(corpus: Iterable[Graph], n_values: Sequence[int],
     with ExitStack() as stack:
         run = map
         if workers > 1 and len(items) > 1:
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+            pool = stack.enter_context(ProcessPoolExecutor(
+                max_workers=min(workers, len(items))))
             run = functools.partial(pool.map, chunksize=8)
         for record in run(_batch_worker, items):
             holds, violations, skips = _tally(record, holds, violations, skips)

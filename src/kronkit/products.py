@@ -31,23 +31,6 @@ class ProductGraph:
         n = self.factor2_order
         return ((1 << n) - 1) << (u * n)
 
-    def label_transpositions(self) -> list[list[int]]:
-        """The transpositions ``(v v+1)`` of the second-factor labels, for
-        ``v`` in ``0..n-2``, as permutations of the linear ids.
-
-        When the second factor is complete, each is an automorphism of the
-        product, and those that fix label 0 generate every relabelling of
-        the other ``n - 1`` labels.
-        """
-        n = self.factor2_order
-        perms = []
-        for v in range(n - 1):
-            perm = list(range(self.graph.order))
-            for base in range(0, self.graph.order, n):
-                perm[base + v], perm[base + v + 1] = base + v + 1, base + v
-            perms.append(perm)
-        return perms
-
 
 def kronecker(g1: Graph, g2: Graph) -> ProductGraph:
     """Kronecker product of two nonempty graphs under the fixed linearization."""

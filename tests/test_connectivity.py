@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kronkit.connectivity import (
+    _even_pairs,
     brute_force_connectivity,
     brute_force_min_cuts,
     classify_cut,
@@ -369,41 +370,65 @@ def _products(max_order, n_values):
     for order in range(1, max_order + 1):
         for g in connected_graphs(order):
             for n in n_values:
-                yield g, kronecker(g, make_complete(n))
+                yield g, n, kronecker(g, make_complete(n)).graph
 
 
 def test_label_symmetry_keeps_every_minimum_cut_of_kd_equal_products():
     count = 0
-    for g, product in _products(6, (3, 4, 5)):
-        pg = product.graph
+    for g, n, pg in _products(6, (3, 4, 5)):
         if vertex_connectivity(g) != g.min_degree or not is_connected(pg):
             continue
-        labels = product.label_transpositions()
-        assert enumerate_min_cuts(pg, symmetry=labels) == enumerate_min_cuts(pg), g
+        assert enumerate_min_cuts(pg, labels=n) == enumerate_min_cuts(pg), g
         count += 1
     assert count > 100
 
 
 def test_label_symmetry_keeps_product_connectivity():
-    for g, product in _products(6, (3, 4, 5)):
-        pg = product.graph
-        labels = product.label_transpositions()
-        assert vertex_connectivity(pg, symmetry=labels) == vertex_connectivity(pg), g
+    for g, n, pg in _products(6, (3, 4, 5)):
+        assert vertex_connectivity(pg, labels=n) == vertex_connectivity(pg), g
 
 
-@pytest.mark.parametrize("perm, message", [
-    ([1, 0, 2, 3, 4], "not an automorphism"),
-    ([0, 0, 2, 3, 4], "not a permutation"),
-    ([0, 1, 2, 3], "not a permutation"),
-    ([4, 0, 1, 2, 3, 5], "not a permutation"),
-], ids=["transposition", "repeated-id", "short", "long"])
-def test_symmetry_generators_are_checked(perm, message):
-    g = make_cycle(5)
-    rotation = [1, 2, 3, 4, 0]
-    assert vertex_connectivity(g, symmetry=[rotation]) == 2
-    for route in (vertex_connectivity, enumerate_min_cuts):
-        with pytest.raises(ValueError, match=message):
-            route(g, symmetry=[rotation, perm])
+def _orbit_representatives(pg, n):
+    """The first pair of each orbit of Even's family under the label
+    transpositions ``(a a+1)`` that fix the source, by breadth-first search
+    over explicit permutations of the product's ids."""
+    family = _even_pairs(pg, 1)
+    s = family[0][0]
+    perms = []
+    for a in range(n - 1):
+        perm = list(range(pg.order))
+        for base in range(0, pg.order, n):
+            perm[base + a], perm[base + a + 1] = base + a + 1, base + a
+        if perm[s] == s:
+            perms.append(perm)
+    seen, representatives = set(), []
+    for pair in family:
+        if pair in seen:
+            continue
+        representatives.append(pair)
+        seen.add(pair)
+        orbit = [pair]
+        while orbit:
+            x, y = orbit.pop()
+            for perm in perms:
+                a, b = perm[x], perm[y]
+                image = (a, b) if a == s or a < b else (b, a)
+                if image not in seen:
+                    seen.add(image)
+                    orbit.append(image)
+    return representatives
+
+
+def test_label_pairs_are_the_first_of_each_orbit(connected_upto_6):
+    count = 0
+    for g in connected_upto_6:
+        for n in (3, 4, 5):
+            pg = kronecker(g, make_complete(n)).graph
+            if not is_connected(pg):
+                continue
+            assert _even_pairs(pg, n) == _orbit_representatives(pg, n), (g, n)
+            count += 1
+    assert count == 426
 
 
 def test_label_symmetry_spends_fewer_searches_on_k44_times_k4():
@@ -411,12 +436,11 @@ def test_label_symmetry_spends_fewer_searches_on_k44_times_k4():
     # relabellings that fix label 0; the plain route needs 587 searches.
     from kronkit.graphs import parse_graph6
 
-    product = kronecker(parse_graph6("G?~vf_"), make_complete(4))
-    pg, labels = product.graph, product.label_transpositions()
-    cuts = enumerate_min_cuts(pg, budget=195, symmetry=labels)
+    pg = kronecker(parse_graph6("G?~vf_"), make_complete(4)).graph
+    cuts = enumerate_min_cuts(pg, budget=195, labels=4)
     assert cuts == enumerate_min_cuts(pg) and len(cuts) == 8
     with pytest.raises(BudgetExceededError):
-        enumerate_min_cuts(pg, budget=194, symmetry=labels)
+        enumerate_min_cuts(pg, budget=194, labels=4)
     with pytest.raises(BudgetExceededError):
         enumerate_min_cuts(pg, budget=195)
 

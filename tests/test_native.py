@@ -91,7 +91,7 @@ def test_kernels_agree_on_every_even_pair_of_products_to_order_6(
             if not is_connected(pg):
                 continue
             oracle, net = _SplitFlow(pg), native(pg)
-            for s, t in _even_pairs(pg)[0]:
+            for s, t in _even_pairs(pg, 1):
                 value = _agree(oracle, net, s, t, pg.order - 1, (g, n, s, t))
                 for cutoff in range(value):
                     _agree(oracle, net, s, t, cutoff, (g, n, s, t, cutoff))
@@ -113,14 +113,13 @@ def test_products_up_to_the_word_boundary(g, n, native, monkeypatch):
     masks, take the native route and agree with the Python kernel on the
     cuts and the searches, and with networkx on the connectivity."""
     nx = pytest.importorskip("networkx")
-    product = kronecker(g, make_complete(n))
-    pg, labels = product.graph, product.label_transpositions()
+    pg = kronecker(g, make_complete(n)).graph
     nets = _spy(monkeypatch)
     results = {}
     for max_order, kind in ((64, _NativeSplitFlow), (0, _SplitFlow)):
         monkeypatch.setattr(connectivity, "_NATIVE_MAX_ORDER", max_order)
         kappa = vertex_connectivity(pg)
-        cuts = enumerate_min_cuts(pg, symmetry=labels)
+        cuts = enumerate_min_cuts(pg, labels=n)
         assert [type(net) for net in nets] == [kind, kind]
         results[kind] = (kappa, cuts, [net.spent for net in nets])
         nets.clear()
@@ -142,20 +141,19 @@ def test_budget_runs_out_at_the_same_search_on_both_kernels(native, monkeypatch)
     """K_{4,4} x K_3 needs 223 searches.  Every smaller budget stops both
     kernels at its first search past the budget, also while the native
     result buffer, cut down to one cut, has to grow and search again."""
-    product = kronecker(graph_from_edges(8, [(a, b) for a in range(4)
-                                             for b in range(4, 8)]),
-                        make_complete(3))
-    pg, labels = product.graph, product.label_transpositions()
+    pg = kronecker(graph_from_edges(8, [(a, b) for a in range(4)
+                                        for b in range(4, 8)]),
+                   make_complete(3)).graph
     monkeypatch.setattr(connectivity, "_NATIVE_CUTS", 1)
     nets = _spy(monkeypatch)
     for max_order, kind in ((64, _NativeSplitFlow), (0, _SplitFlow)):
         monkeypatch.setattr(connectivity, "_NATIVE_MAX_ORDER", max_order)
         for budget in range(223):
             with pytest.raises(BudgetExceededError) as err:
-                enumerate_min_cuts(pg, budget=budget, symmetry=labels)
+                enumerate_min_cuts(pg, budget=budget, labels=3)
             assert err.value.budget == budget
             assert type(nets[-1]) is kind and nets[-1].spent == budget + 1
-        cuts = enumerate_min_cuts(pg, budget=223, symmetry=labels)
+        cuts = enumerate_min_cuts(pg, budget=223, labels=3)
         assert len(cuts) == 9 and nets[-1].spent == 223
     assert len(nets[223]._cuts) > 1  # the native buffer grew
 

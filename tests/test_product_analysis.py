@@ -211,9 +211,9 @@ def test_checker_pair_computes_factor_connectivity_once(monkeypatch):
     original = product_analysis.vertex_connectivity
     calls = Counter()
 
-    def counted(g, budget=None, symmetry=()):
+    def counted(g, *args, **kwargs):
         calls[g] += 1
-        return original(g, budget, symmetry)
+        return original(g, *args, **kwargs)
 
     monkeypatch.setattr(product_analysis, "vertex_connectivity", counted)
     product_analysis._draw_trials.cache_clear()
@@ -491,9 +491,9 @@ def test_batch_computes_each_factor_connectivity_once(monkeypatch):
     original = kronkit.connectivity.vertex_connectivity
     calls = Counter()
 
-    def counted(g, budget=None, symmetry=()):
+    def counted(g, *args, **kwargs):
         calls[g] += 1
-        return original(g, budget, symmetry)
+        return original(g, *args, **kwargs)
 
     monkeypatch.setattr(kronkit.connectivity, "vertex_connectivity", counted)
     monkeypatch.setattr(kronkit.product_analysis, "vertex_connectivity", counted)
@@ -560,6 +560,31 @@ def test_batch_parallel_matches_serial():
         report_record(r) if isinstance(r, VerificationReport)
         else r for r in recs]
     assert strip(serial) == strip(parallel)
+
+
+def test_batch_pool_has_no_more_workers_than_instances(monkeypatch):
+    asked = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(product_analysis, "ProcessPoolExecutor", InProcessPool)
+    pooled = list(batch_verify([make_cycle(5)], [3, 4, 5], workers=10**6))
+    assert asked == [3]
+    serial = list(batch_verify([make_cycle(5)], [3, 4, 5]))
+    assert pooled[-1] == serial[-1] == BatchSummary(3, 3, 0, 0)
+    assert ([report_record(r) for r in pooled[:-1]]
+            == [report_record(r) for r in serial[:-1]])
 
 
 def test_record_serialization_shapes():
