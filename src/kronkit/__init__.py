@@ -43,7 +43,6 @@ from .product_analysis import (
     verify_super_connectivity,
 )
 from .products import (
-    ProductGraph,
     is_bipartite,
     kronecker,
     weichsel_connected,
@@ -58,7 +57,6 @@ __all__ = [
     "Graph6Error",
     "KronkitError",
     "PreconditionError",
-    "ProductGraph",
     "ResidueSystem",
     "SkipRecord",
     "UnsupportedSizeError",

@@ -369,19 +369,19 @@ def _dispatch(parser: argparse.ArgumentParser, args) -> int:
         return 0
 
     # Opening --output empties it before the lazy record stream reads the inputs.
-    if args.output not in (None, "-") and os.path.exists(args.output):
-        for path in args.input:
-            if os.path.exists(path) and os.path.samefile(path, args.output):
-                parser.error(f"--output {args.output!r} is also an --input file")
+    if any(_same_file(path, args.output) for path in args.input):
+        parser.error(f"--output {args.output!r} is also an --input file")
 
     if command == "product":
         if args.n < 2:
             parser.error("product needs --n >= 2")
+        if any(_same_file(path, args.mapping) for path in [*args.input, args.output]):
+            parser.error(f"--mapping {args.mapping!r} is also the --output "
+                         "or an --input file")
         g = _single_graph(args)
-        product = kronecker(g, make_complete(args.n))
-        _write_lines([encode_graph6(product.graph)], args.output)
+        _write_lines([encode_graph6(kronecker(g, make_complete(args.n)))], args.output)
         if args.mapping:
-            _write_lines(linearization_rows(product), args.mapping)
+            _write_lines(linearization_rows(g.order, args.n), args.mapping)
         return 0
 
     if command == "kappa":
@@ -426,6 +426,15 @@ def _dispatch(parser: argparse.ArgumentParser, args) -> int:
     tally = {"violations": 0, "skips": 0, "parse_errors": 0}
     emit_report(_tallied(records, tally), args.format, args.output)
     return _exit_code(tally)
+
+
+def _same_file(a: str | None, b: str | None) -> bool:
+    """Whether paths ``a`` and ``b`` name one file; None and ``-`` name none."""
+    if {a, b} & {None, "-"}:
+        return False
+    if os.path.exists(a) and os.path.exists(b):
+        return os.path.samefile(a, b)
+    return os.path.realpath(a) == os.path.realpath(b)
 
 
 def _write_lines(lines: Iterable[str], output: str | None) -> None:

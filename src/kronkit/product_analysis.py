@@ -42,7 +42,7 @@ from .graphs import (
     mask_of,
     parse_graph6,
 )
-from .products import ProductGraph, is_bipartite, kronecker
+from .products import is_bipartite, kronecker
 
 MAX_REJECTIONS = 100_000
 
@@ -60,11 +60,11 @@ class ResidueConditions:
 class ResidueSystem:
     """A removal candidate together with the per-fiber survivors.
 
-    ``factor`` is the first factor ``g`` of ``product = g x K_n``.
+    ``product`` is ``factor x K_n``, with ids ``u * n + a``.
     """
 
     factor: Graph
-    product: ProductGraph
+    product: Graph
     removed: tuple[int, ...]
     residues: tuple[tuple[int, ...], ...]
     conditions: ResidueConditions
@@ -80,24 +80,24 @@ def build_residue_system(g: Graph, n: int, removed: Iterable[int]) -> ResidueSys
     if not is_connected(g) or g.order == 0:
         raise PreconditionError("residue systems need a connected factor graph")
     product = kronecker(g, make_complete(n))
-    mn = product.graph.order
+    mn = product.order
     removed_sorted = tuple(sorted(set(removed)))
     if removed_sorted and not (0 <= removed_sorted[0] and removed_sorted[-1] < mn):
         raise ValueError(f"removed ids must lie in 0..{mn - 1}")
-    alive = product.graph.full_mask() ^ mask_of(removed_sorted)
-    residues = _residues(product, alive)
+    alive = product.full_mask() ^ mask_of(removed_sorted)
+    residues = _residues(alive, g.order, n)
     conditions = ResidueConditions(
         size_ok=len(removed_sorted) == (n - 1) * g.min_degree,
         residues_nonempty=all(residues),
-        no_isolated=not has_isolated(product.graph.adj, alive),
+        no_isolated=not has_isolated(product.adj, alive),
     )
     return ResidueSystem(g, product, removed_sorted, residues, conditions)
 
 
-def _residues(product: ProductGraph, alive: int) -> tuple[tuple[int, ...], ...]:
-    """The surviving ids of each fiber, fiber by fiber."""
-    return tuple(tuple(iter_bits(alive & product.fiber_mask(u)))
-                 for u in range(product.factor1_order))
+def _residues(alive: int, fibers: int, n: int) -> tuple[tuple[int, ...], ...]:
+    """The surviving ids of each fiber ``u``, ids ``u * n + a``, of ``g x K_n``."""
+    return tuple(tuple(iter_bits(alive & ((1 << n) - 1) << (u * n)))
+                 for u in range(fibers))
 
 
 def build_gstar(rs: ResidueSystem) -> Graph:
@@ -111,7 +111,7 @@ def build_gstar(rs: ResidueSystem) -> Graph:
     if not rs.conditions.residues_nonempty:
         empty = next(i for i, r in enumerate(rs.residues) if not r)
         raise PreconditionError(f"residue of fiber {empty} is empty")
-    n = rs.product.factor2_order
+    n = rs.product.order // rs.factor.order
     residues = rs.residues
     fadj = rs.factor.adj
     adj = [0] * len(residues)
@@ -146,7 +146,7 @@ class TrialRecord:
 _SAMPLED = ResidueConditions(size_ok=True, residues_nonempty=True, no_isolated=True)
 
 
-def _sample_valid_removal(g: Graph, product: ProductGraph,
+def _sample_valid_removal(g: Graph, product: Graph,
                           rng) -> tuple[ResidueSystem | None, int, int]:
     """Uniform ``(n-1) * delta``-subset of the product meeting the residue
     and isolation conditions, by rejection, as a residue system.
@@ -159,10 +159,10 @@ def _sample_valid_removal(g: Graph, product: ProductGraph,
     residue system is None when ``MAX_REJECTIONS + 1`` draws in a row were
     rejected.
     """
-    n = product.factor2_order
-    mn = product.graph.order
+    mn = product.order
+    n = mn // g.order
     size = (n - 1) * g.min_degree
-    full = product.graph.full_mask()
+    full = product.full_mask()
     label_mask = (1 << n) - 1
     shifts = range(0, mn, n)
     cap = MAX_REJECTIONS
@@ -181,7 +181,7 @@ def _sample_valid_removal(g: Graph, product: ProductGraph,
             isolation_rejections += 1
             continue
         rs = ResidueSystem(g, product, tuple(sorted(picked)),
-                           _residues(product, alive), _SAMPLED)
+                           _residues(alive, g.order, n), _SAMPLED)
         return rs, rejections, isolation_rejections
     return None, rejections, isolation_rejections
 
@@ -255,8 +255,7 @@ def _gstar_check(rs: ResidueSystem) -> tuple[bool, None]:
 
 
 def _split_check(rs: ResidueSystem) -> tuple[None, tuple[int, ...]]:
-    pg = rs.product.graph
-    comps = components(pg.adj, pg.full_mask() ^ mask_of(rs.removed))
+    comps = components(rs.product.adj, rs.product.full_mask() ^ mask_of(rs.removed))
     if len(comps) == 1:
         return None, ()
     split = []
@@ -296,12 +295,6 @@ def check_residue_components(g: Graph, n: int, trials: int,
 # -- verification reports -------------------------------------------------------
 
 @dataclass(frozen=True)
-class ReportInstance:
-    graph6: str
-    n: int
-
-
-@dataclass(frozen=True)
 class VerificationReport:
     """Per-instance verification outcome.
 
@@ -310,7 +303,8 @@ class VerificationReport:
     to ``"contradicts-paper"`` exactly when a computed check failed.
     """
 
-    instance: ReportInstance
+    graph6: str
+    n: int
     kappa_G: int
     delta_G: int
     product_kappa: int
@@ -327,7 +321,8 @@ class VerificationReport:
 class SkipRecord:
     """A skipped instance; ``budget`` is set on ``size-limit`` skips."""
 
-    instance: ReportInstance
+    graph6: str
+    n: int
     reason: str
     detail: str
     budget: int | None = None
@@ -339,10 +334,6 @@ class BatchSummary:
     holds: int
     violations: int
     skips: int
-
-
-def _formula_rhs(n: int, kappa_g: int, delta_g: int) -> int:
-    return min(n * kappa_g, (n - 1) * delta_g)
 
 
 def _check_instance(g: Graph, n: int) -> None:
@@ -367,7 +358,7 @@ def _report(g: Graph, n: int, kappa_g: int, budget: int | None,
     """
     start = time.perf_counter()
     delta_g = g.min_degree
-    pg = kronecker(g, make_complete(n)).graph
+    pg = kronecker(g, make_complete(n))
     super_kappa = min_cut_count = counterexample = None
     if not verdict:
         product_kappa = vertex_connectivity(pg, budget=budget, labels=n)
@@ -379,10 +370,10 @@ def _report(g: Graph, n: int, kappa_g: int, budget: int | None,
         super_kappa = all(c.isolates for c in cuts)
         min_cut_count = len(cuts)
         counterexample = next((c for c in cuts if not c.isolates), None)
-    rhs = _formula_rhs(n, kappa_g, delta_g)
+    rhs = min(n * kappa_g, (n - 1) * delta_g)
     holds = product_kappa == rhs
     return VerificationReport(
-        instance=ReportInstance(encode_graph6(g), n),
+        graph6=encode_graph6(g), n=n,
         kappa_G=kappa_g,
         delta_G=delta_g,
         product_kappa=product_kappa,
@@ -447,14 +438,14 @@ def check_filters(filters: Sequence[str]) -> None:
 
 
 def _verify_instance(g: Graph, n: int, kappa_g: int | None, budget: int | None):
-    instance = ReportInstance(encode_graph6(g), n)
+    g6 = encode_graph6(g)
     if kappa_g is None:
-        return SkipRecord(instance, "empty-factor", "factor graph must be nonempty")
+        return SkipRecord(g6, n, "empty-factor", "factor graph must be nonempty")
     try:
         return _report(g, n, kappa_g, budget,
                        verdict=is_connected(g) and kappa_g == g.min_degree)
     except BudgetExceededError as exc:
-        return SkipRecord(instance, "size-limit", str(exc), exc.budget)
+        return SkipRecord(g6, n, "size-limit", str(exc), exc.budget)
 
 
 def _batch_worker(item: tuple[str, int, int | None, int | None]):
@@ -516,7 +507,7 @@ def report_record(report: VerificationReport, with_timing: bool = False) -> dict
     that identical runs emit byte-identical lines.
     """
     record = {
-        "instance": {"graph6": report.instance.graph6, "n": report.instance.n},
+        "instance": {"graph6": report.graph6, "n": report.n},
         "kappa_G": report.kappa_G,
         "delta_G": report.delta_G,
         "product_kappa": report.product_kappa,
@@ -535,7 +526,7 @@ def report_record(report: VerificationReport, with_timing: bool = False) -> dict
 
 def skip_record(skip: SkipRecord) -> dict:
     record = {
-        "instance": {"graph6": skip.instance.graph6, "n": skip.instance.n},
+        "instance": {"graph6": skip.graph6, "n": skip.n},
         "skip": skip.reason,
         "detail": skip.detail,
     }

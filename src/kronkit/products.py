@@ -3,36 +3,18 @@
 The product of ``g1`` and ``g2`` lives on the pair set ``V(g1) x V(g2)`` with
 ``(u1,v1) ~ (u2,v2)`` exactly when ``u1 ~ u2`` in ``g1`` and ``v1 ~ v2`` in
 ``g2``.  Product vertices are linearized as ``u * |V(g2)| + v``; this fixed
-ordering makes cut sets and reports reproducible across runs.
+ordering makes cut sets and reports reproducible across runs.  The fiber of
+``u``, the block of ids ``u * |V(g2)| + v``, is an independent set (``g2``
+has no loops), and the fibers partition the product's vertices.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .errors import PreconditionError
 from .graphs import Graph, is_connected, iter_bits
 
 
-@dataclass(frozen=True)
-class ProductGraph:
-    """A Kronecker product together with its factor orders."""
-
-    graph: Graph
-    factor1_order: int
-    factor2_order: int
-
-    def fiber_mask(self, u: int) -> int:
-        """Bitmask of the fiber of first-factor vertex ``u``: ids ``u * n + v``.
-
-        Fibers are independent sets (the second factor has no loops) and
-        together partition the product vertex set.
-        """
-        n = self.factor2_order
-        return ((1 << n) - 1) << (u * n)
-
-
-def kronecker(g1: Graph, g2: Graph) -> ProductGraph:
+def kronecker(g1: Graph, g2: Graph) -> Graph:
     """Kronecker product of two nonempty graphs under the fixed linearization."""
     if g1.order == 0 or g2.order == 0:
         raise ValueError("Kronecker product needs nonempty factors")
@@ -46,7 +28,7 @@ def kronecker(g1: Graph, g2: Graph) -> ProductGraph:
             for w in row_ids:
                 mask |= col << (w * n2)
             adj.append(mask)
-    return ProductGraph(Graph(g1.order * n2, tuple(adj)), g1.order, n2)
+    return Graph(g1.order * n2, tuple(adj))
 
 
 def is_bipartite(g: Graph) -> tuple[bool, list[int] | None]:
@@ -103,9 +85,8 @@ def weichsel_connected(g1: Graph, g2: Graph) -> bool:
     return not is_bipartite(g1)[0] or not is_bipartite(g2)[0]
 
 
-def linearization_rows(product: ProductGraph) -> list[str]:
-    """Sidecar mapping rows ``"linear_index factor1 factor2"``, one per vertex."""
-    n = product.factor2_order
-    return [f"{u * n + v} {u} {v}"
-            for u in range(product.factor1_order) for v in range(n)]
+def linearization_rows(order1: int, n: int) -> list[str]:
+    """Sidecar mapping rows ``"linear_index factor1 factor2"``, one per vertex
+    of a product whose factors have ``order1`` and ``n`` vertices."""
+    return [f"{u * n + v} {u} {v}" for u in range(order1) for v in range(n)]
 

@@ -57,7 +57,7 @@ def test_criterion_1_product_count_and_degree_identities(connected_upto_6):
     pool = [g for g in connected_upto_6 if g.order >= 2]
     failures = 0
     for g1, g2 in _seeded_pairs(pool, PAIR_SAMPLE, PAIR_SEED):
-        p = kronecker(g1, g2).graph
+        p = kronecker(g1, g2)
         if p.order != g1.order * g2.order:
             failures += 1
         elif p.edge_count != 2 * g1.edge_count * g2.edge_count:
@@ -78,7 +78,7 @@ def test_criterion_2_odd_cycle_criterion_matches_traversal(connected_upto_6):
     pool = [g for g in connected_upto_6 if g.order >= 2]
     disagreements = 0
     for g1, g2 in _seeded_pairs(pool, PAIR_SAMPLE, PAIR_SEED + 1):
-        if weichsel_connected(g1, g2) != is_connected(kronecker(g1, g2).graph):
+        if weichsel_connected(g1, g2) != is_connected(kronecker(g1, g2)):
             disagreements += 1
     print(f"\n[criterion 2] connectedness criterion vs traversal on "
           f"{PAIR_SAMPLE} seeded pairs: "

@@ -1,10 +1,11 @@
 """The benchmark reaches into kronkit by module attribute; keep those names.
 
 ``bench/tracing.py`` rebinds each ``(module, attribute)`` in ``BINDINGS`` to
-a timing wrapper, and the workloads call a few more names directly.  A
+a timing wrapper, and ``bench/workloads.py`` loads more names directly.  A
 rename in ``src/`` would otherwise surface only when the benchmark runs.
 """
 
+import ast
 import dataclasses
 import importlib
 import importlib.util
@@ -12,13 +13,18 @@ from pathlib import Path
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
-# Names the workloads use besides the traced ones.
-WORKLOAD_NAMES = (
-    ("cli", "ingest_corpus"), ("cli", "report_record"), ("cli", "skip_record"),
-    ("cli", "summary_record"), ("cli", "trial_record"),
-    ("product_analysis", "batch_verify"), ("product_analysis", "SkipRecord"),
-    ("product_analysis", "BatchSummary"),
-)
+
+def _workload_names():
+    """Every ``(module, attribute)`` that ``bench/workloads.py`` loads as
+    ``alias.attribute`` from a module it imports ``from kronkit``."""
+    tree = ast.parse((BENCH / "workloads.py").read_text(encoding="utf-8"))
+    modules = {alias.asname or alias.name: alias.name
+               for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "kronkit"
+               for alias in node.names}
+    return sorted({(modules[node.value.id], node.attr) for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                   and isinstance(node.value, ast.Name) and node.value.id in modules})
 
 
 def _load_tracing():
@@ -41,7 +47,10 @@ def test_traced_bindings_resolve():
 
 
 def test_workload_names_resolve():
-    assert _unresolved(WORKLOAD_NAMES) == []
+    names = _workload_names()
+    assert {module for module, _ in names} == {
+        "cli", "connectivity", "corpus", "graphs", "products", "product_analysis"}
+    assert _unresolved(names) == []
     from kronkit.product_analysis import BatchSummary
     assert [f.name for f in dataclasses.fields(BatchSummary)] == [
         "instances", "holds", "violations", "skips"]

@@ -169,6 +169,15 @@ def test_output_naming_an_input_leaves_the_input_intact(argv, tmp_path, capsys,
     assert path.read_text() == "Bw\nCr\n"
 
 
+def test_output_naming_a_missing_input_writes_nothing(tmp_path, capsys, monkeypatch):
+    # Opening --output would create the input file empty and read it back.
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(["kappa", "--input", "f.g6", "--output", "./f.g6"], capsys)
+    assert code == 2 and out == ""
+    assert "--output './f.g6' is also an --input file" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_missing_file_is_fatal(capsys):
     code, _, err = run_cli(["kappa", "--input", "/no/such/file.g6"], capsys)
     assert code == 2 and "cannot read" in err
@@ -201,6 +210,21 @@ def test_product_command_writes_graph_and_mapping(tmp_path, capsys):
     assert product.order == 6 and product.edge_count == 6
     rows = mapping.read_text().splitlines()
     assert rows[0] == "0 0 0" and rows[-1] == "5 2 1"
+
+
+@pytest.mark.parametrize("mapping", ["out.txt", "in.g6"], ids=["output", "input"])
+def test_product_mapping_naming_another_file_writes_nothing(mapping, tmp_path, capsys,
+                                                            monkeypatch):
+    # --output does not exist yet, so it matches by name; the input by file.
+    source = tmp_path / "in.g6"
+    source.write_text("Bw\n")
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(["product", "--input", str(source), "--n", "3", "--output",
+                              "out.txt", "--mapping", f"./{mapping}"], capsys)
+    assert code == 2 and out == ""
+    assert f"--mapping './{mapping}' is also the --output or an --input file" in err
+    assert list(tmp_path.iterdir()) == [source]
+    assert source.read_text() == "Bw\n"
 
 
 def test_product_rejects_n_below_2(capsys):

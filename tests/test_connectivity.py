@@ -196,7 +196,7 @@ def test_pair_flows_and_separators_against_networkx_and_subset_scan(kernel):
     from kronkit.corpus import connected_graphs
 
     graphs = [g for order in range(2, 7) for g in connected_graphs(order)]
-    graphs += [kronecker(g, make_complete(3)).graph
+    graphs += [kronecker(g, make_complete(3))
                for order in range(1, 5) for g in connected_graphs(order)]
     pairs = cut_off = crowded = 0
     for g in graphs:
@@ -275,7 +275,7 @@ def test_enumeration_equals_subset_scan_on_products(n):
 
     for order in range(1, 6):
         for g in connected_graphs(order):
-            pg = kronecker(g, make_complete(n)).graph
+            pg = kronecker(g, make_complete(n))
             if is_connected(pg):
                 cuts = enumerate_min_cuts(pg)
                 assert cuts and cuts == brute_force_min_cuts(pg), (g, n)
@@ -298,7 +298,7 @@ def test_enumeration_stays_small_when_a_cut_leaves_many_components(
     monkeypatch.setattr(connectivity, "_NATIVE_MAX_ORDER", 0)
 
     star = graph_from_edges(21, [(0, leaf) for leaf in range(1, 21)])
-    g = star if n is None else kronecker(star, make_complete(n)).graph
+    g = star if n is None else kronecker(star, make_complete(n))
     calls = 0
     reachable = connectivity.reachable_mask
 
@@ -328,7 +328,7 @@ def test_enumeration_equals_networkx_all_node_cuts(g6, n):
     nx = pytest.importorskip("networkx")
     from kronkit.graphs import parse_graph6
 
-    pg = kronecker(parse_graph6(g6), make_complete(n)).graph
+    pg = kronecker(parse_graph6(g6), make_complete(n))
     h = nx.Graph()
     h.add_nodes_from(range(pg.order))
     h.add_edges_from(pg.edges())
@@ -355,10 +355,10 @@ def test_min_cuts_invariant_under_relabelling_the_factors(seed, order, rho, pi):
                              for u, i in (divmod(v, n) for v in c.vertices))): c.isolates
                 for c in cuts}
 
-    cuts = enumerate_min_cuts(kronecker(g, make_complete(n)).graph)
+    cuts = enumerate_min_cuts(kronecker(g, make_complete(n)))
     assert moved(cuts, range(order)) == {c.vertices: c.isolates for c in cuts}
     h = graph_from_edges(order, [(rho[u], rho[v]) for u, v in g.edges()])
-    relabelled = enumerate_min_cuts(kronecker(h, make_complete(n)).graph)
+    relabelled = enumerate_min_cuts(kronecker(h, make_complete(n)))
     assert moved(cuts, rho) == {c.vertices: c.isolates for c in relabelled}
 
 
@@ -370,7 +370,7 @@ def _products(max_order, n_values):
     for order in range(1, max_order + 1):
         for g in connected_graphs(order):
             for n in n_values:
-                yield g, n, kronecker(g, make_complete(n)).graph
+                yield g, n, kronecker(g, make_complete(n))
 
 
 def test_label_symmetry_keeps_every_minimum_cut_of_kd_equal_products():
@@ -423,7 +423,7 @@ def test_label_pairs_are_the_first_of_each_orbit(connected_upto_6):
     count = 0
     for g in connected_upto_6:
         for n in (3, 4, 5):
-            pg = kronecker(g, make_complete(n)).graph
+            pg = kronecker(g, make_complete(n))
             if not is_connected(pg):
                 continue
             assert _even_pairs(pg, n) == _orbit_representatives(pg, n), (g, n)
@@ -436,7 +436,7 @@ def test_label_symmetry_spends_fewer_searches_on_k44_times_k4():
     # relabellings that fix label 0; the plain route needs 587 searches.
     from kronkit.graphs import parse_graph6
 
-    pg = kronecker(parse_graph6("G?~vf_"), make_complete(4)).graph
+    pg = kronecker(parse_graph6("G?~vf_"), make_complete(4))
     cuts = enumerate_min_cuts(pg, budget=195, labels=4)
     assert cuts == enumerate_min_cuts(pg) and len(cuts) == 8
     with pytest.raises(BudgetExceededError):
@@ -501,7 +501,7 @@ def test_classify_cut_rejects_out_of_range():
 
 def test_classify_cut_whole_fiber_does_not_separate():
     p = kronecker(make_cycle(5), make_complete(3))
-    c = classify_cut(p.graph, {0, 1, 2})  # fiber 0, the block 0..2
+    c = classify_cut(p, {0, 1, 2})  # fiber 0, the block 0..2
     assert not c.separates  # kappa of the product is 4
     assert c.vertices == (0, 1, 2) and not c.isolates
 

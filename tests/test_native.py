@@ -87,7 +87,7 @@ def test_kernels_agree_on_every_even_pair_of_products_to_order_6(
     cases = 0
     for g in connected_upto_6:
         for n in (3, 4, 5):
-            pg = kronecker(g, make_complete(n)).graph
+            pg = kronecker(g, make_complete(n))
             if not is_connected(pg):
                 continue
             oracle, net = _SplitFlow(pg), native(pg)
@@ -113,7 +113,7 @@ def test_products_up_to_the_word_boundary(g, n, native, monkeypatch):
     masks, take the native route and agree with the Python kernel on the
     cuts and the searches, and with networkx on the connectivity."""
     nx = pytest.importorskip("networkx")
-    pg = kronecker(g, make_complete(n)).graph
+    pg = kronecker(g, make_complete(n))
     nets = _spy(monkeypatch)
     results = {}
     for max_order, kind in ((64, _NativeSplitFlow), (0, _SplitFlow)):
@@ -131,7 +131,7 @@ def test_products_up_to_the_word_boundary(g, n, native, monkeypatch):
 
 
 def test_products_past_the_word_boundary_take_the_python_route():
-    pg = kronecker(make_cycle(13), make_complete(5)).graph
+    pg = kronecker(make_cycle(13), make_complete(5))
     assert pg.order == 65
     assert type(_split_flow(pg, None)) is _SplitFlow
     assert vertex_connectivity(pg) == 8
@@ -143,7 +143,7 @@ def test_budget_runs_out_at_the_same_search_on_both_kernels(native, monkeypatch)
     result buffer, cut down to one cut, has to grow and search again."""
     pg = kronecker(graph_from_edges(8, [(a, b) for a in range(4)
                                         for b in range(4, 8)]),
-                   make_complete(3)).graph
+                   make_complete(3))
     monkeypatch.setattr(connectivity, "_NATIVE_CUTS", 1)
     nets = _spy(monkeypatch)
     for max_order, kind in ((64, _NativeSplitFlow), (0, _SplitFlow)):

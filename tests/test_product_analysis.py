@@ -53,6 +53,18 @@ def test_residue_system_on_c5_first_column():
     assert sorted(flat + list(rs.removed)) == list(range(15))
 
 
+def test_residues_follow_the_fiber_definition_past_bit_63():
+    # C23 x K3 (69 vertices) and a 9-vertex factor times K8 (72) pass bit 63
+    rng = random.Random(0)
+    for g, n in [(make_complete(2), 3), (make_cycle(5), 4), (make_cycle(23), 3),
+                 (random_graph(9, 0.5, 3), 8)]:
+        mn = g.order * n
+        for alive in ((1 << mn) - 1, rng.getrandbits(mn)):
+            assert product_analysis._residues(alive, g.order, n) == tuple(
+                tuple(u * n + v for v in range(n) if alive >> (u * n + v) & 1)
+                for u in range(g.order)), (g, n, alive)
+
+
 def test_residue_system_with_whole_fiber_removed():
     rs = build_residue_system(make_cycle(5), 3, {0, 1, 2})
     assert not rs.conditions.residues_nonempty
@@ -98,8 +110,8 @@ def test_gstar_rejects_empty_residue():
 
 def _scan_gstar(rs):
     """Oracle: G* by scanning the surviving product edges between residues."""
-    m = rs.product.factor1_order
-    padj = rs.product.graph.adj
+    m = rs.factor.order
+    padj = rs.product.adj
     masks = [sum(1 << v for v in res) for res in rs.residues]
     adj = [0] * m
     for i in range(m):
@@ -317,11 +329,11 @@ def test_fiber_isolation_test_matches_the_product_scan():
                graph_from_edges(4, [(0, 1), (1, 2), (2, 0)]))
     for g in factors:
         product = kronecker(g, make_complete(3))
-        for alive in range(1 << product.graph.order):
+        for alive in range(1 << product.order):
             labels = [alive >> (3 * u) & 7 for u in range(g.order)]
             if all(labels):
                 assert (product_analysis._fiber_isolates(g.adj, labels)
-                        == has_isolated(product.graph.adj, alive)), (g, alive)
+                        == has_isolated(product.adj, alive)), (g, alive)
 
 
 def test_residue_checker_reuses_the_gstar_draw():
@@ -444,10 +456,10 @@ def test_fiber_deletion_identity_on_sampled_instances():
         assert not fiber_ids & set(extra)
 
         def survivor_edges_full():
-            alive = [v for v in range(product.graph.order) if v not in removal]
+            alive = [v for v in range(product.order) if v not in removal]
             relabel = {v: i for i, v in enumerate(alive)}
             return {(min(relabel[a], relabel[b]), max(relabel[a], relabel[b]))
-                    for a, b in product.graph.edges()
+                    for a, b in product.edges()
                     if a not in removal and b not in removal}
 
         reduced = kronecker(delete_vertex(g, fiber_idx), make_complete(n))
@@ -457,11 +469,11 @@ def test_fiber_deletion_identity_on_sampled_instances():
             return (u if u < fiber_idx else u - 1) * n + w
 
         leftover = sorted(map_old(v) for v in extra)
-        alive2 = [v for v in range(reduced.graph.order) if v not in leftover]
+        alive2 = [v for v in range(reduced.order) if v not in leftover]
         relabel2 = {v: i for i, v in enumerate(alive2)}
         survivor_edges_reduced = {
             (min(relabel2[a], relabel2[b]), max(relabel2[a], relabel2[b]))
-            for a, b in reduced.graph.edges()
+            for a, b in reduced.edges()
             if a not in leftover and b not in leftover}
         assert survivor_edges_full() == survivor_edges_reduced
 
@@ -548,7 +560,7 @@ def test_filter_table_matches_networkx_definitions():
     graphs = {g6: nx.from_graph6_bytes(g6.encode()) for g6 in corpus}
     for name, definition in definitions.items():
         records = batch_verify(map(parse_graph6, corpus), [3], filters=(name,))
-        kept = [r.instance.graph6 for r in records if not isinstance(r, BatchSummary)]
+        kept = [r.graph6 for r in records if not isinstance(r, BatchSummary)]
         assert kept == [g6 for g6 in corpus if definition(graphs[g6])], name
 
 

@@ -8,10 +8,8 @@ from kronkit.errors import PreconditionError
 from kronkit.graphs import (
     graph_from_edges,
     is_connected,
-    iter_bits,
     make_complete,
     make_cycle,
-    mask_of,
     random_graph,
     validate,
 )
@@ -24,8 +22,7 @@ from kronkit.products import (
 
 
 def test_k2_times_k2_is_two_disjoint_edges():
-    p = kronecker(make_complete(2), make_complete(2))
-    g = p.graph
+    g = kronecker(make_complete(2), make_complete(2))
     assert g.order == 4
     assert g.edge_count == 2
     # hand expansion: (0,0)~(1,1) and (0,1)~(1,0), linearized 0~3 and 1~2
@@ -35,13 +32,12 @@ def test_k2_times_k2_is_two_disjoint_edges():
 
 def test_c3_times_k3_counts():
     p = kronecker(make_cycle(3), make_complete(3))
-    assert p.graph.order == 9
-    assert p.graph.edge_count == 18  # 2 * 3 * 3
+    assert p.order == 9
+    assert p.edge_count == 18  # 2 * 3 * 3
 
 
 def test_c3_times_k2_is_a_six_cycle():
-    p = kronecker(make_cycle(3), make_complete(2))
-    g = p.graph
+    g = kronecker(make_cycle(3), make_complete(2))
     assert g.order == 6 and g.edge_count == 6
     assert g.degrees() == [2] * 6
     assert is_connected(g)
@@ -55,31 +51,30 @@ def test_kronecker_rejects_empty_factor():
 def test_product_vertex_linearization():
     c5, k3 = make_cycle(5), make_complete(3)
     p = kronecker(c5, k3)
-    rows = [tuple(map(int, row.split())) for row in linearization_rows(p)]
+    rows = [tuple(map(int, row.split())) for row in linearization_rows(5, 3)]
     assert [(u, v) for _, u, v in rows] == list(itertools.product(range(5), range(3)))
     for idx, u, v in rows:
         assert idx == u * 3 + v
     # id u*3+v is the pair (u, v): two ids are adjacent exactly when both
     # of their factor pairs are
     for (i, u1, v1), (j, u2, v2) in itertools.combinations(rows, 2):
-        assert p.graph.has_edge(i, j) == (c5.has_edge(u1, u2) and k3.has_edge(v1, v2))
-    assert linearization_rows(p)[:4] == ["0 0 0", "1 0 1", "2 0 2", "3 1 0"]
+        assert p.has_edge(i, j) == (c5.has_edge(u1, u2) and k3.has_edge(v1, v2))
+    assert linearization_rows(5, 3)[:4] == ["0 0 0", "1 0 1", "2 0 2", "3 1 0"]
 
 
 def test_product_degree_examples():
     c5, k3, k4 = make_cycle(5), make_complete(3), make_complete(4)
-    p = kronecker(c5, k3).graph
+    p = kronecker(c5, k3)
     for u in range(5):
         for v in range(3):
             assert p.degree(u * 3 + v) == c5.degree(u) * k3.degree(v) == 4
-    assert kronecker(k4, k3).graph.degree(0 * 3 + 0) == 6
+    assert kronecker(k4, k3).degree(0 * 3 + 0) == 6
     lonely = graph_from_edges(3, [(0, 1)])  # vertex 2 isolated
-    assert kronecker(lonely, k3).graph.degree(2 * 3 + 0) == 0
+    assert kronecker(lonely, k3).degree(2 * 3 + 0) == 0
 
 
 def _check_count_identities(g1, g2):
-    p = kronecker(g1, g2)
-    g = p.graph
+    g = kronecker(g1, g2)
     validate(g)
     assert g.order == g1.order * g2.order
     assert g.edge_count == 2 * g1.edge_count * g2.edge_count
@@ -108,8 +103,8 @@ def test_commutativity_statistics():
     for seed in range(40):
         g1 = random_graph(2 + seed % 6, 0.5, seed)
         g2 = random_graph(2 + (seed + 3) % 6, 0.4, seed + 99)
-        a = kronecker(g1, g2).graph
-        b = kronecker(g2, g1).graph
+        a = kronecker(g1, g2)
+        b = kronecker(g2, g1)
         assert a.order == b.order
         assert a.edge_count == b.edge_count
         assert sorted(a.degrees()) == sorted(b.degrees())
@@ -175,48 +170,32 @@ def test_weichsel_agrees_with_traversal():
     pairs = itertools.product(pool[:14], repeat=2)
     count = 0
     for g1, g2 in pairs:
-        assert weichsel_connected(g1, g2) == is_connected(kronecker(g1, g2).graph)
+        assert weichsel_connected(g1, g2) == is_connected(kronecker(g1, g2))
         count += 1
     assert count == 196
 
 
 # -- fibers ---------------------------------------------------------------
 
-def _fiber_members(p, u):
-    """The fiber of ``u`` by definition: the ids ``u * n + v`` for ``v < n``."""
-    n = p.factor2_order
+def _fiber_members(u, n):
+    """The fiber of ``u`` in ``g x K_n`` by definition: the ids ``u * n + v``."""
     return [u * n + v for v in range(n)]
 
 
 def test_fibers_partition_and_independence():
     p = kronecker(make_cycle(5), make_complete(3))
-    fs = [list(iter_bits(p.fiber_mask(u))) for u in range(p.factor1_order)]
-    assert len(fs) == 5
-    assert all(len(f) == 3 for f in fs)
-    seen = set()
+    fs = [_fiber_members(u, 3) for u in range(5)]
+    assert sorted(a for f in fs for a in f) == list(range(p.order))
     for f in fs:
-        for a in f:
-            assert a not in seen
-            seen.add(a)
-        for a in f:
-            for b in f:
-                if a != b:
-                    assert not p.graph.has_edge(a, b)
-    assert seen == set(range(15))
+        for a, b in itertools.combinations(f, 2):
+            assert not p.has_edge(a, b)
 
 
 def test_fibers_of_k2_times_k3():
+    # K2 x K3 is the 6-cycle; each id meets the other fiber's other two labels
     p = kronecker(make_complete(2), make_complete(3))
-    assert p.factor1_order == 2
-    assert _fiber_members(p, 0) == [0, 1, 2]
-    assert p.fiber_mask(0) == 0b000111
-    assert p.fiber_mask(1) == 0b111000
-
-
-def test_fiber_mask_arithmetic_matches_fiber_members():
-    # C23 x K3 (69 vertices) and a 9-vertex factor times K8 (72) pass bit 63
-    for g, n in [(make_complete(2), 3), (make_cycle(5), 4), (make_cycle(23), 3),
-                 (random_graph(9, 0.5, 3), 8)]:
-        p = kronecker(g, make_complete(n))
-        assert [p.fiber_mask(u) for u in range(g.order)] == \
-            [mask_of(_fiber_members(p, u)) for u in range(g.order)]
+    assert _fiber_members(0, 3) == [0, 1, 2]
+    assert _fiber_members(1, 3) == [3, 4, 5]
+    for a in _fiber_members(0, 3):
+        assert [b for b in range(p.order) if p.has_edge(a, b)] == \
+            [b for b in _fiber_members(1, 3) if b % 3 != a % 3]
