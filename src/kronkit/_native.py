@@ -68,4 +68,6 @@ def library() -> ctypes.CDLL | None:
     lib.splitflow_min_separators.argtypes = [_WORDS, ctypes.c_int, ctypes.c_int,
                                              _WORDS, _WORDS, ctypes.c_int64]
     lib.splitflow_min_separators.restype = ctypes.c_int64
+    lib.splitflow_min_cuts.argtypes = [_WORDS, ctypes.c_int, _WORDS, ctypes.c_int64]
+    lib.splitflow_min_cuts.restype = ctypes.c_int64
     return lib

@@ -18,16 +18,35 @@
  * is an array of 2n masks.  Node v is the in-node of vertex v and n + v its
  * out-node, as in the Python class.
  *
+ * splitflow_min_cuts is kronkit.connectivity._SplitFlow.min_cuts in one
+ * call: it builds the pairs of _even_pairs, runs their flows and reads the
+ * separators of the pairs that attain the least flow, charging the same
+ * searches in the same order.  It keeps the residual network of every
+ * attaining pair in one heap block of 2n masks per pair of the family,
+ * allocated at the call and freed before it returns.
+ *
+ * Return codes: a count of cuts or flow units (>= 0); -1 at the first
+ * search past the budget; -2 (splitflow_min_cuts only) when the residual
+ * storage cannot be allocated.
+ *
  * Build: cc -O2 -shared -fPIC -o _splitflow.so _splitflow.c
  */
 
 #include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
 
 /* The word arrays come from ctypes, which aligns them to 8 bytes only. */
 typedef unsigned __int128 mask_t __attribute__((aligned(8)));
 
 #define HEADER 3
-#define MAX_NODES 128
+#define MAX_ORDER 64
+#define MAX_NODES (2 * MAX_ORDER)
+/* Even's family has at most order - 1 pairs through s and C(order - 1, 2)
+ * pairs of neighbours of s. */
+#define MAX_PAIRS ((MAX_ORDER - 1) * MAX_ORDER / 2)
+#define OVER_BUDGET -1
+#define NO_MEMORY -2
 #define BIT(i) ((mask_t)1 << (i))
 
 static inline int low_bit(mask_t m)
@@ -99,7 +118,7 @@ int splitflow_max_flow(uint64_t *net, int s, int t, int cutoff, mask_t *out)
     }
     while (flow < cutoff) {
         if (charge(net))
-            return -1;
+            return OVER_BUDGET;
         mask_t seen = BIT(src), frontier = seen;
         int depth = 0; /* each layer holds a new node, so at most 2n layers */
         while (frontier && !(seen >> dst & 1)) {
@@ -147,7 +166,7 @@ int64_t splitflow_min_separators(uint64_t *net, int s, int t, const mask_t *out,
     mask_t nodes = 2 * n == MAX_NODES ? ~(mask_t)0 : BIT(2 * n) - 1;
     mask_t vertices = BIT(n) - 1;
     if (charge(net))
-        return -1;
+        return OVER_BUDGET;
     mask_t inside = reach(out, nodes, n + s) | BIT(s);
     if (inside >> t & 1)
         return 0;
@@ -166,7 +185,7 @@ int64_t splitflow_min_separators(uint64_t *net, int s, int t, const mask_t *out,
             in[low_bit(ys)] ^= BIT(x);
     }
     if (charge(net))
-        return -1;
+        return OVER_BUDGET;
     mask_t outside = reach(in, nodes, t) | BIT(n + t);
     /* Each branch decides at least one flow node, so the stack holds at
      * most one entry per flow node plus one. */
@@ -188,13 +207,104 @@ int64_t splitflow_min_separators(uint64_t *net, int s, int t, const mask_t *out,
         }
         int u = low_bit(undecided);
         if (charge(net))
-            return -1;
+            return OVER_BUDGET;
         stack_in[top] = inside | reach(out, nodes & ~inside, u);
         stack_out[top++] = outside;
         if (charge(net))
-            return -1;
+            return OVER_BUDGET;
         stack_in[top] = inside;
         stack_out[top++] = outside | reach(in, nodes & ~outside, u);
     }
+    return found;
+}
+
+/* The pairs of kronkit.connectivity._even_pairs, in the same order, as
+ * x[i], y[i]; returns how many. */
+static int even_pairs(const uint64_t *net, int labels,
+                      unsigned char *x, unsigned char *y)
+{
+    int n = (int)net[0];
+    const uint64_t *adj = net + HEADER;
+    int s = 0;
+    for (int v = 1; v < n; v++)
+        if (__builtin_popcountll(adj[v]) < __builtin_popcountll(adj[s]))
+            s = v;
+    int count = 0;
+    if (s % labels <= 1)
+        for (int t = 0; t < n; t++)
+            if (t != s && !(adj[s] >> t & 1) && t % labels <= s % labels + 1) {
+                x[count] = (unsigned char)s;
+                y[count++] = (unsigned char)t;
+            }
+    for (uint64_t us = adj[s]; us; us &= us - 1) {
+        int u = __builtin_ctzll(us);
+        if (u % labels > 1)
+            continue;
+        for (uint64_t vs = us & (us - 1) & ~adj[u]; vs; vs &= vs - 1) {
+            int v = __builtin_ctzll(vs);
+            if (v % labels <= u % labels + 1) {
+                x[count] = (unsigned char)u;
+                y[count++] = (unsigned char)v;
+            }
+        }
+    }
+    return count;
+}
+
+/* Writes the vertex mask of every minimum cut that the kept pairs of Even's
+ * family separate to cuts[0 .. capacity), a cut once per pair that
+ * separates it, and returns how many there are; a complete graph, which
+ * has no pairs, gets its n cuts that leave one vertex.  As in
+ * splitflow_min_separators, a count above capacity asks the caller to grow
+ * the buffer, restore the spent count and call again. */
+int64_t splitflow_min_cuts(uint64_t *net, int labels, uint64_t *cuts,
+                           int64_t capacity)
+{
+    int n = (int)net[0];
+    unsigned char x[MAX_PAIRS], y[MAX_PAIRS];
+    int pairs = even_pairs(net, labels, x, y);
+    if (!pairs) {
+        uint64_t full = n == 64 ? ~(uint64_t)0 : ((uint64_t)1 << n) - 1;
+        for (int v = 0; v < n && v < capacity; v++)
+            cuts[v] = full ^ (uint64_t)1 << v;
+        return n;
+    }
+    /* Slot i holds the residual network of the i-th attaining pair. */
+    mask_t *kept = malloc((size_t)pairs * 2 * n * sizeof *kept);
+    if (!kept)
+        return NO_MEMORY;
+    int attaining[MAX_PAIRS];
+    int kappa = n - 1, count = 0;
+    int64_t found = 0;
+    for (int i = 0; i < pairs; i++) {
+        mask_t *out = kept + (size_t)count * 2 * n;
+        int value = splitflow_max_flow(net, x[i], y[i], kappa, out);
+        if (value < 0) {
+            found = OVER_BUDGET;
+            goto done;
+        }
+        if (value < kappa) {
+            kappa = value;
+            if (count)
+                memcpy(kept, out, 2 * n * sizeof *kept);
+            count = 0;
+        }
+        /* A flow stopped at the cutoff may hide a larger local
+         * connectivity; its pair separates no minimum cut. */
+        attaining[count++] = i;
+    }
+    for (int j = 0; j < count; j++) {
+        int64_t room = found < capacity ? capacity - found : 0;
+        int64_t more = splitflow_min_separators(
+            net, x[attaining[j]], y[attaining[j]], kept + (size_t)j * 2 * n,
+            cuts + (capacity - room), room);
+        if (more < 0) {
+            found = OVER_BUDGET;
+            goto done;
+        }
+        found += more;
+    }
+done:
+    free(kept);
     return found;
 }

@@ -17,7 +17,10 @@ fix the family's source.
 The network runs in C (``_splitflow.c``, built on first use by
 :mod:`kronkit._native`) for graphs of at most 64 vertices, and in Python
 for larger graphs or when the C kernel cannot be built.  The two give the
-same flows, cuts and searches; the Python one is the tests' oracle.
+same flows, cuts and searches; the Python one is the tests' oracle.  On
+the C network one enumeration is one kernel call, which walks the pairs,
+runs their flows and reads their separators; :func:`vertex_connectivity`
+still makes one call per pair.
 
 The brute-force section keeps definition-level oracles for the tests:
 :func:`brute_force_connectivity` scans vertex subsets in increasing size
@@ -89,6 +92,8 @@ _NATIVE_MAX_ORDER = 64
 # Cut masks the native network's result buffer holds before it must grow.
 _NATIVE_CUTS = 64
 _INT64_MAX = (1 << 63) - 1
+# The kernel's return code for a failed allocation.
+_NO_MEMORY = -2
 
 
 def _over_budget(budget: int) -> BudgetExceededError:
@@ -258,6 +263,31 @@ class _SplitFlow:
             stack.append((inside, outside | self._reach(inn, nodes & ~outside, u)))
         return found
 
+    def min_cuts(self, g: Graph, labels: int) -> set[int]:
+        """Vertex masks of the minimum cuts that the pairs of
+        :func:`_even_pairs` separate, ``g`` being this network's graph.
+
+        Each pair's flow is cut off at the least flow found so far, and the
+        separators are read for the pairs whose flow equals the final least
+        one, which is kappa.  A flow stopped at the cutoff may hide a larger
+        local connectivity; :meth:`min_separators` finds no cut for such a
+        pair.  A complete graph has no pairs, and its cuts are the ``order``
+        sets that leave one vertex.
+        """
+        kappa, attaining = self.order - 1, []
+        for s, t in _even_pairs(g, labels):
+            value, out = self.max_flow(s, t, kappa)
+            if value < kappa:
+                kappa, attaining = value, []
+            attaining.append((s, t, out))
+        if not attaining:
+            full = g.full_mask()
+            return {full ^ (1 << v) for v in range(g.order)}
+        masks = set()
+        for s, t, out in attaining:
+            masks |= self.min_separators(s, t, out)
+        return masks
+
 
 class _NativeSplitFlow:
     """:class:`_SplitFlow` run by the C kernel ``_splitflow.c``, for graphs
@@ -267,7 +297,8 @@ class _NativeSplitFlow:
     and the searches spent, the adjacency, and the base masks that the
     kernel builds from it (the layout is documented in the C file).  A
     residual network is a word array of two words per node, which
-    :meth:`min_separators` takes back.  The kernel charges every search as
+    :meth:`min_separators` takes back; :meth:`min_cuts` keeps its residual
+    networks inside C.  The kernel charges every search as
     :class:`_SplitFlow` does and stops at the first one past the budget;
     this class then raises :class:`BudgetExceededError`.
     """
@@ -300,16 +331,27 @@ class _NativeSplitFlow:
 
     def min_separators(self, s: int, t: int, out: ctypes.Array) -> set[int]:
         """See :meth:`_SplitFlow.min_separators`."""
+        return self._read_cuts(self._lib.splitflow_min_separators, s, t, out)
+
+    def min_cuts(self, g: Graph, labels: int) -> set[int]:
+        """See :meth:`_SplitFlow.min_cuts`; one kernel call, which reads the
+        graph from the network."""
+        return self._read_cuts(self._lib.splitflow_min_cuts, labels)
+
+    def _read_cuts(self, entry, *args) -> set[int]:
+        """The cut masks that the kernel function ``entry`` writes after
+        ``args``, into a buffer grown to hold them all."""
         spent = self._net[2]
-        found = self._lib.splitflow_min_separators(
-            self._net, s, t, out, self._cuts, len(self._cuts))
+        found = entry(self._net, *args, self._cuts, len(self._cuts))
         if found > len(self._cuts):
             # Search again into a buffer that holds every cut, charging the
             # same searches once.
             self._net[2] = spent
             self._cuts = (ctypes.c_uint64 * found)()
-            found = self._lib.splitflow_min_separators(
-                self._net, s, t, out, self._cuts, found)
+            found = entry(self._net, *args, self._cuts, found)
+        if found == _NO_MEMORY:
+            raise MemoryError("the native kernel could not allocate its "
+                              "residual networks")
         if found < 0:
             raise _over_budget(self.budget)
         return set(self._cuts[:found])
@@ -336,7 +378,8 @@ def _even_pairs(g: Graph, labels: int) -> list[tuple[int, int]]:
     label 0 or 1, or two neighbours of label 1, or of labels 1 and 2.
     """
     order = g.order
-    s = min(range(order), key=lambda v: (g.degree(v), v))
+    degrees = g.degrees()
+    s = degrees.index(min(degrees))
     s_mask = g.adj[s]
     family = [(s, t) for t in range(order) if t != s and not s_mask >> t & 1]
     nbrs = list(iter_bits(s_mask))
@@ -505,6 +548,11 @@ def enumerate_min_cuts(g: Graph, budget: int | None = None,
     pair onto those of its image.  The closure moves bits and searches
     nothing.
 
+    On the C network the flows and separators of all pairs take one kernel
+    call (:meth:`_NativeSplitFlow.min_cuts`).  Each cut is then classified
+    by one dict lookup of its mask among the neighbourhoods, without a
+    search.
+
     Every search of the flows and of the separator reading is charged
     against ``budget``, one unit each; the first search past it raises
     :class:`BudgetExceededError`.  ``None`` means no limit.
@@ -514,20 +562,7 @@ def enumerate_min_cuts(g: Graph, budget: int | None = None,
     if not is_connected(g):
         raise PreconditionError("min-cut enumeration needs a connected graph")
     n = g.order
-    pairs = _even_pairs(g, labels)
-    net = _split_flow(g, budget)
-    kappa, attaining = n - 1, []
-    for s, t in pairs:
-        value, out = net.max_flow(s, t, kappa)
-        if value < kappa:
-            kappa, attaining = value, []
-        # A flow stopped at the cutoff may hide a larger local connectivity;
-        # min_separators finds no cut for such a pair.
-        attaining.append((s, t, out))
-    # Only a complete graph has no pairs; each of its cuts leaves one vertex.
-    masks = set() if attaining else {g.full_mask() ^ (1 << v) for v in range(n)}
-    for s, t, out in attaining:
-        masks |= net.min_separators(s, t, out)
+    masks = _split_flow(g, budget).min_cuts(g, labels)
     column = sum(1 << v for v in range(0, n, labels))
     swaps = [(column << a, column << (a + 1)) for a in range(1, labels - 1)]
     unclosed = list(masks)
@@ -538,8 +573,17 @@ def enumerate_min_cuts(g: Graph, budget: int | None = None,
             if image not in masks:
                 masks.add(image)
                 unclosed.append(image)
-    cuts = sorted(tuple(iter_bits(m)) for m in masks)
-    return [_classify_mask(g, mask_of(c), c) for c in cuts]
+    # Every mask separates.  A minimum cut S isolates v only if N(v) = S,
+    # since N(v) lies in S and |N(v)| >= delta >= kappa = |S|; so the
+    # lowest v with adj[v] == S classifies the cut.
+    lowest = {}
+    for v, nbrs in enumerate(g.adj):
+        lowest.setdefault(nbrs, v)
+    cuts = []
+    for vertices, mask in sorted((tuple(iter_bits(m)), m) for m in masks):
+        witness = lowest.get(mask)
+        cuts.append(CutSet(vertices, True, witness is not None, witness))
+    return cuts
 
 
 def connectivity_result(g: Graph, budget: int | None = None) -> ConnectivityResult:

@@ -16,6 +16,7 @@ asserting, so long corpus runs always finish with evidence in hand.
 from __future__ import annotations
 
 import functools
+import itertools
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
@@ -343,9 +344,10 @@ def _check_instance(g: Graph, n: int) -> None:
         raise ValueError("factor graph must be nonempty")
 
 
-def _report(g: Graph, n: int, kappa_g: int, budget: int | None,
+def _report(g: Graph, g6: str, n: int, kappa_g: int, budget: int | None,
             verdict: bool) -> VerificationReport:
-    """The report of one instance, given the factor's connectivity.
+    """The report of one instance, given the factor's graph6 ``g6`` and
+    connectivity.
 
     Without ``verdict`` only the formula is checked, by flow on the product.
     With it every minimum cut of the product is enumerated; a disconnected
@@ -373,7 +375,7 @@ def _report(g: Graph, n: int, kappa_g: int, budget: int | None,
     rhs = min(n * kappa_g, (n - 1) * delta_g)
     holds = product_kappa == rhs
     return VerificationReport(
-        graph6=encode_graph6(g), n=n,
+        graph6=g6, n=n,
         kappa_G=kappa_g,
         delta_G=delta_g,
         product_kappa=product_kappa,
@@ -395,7 +397,8 @@ def verify_connectivity_formula(g: Graph, n: int) -> VerificationReport:
     combines the factor invariants.
     """
     _check_instance(g, n)
-    return _report(g, n, vertex_connectivity(g), None, verdict=False)
+    return _report(g, encode_graph6(g), n, vertex_connectivity(g), None,
+                   verdict=False)
 
 
 def verify_super_connectivity(g: Graph, n: int) -> VerificationReport:
@@ -414,7 +417,7 @@ def verify_super_connectivity(g: Graph, n: int) -> VerificationReport:
         raise PreconditionError(
             f"super-connectivity verdict needs kappa == delta, "
             f"got {kappa_g} != {g.min_degree}")
-    return _report(g, n, kappa_g, None, verdict=True)
+    return _report(g, encode_graph6(g), n, kappa_g, None, verdict=True)
 
 
 # -- batch verification ----------------------------------------------------------
@@ -437,20 +440,20 @@ def check_filters(filters: Sequence[str]) -> None:
             raise ValueError(f"unknown filter {name!r}; known: {KNOWN_FILTERS}")
 
 
-def _verify_instance(g: Graph, n: int, kappa_g: int | None, budget: int | None):
-    g6 = encode_graph6(g)
+def _verify_instance(g: Graph, g6: str, n: int, kappa_g: int | None,
+                     budget: int | None):
     if kappa_g is None:
         return SkipRecord(g6, n, "empty-factor", "factor graph must be nonempty")
     try:
-        return _report(g, n, kappa_g, budget,
+        return _report(g, g6, n, kappa_g, budget,
                        verdict=is_connected(g) and kappa_g == g.min_degree)
     except BudgetExceededError as exc:
         return SkipRecord(g6, n, "size-limit", str(exc), exc.budget)
 
 
 def _batch_worker(item: tuple[str, int, int | None, int | None]):
-    g6, n, kappa_g, budget = item
-    return _verify_instance(parse_graph6(g6), n, kappa_g, budget)
+    """:func:`_verify_instance` in a pool worker, which gets the graph6."""
+    return _verify_instance(parse_graph6(item[0]), *item)
 
 
 def batch_verify(corpus: Iterable[Graph], n_values: Sequence[int],
@@ -474,16 +477,18 @@ def batch_verify(corpus: Iterable[Graph], n_values: Sequence[int],
         kappa_g = vertex_connectivity(g) if g.order else None
         if not all(FILTERS[name](g, kappa_g) for name in filters):
             continue
-        for n in n_values:
-            items.append((encode_graph6(g), n, kappa_g, budget))
+        g6 = encode_graph6(g)
+        items.extend((g, g6, n, kappa_g, budget) for n in n_values)
     holds = violations = skips = 0
     with ExitStack() as stack:
-        run = map
         if workers > 1 and len(items) > 1:
             pool = stack.enter_context(ProcessPoolExecutor(
                 max_workers=min(workers, len(items))))
-            run = functools.partial(pool.map, chunksize=8)
-        for record in run(_batch_worker, items):
+            records = pool.map(_batch_worker, [item[1:] for item in items],
+                               chunksize=8)
+        else:
+            records = itertools.starmap(_verify_instance, items)
+        for record in records:
             holds, violations, skips = _tally(record, holds, violations, skips)
             yield record
     yield BatchSummary(instances=len(items), holds=holds,

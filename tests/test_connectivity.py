@@ -479,10 +479,30 @@ def test_isolating_iff_neighborhood_on_min_cuts_when_kd_equal():
         if res.kappa != res.delta:
             continue
         for c in res.min_cuts:
-            assert c.isolates == (c.witness is not None)
+            searched = classify_cut(g, c.vertices)
+            assert searched == c
+            assert searched.isolates == (searched.witness is not None)
 
 
 # -- classification ----------------------------------------------------------
+
+def test_lookup_classification_equals_the_search_on_every_minimum_cut(
+        connected_upto_6):
+    """``enumerate_min_cuts`` classifies each cut by looking its mask up
+    among the neighbourhoods; ``classify_cut`` searches the survivors.
+    They agree on every minimum cut of every connected ``G x K_n``, G to
+    order 6 and n = 3, 4, 5."""
+    cuts = 0
+    for g in connected_upto_6:
+        for n in (3, 4, 5):
+            pg = kronecker(g, make_complete(n))
+            if not is_connected(pg):
+                continue
+            for cut in enumerate_min_cuts(pg, labels=n):
+                assert cut == classify_cut(pg, cut.vertices), (g, n, cut)
+                cuts += 1
+    assert cuts == 2880
+
 
 def test_classify_cut_on_c6():
     g = make_cycle(6)

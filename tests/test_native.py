@@ -7,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -60,6 +61,39 @@ def _spy(monkeypatch) -> list:
 
     monkeypatch.setattr(connectivity, "_split_flow", recorded)
     return nets
+
+
+class _CountingLibrary:
+    """The kernel library, counting the calls into each of its functions."""
+
+    def __init__(self, lib):
+        self.lib = lib
+        self.calls = Counter()
+
+    def __getattr__(self, name):
+        fn = getattr(self.lib, name)
+
+        def call(*args):
+            self.calls[name] += 1
+            return fn(*args)
+        return call
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """The calls that the flow routes make into the kernel, by function."""
+    lib = _native.library()
+    if lib is None:
+        pytest.skip("the native kernel did not build")
+    counting = _CountingLibrary(lib)
+    monkeypatch.setattr(_native, "library", lambda: counting)
+    return counting.calls
+
+
+def _k44_times_k3():
+    return kronecker(graph_from_edges(8, [(a, b) for a in range(4)
+                                          for b in range(4, 8)]),
+                     make_complete(3))
 
 
 def _hypercube(d: int):
@@ -141,9 +175,7 @@ def test_budget_runs_out_at_the_same_search_on_both_kernels(native, monkeypatch)
     """K_{4,4} x K_3 needs 223 searches.  Every smaller budget stops both
     kernels at its first search past the budget, also while the native
     result buffer, cut down to one cut, has to grow and search again."""
-    pg = kronecker(graph_from_edges(8, [(a, b) for a in range(4)
-                                        for b in range(4, 8)]),
-                   make_complete(3))
+    pg = _k44_times_k3()
     monkeypatch.setattr(connectivity, "_NATIVE_CUTS", 1)
     nets = _spy(monkeypatch)
     for max_order, kind in ((64, _NativeSplitFlow), (0, _SplitFlow)):
@@ -156,6 +188,67 @@ def test_budget_runs_out_at_the_same_search_on_both_kernels(native, monkeypatch)
         cuts = enumerate_min_cuts(pg, budget=223, labels=3)
         assert len(cuts) == 9 and nets[-1].spent == 223
     assert len(nets[223]._cuts) > 1  # the native buffer grew
+
+
+def _both_routes(pg, labels, nets, monkeypatch) -> dict:
+    """The cut list and the searches spent of one enumeration on each
+    route, by network type."""
+    results = {}
+    for max_order in (64, 0):
+        monkeypatch.setattr(connectivity, "_NATIVE_MAX_ORDER", max_order)
+        cuts = enumerate_min_cuts(pg, labels=labels)
+        results[type(nets[-1])] = (cuts, nets[-1].spent)
+    return results
+
+
+def test_one_kernel_call_per_enumeration_matches_the_python_route(
+        connected_upto_6, kernel_calls, monkeypatch):
+    """Every connected ``G x K_n``, G to order 6 and n = 3, 4, 5, and the
+    complete graphs, which have no pairs: the native enumeration makes one
+    call into the kernel past building the network, and gives the Python
+    route's cut list and searches."""
+    cases = [(kronecker(g, make_complete(n)), n)
+             for g in connected_upto_6 for n in (3, 4, 5)]
+    cases = [(pg, n) for pg, n in cases if is_connected(pg)]
+    cases += [(make_complete(k), 1) for k in range(2, 9)]
+    nets = _spy(monkeypatch)
+    cuts = 0
+    for pg, n in cases:
+        results = _both_routes(pg, n, nets, monkeypatch)
+        assert results[_NativeSplitFlow] == results[_SplitFlow], (pg, n)
+        cuts += len(results[_SplitFlow][0])
+    assert kernel_calls == {"splitflow_init": len(cases),
+                            "splitflow_min_cuts": len(cases)}
+    assert (len(cases), cuts) == (433, 2915)
+
+
+def test_cut_buffer_grows_past_its_default_size(kernel_calls, monkeypatch):
+    """K_{4,4} x K_3 has 9 minimum cuts, but its kept pairs separate 67
+    cuts, counted once per pair, which is more than the default buffer
+    holds: the kernel is called again into a grown buffer, charging the
+    same 223 searches once."""
+    nets = _spy(monkeypatch)
+    results = _both_routes(_k44_times_k3(), 3, nets, monkeypatch)
+    assert results[_NativeSplitFlow] == results[_SplitFlow]
+    assert len(results[_SplitFlow][0]) == 9 and results[_SplitFlow][1] == 223
+    assert len(nets[0]._cuts) == 67 > connectivity._NATIVE_CUTS
+    assert kernel_calls["splitflow_min_cuts"] == 2
+
+
+def test_failed_kernel_allocation_raises_memory_error(native):
+    net = native(make_cycle(5))
+    with pytest.raises(MemoryError):
+        net._read_cuts(lambda *args: connectivity._NO_MEMORY)
+
+
+def test_kernel_compiles_without_warnings():
+    """The kernel stays clean under the compiler's common warnings."""
+    if shutil.which(_native.COMPILER) is None:
+        pytest.skip(f"no {_native.COMPILER} on PATH")
+    result = subprocess.run(
+        [_native.COMPILER, "-Wall", "-Wextra", "-Werror", "-fsyntax-only",
+         str(_native.SOURCE)], capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
 
 
 def test_native_route_is_taken_when_a_compiler_is_present():
