@@ -21,9 +21,10 @@
  * splitflow_min_cuts is kronkit.connectivity._SplitFlow.min_cuts in one
  * call: it builds the pairs of _even_pairs, runs their flows and reads the
  * separators of the pairs that attain the least flow, charging the same
- * searches in the same order.  It keeps the residual network of every
- * attaining pair in one heap block of 2n masks per pair of the family,
- * allocated at the call and freed before it returns.
+ * searches in the same order, and writes each distinct cut once.  It keeps
+ * the residual network of every attaining pair in one heap block of 2n
+ * masks per pair of the family, allocated at the call and freed before it
+ * returns.
  *
  * Return codes: a count of cuts or flow units (>= 0); -1 at the first
  * search past the budget; -2 (splitflow_min_cuts only) when the residual
@@ -154,12 +155,23 @@ int splitflow_max_flow(uint64_t *net, int s, int t, int cutoff, mask_t *out)
     return flow;
 }
 
-/* Writes the vertex mask of each minimum s-t separator to cuts[0 ..
- * capacity) and returns how many the search found, which may exceed
- * capacity: the caller then grows the buffer, restores the spent count and
- * calls again.  Returns -1 at the first search past the budget. */
-int64_t splitflow_min_separators(uint64_t *net, int s, int t, const mask_t *out,
-                                 uint64_t *cuts, int64_t capacity)
+/* True when cuts[0 .. count) holds cut. */
+static int listed(const uint64_t *cuts, int64_t count, uint64_t cut)
+{
+    for (int64_t i = 0; i < count; i++)
+        if (cuts[i] == cut)
+            return 1;
+    return 0;
+}
+
+/* Appends the vertex mask of each minimum s-t separator that the buffer
+ * does not hold yet at cuts[found], found being the masks counted so far,
+ * and returns the new count, which goes on past capacity; -1 at the first
+ * search past the budget.  A mask is compared only with those in the
+ * buffer, so the count exceeds the distinct masks only once they do not
+ * fit. */
+static int64_t separators(uint64_t *net, int s, int t, const mask_t *out,
+                          uint64_t *cuts, int64_t capacity, int64_t found)
 {
     int n = (int)net[0];
     const mask_t *bout = base_out(net);
@@ -169,7 +181,7 @@ int64_t splitflow_min_separators(uint64_t *net, int s, int t, const mask_t *out,
         return OVER_BUDGET;
     mask_t inside = reach(out, nodes, n + s) | BIT(s);
     if (inside >> t & 1)
-        return 0;
+        return found;
     mask_t flow_nodes = 0;
     for (int v = 0; v < n; v++)
         if (!(out[v] >> (n + v) & 1))
@@ -191,7 +203,6 @@ int64_t splitflow_min_separators(uint64_t *net, int s, int t, const mask_t *out,
      * most one entry per flow node plus one. */
     mask_t stack_in[MAX_NODES + 1], stack_out[MAX_NODES + 1];
     int top = 0;
-    int64_t found = 0;
     stack_in[top] = inside;
     stack_out[top++] = outside;
     while (top) {
@@ -200,9 +211,12 @@ int64_t splitflow_min_separators(uint64_t *net, int s, int t, const mask_t *out,
         outside = stack_out[top];
         mask_t undecided = flow_nodes & ~(inside | outside);
         if (!undecided) {
-            if (found < capacity)
-                cuts[found] = (uint64_t)(inside & ~(inside >> n) & vertices);
-            found++;
+            uint64_t cut = (uint64_t)(inside & ~(inside >> n) & vertices);
+            if (!listed(cuts, found < capacity ? found : capacity, cut)) {
+                if (found < capacity)
+                    cuts[found] = cut;
+                found++;
+            }
             continue;
         }
         int u = low_bit(undecided);
@@ -216,6 +230,16 @@ int64_t splitflow_min_separators(uint64_t *net, int s, int t, const mask_t *out,
         stack_out[top++] = outside | reach(in, nodes & ~outside, u);
     }
     return found;
+}
+
+/* Writes the vertex mask of each minimum s-t separator to cuts[0 ..
+ * capacity) and returns how many the search found, which may exceed
+ * capacity: the caller then grows the buffer, restores the spent count and
+ * calls again.  Returns -1 at the first search past the budget. */
+int64_t splitflow_min_separators(uint64_t *net, int s, int t, const mask_t *out,
+                                 uint64_t *cuts, int64_t capacity)
+{
+    return separators(net, s, t, out, cuts, capacity, 0);
 }
 
 /* The pairs of kronkit.connectivity._even_pairs, in the same order, as
@@ -252,11 +276,14 @@ static int even_pairs(const uint64_t *net, int labels,
 }
 
 /* Writes the vertex mask of every minimum cut that the kept pairs of Even's
- * family separate to cuts[0 .. capacity), a cut once per pair that
- * separates it, and returns how many there are; a complete graph, which
- * has no pairs, gets its n cuts that leave one vertex.  As in
- * splitflow_min_separators, a count above capacity asks the caller to grow
- * the buffer, restore the spent count and call again. */
+ * family separate to cuts[0 .. capacity), each distinct cut once however
+ * many pairs separate it, and returns how many there are; a complete
+ * graph, which has no pairs, gets its n cuts that leave one vertex.  A
+ * count above capacity, which happens only when the distinct cuts do not
+ * fit, asks the caller to grow the buffer to that count, restore the spent
+ * count and call again, as for splitflow_min_separators; the count may
+ * then exceed the distinct cuts, and the second call returns them
+ * exactly. */
 int64_t splitflow_min_cuts(uint64_t *net, int labels, uint64_t *cuts,
                            int64_t capacity)
 {
@@ -293,17 +320,9 @@ int64_t splitflow_min_cuts(uint64_t *net, int labels, uint64_t *cuts,
          * connectivity; its pair separates no minimum cut. */
         attaining[count++] = i;
     }
-    for (int j = 0; j < count; j++) {
-        int64_t room = found < capacity ? capacity - found : 0;
-        int64_t more = splitflow_min_separators(
-            net, x[attaining[j]], y[attaining[j]], kept + (size_t)j * 2 * n,
-            cuts + (capacity - room), room);
-        if (more < 0) {
-            found = OVER_BUDGET;
-            goto done;
-        }
-        found += more;
-    }
+    for (int j = 0; j < count && found >= 0; j++)
+        found = separators(net, x[attaining[j]], y[attaining[j]],
+                           kept + (size_t)j * 2 * n, cuts, capacity, found);
 done:
     free(kept);
     return found;

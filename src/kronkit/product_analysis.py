@@ -38,7 +38,6 @@ from .graphs import (
     encode_graph6,
     has_isolated,
     is_connected,
-    iter_bits,
     make_complete,
     mask_of,
     parse_graph6,
@@ -61,13 +60,16 @@ class ResidueConditions:
 class ResidueSystem:
     """A removal candidate together with the per-fiber survivors.
 
-    ``product`` is ``factor x K_n``, with ids ``u * n + a``.
+    ``product`` is ``factor x K_n``, with ids ``u * n + a``.  ``labels[u]``
+    is the label mask of fiber ``u``'s survivors: bit ``a`` is set when
+    ``u * n + a`` survives, so the residue of fiber ``u`` is empty exactly
+    when ``labels[u]`` is 0.
     """
 
     factor: Graph
     product: Graph
     removed: tuple[int, ...]
-    residues: tuple[tuple[int, ...], ...]
+    labels: tuple[int, ...]
     conditions: ResidueConditions
 
 
@@ -86,19 +88,13 @@ def build_residue_system(g: Graph, n: int, removed: Iterable[int]) -> ResidueSys
     if removed_sorted and not (0 <= removed_sorted[0] and removed_sorted[-1] < mn):
         raise ValueError(f"removed ids must lie in 0..{mn - 1}")
     alive = product.full_mask() ^ mask_of(removed_sorted)
-    residues = _residues(alive, g.order, n)
+    labels = tuple(alive >> s & (1 << n) - 1 for s in range(0, mn, n))
     conditions = ResidueConditions(
         size_ok=len(removed_sorted) == (n - 1) * g.min_degree,
-        residues_nonempty=all(residues),
+        residues_nonempty=all(labels),
         no_isolated=not has_isolated(product.adj, alive),
     )
-    return ResidueSystem(g, product, removed_sorted, residues, conditions)
-
-
-def _residues(alive: int, fibers: int, n: int) -> tuple[tuple[int, ...], ...]:
-    """The surviving ids of each fiber ``u``, ids ``u * n + a``, of ``g x K_n``."""
-    return tuple(tuple(iter_bits(alive & ((1 << n) - 1) << (u * n)))
-                 for u in range(fibers))
+    return ResidueSystem(g, product, removed_sorted, labels, conditions)
 
 
 def build_gstar(rs: ResidueSystem) -> Graph:
@@ -107,23 +103,18 @@ def build_gstar(rs: ResidueSystem) -> Graph:
     Vertex ``i`` stands for the residue of fiber ``i``.  In ``g x K_n``,
     ``(i, a) ~ (j, b)`` exactly when ``i ~ j`` in ``g`` and ``a != b``, so
     the residues of adjacent fibers ``i`` and ``j`` are joined unless both
-    are the same single label.
+    are the same single label: ``labels[i] == labels[j]`` with one bit set.
     """
+    labels = rs.labels
     if not rs.conditions.residues_nonempty:
-        empty = next(i for i, r in enumerate(rs.residues) if not r)
-        raise PreconditionError(f"residue of fiber {empty} is empty")
-    n = rs.product.order // rs.factor.order
-    residues = rs.residues
-    fadj = rs.factor.adj
-    adj = [0] * len(residues)
-    for i, res_i in enumerate(residues):
-        for j in iter_bits(fadj[i] >> (i + 1) << (i + 1)):
-            res_j = residues[j]
-            if len(res_i) == len(res_j) == 1 and (res_j[0] - res_i[0]) % n == 0:
-                continue
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
-    return Graph(len(residues), tuple(adj))
+        raise PreconditionError(f"residue of fiber {labels.index(0)} is empty")
+    # The fibers left with each single label.
+    alone = {}
+    for i, x in enumerate(labels):
+        if x & (x - 1) == 0:
+            alone[x] = alone.get(x, 0) | 1 << i
+    return Graph(len(labels), tuple(a & ~alone.get(x, 0)
+                                    for a, x in zip(rs.factor.adj, labels)))
 
 
 # -- sampled structural checks -------------------------------------------------
@@ -147,60 +138,82 @@ class TrialRecord:
 _SAMPLED = ResidueConditions(size_ok=True, residues_nonempty=True, no_isolated=True)
 
 
-def _sample_valid_removal(g: Graph, product: Graph,
-                          rng) -> tuple[ResidueSystem | None, int, int]:
-    """Uniform ``(n-1) * delta``-subset of the product meeting the residue
-    and isolation conditions, by rejection, as a residue system.
+def _sample_valid_removals(g: Graph, product: Graph,
+                           states: Sequence[dict]) -> tuple[tuple, ...]:
+    """Per generator state, a uniform ``(n-1) * delta``-subset of the product
+    meeting the residue and isolation conditions, by rejection, as a
+    residue system.
 
-    The conditions are read per fiber rather than per product vertex: with
-    ``L_u`` the surviving labels of fiber ``u``, every ``L_u`` must be
-    nonempty, and a survivor ``(u, x)`` is isolated exactly when the labels
-    surviving in the neighbouring fibers, together, lie inside ``{x}``.
-    Returns (residue system, rejections, isolation-only rejections); the
-    residue system is None when ``MAX_REJECTIONS + 1`` draws in a row were
-    rejected.
+    Each trial restores its PCG64 state in one generator and draws from
+    there.  The conditions are read per fiber rather than per product
+    vertex: with ``L_u`` the surviving labels of fiber ``u``, every ``L_u``
+    must be nonempty, and a survivor ``(u, x)`` is isolated exactly when the
+    labels surviving in the neighbouring fibers, together, lie inside
+    ``{x}``.  Returns (residue system, rejections, isolation-only
+    rejections) per state; the residue system is None when
+    ``MAX_REJECTIONS + 1`` draws in a row were rejected.
     """
     mn = product.order
     n = mn // g.order
     size = (n - 1) * g.min_degree
-    full = product.full_mask()
-    label_mask = (1 << n) - 1
-    shifts = range(0, mn, n)
+    neighbours = tuple(tuple(g.neighbors(u)) for u in range(g.order))
+    # The fiber and the label bit of each product id.
+    fiber = [v // n for v in range(mn)]
+    label_bit = [1 << v % n for v in range(mn)]
+    every_label = [(1 << n) - 1] * g.order
     cap = MAX_REJECTIONS
-    rejections = 0
-    isolation_rejections = 0
-    while rejections <= cap:
-        # Python ints: a numpy int64 shift past bit 63 wraps instead of growing.
-        picked = rng.choice(mn, size=size, replace=False).tolist()
-        alive = full ^ mask_of(picked)
-        labels = [alive >> s & label_mask for s in shifts]
-        if not all(labels):
-            rejections += 1
-            continue
-        if _fiber_isolates(g.adj, labels):
-            rejections += 1
-            isolation_rejections += 1
-            continue
-        rs = ResidueSystem(g, product, tuple(sorted(picked)),
-                           _residues(alive, g.order, n), _SAMPLED)
-        return rs, rejections, isolation_rejections
-    return None, rejections, isolation_rejections
+    rng = np.random.default_rng()  # its state is replaced before each trial
+    draws = []
+    for state in states:
+        rng.bit_generator.state = state
+        rejections = isolation_rejections = 0
+        while rejections <= cap:
+            # Python ints: the residue system's removed ids are emitted.
+            picked = rng.choice(mn, size=size, replace=False).tolist()
+            labels = every_label.copy()
+            for v in picked:
+                labels[fiber[v]] ^= label_bit[v]
+            if not all(labels):
+                rejections += 1
+            elif _fiber_isolates(neighbours, labels):
+                rejections += 1
+                isolation_rejections += 1
+            else:
+                rs = ResidueSystem(g, product, tuple(sorted(picked)),
+                                   tuple(labels), _SAMPLED)
+                draws.append((rs, rejections, isolation_rejections))
+                break
+        else:
+            draws.append((None, rejections, isolation_rejections))
+    return tuple(draws)
 
 
-def _fiber_isolates(fadj: Sequence[int], labels: Sequence[int]) -> bool:
+def _fiber_isolates(neighbours: Sequence[Sequence[int]],
+                    labels: Sequence[int]) -> bool:
     """True when some survivor of ``g x K_n`` has no surviving neighbour.
 
+    ``neighbours[u]`` lists the neighbours of ``u`` in ``g``, and
     ``labels[u]`` is the nonempty label mask of fiber ``u``'s survivors.
     """
-    for u, mask in enumerate(fadj):
+    for u, nbrs in enumerate(neighbours):
         seen = 0
-        while mask:
-            low = mask & -mask
-            seen |= labels[low.bit_length() - 1]
-            mask ^= low
+        for v in nbrs:
+            seen |= labels[v]
         if seen & (seen - 1) == 0 and (seen == 0 or seen & labels[u]):
             return True
     return False
+
+
+@functools.lru_cache(maxsize=1)
+def _trial_states(seed: int, trials: int) -> tuple[dict, ...]:
+    """The PCG64 state that seeding with ``[seed, t]`` gives, for each trial
+    ``t``; ``seed`` lies in ``0 .. 2**64 - 1``.
+
+    The states depend on neither the graph nor ``n``, so every instance of
+    a run with one seed and trial count restores them from here instead of
+    seeding its own generators.
+    """
+    return tuple(np.random.PCG64([seed, t]).state for t in range(trials))
 
 
 @functools.lru_cache(maxsize=1)
@@ -208,11 +221,11 @@ def _draw_trials(g: Graph, n: int, trials: int, seed: int) -> tuple[tuple, ...]:
     """One ``(residue system, rejections, isolation rejections)`` per trial;
     the residue system is None exactly when sampling ran out.
 
-    Trial ``t`` draws from a generator seeded with ``[seed, t]``, so both
-    checkers see the same removals for the same arguments; the cache keeps
-    the most recent draw only, which a checker run right after another on
-    the same arguments reuses.  Call with positional arguments: the cache
-    keys on them as given.
+    Trial ``t`` draws from the stream of a generator seeded with ``[seed,
+    t]``, so both checkers see the same removals for the same arguments;
+    the cache keeps the most recent draw only, which a checker run right
+    after another on the same arguments reuses.  Call with positional
+    arguments: the cache keys on them as given.
 
     The checkers' shared preconditions are checked here, so a reused draw
     does not compute the factor's connectivity again.  The cache keeps no
@@ -229,8 +242,7 @@ def _draw_trials(g: Graph, n: int, trials: int, seed: int) -> tuple[tuple, ...]:
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
     product = kronecker(g, make_complete(n))
-    rngs = (np.random.default_rng([seed % 2**64, t]) for t in range(trials))
-    return tuple(_sample_valid_removal(g, product, rng) for rng in rngs)
+    return _sample_valid_removals(g, product, _trial_states(seed % 2**64, trials))
 
 
 def _trial_records(g: Graph, n: int, draws: tuple[tuple, ...],
@@ -259,10 +271,11 @@ def _split_check(rs: ResidueSystem) -> tuple[None, tuple[int, ...]]:
     comps = components(rs.product.adj, rs.product.full_mask() ^ mask_of(rs.removed))
     if len(comps) == 1:
         return None, ()
+    n = rs.product.order // rs.factor.order
     split = []
-    for i, res in enumerate(rs.residues):
-        res_mask = mask_of(res)
-        if not any(res_mask & ~comp == 0 for comp in comps):
+    for i, labels in enumerate(rs.labels):
+        residue = labels << (i * n)
+        if not any(residue & ~comp == 0 for comp in comps):
             split.append(i)
     return None, tuple(split)
 

@@ -24,7 +24,6 @@ READERS = MODULES + sorted((ROOT / "bench").glob("*.py"))
 # Public names that only the tests read: oracles that the fast routes are
 # checked against, and constructors that build test inputs.
 TEST_ONLY_API = [
-    "Graph.neighbors",
     "are_isomorphic",
     "brute_force_connectivity",
     "brute_force_min_cuts",

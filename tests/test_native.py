@@ -223,16 +223,22 @@ def test_one_kernel_call_per_enumeration_matches_the_python_route(
 
 
 def test_cut_buffer_grows_past_its_default_size(kernel_calls, monkeypatch):
-    """K_{4,4} x K_3 has 9 minimum cuts, but its kept pairs separate 67
-    cuts, counted once per pair, which is more than the default buffer
-    holds: the kernel is called again into a grown buffer, charging the
-    same 223 searches once."""
+    """The kernel writes each distinct cut once.  K_{4,4} x K_3 has 9
+    minimum cuts, which its kept pairs separate 67 times in all: one call
+    fills the default buffer with the 9, charging its 223 searches.  C_16
+    has 104 minimum cuts, more than the default buffer holds: the kernel is
+    called again into a grown buffer, charging the same searches once."""
     nets = _spy(monkeypatch)
     results = _both_routes(_k44_times_k3(), 3, nets, monkeypatch)
     assert results[_NativeSplitFlow] == results[_SplitFlow]
     assert len(results[_SplitFlow][0]) == 9 and results[_SplitFlow][1] == 223
-    assert len(nets[0]._cuts) == 67 > connectivity._NATIVE_CUTS
-    assert kernel_calls["splitflow_min_cuts"] == 2
+    assert len(nets[0]._cuts) == connectivity._NATIVE_CUTS
+    assert kernel_calls["splitflow_min_cuts"] == 1
+    results = _both_routes(make_cycle(16), 1, nets, monkeypatch)
+    assert results[_NativeSplitFlow] == results[_SplitFlow]
+    assert len(results[_SplitFlow][0]) == 104 > connectivity._NATIVE_CUTS
+    assert len(nets[2]._cuts) >= 104
+    assert kernel_calls["splitflow_min_cuts"] == 3
 
 
 def test_failed_kernel_allocation_raises_memory_error(native):

@@ -16,8 +16,10 @@ from kronkit.graphs import (
     graph_from_edges,
     has_isolated,
     is_connected,
+    iter_bits,
     make_complete,
     make_cycle,
+    mask_of,
     parse_graph6,
     random_graph,
 )
@@ -42,14 +44,22 @@ from kronkit.products import kronecker
 C5_REMOVAL = (0, 3, 6, 9)  # first column of the first four fibers of C5 x K3
 
 
+def _residues(rs):
+    """The surviving ids ``u * n + a`` of each fiber ``u``, read off the
+    label masks of the residue system."""
+    n = rs.product.order // rs.factor.order
+    return tuple(tuple(u * n + a for a in range(n) if labels >> a & 1)
+                 for u, labels in enumerate(rs.labels))
+
+
 def test_residue_system_on_c5_first_column():
     rs = build_residue_system(make_cycle(5), 3, C5_REMOVAL)
     assert rs.conditions.size_ok  # 4 == (3-1) * 2
     assert rs.conditions.residues_nonempty
     assert rs.conditions.no_isolated
-    assert rs.residues[0] == (1, 2)
-    assert rs.residues[4] == (12, 13, 14)
-    flat = [v for r in rs.residues for v in r]
+    assert _residues(rs)[0] == (1, 2)
+    assert _residues(rs)[4] == (12, 13, 14)
+    flat = [v for r in _residues(rs) for v in r]
     assert sorted(flat + list(rs.removed)) == list(range(15))
 
 
@@ -60,7 +70,12 @@ def test_residues_follow_the_fiber_definition_past_bit_63():
                  (random_graph(9, 0.5, 3), 8)]:
         mn = g.order * n
         for alive in ((1 << mn) - 1, rng.getrandbits(mn)):
-            assert product_analysis._residues(alive, g.order, n) == tuple(
+            removed = [v for v in range(mn) if not alive >> v & 1]
+            rs = build_residue_system(g, n, removed)
+            assert rs.labels == tuple(
+                sum(1 << a for a in range(n) if alive >> (u * n + a) & 1)
+                for u in range(g.order)), (g, n, alive)
+            assert _residues(rs) == tuple(
                 tuple(u * n + v for v in range(n) if alive >> (u * n + v) & 1)
                 for u in range(g.order)), (g, n, alive)
 
@@ -112,11 +127,12 @@ def _scan_gstar(rs):
     """Oracle: G* by scanning the surviving product edges between residues."""
     m = rs.factor.order
     padj = rs.product.adj
-    masks = [sum(1 << v for v in res) for res in rs.residues]
+    residues = _residues(rs)
+    masks = [sum(1 << v for v in res) for res in residues]
     adj = [0] * m
     for i in range(m):
         for j in range(i + 1, m):
-            if any(padj[a] & masks[j] for a in rs.residues[i]):
+            if any(padj[a] & masks[j] for a in residues[i]):
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
     return Graph(m, tuple(adj))
@@ -279,20 +295,35 @@ def test_samplers_reject_bad_arguments(checker):
         checker(make_cycle(5), 3, trials=-2, seed=0)
 
 
-def _replay_trial(g, n, seed, t, cap):
-    """(removed, rejections, isolation rejections) of trial ``t``, read off
-    the trial's generator stream with the residue-system oracle."""
-    rng = np.random.default_rng([seed, t])
-    rejections = isolation_rejections = 0
-    while rejections <= cap:
-        picked = rng.choice(g.order * n, size=(n - 1) * g.min_degree, replace=False)
-        conditions = build_residue_system(g, n, picked.tolist()).conditions
-        if conditions.residues_nonempty and conditions.no_isolated:
-            return tuple(sorted(picked.tolist())), rejections, isolation_rejections
-        rejections += 1
-        if conditions.residues_nonempty:
-            isolation_rejections += 1
-    return (), rejections, isolation_rejections
+def _reference_draws(g, n, trials, seed):
+    """Oracle for the trial draws: ``(removed, residues, rejections,
+    isolation rejections)`` per trial, from a fresh generator seeded with
+    ``[seed % 2**64, t]`` for each trial ``t``, with the residues read off
+    each fiber's block of the surviving ids and isolation read off the
+    product."""
+    product = kronecker(g, make_complete(n))
+    size = (n - 1) * g.min_degree
+    draws = []
+    for t in range(trials):
+        rng = np.random.default_rng([seed % 2**64, t])
+        rejections = isolation_rejections = 0
+        while rejections <= product_analysis.MAX_REJECTIONS:
+            picked = rng.choice(product.order, size=size, replace=False).tolist()
+            alive = product.full_mask() ^ mask_of(picked)
+            residues = tuple(tuple(iter_bits(alive & ((1 << n) - 1) << (u * n)))
+                             for u in range(g.order))
+            if not all(residues):
+                rejections += 1
+            elif has_isolated(product.adj, alive):
+                rejections += 1
+                isolation_rejections += 1
+            else:
+                draws.append((tuple(sorted(picked)), residues, rejections,
+                              isolation_rejections))
+                break
+        else:
+            draws.append(((), None, rejections, isolation_rejections))
+    return draws
 
 
 @pytest.mark.parametrize("cap, seed, trials, exhausted", [
@@ -308,8 +339,9 @@ def test_exhausted_sampling_reports_every_rejection(cap, seed, trials, exhausted
         for checker in (check_gstar_connected, check_residue_components):
             records = checker(triangle, 3, trials, seed)
             assert [(r.removed, r.rejections, r.isolation_rejections)
-                    for r in records] == [_replay_trial(triangle, 3, seed, t, cap)
-                                          for t in range(trials)]
+                    for r in records] == [
+                (removed, rej, iso)
+                for removed, _, rej, iso in _reference_draws(triangle, 3, trials, seed)]
             assert [(r.trial, r.rejections, r.isolation_rejections)
                     for r in records if r.error] == exhausted
             for r in records:
@@ -329,10 +361,11 @@ def test_fiber_isolation_test_matches_the_product_scan():
                graph_from_edges(4, [(0, 1), (1, 2), (2, 0)]))
     for g in factors:
         product = kronecker(g, make_complete(3))
+        neighbours = [g.neighbors(u) for u in range(g.order)]
         for alive in range(1 << product.order):
             labels = [alive >> (3 * u) & 7 for u in range(g.order)]
             if all(labels):
-                assert (product_analysis._fiber_isolates(g.adj, labels)
+                assert (product_analysis._fiber_isolates(neighbours, labels)
                         == has_isolated(product.adj, alive)), (g, alive)
 
 
@@ -363,13 +396,42 @@ def test_changed_sampler_arguments_never_reuse_a_draw(change):
     assert draws.cache_info().currsize == 1
 
 
+@pytest.mark.parametrize("seed", [0, 1, -1, 2**63, 2**64 + 5])
+@pytest.mark.parametrize("g, n", [
+    (make_cycle(5), 3), (make_complete(4), 4), (make_cycle(7), 5),
+    (make_cycle(23), 3),  # 69 vertices, past bit 63
+], ids=["C5xK3", "K4xK4", "C7xK5", "C23xK3"])
+def test_restored_trial_states_give_the_seeded_stream(g, n, seed):
+    for trials in (0, 1, 15):
+        draws = [(rs.removed, _residues(rs), rej, iso) if rs is not None
+                 else ((), None, rej, iso)
+                 for rs, rej, iso in product_analysis._draw_trials(g, n, trials, seed)]
+        assert draws == _reference_draws(g, n, trials, seed), (trials, seed)
+
+
+def test_trial_states_are_shared_by_every_graph_of_a_seed_and_trial_count():
+    states = product_analysis._trial_states
+    draws = product_analysis._draw_trials
+    states.cache_clear()
+    draws(make_cycle(5), 3, 15, 5)
+    assert (states.cache_info().hits, states.cache_info().misses) == (0, 1)
+    draws(make_complete(4), 4, 15, 5)
+    draws(make_cycle(7), 5, 15, 5 + 2**64)  # the same seed modulo 2**64
+    assert (states.cache_info().hits, states.cache_info().misses) == (2, 1)
+    draws(make_cycle(7), 5, 15, 6)
+    assert (states.cache_info().hits, states.cache_info().misses) == (2, 2)
+    draws(make_cycle(7), 5, 14, 6)
+    assert (states.cache_info().hits, states.cache_info().misses) == (2, 3)
+    assert states.cache_info().currsize == 1
+
+
 def test_sampled_conditions_equal_the_residue_system_conditions():
     for g, n in ((make_cycle(5), 3), (make_complete(4), 4), (make_cycle(7), 5)):
         for rs, _, _ in product_analysis._draw_trials(g, n, 20, 3):
             assert rs is not None
             fresh = build_residue_system(g, n, rs.removed)
             assert rs.conditions == fresh.conditions
-            assert rs.residues == fresh.residues
+            assert _residues(rs) == _residues(fresh)
 
 
 # -- verification -------------------------------------------------------------
