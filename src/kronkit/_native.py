@@ -1,15 +1,18 @@
-"""Build and load the C split-flow kernel, ``_splitflow.c``.
+"""Build and load the C kernel: the split-flow network, ``_splitflow.c``,
+and the canonical form of small graphs, ``_canon.c``.
 
-The kernel is compiled on first use with the system C compiler into the
-per-user cache (``$XDG_CACHE_HOME/kronkit``, else ``~/.cache/kronkit``), under
-a name keyed by the sha256 of the source and the compiler flags, so a
-changed kernel is never loaded from a stale build.  The compiler writes a
-temporary file that ``os.replace`` then moves into place, so processes that
-build at the same time, such as pool workers, each load a complete library.
+Both sources are compiled on first use with the system C compiler into one
+library in the per-user cache (``$XDG_CACHE_HOME/kronkit``, else
+``~/.cache/kronkit``), under a name keyed by the sha256 of every source and
+the compiler flags, so a changed kernel is never loaded from a stale build.
+The compiler writes a temporary file that ``os.replace`` then moves into
+place, so processes that build at the same time, such as pool workers, each
+load a complete library.
 
-:func:`library` returns None when the source, the compiler or the cache is
+:func:`library` returns None when a source, the compiler or the cache is
 unusable; :mod:`kronkit.connectivity` then uses its Python network, which
-gives the same flows, cuts and searches.
+gives the same flows, cuts and searches, and :mod:`kronkit.corpus` its
+isomorphism search, which keeps the same representatives.
 """
 
 from __future__ import annotations
@@ -23,7 +26,8 @@ import subprocess
 import tempfile
 from pathlib import Path
 
-SOURCE = Path(__file__).with_name("_splitflow.c")
+SOURCES = tuple(Path(__file__).with_name(name)
+                for name in ("_splitflow.c", "_canon.c"))
 COMPILER = "cc"
 FLAGS = ("-O2", "-shared", "-fPIC")
 
@@ -40,7 +44,7 @@ def _build(path: Path) -> None:
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.stem, suffix=".tmp")
     os.close(fd)
     try:
-        subprocess.run([COMPILER, *FLAGS, "-o", tmp, str(SOURCE)],
+        subprocess.run([COMPILER, *FLAGS, "-o", tmp, *map(str, SOURCES)],
                        check=True, capture_output=True, timeout=300)
         os.replace(tmp, path)
     finally:
@@ -48,13 +52,20 @@ def _build(path: Path) -> None:
             os.unlink(tmp)
 
 
+def library_path() -> Path:
+    """Where the build of the current sources and flags is cached."""
+    digest = hashlib.sha256()
+    for source in SOURCES:
+        digest.update(source.name.encode() + b"\0" + source.read_bytes() + b"\0")
+    digest.update(" ".join(FLAGS).encode())
+    return _cache_dir() / f"kernel-{digest.hexdigest()[:16]}-{platform.machine()}.so"
+
+
 @functools.cache
 def library() -> ctypes.CDLL | None:
     """The loaded kernel, built first if the cache lacks it, or None."""
     try:
-        source = SOURCE.read_bytes()
-        key = hashlib.sha256(source + " ".join(FLAGS).encode()).hexdigest()[:16]
-        path = _cache_dir() / f"splitflow-{key}-{platform.machine()}.so"
+        path = library_path()
         if not path.exists():
             _build(path)
         lib = ctypes.CDLL(str(path))
@@ -70,4 +81,8 @@ def library() -> ctypes.CDLL | None:
     lib.splitflow_min_separators.restype = ctypes.c_int64
     lib.splitflow_min_cuts.argtypes = [_WORDS, ctypes.c_int, _WORDS, ctypes.c_int64]
     lib.splitflow_min_cuts.restype = ctypes.c_int64
+    lib.canon_key.argtypes = [ctypes.c_int, _WORDS, _WORDS]
+    lib.canon_key.restype = ctypes.c_int
+    lib.canon_children.argtypes = [ctypes.c_int, _WORDS, ctypes.c_int, _WORDS]
+    lib.canon_children.restype = ctypes.c_int
     return lib

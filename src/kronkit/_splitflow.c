@@ -30,7 +30,8 @@
  * search past the budget; -2 (splitflow_min_cuts only) when the residual
  * storage cannot be allocated.
  *
- * Build: cc -O2 -shared -fPIC -o _splitflow.so _splitflow.c
+ * Build, with _canon.c into one library as kronkit._native does:
+ *     cc -O2 -shared -fPIC -o kernel.so _splitflow.c _canon.c
  */
 
 #include <stdint.h>

@@ -55,7 +55,7 @@ from .product_analysis import (
 from .products import is_bipartite, kronecker, linearization_rows
 
 GRAPH6_HEADER = ">>graph6<<"
-MAX_CORPUS_ORDER = 8  # all_graphs(9) takes 251 s (one run, 2-core Xeon VM)
+MAX_CORPUS_ORDER = 9  # all_graphs(9) takes 5.5 s (one run, 2-core Xeon VM)
 # Residual searches allowed per instance.  The order-8 kd-equal sweep at
 # n = 3, 4, 5 needs at most 335 (G]~v~w x K_5), so the default stops only a
 # runaway instance: a search takes some 90 us on the 128-vertex Q_5 x K_4,

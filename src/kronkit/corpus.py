@@ -6,18 +6,30 @@ corpus restricts to connected parents and nonempty attachment sets, which
 still reaches every connected graph: every connected graph has a vertex whose
 removal keeps it connected (any leaf of a spanning tree).
 
-Candidates are bucketed by an iterated-refinement fingerprint and confirmed
-with an exact isomorphism search, so output is exhaustive and duplicate-free;
-the test suite pins the corpus sizes to the published counts of graphs on up
-to 8 vertices.  Output order is deterministic.
+Duplicates are dropped by a canonical form that the C kernel
+(``_canon.c``, loaded by :mod:`kronkit._native`) computes for graphs of at
+most 16 vertices by individualisation-refinement: one kernel call per parent
+writes the key of every child, and a child is kept when its key is new.
+Without the kernel, or above 16 vertices, candidates are bucketed by an
+iterated-refinement fingerprint and confirmed with an exact isomorphism
+search; the tests compare the two routes.  Both keep the first-found
+representative of each class, so output is exhaustive, duplicate-free and
+the same on either route, and its order is deterministic.  The test suite
+pins the corpus sizes to the published counts of graphs on up to 8
+vertices.
 """
 
 from __future__ import annotations
 
+import ctypes
 from collections import defaultdict
 from functools import lru_cache
 
+from . import _native
 from .graphs import Graph, iter_bits
+
+# The kernel packs a key into the C(16, 2) = 120 bits of two 64-bit words.
+_CANON_MAX_ORDER = 16
 
 
 def refined_colors(g: Graph) -> tuple[int, ...]:
@@ -106,19 +118,41 @@ def are_isomorphic(g1: Graph, g2: Graph) -> bool:
     return _iso_search(g1, c1, g2, c2)
 
 
-def _extend_layer(parents: tuple[Graph, ...], order: int,
-                  connected_only: bool) -> tuple[Graph, ...]:
+def _child(parent: Graph, order: int, subset: int) -> Graph:
+    """The parent with a new last vertex adjacent to exactly ``subset``."""
     new_bit = 1 << (order - 1)
+    adj = [m | new_bit if subset >> v & 1 else m for v, m in enumerate(parent.adj)]
+    adj.append(subset)
+    return Graph(order, tuple(adj))
+
+
+def _extend_by_key(lib: ctypes.CDLL, parents: tuple[Graph, ...], order: int,
+                   first_subset: int) -> tuple[Graph, ...]:
+    count = (1 << (order - 1)) - first_subset
+    words = (ctypes.c_uint64 * (order - 1))()
+    keys = (ctypes.c_uint64 * (2 * count))()
+    reps: list[Graph] = []
+    seen: set[bytes] = set()
+    for parent in parents:
+        words[:] = parent.adj
+        if lib.canon_children(order, words, first_subset, keys):
+            raise RuntimeError(f"canon_children rejected order {order}")
+        raw = bytes(keys)
+        for i in range(count):
+            key = raw[16 * i:16 * i + 16]
+            if key not in seen:
+                seen.add(key)
+                reps.append(_child(parent, order, first_subset + i))
+    return tuple(reps)
+
+
+def _extend_by_search(parents: tuple[Graph, ...], order: int,
+                      first_subset: int) -> tuple[Graph, ...]:
     reps: list[Graph] = []
     buckets: dict[tuple, list[tuple[Graph, tuple[int, ...]]]] = {}
-    first_subset = 1 if connected_only else 0
     for parent in parents:
-        base = parent.adj
         for subset in range(first_subset, 1 << (order - 1)):
-            adj = [base[v] | new_bit if subset >> v & 1 else base[v]
-                   for v in range(order - 1)]
-            adj.append(subset)
-            g = Graph(order, tuple(adj))
+            g = _child(parent, order, subset)
             colors = refined_colors(g)
             bucket = buckets.setdefault(_fingerprint(g, colors), [])
             if not any(_iso_search(g, colors, seen, seen_colors)
@@ -126,6 +160,15 @@ def _extend_layer(parents: tuple[Graph, ...], order: int,
                 bucket.append((g, colors))
                 reps.append(g)
     return tuple(reps)
+
+
+def _extend_layer(parents: tuple[Graph, ...], order: int,
+                  connected_only: bool) -> tuple[Graph, ...]:
+    first_subset = 1 if connected_only else 0
+    lib = _native.library() if order <= _CANON_MAX_ORDER else None
+    if lib is None:
+        return _extend_by_search(parents, order, first_subset)
+    return _extend_by_key(lib, parents, order, first_subset)
 
 
 @lru_cache(maxsize=None)

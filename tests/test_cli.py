@@ -426,7 +426,7 @@ def test_empty_factor_is_an_in_stream_skip(command, capsys):
     (["batch", "--n", ",", "--g6", "Bw"], "batch needs at least one --n value"),
     (["cuts", "--g6", "Bw", "--budget", "-1"], "--budget must be >= 0"),
     (["gstar", "--n", "3", "--g6", "Bw", "--trials", "-1"], "--trials >= 0"),
-    (["batch", "--n", "3", "--all-graphs", "--max-order", "9"], "--max-order <= 8"),
+    (["batch", "--n", "3", "--all-graphs", "--max-order", "10"], "--max-order <= 9"),
     (["batch", "--n", "3", "--all-graphs", "--max-order", "0"],
      "--max-order >= 1, got 0"),
     (["batch", "--n", "3", "--all-graphs", "--max-order", "-2"],
@@ -437,7 +437,7 @@ def test_empty_factor_is_an_in_stream_skip(command, capsys):
      "unrecognized arguments: --p 7 --seed -3"),
     (["gen", "cycle", "--order", "5", "--count", "3"],
      "unrecognized arguments: --count 3"),
-], ids=["workers-0", "n-empty", "budget-flag-negative", "trials-negative", "max-order-9",
+], ids=["workers-0", "n-empty", "budget-flag-negative", "trials-negative", "max-order-10",
         "max-order-0", "max-order-negative", "count-0", "count-negative",
         "gen-complete-random-options", "gen-cycle-count"])
 def test_input_guards(argv, message, capsys, monkeypatch):

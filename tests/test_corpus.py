@@ -1,15 +1,31 @@
 """Tests for exhaustive small-graph corpus generation."""
 
+import ctypes
 import itertools
+import random
 
 import pytest
 
-from kronkit.corpus import all_graphs, are_isomorphic, connected_graphs, graphs_up_to
-from kronkit.graphs import is_connected, make_complete, make_cycle, validate
+from kronkit import _native
+from kronkit.corpus import (
+    all_graphs,
+    are_isomorphic,
+    connected_graphs,
+    graphs_up_to,
+    refined_colors,
+)
+from kronkit.graphs import (
+    Graph,
+    graph_from_edges,
+    is_connected,
+    make_complete,
+    make_cycle,
+    validate,
+)
 
 # published counts of graphs / connected graphs on n vertices
-ALL_COUNTS = {0: 1, 1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
-CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
+ALL_COUNTS = {0: 1, 1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
+CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
 
 
 @pytest.mark.parametrize("order,count", sorted(ALL_COUNTS.items()))
@@ -60,3 +76,100 @@ def test_generation_is_deterministic():
     connected_graphs.cache_clear()
     b = [g.adj for g in connected_graphs(5)]
     assert a == b
+
+
+
+@pytest.fixture
+def lib():
+    lib = _native.library()
+    if lib is None:
+        pytest.skip("the native kernel did not build")
+    return lib
+
+
+def test_search_route_keeps_the_kernel_routes_representatives(lib, monkeypatch):
+    """Without the kernel, the fingerprint-and-search route builds both
+    corpora graph for graph, in the same order."""
+    kernel = [(all_graphs(k), connected_graphs(k)) for k in range(1, 8)]
+    monkeypatch.setattr(_native, "library", lambda: None)
+    all_graphs.cache_clear()
+    connected_graphs.cache_clear()
+    try:
+        search = [(all_graphs(k), connected_graphs(k)) for k in range(1, 8)]
+    finally:
+        all_graphs.cache_clear()
+        connected_graphs.cache_clear()
+    assert search == kernel
+
+
+def _key(lib, g: Graph) -> bytes:
+    key = (ctypes.c_uint64 * 2)()
+    assert lib.canon_key(g.order, (ctypes.c_uint64 * g.order)(*g.adj), key) == 0
+    return bytes(key)
+
+
+def _relabel(g: Graph, rng: random.Random) -> Graph:
+    perm = list(range(g.order))
+    rng.shuffle(perm)
+    return graph_from_edges(g.order, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def test_keys_are_relabelling_invariant_and_distinct_up_to_order_7(lib):
+    rng = random.Random(7)
+    for order in range(8):
+        keys = set()
+        for g in all_graphs(order):
+            key = _key(lib, g)
+            assert all(_key(lib, _relabel(g, rng)) == key for _ in range(3)), g
+            keys.add(key)
+        assert len(keys) == len(all_graphs(order))
+
+
+def _rook() -> Graph:
+    """K_4 x K_4 in the Cartesian sense: cells of a 4x4 board sharing a
+    row or a column."""
+    return graph_from_edges(16, [(u, v) for u, v in itertools.combinations(range(16), 2)
+                                 if u // 4 == v // 4 or u % 4 == v % 4])
+
+
+def _shrikhande() -> Graph:
+    """The Cayley graph of Z_4 x Z_4 on (0, 1), (1, 0) and (1, 1)."""
+    steps = {(0, 1), (0, 3), (1, 0), (3, 0), (1, 1), (3, 3)}
+    return graph_from_edges(16, [
+        (u, v) for u, v in itertools.combinations(range(16), 2)
+        if ((v // 4 - u // 4) % 4, (v % 4 - u % 4) % 4) in steps])
+
+
+NAMED = {
+    "K16": lambda: make_complete(16),
+    "empty16": lambda: Graph(16, (0,) * 16),
+    "K3,5": lambda: graph_from_edges(8, [(u, v) for u in range(3) for v in range(3, 8)]),
+    "K8,8": lambda: graph_from_edges(16, [(u, v) for u in range(8) for v in range(8, 16)]),
+    "petersen": lambda: graph_from_edges(10, [(i, (i + 1) % 5) for i in range(5)]
+                                         + [(i, i + 5) for i in range(5)]
+                                         + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]),
+    "Q4": lambda: graph_from_edges(16, [(u, u ^ 1 << b) for u in range(16)
+                                        for b in range(4) if u < u ^ 1 << b]),
+    "rook4x4": _rook,
+    "shrikhande": _shrikhande,
+}
+
+
+@pytest.mark.parametrize("name", NAMED)
+def test_named_graph_keys_are_relabelling_invariant(lib, name):
+    g = NAMED[name]()
+    validate(g)
+    rng = random.Random(name)
+    key = _key(lib, g)
+    assert all(_key(lib, _relabel(g, rng)) == key for _ in range(3))
+
+
+def test_individualisation_separates_rook_from_shrikhande(lib):
+    """Both are srg(16, 6, 2, 2), so refinement leaves each in one cell; only
+    individualising vertices tells them apart."""
+    rook, shrikhande = _rook(), _shrikhande()
+    for g in (rook, shrikhande):
+        assert len(set(refined_colors(g))) == 1
+    assert rook.degrees() == shrikhande.degrees() == [6] * 16
+    assert not are_isomorphic(rook, shrikhande)
+    assert _key(lib, rook) != _key(lib, shrikhande)

@@ -248,13 +248,29 @@ def test_failed_kernel_allocation_raises_memory_error(native):
 
 
 def test_kernel_compiles_without_warnings():
-    """The kernel stays clean under the compiler's common warnings."""
+    """Every kernel source stays clean under the compiler's common warnings."""
     if shutil.which(_native.COMPILER) is None:
         pytest.skip(f"no {_native.COMPILER} on PATH")
+    assert [source.name for source in _native.SOURCES] == ["_splitflow.c", "_canon.c"]
     result = subprocess.run(
         [_native.COMPILER, "-Wall", "-Wextra", "-Werror", "-fsyntax-only",
-         str(_native.SOURCE)], capture_output=True, text=True, timeout=300)
+         *map(str, _native.SOURCES)], capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr
+
+
+def test_editing_any_source_renames_the_cached_library(tmp_path, monkeypatch):
+    """A build is cached under a name keyed by every source, so an edited
+    kernel is built afresh instead of loaded from a stale library."""
+    copies = []
+    for source in _native.SOURCES:
+        copies.append(tmp_path / source.name)
+        copies[-1].write_bytes(source.read_bytes())
+    monkeypatch.setattr(_native, "SOURCES", tuple(copies))
+    names = {_native.library_path().name}
+    for copy in copies:
+        copy.write_bytes(copy.read_bytes() + b"\n")
+        names.add(_native.library_path().name)
+    assert len(names) == len(copies) + 1
 
 
 def test_native_route_is_taken_when_a_compiler_is_present():
