@@ -3,13 +3,11 @@
 from .connectivity import (
     ConnectivityResult,
     CutSet,
-    brute_force_connectivity,
-    classify_cut,
     connectivity_result,
     enumerate_min_cuts,
     vertex_connectivity,
 )
-from .corpus import all_graphs, are_isomorphic, connected_graphs, graphs_up_to
+from .corpus import all_graphs, connected_graphs, graphs_up_to
 from .errors import (
     BudgetExceededError,
     Graph6Error,
@@ -19,15 +17,12 @@ from .errors import (
 )
 from .graphs import (
     Graph,
-    delete_vertex,
     encode_graph6,
-    graph_from_edges,
     is_connected,
     make_complete,
     make_cycle,
     parse_graph6,
     random_graph,
-    validate,
 )
 from .product_analysis import (
     BatchSummary,
@@ -36,17 +31,12 @@ from .product_analysis import (
     VerificationReport,
     batch_verify,
     build_gstar,
-    build_residue_system,
     check_gstar_connected,
     check_residue_components,
     verify_connectivity_formula,
     verify_super_connectivity,
 )
-from .products import (
-    is_bipartite,
-    kronecker,
-    weichsel_connected,
-)
+from .products import is_bipartite, kronecker
 
 __all__ = [
     "BatchSummary",
@@ -62,20 +52,14 @@ __all__ = [
     "UnsupportedSizeError",
     "VerificationReport",
     "all_graphs",
-    "are_isomorphic",
     "batch_verify",
-    "brute_force_connectivity",
     "build_gstar",
-    "build_residue_system",
     "check_gstar_connected",
     "check_residue_components",
-    "classify_cut",
     "connected_graphs",
     "connectivity_result",
-    "delete_vertex",
     "encode_graph6",
     "enumerate_min_cuts",
-    "graph_from_edges",
     "graphs_up_to",
     "is_bipartite",
     "is_connected",
@@ -84,11 +68,9 @@ __all__ = [
     "make_cycle",
     "parse_graph6",
     "random_graph",
-    "validate",
     "verify_connectivity_formula",
     "verify_super_connectivity",
     "vertex_connectivity",
-    "weichsel_connected",
 ]
 
 __version__ = "0.1.0"

@@ -22,11 +22,6 @@ the C network one enumeration is one kernel call, which walks the pairs,
 runs their flows and reads their separators; :func:`vertex_connectivity`
 still makes one call per pair.
 
-The brute-force section keeps definition-level oracles for the tests:
-:func:`brute_force_connectivity` scans vertex subsets in increasing size
-with a union-find separation test, and :func:`brute_force_min_cuts` scans
-every subset of size kappa.
-
 Removing all but one vertex counts as separating (the remainder is the
 trivial one-vertex graph), so complete graphs get connectivity ``n - 1`` and
 their minimum cuts isolate the lone survivor.
@@ -35,26 +30,16 @@ their minimum cuts isolate the lone survivor.
 from __future__ import annotations
 
 import ctypes
-import itertools
 from dataclasses import dataclass
 
 from . import _native
-from .errors import BudgetExceededError, PreconditionError, UnsupportedSizeError
-from .graphs import (
-    Graph,
-    has_isolated,
-    is_connected,
-    iter_bits,
-    mask_of,
-    reachable_mask,
-)
-
-BRUTE_FORCE_MAX_ORDER = 20
+from .errors import BudgetExceededError, PreconditionError
+from .graphs import Graph, is_connected, iter_bits, reachable_mask
 
 
 @dataclass(frozen=True)
 class CutSet:
-    """A vertex set with its separation classification.
+    """A minimum separating set with its classification.
 
     ``isolates`` means some surviving vertex has no surviving neighbor;
     ``witness`` is the lowest vertex whose neighborhood the set equals
@@ -62,7 +47,6 @@ class CutSet:
     """
 
     vertices: tuple[int, ...]
-    separates: bool
     isolates: bool
     witness: int | None
 
@@ -416,115 +400,7 @@ def vertex_connectivity(g: Graph, budget: int | None = None,
     return best
 
 
-# -- brute-force oracle -------------------------------------------------------
-
-def _union_find_separates(order: int, edge_list: list[tuple[int, int]],
-                          removed: frozenset[int] | set[int]) -> bool:
-    """Definition-level separation test: survivors form >1 component or K_1."""
-    alive = [v for v in range(order) if v not in removed]
-    if len(alive) <= 1:
-        return len(alive) == 1
-    parent = list(range(order))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    components = len(alive)
-    for u, v in edge_list:
-        if u in removed or v in removed:
-            continue
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-            components -= 1
-    return components > 1
-
-
-def brute_force_connectivity(g: Graph) -> int:
-    """Smallest separating-set size by exhaustive subset scan.
-
-    Scans sizes 0, 1, 2, ... and returns at the first separating subset, so
-    it never relies on the flow machinery.  Guarded to order <= 20.
-    """
-    if g.order == 0:
-        raise ValueError("connectivity is undefined for the empty graph")
-    if g.order > BRUTE_FORCE_MAX_ORDER:
-        raise UnsupportedSizeError(
-            f"brute-force scan is guarded to order <= {BRUTE_FORCE_MAX_ORDER}, "
-            f"got {g.order}")
-    if g.order == 1:
-        return 0
-    edge_list = list(g.edges())
-    for size in range(g.order):
-        for combo in itertools.combinations(range(g.order), size):
-            if _union_find_separates(g.order, edge_list, frozenset(combo)):
-                return size
-    return g.order - 1  # unreachable: size n-1 always leaves K_1
-
-
-def brute_force_min_cuts(g: Graph) -> list[CutSet]:
-    """Every separating set of size kappa(g), by scanning all subsets of that size.
-
-    The test oracle for :func:`enumerate_min_cuts`: the same preconditions
-    and lexicographic order, no budget, guarded to order <= 20.
-    """
-    if g.order < 2:
-        raise PreconditionError("min-cut enumeration needs order >= 2")
-    if not is_connected(g):
-        raise PreconditionError("min-cut enumeration needs a connected graph")
-    if g.order > BRUTE_FORCE_MAX_ORDER:
-        raise UnsupportedSizeError(
-            f"brute-force scan is guarded to order <= {BRUTE_FORCE_MAX_ORDER}, "
-            f"got {g.order}")
-    full = g.full_mask()
-    cuts = []
-    for combo in itertools.combinations(range(g.order), vertex_connectivity(g)):
-        removed = mask_of(combo)
-        alive = full ^ removed
-        if alive & (alive - 1):
-            start = (alive & -alive).bit_length() - 1
-            if reachable_mask(g.adj, alive, start) == alive:
-                continue
-        cuts.append(_classify_mask(g, removed, combo))
-    return cuts
-
-
-# -- cut classification and enumeration ---------------------------------------
-
-def _classify_mask(g: Graph, removed: int, vertices: tuple[int, ...]) -> CutSet:
-    full = g.full_mask()
-    alive = full & ~removed
-    if alive == 0:
-        separates = False
-    elif alive & (alive - 1) == 0:
-        separates = True  # lone survivor: the trivial one-vertex graph
-    else:
-        start = (alive & -alive).bit_length() - 1
-        separates = reachable_mask(g.adj, alive, start) != alive
-    isolates = has_isolated(g.adj, alive)
-    witness = None
-    if removed:
-        for x in range(g.order):
-            if g.adj[x] == removed:
-                witness = x
-                break
-    return CutSet(vertices, separates, isolates, witness)
-
-
-def classify_cut(g: Graph, s) -> CutSet:
-    """Classify an arbitrary vertex set of ``g``.
-
-    Non-separating sets come back with ``separates=False`` rather than an
-    error.
-    """
-    vertices = tuple(sorted(set(s)))
-    if vertices and not (0 <= vertices[0] and vertices[-1] < g.order):
-        raise ValueError(f"cut contains ids outside 0..{g.order - 1}")
-    return _classify_mask(g, mask_of(vertices), vertices)
-
+# -- enumeration --------------------------------------------------------------
 
 def enumerate_min_cuts(g: Graph, budget: int | None = None,
                        labels: int = 1) -> list[CutSet]:
@@ -573,16 +449,16 @@ def enumerate_min_cuts(g: Graph, budget: int | None = None,
             if image not in masks:
                 masks.add(image)
                 unclosed.append(image)
-    # Every mask separates.  A minimum cut S isolates v only if N(v) = S,
-    # since N(v) lies in S and |N(v)| >= delta >= kappa = |S|; so the
-    # lowest v with adj[v] == S classifies the cut.
+    # A minimum cut S isolates v only if N(v) = S, since N(v) lies in S and
+    # |N(v)| >= delta >= kappa = |S|; so the lowest v with adj[v] == S
+    # classifies the cut.
     lowest = {}
     for v, nbrs in enumerate(g.adj):
         lowest.setdefault(nbrs, v)
     cuts = []
     for vertices, mask in sorted((tuple(iter_bits(m)), m) for m in masks):
         witness = lowest.get(mask)
-        cuts.append(CutSet(vertices, True, witness is not None, witness))
+        cuts.append(CutSet(vertices, witness is not None, witness))
     return cuts
 
 

@@ -108,16 +108,6 @@ def _iso_search(g1: Graph, c1: tuple[int, ...],
     return place(0)
 
 
-def are_isomorphic(g1: Graph, g2: Graph) -> bool:
-    """Exact isomorphism test by color-guided backtracking."""
-    if g1.order != g2.order or g1.edge_count != g2.edge_count:
-        return False
-    c1, c2 = refined_colors(g1), refined_colors(g2)
-    if sorted(c1) != sorted(c2):
-        return False
-    return _iso_search(g1, c1, g2, c2)
-
-
 def _child(parent: Graph, order: int, subset: int) -> Graph:
     """The parent with a new last vertex adjacent to exactly ``subset``."""
     new_bit = 1 << (order - 1)

@@ -38,9 +38,6 @@ class Graph:
     order: int
     adj: tuple[int, ...]
 
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
-
     def degrees(self) -> list[int]:
         return [m.bit_count() for m in self.adj]
 
@@ -59,46 +56,8 @@ class Graph:
         """Smallest vertex degree; 0 for the empty graph."""
         return min((m.bit_count() for m in self.adj), default=0)
 
-    def edges(self) -> Iterator[tuple[int, int]]:
-        """Yield edges as ``(u, v)`` with ``u < v`` in lexicographic order."""
-        for u in range(self.order):
-            for v in iter_bits(self.adj[u] >> (u + 1) << (u + 1)):
-                yield (u, v)
-
     def full_mask(self) -> int:
         return (1 << self.order) - 1
-
-
-def graph_from_edges(order: int, edges: Iterable[tuple[int, int]]) -> Graph:
-    """Build a validated Graph from an edge list."""
-    if order < 0:
-        raise ValueError(f"order must be >= 0, got {order}")
-    adj = [0] * order
-    for u, v in edges:
-        if not (0 <= u < order and 0 <= v < order):
-            raise ValueError(f"edge ({u},{v}) out of range for order {order}")
-        if u == v:
-            raise ValueError(f"self-loop at vertex {u} is not allowed")
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    return Graph(order, tuple(adj))
-
-
-def validate(g: Graph) -> None:
-    """Raise ValueError if ``g`` breaks a structural invariant."""
-    if g.order < 0:
-        raise ValueError("negative order")
-    if len(g.adj) != g.order:
-        raise ValueError(f"adjacency has {len(g.adj)} rows for order {g.order}")
-    full = g.full_mask()
-    for v, mask in enumerate(g.adj):
-        if mask & ~full:
-            raise ValueError(f"vertex {v} has neighbors >= order")
-        if mask >> v & 1:
-            raise ValueError(f"self-loop at vertex {v}")
-        for u in iter_bits(mask):
-            if not g.adj[u] >> v & 1:
-                raise ValueError(f"asymmetric edge ({v},{u})")
 
 
 def make_complete(n: int) -> Graph:
@@ -141,24 +100,6 @@ def random_graph(order: int, edge_probability: float, seed: int) -> Graph:
     return Graph(order, tuple(adj))
 
 
-def delete_vertex(g: Graph, v: int) -> Graph:
-    """Remove vertex ``v``; ids above ``v`` shift down by one.
-
-    The relabeling map is deterministic: old vertex ``u`` becomes ``u`` when
-    ``u < v`` and ``u - 1`` when ``u > v``.
-    """
-    if not 0 <= v < g.order:
-        raise ValueError(f"vertex {v} out of range for order {g.order}")
-    low_mask = (1 << v) - 1
-    adj = []
-    for u in range(g.order):
-        if u == v:
-            continue
-        m = g.adj[u]
-        adj.append((m & low_mask) | (m >> (v + 1) << v))
-    return Graph(g.order - 1, tuple(adj))
-
-
 # -- traversal ---------------------------------------------------------------
 
 def reachable_mask(adj: Sequence[int], alive: int, start: int) -> int:
@@ -196,17 +137,6 @@ def mask_of(ids: Iterable[int]) -> int:
     for v in ids:
         mask |= 1 << v
     return mask
-
-
-def has_isolated(adj: Sequence[int], alive: int) -> bool:
-    """True when some vertex of ``alive`` has no neighbor inside ``alive``."""
-    m = alive
-    while m:
-        low = m & -m
-        if adj[low.bit_length() - 1] & alive == 0:
-            return True
-        m ^= low
-    return False
 
 
 def components(adj: Sequence[int], alive: int) -> list[int]:

@@ -36,7 +36,6 @@ from .graphs import (
     Graph,
     components,
     encode_graph6,
-    has_isolated,
     is_connected,
     make_complete,
     mask_of,
@@ -50,17 +49,12 @@ MAX_REJECTIONS = 100_000
 # -- residue systems ----------------------------------------------------------
 
 @dataclass(frozen=True)
-class ResidueConditions:
-    size_ok: bool
-    residues_nonempty: bool
-    no_isolated: bool
-
-
-@dataclass(frozen=True)
 class ResidueSystem:
     """A removal candidate together with the per-fiber survivors.
 
-    ``product`` is ``factor x K_n``, with ids ``u * n + a``.  ``labels[u]``
+    The sampler builds one per valid removal it draws, which has
+    ``(n-1) * delta`` ids, a survivor in every fiber and no isolated
+    survivor.  ``product`` is ``factor x K_n``, with ids ``u * n + a``.  ``labels[u]``
     is the label mask of fiber ``u``'s survivors: bit ``a`` is set when
     ``u * n + a`` survives, so the residue of fiber ``u`` is empty exactly
     when ``labels[u]`` is 0.
@@ -70,31 +64,6 @@ class ResidueSystem:
     product: Graph
     removed: tuple[int, ...]
     labels: tuple[int, ...]
-    conditions: ResidueConditions
-
-
-def build_residue_system(g: Graph, n: int, removed: Iterable[int]) -> ResidueSystem:
-    """Evaluate a removal candidate against the three removal conditions.
-
-    Failed conditions come back as flags, never as errors.
-    """
-    if n < 3:
-        raise ValueError(f"second factor needs n >= 3, got {n}")
-    if not is_connected(g) or g.order == 0:
-        raise PreconditionError("residue systems need a connected factor graph")
-    product = kronecker(g, make_complete(n))
-    mn = product.order
-    removed_sorted = tuple(sorted(set(removed)))
-    if removed_sorted and not (0 <= removed_sorted[0] and removed_sorted[-1] < mn):
-        raise ValueError(f"removed ids must lie in 0..{mn - 1}")
-    alive = product.full_mask() ^ mask_of(removed_sorted)
-    labels = tuple(alive >> s & (1 << n) - 1 for s in range(0, mn, n))
-    conditions = ResidueConditions(
-        size_ok=len(removed_sorted) == (n - 1) * g.min_degree,
-        residues_nonempty=all(labels),
-        no_isolated=not has_isolated(product.adj, alive),
-    )
-    return ResidueSystem(g, product, removed_sorted, labels, conditions)
 
 
 def build_gstar(rs: ResidueSystem) -> Graph:
@@ -106,7 +75,7 @@ def build_gstar(rs: ResidueSystem) -> Graph:
     are the same single label: ``labels[i] == labels[j]`` with one bit set.
     """
     labels = rs.labels
-    if not rs.conditions.residues_nonempty:
+    if 0 in labels:
         raise PreconditionError(f"residue of fiber {labels.index(0)} is empty")
     # The fibers left with each single label.
     alone = {}
@@ -132,10 +101,6 @@ class TrialRecord:
     gstar_connected: bool | None
     split_residues: tuple[int, ...] | None
     error: str | None = None
-
-
-# A sampled removal is drawn at the right size and sampled for the rest.
-_SAMPLED = ResidueConditions(size_ok=True, residues_nonempty=True, no_isolated=True)
 
 
 def _sample_valid_removals(g: Graph, product: Graph,
@@ -180,7 +145,7 @@ def _sample_valid_removals(g: Graph, product: Graph,
                 isolation_rejections += 1
             else:
                 rs = ResidueSystem(g, product, tuple(sorted(picked)),
-                                   tuple(labels), _SAMPLED)
+                                   tuple(labels))
                 draws.append((rs, rejections, isolation_rejections))
                 break
         else:

@@ -10,8 +10,7 @@ has no loops), and the fibers partition the product's vertices.
 
 from __future__ import annotations
 
-from .errors import PreconditionError
-from .graphs import Graph, is_connected, iter_bits
+from .graphs import Graph, iter_bits
 
 
 def kronecker(g1: Graph, g2: Graph) -> Graph:
@@ -68,21 +67,6 @@ def _odd_walk(x: int, y: int, parent: list[int]) -> list[int]:
     while parent[up_y[-1]] >= 0:
         up_y.append(parent[up_y[-1]])
     return up_x + up_y[::-1][1:] + [x]
-
-
-def weichsel_connected(g1: Graph, g2: Graph) -> bool:
-    """Connectedness of the product of two connected factors.
-
-    The product of connected factors is connected exactly when at least one
-    factor is non-bipartite.  Callers must pass connected factors with at
-    least one edge each; anything else raises :class:`PreconditionError`.
-    """
-    for name, g in (("first", g1), ("second", g2)):
-        if not is_connected(g):
-            raise PreconditionError(f"{name} factor is disconnected")
-        if g.edge_count == 0:
-            raise PreconditionError(f"{name} factor has no edges")
-    return not is_bipartite(g1)[0] or not is_bipartite(g2)[0]
 
 
 def linearization_rows(order1: int, n: int) -> list[str]:

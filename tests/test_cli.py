@@ -256,7 +256,7 @@ def test_gstar_requires_n_at_least_3(capsys):
 
 def test_gstar_ineligible_graph_is_skip(capsys):
     # kappa != delta: bowtie
-    from kronkit.graphs import graph_from_edges
+    from oracles import graph_from_edges
     bowtie = graph_from_edges(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])
     code, out, _ = run_cli(
         ["gstar", "--g6", encode_graph6(bowtie), "--n", "3"], capsys)
@@ -293,7 +293,7 @@ def test_verify_exhaustive_order_4(capsys):
 
 
 def test_verify_filtered_corpus(capsys):
-    from kronkit.corpus import are_isomorphic
+    from oracles import are_isomorphic
 
     code, out, _ = run_cli(
         ["verify", "--n", "3", "--all-graphs", "--max-order", "4",

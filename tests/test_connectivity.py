@@ -8,24 +8,23 @@ from hypothesis import strategies as st
 
 from kronkit.connectivity import (
     _even_pairs,
-    brute_force_connectivity,
-    brute_force_min_cuts,
-    classify_cut,
     connectivity_result,
     cut_record,
     enumerate_min_cuts,
     vertex_connectivity,
 )
 from kronkit.errors import BudgetExceededError, PreconditionError, UnsupportedSizeError
-from kronkit.graphs import (
-    delete_vertex,
-    graph_from_edges,
-    is_connected,
-    make_complete,
-    make_cycle,
-    random_graph,
-)
+from kronkit.graphs import is_connected, make_complete, make_cycle, random_graph
 from kronkit.products import kronecker
+
+from oracles import (
+    brute_force_connectivity,
+    brute_force_min_cuts,
+    classify_cut,
+    delete_vertex,
+    edges,
+    graph_from_edges,
+)
 
 
 def petersen():
@@ -40,7 +39,7 @@ def nx_min_cuts(g, kappa):
     nx = pytest.importorskip("networkx")
     h = nx.Graph()
     h.add_nodes_from(range(g.order))
-    h.add_edges_from(g.edges())
+    h.add_edges_from(edges(g))
     found = []
     for combo in itertools.combinations(range(g.order), kappa):
         rest = h.copy()
@@ -109,9 +108,10 @@ def test_kappa_at_most_delta_on_random_graphs():
 # -- enumeration -----------------------------------------------------------
 
 def test_min_cuts_of_c4():
-    cuts = enumerate_min_cuts(make_cycle(4))
+    g = make_cycle(4)
+    cuts = enumerate_min_cuts(g)
     assert [c.vertices for c in cuts] == [(0, 2), (1, 3)]
-    assert all(c.isolates and c.separates for c in cuts)
+    assert all(c.isolates and classify_cut(g, c.vertices) == (c, True) for c in cuts)
 
 
 def test_min_cuts_of_c6_include_non_isolating():
@@ -202,7 +202,7 @@ def test_pair_flows_and_separators_against_networkx_and_subset_scan(kernel):
     for g in graphs:
         h = nx.Graph()
         h.add_nodes_from(range(g.order))
-        h.add_edges_from(g.edges())
+        h.add_edges_from(edges(g))
         aux = build_auxiliary_node_connectivity(h)
         residual = build_residual_network(aux, "capacity")
         nbrs = [g.neighbors(v) for v in range(g.order)]
@@ -331,7 +331,7 @@ def test_enumeration_equals_networkx_all_node_cuts(g6, n):
     pg = kronecker(parse_graph6(g6), make_complete(n))
     h = nx.Graph()
     h.add_nodes_from(range(pg.order))
-    h.add_edges_from(pg.edges())
+    h.add_edges_from(edges(pg))
     expected = sorted(tuple(sorted(cut)) for cut in nx.all_node_cuts(h))
     assert [c.vertices for c in enumerate_min_cuts(pg)] == expected
 
@@ -357,7 +357,7 @@ def test_min_cuts_invariant_under_relabelling_the_factors(seed, order, rho, pi):
 
     cuts = enumerate_min_cuts(kronecker(g, make_complete(n)))
     assert moved(cuts, range(order)) == {c.vertices: c.isolates for c in cuts}
-    h = graph_from_edges(order, [(rho[u], rho[v]) for u, v in g.edges()])
+    h = graph_from_edges(order, [(rho[u], rho[v]) for u, v in edges(g)])
     relabelled = enumerate_min_cuts(kronecker(h, make_complete(n)))
     assert moved(cuts, rho) == {c.vertices: c.isolates for c in relabelled}
 
@@ -479,8 +479,8 @@ def test_isolating_iff_neighborhood_on_min_cuts_when_kd_equal():
         if res.kappa != res.delta:
             continue
         for c in res.min_cuts:
-            searched = classify_cut(g, c.vertices)
-            assert searched == c
+            searched, separates = classify_cut(g, c.vertices)
+            assert searched == c and separates
             assert searched.isolates == (searched.witness is not None)
 
 
@@ -499,19 +499,19 @@ def test_lookup_classification_equals_the_search_on_every_minimum_cut(
             if not is_connected(pg):
                 continue
             for cut in enumerate_min_cuts(pg, labels=n):
-                assert cut == classify_cut(pg, cut.vertices), (g, n, cut)
+                assert classify_cut(pg, cut.vertices) == (cut, True), (g, n, cut)
                 cuts += 1
     assert cuts == 2880
 
 
 def test_classify_cut_on_c6():
     g = make_cycle(6)
-    c = classify_cut(g, {1, 3})
-    assert c.separates and c.isolates and c.witness == 2
-    c = classify_cut(g, {0, 3})
-    assert c.separates and not c.isolates and c.witness is None
-    c = classify_cut(g, set())
-    assert not c.separates and not c.isolates
+    c, separates = classify_cut(g, {1, 3})
+    assert separates and c.isolates and c.witness == 2
+    c, separates = classify_cut(g, {0, 3})
+    assert separates and not c.isolates and c.witness is None
+    c, separates = classify_cut(g, set())
+    assert not separates and not c.isolates
 
 
 def test_classify_cut_rejects_out_of_range():
@@ -521,8 +521,8 @@ def test_classify_cut_rejects_out_of_range():
 
 def test_classify_cut_whole_fiber_does_not_separate():
     p = kronecker(make_cycle(5), make_complete(3))
-    c = classify_cut(p, {0, 1, 2})  # fiber 0, the block 0..2
-    assert not c.separates  # kappa of the product is 4
+    c, separates = classify_cut(p, {0, 1, 2})  # fiber 0, the block 0..2
+    assert not separates  # kappa of the product is 4
     assert c.vertices == (0, 1, 2) and not c.isolates
 
 
@@ -532,15 +532,15 @@ def test_neighborhood_cuts_always_isolate(seed, order):
     g = random_graph(order, 0.5, seed)
     for x in range(order):
         nb = set(g.neighbors(x))
-        c = classify_cut(g, nb)
+        c, _ = classify_cut(g, nb)
         if c.witness is not None:
             assert c.isolates
 
 
 def test_cut_record_schema():
-    c = classify_cut(make_cycle(6), {1, 3})
+    c, _ = classify_cut(make_cycle(6), {1, 3})
     assert cut_record(c) == {"cut": [1, 3], "isolates": True, "neighborhood_of": 2}
-    c = classify_cut(make_cycle(6), {0, 3})
+    c, _ = classify_cut(make_cycle(6), {0, 3})
     assert cut_record(c) == {"cut": [0, 3], "isolates": False, "neighborhood_of": None}
 
 

@@ -7,21 +7,10 @@ import random
 import pytest
 
 from kronkit import _native
-from kronkit.corpus import (
-    all_graphs,
-    are_isomorphic,
-    connected_graphs,
-    graphs_up_to,
-    refined_colors,
-)
-from kronkit.graphs import (
-    Graph,
-    graph_from_edges,
-    is_connected,
-    make_complete,
-    make_cycle,
-    validate,
-)
+from kronkit.corpus import all_graphs, connected_graphs, graphs_up_to, refined_colors
+from kronkit.graphs import Graph, is_connected, make_complete, make_cycle
+
+from oracles import are_isomorphic, edges, graph_from_edges, validate
 
 # published counts of graphs / connected graphs on n vertices
 ALL_COUNTS = {0: 1, 1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
@@ -62,7 +51,6 @@ def test_isomorphism_test_basics():
     assert are_isomorphic(make_cycle(3), make_complete(3))
     assert not are_isomorphic(make_cycle(4), make_complete(4))
     # same degree sequence, different structure: C_6 vs two triangles
-    from kronkit.graphs import graph_from_edges
     two_triangles = graph_from_edges(6, [(0, 1), (1, 2), (0, 2),
                                          (3, 4), (4, 5), (3, 5)])
     assert not are_isomorphic(make_cycle(6), two_triangles)
@@ -111,7 +99,7 @@ def _key(lib, g: Graph) -> bytes:
 def _relabel(g: Graph, rng: random.Random) -> Graph:
     perm = list(range(g.order))
     rng.shuffle(perm)
-    return graph_from_edges(g.order, [(perm[u], perm[v]) for u, v in g.edges()])
+    return graph_from_edges(g.order, [(perm[u], perm[v]) for u, v in edges(g)])
 
 
 def test_keys_are_relabelling_invariant_and_distinct_up_to_order_7(lib):

@@ -5,9 +5,10 @@ public function has a caller that sets it.
 No linter runs on this repository, so these are the checks that a deletion
 leaves no dead import behind, that no API outlives its last reader, and that
 no option is kept that only the tests set.
-``__init__.py`` is left out of all three: it imports to re-export.  Names the
-benchmark rebinds, such as ``product_analysis.parse_graph6``, are used in
-their modules too, so they pass the same check.
+``tests/oracles.py`` gets the import check only.  ``__init__.py`` is left
+out of all three: it imports to re-export.  Names the benchmark rebinds,
+such as ``product_analysis.parse_graph6``, are used in their modules too,
+so they pass the same check.
 """
 
 import ast
@@ -20,20 +21,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "kronkit"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 READERS = MODULES + sorted((ROOT / "bench").glob("*.py"))
-
-# Public names that only the tests read: oracles that the fast routes are
-# checked against, and constructors that build test inputs.
-TEST_ONLY_API = [
-    "are_isomorphic",
-    "brute_force_connectivity",
-    "brute_force_min_cuts",
-    "build_residue_system",
-    "classify_cut",
-    "delete_vertex",
-    "graph_from_edges",
-    "validate",
-    "weichsel_connected",
-]
+IMPORTERS = MODULES + [ROOT / "tests" / "oracles.py"]
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -50,7 +38,7 @@ def _unused_imports(tree: ast.Module) -> list[str]:
             if name not in used]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", IMPORTERS, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert _unused_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
 
@@ -104,7 +92,7 @@ def _unread_api() -> list[str]:
 
 
 def test_public_api_has_a_reader_outside_the_tests():
-    assert _unread_api() == TEST_ONLY_API
+    assert _unread_api() == []
 
 
 def _passed_arguments(trees) -> dict[str, tuple[int, set[str]]]:

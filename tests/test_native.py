@@ -24,8 +24,10 @@ from kronkit.connectivity import (
 from kronkit.cli import main
 from kronkit.corpus import connected_graphs
 from kronkit.errors import BudgetExceededError
-from kronkit.graphs import graph_from_edges, is_connected, make_complete, make_cycle
+from kronkit.graphs import is_connected, make_complete, make_cycle
 from kronkit.products import kronecker
+
+from oracles import edges, graph_from_edges
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -160,7 +162,7 @@ def test_products_up_to_the_word_boundary(g, n, native, monkeypatch):
     assert results[_NativeSplitFlow] == results[_SplitFlow]
     h = nx.Graph()
     h.add_nodes_from(range(pg.order))
-    h.add_edges_from(pg.edges())
+    h.add_edges_from(edges(pg))
     assert kappa == nx.node_connectivity(h) == len(cuts[0].vertices)
 
 
@@ -300,6 +302,15 @@ def test_failed_build_falls_back_to_identical_records(
     assert main(argv) == code
     assert capsys.readouterr().out == expected
     assert not list((tmp_path / "kronkit").iterdir())  # no build left behind
+
+
+def test_every_kernel_source_ships_as_package_data():
+    """An installed kronkit compiles its kernel from the sources installed
+    with it, so each one must be listed as package data."""
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = tomllib.loads((SRC.parent / "pyproject.toml").read_text(encoding="utf-8"))
+    shipped = pyproject["tool"]["setuptools"]["package-data"]["kronkit"]
+    assert {source.name for source in _native.SOURCES} <= set(shipped)
 
 
 CHILD = """

@@ -7,14 +7,11 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from kronkit.connectivity import classify_cut, vertex_connectivity
+from kronkit.connectivity import vertex_connectivity
 from kronkit.corpus import connected_graphs
 from kronkit.errors import PreconditionError
 from kronkit.graphs import (
     Graph,
-    delete_vertex,
-    graph_from_edges,
-    has_isolated,
     is_connected,
     iter_bits,
     make_complete,
@@ -25,11 +22,11 @@ from kronkit.graphs import (
 )
 from kronkit.product_analysis import (
     BatchSummary,
+    ResidueSystem,
     SkipRecord,
     VerificationReport,
     batch_verify,
     build_gstar,
-    build_residue_system,
     check_gstar_connected,
     check_residue_components,
     report_record,
@@ -39,6 +36,16 @@ from kronkit.product_analysis import (
 )
 from kronkit import product_analysis
 from kronkit.products import kronecker
+
+from oracles import (
+    ResidueConditions,
+    build_residue_system,
+    classify_cut,
+    delete_vertex,
+    edges,
+    graph_from_edges,
+    has_isolated,
+)
 
 
 C5_REMOVAL = (0, 3, 6, 9)  # first column of the first four fibers of C5 x K3
@@ -53,10 +60,10 @@ def _residues(rs):
 
 
 def test_residue_system_on_c5_first_column():
-    rs = build_residue_system(make_cycle(5), 3, C5_REMOVAL)
-    assert rs.conditions.size_ok  # 4 == (3-1) * 2
-    assert rs.conditions.residues_nonempty
-    assert rs.conditions.no_isolated
+    rs, conditions = build_residue_system(make_cycle(5), 3, C5_REMOVAL)
+    assert conditions.size_ok  # 4 == (3-1) * 2
+    assert conditions.residues_nonempty
+    assert conditions.no_isolated
     assert _residues(rs)[0] == (1, 2)
     assert _residues(rs)[4] == (12, 13, 14)
     flat = [v for r in _residues(rs) for v in r]
@@ -71,7 +78,7 @@ def test_residues_follow_the_fiber_definition_past_bit_63():
         mn = g.order * n
         for alive in ((1 << mn) - 1, rng.getrandbits(mn)):
             removed = [v for v in range(mn) if not alive >> v & 1]
-            rs = build_residue_system(g, n, removed)
+            rs, _ = build_residue_system(g, n, removed)
             assert rs.labels == tuple(
                 sum(1 << a for a in range(n) if alive >> (u * n + a) & 1)
                 for u in range(g.order)), (g, n, alive)
@@ -81,16 +88,16 @@ def test_residues_follow_the_fiber_definition_past_bit_63():
 
 
 def test_residue_system_with_whole_fiber_removed():
-    rs = build_residue_system(make_cycle(5), 3, {0, 1, 2})
-    assert not rs.conditions.residues_nonempty
-    assert not rs.conditions.size_ok  # 3 != 4
+    _, conditions = build_residue_system(make_cycle(5), 3, {0, 1, 2})
+    assert not conditions.residues_nonempty
+    assert not conditions.size_ok  # 3 != 4
 
 
 def test_residue_system_with_empty_removal():
-    rs = build_residue_system(make_cycle(5), 3, set())
-    assert not rs.conditions.size_ok
-    assert rs.conditions.residues_nonempty
-    assert rs.conditions.no_isolated
+    _, conditions = build_residue_system(make_cycle(5), 3, set())
+    assert not conditions.size_ok
+    assert conditions.residues_nonempty
+    assert conditions.no_isolated
 
 
 def test_residue_system_rejects_small_n_and_bad_ids():
@@ -103,7 +110,7 @@ def test_residue_system_rejects_small_n_and_bad_ids():
 
 
 def test_gstar_on_c5_removal_is_connected():
-    rs = build_residue_system(make_cycle(5), 3, C5_REMOVAL)
+    rs, _ = build_residue_system(make_cycle(5), 3, C5_REMOVAL)
     star = build_gstar(rs)
     assert star.order == 5
     assert is_connected(star)
@@ -111,16 +118,26 @@ def test_gstar_on_c5_removal_is_connected():
 
 def test_gstar_with_empty_removal_reproduces_factor_adjacency():
     for g in (make_cycle(5), make_complete(4), make_cycle(6)):
-        rs = build_residue_system(g, 3, set())
+        rs, _ = build_residue_system(g, 3, set())
         star = build_gstar(rs)
         assert star.adj == g.adj
 
 
 def test_gstar_rejects_empty_residue():
-    rs = build_residue_system(make_cycle(5), 3, {0, 1, 2})
+    rs, _ = build_residue_system(make_cycle(5), 3, {0, 1, 2})
     with pytest.raises(PreconditionError) as err:
         build_gstar(rs)
     assert "fiber 0" in str(err.value)
+
+
+def test_gstar_names_the_first_empty_fiber_of_a_direct_residue_system():
+    g = make_cycle(5)
+    product = kronecker(g, make_complete(3))
+    # fibers 1 and 3 lose every label, fiber 2 loses label 2
+    removed = (3, 4, 5, 8, 9, 10, 11)
+    rs = ResidueSystem(g, product, removed, (0b111, 0, 0b011, 0, 0b111))
+    with pytest.raises(PreconditionError, match="residue of fiber 1 is empty"):
+        build_gstar(rs)
 
 
 def _scan_gstar(rs):
@@ -160,7 +177,7 @@ def test_gstar_matches_the_product_edge_scan_on_kd_equal_factors():
             removals = [()] + [_random_nonempty_removal(g, n, rnd) for _ in range(3)]
             removals += [r.removed for r in check_gstar_connected(g, n, 3, seed=n)]
             for removed in removals:
-                rs = build_residue_system(g, n, removed)
+                rs, _ = build_residue_system(g, n, removed)
                 assert build_gstar(rs) == _scan_gstar(rs), (g, n, removed)
                 checked += 1
     assert checked > 2000
@@ -174,7 +191,7 @@ def test_gstar_matches_the_product_edge_scan_on_kd_equal_factors():
     ((2, 4, 5), True),          # fiber 0 = {0, 1}, fiber 1 = {0}
 ])
 def test_gstar_edge_cases_match_the_product_edge_scan(removed, joined):
-    rs = build_residue_system(make_cycle(5), 3, removed)
+    rs, _ = build_residue_system(make_cycle(5), 3, removed)
     star = build_gstar(rs)
     assert star == _scan_gstar(rs)
     assert bool(star.adj[0] >> 1 & 1) is joined
@@ -269,7 +286,7 @@ def test_samplers_on_a_product_wider_than_64_vertices():
         assert any(max(r.removed) >= 64 for r in records)
         for r in records:
             assert all(type(v) is int for v in r.removed)
-            conditions = build_residue_system(g, 3, r.removed).conditions
+            _, conditions = build_residue_system(g, 3, r.removed)
             assert conditions.size_ok and conditions.residues_nonempty
             assert conditions.no_isolated
     assert all(r.gstar_connected is True for r in gstar)
@@ -282,8 +299,8 @@ def test_gstar_connected_for_smaller_removal_sizes():
     connected = 0
     for size in (1, 2, 3):
         for removed in itertools.combinations(range(15), size):
-            rs = build_residue_system(make_cycle(5), 3, removed)
-            if rs.conditions.residues_nonempty and rs.conditions.no_isolated:
+            rs, conditions = build_residue_system(make_cycle(5), 3, removed)
+            if conditions.residues_nonempty and conditions.no_isolated:
                 assert is_connected(build_gstar(rs)), removed
                 connected += 1
     assert connected == 570
@@ -429,8 +446,8 @@ def test_sampled_conditions_equal_the_residue_system_conditions():
     for g, n in ((make_cycle(5), 3), (make_complete(4), 4), (make_cycle(7), 5)):
         for rs, _, _ in product_analysis._draw_trials(g, n, 20, 3):
             assert rs is not None
-            fresh = build_residue_system(g, n, rs.removed)
-            assert rs.conditions == fresh.conditions
+            fresh, conditions = build_residue_system(g, n, rs.removed)
+            assert conditions == ResidueConditions(True, True, True)
             assert _residues(rs) == _residues(fresh)
 
 
@@ -500,7 +517,8 @@ def test_k44_times_k3_is_flagged_with_a_column_cut():
     columns = [tuple(3 * u + v for u in range(8)) for v in range(3)]
     cut = report.non_isolating_cut
     assert cut.vertices in columns
-    assert cut.separates and not cut.isolates and cut.witness is None
+    assert not cut.isolates and cut.witness is None
+    assert classify_cut(kronecker(k44, make_complete(3)), cut.vertices) == (cut, True)
 
 
 def test_fiber_deletion_identity_on_sampled_instances():
@@ -521,7 +539,7 @@ def test_fiber_deletion_identity_on_sampled_instances():
             alive = [v for v in range(product.order) if v not in removal]
             relabel = {v: i for i, v in enumerate(alive)}
             return {(min(relabel[a], relabel[b]), max(relabel[a], relabel[b]))
-                    for a, b in product.edges()
+                    for a, b in edges(product)
                     if a not in removal and b not in removal}
 
         reduced = kronecker(delete_vertex(g, fiber_idx), make_complete(n))
@@ -535,7 +553,7 @@ def test_fiber_deletion_identity_on_sampled_instances():
         relabel2 = {v: i for i, v in enumerate(alive2)}
         survivor_edges_reduced = {
             (min(relabel2[a], relabel2[b]), max(relabel2[a], relabel2[b]))
-            for a, b in reduced.edges()
+            for a, b in edges(reduced)
             if a not in leftover and b not in leftover}
         assert survivor_edges_full() == survivor_edges_reduced
 
