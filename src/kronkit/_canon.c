@@ -25,8 +25,9 @@
  *
  * Return codes: 0, or -1 when the order is out of range.
  *
- * Build, with _splitflow.c into one library as kronkit._native does:
- *     cc -O2 -shared -fPIC -o kernel.so _splitflow.c _canon.c
+ * Build, with _splitflow.c and _residue.c into one library as kronkit._native
+ * does:
+ *     cc -O2 -shared -fPIC -o kernel.so _splitflow.c _canon.c _residue.c
  */
 
 #include <stdint.h>

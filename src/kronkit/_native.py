@@ -1,7 +1,8 @@
 """Build and load the C kernel: the split-flow network, ``_splitflow.c``,
-and the canonical form of small graphs, ``_canon.c``.
+the canonical form of small graphs, ``_canon.c``, and the residue
+sampler's rejection loop, ``_residue.c``.
 
-Both sources are compiled on first use with the system C compiler into one
+The sources are compiled on first use with the system C compiler into one
 library in the per-user cache (``$XDG_CACHE_HOME/kronkit``, else
 ``~/.cache/kronkit``), under a name keyed by the sha256 of every source and
 the compiler flags, so a changed kernel is never loaded from a stale build.
@@ -11,8 +12,10 @@ load a complete library.
 
 :func:`library` returns None when a source, the compiler or the cache is
 unusable; :mod:`kronkit.connectivity` then uses its Python network, which
-gives the same flows, cuts and searches, and :mod:`kronkit.corpus` its
-isomorphism search, which keeps the same representatives.
+gives the same flows, cuts and searches, :mod:`kronkit.corpus` its
+isomorphism search, which keeps the same representatives, and
+:mod:`kronkit.product_analysis` its numpy sampler, which draws the same
+removals.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import tempfile
 from pathlib import Path
 
 SOURCES = tuple(Path(__file__).with_name(name)
-                for name in ("_splitflow.c", "_canon.c"))
+                for name in ("_splitflow.c", "_canon.c", "_residue.c"))
 COMPILER = "cc"
 FLAGS = ("-O2", "-shared", "-fPIC")
 
@@ -85,4 +88,11 @@ def library() -> ctypes.CDLL | None:
     lib.canon_key.restype = ctypes.c_int
     lib.canon_children.argtypes = [ctypes.c_int, _WORDS, ctypes.c_int, _WORDS]
     lib.canon_children.restype = ctypes.c_int
+    lib.residue_choices.argtypes = [_WORDS, ctypes.c_int64, ctypes.c_int,
+                                    ctypes.c_int, ctypes.c_int, _WORDS]
+    lib.residue_choices.restype = ctypes.c_int
+    lib.residue_sample.argtypes = [ctypes.c_int, _WORDS, ctypes.c_int, ctypes.c_int,
+                                   _WORDS, ctypes.c_int, ctypes.c_int64,
+                                   ctypes.c_int64, _WORDS, _WORDS, _WORDS]
+    lib.residue_sample.restype = ctypes.c_int
     return lib

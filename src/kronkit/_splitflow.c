@@ -30,8 +30,9 @@
  * search past the budget; -2 (splitflow_min_cuts only) when the residual
  * storage cannot be allocated.
  *
- * Build, with _canon.c into one library as kronkit._native does:
- *     cc -O2 -shared -fPIC -o kernel.so _splitflow.c _canon.c
+ * Build, with _canon.c and _residue.c into one library as kronkit._native
+ * does:
+ *     cc -O2 -shared -fPIC -o kernel.so _splitflow.c _canon.c _residue.c
  */
 
 #include <stdint.h>

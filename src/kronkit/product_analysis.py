@@ -15,6 +15,7 @@ asserting, so long corpus runs always finish with evidence in hand.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import itertools
 import time
@@ -25,6 +26,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from . import _native
 from .connectivity import (
     CutSet,
     cut_record,
@@ -169,6 +171,24 @@ def _fiber_isolates(neighbours: Sequence[Sequence[int]],
     return False
 
 
+# Raw PCG64 words cached per trial for the kernel's draws; a trial that needs
+# more is drawn again in Python.  A draw of k ids reads about k words.  Over
+# every kd-equal factor to order 6 at n = 3, 4, with 20 trials at each seed
+# 1000 .. 1015, the median trial reads 4 words and one of 85760 reads more
+# than 256 (261).
+_TRIAL_WORDS = 256
+# The kernel's masks hold at most 64 fibers and 64 labels per fiber.
+_KERNEL_MAX = 64
+# Kernel trial outcomes, ACCEPTED and PAST_PREFIX in _residue.c; the third,
+# SPENT, leaves the trial without a residue system.
+_ACCEPTED, _PAST_PREFIX = 0, 2
+# (seed, population, size, draws) of the streams on which the kernel's draws
+# must equal Generator.choice: draws that leave a 32-bit half over for the
+# next, a first Floyd step with j = 0, and, at seed 368, a Lemire rejection.
+_PROBES = ((1, 15, 4, 5), (0, 3, 3, 3), (3, 60, 1, 3), (2, 4096, 192, 2),
+           (368, 4096, 4000, 1))
+
+
 @functools.lru_cache(maxsize=1)
 def _trial_states(seed: int, trials: int) -> tuple[dict, ...]:
     """The PCG64 state that seeding with ``[seed, t]`` gives, for each trial
@@ -182,6 +202,71 @@ def _trial_states(seed: int, trials: int) -> tuple[dict, ...]:
 
 
 @functools.lru_cache(maxsize=1)
+def _trial_words(seed: int, trials: int) -> ctypes.Array:
+    """The first ``_TRIAL_WORDS`` raw words of the PCG64 stream seeded with
+    ``[seed, t]``, trial after trial; ``seed`` lies in ``0 .. 2**64 - 1``.
+
+    Like :func:`_trial_states`, the words are shared by every instance of a
+    run with one seed and trial count.
+    """
+    words = (ctypes.c_uint64 * (trials * _TRIAL_WORDS))()
+    rows = np.frombuffer(words, dtype=np.uint64).reshape(trials, _TRIAL_WORDS)
+    for t in range(trials):
+        rows[t] = np.random.PCG64([seed, t]).random_raw(_TRIAL_WORDS)
+    return words
+
+
+@functools.cache
+def _kernel_draws_match(lib) -> bool:
+    """True when the kernel rebuilds ``Generator.choice(mn, size,
+    replace=False)`` exactly on every stream of ``_PROBES``."""
+    for seed, mn, size, count in _PROBES:
+        rng = np.random.default_rng(seed)
+        expected = [v for _ in range(count)
+                    for v in rng.choice(mn, size=size, replace=False).tolist()]
+        raw = np.random.PCG64(seed).random_raw(count * size + 8)
+        words = (ctypes.c_uint64 * raw.size).from_buffer_copy(raw)
+        out = (ctypes.c_uint64 * (count * size))()
+        if (lib.residue_choices(words, raw.size, mn, size, count, out) != 0
+                or out[:] != expected):
+            return False
+    return True
+
+
+def _kernel_removals(lib, g: Graph, product: Graph, seed: int,
+                     trials: int) -> tuple[tuple, ...]:
+    """:func:`_sample_valid_removals` of the states seeded with ``[seed,
+    t]``, run in the kernel on each trial's cached words; a trial that needs
+    more words than are cached is drawn again in Python."""
+    order = g.order
+    n = product.order // order
+    size = (n - 1) * g.min_degree
+    words = _trial_words(seed, trials)
+    removed = (ctypes.c_uint64 * (trials * size))()
+    labels = (ctypes.c_uint64 * (trials * order))()
+    counts = (ctypes.c_uint64 * (3 * trials))()
+    if lib.residue_sample(order, (ctypes.c_uint64 * order)(*g.adj), n, size,
+                          words, trials, len(words) // trials if trials else 0,
+                          MAX_REJECTIONS, removed, labels, counts):
+        raise RuntimeError(f"residue_sample rejected order {order}, n {n}")
+    # Lists of Python ints slice faster than the ctypes arrays.
+    removed, labels, counts = removed[:], labels[:], counts[:]
+    draws = []
+    for t in range(trials):
+        rejections, isolation_rejections, outcome = counts[3 * t:3 * t + 3]
+        if outcome == _PAST_PREFIX:
+            state = np.random.PCG64([seed, t]).state
+            draws += _sample_valid_removals(g, product, (state,))
+            continue
+        rs = None
+        if outcome == _ACCEPTED:
+            rs = ResidueSystem(g, product, tuple(removed[t * size:(t + 1) * size]),
+                               tuple(labels[t * order:(t + 1) * order]))
+        draws.append((rs, rejections, isolation_rejections))
+    return tuple(draws)
+
+
+@functools.lru_cache(maxsize=1)
 def _draw_trials(g: Graph, n: int, trials: int, seed: int) -> tuple[tuple, ...]:
     """One ``(residue system, rejections, isolation rejections)`` per trial;
     the residue system is None exactly when sampling ran out.
@@ -191,6 +276,11 @@ def _draw_trials(g: Graph, n: int, trials: int, seed: int) -> tuple[tuple, ...]:
     the cache keeps the most recent draw only, which a checker run right
     after another on the same arguments reuses.  Call with positional
     arguments: the cache keys on them as given.
+
+    The kernel draws when it is built, the factor has at most 64 vertices,
+    ``n`` is at most 64, and its draws equal numpy's on the fixed streams
+    of ``_PROBES``; otherwise :func:`_sample_valid_removals` does, with the
+    same result.
 
     The checkers' shared preconditions are checked here, so a reused draw
     does not compute the factor's connectivity again.  The cache keeps no
@@ -207,7 +297,12 @@ def _draw_trials(g: Graph, n: int, trials: int, seed: int) -> tuple[tuple, ...]:
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
     product = kronecker(g, make_complete(n))
-    return _sample_valid_removals(g, product, _trial_states(seed % 2**64, trials))
+    seed %= 2**64
+    lib = _native.library()
+    if (lib is not None and g.order <= _KERNEL_MAX and n <= _KERNEL_MAX
+            and _kernel_draws_match(lib)):
+        return _kernel_removals(lib, g, product, seed, trials)
+    return _sample_valid_removals(g, product, _trial_states(seed, trials))
 
 
 def _trial_records(g: Graph, n: int, draws: tuple[tuple, ...],

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from kronkit import _native, connectivity
+from kronkit import _native, connectivity, product_analysis
 from kronkit.connectivity import (
     _even_pairs,
     _NativeSplitFlow,
@@ -253,7 +253,8 @@ def test_kernel_compiles_without_warnings():
     """Every kernel source stays clean under the compiler's common warnings."""
     if shutil.which(_native.COMPILER) is None:
         pytest.skip(f"no {_native.COMPILER} on PATH")
-    assert [source.name for source in _native.SOURCES] == ["_splitflow.c", "_canon.c"]
+    assert [source.name for source in _native.SOURCES] == [
+        "_splitflow.c", "_canon.c", "_residue.c"]
     result = subprocess.run(
         [_native.COMPILER, "-Wall", "-Wextra", "-Werror", "-fsyntax-only",
          *map(str, _native.SOURCES)], capture_output=True, text=True, timeout=300)
@@ -282,14 +283,24 @@ def test_native_route_is_taken_when_a_compiler_is_present():
     assert type(_split_flow(make_cycle(5), None)) is _NativeSplitFlow
 
 
+# C5, K4 and the Petersen graph are not bipartite, so gstar runs both
+# checkers on them; C6 and K3,3 are, so it runs only the first.
+GSTAR_FACTORS = ("Dhc", "C~", "IheA@GUAo", "EhEG", "EFz_")
+
+
 @pytest.mark.parametrize("compiler", ["missing", "failing"])
 def test_failed_build_falls_back_to_identical_records(
         compiler, tmp_path, monkeypatch, capsys, fresh_library):
-    argv = ["batch", "--n", "3,4", "--all-graphs", "--max-order", "5",
-            "--budget", "40"]
-    code = main(argv)
-    expected = capsys.readouterr().out
-    assert '"skip":"size-limit"' in expected
+    runs = [["batch", "--n", "3,4", "--all-graphs", "--max-order", "5",
+             "--budget", "40"],
+            ["gstar", "--n", "4", "--trials", "25", "--seed", "11",
+             *(arg for g6 in GSTAR_FACTORS for arg in ("--g6", g6))]]
+    expected = []
+    for argv in runs:
+        expected.append((main(argv), capsys.readouterr().out))
+    assert '"skip":"size-limit"' in expected[0][1]
+    assert '"gstar_connected":true' in expected[1][1]
+    assert '"split_residues":[]' in expected[1][1]
     if compiler == "missing":
         command = str(tmp_path / "no-such-cc")
     else:
@@ -297,11 +308,14 @@ def test_failed_build_falls_back_to_identical_records(
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     monkeypatch.setattr(_native, "COMPILER", command)
     _native.library.cache_clear()
+    product_analysis._draw_trials.cache_clear()
     assert _native.library() is None
     assert type(_split_flow(make_cycle(5), None)) is _SplitFlow
-    assert main(argv) == code
-    assert capsys.readouterr().out == expected
+    for argv, (code, out) in zip(runs, expected):
+        assert main(argv) == code
+        assert capsys.readouterr().out == out
     assert not list((tmp_path / "kronkit").iterdir())  # no build left behind
+    product_analysis._draw_trials.cache_clear()
 
 
 def test_every_kernel_source_ships_as_package_data():

@@ -34,7 +34,7 @@ from kronkit.product_analysis import (
     verify_connectivity_formula,
     verify_super_connectivity,
 )
-from kronkit import product_analysis
+from kronkit import _native, product_analysis
 from kronkit.products import kronecker
 
 from oracles import (
@@ -312,6 +312,47 @@ def test_samplers_reject_bad_arguments(checker):
         checker(make_cycle(5), 3, trials=-2, seed=0)
 
 
+@pytest.fixture
+def fresh_draws(request):
+    """Forget the cached draw and trial words before and after the test."""
+    for cache in (product_analysis._draw_trials, product_analysis._trial_words):
+        cache.cache_clear()
+        request.addfinalizer(cache.cache_clear)
+
+
+def _kernel_calls(monkeypatch) -> list:
+    """Record the arguments of every draw that runs in the kernel."""
+    calls, kernel = [], product_analysis._kernel_removals
+    monkeypatch.setattr(product_analysis, "_kernel_removals",
+                        lambda *args: calls.append(args) or kernel(*args))
+    return calls
+
+
+@pytest.fixture
+def sampler_routes(monkeypatch, fresh_draws):
+    """Iterate over ``sampler_routes()`` to run the loop body once per
+    sampler route, with no draw reused across them: the kernel's, when it
+    builds, which must then have drawn in the kernel, and Python's."""
+    def routes():
+        if _native.library() is not None:
+            kernel = product_analysis._kernel_removals
+            calls = _kernel_calls(monkeypatch)
+            yield "kernel"
+            assert calls, "no draw ran in the kernel"
+            monkeypatch.setattr(product_analysis, "_kernel_removals", kernel)
+        monkeypatch.setattr(_native, "library", lambda: None)
+        product_analysis._draw_trials.cache_clear()
+        yield "python"
+    return routes
+
+
+def _sampled(g, n, trials, seed):
+    """``_draw_trials`` in the form of :func:`_reference_draws`."""
+    return [(rs.removed, _residues(rs), rej, iso) if rs is not None
+            else ((), None, rej, iso)
+            for rs, rej, iso in product_analysis._draw_trials(g, n, trials, seed)]
+
+
 def _reference_draws(g, n, trials, seed):
     """Oracle for the trial draws: ``(removed, residues, rejections,
     isolation rejections)`` per trial, from a fresh generator seeded with
@@ -348,26 +389,24 @@ def _reference_draws(g, n, trials, seed):
     (1, 3, 8, [(7, 2, 1)]),   # one draw of each kind rejected
 ], ids=["cap-0", "cap-1"])
 def test_exhausted_sampling_reports_every_rejection(cap, seed, trials, exhausted,
-                                                    monkeypatch):
+                                                    monkeypatch, sampler_routes):
     monkeypatch.setattr(product_analysis, "MAX_REJECTIONS", cap)
-    product_analysis._draw_trials.cache_clear()
-    try:
-        triangle = make_complete(3)
+    triangle = make_complete(3)
+    for route in sampler_routes():
         for checker in (check_gstar_connected, check_residue_components):
             records = checker(triangle, 3, trials, seed)
             assert [(r.removed, r.rejections, r.isolation_rejections)
                     for r in records] == [
                 (removed, rej, iso)
-                for removed, _, rej, iso in _reference_draws(triangle, 3, trials, seed)]
+                for removed, _, rej, iso in _reference_draws(triangle, 3, trials, seed)
+            ], route
             assert [(r.trial, r.rejections, r.isolation_rejections)
-                    for r in records if r.error] == exhausted
+                    for r in records if r.error] == exhausted, route
             for r in records:
                 if r.error:
                     assert r.error == (f"no valid removal candidate after "
                                        f"{r.rejections} rejections")
                     assert r.gstar_connected is None and r.split_residues is None
-    finally:
-        product_analysis._draw_trials.cache_clear()
 
 
 def test_fiber_isolation_test_matches_the_product_scan():
@@ -418,28 +457,103 @@ def test_changed_sampler_arguments_never_reuse_a_draw(change):
     (make_cycle(5), 3), (make_complete(4), 4), (make_cycle(7), 5),
     (make_cycle(23), 3),  # 69 vertices, past bit 63
 ], ids=["C5xK3", "K4xK4", "C7xK5", "C23xK3"])
-def test_restored_trial_states_give_the_seeded_stream(g, n, seed):
-    for trials in (0, 1, 15):
-        draws = [(rs.removed, _residues(rs), rej, iso) if rs is not None
-                 else ((), None, rej, iso)
-                 for rs, rej, iso in product_analysis._draw_trials(g, n, trials, seed)]
-        assert draws == _reference_draws(g, n, trials, seed), (trials, seed)
+def test_restored_trial_states_give_the_seeded_stream(g, n, seed, sampler_routes):
+    for route in sampler_routes():
+        for trials in (0, 1, 15):
+            assert _sampled(g, n, trials, seed) == _reference_draws(g, n, trials, seed), (
+                route, trials, seed)
 
 
-def test_trial_states_are_shared_by_every_graph_of_a_seed_and_trial_count():
-    states = product_analysis._trial_states
+def test_trial_states_are_shared_by_every_graph_of_a_seed_and_trial_count(
+        sampler_routes):
+    """Each route caches its trial streams once per (seed, trials): the
+    kernel's as raw words, Python's as generator states."""
     draws = product_analysis._draw_trials
-    states.cache_clear()
-    draws(make_cycle(5), 3, 15, 5)
-    assert (states.cache_info().hits, states.cache_info().misses) == (0, 1)
-    draws(make_complete(4), 4, 15, 5)
-    draws(make_cycle(7), 5, 15, 5 + 2**64)  # the same seed modulo 2**64
-    assert (states.cache_info().hits, states.cache_info().misses) == (2, 1)
-    draws(make_cycle(7), 5, 15, 6)
-    assert (states.cache_info().hits, states.cache_info().misses) == (2, 2)
-    draws(make_cycle(7), 5, 14, 6)
-    assert (states.cache_info().hits, states.cache_info().misses) == (2, 3)
-    assert states.cache_info().currsize == 1
+    for route in sampler_routes():
+        streams = {"kernel": product_analysis._trial_words,
+                   "python": product_analysis._trial_states}[route]
+        streams.cache_clear()
+        draws(make_cycle(5), 3, 15, 5)
+        assert (streams.cache_info().hits, streams.cache_info().misses) == (0, 1)
+        draws(make_complete(4), 4, 15, 5)
+        draws(make_cycle(7), 5, 15, 5 + 2**64)  # the same seed modulo 2**64
+        assert (streams.cache_info().hits, streams.cache_info().misses) == (2, 1)
+        draws(make_cycle(7), 5, 15, 6)
+        assert (streams.cache_info().hits, streams.cache_info().misses) == (2, 2)
+        draws(make_cycle(7), 5, 14, 6)
+        assert (streams.cache_info().hits, streams.cache_info().misses) == (2, 3)
+        assert streams.cache_info().currsize == 1
+
+
+@pytest.mark.parametrize("g, n, kernel", [
+    (make_cycle(64), 3, True), (make_cycle(65), 3, False),
+    (make_cycle(5), 64, True), (make_cycle(5), 65, False),
+], ids=["C64xK3", "C65xK3", "C5xK64", "C5xK65"])
+def test_kernel_draws_factors_and_labels_up_to_64(g, n, kernel, monkeypatch,
+                                                  fresh_draws):
+    """The kernel's masks hold 64 fibers and 64 labels; past either, the
+    draw runs in Python, and both routes give the seeded stream."""
+    if _native.library() is None:
+        pytest.skip("the native kernel did not build")
+    calls = _kernel_calls(monkeypatch)
+    assert _sampled(g, n, 3, 7) == _reference_draws(g, n, 3, 7)
+    assert bool(calls) == kernel
+
+
+def test_trials_past_their_word_prefix_are_drawn_again_in_python(monkeypatch,
+                                                                 fresh_draws):
+    """A trial whose draws read past its cached words is redrawn whole from
+    its seeded state, so a short prefix changes no draw.  Four words hold
+    one draw on C5 x K3, where the three trials with a rejection run past
+    them, and none on K4 x K4 or C7 x K5."""
+    if _native.library() is None:
+        pytest.skip("the native kernel did not build")
+    monkeypatch.setattr(product_analysis, "_TRIAL_WORDS", 4)
+    redrawn = []
+    python = product_analysis._sample_valid_removals
+    monkeypatch.setattr(product_analysis, "_sample_valid_removals",
+                        lambda g, product, states: redrawn.extend(states)
+                        or python(g, product, states))
+    for g, n, past in ((make_cycle(5), 3, 3), (make_complete(4), 4, 15),
+                       (make_cycle(7), 5, 15)):
+        del redrawn[:]
+        assert _sampled(g, n, 15, 5) == _reference_draws(g, n, 15, 5), (g, n)
+        assert len(redrawn) == past, (g, n)
+        assert len(product_analysis._trial_words(5, 15)) == 15 * 4
+
+
+class _ShiftedChoices:
+    """The kernel library with its first chosen id moved by one, so that
+    its draws differ from numpy's."""
+
+    def __init__(self, lib):
+        self.lib = lib
+        self.sampled = 0
+
+    def __getattr__(self, name):
+        return getattr(self.lib, name)
+
+    def residue_choices(self, words, nwords, mn, size, count, out):
+        code = self.lib.residue_choices(words, nwords, mn, size, count, out)
+        out[0] = (out[0] + 1) % mn
+        return code
+
+    def residue_sample(self, *args):
+        self.sampled += 1
+        return self.lib.residue_sample(*args)
+
+
+def test_kernel_draws_unlike_numpy_take_the_python_route(monkeypatch, fresh_draws):
+    lib = _native.library()
+    if lib is None:
+        pytest.skip("the native kernel did not build")
+    assert product_analysis._kernel_draws_match(lib)
+    shifted = _ShiftedChoices(lib)
+    monkeypatch.setattr(_native, "library", lambda: shifted)
+    assert not product_analysis._kernel_draws_match(shifted)
+    g, n = make_cycle(5), 3
+    assert _sampled(g, n, 15, 5) == _reference_draws(g, n, 15, 5)
+    assert shifted.sampled == 0
 
 
 def test_sampled_conditions_equal_the_residue_system_conditions():
