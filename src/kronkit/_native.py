@@ -88,11 +88,11 @@ def library() -> ctypes.CDLL | None:
     lib.canon_key.restype = ctypes.c_int
     lib.canon_children.argtypes = [ctypes.c_int, _WORDS, ctypes.c_int, _WORDS]
     lib.canon_children.restype = ctypes.c_int
-    lib.residue_choices.argtypes = [_WORDS, ctypes.c_int64, ctypes.c_int,
-                                    ctypes.c_int, ctypes.c_int, _WORDS]
+    lib.residue_choices.argtypes = [_WORDS, ctypes.c_int, ctypes.c_int,
+                                    ctypes.c_int, _WORDS]
     lib.residue_choices.restype = ctypes.c_int
     lib.residue_sample.argtypes = [ctypes.c_int, _WORDS, ctypes.c_int, ctypes.c_int,
                                    _WORDS, ctypes.c_int, ctypes.c_int64,
-                                   ctypes.c_int64, _WORDS, _WORDS, _WORDS]
+                                   _WORDS, _WORDS, _WORDS]
     lib.residue_sample.restype = ctypes.c_int
     return lib

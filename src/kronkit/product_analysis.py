@@ -106,10 +106,10 @@ class TrialRecord:
 
 
 def _sample_valid_removals(g: Graph, product: Graph,
-                           states: Sequence[dict]) -> tuple[tuple, ...]:
-    """Per generator state, a uniform ``(n-1) * delta``-subset of the product
-    meeting the residue and isolation conditions, by rejection, as a
-    residue system.
+                           seeds: ctypes.Array) -> tuple[tuple, ...]:
+    """Per trial seed of :func:`_trial_states`, a uniform ``(n-1) *
+    delta``-subset of the product meeting the residue and isolation
+    conditions, by rejection, as a residue system.
 
     Each trial restores its PCG64 state in one generator and draws from
     there.  The conditions are read per fiber rather than per product
@@ -117,7 +117,7 @@ def _sample_valid_removals(g: Graph, product: Graph,
     must be nonempty, and a survivor ``(u, x)`` is isolated exactly when the
     labels surviving in the neighbouring fibers, together, lie inside
     ``{x}``.  Returns (residue system, rejections, isolation-only
-    rejections) per state; the residue system is None when
+    rejections) per trial; the residue system is None when
     ``MAX_REJECTIONS + 1`` draws in a row were rejected.
     """
     mn = product.order
@@ -131,8 +131,12 @@ def _sample_valid_removals(g: Graph, product: Graph,
     cap = MAX_REJECTIONS
     rng = np.random.default_rng()  # its state is replaced before each trial
     draws = []
-    for state in states:
-        rng.bit_generator.state = state
+    for i in range(0, len(seeds), 4):
+        state_hi, state_lo, inc_hi, inc_lo = seeds[i:i + 4]
+        rng.bit_generator.state = {
+            "bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+            "state": {"state": state_hi << 64 | state_lo,
+                      "inc": inc_hi << 64 | inc_lo}}
         rejections = isolation_rejections = 0
         while rejections <= cap:
             # Python ints: the residue system's removed ids are emitted.
@@ -171,95 +175,75 @@ def _fiber_isolates(neighbours: Sequence[Sequence[int]],
     return False
 
 
-# Raw PCG64 words cached per trial for the kernel's draws; a trial that needs
-# more is drawn again in Python.  A draw of k ids reads about k words.  Over
-# every kd-equal factor to order 6 at n = 3, 4, with 20 trials at each seed
-# 1000 .. 1015, the median trial reads 4 words and one of 85760 reads more
-# than 256 (261).
-_TRIAL_WORDS = 256
 # The kernel's masks hold at most 64 fibers and 64 labels per fiber.
 _KERNEL_MAX = 64
-# Kernel trial outcomes, ACCEPTED and PAST_PREFIX in _residue.c; the third,
-# SPENT, leaves the trial without a residue system.
-_ACCEPTED, _PAST_PREFIX = 0, 2
 # (seed, population, size, draws) of the streams on which the kernel's draws
 # must equal Generator.choice: draws that leave a 32-bit half over for the
-# next, a first Floyd step with j = 0, and, at seed 368, a Lemire rejection.
+# next, a first Floyd step with j = 0, at seed 368 a Lemire rejection, and
+# a trial seed at the top of the seed range.
 _PROBES = ((1, 15, 4, 5), (0, 3, 3, 3), (3, 60, 1, 3), (2, 4096, 192, 2),
-           (368, 4096, 4000, 1))
+           (368, 4096, 4000, 1), ([2**64 - 1, 999], 1000, 100, 3))
+
+
+def _seed_words(seed) -> tuple[int, int, int, int]:
+    """The state's high and low words, then the increment's, of numpy's
+    PCG64 seeded with ``seed``."""
+    state = np.random.PCG64(seed).state["state"]
+    return (state["state"] >> 64, state["state"] & 2**64 - 1,
+            state["inc"] >> 64, state["inc"] & 2**64 - 1)
 
 
 @functools.lru_cache(maxsize=1)
-def _trial_states(seed: int, trials: int) -> tuple[dict, ...]:
-    """The PCG64 state that seeding with ``[seed, t]`` gives, for each trial
-    ``t``; ``seed`` lies in ``0 .. 2**64 - 1``.
+def _trial_states(seed: int, trials: int) -> ctypes.Array:
+    """The four :func:`_seed_words` of PCG64 seeded with ``[seed, t]``,
+    trial after trial; ``seed`` lies in ``0 .. 2**64 - 1``.
 
     The states depend on neither the graph nor ``n``, so every instance of
-    a run with one seed and trial count restores them from here instead of
-    seeding its own generators.
+    a run with one seed and trial count, on either sampler route, starts
+    its trials from here instead of seeding its own generators.
     """
-    return tuple(np.random.PCG64([seed, t]).state for t in range(trials))
-
-
-@functools.lru_cache(maxsize=1)
-def _trial_words(seed: int, trials: int) -> ctypes.Array:
-    """The first ``_TRIAL_WORDS`` raw words of the PCG64 stream seeded with
-    ``[seed, t]``, trial after trial; ``seed`` lies in ``0 .. 2**64 - 1``.
-
-    Like :func:`_trial_states`, the words are shared by every instance of a
-    run with one seed and trial count.
-    """
-    words = (ctypes.c_uint64 * (trials * _TRIAL_WORDS))()
-    rows = np.frombuffer(words, dtype=np.uint64).reshape(trials, _TRIAL_WORDS)
+    seeds = (ctypes.c_uint64 * (4 * trials))()
     for t in range(trials):
-        rows[t] = np.random.PCG64([seed, t]).random_raw(_TRIAL_WORDS)
-    return words
+        seeds[4 * t:4 * t + 4] = _seed_words([seed, t])
+    return seeds
 
 
 @functools.cache
 def _kernel_draws_match(lib) -> bool:
-    """True when the kernel rebuilds ``Generator.choice(mn, size,
-    replace=False)`` exactly on every stream of ``_PROBES``."""
+    """True when the kernel steps PCG64 and rebuilds ``Generator.choice(mn,
+    size, replace=False)`` exactly on every stream of ``_PROBES``."""
     for seed, mn, size, count in _PROBES:
         rng = np.random.default_rng(seed)
         expected = [v for _ in range(count)
                     for v in rng.choice(mn, size=size, replace=False).tolist()]
-        raw = np.random.PCG64(seed).random_raw(count * size + 8)
-        words = (ctypes.c_uint64 * raw.size).from_buffer_copy(raw)
         out = (ctypes.c_uint64 * (count * size))()
-        if (lib.residue_choices(words, raw.size, mn, size, count, out) != 0
+        if (lib.residue_choices((ctypes.c_uint64 * 4)(*_seed_words(seed)),
+                                mn, size, count, out) != 0
                 or out[:] != expected):
             return False
     return True
 
 
-def _kernel_removals(lib, g: Graph, product: Graph, seed: int,
-                     trials: int) -> tuple[tuple, ...]:
-    """:func:`_sample_valid_removals` of the states seeded with ``[seed,
-    t]``, run in the kernel on each trial's cached words; a trial that needs
-    more words than are cached is drawn again in Python."""
+def _kernel_removals(lib, g: Graph, product: Graph,
+                     seeds: ctypes.Array) -> tuple[tuple, ...]:
+    """:func:`_sample_valid_removals` run in the kernel."""
     order = g.order
     n = product.order // order
     size = (n - 1) * g.min_degree
-    words = _trial_words(seed, trials)
+    trials = len(seeds) // 4
     removed = (ctypes.c_uint64 * (trials * size))()
     labels = (ctypes.c_uint64 * (trials * order))()
-    counts = (ctypes.c_uint64 * (3 * trials))()
+    counts = (ctypes.c_uint64 * (2 * trials))()
     if lib.residue_sample(order, (ctypes.c_uint64 * order)(*g.adj), n, size,
-                          words, trials, len(words) // trials if trials else 0,
-                          MAX_REJECTIONS, removed, labels, counts):
+                          seeds, trials, MAX_REJECTIONS, removed, labels, counts):
         raise RuntimeError(f"residue_sample rejected order {order}, n {n}")
     # Lists of Python ints slice faster than the ctypes arrays.
     removed, labels, counts = removed[:], labels[:], counts[:]
     draws = []
     for t in range(trials):
-        rejections, isolation_rejections, outcome = counts[3 * t:3 * t + 3]
-        if outcome == _PAST_PREFIX:
-            state = np.random.PCG64([seed, t]).state
-            draws += _sample_valid_removals(g, product, (state,))
-            continue
+        rejections, isolation_rejections = counts[2 * t:2 * t + 2]
         rs = None
-        if outcome == _ACCEPTED:
+        if rejections <= MAX_REJECTIONS:
             rs = ResidueSystem(g, product, tuple(removed[t * size:(t + 1) * size]),
                                tuple(labels[t * order:(t + 1) * order]))
         draws.append((rs, rejections, isolation_rejections))
@@ -297,12 +281,12 @@ def _draw_trials(g: Graph, n: int, trials: int, seed: int) -> tuple[tuple, ...]:
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
     product = kronecker(g, make_complete(n))
-    seed %= 2**64
+    seeds = _trial_states(seed % 2**64, trials)
     lib = _native.library()
     if (lib is not None and g.order <= _KERNEL_MAX and n <= _KERNEL_MAX
             and _kernel_draws_match(lib)):
-        return _kernel_removals(lib, g, product, seed, trials)
-    return _sample_valid_removals(g, product, _trial_states(seed, trials))
+        return _kernel_removals(lib, g, product, seeds)
+    return _sample_valid_removals(g, product, seeds)
 
 
 def _trial_records(g: Graph, n: int, draws: tuple[tuple, ...],

@@ -314,8 +314,8 @@ def test_samplers_reject_bad_arguments(checker):
 
 @pytest.fixture
 def fresh_draws(request):
-    """Forget the cached draw and trial words before and after the test."""
-    for cache in (product_analysis._draw_trials, product_analysis._trial_words):
+    """Forget the cached draw and trial states before and after the test."""
+    for cache in (product_analysis._draw_trials, product_analysis._trial_states):
         cache.cache_clear()
         request.addfinalizer(cache.cache_clear)
 
@@ -452,7 +452,7 @@ def test_changed_sampler_arguments_never_reuse_a_draw(change):
     assert draws.cache_info().currsize == 1
 
 
-@pytest.mark.parametrize("seed", [0, 1, -1, 2**63, 2**64 + 5])
+@pytest.mark.parametrize("seed", [0, 1, -1, 2**63, 2**64 + 5, 5])
 @pytest.mark.parametrize("g, n", [
     (make_cycle(5), 3), (make_complete(4), 4), (make_cycle(7), 5),
     (make_cycle(23), 3),  # 69 vertices, past bit 63
@@ -466,23 +466,22 @@ def test_restored_trial_states_give_the_seeded_stream(g, n, seed, sampler_routes
 
 def test_trial_states_are_shared_by_every_graph_of_a_seed_and_trial_count(
         sampler_routes):
-    """Each route caches its trial streams once per (seed, trials): the
-    kernel's as raw words, Python's as generator states."""
-    draws = product_analysis._draw_trials
+    """Both routes start their trials from the one cache of seeded states,
+    filled once per (seed, trials) with four words per trial."""
+    draws, states = product_analysis._draw_trials, product_analysis._trial_states
     for route in sampler_routes():
-        streams = {"kernel": product_analysis._trial_words,
-                   "python": product_analysis._trial_states}[route]
-        streams.cache_clear()
+        states.cache_clear()
         draws(make_cycle(5), 3, 15, 5)
-        assert (streams.cache_info().hits, streams.cache_info().misses) == (0, 1)
+        assert (states.cache_info().hits, states.cache_info().misses) == (0, 1)
         draws(make_complete(4), 4, 15, 5)
         draws(make_cycle(7), 5, 15, 5 + 2**64)  # the same seed modulo 2**64
-        assert (streams.cache_info().hits, streams.cache_info().misses) == (2, 1)
+        assert (states.cache_info().hits, states.cache_info().misses) == (2, 1)
         draws(make_cycle(7), 5, 15, 6)
-        assert (streams.cache_info().hits, streams.cache_info().misses) == (2, 2)
+        assert (states.cache_info().hits, states.cache_info().misses) == (2, 2)
         draws(make_cycle(7), 5, 14, 6)
-        assert (streams.cache_info().hits, streams.cache_info().misses) == (2, 3)
-        assert streams.cache_info().currsize == 1
+        assert (states.cache_info().hits, states.cache_info().misses) == (2, 3)
+        assert states.cache_info().currsize == 1
+        assert len(states(5, 15)) == 4 * 15, route
 
 
 @pytest.mark.parametrize("g, n, kernel", [
@@ -500,26 +499,27 @@ def test_kernel_draws_factors_and_labels_up_to_64(g, n, kernel, monkeypatch,
     assert bool(calls) == kernel
 
 
-def test_trials_past_their_word_prefix_are_drawn_again_in_python(monkeypatch,
-                                                                 fresh_draws):
-    """A trial whose draws read past its cached words is redrawn whole from
-    its seeded state, so a short prefix changes no draw.  Four words hold
-    one draw on C5 x K3, where the three trials with a rejection run past
-    them, and none on K4 x K4 or C7 x K5."""
+def test_a_trial_of_261_words_is_drawn_in_the_kernel(monkeypatch, fresh_draws):
+    """The longest trial over the residue-trials inputs, E~~w x K_4 at seed
+    1009, trial 5, reads 261 words of its stream, through 17 rejections; the
+    kernel steps the generator as far as a trial needs."""
     if _native.library() is None:
         pytest.skip("the native kernel did not build")
-    monkeypatch.setattr(product_analysis, "_TRIAL_WORDS", 4)
-    redrawn = []
-    python = product_analysis._sample_valid_removals
+    calls = _kernel_calls(monkeypatch)
     monkeypatch.setattr(product_analysis, "_sample_valid_removals",
-                        lambda g, product, states: redrawn.extend(states)
-                        or python(g, product, states))
-    for g, n, past in ((make_cycle(5), 3, 3), (make_complete(4), 4, 15),
-                       (make_cycle(7), 5, 15)):
-        del redrawn[:]
-        assert _sampled(g, n, 15, 5) == _reference_draws(g, n, 15, 5), (g, n)
-        assert len(redrawn) == past, (g, n)
-        assert len(product_analysis._trial_words(5, 15)) == 15 * 4
+                        lambda *args: pytest.fail("drew in Python"))
+    g, n, seed = parse_graph6("E~~w"), 4, 1009
+    sampled = _sampled(g, n, 6, seed)
+    assert calls
+    assert sampled == _reference_draws(g, n, 6, seed)
+    assert sampled[5][0] == (0, 2, 3, 4, 8, 9, 11, 12, 13, 14, 16, 19, 20, 21, 23)
+    assert sampled[5][2:] == (17, 0)
+    # The stream after the trial's draws is the seeded one advanced 261 words.
+    rng = np.random.default_rng([seed, 5])
+    for _ in range(18):
+        rng.choice(g.order * n, size=(n - 1) * g.min_degree, replace=False)
+    assert (rng.bit_generator.state["state"]
+            == np.random.PCG64([seed, 5]).advance(261).state["state"])
 
 
 class _ShiftedChoices:
@@ -533,8 +533,8 @@ class _ShiftedChoices:
     def __getattr__(self, name):
         return getattr(self.lib, name)
 
-    def residue_choices(self, words, nwords, mn, size, count, out):
-        code = self.lib.residue_choices(words, nwords, mn, size, count, out)
+    def residue_choices(self, seed, mn, size, count, out):
+        code = self.lib.residue_choices(seed, mn, size, count, out)
         out[0] = (out[0] + 1) % mn
         return code
 
