@@ -26,7 +26,6 @@ from .graphs import (
 )
 from .product_analysis import (
     BatchSummary,
-    ResidueSystem,
     SkipRecord,
     VerificationReport,
     batch_verify,
@@ -47,7 +46,6 @@ __all__ = [
     "Graph6Error",
     "KronkitError",
     "PreconditionError",
-    "ResidueSystem",
     "SkipRecord",
     "UnsupportedSizeError",
     "VerificationReport",

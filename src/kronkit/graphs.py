@@ -9,7 +9,7 @@ the cut enumeration and the residue sampler.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -127,16 +127,6 @@ def is_connected(g: Graph) -> bool:
         return True
     full = g.full_mask()
     return reachable_mask(g.adj, full, 0) == full
-
-
-def mask_of(ids: Iterable[int]) -> int:
-    """Bitmask with the bit of every vertex id in ``ids`` set."""
-    # A plain loop: the residue sampler calls this once per draw, and sum()
-    # over a generator is slower there.
-    mask = 0
-    for v in ids:
-        mask |= 1 << v
-    return mask
 
 
 def components(adj: Sequence[int], alive: int) -> list[int]:

@@ -3,9 +3,10 @@
 For a factor graph ``g`` and complete second factor on ``n >= 3`` vertices,
 a removal candidate ``S`` is measured against three conditions: its size is
 ``(n-1) * delta(g)``, every fiber keeps at least one survivor, and no
-surviving vertex is isolated.  The auxiliary graph puts one vertex per fiber
-residue and joins two residues when at least one product edge survives
-between them.
+surviving vertex is isolated.  The survivors are carried as one label mask
+per fiber, which is all that the auxiliary graph and the split check read.
+The auxiliary graph puts one vertex per fiber residue and joins two
+residues when at least one product edge survives between them.
 
 The verification entry points compute the product-connectivity formula
 ``min(n*kappa, (n-1)*delta)`` and the super-connectivity verdict by
@@ -40,7 +41,6 @@ from .graphs import (
     encode_graph6,
     is_connected,
     make_complete,
-    mask_of,
     parse_graph6,
 )
 from .products import is_bipartite, kronecker
@@ -48,35 +48,20 @@ from .products import is_bipartite, kronecker
 MAX_REJECTIONS = 100_000
 
 
-# -- residue systems ----------------------------------------------------------
+# -- the residue graph ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class ResidueSystem:
-    """A removal candidate together with the per-fiber survivors.
+def build_gstar(factor: Graph, labels: Sequence[int]) -> Graph:
+    """Auxiliary graph of the residues of ``factor x K_n``; every residue
+    must be nonempty.
 
-    The sampler builds one per valid removal it draws, which has
-    ``(n-1) * delta`` ids, a survivor in every fiber and no isolated
-    survivor.  ``product`` is ``factor x K_n``, with ids ``u * n + a``.  ``labels[u]``
-    is the label mask of fiber ``u``'s survivors: bit ``a`` is set when
-    ``u * n + a`` survives, so the residue of fiber ``u`` is empty exactly
-    when ``labels[u]`` is 0.
+    ``labels[u]`` is the label mask of fiber ``u``'s survivors: bit ``a`` is
+    set when ``u * n + a`` survives, so the residue of fiber ``u`` is empty
+    exactly when ``labels[u]`` is 0.  Vertex ``i`` stands for the residue of
+    fiber ``i``.  In ``g x K_n``, ``(i, a) ~ (j, b)`` exactly when ``i ~ j``
+    in ``g`` and ``a != b``, so the residues of adjacent fibers ``i`` and
+    ``j`` are joined unless both are the same single label: ``labels[i] ==
+    labels[j]`` with one bit set.
     """
-
-    factor: Graph
-    product: Graph
-    removed: tuple[int, ...]
-    labels: tuple[int, ...]
-
-
-def build_gstar(rs: ResidueSystem) -> Graph:
-    """Auxiliary graph of a residue system; every residue must be nonempty.
-
-    Vertex ``i`` stands for the residue of fiber ``i``.  In ``g x K_n``,
-    ``(i, a) ~ (j, b)`` exactly when ``i ~ j`` in ``g`` and ``a != b``, so
-    the residues of adjacent fibers ``i`` and ``j`` are joined unless both
-    are the same single label: ``labels[i] == labels[j]`` with one bit set.
-    """
-    labels = rs.labels
     if 0 in labels:
         raise PreconditionError(f"residue of fiber {labels.index(0)} is empty")
     # The fibers left with each single label.
@@ -85,7 +70,7 @@ def build_gstar(rs: ResidueSystem) -> Graph:
         if x & (x - 1) == 0:
             alone[x] = alone.get(x, 0) | 1 << i
     return Graph(len(labels), tuple(a & ~alone.get(x, 0)
-                                    for a, x in zip(rs.factor.adj, labels)))
+                                    for a, x in zip(factor.adj, labels)))
 
 
 # -- sampled structural checks -------------------------------------------------
@@ -105,23 +90,23 @@ class TrialRecord:
     error: str | None = None
 
 
-def _sample_valid_removals(g: Graph, product: Graph,
+def _sample_valid_removals(g: Graph, n: int,
                            seeds: ctypes.Array) -> tuple[tuple, ...]:
     """Per trial seed of :func:`_trial_states`, a uniform ``(n-1) *
-    delta``-subset of the product meeting the residue and isolation
-    conditions, by rejection, as a residue system.
+    delta``-subset of ``g x K_n`` meeting the residue and isolation
+    conditions, by rejection.
 
     Each trial restores its PCG64 state in one generator and draws from
     there.  The conditions are read per fiber rather than per product
     vertex: with ``L_u`` the surviving labels of fiber ``u``, every ``L_u``
     must be nonempty, and a survivor ``(u, x)`` is isolated exactly when the
     labels surviving in the neighbouring fibers, together, lie inside
-    ``{x}``.  Returns (residue system, rejections, isolation-only
-    rejections) per trial; the residue system is None when
-    ``MAX_REJECTIONS + 1`` draws in a row were rejected.
+    ``{x}``.  Returns (removed ids, label masks, rejections,
+    isolation-only rejections) per trial, with the masks as
+    :func:`build_gstar` reads them; a trial whose ``MAX_REJECTIONS + 1``
+    draws in a row were rejected gives ``((), None, ...)``.
     """
-    mn = product.order
-    n = mn // g.order
+    mn = g.order * n
     size = (n - 1) * g.min_degree
     neighbours = tuple(tuple(g.neighbors(u)) for u in range(g.order))
     # The fiber and the label bit of each product id.
@@ -139,7 +124,7 @@ def _sample_valid_removals(g: Graph, product: Graph,
                       "inc": inc_hi << 64 | inc_lo}}
         rejections = isolation_rejections = 0
         while rejections <= cap:
-            # Python ints: the residue system's removed ids are emitted.
+            # Python ints: the removed ids are emitted.
             picked = rng.choice(mn, size=size, replace=False).tolist()
             labels = every_label.copy()
             for v in picked:
@@ -150,12 +135,11 @@ def _sample_valid_removals(g: Graph, product: Graph,
                 rejections += 1
                 isolation_rejections += 1
             else:
-                rs = ResidueSystem(g, product, tuple(sorted(picked)),
-                                   tuple(labels))
-                draws.append((rs, rejections, isolation_rejections))
+                draws.append((tuple(sorted(picked)), tuple(labels),
+                              rejections, isolation_rejections))
                 break
         else:
-            draws.append((None, rejections, isolation_rejections))
+            draws.append(((), None, rejections, isolation_rejections))
     return tuple(draws)
 
 
@@ -224,11 +208,10 @@ def _kernel_draws_match(lib) -> bool:
     return True
 
 
-def _kernel_removals(lib, g: Graph, product: Graph,
+def _kernel_removals(lib, g: Graph, n: int,
                      seeds: ctypes.Array) -> tuple[tuple, ...]:
     """:func:`_sample_valid_removals` run in the kernel."""
     order = g.order
-    n = product.order // order
     size = (n - 1) * g.min_degree
     trials = len(seeds) // 4
     removed = (ctypes.c_uint64 * (trials * size))()
@@ -242,18 +225,21 @@ def _kernel_removals(lib, g: Graph, product: Graph,
     draws = []
     for t in range(trials):
         rejections, isolation_rejections = counts[2 * t:2 * t + 2]
-        rs = None
         if rejections <= MAX_REJECTIONS:
-            rs = ResidueSystem(g, product, tuple(removed[t * size:(t + 1) * size]),
-                               tuple(labels[t * order:(t + 1) * order]))
-        draws.append((rs, rejections, isolation_rejections))
+            draws.append((tuple(removed[t * size:(t + 1) * size]),
+                          tuple(labels[t * order:(t + 1) * order]),
+                          rejections, isolation_rejections))
+        else:
+            draws.append(((), None, rejections, isolation_rejections))
     return tuple(draws)
 
 
 @functools.lru_cache(maxsize=1)
-def _draw_trials(g: Graph, n: int, trials: int, seed: int) -> tuple[tuple, ...]:
-    """One ``(residue system, rejections, isolation rejections)`` per trial;
-    the residue system is None exactly when sampling ran out.
+def _draw_trials(g: Graph, n: int, trials: int,
+                 seed: int) -> tuple[Graph, tuple[tuple, ...]]:
+    """The product ``g x K_n`` and one ``(removed ids, label masks,
+    rejections, isolation rejections)`` per trial; the label masks are None
+    exactly when sampling ran out.
 
     Trial ``t`` draws from the stream of a generator seeded with ``[seed,
     t]``, so both checkers see the same removals for the same arguments;
@@ -285,43 +271,46 @@ def _draw_trials(g: Graph, n: int, trials: int, seed: int) -> tuple[tuple, ...]:
     lib = _native.library()
     if (lib is not None and g.order <= _KERNEL_MAX and n <= _KERNEL_MAX
             and _kernel_draws_match(lib)):
-        return _kernel_removals(lib, g, product, seeds)
-    return _sample_valid_removals(g, product, seeds)
+        return product, _kernel_removals(lib, g, n, seeds)
+    return product, _sample_valid_removals(g, n, seeds)
 
 
-def _trial_records(g: Graph, n: int, draws: tuple[tuple, ...],
+def _trial_records(g: Graph, n: int, draw: tuple[Graph, tuple[tuple, ...]],
                    check) -> list[TrialRecord]:
     """One record per drawn trial: its removal and ``check``'s verdict on it.
 
-    ``check`` maps the removal's residue system to the record's
-    ``(gstar_connected, split_residues)`` pair.
+    ``check`` maps the factor, the product and the removal's label masks to
+    the record's ``(gstar_connected, split_residues)`` pair.
     """
+    product, trials = draw
     g6 = encode_graph6(g)
     records = []
-    for t, (rs, rej, iso_rej) in enumerate(draws):
-        if rs is None:
+    for t, (removed, labels, rej, iso_rej) in enumerate(trials):
+        if labels is None:
             error = f"no valid removal candidate after {rej} rejections"
             records.append(TrialRecord(g6, n, t, (), rej, iso_rej, None, None, error))
         else:
-            records.append(TrialRecord(g6, n, t, rs.removed, rej, iso_rej, *check(rs)))
+            records.append(TrialRecord(g6, n, t, removed, rej, iso_rej,
+                                       *check(g, product, labels)))
     return records
 
 
-def _gstar_check(rs: ResidueSystem) -> tuple[bool, None]:
-    return is_connected(build_gstar(rs)), None
+def _gstar_check(g: Graph, product: Graph,
+                 labels: tuple[int, ...]) -> tuple[bool, None]:
+    return is_connected(build_gstar(g, labels)), None
 
 
-def _split_check(rs: ResidueSystem) -> tuple[None, tuple[int, ...]]:
-    comps = components(rs.product.adj, rs.product.full_mask() ^ mask_of(rs.removed))
+def _split_check(g: Graph, product: Graph,
+                 labels: tuple[int, ...]) -> tuple[None, tuple[int, ...]]:
+    n = product.order // g.order
+    residues = [x << u * n for u, x in enumerate(labels)]
+    # The residues lie in disjoint blocks of n bits, so their sum is the
+    # mask of the survivors.
+    comps = components(product.adj, sum(residues))
     if len(comps) == 1:
         return None, ()
-    n = rs.product.order // rs.factor.order
-    split = []
-    for i, labels in enumerate(rs.labels):
-        residue = labels << (i * n)
-        if not any(residue & ~comp == 0 for comp in comps):
-            split.append(i)
-    return None, tuple(split)
+    return None, tuple(u for u, residue in enumerate(residues)
+                       if not any(residue & ~comp == 0 for comp in comps))
 
 
 def check_gstar_connected(g: Graph, n: int, trials: int,

@@ -9,13 +9,16 @@ route that follows the definition:
   compared with them.
 * :func:`classify_cut` classifies an arbitrary vertex set by searching its
   survivors, and reports whether it separates.
+* :func:`naive_components` lists the components induced on a vertex set,
+  by a search over id sets; the bitmask ``components`` is compared with it.
 * :func:`build_residue_system` evaluates a removal against the three removal
-  conditions, which the residue sampler reads per fiber instead.
+  conditions, which the residue sampler reads per fiber instead, and gives
+  the per-fiber label masks that :func:`build_gstar` takes.
 * :func:`weichsel_connected` decides the connectedness of a product from
   its factors, and :func:`are_isomorphic` tests isomorphism exactly.
 
-The builders (:func:`graph_from_edges`, :func:`delete_vertex`) and
-:func:`validate` make and check test inputs.
+The builders (:func:`graph_from_edges`, :func:`delete_vertex`,
+:func:`mask_of`) and :func:`validate` make and check test inputs.
 
 Removing all but one vertex counts as separating (the remainder is the
 trivial one-vertex graph), as in :mod:`kronkit.connectivity`.
@@ -35,10 +38,8 @@ from kronkit.graphs import (
     is_connected,
     iter_bits,
     make_complete,
-    mask_of,
     reachable_mask,
 )
-from kronkit.product_analysis import ResidueSystem
 from kronkit.products import is_bipartite, kronecker
 
 BRUTE_FORCE_MAX_ORDER = 20
@@ -66,6 +67,14 @@ def graph_from_edges(order: int, edges: Iterable[tuple[int, int]]) -> Graph:
         adj[u] |= 1 << v
         adj[v] |= 1 << u
     return Graph(order, tuple(adj))
+
+
+def mask_of(ids: Iterable[int]) -> int:
+    """Bitmask with the bit of every vertex id in ``ids`` set."""
+    mask = 0
+    for v in ids:
+        mask |= 1 << v
+    return mask
 
 
 def validate(g: Graph) -> None:
@@ -112,6 +121,24 @@ def has_isolated(adj: Sequence[int], alive: int) -> bool:
             return True
         m ^= low
     return False
+
+
+def naive_components(g: Graph, alive: set[int]) -> list[frozenset[int]]:
+    """The id sets of the components induced on ``alive``, by smallest id."""
+    comps = []
+    rest = set(alive)
+    while rest:
+        seen = {min(rest)}
+        queue = [min(rest)]
+        while queue:
+            x = queue.pop()
+            for y in g.neighbors(x):
+                if y in rest and y not in seen:
+                    seen.add(y)
+                    queue.append(y)
+        comps.append(frozenset(seen))
+        rest -= seen
+    return sorted(comps, key=min)
 
 
 def are_isomorphic(g1: Graph, g2: Graph) -> bool:
@@ -248,6 +275,22 @@ def classify_cut(g: Graph, s) -> tuple[CutSet, bool]:
 
 
 # -- residue systems ----------------------------------------------------------
+
+@dataclass(frozen=True)
+class ResidueSystem:
+    """A removal from ``factor x K_n`` together with the per-fiber survivors.
+
+    ``product`` is ``factor x K_n``, with ids ``u * n + a``.  ``labels[u]``
+    is the label mask of fiber ``u``'s survivors: bit ``a`` is set when
+    ``u * n + a`` survives, so the residue of fiber ``u`` is empty exactly
+    when ``labels[u]`` is 0.
+    """
+
+    factor: Graph
+    product: Graph
+    removed: tuple[int, ...]
+    labels: tuple[int, ...]
+
 
 @dataclass(frozen=True)
 class ResidueConditions:

@@ -11,6 +11,9 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import kronkit.cli  # the tracer rebinds names in kronkit.cli too
+from kronkit.graphs import make_cycle
+
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
@@ -54,3 +57,19 @@ def test_workload_names_resolve():
     from kronkit.product_analysis import BatchSummary
     assert [f.name for f in dataclasses.fields(BatchSummary)] == [
         "instances", "holds", "violations", "skips"]
+
+
+def test_traced_residue_bindings_are_reached():
+    # A binding the package calls past, such as a local alias of build_gstar,
+    # would leave its self time at 0 without any warning.
+    tracer = _load_tracing().Tracer(kronkit)
+    tracer.install()
+    try:
+        kronkit.product_analysis.check_gstar_connected(make_cycle(5), 3, 4, 0)
+        kronkit.product_analysis.check_residue_components(make_cycle(5), 3, 4, 0)
+    finally:
+        tracer.uninstall()
+    totals = tracer.take()
+    assert totals.calls("product_analysis.check_gstar_connected") == 1
+    assert totals.calls("product_analysis.check_residue_components") == 1
+    assert totals.calls("product_analysis.build_gstar") == 4

@@ -1,16 +1,20 @@
 """Exact bytes of fixed CLI runs, pinned by the sha256 of standard output.
 
 The batch runs cover the formula route, the verdict route with its
-violation records, and the skip route; the gstar run covers both residue
-samplers.  The panel runs pin ``kappa``, ``super-kappa --format table``,
-``cuts`` (one run per graph) and ``product --mapping`` on small factors.  Any change to the records of these
-runs, however small, fails here.
+violation records, and the skip route; the gstar runs cover both residue
+checks, the second over every connected kd-equal factor to order 6.  The
+panel runs pin ``kappa``, ``super-kappa --format table``, ``cuts`` (one run
+per graph) and ``product --mapping`` on small factors.  Any change to the
+records of these runs, however small, fails here.
 """
 
 import hashlib
 import json
 
 from kronkit.cli import main
+from kronkit.connectivity import vertex_connectivity
+from kronkit.corpus import connected_graphs
+from kronkit.graphs import encode_graph6
 
 
 def _run(argv, capsys):
@@ -46,6 +50,21 @@ def test_golden_gstar_trials(capsys):
          "--trials", "20", "--seed", "5"], capsys)
     assert code == 0
     assert digest == "3d1e744d4cd7b2cd146459b381cabce06291c5c955d95121371bad6c6fb0121e"
+
+
+def test_golden_gstar_over_kd_equal_factors(tmp_path, capsys):
+    # Every connected kd-equal factor of orders 2..6, under a seed that
+    # wraps modulo 2**64.
+    corpus = tmp_path / "kd-equal.g6"
+    corpus.write_text("".join(
+        encode_graph6(g) + "\n" for order in range(2, 7)
+        for g in connected_graphs(order) if vertex_connectivity(g) == g.min_degree))
+    code, out, digest = _run(
+        ["gstar", "--n", "4", "--trials", "20", "--seed", str(2**64 + 5),
+         "--input", str(corpus)], capsys)
+    assert code == 0
+    assert len(out.splitlines()) == 4820
+    assert digest == "b81f7346cec72b062b528009359ad043fbe1428ee1db61747ee27420df6a86e2"
 
 
 _PANEL = ("Bw", "Cr", "D~{", "EUxo")

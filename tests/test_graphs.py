@@ -16,12 +16,19 @@ from kronkit.graphs import (
     iter_bits,
     make_complete,
     make_cycle,
-    mask_of,
     parse_graph6,
     random_graph,
 )
 
-from oracles import delete_vertex, edges, graph_from_edges, has_isolated, validate
+from oracles import (
+    delete_vertex,
+    edges,
+    graph_from_edges,
+    has_isolated,
+    mask_of,
+    naive_components,
+    validate,
+)
 
 
 def graph_from_mask(order: int, pair_mask: int) -> Graph:
@@ -189,23 +196,6 @@ def test_connected_components_of_two_triangles():
     assert is_connected(make_cycle(6))
 
 
-def _naive_components(g: Graph, alive: set[int]) -> list[frozenset[int]]:
-    comps = []
-    rest = set(alive)
-    while rest:
-        seen = {min(rest)}
-        queue = [min(rest)]
-        while queue:
-            x = queue.pop()
-            for y in g.neighbors(x):
-                if y in rest and y not in seen:
-                    seen.add(y)
-                    queue.append(y)
-        comps.append(frozenset(seen))
-        rest -= seen
-    return sorted(comps, key=min)
-
-
 def _alive_sets(g: Graph, seed: int) -> list[set[int]]:
     rng = random.Random(seed)
     samples = [set(range(g.order)), set()]
@@ -223,7 +213,7 @@ def test_bitmask_kernel_matches_set_based_versions():
             lonely = any(not set(g.neighbors(v)) & alive_set for v in alive_set)
             assert has_isolated(g.adj, alive) == lonely
             comps = components(g.adj, alive)
-            assert [set(iter_bits(c)) for c in comps] == _naive_components(g, alive_set)
+            assert [set(iter_bits(c)) for c in comps] == naive_components(g, alive_set)
             checked += 1
     assert checked == 6 * len(graphs) == 312
 

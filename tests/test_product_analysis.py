@@ -16,13 +16,11 @@ from kronkit.graphs import (
     iter_bits,
     make_complete,
     make_cycle,
-    mask_of,
     parse_graph6,
     random_graph,
 )
 from kronkit.product_analysis import (
     BatchSummary,
-    ResidueSystem,
     SkipRecord,
     VerificationReport,
     batch_verify,
@@ -45,18 +43,24 @@ from oracles import (
     edges,
     graph_from_edges,
     has_isolated,
+    mask_of,
+    naive_components,
 )
 
 
 C5_REMOVAL = (0, 3, 6, 9)  # first column of the first four fibers of C5 x K3
 
 
-def _residues(rs):
+def _label_residues(labels, n):
     """The surviving ids ``u * n + a`` of each fiber ``u``, read off the
-    label masks of the residue system."""
-    n = rs.product.order // rs.factor.order
-    return tuple(tuple(u * n + a for a in range(n) if labels >> a & 1)
-                 for u, labels in enumerate(rs.labels))
+    fibers' label masks."""
+    return tuple(tuple(u * n + a for a in range(n) if x >> a & 1)
+                 for u, x in enumerate(labels))
+
+
+def _residues(rs):
+    """:func:`_label_residues` of a residue system."""
+    return _label_residues(rs.labels, rs.product.order // rs.factor.order)
 
 
 def test_residue_system_on_c5_first_column():
@@ -111,7 +115,7 @@ def test_residue_system_rejects_small_n_and_bad_ids():
 
 def test_gstar_on_c5_removal_is_connected():
     rs, _ = build_residue_system(make_cycle(5), 3, C5_REMOVAL)
-    star = build_gstar(rs)
+    star = build_gstar(rs.factor, rs.labels)
     assert star.order == 5
     assert is_connected(star)
 
@@ -119,25 +123,21 @@ def test_gstar_on_c5_removal_is_connected():
 def test_gstar_with_empty_removal_reproduces_factor_adjacency():
     for g in (make_cycle(5), make_complete(4), make_cycle(6)):
         rs, _ = build_residue_system(g, 3, set())
-        star = build_gstar(rs)
+        star = build_gstar(rs.factor, rs.labels)
         assert star.adj == g.adj
 
 
 def test_gstar_rejects_empty_residue():
     rs, _ = build_residue_system(make_cycle(5), 3, {0, 1, 2})
     with pytest.raises(PreconditionError) as err:
-        build_gstar(rs)
+        build_gstar(rs.factor, rs.labels)
     assert "fiber 0" in str(err.value)
 
 
 def test_gstar_names_the_first_empty_fiber_of_a_direct_residue_system():
-    g = make_cycle(5)
-    product = kronecker(g, make_complete(3))
     # fibers 1 and 3 lose every label, fiber 2 loses label 2
-    removed = (3, 4, 5, 8, 9, 10, 11)
-    rs = ResidueSystem(g, product, removed, (0b111, 0, 0b011, 0, 0b111))
     with pytest.raises(PreconditionError, match="residue of fiber 1 is empty"):
-        build_gstar(rs)
+        build_gstar(make_cycle(5), (0b111, 0, 0b011, 0, 0b111))
 
 
 def _scan_gstar(rs):
@@ -178,7 +178,7 @@ def test_gstar_matches_the_product_edge_scan_on_kd_equal_factors():
             removals += [r.removed for r in check_gstar_connected(g, n, 3, seed=n)]
             for removed in removals:
                 rs, _ = build_residue_system(g, n, removed)
-                assert build_gstar(rs) == _scan_gstar(rs), (g, n, removed)
+                assert build_gstar(rs.factor, rs.labels) == _scan_gstar(rs), (g, n, removed)
                 checked += 1
     assert checked > 2000
 
@@ -192,9 +192,49 @@ def test_gstar_matches_the_product_edge_scan_on_kd_equal_factors():
 ])
 def test_gstar_edge_cases_match_the_product_edge_scan(removed, joined):
     rs, _ = build_residue_system(make_cycle(5), 3, removed)
-    star = build_gstar(rs)
+    star = build_gstar(rs.factor, rs.labels)
     assert star == _scan_gstar(rs)
     assert bool(star.adj[0] >> 1 & 1) is joined
+
+
+# -- the checks' verdicts ------------------------------------------------------
+
+def _record(g, n, removed, check):
+    """The trial record ``check`` gives a hand-made draw of ``removed``."""
+    rs, _ = build_residue_system(g, n, removed)
+    draw = (rs.product, ((rs.removed, rs.labels, 0, 0),))
+    (record,) = product_analysis._trial_records(g, n, draw, check)
+    assert record.removed == rs.removed and record.error is None
+    return record
+
+
+@pytest.mark.parametrize("g6", ["C]", "EFz_", "G?~vf_"])
+def test_split_check_reports_every_fiber_of_a_column_cut(g6):
+    # K_{2,2}, K_{3,3} and K_{4,4}: with label 0 removed from every fiber,
+    # the survivors of g x K_3 are two copies of g, and each fiber keeps one
+    # vertex in each copy.
+    g = parse_graph6(g6)
+    removed = [u * 3 for u in range(g.order)]
+    record = _record(g, 3, removed, product_analysis._split_check)
+    assert record.gstar_connected is None
+    assert record.split_residues == tuple(range(g.order))
+    comps = naive_components(kronecker(g, make_complete(3)),
+                             set(range(3 * g.order)) - set(removed))
+    assert len(comps) == 2
+    assert record.split_residues == tuple(
+        u for u in range(g.order)
+        if sum(bool(comp & {u * 3 + 1, u * 3 + 2}) for comp in comps) > 1)
+
+
+def test_gstar_check_reports_a_disconnected_residue_graph():
+    # A_ is K_2; both fibers keep label 0 alone, and (0, 0) !~ (1, 0).
+    g = parse_graph6("A_")
+    rs, _ = build_residue_system(g, 3, (1, 2, 4, 5))
+    assert rs.labels == (0b001, 0b001)
+    assert _scan_gstar(rs).adj == (0, 0)
+    record = _record(g, 3, rs.removed, product_analysis._gstar_check)
+    assert record.gstar_connected is False
+    assert record.split_residues is None
 
 
 # -- sampled checks -----------------------------------------------------------
@@ -301,7 +341,7 @@ def test_gstar_connected_for_smaller_removal_sizes():
         for removed in itertools.combinations(range(15), size):
             rs, conditions = build_residue_system(make_cycle(5), 3, removed)
             if conditions.residues_nonempty and conditions.no_isolated:
-                assert is_connected(build_gstar(rs)), removed
+                assert is_connected(build_gstar(rs.factor, rs.labels)), removed
                 connected += 1
     assert connected == 570
 
@@ -348,9 +388,10 @@ def sampler_routes(monkeypatch, fresh_draws):
 
 def _sampled(g, n, trials, seed):
     """``_draw_trials`` in the form of :func:`_reference_draws`."""
-    return [(rs.removed, _residues(rs), rej, iso) if rs is not None
-            else ((), None, rej, iso)
-            for rs, rej, iso in product_analysis._draw_trials(g, n, trials, seed)]
+    product, draws = product_analysis._draw_trials(g, n, trials, seed)
+    assert product == kronecker(g, make_complete(n))
+    return [(removed, None if labels is None else _label_residues(labels, n), rej, iso)
+            for removed, labels, rej, iso in draws]
 
 
 def _reference_draws(g, n, trials, seed):
@@ -558,11 +599,11 @@ def test_kernel_draws_unlike_numpy_take_the_python_route(monkeypatch, fresh_draw
 
 def test_sampled_conditions_equal_the_residue_system_conditions():
     for g, n in ((make_cycle(5), 3), (make_complete(4), 4), (make_cycle(7), 5)):
-        for rs, _, _ in product_analysis._draw_trials(g, n, 20, 3):
-            assert rs is not None
-            fresh, conditions = build_residue_system(g, n, rs.removed)
+        for removed, labels, _, _ in product_analysis._draw_trials(g, n, 20, 3)[1]:
+            assert labels is not None
+            fresh, conditions = build_residue_system(g, n, removed)
             assert conditions == ResidueConditions(True, True, True)
-            assert _residues(rs) == _residues(fresh)
+            assert labels == fresh.labels
 
 
 # -- verification -------------------------------------------------------------
