@@ -1,6 +1,6 @@
 """Build and load the C kernel: the split-flow network, ``_splitflow.c``,
 the canonical form of small graphs, ``_canon.c``, and the residue
-sampler's rejection loop, ``_residue.c``.
+sampler's rejection loop with its verdicts, ``_residue.c``.
 
 The sources are compiled on first use with the system C compiler into one
 library in the per-user cache (``$XDG_CACHE_HOME/kronkit``, else
@@ -14,8 +14,8 @@ load a complete library.
 unusable; :mod:`kronkit.connectivity` then uses its Python network, which
 gives the same flows, cuts and searches, :mod:`kronkit.corpus` its
 isomorphism search, which keeps the same representatives, and
-:mod:`kronkit.product_analysis` its numpy sampler, which draws the same
-removals.
+:mod:`kronkit.product_analysis` its numpy sampler and residue checks,
+which draw the same removals and give the same verdicts.
 """
 
 from __future__ import annotations
@@ -95,4 +95,7 @@ def library() -> ctypes.CDLL | None:
                                    _WORDS, ctypes.c_int, ctypes.c_int64,
                                    _WORDS, _WORDS, _WORDS]
     lib.residue_sample.restype = ctypes.c_int
+    lib.residue_verdicts.argtypes = [ctypes.c_int, _WORDS, _WORDS, ctypes.c_int,
+                                     _WORDS]
+    lib.residue_verdicts.restype = ctypes.c_int
     return lib

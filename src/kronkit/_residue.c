@@ -1,6 +1,7 @@
 /* The rejection sampler of kronkit.product_analysis._sample_valid_removals
  * for factors of at most 64 vertices and at most 64 labels, on numpy's
- * PCG64 stepped here from each trial's seeded state.
+ * PCG64 stepped here from each trial's seeded state, and the verdicts of
+ * kronkit.product_analysis._verdicts on the removals it accepts.
  *
  * A trial's seed is four words, the state's high and low halves, then the
  * increment's, of numpy's PCG64 seeded with [seed, t].  Each 64-bit word
@@ -22,6 +23,12 @@
  * the label mask of fiber u's survivors, a draw is rejected when some mask
  * is 0, and otherwise when a survivor (u, x) has no surviving neighbour,
  * that is when the masks of u's neighbours, together, lie inside {x}.
+ *
+ * The verdicts read the same masks: whether the auxiliary graph G* is
+ * connected, by one search over a 64-bit fiber mask, and which fibers'
+ * residues meet more than one component of the survivors, by a component
+ * search over fibers that carries the labels reached in each.  Neither
+ * builds the product.
  *
  * Python checks once per process that residue_choices gives numpy's output
  * on fixed streams, and draws in Python when it does not.
@@ -195,6 +202,86 @@ int residue_sample(int order, const uint64_t *adj, int n, int size,
         }
         counts[2 * t] = (uint64_t)rejections;
         counts[2 * t + 1] = (uint64_t)isolation_rejections;
+    }
+    return 0;
+}
+
+/* 1 when the auxiliary graph G* of the fibers' label masks lab is
+ * connected, else 0.  G* keeps the factor edge i ~ j unless lab[i] ==
+ * lab[j] with one bit set, as kronkit.product_analysis.build_gstar reads it. */
+static uint64_t gstar_connected(int order, const uint64_t *adj, const uint64_t *lab)
+{
+    uint64_t every = order == 64 ? UINT64_MAX : ((uint64_t)1 << order) - 1;
+    uint64_t reached = 1, todo = 1;
+    while (todo) {
+        int i = __builtin_ctzll(todo);
+        todo &= todo - 1;
+        uint64_t next = adj[i] & ~reached;
+        if ((lab[i] & (lab[i] - 1)) == 0)
+            for (uint64_t a = next; a; a &= a - 1)
+                if (lab[__builtin_ctzll(a)] == lab[i])
+                    next &= ~(a & -a);
+        reached |= next;
+        todo |= next;
+    }
+    return reached == every;
+}
+
+/* The mask of the fibers whose residue meets more than one component of the
+ * survivors of the factor with adjacency masks adj times K_n, one component
+ * searched at a time over fibers: reach[v] holds the labels of fiber v that
+ * the component has reached, and rest[v] those that no component has.  From
+ * fiber x, (x, a) ~ (v, b) exactly when x ~ v and a != b, so a neighbour v
+ * gains rest[v] when reach[x] holds two labels or more, and rest[v] without
+ * that label when it holds one. */
+static uint64_t split_fibers(int order, const uint64_t *adj, const uint64_t *lab)
+{
+    uint64_t rest[MAX_FIBERS], reach[MAX_FIBERS] = {0}, split = 0;
+    memcpy(rest, lab, (size_t)order * sizeof *rest);
+    for (int u = 0; u < order; u++) {
+        while (rest[u]) {
+            reach[u] = rest[u] & -rest[u];
+            uint64_t todo = (uint64_t)1 << u, touched = todo;
+            while (todo) {
+                int x = __builtin_ctzll(todo);
+                todo &= todo - 1;
+                uint64_t barred = (reach[x] & (reach[x] - 1)) ? 0 : reach[x];
+                for (uint64_t a = adj[x]; a; a &= a - 1) {
+                    int v = __builtin_ctzll(a);
+                    uint64_t gain = rest[v] & ~barred & ~reach[v];
+                    if (gain) {
+                        reach[v] |= gain;
+                        todo |= a & -a;
+                        touched |= a & -a;
+                    }
+                }
+            }
+            for (; touched; touched &= touched - 1) {
+                int v = __builtin_ctzll(touched);
+                if (reach[v] != lab[v])
+                    split |= (uint64_t)1 << v;
+                rest[v] &= ~reach[v];
+                reach[v] = 0;
+            }
+        }
+    }
+    return split;
+}
+
+/* The verdicts on count trials' label masks, laid out trial by trial in
+ * labels as residue_sample writes them, over the factor with adjacency
+ * masks adj.  Per trial t it writes out[2t], 1 when G* is connected, else
+ * 0, and out[2t + 1], the mask of the split fibers.  Every mask must be
+ * nonempty for the verdicts to mean anything; a spent trial's are not. */
+int residue_verdicts(int order, const uint64_t *adj, const uint64_t *labels,
+                     int count, uint64_t *out)
+{
+    if (order < 1 || order > MAX_FIBERS || count < 0)
+        return OUT_OF_RANGE;
+    for (int t = 0; t < count; t++) {
+        const uint64_t *lab = labels + (int64_t)t * order;
+        out[2 * (int64_t)t] = gstar_connected(order, adj, lab);
+        out[2 * (int64_t)t + 1] = split_fibers(order, adj, lab);
     }
     return 0;
 }

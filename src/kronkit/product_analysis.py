@@ -40,6 +40,7 @@ from .graphs import (
     components,
     encode_graph6,
     is_connected,
+    iter_bits,
     make_complete,
     parse_graph6,
 )
@@ -94,7 +95,7 @@ def _sample_valid_removals(g: Graph, n: int,
                            seeds: ctypes.Array) -> tuple[tuple, ...]:
     """Per trial seed of :func:`_trial_states`, a uniform ``(n-1) *
     delta``-subset of ``g x K_n`` meeting the residue and isolation
-    conditions, by rejection.
+    conditions, by rejection, with its :func:`_verdicts`.
 
     Each trial restores its PCG64 state in one generator and draws from
     there.  The conditions are read per fiber rather than per product
@@ -102,11 +103,13 @@ def _sample_valid_removals(g: Graph, n: int,
     must be nonempty, and a survivor ``(u, x)`` is isolated exactly when the
     labels surviving in the neighbouring fibers, together, lie inside
     ``{x}``.  Returns (removed ids, label masks, rejections,
-    isolation-only rejections) per trial, with the masks as
-    :func:`build_gstar` reads them; a trial whose ``MAX_REJECTIONS + 1``
-    draws in a row were rejected gives ``((), None, ...)``.
+    isolation-only rejections, G* connected, split fibers) per trial, with
+    the masks as :func:`build_gstar` reads them; a trial whose
+    ``MAX_REJECTIONS + 1`` draws in a row were rejected gives ``((), None,
+    rejections, isolation rejections, None, None)``.
     """
-    mn = g.order * n
+    product = kronecker(g, make_complete(n))
+    mn = product.order
     size = (n - 1) * g.min_degree
     neighbours = tuple(tuple(g.neighbors(u)) for u in range(g.order))
     # The fiber and the label bit of each product id.
@@ -135,12 +138,29 @@ def _sample_valid_removals(g: Graph, n: int,
                 rejections += 1
                 isolation_rejections += 1
             else:
-                draws.append((tuple(sorted(picked)), tuple(labels),
-                              rejections, isolation_rejections))
+                labels = tuple(labels)
+                draws.append((tuple(sorted(picked)), labels, rejections,
+                              isolation_rejections, *_verdicts(g, product, labels)))
                 break
         else:
-            draws.append(((), None, rejections, isolation_rejections))
+            draws.append(((), None, rejections, isolation_rejections, None, None))
     return tuple(draws)
+
+
+def _verdicts(g: Graph, product: Graph,
+              labels: tuple[int, ...]) -> tuple[bool, tuple[int, ...]]:
+    """Whether G* of the fibers' label masks is connected, and the fibers
+    whose residue meets more than one component of the survivors in the
+    product ``g x K_n``."""
+    n = product.order // g.order
+    residues = [x << u * n for u, x in enumerate(labels)]
+    # The residues lie in disjoint blocks of n bits, so their sum is the
+    # mask of the survivors.
+    comps = components(product.adj, sum(residues))
+    split = () if len(comps) == 1 else tuple(
+        u for u, residue in enumerate(residues)
+        if not any(residue & ~comp == 0 for comp in comps))
+    return is_connected(build_gstar(g, labels)), split
 
 
 def _fiber_isolates(neighbours: Sequence[Sequence[int]],
@@ -210,36 +230,41 @@ def _kernel_draws_match(lib) -> bool:
 
 def _kernel_removals(lib, g: Graph, n: int,
                      seeds: ctypes.Array) -> tuple[tuple, ...]:
-    """:func:`_sample_valid_removals` run in the kernel."""
+    """:func:`_sample_valid_removals` run in the kernel, verdicts included."""
     order = g.order
     size = (n - 1) * g.min_degree
     trials = len(seeds) // 4
+    adj = (ctypes.c_uint64 * order)(*g.adj)
     removed = (ctypes.c_uint64 * (trials * size))()
     labels = (ctypes.c_uint64 * (trials * order))()
     counts = (ctypes.c_uint64 * (2 * trials))()
-    if lib.residue_sample(order, (ctypes.c_uint64 * order)(*g.adj), n, size,
-                          seeds, trials, MAX_REJECTIONS, removed, labels, counts):
-        raise RuntimeError(f"residue_sample rejected order {order}, n {n}")
+    verdicts = (ctypes.c_uint64 * (2 * trials))()
+    if (lib.residue_sample(order, adj, n, size, seeds, trials, MAX_REJECTIONS,
+                           removed, labels, counts)
+            or lib.residue_verdicts(order, adj, labels, trials, verdicts)):
+        raise RuntimeError(f"the residue kernel rejected order {order}, n {n}")
     # Lists of Python ints slice faster than the ctypes arrays.
-    removed, labels, counts = removed[:], labels[:], counts[:]
+    removed, labels = removed[:], labels[:]
+    counts, verdicts = counts[:], verdicts[:]
     draws = []
     for t in range(trials):
         rejections, isolation_rejections = counts[2 * t:2 * t + 2]
         if rejections <= MAX_REJECTIONS:
+            connected, split = verdicts[2 * t:2 * t + 2]
             draws.append((tuple(removed[t * size:(t + 1) * size]),
                           tuple(labels[t * order:(t + 1) * order]),
-                          rejections, isolation_rejections))
+                          rejections, isolation_rejections,
+                          connected == 1, tuple(iter_bits(split)) if split else ()))
         else:
-            draws.append(((), None, rejections, isolation_rejections))
+            draws.append(((), None, rejections, isolation_rejections, None, None))
     return tuple(draws)
 
 
 @functools.lru_cache(maxsize=1)
-def _draw_trials(g: Graph, n: int, trials: int,
-                 seed: int) -> tuple[Graph, tuple[tuple, ...]]:
-    """The product ``g x K_n`` and one ``(removed ids, label masks,
-    rejections, isolation rejections)`` per trial; the label masks are None
-    exactly when sampling ran out.
+def _draw_trials(g: Graph, n: int, trials: int, seed: int) -> tuple[tuple, ...]:
+    """One ``(removed ids, label masks, rejections, isolation rejections, G*
+    connected, split fibers)`` per trial of ``g x K_n``; the label masks and
+    both verdicts are None exactly when sampling ran out.
 
     Trial ``t`` draws from the stream of a generator seeded with ``[seed,
     t]``, so both checkers see the same removals for the same arguments;
@@ -249,8 +274,9 @@ def _draw_trials(g: Graph, n: int, trials: int,
 
     The kernel draws when it is built, the factor has at most 64 vertices,
     ``n`` is at most 64, and its draws equal numpy's on the fixed streams
-    of ``_PROBES``; otherwise :func:`_sample_valid_removals` does, with the
-    same result.
+    of ``_PROBES``, and then gives the verdicts too without building the
+    product; otherwise :func:`_sample_valid_removals` does, with the same
+    result.
 
     The checkers' shared preconditions are checked here, so a reused draw
     does not compute the factor's connectivity again.  The cache keeps no
@@ -266,51 +292,27 @@ def _draw_trials(g: Graph, n: int, trials: int,
             "checker needs kappa equal to the minimum degree and positive")
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
-    product = kronecker(g, make_complete(n))
     seeds = _trial_states(seed % 2**64, trials)
     lib = _native.library()
     if (lib is not None and g.order <= _KERNEL_MAX and n <= _KERNEL_MAX
             and _kernel_draws_match(lib)):
-        return product, _kernel_removals(lib, g, n, seeds)
-    return product, _sample_valid_removals(g, n, seeds)
+        return _kernel_removals(lib, g, n, seeds)
+    return _sample_valid_removals(g, n, seeds)
 
 
-def _trial_records(g: Graph, n: int, draw: tuple[Graph, tuple[tuple, ...]],
-                   check) -> list[TrialRecord]:
-    """One record per drawn trial: its removal and ``check``'s verdict on it.
-
-    ``check`` maps the factor, the product and the removal's label masks to
-    the record's ``(gstar_connected, split_residues)`` pair.
-    """
-    product, trials = draw
+def _trial_records(g: Graph, n: int, trials: tuple[tuple, ...],
+                   gstar: bool) -> list[TrialRecord]:
+    """One record per drawn trial: its removal and one of its verdicts,
+    ``gstar_connected`` when ``gstar`` is true, else ``split_residues``."""
     g6 = encode_graph6(g)
     records = []
-    for t, (removed, labels, rej, iso_rej) in enumerate(trials):
-        if labels is None:
-            error = f"no valid removal candidate after {rej} rejections"
-            records.append(TrialRecord(g6, n, t, (), rej, iso_rej, None, None, error))
-        else:
-            records.append(TrialRecord(g6, n, t, removed, rej, iso_rej,
-                                       *check(g, product, labels)))
+    for t, (removed, labels, rej, iso_rej, connected, split) in enumerate(trials):
+        error = (f"no valid removal candidate after {rej} rejections"
+                 if labels is None else None)
+        records.append(TrialRecord(g6, n, t, removed, rej, iso_rej,
+                                   connected if gstar else None,
+                                   None if gstar else split, error))
     return records
-
-
-def _gstar_check(g: Graph, product: Graph,
-                 labels: tuple[int, ...]) -> tuple[bool, None]:
-    return is_connected(build_gstar(g, labels)), None
-
-
-def _split_check(g: Graph, product: Graph,
-                 labels: tuple[int, ...]) -> tuple[None, tuple[int, ...]]:
-    n = product.order // g.order
-    residues = [x << u * n for u, x in enumerate(labels)]
-    # The residues lie in disjoint blocks of n bits, so their sum is the
-    # mask of the survivors.
-    comps = components(product.adj, sum(residues))
-    if len(comps) == 1:
-        return None, ()
-    return None, tuple(u for u, residue in enumerate(residues)
-                       if not any(residue & ~comp == 0 for comp in comps))
 
 
 def check_gstar_connected(g: Graph, n: int, trials: int,
@@ -320,8 +322,7 @@ def check_gstar_connected(g: Graph, n: int, trials: int,
     Any disconnected auxiliary graph is an implementation bug, so records
     carry the full removal set for reproduction.
     """
-    draws = _draw_trials(g, n, trials, seed)
-    return _trial_records(g, n, draws, _gstar_check)
+    return _trial_records(g, n, _draw_trials(g, n, trials, seed), gstar=True)
 
 
 def check_residue_components(g: Graph, n: int, trials: int,
@@ -336,7 +337,7 @@ def check_residue_components(g: Graph, n: int, trials: int,
     draws = _draw_trials(g, n, trials, seed)
     if is_bipartite(g)[0]:
         raise PreconditionError("checker needs a non-bipartite factor graph")
-    return _trial_records(g, n, draws, _split_check)
+    return _trial_records(g, n, draws, gstar=False)
 
 
 # -- verification reports -------------------------------------------------------

@@ -59,17 +59,32 @@ def test_workload_names_resolve():
         "instances", "holds", "violations", "skips"]
 
 
-def test_traced_residue_bindings_are_reached():
-    # A binding the package calls past, such as a local alias of build_gstar,
-    # would leave its self time at 0 without any warning.
-    tracer = _load_tracing().Tracer(kronkit)
+def _traced_residue_calls(tracing):
+    """The tracer's totals over one call of each residue checker on C_5 x K_3,
+    with no draw cached."""
+    kronkit.product_analysis._draw_trials.cache_clear()
+    tracer = tracing.Tracer(kronkit)
     tracer.install()
     try:
         kronkit.product_analysis.check_gstar_connected(make_cycle(5), 3, 4, 0)
         kronkit.product_analysis.check_residue_components(make_cycle(5), 3, 4, 0)
     finally:
         tracer.uninstall()
-    totals = tracer.take()
+        kronkit.product_analysis._draw_trials.cache_clear()
+    return tracer.take()
+
+
+def test_traced_residue_bindings_are_reached(monkeypatch):
+    # A binding the package calls past, such as a local alias of build_gstar,
+    # would leave its self time at 0 without any warning.  Only the Python
+    # route builds G*; the kernel decides it without build_gstar.
+    tracing = _load_tracing()
+    if kronkit._native.library() is not None:
+        totals = _traced_residue_calls(tracing)
+        assert totals.calls("product_analysis.check_gstar_connected") == 1
+        assert totals.calls("product_analysis.build_gstar") == 0
+    monkeypatch.setattr(kronkit._native, "library", lambda: None)
+    totals = _traced_residue_calls(tracing)
     assert totals.calls("product_analysis.check_gstar_connected") == 1
     assert totals.calls("product_analysis.check_residue_components") == 1
     assert totals.calls("product_analysis.build_gstar") == 4

@@ -1,5 +1,6 @@
 """Tests for residue systems, the auxiliary graph, and verification records."""
 
+import ctypes
 import itertools
 import random
 from collections import Counter
@@ -140,11 +141,10 @@ def test_gstar_names_the_first_empty_fiber_of_a_direct_residue_system():
         build_gstar(make_cycle(5), (0b111, 0, 0b011, 0, 0b111))
 
 
-def _scan_gstar(rs):
+def _scan_gstar(product, residues):
     """Oracle: G* by scanning the surviving product edges between residues."""
-    m = rs.factor.order
-    padj = rs.product.adj
-    residues = _residues(rs)
+    m = len(residues)
+    padj = product.adj
     masks = [sum(1 << v for v in res) for res in residues]
     adj = [0] * m
     for i in range(m):
@@ -153,6 +153,16 @@ def _scan_gstar(rs):
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
     return Graph(m, tuple(adj))
+
+
+def _oracle_verdicts(product, residues):
+    """Oracle for a removal's verdicts: G* connected, by the product edge
+    scan, and the fibers whose residue meets more than one component of
+    the survivors, by :func:`naive_components`."""
+    comps = naive_components(product, {v for res in residues for v in res})
+    split = tuple(u for u, res in enumerate(residues)
+                  if sum(bool(comp & set(res)) for comp in comps) > 1)
+    return is_connected(_scan_gstar(product, residues)), split
 
 
 def _kd_equal_factors(max_order):
@@ -178,7 +188,8 @@ def test_gstar_matches_the_product_edge_scan_on_kd_equal_factors():
             removals += [r.removed for r in check_gstar_connected(g, n, 3, seed=n)]
             for removed in removals:
                 rs, _ = build_residue_system(g, n, removed)
-                assert build_gstar(rs.factor, rs.labels) == _scan_gstar(rs), (g, n, removed)
+                assert (build_gstar(rs.factor, rs.labels)
+                        == _scan_gstar(rs.product, _residues(rs))), (g, n, removed)
                 checked += 1
     assert checked > 2000
 
@@ -193,17 +204,44 @@ def test_gstar_matches_the_product_edge_scan_on_kd_equal_factors():
 def test_gstar_edge_cases_match_the_product_edge_scan(removed, joined):
     rs, _ = build_residue_system(make_cycle(5), 3, removed)
     star = build_gstar(rs.factor, rs.labels)
-    assert star == _scan_gstar(rs)
+    assert star == _scan_gstar(rs.product, _residues(rs))
     assert bool(star.adj[0] >> 1 & 1) is joined
 
 
 # -- the checks' verdicts ------------------------------------------------------
 
-def _record(g, n, removed, check):
-    """The trial record ``check`` gives a hand-made draw of ``removed``."""
+def _kernel_verdicts(lib, g, masks):
+    """``residue_verdicts`` on the label masks of each trial in ``masks``, in
+    the form of :func:`product_analysis._verdicts`."""
+    flat = [x for labels in masks for x in labels]
+    out = (ctypes.c_uint64 * (2 * len(masks)))()
+    assert lib.residue_verdicts(g.order, (ctypes.c_uint64 * g.order)(*g.adj),
+                                (ctypes.c_uint64 * len(flat))(*flat),
+                                len(masks), out) == 0
+    return [(out[2 * t] == 1, tuple(iter_bits(out[2 * t + 1])))
+            for t in range(len(masks))]
+
+
+def _verdict_routes():
+    """The routes that give verdicts: the kernel entry, when it builds, and
+    the Python route."""
+    return ("kernel", "python") if _native.library() is not None else ("python",)
+
+
+def _route_verdicts(route, g, n, labels):
+    """The verdicts on one removal's label masks, from ``route``."""
+    if route == "python":
+        return product_analysis._verdicts(g, kronecker(g, make_complete(n)), labels)
+    (verdicts,) = _kernel_verdicts(_native.library(), g, [labels])
+    return verdicts
+
+
+def _record(g, n, removed, gstar, route):
+    """The trial record of a hand-made draw of ``removed`` with ``route``'s
+    verdicts; ``gstar`` picks the field as the checkers do."""
     rs, _ = build_residue_system(g, n, removed)
-    draw = (rs.product, ((rs.removed, rs.labels, 0, 0),))
-    (record,) = product_analysis._trial_records(g, n, draw, check)
+    trial = (rs.removed, rs.labels, 0, 0, *_route_verdicts(route, g, n, rs.labels))
+    (record,) = product_analysis._trial_records(g, n, (trial,), gstar)
     assert record.removed == rs.removed and record.error is None
     return record
 
@@ -215,15 +253,16 @@ def test_split_check_reports_every_fiber_of_a_column_cut(g6):
     # vertex in each copy.
     g = parse_graph6(g6)
     removed = [u * 3 for u in range(g.order)]
-    record = _record(g, 3, removed, product_analysis._split_check)
-    assert record.gstar_connected is None
-    assert record.split_residues == tuple(range(g.order))
     comps = naive_components(kronecker(g, make_complete(3)),
                              set(range(3 * g.order)) - set(removed))
     assert len(comps) == 2
-    assert record.split_residues == tuple(
-        u for u in range(g.order)
-        if sum(bool(comp & {u * 3 + 1, u * 3 + 2}) for comp in comps) > 1)
+    for route in _verdict_routes():
+        record = _record(g, 3, removed, False, route)
+        assert record.gstar_connected is None, route
+        assert record.split_residues == tuple(range(g.order)), route
+        assert record.split_residues == tuple(
+            u for u in range(g.order)
+            if sum(bool(comp & {u * 3 + 1, u * 3 + 2}) for comp in comps) > 1)
 
 
 def test_gstar_check_reports_a_disconnected_residue_graph():
@@ -231,10 +270,63 @@ def test_gstar_check_reports_a_disconnected_residue_graph():
     g = parse_graph6("A_")
     rs, _ = build_residue_system(g, 3, (1, 2, 4, 5))
     assert rs.labels == (0b001, 0b001)
-    assert _scan_gstar(rs).adj == (0, 0)
-    record = _record(g, 3, rs.removed, product_analysis._gstar_check)
-    assert record.gstar_connected is False
-    assert record.split_residues is None
+    assert _scan_gstar(rs.product, _residues(rs)).adj == (0, 0)
+    for route in _verdict_routes():
+        record = _record(g, 3, rs.removed, True, route)
+        assert record.gstar_connected is False, route
+        assert record.split_residues is None, route
+
+
+def _random_labels(g, n, rnd):
+    """Each fiber keeps a random nonempty set of labels."""
+    return tuple(sum(1 << a for a in rnd.sample(range(n), rnd.randint(1, n)))
+                 for _ in range(g.order))
+
+
+def test_kernel_verdicts_equal_the_oracles_on_random_label_masks():
+    lib = _native.library()
+    if lib is None:
+        pytest.skip("the native kernel did not build")
+    rnd = random.Random(23)
+    checked = disconnected = split = 0
+    for order in range(1, 8):
+        for g in connected_graphs(order):
+            for n in (3, 4, 5):
+                product = kronecker(g, make_complete(n))
+                masks = [_random_labels(g, n, rnd) for _ in range(3)]
+                expected = [_oracle_verdicts(product, _label_residues(labels, n))
+                            for labels in masks]
+                assert _kernel_verdicts(lib, g, masks) == expected, (g, n, masks)
+                for labels, (connected, fibers) in zip(masks, expected):
+                    assert is_connected(build_gstar(g, labels)) == connected
+                    disconnected += not connected
+                    split += bool(fibers)
+                checked += len(masks)
+    assert checked == 3 * 3 * 996
+    # Both negative outcomes occur, so neither verdict passes by being constant.
+    assert disconnected > 100 and split > 100
+
+
+@pytest.mark.parametrize("g, n", [(make_cycle(64), 3), (make_cycle(5), 64)],
+                         ids=["C64xK3", "C5xK64"])
+def test_kernel_verdicts_at_64_fibers_and_64_labels(g, n):
+    lib = _native.library()
+    if lib is None:
+        pytest.skip("the native kernel did not build")
+    top = 1 << n - 1
+    rnd = random.Random(64)
+    masks = [(top,) * g.order, (top | top >> 1,) * g.order]
+    masks += [_random_labels(g, n, rnd) for _ in range(20)]
+    product = kronecker(g, make_complete(n))
+    python = [product_analysis._verdicts(g, product, labels) for labels in masks]
+    assert _kernel_verdicts(lib, g, masks) == python
+    assert python == [_oracle_verdicts(product, _label_residues(labels, n))
+                      for labels in masks]
+    # One label per fiber leaves every survivor isolated.  Two leave g x K_2:
+    # for C_64 two copies of C_64, each holding one survivor of every fiber,
+    # and for C_5 one C_10.
+    assert python[0] == (False, ())
+    assert python[1] == (True, tuple(range(64)) if g.order == 64 else ())
 
 
 # -- sampled checks -----------------------------------------------------------
@@ -388,18 +480,17 @@ def sampler_routes(monkeypatch, fresh_draws):
 
 def _sampled(g, n, trials, seed):
     """``_draw_trials`` in the form of :func:`_reference_draws`."""
-    product, draws = product_analysis._draw_trials(g, n, trials, seed)
-    assert product == kronecker(g, make_complete(n))
-    return [(removed, None if labels is None else _label_residues(labels, n), rej, iso)
-            for removed, labels, rej, iso in draws]
+    return [(removed, None if labels is None else _label_residues(labels, n), *rest)
+            for removed, labels, *rest in product_analysis._draw_trials(g, n, trials, seed)]
 
 
 def _reference_draws(g, n, trials, seed):
     """Oracle for the trial draws: ``(removed, residues, rejections,
-    isolation rejections)`` per trial, from a fresh generator seeded with
-    ``[seed % 2**64, t]`` for each trial ``t``, with the residues read off
-    each fiber's block of the surviving ids and isolation read off the
-    product."""
+    isolation rejections, G* connected, split fibers)`` per trial, from a
+    fresh generator seeded with ``[seed % 2**64, t]`` for each trial ``t``,
+    with the residues read off each fiber's block of the surviving ids,
+    isolation read off the product, and the verdicts from
+    :func:`_oracle_verdicts`."""
     product = kronecker(g, make_complete(n))
     size = (n - 1) * g.min_degree
     draws = []
@@ -418,10 +509,11 @@ def _reference_draws(g, n, trials, seed):
                 isolation_rejections += 1
             else:
                 draws.append((tuple(sorted(picked)), residues, rejections,
-                              isolation_rejections))
+                              isolation_rejections,
+                              *_oracle_verdicts(product, residues)))
                 break
         else:
-            draws.append(((), None, rejections, isolation_rejections))
+            draws.append(((), None, rejections, isolation_rejections, None, None))
     return draws
 
 
@@ -439,7 +531,7 @@ def test_exhausted_sampling_reports_every_rejection(cap, seed, trials, exhausted
             assert [(r.removed, r.rejections, r.isolation_rejections)
                     for r in records] == [
                 (removed, rej, iso)
-                for removed, _, rej, iso in _reference_draws(triangle, 3, trials, seed)
+                for removed, _, rej, iso, *_ in _reference_draws(triangle, 3, trials, seed)
             ], route
             assert [(r.trial, r.rejections, r.isolation_rejections)
                     for r in records if r.error] == exhausted, route
@@ -554,7 +646,7 @@ def test_a_trial_of_261_words_is_drawn_in_the_kernel(monkeypatch, fresh_draws):
     assert calls
     assert sampled == _reference_draws(g, n, 6, seed)
     assert sampled[5][0] == (0, 2, 3, 4, 8, 9, 11, 12, 13, 14, 16, 19, 20, 21, 23)
-    assert sampled[5][2:] == (17, 0)
+    assert sampled[5][2:4] == (17, 0)
     # The stream after the trial's draws is the seeded one advanced 261 words.
     rng = np.random.default_rng([seed, 5])
     for _ in range(18):
@@ -599,7 +691,7 @@ def test_kernel_draws_unlike_numpy_take_the_python_route(monkeypatch, fresh_draw
 
 def test_sampled_conditions_equal_the_residue_system_conditions():
     for g, n in ((make_cycle(5), 3), (make_complete(4), 4), (make_cycle(7), 5)):
-        for removed, labels, _, _ in product_analysis._draw_trials(g, n, 20, 3)[1]:
+        for removed, labels, *_ in product_analysis._draw_trials(g, n, 20, 3):
             assert labels is not None
             fresh, conditions = build_residue_system(g, n, removed)
             assert conditions == ResidueConditions(True, True, True)
