@@ -10,12 +10,11 @@ The compiler writes a temporary file that ``os.replace`` then moves into
 place, so processes that build at the same time, such as pool workers, each
 load a complete library.
 
-:func:`library` returns None when a source, the compiler or the cache is
-unusable; :mod:`kronkit.connectivity` then uses its Python network, which
-gives the same flows, cuts and searches, :mod:`kronkit.corpus` its
-isomorphism search, which keeps the same representatives, and
-:mod:`kronkit.product_analysis` its numpy sampler and residue checks,
-which draw the same removals and give the same verdicts.
+:func:`library` raises :class:`~kronkit.errors.KernelBuildError`, naming
+the compiler, the cache and the cause, when a source, the compiler or the
+cache is unusable.  No computation falls back to Python then: the Python
+twins serve only inputs past the kernel's 64-bit masks, and the sampler's
+also a kernel whose draws fail numpy's probe streams.
 """
 
 from __future__ import annotations
@@ -29,12 +28,28 @@ import subprocess
 import tempfile
 from pathlib import Path
 
+from .errors import KernelBuildError
+
 SOURCES = tuple(Path(__file__).with_name(name)
                 for name in ("_splitflow.c", "_canon.c", "_residue.c"))
 COMPILER = "cc"
 FLAGS = ("-O2", "-shared", "-fPIC")
 
 _WORDS = ctypes.POINTER(ctypes.c_uint64)
+_INT, _INT64 = ctypes.c_int, ctypes.c_int64
+# The return type, then the argument types, of each kernel entry point.
+_ENTRIES = {
+    "splitflow_init": (None, _WORDS),
+    "splitflow_max_flow": (_INT, _WORDS, _INT, _INT, _INT, _WORDS),
+    "splitflow_min_separators": (_INT64, _WORDS, _INT, _INT, _WORDS, _WORDS, _INT64),
+    "splitflow_min_cuts": (_INT64, _WORDS, _INT, _WORDS, _INT64),
+    "canon_key": (_INT, _INT, _WORDS, _WORDS),
+    "canon_children": (_INT, _INT, _WORDS, _INT, _WORDS),
+    "residue_choices": (_INT, _WORDS, _INT, _INT, _INT, _WORDS),
+    "residue_sample": (_INT, _INT, _WORDS, _INT, _INT, _WORDS, _INT, _INT64,
+                       _WORDS, _WORDS, _WORDS),
+    "residue_verdicts": (_INT, _INT, _WORDS, _WORDS, _INT, _WORDS),
+}
 
 
 def _cache_dir() -> Path:
@@ -47,8 +62,12 @@ def _build(path: Path) -> None:
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.stem, suffix=".tmp")
     os.close(fd)
     try:
-        subprocess.run([COMPILER, *FLAGS, "-o", tmp, *map(str, SOURCES)],
-                       check=True, capture_output=True, timeout=300)
+        done = subprocess.run([COMPILER, *FLAGS, "-o", tmp, *map(str, SOURCES)],
+                              capture_output=True, errors="replace", timeout=300)
+        if done.returncode:
+            errors = [line for line in done.stderr.splitlines() if "error" in line]
+            raise RuntimeError(f"the compiler exited with status {done.returncode}"
+                               + "".join(f": {line}" for line in errors[:1]))
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
@@ -65,37 +84,20 @@ def library_path() -> Path:
 
 
 @functools.cache
-def library() -> ctypes.CDLL | None:
-    """The loaded kernel, built first if the cache lacks it, or None."""
+def library() -> ctypes.CDLL:
+    """The loaded kernel, built first if the cache lacks it; raises
+    :class:`KernelBuildError` when it can be neither built nor loaded."""
+    cache = "the cache"  # Path.home() raises when there is no home directory
     try:
+        cache = _cache_dir()
         path = library_path()
         if not path.exists():
             _build(path)
         lib = ctypes.CDLL(str(path))
-    except (OSError, RuntimeError, subprocess.SubprocessError):
-        return None
-    lib.splitflow_init.argtypes = [_WORDS]
-    lib.splitflow_init.restype = None
-    lib.splitflow_max_flow.argtypes = [_WORDS, ctypes.c_int, ctypes.c_int,
-                                       ctypes.c_int, _WORDS]
-    lib.splitflow_max_flow.restype = ctypes.c_int
-    lib.splitflow_min_separators.argtypes = [_WORDS, ctypes.c_int, ctypes.c_int,
-                                             _WORDS, _WORDS, ctypes.c_int64]
-    lib.splitflow_min_separators.restype = ctypes.c_int64
-    lib.splitflow_min_cuts.argtypes = [_WORDS, ctypes.c_int, _WORDS, ctypes.c_int64]
-    lib.splitflow_min_cuts.restype = ctypes.c_int64
-    lib.canon_key.argtypes = [ctypes.c_int, _WORDS, _WORDS]
-    lib.canon_key.restype = ctypes.c_int
-    lib.canon_children.argtypes = [ctypes.c_int, _WORDS, ctypes.c_int, _WORDS]
-    lib.canon_children.restype = ctypes.c_int
-    lib.residue_choices.argtypes = [_WORDS, ctypes.c_int, ctypes.c_int,
-                                    ctypes.c_int, _WORDS]
-    lib.residue_choices.restype = ctypes.c_int
-    lib.residue_sample.argtypes = [ctypes.c_int, _WORDS, ctypes.c_int, ctypes.c_int,
-                                   _WORDS, ctypes.c_int, ctypes.c_int64,
-                                   _WORDS, _WORDS, _WORDS]
-    lib.residue_sample.restype = ctypes.c_int
-    lib.residue_verdicts.argtypes = [ctypes.c_int, _WORDS, _WORDS, ctypes.c_int,
-                                     _WORDS]
-    lib.residue_verdicts.restype = ctypes.c_int
+    except (OSError, RuntimeError, subprocess.SubprocessError) as exc:
+        raise KernelBuildError(f"cannot build the C kernel with {COMPILER!r} "
+                               f"in {cache}: {exc}") from exc
+    for name, (restype, *argtypes) in _ENTRIES.items():
+        entry = getattr(lib, name)
+        entry.restype, entry.argtypes = restype, argtypes
     return lib

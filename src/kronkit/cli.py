@@ -2,8 +2,8 @@
 
 Exit codes: 0 when all checks passed or an informational command completed,
 1 when at least one violation record was emitted, 2 for usage or parse
-errors, 3 when skip records (budget, size limit, empty factor) occurred
-without violations.
+errors and when the C kernel cannot be built, 3 when skip records (budget,
+size limit, empty factor) occurred without violations.
 
 JSON-lines output is byte-stable for fixed inputs, flags, and seed; pass
 ``batch --timing`` to include real runtimes (which breaks byte stability).
@@ -29,7 +29,7 @@ from .connectivity import (
     vertex_connectivity,
 )
 from .corpus import graphs_up_to
-from .errors import BudgetExceededError, Graph6Error, PreconditionError
+from .errors import BudgetExceededError, Graph6Error, KronkitError, PreconditionError
 from .graphs import (
     Graph,
     encode_graph6,
@@ -348,7 +348,7 @@ def main(argv: list[str] | None = None) -> int:
         return _dispatch(parser, parser.parse_args(argv))
     except SystemExit as exc:  # --help, and parser.error while parsing or after
         return exc.code if isinstance(exc.code, int) else 2
-    except (_Fatal, ValueError) as exc:
+    except (_Fatal, ValueError, KronkitError) as exc:
         print(f"kronkit: {exc}", file=sys.stderr)
         return 2
 

@@ -16,8 +16,8 @@ fix the family's source.
 
 The network runs in C (``_splitflow.c``, built on first use by
 :mod:`kronkit._native`) for graphs of at most 64 vertices, and in Python
-for larger graphs or when the C kernel cannot be built.  The two give the
-same flows, cuts and searches; the Python one is the tests' oracle.  On
+only for larger graphs, past the kernel's 128-bit node masks.  The two give
+the same flows, cuts and searches, which the tests compare.  On
 the C network one enumeration is one kernel call, which walks the pairs,
 runs their flows and reads their separators; :func:`vertex_connectivity`
 still makes one call per pair.
@@ -87,13 +87,10 @@ def _over_budget(budget: int) -> BudgetExceededError:
 
 def _split_flow(g: Graph, budget: int | None):
     """The split-flow network of ``g``: the C kernel for graphs of at most
-    ``_NATIVE_MAX_ORDER`` vertices when it builds and loads, otherwise the
-    Python one.  Both give the same flows, residual networks, separators
-    and charged searches."""
+    ``_NATIVE_MAX_ORDER`` vertices, otherwise the Python one.  Both give the
+    same flows, residual networks, separators and charged searches."""
     if g.order <= _NATIVE_MAX_ORDER:
-        lib = _native.library()
-        if lib is not None:
-            return _NativeSplitFlow(g, budget, lib)
+        return _NativeSplitFlow(g, budget, _native.library())
     return _SplitFlow(g, budget)
 
 

@@ -21,6 +21,10 @@ class PreconditionError(KronkitError, ValueError):
     """An operation was called outside its documented domain."""
 
 
+class KernelBuildError(KronkitError, RuntimeError):
+    """The C kernel could not be compiled into, or loaded from, its cache."""
+
+
 class BudgetExceededError(KronkitError, RuntimeError):
     """An instance needs more residual searches than the budget allows.
 

@@ -272,32 +272,39 @@ def _draw_trials(g: Graph, n: int, trials: int, seed: int) -> tuple[tuple, ...]:
     after another on the same arguments reuses.  Call with positional
     arguments: the cache keys on them as given.
 
-    The kernel draws when it is built, the factor has at most 64 vertices,
-    ``n`` is at most 64, and its draws equal numpy's on the fixed streams
-    of ``_PROBES``, and then gives the verdicts too without building the
+    The kernel draws when the factor has at most 64 vertices, ``n`` is at
+    most 64, and its draws equal numpy's on the fixed streams of
+    ``_PROBES``, and then gives the verdicts too without building the
     product; otherwise :func:`_sample_valid_removals` does, with the same
     result.
 
     The checkers' shared preconditions are checked here, so a reused draw
-    does not compute the factor's connectivity again.  The cache keeps no
-    exception, so a hit means that these arguments passed the checks.
+    does not compute the factor's connectivity again, nor does a factor
+    drawn at several ``n`` in a row (:func:`_check_factor`).  The cache
+    keeps no exception, so a hit means that these arguments passed.
     """
     if n < 3:
         raise ValueError(f"second factor needs n >= 3, got {n}")
+    _check_factor(g)
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
+    seeds = _trial_states(seed % 2**64, trials)
+    if g.order <= _KERNEL_MAX and n <= _KERNEL_MAX:
+        lib = _native.library()
+        if _kernel_draws_match(lib):
+            return _kernel_removals(lib, g, n, seeds)
+    return _sample_valid_removals(g, n, seeds)
+
+
+@functools.lru_cache(maxsize=1)
+def _check_factor(g: Graph) -> None:
+    """Raise unless ``g`` is connected with kappa equal to delta and positive."""
     if not is_connected(g) or g.order == 0:
         raise PreconditionError("checker needs a connected factor graph")
     kappa = vertex_connectivity(g)
     if kappa != g.min_degree or kappa == 0:
         raise PreconditionError(
             "checker needs kappa equal to the minimum degree and positive")
-    if trials < 0:
-        raise ValueError(f"trials must be >= 0, got {trials}")
-    seeds = _trial_states(seed % 2**64, trials)
-    lib = _native.library()
-    if (lib is not None and g.order <= _KERNEL_MAX and n <= _KERNEL_MAX
-            and _kernel_draws_match(lib)):
-        return _kernel_removals(lib, g, n, seeds)
-    return _sample_valid_removals(g, n, seeds)
 
 
 def _trial_records(g: Graph, n: int, trials: tuple[tuple, ...],

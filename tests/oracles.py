@@ -16,6 +16,8 @@ route that follows the definition:
   the per-fiber label masks that :func:`build_gstar` takes.
 * :func:`weichsel_connected` decides the connectedness of a product from
   its factors, and :func:`are_isomorphic` tests isomorphism exactly.
+* :func:`search_corpus` builds the corpora without the kernel's canonical
+  key, by a refinement fingerprint and an isomorphism search.
 
 The builders (:func:`graph_from_edges`, :func:`delete_vertex`,
 :func:`mask_of`) and :func:`validate` make and check test inputs.
@@ -27,11 +29,12 @@ trivial one-vertex graph), as in :mod:`kronkit.connectivity`.
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from kronkit.connectivity import CutSet, vertex_connectivity
-from kronkit.corpus import _iso_search, refined_colors
+from kronkit.corpus import _child
 from kronkit.errors import PreconditionError, UnsupportedSizeError
 from kronkit.graphs import (
     Graph,
@@ -141,6 +144,78 @@ def naive_components(g: Graph, alive: set[int]) -> list[frozenset[int]]:
     return sorted(comps, key=min)
 
 
+def refined_colors(g: Graph) -> tuple[int, ...]:
+    """Stable vertex colors from iterated neighborhood refinement.
+
+    Colors are isomorphism-invariant: vertices in isomorphic positions get
+    the same color.  Seeded with (degree, incident triangle count), then
+    hash-chained over sorted neighbor colors until the partition stops
+    splitting.  Hash collisions can only coarsen the partition, which the
+    exact isomorphism search tolerates.
+    """
+    n = g.order
+    if n == 0:
+        return ()
+    adj = g.adj
+    nbrs = [list(iter_bits(m)) for m in adj]
+    colors = []
+    for v in range(n):
+        mask = adj[v]
+        tri = 0
+        for u in nbrs[v]:
+            tri += (adj[u] & mask).bit_count()
+        colors.append(hash((len(nbrs[v]), tri)))
+    classes = len(set(colors))
+    while classes < n:
+        colors = [hash((colors[v], tuple(sorted([colors[u] for u in nbrs[v]]))))
+                  for v in range(n)]
+        new_classes = len(set(colors))
+        if new_classes == classes:
+            break
+        classes = new_classes
+    return tuple(colors)
+
+
+def _iso_search(g1: Graph, c1: tuple[int, ...],
+                g2: Graph, c2: tuple[int, ...]) -> bool:
+    """Backtracking isomorphism search guided by precomputed colors."""
+    n = g1.order
+    if n == 0:
+        return True
+    adj1, adj2 = g1.adj, g2.adj
+    targets: dict[int, list[int]] = defaultdict(list)
+    for w in range(n):
+        targets[c2[w]].append(w)
+    order_v = sorted(range(n), key=lambda v: (len(targets[c1[v]]), v))
+    mapping = [-1] * n
+    used = [False] * n
+
+    def place(i: int) -> bool:
+        if i == n:
+            return True
+        v = order_v[i]
+        av = adj1[v]
+        for w in targets[c1[v]]:
+            if used[w]:
+                continue
+            aw = adj2[w]
+            ok = True
+            for u in order_v[:i]:
+                if (av >> u & 1) != (aw >> mapping[u] & 1):
+                    ok = False
+                    break
+            if ok:
+                mapping[v] = w
+                used[w] = True
+                if place(i + 1):
+                    return True
+                used[w] = False
+                mapping[v] = -1
+        return False
+
+    return place(0)
+
+
 def are_isomorphic(g1: Graph, g2: Graph) -> bool:
     """Exact isomorphism test by color-guided backtracking."""
     if g1.order != g2.order or g1.edge_count != g2.edge_count:
@@ -149,6 +224,35 @@ def are_isomorphic(g1: Graph, g2: Graph) -> bool:
     if sorted(c1) != sorted(c2):
         return False
     return _iso_search(g1, c1, g2, c2)
+
+
+def _extend_by_search(parents: tuple[Graph, ...], order: int,
+                      first_subset: int) -> tuple[Graph, ...]:
+    """The children of ``parents`` whose new vertex is adjacent to a
+    subset from ``first_subset`` on, one per class in order of first
+    appearance, as :func:`kronkit.corpus._extend_layer` keeps them."""
+    reps: list[Graph] = []
+    buckets: dict[tuple, list[tuple[Graph, tuple[int, ...]]]] = {}
+    for parent in parents:
+        for subset in range(first_subset, 1 << (order - 1)):
+            g = _child(parent, order, subset)
+            colors = refined_colors(g)
+            fingerprint = (g.order, g.edge_count, tuple(sorted(colors)))
+            bucket = buckets.setdefault(fingerprint, [])
+            if not any(_iso_search(g, colors, seen, seen_colors)
+                       for seen, seen_colors in bucket):
+                bucket.append((g, colors))
+                reps.append(g)
+    return tuple(reps)
+
+
+def search_corpus(max_order: int, connected: bool) -> list[tuple[Graph, ...]]:
+    """Orders 1..max_order of ``connected_graphs`` when ``connected``, else
+    of ``all_graphs``, built layer by layer by :func:`_extend_by_search`."""
+    layers = [(Graph(1, (0,)),)]
+    for order in range(2, max_order + 1):
+        layers.append(_extend_by_search(layers[-1], order, 1 if connected else 0))
+    return layers
 
 
 def weichsel_connected(g1: Graph, g2: Graph) -> bool:

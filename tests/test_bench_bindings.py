@@ -79,11 +79,10 @@ def test_traced_residue_bindings_are_reached(monkeypatch):
     # would leave its self time at 0 without any warning.  Only the Python
     # route builds G*; the kernel decides it without build_gstar.
     tracing = _load_tracing()
-    if kronkit._native.library() is not None:
-        totals = _traced_residue_calls(tracing)
-        assert totals.calls("product_analysis.check_gstar_connected") == 1
-        assert totals.calls("product_analysis.build_gstar") == 0
-    monkeypatch.setattr(kronkit._native, "library", lambda: None)
+    totals = _traced_residue_calls(tracing)
+    assert totals.calls("product_analysis.check_gstar_connected") == 1
+    assert totals.calls("product_analysis.build_gstar") == 0
+    monkeypatch.setattr(kronkit.product_analysis, "_KERNEL_MAX", 0)
     totals = _traced_residue_calls(tracing)
     assert totals.calls("product_analysis.check_gstar_connected") == 1
     assert totals.calls("product_analysis.check_residue_components") == 1

@@ -7,10 +7,18 @@ import random
 import pytest
 
 from kronkit import _native
-from kronkit.corpus import all_graphs, connected_graphs, graphs_up_to, refined_colors
+from kronkit.corpus import all_graphs, connected_graphs, graphs_up_to
+from kronkit.errors import UnsupportedSizeError
 from kronkit.graphs import Graph, is_connected, make_complete, make_cycle
 
-from oracles import are_isomorphic, edges, graph_from_edges, validate
+from oracles import (
+    are_isomorphic,
+    edges,
+    graph_from_edges,
+    refined_colors,
+    search_corpus,
+    validate,
+)
 
 # published counts of graphs / connected graphs on n vertices
 ALL_COUNTS = {0: 1, 1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
@@ -66,28 +74,30 @@ def test_generation_is_deterministic():
     assert a == b
 
 
-
 @pytest.fixture
 def lib():
-    lib = _native.library()
-    if lib is None:
-        pytest.skip("the native kernel did not build")
-    return lib
+    return _native.library()
 
 
-def test_search_route_keeps_the_kernel_routes_representatives(lib, monkeypatch):
-    """Without the kernel, the fingerprint-and-search route builds both
-    corpora graph for graph, in the same order."""
+def test_search_route_keeps_the_kernel_routes_representatives():
+    """The fingerprint-and-search oracle builds both corpora graph for
+    graph, in the same order, as the kernel's canonical key does."""
     kernel = [(all_graphs(k), connected_graphs(k)) for k in range(1, 8)]
-    monkeypatch.setattr(_native, "library", lambda: None)
+    search = list(zip(search_corpus(7, connected=False),
+                      search_corpus(7, connected=True)))
+    assert search == kernel
+
+
+@pytest.mark.parametrize("corpus", [all_graphs, connected_graphs])
+def test_orders_past_the_canonical_key_raise_before_building(corpus):
+    """The kernel's key covers 16 vertices.  Order 17 raises on entry,
+    without building order 16 first, which would not finish."""
     all_graphs.cache_clear()
     connected_graphs.cache_clear()
-    try:
-        search = [(all_graphs(k), connected_graphs(k)) for k in range(1, 8)]
-    finally:
-        all_graphs.cache_clear()
-        connected_graphs.cache_clear()
-    assert search == kernel
+    with pytest.raises(UnsupportedSizeError, match="order 16, got 17"):
+        corpus(17)
+    assert all_graphs.cache_info().currsize == 0
+    assert connected_graphs.cache_info().currsize == 0
 
 
 def _key(lib, g: Graph) -> bytes:

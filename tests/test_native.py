@@ -1,7 +1,8 @@
 """The C split-flow kernel against the Python one, which stays as the
-fallback and the oracle: identical flows, residual networks, separators and
-charged searches, the route each graph size takes, and the build on first
-use into the per-user cache."""
+route past 64 vertices and as the oracle: identical flows, residual
+networks, separators and charged searches, the route each graph size takes,
+the build on first use into the per-user cache, and the clean stop when
+the kernel cannot be built."""
 
 import os
 import shutil
@@ -22,8 +23,8 @@ from kronkit.connectivity import (
     vertex_connectivity,
 )
 from kronkit.cli import main
-from kronkit.corpus import connected_graphs
-from kronkit.errors import BudgetExceededError
+from kronkit.corpus import all_graphs, connected_graphs
+from kronkit.errors import BudgetExceededError, KernelBuildError
 from kronkit.graphs import is_connected, make_complete, make_cycle
 from kronkit.products import kronecker
 
@@ -35,8 +36,6 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 @pytest.fixture
 def native():
     lib = _native.library()
-    if lib is None:
-        pytest.skip("the native kernel did not build")
     return lambda g: _NativeSplitFlow(g, None, lib)
 
 
@@ -84,10 +83,7 @@ class _CountingLibrary:
 @pytest.fixture
 def kernel_calls(monkeypatch):
     """The calls that the flow routes make into the kernel, by function."""
-    lib = _native.library()
-    if lib is None:
-        pytest.skip("the native kernel did not build")
-    counting = _CountingLibrary(lib)
+    counting = _CountingLibrary(_native.library())
     monkeypatch.setattr(_native, "library", lambda: counting)
     return counting.calls
 
@@ -279,7 +275,6 @@ def test_editing_any_source_renames_the_cached_library(tmp_path, monkeypatch):
 def test_native_route_is_taken_when_a_compiler_is_present():
     if shutil.which(_native.COMPILER) is None:
         pytest.skip(f"no {_native.COMPILER} on PATH")
-    assert _native.library() is not None
     assert type(_split_flow(make_cycle(5), None)) is _NativeSplitFlow
 
 
@@ -289,33 +284,33 @@ GSTAR_FACTORS = ("Dhc", "C~", "IheA@GUAo", "EhEG", "EFz_")
 
 
 @pytest.mark.parametrize("compiler", ["missing", "failing"])
-def test_failed_build_falls_back_to_identical_records(
+def test_failed_build_stops_with_one_line_and_exit_code_2(
         compiler, tmp_path, monkeypatch, capsys, fresh_library):
-    runs = [["batch", "--n", "3,4", "--all-graphs", "--max-order", "5",
-             "--budget", "40"],
-            ["gstar", "--n", "4", "--trials", "25", "--seed", "11",
-             *(arg for g6 in GSTAR_FACTORS for arg in ("--g6", g6))]]
-    expected = []
-    for argv in runs:
-        expected.append((main(argv), capsys.readouterr().out))
-    assert '"skip":"size-limit"' in expected[0][1]
-    assert '"gstar_connected":true' in expected[1][1]
-    assert '"split_residues":[]' in expected[1][1]
+    """A compiler that is missing or fails stops ``batch`` and ``gstar``
+    before their first record: exit code 2, nothing on standard output, one
+    ``kronkit:`` line on standard error that names the compiler and the
+    cache, and no build left in the cache."""
     if compiler == "missing":
         command = str(tmp_path / "no-such-cc")
     else:
         command = shutil.which("false") or pytest.skip("no false on PATH")
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     monkeypatch.setattr(_native, "COMPILER", command)
-    _native.library.cache_clear()
     product_analysis._draw_trials.cache_clear()
-    assert _native.library() is None
-    assert type(_split_flow(make_cycle(5), None)) is _SplitFlow
-    for argv, (code, out) in zip(runs, expected):
-        assert main(argv) == code
-        assert capsys.readouterr().out == out
+    product_analysis._check_factor.cache_clear()
+    all_graphs.cache_clear()
+    with pytest.raises(KernelBuildError):
+        _split_flow(make_cycle(5), None)
+    runs = [["batch", "--n", "3,4", "--all-graphs", "--max-order", "5"],
+            ["gstar", "--n", "4", "--trials", "25", "--seed", "11",
+             *(arg for g6 in GSTAR_FACTORS for arg in ("--g6", g6))]]
+    for argv in runs:
+        assert main(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "", argv
+        assert err.startswith("kronkit: ") and err.count("\n") == 1, err
+        assert repr(command) in err and str(tmp_path / "kronkit") in err, err
     assert not list((tmp_path / "kronkit").iterdir())  # no build left behind
-    product_analysis._draw_trials.cache_clear()
 
 
 def test_every_kernel_source_ships_as_package_data():
@@ -332,7 +327,7 @@ import sys
 from kronkit import _native
 print("ready", flush=True)
 sys.stdin.readline()
-sys.exit(0 if _native.library() is not None else 1)
+_native.library()
 """
 
 

@@ -222,12 +222,6 @@ def _kernel_verdicts(lib, g, masks):
             for t in range(len(masks))]
 
 
-def _verdict_routes():
-    """The routes that give verdicts: the kernel entry, when it builds, and
-    the Python route."""
-    return ("kernel", "python") if _native.library() is not None else ("python",)
-
-
 def _route_verdicts(route, g, n, labels):
     """The verdicts on one removal's label masks, from ``route``."""
     if route == "python":
@@ -256,7 +250,7 @@ def test_split_check_reports_every_fiber_of_a_column_cut(g6):
     comps = naive_components(kronecker(g, make_complete(3)),
                              set(range(3 * g.order)) - set(removed))
     assert len(comps) == 2
-    for route in _verdict_routes():
+    for route in ("kernel", "python"):
         record = _record(g, 3, removed, False, route)
         assert record.gstar_connected is None, route
         assert record.split_residues == tuple(range(g.order)), route
@@ -271,7 +265,7 @@ def test_gstar_check_reports_a_disconnected_residue_graph():
     rs, _ = build_residue_system(g, 3, (1, 2, 4, 5))
     assert rs.labels == (0b001, 0b001)
     assert _scan_gstar(rs.product, _residues(rs)).adj == (0, 0)
-    for route in _verdict_routes():
+    for route in ("kernel", "python"):
         record = _record(g, 3, rs.removed, True, route)
         assert record.gstar_connected is False, route
         assert record.split_residues is None, route
@@ -285,8 +279,6 @@ def _random_labels(g, n, rnd):
 
 def test_kernel_verdicts_equal_the_oracles_on_random_label_masks():
     lib = _native.library()
-    if lib is None:
-        pytest.skip("the native kernel did not build")
     rnd = random.Random(23)
     checked = disconnected = split = 0
     for order in range(1, 8):
@@ -311,8 +303,6 @@ def test_kernel_verdicts_equal_the_oracles_on_random_label_masks():
                          ids=["C64xK3", "C5xK64"])
 def test_kernel_verdicts_at_64_fibers_and_64_labels(g, n):
     lib = _native.library()
-    if lib is None:
-        pytest.skip("the native kernel did not build")
     top = 1 << n - 1
     rnd = random.Random(64)
     masks = [(top,) * g.order, (top | top >> 1,) * g.order]
@@ -394,10 +384,17 @@ def test_checker_pair_computes_factor_connectivity_once(monkeypatch):
 
     monkeypatch.setattr(product_analysis, "vertex_connectivity", counted)
     product_analysis._draw_trials.cache_clear()
+    product_analysis._check_factor.cache_clear()
     c5 = make_cycle(5)
-    check_gstar_connected(c5, 3, 10, 0)
-    check_residue_components(c5, 3, 10, 0)
+    for n in (3, 4):  # as residue-trials draws each factor
+        check_gstar_connected(c5, n, 10, 0)
+        check_residue_components(c5, n, 10, 0)
     assert calls == Counter({c5: 1})
+    # A factor that fails the check is not kept, and fails at every n.
+    for n in (3, 4):
+        with pytest.raises(PreconditionError, match=KAPPA_MESSAGE):
+            check_gstar_connected(BOWTIE, n, 10, 0)
+    assert calls == Counter({c5: 1, BOWTIE: 2})
 
 
 def test_checkers_are_deterministic():
@@ -463,16 +460,15 @@ def _kernel_calls(monkeypatch) -> list:
 @pytest.fixture
 def sampler_routes(monkeypatch, fresh_draws):
     """Iterate over ``sampler_routes()`` to run the loop body once per
-    sampler route, with no draw reused across them: the kernel's, when it
-    builds, which must then have drawn in the kernel, and Python's."""
+    sampler route, with no draw reused across them: the kernel's, which
+    must have drawn in the kernel, and Python's, forced by a size cap of 0."""
     def routes():
-        if _native.library() is not None:
-            kernel = product_analysis._kernel_removals
-            calls = _kernel_calls(monkeypatch)
-            yield "kernel"
-            assert calls, "no draw ran in the kernel"
-            monkeypatch.setattr(product_analysis, "_kernel_removals", kernel)
-        monkeypatch.setattr(_native, "library", lambda: None)
+        kernel = product_analysis._kernel_removals
+        calls = _kernel_calls(monkeypatch)
+        yield "kernel"
+        assert calls, "no draw ran in the kernel"
+        monkeypatch.setattr(product_analysis, "_kernel_removals", kernel)
+        monkeypatch.setattr(product_analysis, "_KERNEL_MAX", 0)
         product_analysis._draw_trials.cache_clear()
         yield "python"
     return routes
@@ -625,8 +621,6 @@ def test_kernel_draws_factors_and_labels_up_to_64(g, n, kernel, monkeypatch,
                                                   fresh_draws):
     """The kernel's masks hold 64 fibers and 64 labels; past either, the
     draw runs in Python, and both routes give the seeded stream."""
-    if _native.library() is None:
-        pytest.skip("the native kernel did not build")
     calls = _kernel_calls(monkeypatch)
     assert _sampled(g, n, 3, 7) == _reference_draws(g, n, 3, 7)
     assert bool(calls) == kernel
@@ -636,8 +630,6 @@ def test_a_trial_of_261_words_is_drawn_in_the_kernel(monkeypatch, fresh_draws):
     """The longest trial over the residue-trials inputs, E~~w x K_4 at seed
     1009, trial 5, reads 261 words of its stream, through 17 rejections; the
     kernel steps the generator as far as a trial needs."""
-    if _native.library() is None:
-        pytest.skip("the native kernel did not build")
     calls = _kernel_calls(monkeypatch)
     monkeypatch.setattr(product_analysis, "_sample_valid_removals",
                         lambda *args: pytest.fail("drew in Python"))
@@ -678,8 +670,6 @@ class _ShiftedChoices:
 
 def test_kernel_draws_unlike_numpy_take_the_python_route(monkeypatch, fresh_draws):
     lib = _native.library()
-    if lib is None:
-        pytest.skip("the native kernel did not build")
     assert product_analysis._kernel_draws_match(lib)
     shifted = _ShiftedChoices(lib)
     monkeypatch.setattr(_native, "library", lambda: shifted)
