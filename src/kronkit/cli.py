@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import json.encoder
 import os
 import sys
 from dataclasses import dataclass
@@ -118,12 +119,30 @@ def _format_table(record: dict) -> str:
                      for key, value in record.items())
 
 
+def _jsonl_encoder():
+    """``json.dumps(record, separators=(",", ":"))`` as one function for a
+    whole stream: ``JSONEncoder.encode`` builds a new C encoder on every
+    call, and this builds it once, with the settings ``encode`` gives it.
+    Without the C encoder, ``encode`` is the stdlib's own Python route."""
+    encoder = json.JSONEncoder(separators=(",", ":"))
+    make = json.encoder.c_make_encoder
+    if make is None:
+        return encoder.encode
+    encode = make({}, encoder.default, json.encoder.encode_basestring_ascii,
+                  None, encoder.key_separator, encoder.item_separator,
+                  encoder.sort_keys, encoder.skipkeys, encoder.allow_nan)
+    return lambda record: "".join(encode(record, 0))
+
+
 def emit_report(records: Iterable[dict], fmt: str, output: str | None) -> None:
-    """Write records as JSON lines (byte-stable) or a human table."""
-    # One encoder for the whole stream: json.dumps with non-default
-    # separators builds a new one per call.
-    render = json.JSONEncoder(separators=(",", ":")).encode \
-        if fmt == "jsonl" else _format_table
+    """Write records as JSON lines or a human table.
+
+    A JSON line is exactly ``json.dumps(record, separators=(",", ":"))``,
+    ASCII-escaped and with keys in insertion order, so fixed inputs give
+    fixed bytes; one encoder renders the whole stream.  A record holding a
+    value JSON cannot encode raises ``TypeError``.
+    """
+    render = _jsonl_encoder() if fmt == "jsonl" else _format_table
     _write_lines(map(render, records), output)
 
 

@@ -23,7 +23,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -76,9 +76,16 @@ def build_gstar(factor: Graph, labels: Sequence[int]) -> Graph:
 
 # -- sampled structural checks -------------------------------------------------
 
-@dataclass(frozen=True)
-class TrialRecord:
-    """One sampled removal candidate and what was checked on it."""
+class TrialRecord(NamedTuple):
+    """One sampled removal candidate and what was checked on it.
+
+    A named tuple, so that the thousands a run emits are each built in one
+    allocation; like any tuple it is immutable and hashable.  A record of
+    :func:`check_gstar_connected` leaves ``split_residues`` None, one of
+    :func:`check_residue_components` leaves ``gstar_connected`` None, and
+    both verdicts are None on a trial that ran out of draws, whose
+    ``error`` says so.
+    """
 
     graph6: str
     n: int
@@ -261,10 +268,12 @@ def _kernel_removals(lib, g: Graph, n: int,
 
 
 @functools.lru_cache(maxsize=1)
-def _draw_trials(g: Graph, n: int, trials: int, seed: int) -> tuple[tuple, ...]:
-    """One ``(removed ids, label masks, rejections, isolation rejections, G*
-    connected, split fibers)`` per trial of ``g x K_n``; the label masks and
-    both verdicts are None exactly when sampling ran out.
+def _draw_trials(g: Graph, n: int, trials: int,
+                 seed: int) -> tuple[str, tuple[tuple, ...]]:
+    """The graph6 of ``g``, and one ``(removed ids, label masks, rejections,
+    isolation rejections, G* connected, split fibers)`` per trial of ``g x
+    K_n``; the label masks and both verdicts are None exactly when sampling
+    ran out.
 
     Trial ``t`` draws from the stream of a generator seeded with ``[seed,
     t]``, so both checkers see the same removals for the same arguments;
@@ -292,8 +301,8 @@ def _draw_trials(g: Graph, n: int, trials: int, seed: int) -> tuple[tuple, ...]:
     if g.order <= _KERNEL_MAX and n <= _KERNEL_MAX:
         lib = _native.library()
         if _kernel_draws_match(lib):
-            return _kernel_removals(lib, g, n, seeds)
-    return _sample_valid_removals(g, n, seeds)
+            return encode_graph6(g), _kernel_removals(lib, g, n, seeds)
+    return encode_graph6(g), _sample_valid_removals(g, n, seeds)
 
 
 @functools.lru_cache(maxsize=1)
@@ -307,19 +316,17 @@ def _check_factor(g: Graph) -> None:
             "checker needs kappa equal to the minimum degree and positive")
 
 
-def _trial_records(g: Graph, n: int, trials: tuple[tuple, ...],
+def _trial_records(graph6: str, n: int, trials: tuple[tuple, ...],
                    gstar: bool) -> list[TrialRecord]:
-    """One record per drawn trial: its removal and one of its verdicts,
-    ``gstar_connected`` when ``gstar`` is true, else ``split_residues``."""
-    g6 = encode_graph6(g)
-    records = []
-    for t, (removed, labels, rej, iso_rej, connected, split) in enumerate(trials):
-        error = (f"no valid removal candidate after {rej} rejections"
-                 if labels is None else None)
-        records.append(TrialRecord(g6, n, t, removed, rej, iso_rej,
-                                   connected if gstar else None,
-                                   None if gstar else split, error))
-    return records
+    """One record per drawn trial of the factor ``graph6`` at ``n``: its
+    removal and one of its verdicts, ``gstar_connected`` when ``gstar`` is
+    true, else ``split_residues``."""
+    return [TrialRecord(graph6, n, t, removed, rej, iso_rej,
+                        connected if gstar else None, None if gstar else split,
+                        None if labels is not None else
+                        f"no valid removal candidate after {rej} rejections")
+            for t, (removed, labels, rej, iso_rej, connected, split)
+            in enumerate(trials)]
 
 
 def check_gstar_connected(g: Graph, n: int, trials: int,
@@ -329,7 +336,8 @@ def check_gstar_connected(g: Graph, n: int, trials: int,
     Any disconnected auxiliary graph is an implementation bug, so records
     carry the full removal set for reproduction.
     """
-    return _trial_records(g, n, _draw_trials(g, n, trials, seed), gstar=True)
+    graph6, draws = _draw_trials(g, n, trials, seed)
+    return _trial_records(graph6, n, draws, gstar=True)
 
 
 def check_residue_components(g: Graph, n: int, trials: int,
@@ -341,10 +349,10 @@ def check_residue_components(g: Graph, n: int, trials: int,
     than one component of the surviving product.  The bipartite check runs
     after the draw, so the draw's input checks report first.
     """
-    draws = _draw_trials(g, n, trials, seed)
+    graph6, draws = _draw_trials(g, n, trials, seed)
     if is_bipartite(g)[0]:
         raise PreconditionError("checker needs a non-bipartite factor graph")
-    return _trial_records(g, n, draws, gstar=False)
+    return _trial_records(graph6, n, draws, gstar=False)
 
 
 # -- verification reports -------------------------------------------------------

@@ -1,12 +1,25 @@
 """Integration tests for the kronkit command-line interface."""
 
 import json
+import json.encoder
 
 import pytest
 
-from kronkit.cli import main
+from kronkit import product_analysis
+from kronkit.cli import emit_report, ingest_corpus, main
 from kronkit.graphs import encode_graph6, make_complete, make_cycle, parse_graph6
-from kronkit.product_analysis import KNOWN_FILTERS
+from kronkit.product_analysis import (
+    KNOWN_FILTERS,
+    SkipRecord,
+    batch_verify,
+    check_gstar_connected,
+    report_record,
+    skip_record,
+    summary_record,
+    trial_record,
+    verify_connectivity_formula,
+    verify_super_connectivity,
+)
 
 
 def run_cli(argv, capsys):
@@ -373,6 +386,50 @@ def test_verify_byte_determinism_across_worker_counts(tmp_path, capsys):
         assert main(base + ["--workers", "2", "--output", str(out2)]) == code
         capsys.readouterr()
         assert out1.read_bytes() == out2.read_bytes()
+
+
+def _every_record_kind(tmp_path, monkeypatch):
+    """One record of each kind the CLI emits, built by the code that emits it."""
+    super_report = report_record(verify_super_connectivity(parse_graph6("C]"), 3))
+    assert super_report["severity"] and super_report["non_isolating_cut"]
+    skip, summary = batch_verify([parse_graph6("G?~vf_")], [4], budget=5)
+    assert isinstance(skip, SkipRecord) and skip.budget == 5
+    monkeypatch.setattr(product_analysis, "MAX_REJECTIONS", 0)
+    product_analysis._draw_trials.cache_clear()
+    spent = [r for r in check_gstar_connected(make_complete(3), 3, 6, 0) if r.error]
+    product_analysis._draw_trials.cache_clear()
+    corpus = tmp_path / "gráficos.g6"
+    corpus.write_text("!!bad!!\n")
+    (item,) = ingest_corpus([str(corpus)])
+    return [super_report,
+            report_record(verify_connectivity_formula(make_cycle(5), 3)),
+            skip_record(skip), summary_record(summary), trial_record(spent[0]),
+            {"source": item.location, "error": item.error}]
+
+
+@pytest.mark.parametrize("c_encoder", [True, False], ids=["c-encoder", "python-encoder"])
+def test_jsonl_lines_are_json_dumps_of_every_record_kind(c_encoder, tmp_path, monkeypatch,
+                                                         capsys):
+    records = _every_record_kind(tmp_path, monkeypatch)
+    if not c_encoder:  # as on a Python built without the _json module
+        monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+    assert "\\u00e1" in json.dumps(records[-1])  # the file name is escaped
+    expected = "".join(json.dumps(r, separators=(",", ":")) + "\n" for r in records)
+    path = tmp_path / "out.jsonl"
+    emit_report(iter(records), "jsonl", str(path))
+    assert path.read_bytes() == expected.encode("ascii")
+    emit_report(iter(records), "jsonl", "-")
+    assert capsys.readouterr().out == expected
+    emit_report(iter(records), "table", "-")
+    assert capsys.readouterr().out == "".join(
+        "  ".join(f"{k}={json.dumps(v, separators=(',', ':'))}" for k, v in r.items())
+        + "\n" for r in records)
+
+
+def test_a_record_json_cannot_encode_raises_type_error(tmp_path):
+    with pytest.raises(TypeError, match="set"):
+        emit_report([{"removed": [1]}, {"removed": {1}}], "jsonl",
+                    str(tmp_path / "out.jsonl"))
 
 
 def test_table_format_output(capsys):

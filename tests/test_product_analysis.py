@@ -13,6 +13,7 @@ from kronkit.corpus import connected_graphs
 from kronkit.errors import PreconditionError
 from kronkit.graphs import (
     Graph,
+    encode_graph6,
     is_connected,
     iter_bits,
     make_complete,
@@ -23,6 +24,7 @@ from kronkit.graphs import (
 from kronkit.product_analysis import (
     BatchSummary,
     SkipRecord,
+    TrialRecord,
     VerificationReport,
     batch_verify,
     build_gstar,
@@ -235,7 +237,7 @@ def _record(g, n, removed, gstar, route):
     verdicts; ``gstar`` picks the field as the checkers do."""
     rs, _ = build_residue_system(g, n, removed)
     trial = (rs.removed, rs.labels, 0, 0, *_route_verdicts(route, g, n, rs.labels))
-    (record,) = product_analysis._trial_records(g, n, (trial,), gstar)
+    (record,) = product_analysis._trial_records(encode_graph6(g), n, (trial,), gstar)
     assert record.removed == rs.removed and record.error is None
     return record
 
@@ -476,8 +478,10 @@ def sampler_routes(monkeypatch, fresh_draws):
 
 def _sampled(g, n, trials, seed):
     """``_draw_trials`` in the form of :func:`_reference_draws`."""
+    graph6, draws = product_analysis._draw_trials(g, n, trials, seed)
+    assert graph6 == encode_graph6(g)
     return [(removed, None if labels is None else _label_residues(labels, n), *rest)
-            for removed, labels, *rest in product_analysis._draw_trials(g, n, trials, seed)]
+            for removed, labels, *rest in draws]
 
 
 def _reference_draws(g, n, trials, seed):
@@ -536,6 +540,41 @@ def test_exhausted_sampling_reports_every_rejection(cap, seed, trials, exhausted
                     assert r.error == (f"no valid removal candidate after "
                                        f"{r.rejections} rejections")
                     assert r.gstar_connected is None and r.split_residues is None
+
+
+def test_trial_record_fields_default_and_immutability():
+    assert TrialRecord._fields == (
+        "graph6", "n", "trial", "removed", "rejections", "isolation_rejections",
+        "gstar_connected", "split_residues", "error")
+    record = TrialRecord("Bw", 3, 0, (1, 4), 0, 0, True, None)
+    assert record.error is None
+    assert record == TrialRecord("Bw", 3, 0, (1, 4), 0, 0, True, None, None)
+    with pytest.raises(AttributeError):
+        record.error = "changed"
+    assert len({record, TrialRecord("Bw", 3, 0, (1, 4), 0, 0, True, None)}) == 1
+
+
+@pytest.mark.parametrize("g, n, cap, seed, trials", [
+    (make_cycle(5), 4, None, 5, 15),
+    (make_complete(3), 3, 1, 3, 8),  # trial 7 runs out of draws
+], ids=["C5xK4", "K3xK3-spent"])
+def test_both_routes_give_field_for_field_equal_records(g, n, cap, seed, trials,
+                                                        monkeypatch, sampler_routes):
+    if cap is not None:
+        monkeypatch.setattr(product_analysis, "MAX_REJECTIONS", cap)
+    by_route = {}
+    for route in sampler_routes():
+        by_route[route] = [checker(g, n, trials, seed)
+                           for checker in (check_gstar_connected, check_residue_components)]
+    # repr tells True from 1 and a tuple from a list, which equality does not.
+    assert ([list(map(repr, records)) for records in by_route["kernel"]]
+            == [list(map(repr, records)) for records in by_route["python"]])
+    gstar, split = by_route["kernel"]
+    assert [r.trial for r in gstar] == list(range(trials))
+    for a, b in zip(gstar, split):
+        assert a[:6] == b[:6] and a.error == b.error
+        assert a.split_residues is None and b.gstar_connected is None
+    assert any(r.error for r in gstar) == (cap is not None)
 
 
 def test_fiber_isolation_test_matches_the_product_scan():
@@ -681,7 +720,7 @@ def test_kernel_draws_unlike_numpy_take_the_python_route(monkeypatch, fresh_draw
 
 def test_sampled_conditions_equal_the_residue_system_conditions():
     for g, n in ((make_cycle(5), 3), (make_complete(4), 4), (make_cycle(7), 5)):
-        for removed, labels, *_ in product_analysis._draw_trials(g, n, 20, 3):
+        for removed, labels, *_ in product_analysis._draw_trials(g, n, 20, 3)[1]:
             assert labels is not None
             fresh, conditions = build_residue_system(g, n, removed)
             assert conditions == ResidueConditions(True, True, True)
