@@ -32,6 +32,7 @@ from .product_analysis import (
     build_gstar,
     check_gstar_connected,
     check_residue_components,
+    predicted_counterexample,
     verify_connectivity_formula,
     verify_super_connectivity,
 )
@@ -65,6 +66,7 @@ __all__ = [
     "make_complete",
     "make_cycle",
     "parse_graph6",
+    "predicted_counterexample",
     "random_graph",
     "verify_connectivity_formula",
     "verify_super_connectivity",

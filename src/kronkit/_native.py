@@ -36,13 +36,14 @@ COMPILER = "cc"
 FLAGS = ("-O2", "-shared", "-fPIC")
 
 _WORDS = ctypes.POINTER(ctypes.c_uint64)
+_UBYTES, _BYTES = ctypes.POINTER(ctypes.c_ubyte), ctypes.POINTER(ctypes.c_byte)
 _INT, _INT64 = ctypes.c_int, ctypes.c_int64
 # The return type, then the argument types, of each kernel entry point.
 _ENTRIES = {
     "splitflow_init": (None, _WORDS),
     "splitflow_max_flow": (_INT, _WORDS, _INT, _INT, _INT, _WORDS),
     "splitflow_min_separators": (_INT64, _WORDS, _INT, _INT, _WORDS, _WORDS, _INT64),
-    "splitflow_min_cuts": (_INT64, _WORDS, _INT, _WORDS, _INT64),
+    "splitflow_min_cuts": (_INT64, _WORDS, _INT, _WORDS, _INT64, _UBYTES, _BYTES),
     "canon_key": (_INT, _INT, _WORDS, _WORDS),
     "canon_children": (_INT, _INT, _WORDS, _INT, _WORDS),
     "residue_choices": (_INT, _WORDS, _INT, _INT, _INT, _WORDS),

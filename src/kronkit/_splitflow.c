@@ -19,12 +19,15 @@
  * out-node, as in the Python class.
  *
  * splitflow_min_cuts is kronkit.connectivity._SplitFlow.min_cuts in one
- * call: it builds the pairs of _even_pairs, runs their flows and reads the
- * separators of the pairs that attain the least flow, charging the same
- * searches in the same order, and writes each distinct cut once.  It keeps
- * the residual network of every attaining pair in one heap block of 2n
- * masks per pair of the family, allocated at the call and freed before it
- * returns.
+ * call, and returns the finished cut list: it builds the pairs of
+ * _even_pairs, runs their flows and reads the separators of the pairs that
+ * attain the least flow, charging the same searches in the same order, and
+ * writes each distinct cut once.  It then closes the cuts under the label
+ * swaps, sorts them as Python sorts their id tuples, and writes each cut's
+ * vertex ids and its witness, the lowest vertex whose neighbourhood equals
+ * the cut; none of that searches or charges.  It keeps the residual network
+ * of every attaining pair in one heap block of 2n masks per pair of the
+ * family, allocated at the call and freed before it returns.
  *
  * Return codes: a count of cuts or flow units (>= 0); -1 at the first
  * search past the budget; -2 (splitflow_min_cuts only) when the residual
@@ -280,14 +283,12 @@ static int even_pairs(const uint64_t *net, int labels,
 /* Writes the vertex mask of every minimum cut that the kept pairs of Even's
  * family separate to cuts[0 .. capacity), each distinct cut once however
  * many pairs separate it, and returns how many there are; a complete
- * graph, which has no pairs, gets its n cuts that leave one vertex.  A
- * count above capacity, which happens only when the distinct cuts do not
- * fit, asks the caller to grow the buffer to that count, restore the spent
- * count and call again, as for splitflow_min_separators; the count may
- * then exceed the distinct cuts, and the second call returns them
- * exactly. */
-int64_t splitflow_min_cuts(uint64_t *net, int labels, uint64_t *cuts,
-                           int64_t capacity)
+ * graph, which has no pairs, gets its n cuts that leave one vertex.  The
+ * count exceeds capacity, and may then exceed the distinct cuts, only when
+ * they do not fit.  Returns -1 at the first search past the budget and -2
+ * when the residual storage cannot be allocated. */
+static int64_t pair_cuts(uint64_t *net, int labels, uint64_t *cuts,
+                         int64_t capacity)
 {
     int n = (int)net[0];
     unsigned char x[MAX_PAIRS], y[MAX_PAIRS];
@@ -327,5 +328,85 @@ int64_t splitflow_min_cuts(uint64_t *net, int labels, uint64_t *cuts,
                            kept + (size_t)j * 2 * n, cuts, capacity, found);
 done:
     free(kept);
+    return found;
+}
+
+/* Appends to the found cuts in cuts[0 .. capacity) their images under the
+ * swaps of labels a and a + 1, 1 <= a <= labels - 2, and the images of
+ * those, until the set is closed, and returns the new count.  Like
+ * separators, it appends only masks that the buffer does not hold yet, and
+ * keeps counting past capacity, so the count exceeds the closed set only
+ * once the buffer is full. */
+static int64_t close_under_swaps(int n, int labels, uint64_t *cuts,
+                                 int64_t capacity, int64_t found)
+{
+    uint64_t column = 0; /* the ids of label 0 */
+    for (int v = 0; v < n; v += labels)
+        column |= (uint64_t)1 << v;
+    for (int64_t i = 0; i < found && i < capacity; i++)
+        for (int a = 1; a <= labels - 2; a++) {
+            uint64_t low = column << a, high = column << (a + 1);
+            uint64_t mask = cuts[i];
+            uint64_t image = (mask & ~(low | high)) | (mask & low) << 1
+                             | (mask & high) >> 1;
+            if (!listed(cuts, found < capacity ? found : capacity, image)) {
+                if (found < capacity)
+                    cuts[found] = image;
+                found++;
+            }
+        }
+    return found;
+}
+
+/* The order of sorted id tuples on cut masks of one size: the mask that
+ * holds the lowest id of either but not both comes first. */
+static int lexicographic(const void *pa, const void *pb)
+{
+    uint64_t a = *(const uint64_t *)pa, b = *(const uint64_t *)pb;
+    uint64_t differ = a ^ b;
+    if (!differ)
+        return 0;
+    return (a & differ & -differ) ? -1 : 1;
+}
+
+/* kronkit.connectivity._SplitFlow.min_cuts in one call: every minimum cut
+ * of the graph, closed under the label swaps, in lexicographic order of
+ * their sorted ids.  It reads the cuts of the kept pairs (pair_cuts),
+ * closes them under the swaps that generate the relabellings fixing the
+ * family's source (close_under_swaps), which search nothing, and sorts the
+ * closed masks in cuts[0 .. count).  For cut i it writes the ids of its
+ * vertices, in increasing order, to ids[i * kappa .. (i + 1) * kappa), so
+ * ids must hold capacity * n bytes, and to witness[i] the lowest vertex v
+ * whose neighbourhood adj[v] equals the cut, or -1 when there is none.
+ * Returns the count of cuts; a count above capacity asks the caller to grow
+ * the buffers to at least that count, restore the spent count and call
+ * again, as for splitflow_min_separators, until the count fits: a closure
+ * that filled the buffer counts only the images of the cuts it holds, so
+ * its count may fall short of the closed set.  Returns -1 at the
+ * first search past the budget and -2 when the residual storage cannot be
+ * allocated. */
+int64_t splitflow_min_cuts(uint64_t *net, int labels, uint64_t *cuts,
+                           int64_t capacity, unsigned char *ids,
+                           signed char *witness)
+{
+    int n = (int)net[0];
+    const uint64_t *adj = net + HEADER;
+    int64_t found = pair_cuts(net, labels, cuts, capacity);
+    if (found < 0 || found > capacity)
+        return found;
+    found = close_under_swaps(n, labels, cuts, capacity, found);
+    if (found > capacity)
+        return found;
+    qsort(cuts, (size_t)found, sizeof *cuts, lexicographic);
+    for (int64_t i = 0; i < found; i++) {
+        witness[i] = -1;
+        for (int v = 0; v < n; v++)
+            if (adj[v] == cuts[i]) {
+                witness[i] = (signed char)v;
+                break;
+            }
+        for (uint64_t m = cuts[i]; m; m &= m - 1)
+            *ids++ = (unsigned char)__builtin_ctzll(m);
+    }
     return found;
 }

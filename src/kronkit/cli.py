@@ -3,7 +3,12 @@
 Exit codes: 0 when all checks passed or an informational command completed,
 1 when at least one violation record was emitted, 2 for usage or parse
 errors and when the C kernel cannot be built, 3 when skip records (budget,
-size limit, empty factor) occurred without violations.
+size limit, empty factor) occurred without violations, 141 (128 + SIGPIPE)
+when standard output was closed before the run ended, as by ``| head``;
+the run then stops without a traceback or a line on standard error.
+
+``batch`` notes on standard error each violation that
+``predicted_counterexample`` does not predict, one ``kronkit:`` line each.
 
 JSON-lines output is byte-stable for fixed inputs, flags, and seed; pass
 ``batch --timing`` to include real runtimes (which breaks byte stability).
@@ -48,6 +53,7 @@ from .product_analysis import (
     check_filters,
     check_gstar_connected,
     check_residue_components,
+    predicted_counterexample,
     report_record,
     skip_record,
     summary_record,
@@ -62,6 +68,8 @@ MAX_CORPUS_ORDER = 9  # all_graphs(9) takes 5.5 s (one run, 2-core Xeon VM)
 # runaway instance: a search takes some 90 us on the 128-vertex Q_5 x K_4,
 # which needs 1318 (2-core Xeon VM).
 DEFAULT_BUDGET = 1_000_000
+# The exit code of a process that SIGPIPE ends, as the shell reports it.
+EXIT_CLOSED_PIPE = 128 + 13
 
 
 class _Fatal(Exception):
@@ -261,6 +269,11 @@ def _verify_records(args, n_values: list[int], filters: list[str],
     for record in batch_verify(corpus, n_values, filters=tuple(filters),
                                budget=budget, workers=args.workers):
         if isinstance(record, VerificationReport):
+            if record.severity is not None and not predicted_counterexample(
+                    parse_graph6(record.graph6), record.n):
+                print(f"kronkit: {record.graph6} x K_{record.n} contradicts the "
+                      "paper outside the predicted K_{d,d} x K_3 family",
+                      file=sys.stderr)
             yield report_record(record, with_timing=args.timing)
         elif isinstance(record, SkipRecord):
             yield skip_record(record)
@@ -364,12 +377,30 @@ def _single_graph(args) -> Graph:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
-        return _dispatch(parser, parser.parse_args(argv))
+        code = _dispatch(parser, parser.parse_args(argv))
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+        return code
     except SystemExit as exc:  # --help, and parser.error while parsing or after
         return exc.code if isinstance(exc.code, int) else 2
     except (_Fatal, ValueError, KronkitError) as exc:
         print(f"kronkit: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:  # a reader such as head closed standard output
+        _discard_stdout()
+        return EXIT_CLOSED_PIPE
+
+
+def _discard_stdout() -> None:
+    """Point standard output at the null device, so that the lines still
+    buffered for the closed pipe cannot fail again when Python flushes
+    them at exit."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):  # not backed by a file
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 def _dispatch(parser: argparse.ArgumentParser, args) -> int:

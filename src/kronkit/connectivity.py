@@ -19,8 +19,10 @@ The network runs in C (``_splitflow.c``, built on first use by
 only for larger graphs, past the kernel's 128-bit node masks.  The two give
 the same flows, cuts and searches, which the tests compare.  On
 the C network one enumeration is one kernel call, which walks the pairs,
-runs their flows and reads their separators; :func:`vertex_connectivity`
-still makes one call per pair.
+runs their flows, reads their separators, closes the cuts under the label
+swaps, sorts them and writes each cut's ids and witness; the Python network
+returns the same list.  :func:`vertex_connectivity` still makes one kernel
+call per pair.
 
 Removing all but one vertex counts as separating (the remainder is the
 trivial one-vertex graph), so complete graphs get connectivity ``n - 1`` and
@@ -244,16 +246,24 @@ class _SplitFlow:
             stack.append((inside, outside | self._reach(inn, nodes & ~outside, u)))
         return found
 
-    def min_cuts(self, g: Graph, labels: int) -> set[int]:
-        """Vertex masks of the minimum cuts that the pairs of
-        :func:`_even_pairs` separate, ``g`` being this network's graph.
+    def min_cuts(self, g: Graph, labels: int) -> list[tuple[tuple[int, ...], int | None]]:
+        """Every minimum cut of ``g``, this network's graph, as its vertex
+        ids and its witness, in lexicographic order of the ids.
 
-        Each pair's flow is cut off at the least flow found so far, and the
-        separators are read for the pairs whose flow equals the final least
-        one, which is kappa.  A flow stopped at the cutoff may hide a larger
-        local connectivity; :meth:`min_separators` finds no cut for such a
-        pair.  A complete graph has no pairs, and its cuts are the ``order``
-        sets that leave one vertex.
+        Each pair of :func:`_even_pairs` has its flow cut off at the least
+        flow found so far, and the separators are read for the pairs whose
+        flow equals the final least one, which is kappa.  A flow stopped at
+        the cutoff may hide a larger local connectivity;
+        :meth:`min_separators` finds no cut for such a pair.  A complete
+        graph has no pairs, and its cuts are the ``order`` sets that leave
+        one vertex.
+
+        The cuts are then closed under the swaps of labels ``a`` and ``a +
+        1`` for ``1 <= a <= labels - 2``, which generate the relabellings
+        that fix the family's source: such a relabelling maps the minimum
+        cuts of a pair onto those of its image.  A cut's witness is the
+        lowest vertex whose neighbourhood equals it, or None.  Closing and
+        classifying move bits and search nothing.
         """
         kappa, attaining = self.order - 1, []
         for s, t in _even_pairs(g, labels):
@@ -261,13 +271,28 @@ class _SplitFlow:
             if value < kappa:
                 kappa, attaining = value, []
             attaining.append((s, t, out))
-        if not attaining:
+        if attaining:
+            masks = set()
+            for s, t, out in attaining:
+                masks |= self.min_separators(s, t, out)
+        else:
             full = g.full_mask()
-            return {full ^ (1 << v) for v in range(g.order)}
-        masks = set()
-        for s, t, out in attaining:
-            masks |= self.min_separators(s, t, out)
-        return masks
+            masks = {full ^ (1 << v) for v in range(g.order)}
+        column = sum(1 << v for v in range(0, g.order, labels))
+        swaps = [(column << a, column << (a + 1)) for a in range(1, labels - 1)]
+        unclosed = list(masks)
+        while unclosed:
+            mask = unclosed.pop()
+            for low, high in swaps:
+                image = (mask & ~(low | high)) | (mask & low) << 1 | (mask & high) >> 1
+                if image not in masks:
+                    masks.add(image)
+                    unclosed.append(image)
+        lowest = {}
+        for v, nbrs in enumerate(g.adj):
+            lowest.setdefault(nbrs, v)
+        return [(vertices, lowest.get(mask))
+                for vertices, mask in sorted((tuple(iter_bits(m)), m) for m in masks)]
 
 
 class _NativeSplitFlow:
@@ -312,30 +337,51 @@ class _NativeSplitFlow:
 
     def min_separators(self, s: int, t: int, out: ctypes.Array) -> set[int]:
         """See :meth:`_SplitFlow.min_separators`."""
-        return self._read_cuts(self._lib.splitflow_min_separators, s, t, out)
-
-    def min_cuts(self, g: Graph, labels: int) -> set[int]:
-        """See :meth:`_SplitFlow.min_cuts`; one kernel call, which reads the
-        graph from the network."""
-        return self._read_cuts(self._lib.splitflow_min_cuts, labels)
-
-    def _read_cuts(self, entry, *args) -> set[int]:
-        """The cut masks that the kernel function ``entry`` writes after
-        ``args``, into a buffer grown to hold them all."""
         spent = self._net[2]
-        found = entry(self._net, *args, self._cuts, len(self._cuts))
-        if found > len(self._cuts):
-            # Search again into a buffer that holds every cut, charging the
-            # same searches once.
-            self._net[2] = spent
-            self._cuts = (ctypes.c_uint64 * found)()
-            found = entry(self._net, *args, self._cuts, found)
+        while True:
+            found = self._lib.splitflow_min_separators(
+                self._net, s, t, out, self._cuts, len(self._cuts))
+            if not self._regrown(found, spent):
+                return set(self._cuts[:found])
+
+    def min_cuts(self, g: Graph, labels: int) -> list[tuple[tuple[int, ...], int | None]]:
+        """See :meth:`_SplitFlow.min_cuts`; one kernel call, which reads the
+        graph from the network and writes the sorted cut masks, each cut's
+        ids and each cut's witness (-1 for none)."""
+        n, spent = g.order, self._net[2]
+        while True:
+            capacity = len(self._cuts)
+            ids = (ctypes.c_ubyte * (capacity * n))()
+            witness = (ctypes.c_byte * capacity)()
+            found = self._lib.splitflow_min_cuts(
+                self._net, labels, self._cuts, capacity, ids, witness)
+            if not self._regrown(found, spent):
+                break
+        size = self._cuts[0].bit_count()  # every minimum cut has kappa ids
+        raw = bytes(ids)
+        return [(tuple(raw[i:i + size]), None if w < 0 else w)
+                for i, w in zip(range(0, found * size, size), witness[:found])]
+
+    def _regrown(self, found: int, spent: int) -> bool:
+        """Whether a kernel search that returned ``found`` must run again.
+
+        A count past the cut buffer grows the buffer to that count, and at
+        least to twice its size, and restores ``spent``, the searches spent
+        before the first call, so that they are charged once.  The count of
+        a closure that filled the buffer holds only the images of the cuts
+        it held, so the next call may need a larger buffer still; doubling
+        bounds the calls by the logarithm of the cut count.  A negative
+        return code raises."""
         if found == _NO_MEMORY:
             raise MemoryError("the native kernel could not allocate its "
                               "residual networks")
         if found < 0:
             raise _over_budget(self.budget)
-        return set(self._cuts[:found])
+        if found <= len(self._cuts):
+            return False
+        self._net[2] = spent
+        self._cuts = (ctypes.c_uint64 * max(found, 2 * len(self._cuts)))()
+        return True
 
 
 def _even_pairs(g: Graph, labels: int) -> list[tuple[int, int]]:
@@ -416,15 +462,17 @@ def enumerate_min_cuts(g: Graph, budget: int | None = None,
     is any plain graph.  The flows and separators run on one pair per orbit
     of the relabellings that fix ``s`` (see :func:`_even_pairs`), and the
     cut masks are closed under the swaps of labels ``a`` and ``a + 1`` for
-    ``a >= 1``, which generate those relabellings, before they are
-    classified: a relabelling that fixes ``s`` maps the minimum cuts of a
-    pair onto those of its image.  The closure moves bits and searches
-    nothing.
+    ``a >= 1``, which generate those relabellings: a relabelling that fixes
+    ``s`` maps the minimum cuts of a pair onto those of its image.
 
-    On the C network the flows and separators of all pairs take one kernel
-    call (:meth:`_NativeSplitFlow.min_cuts`).  Each cut is then classified
-    by one dict lookup of its mask among the neighbourhoods, without a
-    search.
+    A minimum cut ``S`` isolates ``v`` only if ``N(v) = S``, since ``N(v)``
+    lies in ``S`` and ``|N(v)| >= delta >= kappa = |S|``; so the lowest
+    such ``v`` is the cut's witness, and the cut isolates exactly when it
+    has one.  Both networks return the finished list, closed, sorted and
+    with each witness (:meth:`_SplitFlow.min_cuts`); on the C network it
+    takes one kernel call.  Closing, sorting and classifying search
+    nothing, so this function only checks its preconditions and wraps
+    each cut in a :class:`CutSet`.
 
     Every search of the flows and of the separator reading is charged
     against ``budget``, one unit each; the first search past it raises
@@ -434,29 +482,8 @@ def enumerate_min_cuts(g: Graph, budget: int | None = None,
         raise PreconditionError("min-cut enumeration needs order >= 2")
     if not is_connected(g):
         raise PreconditionError("min-cut enumeration needs a connected graph")
-    n = g.order
-    masks = _split_flow(g, budget).min_cuts(g, labels)
-    column = sum(1 << v for v in range(0, n, labels))
-    swaps = [(column << a, column << (a + 1)) for a in range(1, labels - 1)]
-    unclosed = list(masks)
-    while unclosed:
-        mask = unclosed.pop()
-        for low, high in swaps:
-            image = (mask & ~(low | high)) | (mask & low) << 1 | (mask & high) >> 1
-            if image not in masks:
-                masks.add(image)
-                unclosed.append(image)
-    # A minimum cut S isolates v only if N(v) = S, since N(v) lies in S and
-    # |N(v)| >= delta >= kappa = |S|; so the lowest v with adj[v] == S
-    # classifies the cut.
-    lowest = {}
-    for v, nbrs in enumerate(g.adj):
-        lowest.setdefault(nbrs, v)
-    cuts = []
-    for vertices, mask in sorted((tuple(iter_bits(m)), m) for m in masks):
-        witness = lowest.get(mask)
-        cuts.append(CutSet(vertices, witness is not None, witness))
-    return cuts
+    return [CutSet(vertices, witness is not None, witness)
+            for vertices, witness in _split_flow(g, budget).min_cuts(g, labels)]
 
 
 def connectivity_result(g: Graph, budget: int | None = None) -> ConnectivityResult:

@@ -463,6 +463,20 @@ def verify_connectivity_formula(g: Graph, n: int) -> VerificationReport:
                    verdict=False)
 
 
+def predicted_counterexample(g: Graph, n: int) -> bool:
+    """Whether ``g x K_n`` is predicted to break the paper's
+    super-connectivity claim: exactly when ``n == 3`` and ``g`` is
+    ``K_{d,d}``, that is a nonempty bipartite graph of order ``2 * delta``.
+
+    A column of ``K_{d,d} x K_3`` has ``2d`` vertices, as many as kappa =
+    ``min(3d, 2d)``, and leaves two copies of ``K_{d,d}``, so no vertex is
+    isolated; for ``n >= 4`` removing a column leaves the connected ``G x
+    K_{n-1}``.  Every violation that ``batch`` has reported on the corpora
+    so far is one of these.
+    """
+    return n == 3 and g.order == 2 * g.min_degree > 0 and is_bipartite(g)[0]
+
+
 def verify_super_connectivity(g: Graph, n: int) -> VerificationReport:
     """Full verdict for a factor with connectivity equal to minimum degree.
 

@@ -14,20 +14,25 @@ from .graphs import Graph, iter_bits
 
 
 def kronecker(g1: Graph, g2: Graph) -> Graph:
-    """Kronecker product of two nonempty graphs under the fixed linearization."""
+    """Kronecker product of two nonempty graphs under the fixed linearization.
+
+    Row ``(u, v)`` is ``spread(adj1[u]) * adj2[v]``, where ``spread`` moves
+    bit ``w`` to bit ``w * |g2|``: the product places one copy of ``adj2[v]``
+    in the ``|g2|``-bit block of each neighbour ``w`` of ``u``, and the
+    blocks never overlap, so no carry crosses from one fiber to the next.
+    """
     if g1.order == 0 or g2.order == 0:
         raise ValueError("Kronecker product needs nonempty factors")
     n2 = g2.order
-    adj = []
-    for u in range(g1.order):
-        row_ids = list(iter_bits(g1.adj[u]))
-        for v in range(n2):
-            col = g2.adj[v]
-            mask = 0
-            for w in row_ids:
-                mask |= col << (w * n2)
-            adj.append(mask)
-    return Graph(g1.order * n2, tuple(adj))
+    spread = []
+    for mask in g1.adj:
+        row = 0
+        while mask:
+            low = mask & -mask
+            row |= 1 << (low.bit_length() - 1) * n2
+            mask ^= low
+        spread.append(row)
+    return Graph(g1.order * n2, tuple(row * col for row in spread for col in g2.adj))
 
 
 def is_bipartite(g: Graph) -> tuple[bool, list[int] | None]:

@@ -14,8 +14,9 @@ route that follows the definition:
 * :func:`build_residue_system` evaluates a removal against the three removal
   conditions, which the residue sampler reads per fiber instead, and gives
   the per-fiber label masks that :func:`build_gstar` takes.
-* :func:`weichsel_connected` decides the connectedness of a product from
-  its factors, and :func:`are_isomorphic` tests isomorphism exactly.
+* :func:`kronecker_by_loops` builds a product edge by edge, and
+  :func:`weichsel_connected` decides its connectedness from its factors;
+  :func:`are_isomorphic` tests isomorphism exactly.
 * :func:`search_corpus` builds the corpora without the kernel's canonical
   key, by a refinement fingerprint and an isomorphism search.
 
@@ -253,6 +254,23 @@ def search_corpus(max_order: int, connected: bool) -> list[tuple[Graph, ...]]:
     for order in range(2, max_order + 1):
         layers.append(_extend_by_search(layers[-1], order, 1 if connected else 0))
     return layers
+
+
+def kronecker_by_loops(g1: Graph, g2: Graph) -> Graph:
+    """The Kronecker product built edge by edge: row ``(u, v)`` sets bit
+    ``w * |g2| + x`` for each neighbour ``w`` of ``u`` and ``x`` of ``v``.
+    The oracle for :func:`kronecker`, which builds each row with one
+    multiplication."""
+    n2 = g2.order
+    adj = []
+    for u in range(g1.order):
+        for v in range(n2):
+            mask = 0
+            for w in iter_bits(g1.adj[u]):
+                for x in iter_bits(g2.adj[v]):
+                    mask |= 1 << (w * n2 + x)
+            adj.append(mask)
+    return Graph(g1.order * n2, tuple(adj))
 
 
 def weichsel_connected(g1: Graph, g2: Graph) -> bool:

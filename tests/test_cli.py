@@ -2,10 +2,14 @@
 
 import json
 import json.encoder
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from kronkit import product_analysis
+from kronkit import cli, product_analysis
 from kronkit.cli import emit_report, ingest_corpus, main
 from kronkit.graphs import encode_graph6, make_complete, make_cycle, parse_graph6
 from kronkit.product_analysis import (
@@ -20,6 +24,9 @@ from kronkit.product_analysis import (
     verify_connectivity_formula,
     verify_super_connectivity,
 )
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(argv, capsys):
@@ -445,6 +452,44 @@ def test_usage_error_exit_code(capsys):
     capsys.readouterr()
     assert main(["no-such-command"]) == 2
     capsys.readouterr()
+
+
+def test_only_an_unpredicted_violation_is_noted_on_stderr(capsys, monkeypatch):
+    """``K_{3,3} x K_3`` is a predicted violation: exit code 1 and a quiet
+    stderr.  Were it unpredicted, one ``kronkit:`` line would name it, and
+    the records would not change."""
+    argv = ["batch", "--n", "3,4", "--g6", "Es\\o", "--workers", "1"]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, err) == (1, "")
+    monkeypatch.setattr(cli, "predicted_counterexample", lambda g, n: False)
+    assert run_cli(argv, capsys) == (1, out, "kronkit: Es\\o x K_3 contradicts "
+                                     "the paper outside the predicted K_{d,d} x "
+                                     "K_3 family\n")
+
+
+def test_closed_pipe_ends_the_run_quietly_with_exit_code_141():
+    """A reader that closes standard output after one line, as ``head -1``
+    does, ends ``batch`` without a traceback or a stderr line, with exit
+    code 141 (128 + SIGPIPE).  The run's output, about 200 KB, is larger
+    than a pipe buffer, so the writer is still writing when the pipe
+    closes."""
+    argv = ["batch", "--all-graphs", "--max-order", "7", "--n", "3",
+            "--filter", "connected"]
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.Popen([sys.executable, "-m", "kronkit.cli", *argv],
+                            env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE)
+    try:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+    assert json.loads(first)["instance"] == {"graph6": "@", "n": 3}
+    assert (code, err) == (141, b"")
 
 
 # -- per-command options and input guards --------------------------------------------

@@ -25,10 +25,10 @@ from kronkit.connectivity import (
 from kronkit.cli import main
 from kronkit.corpus import all_graphs, connected_graphs
 from kronkit.errors import BudgetExceededError, KernelBuildError
-from kronkit.graphs import is_connected, make_complete, make_cycle
+from kronkit.graphs import is_connected, make_complete, make_cycle, parse_graph6
 from kronkit.products import kronecker
 
-from oracles import edges, graph_from_edges
+from oracles import brute_force_min_cuts, edges, graph_from_edges
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -239,10 +239,59 @@ def test_cut_buffer_grows_past_its_default_size(kernel_calls, monkeypatch):
     assert kernel_calls["splitflow_min_cuts"] == 3
 
 
+@pytest.mark.parametrize("n, max_order", [(3, 5), (4, 5), (5, 4)])
+def test_finished_cut_lists_equal_the_twin_and_the_subset_scan(
+        n, max_order, monkeypatch):
+    """At labels 3, 4 and 5 the kernel closes, sorts and classifies the
+    cuts itself: on every connected ``G x K_n`` of at most 20 vertices its
+    list equals the Python network's, with the same searches, and the
+    subset scan's, which knows no labels."""
+    nets = _spy(monkeypatch)
+    products = 0
+    for g in (g for order in range(1, max_order + 1) for g in connected_graphs(order)):
+        pg = kronecker(g, make_complete(n))
+        if not is_connected(pg):
+            continue
+        results = _both_routes(pg, n, nets, monkeypatch)
+        assert results[_NativeSplitFlow] == results[_SplitFlow], (g, n)
+        assert results[_SplitFlow][0] == brute_force_min_cuts(pg), (g, n)
+        products += 1
+    assert products == {3: 30, 4: 30, 5: 9}[n]
+
+
+def test_buffer_that_holds_the_cuts_of_the_pairs_but_not_their_closure(
+        kernel_calls, monkeypatch):
+    """The kept pairs of K_{4,4} x K_4 separate 5 of its 8 minimum cuts,
+    and the label swaps give the other 3.  A buffer of 5 cuts holds what
+    the pairs separate and fills during the closure: the kernel is called
+    again into a grown buffer, charging the same 195 searches once, and
+    gives the Python network's list."""
+    pg = kronecker(parse_graph6("G?~vf_"), make_complete(4))
+    oracle = _SplitFlow(pg)
+    kappa, attaining = pg.order - 1, []
+    for s, t in _even_pairs(pg, 4):
+        value, out = oracle.max_flow(s, t, kappa)
+        if value < kappa:
+            kappa, attaining = value, []
+        attaining.append((s, t, out))
+    separated = set().union(*(oracle.min_separators(s, t, out)
+                              for s, t, out in attaining))
+    assert len(separated) == 5
+    monkeypatch.setattr(connectivity, "_NATIVE_CUTS", 5)
+    nets = _spy(monkeypatch)
+    results = _both_routes(pg, 4, nets, monkeypatch)
+    assert results[_NativeSplitFlow] == results[_SplitFlow]
+    cuts, spent = results[_SplitFlow]
+    assert (len(cuts), spent) == (8, 195)
+    assert separated < {sum(1 << v for v in cut.vertices) for cut in cuts}
+    assert kernel_calls["splitflow_min_cuts"] == 2
+    assert len(nets[0]._cuts) == 10  # the buffer doubles
+
+
 def test_failed_kernel_allocation_raises_memory_error(native):
     net = native(make_cycle(5))
     with pytest.raises(MemoryError):
-        net._read_cuts(lambda *args: connectivity._NO_MEMORY)
+        net._regrown(connectivity._NO_MEMORY, 0)
 
 
 def test_kernel_compiles_without_warnings():

@@ -30,6 +30,7 @@ from kronkit.product_analysis import (
     build_gstar,
     check_gstar_connected,
     check_residue_components,
+    predicted_counterexample,
     report_record,
     summary_record,
     verify_connectivity_formula,
@@ -965,3 +966,45 @@ def test_record_serialization_shapes():
     assert report_record(rep, with_timing=True)["runtime_ms"] == rep.runtime_ms
     assert summary_record(BatchSummary(2, 1, 0, 1)) == {
         "instances": 2, "holds": 1, "violations": 0, "skips": 1}
+
+
+def _violations(corpus, n_values):
+    """The ``(graph6, n)`` of every instance that ``batch`` flags and of
+    every instance that :func:`predicted_counterexample` predicts, over
+    the connected kd-equal factors of ``corpus``, and the instance count."""
+    flagged, predicted, instances = set(), set(), 0
+    for record in batch_verify(corpus, n_values, filters=("connected", "kd-equal")):
+        if isinstance(record, VerificationReport):
+            instance = (record.graph6, record.n)
+            if record.severity is not None:
+                flagged.add(instance)
+            if predicted_counterexample(parse_graph6(record.graph6), record.n):
+                predicted.add(instance)
+            instances += 1
+    return flagged, predicted, instances
+
+
+def test_predicted_counterexamples_are_the_violations_batch_reports():
+    """On every connected kd-equal factor of orders 1 to 7 at n = 3, 4, 5,
+    the predictor flags exactly the instances that ``batch`` flags, and at
+    n = 3 they are criterion 5's ``K_{d,d}`` factors.  On the order-6
+    corpus, both sets are empty for every n from 4 to ``64 // 6``, the
+    largest product the kernel holds."""
+    corpus = [g for order in range(1, 8) for g in connected_graphs(order)]
+    flagged, predicted, instances = _violations(corpus, [3, 4, 5])
+    assert flagged == predicted == {("A_", 3), ("Cr", 3), ("Es\\o", 3)}
+    assert instances == 3 * 932
+    flagged, predicted, instances = _violations(connected_graphs(6),
+                                                range(4, 64 // 6 + 1))
+    assert flagged == predicted == set()
+    assert instances == 7 * 105
+
+
+def test_predictor_holds_only_for_k_dd_at_n_3():
+    k33 = graph_from_edges(6, [(a, b) for a in range(3) for b in range(3, 6)])
+    c6 = make_cycle(6)  # bipartite, but order 6 is not 2 * delta
+    assert predicted_counterexample(k33, 3)
+    assert not any(predicted_counterexample(k33, n) for n in (4, 5, 6))
+    assert not predicted_counterexample(c6, 3)
+    assert not predicted_counterexample(make_complete(3), 3)  # K_3: not bipartite
+    assert not predicted_counterexample(graph_from_edges(1, []), 3)

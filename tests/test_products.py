@@ -4,11 +4,18 @@ import itertools
 
 import pytest
 
+from kronkit.corpus import all_graphs
 from kronkit.errors import PreconditionError
 from kronkit.graphs import is_connected, make_complete, make_cycle, random_graph
 from kronkit.products import is_bipartite, kronecker, linearization_rows
 
-from oracles import edges, graph_from_edges, validate, weichsel_connected
+from oracles import (
+    edges,
+    graph_from_edges,
+    kronecker_by_loops,
+    validate,
+    weichsel_connected,
+)
 
 
 def test_k2_times_k2_is_two_disjoint_edges():
@@ -190,3 +197,29 @@ def test_fibers_of_k2_times_k3():
     for a in _fiber_members(0, 3):
         assert [b for b in range(p.order) if p.has_edge(a, b)] == \
             [b for b in _fiber_members(1, 3) if b % 3 != a % 3]
+
+
+def test_kronecker_equals_the_edge_by_edge_product():
+    """One multiplication per row gives the edge-by-edge product: on every
+    graph to order 6 times ``K_1`` to ``K_6``, on seeded random second
+    factors that are not complete, and past 64 vertices on ``Q_5 x K_4``."""
+    count = 0
+    for g in (g for order in range(1, 7) for g in all_graphs(order)):
+        for k in range(1, 7):
+            assert kronecker(g, make_complete(k)) == kronecker_by_loops(
+                g, make_complete(k)), (g, k)
+            count += 1
+    assert count == 6 * 208
+    for seed in range(60):
+        g1 = random_graph(2 + seed % 7, 0.5, seed)
+        g2 = random_graph(2 + seed % 5, 0.4, seed + 1000)
+        if g2 == make_complete(g2.order):
+            continue
+        assert kronecker(g1, g2) == kronecker_by_loops(g1, g2), seed
+        count += 1
+    assert count > 6 * 208 + 40
+    q5 = graph_from_edges(32, [(v, v | 1 << i) for v in range(32)
+                               for i in range(5) if not v >> i & 1])
+    product = kronecker(q5, make_complete(4))
+    assert product.order == 128 and product == kronecker_by_loops(q5, make_complete(4))
+    validate(product)
