@@ -19,7 +19,10 @@
  * out-node, as in the Python class.
  *
  * splitflow_min_cuts is kronkit.connectivity._SplitFlow.min_cuts in one
- * call, and returns the finished cut list: it builds the pairs of
+ * call, and returns the finished cut list.  It first checks that the graph
+ * is connected, by one search over the 64-bit adjacency masks that is not
+ * a residual search and is not charged, as the Python network checks it
+ * before its first flow.  It then builds the pairs of
  * _even_pairs, runs their flows and reads the separators of the pairs that
  * attain the least flow, charging the same searches in the same order, and
  * writes each distinct cut once.  It then closes the cuts under the label
@@ -30,8 +33,9 @@
  * family, allocated at the call and freed before it returns.
  *
  * Return codes: a count of cuts or flow units (>= 0); -1 at the first
- * search past the budget; -2 (splitflow_min_cuts only) when the residual
- * storage cannot be allocated.
+ * search past the budget; and, from splitflow_min_cuts only, -2 when the
+ * residual storage cannot be allocated and -3 when the graph is
+ * disconnected, which it reports before any charged search.
  *
  * Build, with _canon.c and _residue.c into one library as kronkit._native
  * does:
@@ -53,6 +57,7 @@ typedef unsigned __int128 mask_t __attribute__((aligned(8)));
 #define MAX_PAIRS ((MAX_ORDER - 1) * MAX_ORDER / 2)
 #define OVER_BUDGET -1
 #define NO_MEMORY -2
+#define DISCONNECTED -3
 #define BIT(i) ((mask_t)1 << (i))
 
 static inline int low_bit(mask_t m)
@@ -90,6 +95,22 @@ static mask_t reach(const mask_t *adj, mask_t within, int start)
         seen |= frontier;
     }
     return seen;
+}
+
+/* True when every vertex of the graph is reachable from vertex 0. */
+static int connected(const uint64_t *net)
+{
+    int n = (int)net[0];
+    const uint64_t *adj = net + HEADER;
+    uint64_t seen = 1, frontier = 1;
+    while (frontier) {
+        uint64_t acc = 0;
+        for (; frontier; frontier &= frontier - 1)
+            acc |= adj[__builtin_ctzll(frontier)];
+        frontier = acc & ~seen;
+        seen |= frontier;
+    }
+    return seen == (n == 64 ? ~(uint64_t)0 : ((uint64_t)1 << n) - 1);
 }
 
 void splitflow_init(uint64_t *net)
@@ -382,15 +403,17 @@ static int lexicographic(const void *pa, const void *pb)
  * the buffers to at least that count, restore the spent count and call
  * again, as for splitflow_min_separators, until the count fits: a closure
  * that filled the buffer counts only the images of the cuts it holds, so
- * its count may fall short of the closed set.  Returns -1 at the
- * first search past the budget and -2 when the residual storage cannot be
- * allocated. */
+ * its count may fall short of the closed set.  Returns -3, before any
+ * search, when the graph is disconnected, -1 at the first search past the
+ * budget and -2 when the residual storage cannot be allocated. */
 int64_t splitflow_min_cuts(uint64_t *net, int labels, uint64_t *cuts,
                            int64_t capacity, unsigned char *ids,
                            signed char *witness)
 {
     int n = (int)net[0];
     const uint64_t *adj = net + HEADER;
+    if (!connected(net))
+        return DISCONNECTED;
     int64_t found = pair_cuts(net, labels, cuts, capacity);
     if (found < 0 || found > capacity)
         return found;

@@ -18,11 +18,12 @@ The network runs in C (``_splitflow.c``, built on first use by
 :mod:`kronkit._native`) for graphs of at most 64 vertices, and in Python
 only for larger graphs, past the kernel's 128-bit node masks.  The two give
 the same flows, cuts and searches, which the tests compare.  On
-the C network one enumeration is one kernel call, which walks the pairs,
-runs their flows, reads their separators, closes the cuts under the label
-swaps, sorts them and writes each cut's ids and witness; the Python network
-returns the same list.  :func:`vertex_connectivity` still makes one kernel
-call per pair.
+the C network one enumeration is one kernel call, which checks that the
+graph is connected, walks the pairs, runs their flows, reads their
+separators, closes the cuts under the label swaps, sorts them and writes
+each cut's ids and witness, from which Python builds each :class:`CutSet`
+once; the Python network returns the same list.
+:func:`vertex_connectivity` still makes one kernel call per pair.
 
 Removing all but one vertex counts as separating (the remainder is the
 trivial one-vertex graph), so complete graphs get connectivity ``n - 1`` and
@@ -33,19 +34,20 @@ from __future__ import annotations
 
 import ctypes
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import _native
 from .errors import BudgetExceededError, PreconditionError
 from .graphs import Graph, is_connected, iter_bits, reachable_mask
 
 
-@dataclass(frozen=True)
-class CutSet:
+class CutSet(NamedTuple):
     """A minimum separating set with its classification.
 
     ``isolates`` means some surviving vertex has no surviving neighbor;
     ``witness`` is the lowest vertex whose neighborhood the set equals
-    exactly, or None when there is none.
+    exactly, or None when there is none.  A named tuple, so that each cut
+    is built in one allocation; like any tuple it is immutable and hashable.
     """
 
     vertices: tuple[int, ...]
@@ -78,8 +80,13 @@ _NATIVE_MAX_ORDER = 64
 # Cut masks the native network's result buffer holds before it must grow.
 _NATIVE_CUTS = 64
 _INT64_MAX = (1 << 63) - 1
-# The kernel's return code for a failed allocation.
+# The kernel's return codes for a failed allocation and a disconnected graph.
 _NO_MEMORY = -2
+_DISCONNECTED = -3
+
+
+def _disconnected() -> PreconditionError:
+    return PreconditionError("min-cut enumeration needs a connected graph")
 
 
 def _over_budget(budget: int) -> BudgetExceededError:
@@ -246,9 +253,11 @@ class _SplitFlow:
             stack.append((inside, outside | self._reach(inn, nodes & ~outside, u)))
         return found
 
-    def min_cuts(self, g: Graph, labels: int) -> list[tuple[tuple[int, ...], int | None]]:
-        """Every minimum cut of ``g``, this network's graph, as its vertex
-        ids and its witness, in lexicographic order of the ids.
+    def min_cuts(self, g: Graph, labels: int) -> list[CutSet]:
+        """Every minimum cut of ``g``, this network's graph, in
+        lexicographic order of its vertex ids.  Raises
+        :class:`PreconditionError` for a disconnected ``g``, before any
+        charged search.
 
         Each pair of :func:`_even_pairs` has its flow cut off at the least
         flow found so far, and the separators are read for the pairs whose
@@ -265,6 +274,8 @@ class _SplitFlow:
         lowest vertex whose neighbourhood equals it, or None.  Closing and
         classifying move bits and search nothing.
         """
+        if not is_connected(g):
+            raise _disconnected()
         kappa, attaining = self.order - 1, []
         for s, t in _even_pairs(g, labels):
             value, out = self.max_flow(s, t, kappa)
@@ -291,7 +302,7 @@ class _SplitFlow:
         lowest = {}
         for v, nbrs in enumerate(g.adj):
             lowest.setdefault(nbrs, v)
-        return [(vertices, lowest.get(mask))
+        return [CutSet(vertices, mask in lowest, lowest.get(mask))
                 for vertices, mask in sorted((tuple(iter_bits(m)), m) for m in masks)]
 
 
@@ -317,9 +328,13 @@ class _NativeSplitFlow:
         limit = _INT64_MAX if budget is None else min(max(budget, -1), _INT64_MAX)
         self.budget = budget
         self._lib = lib
-        self._net = (ctypes.c_uint64 * (3 + 9 * n))(
-            n, limit % (1 << 64), 0, *g.adj)
-        lib.splitflow_init(self._net)
+        # Slice assignment fills the array faster than the constructor's
+        # arguments do.
+        self._net = net = (ctypes.c_uint64 * (3 + 9 * n))()
+        net[0] = n
+        net[1] = limit % (1 << 64)
+        net[3:3 + n] = g.adj
+        lib.splitflow_init(net)
         self._residual = ctypes.c_uint64 * (4 * n)
         self._cuts = (ctypes.c_uint64 * _NATIVE_CUTS)()
 
@@ -344,10 +359,11 @@ class _NativeSplitFlow:
             if not self._regrown(found, spent):
                 return set(self._cuts[:found])
 
-    def min_cuts(self, g: Graph, labels: int) -> list[tuple[tuple[int, ...], int | None]]:
+    def min_cuts(self, g: Graph, labels: int) -> list[CutSet]:
         """See :meth:`_SplitFlow.min_cuts`; one kernel call, which reads the
-        graph from the network and writes the sorted cut masks, each cut's
-        ids and each cut's witness (-1 for none)."""
+        graph from the network, checks that it is connected, and writes the
+        sorted cut masks, each cut's ids and each cut's witness (-1 for
+        none)."""
         n, spent = g.order, self._net[2]
         while True:
             capacity = len(self._cuts)
@@ -355,11 +371,13 @@ class _NativeSplitFlow:
             witness = (ctypes.c_byte * capacity)()
             found = self._lib.splitflow_min_cuts(
                 self._net, labels, self._cuts, capacity, ids, witness)
+            if found == _DISCONNECTED:
+                raise _disconnected()
             if not self._regrown(found, spent):
                 break
         size = self._cuts[0].bit_count()  # every minimum cut has kappa ids
         raw = bytes(ids)
-        return [(tuple(raw[i:i + size]), None if w < 0 else w)
+        return [CutSet(tuple(raw[i:i + size]), w >= 0, None if w < 0 else w)
                 for i, w in zip(range(0, found * size, size), witness[:found])]
 
     def _regrown(self, found: int, spent: int) -> bool:
@@ -468,11 +486,14 @@ def enumerate_min_cuts(g: Graph, budget: int | None = None,
     A minimum cut ``S`` isolates ``v`` only if ``N(v) = S``, since ``N(v)``
     lies in ``S`` and ``|N(v)| >= delta >= kappa = |S|``; so the lowest
     such ``v`` is the cut's witness, and the cut isolates exactly when it
-    has one.  Both networks return the finished list, closed, sorted and
-    with each witness (:meth:`_SplitFlow.min_cuts`); on the C network it
-    takes one kernel call.  Closing, sorting and classifying search
-    nothing, so this function only checks its preconditions and wraps
-    each cut in a :class:`CutSet`.
+    has one.  Both networks return the finished list of :class:`CutSet`,
+    closed, sorted and classified (:meth:`_SplitFlow.min_cuts`); on the C
+    network it takes one kernel call.  Closing, sorting and classifying
+    search nothing.  Each network also checks that ``g`` is connected
+    before its first search and raises :class:`PreconditionError` if not:
+    the C kernel by one search of the adjacency masks, the Python network
+    by :func:`~kronkit.graphs.is_connected`; neither search is charged.
+    So this function checks only the order itself.
 
     Every search of the flows and of the separator reading is charged
     against ``budget``, one unit each; the first search past it raises
@@ -480,10 +501,7 @@ def enumerate_min_cuts(g: Graph, budget: int | None = None,
     """
     if g.order < 2:
         raise PreconditionError("min-cut enumeration needs order >= 2")
-    if not is_connected(g):
-        raise PreconditionError("min-cut enumeration needs a connected graph")
-    return [CutSet(vertices, witness is not None, witness)
-            for vertices, witness in _split_flow(g, budget).min_cuts(g, labels)]
+    return _split_flow(g, budget).min_cuts(g, labels)
 
 
 def connectivity_result(g: Graph, budget: int | None = None) -> ConnectivityResult:

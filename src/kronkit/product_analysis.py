@@ -414,6 +414,13 @@ def _report(g: Graph, g6: str, n: int, kappa_g: int, budget: int | None,
     Without ``verdict`` only the formula is checked, by flow on the product.
     With it every minimum cut of the product is enumerated; a disconnected
     product has none and gets a False verdict without a counterexample.
+    Whether the product is connected is read off ``kappa_g``, the factor's
+    connectivity, without a search: for ``n >= 3``, ``g x K_n`` is
+    connected exactly when ``g`` is connected with at least two vertices
+    (Weichsel 1962, "The Kronecker product of graphs": the product of two
+    connected graphs with an edge each is connected exactly when one of
+    them is not bipartite, and ``K_n`` is not), that is exactly when
+    ``kappa_g > 0``.
     Either route charges the product's residual searches against
     ``budget`` (None for no limit), and either passes the ``n`` labels of
     the ``K_n`` factor: the flows and separators run on one pair per orbit
@@ -426,7 +433,7 @@ def _report(g: Graph, g6: str, n: int, kappa_g: int, budget: int | None,
     super_kappa = min_cut_count = counterexample = None
     if not verdict:
         product_kappa = vertex_connectivity(pg, budget=budget, labels=n)
-    elif not is_connected(pg):
+    elif kappa_g == 0:
         product_kappa, super_kappa, min_cut_count = 0, False, 0
     else:
         cuts = enumerate_min_cuts(pg, budget=budget, labels=n)
@@ -498,10 +505,18 @@ def verify_super_connectivity(g: Graph, n: int) -> VerificationReport:
 
 # -- batch verification ----------------------------------------------------------
 
+def _connected(g: Graph, kappa_g: int | None) -> bool:
+    """Whether ``g`` is connected, read off its connectivity ``kappa_g``
+    (None for the empty graph): a graph with at least two vertices is
+    connected exactly when its connectivity is positive, and the
+    one-vertex graph is connected with connectivity 0."""
+    return kappa_g is not None and (kappa_g > 0 or g.order == 1)
+
+
 # Corpus filters: each name's predicate on a factor and its connectivity,
 # which is None for the empty factor.
 FILTERS = {
-    "connected": lambda g, kappa_g: g.order > 0 and is_connected(g),
+    "connected": _connected,
     "kd-equal": lambda g, kappa_g: kappa_g == g.min_degree,
     "bipartite": lambda g, kappa_g: is_bipartite(g)[0],
     "nonbipartite": lambda g, kappa_g: not is_bipartite(g)[0],
@@ -522,7 +537,7 @@ def _verify_instance(g: Graph, g6: str, n: int, kappa_g: int | None,
         return SkipRecord(g6, n, "empty-factor", "factor graph must be nonempty")
     try:
         return _report(g, g6, n, kappa_g, budget,
-                       verdict=is_connected(g) and kappa_g == g.min_degree)
+                       verdict=_connected(g, kappa_g) and kappa_g == g.min_degree)
     except BudgetExceededError as exc:
         return SkipRecord(g6, n, "size-limit", str(exc), exc.budget)
 

@@ -20,8 +20,8 @@ route that follows the definition:
 * :func:`search_corpus` builds the corpora without the kernel's canonical
   key, by a refinement fingerprint and an isomorphism search.
 
-The builders (:func:`graph_from_edges`, :func:`delete_vertex`,
-:func:`mask_of`) and :func:`validate` make and check test inputs.
+The builders (:func:`graph_from_edges`, :func:`two_cycles`,
+:func:`delete_vertex`, :func:`mask_of`) and :func:`validate` make and check test inputs.
 
 Removing all but one vertex counts as separating (the remainder is the
 trivial one-vertex graph), as in :mod:`kronkit.connectivity`.
@@ -71,6 +71,12 @@ def graph_from_edges(order: int, edges: Iterable[tuple[int, int]]) -> Graph:
         adj[u] |= 1 << v
         adj[v] |= 1 << u
     return Graph(order, tuple(adj))
+
+
+def two_cycles(k: int) -> Graph:
+    """Two disjoint copies of ``C_k``, on ids ``0..k-1`` and ``k..2k-1``."""
+    return graph_from_edges(2 * k, [(c * k + i, c * k + (i + 1) % k)
+                                    for c in (0, 1) for i in range(k)])
 
 
 def mask_of(ids: Iterable[int]) -> int:

@@ -1,5 +1,6 @@
 """Integration tests for the kronkit command-line interface."""
 
+import hashlib
 import json
 import json.encoder
 import os
@@ -24,6 +25,8 @@ from kronkit.product_analysis import (
     verify_connectivity_formula,
     verify_super_connectivity,
 )
+
+from oracles import two_cycles
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -83,6 +86,15 @@ def test_cuts_on_c4(capsys):
         {"cut": [0, 2], "isolates": True, "neighborhood_of": 1},
         {"cut": [1, 3], "isolates": True, "neighborhood_of": 0},
     ]
+
+
+@pytest.mark.parametrize("k", [5, 33])
+def test_cuts_on_a_disconnected_graph_is_fatal(k, capsys):
+    """Two disjoint copies of C_k: the kernel refuses 2C_5, and the Python
+    network, which the 66 vertices of 2C_33 take, refuses 2C_33."""
+    code, out, err = run_cli(["cuts", "--g6", encode_graph6(two_cycles(k))], capsys)
+    assert code == 2 and out == ""
+    assert err == "kronkit: min-cut enumeration needs a connected graph\n"
 
 
 def test_cuts_needs_exactly_one_graph(capsys):
@@ -310,6 +322,21 @@ def test_verify_exhaustive_order_4(capsys):
     flagged = [r for r in records[:-1] if "severity" in r]
     assert all(r["severity"] == "contradicts-paper" for r in flagged)
     assert all(r["non_isolating_cut"]["isolates"] is False for r in flagged)
+
+
+@pytest.mark.parametrize("filters, digest", [
+    ([], "5032b9a5a1f594c309393df751ec74045f76038b97ccd4ec3185174a4b158aff"),
+    (["--filter", "connected"],
+     "09627a77668ff25f38edb056da87a5b6b4e5c250923332925186e9d1800c8500"),
+])
+def test_batch_stream_over_every_graph_to_order_5_is_pinned(filters, digest, capsys):
+    """The whole stream, disconnected factors and ``K_1`` included, keeps
+    the bytes that the verdict route gave when it searched every product
+    and factor for connectivity (105 and 63 lines)."""
+    code, out, _ = run_cli(["batch", "--all-graphs", "--max-order", "5",
+                            "--n", "3,4", *filters], capsys)
+    assert code == 1
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_verify_filtered_corpus(capsys):

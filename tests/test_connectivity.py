@@ -1,12 +1,15 @@
 """Tests for vertex connectivity, min-cut enumeration, and classification."""
 
 import itertools
+import json
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import kronkit
 from kronkit.connectivity import (
+    CutSet,
     _even_pairs,
     connectivity_result,
     cut_record,
@@ -539,6 +542,23 @@ def test_cut_record_schema():
     assert cut_record(c) == {"cut": [1, 3], "isolates": True, "neighborhood_of": 2}
     c, _ = classify_cut(make_cycle(6), {0, 3})
     assert cut_record(c) == {"cut": [0, 3], "isolates": False, "neighborhood_of": None}
+
+
+def test_cut_set_is_an_immutable_record_of_three_fields():
+    cut = CutSet((1, 3), True, 2)
+    assert CutSet._fields == ("vertices", "isolates", "witness")
+    assert (cut.vertices, cut.isolates, cut.witness) == ((1, 3), True, 2)
+    for field in CutSet._fields:
+        with pytest.raises(AttributeError):
+            setattr(cut, field, None)
+    assert hash(cut) == hash(CutSet((1, 3), True, 2))
+    assert len({cut, CutSet((1, 3), True, 2), CutSet((0, 3), False, None)}) == 2
+    assert json.dumps(cut_record(cut)) == \
+        '{"cut": [1, 3], "isolates": true, "neighborhood_of": 2}'
+    assert kronkit.CutSet is CutSet and "CutSet" in kronkit.__all__
+    # Both networks build their cuts as CutSets.
+    assert all(type(c) is CutSet for c in enumerate_min_cuts(make_cycle(6)))
+    assert all(type(c) is CutSet for c in enumerate_min_cuts(make_complete(65)))
 
 
 # -- deletion check ----------------------------------------------------------

@@ -24,11 +24,11 @@ from kronkit.connectivity import (
 )
 from kronkit.cli import main
 from kronkit.corpus import all_graphs, connected_graphs
-from kronkit.errors import BudgetExceededError, KernelBuildError
+from kronkit.errors import BudgetExceededError, KernelBuildError, PreconditionError
 from kronkit.graphs import is_connected, make_complete, make_cycle, parse_graph6
 from kronkit.products import kronecker
 
-from oracles import brute_force_min_cuts, edges, graph_from_edges
+from oracles import brute_force_min_cuts, edges, graph_from_edges, two_cycles
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -286,6 +286,35 @@ def test_buffer_that_holds_the_cuts_of_the_pairs_but_not_their_closure(
     assert separated < {sum(1 << v for v in cut.vertices) for cut in cuts}
     assert kernel_calls["splitflow_min_cuts"] == 2
     assert len(nets[0]._cuts) == 10  # the buffer doubles
+
+
+DISCONNECTED = [
+    ("2C5", two_cycles(5), (64, 0)),
+    ("2C32", two_cycles(32), (64, 0)),
+    ("P63+K1", graph_from_edges(64, [(v, v + 1) for v in range(62)]), (64, 0)),
+    ("2C33", two_cycles(33), (64,)),
+]
+
+
+@pytest.mark.parametrize("g, max_orders", [case[1:] for case in DISCONNECTED],
+                         ids=[case[0] for case in DISCONNECTED])
+def test_disconnected_graph_is_refused_before_any_search(
+        g, max_orders, kernel_calls, monkeypatch):
+    """Each network refuses a disconnected graph itself, before its first
+    charged search, so a budget of 0 still gets the precondition's error:
+    the kernel by its own search of the adjacency masks, in the one call
+    that enumerates, and the Python network, which graphs past 64 vertices
+    take, by ``is_connected``."""
+    nets = _spy(monkeypatch)
+    for max_order in max_orders:
+        monkeypatch.setattr(connectivity, "_NATIVE_MAX_ORDER", max_order)
+        kind = _NativeSplitFlow if g.order <= max_order else _SplitFlow
+        for budget in (None, 0):
+            with pytest.raises(PreconditionError,
+                               match="^min-cut enumeration needs a connected graph$"):
+                enumerate_min_cuts(g, budget=budget)
+            assert type(nets[-1]) is kind and nets[-1].spent == 0
+    assert kernel_calls["splitflow_min_cuts"] == (2 if g.order <= 64 else 0)
 
 
 def test_failed_kernel_allocation_raises_memory_error(native):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from kronkit.connectivity import vertex_connectivity
-from kronkit.corpus import connected_graphs
+from kronkit.corpus import all_graphs, connected_graphs
 from kronkit.errors import PreconditionError
 from kronkit.graphs import (
     Graph,
@@ -774,6 +774,37 @@ def test_super_connectivity_degenerate_one_vertex_factor():
     assert rep.min_cut_count == 0
     assert rep.non_isolating_cut is None
     assert rep.severity is None  # vacuous case, not a violation
+
+
+def test_weichsel_decides_the_connectivity_of_the_product():
+    """For n >= 3, ``g x K_n`` is connected exactly when kappa(g) > 0, on
+    every graph of orders 1 to 6, disconnected ones and ``K_1`` included:
+    the verdict route reads the product's connectedness off kappa(g)."""
+    for g in (g for order in range(1, 7) for g in all_graphs(order)):
+        kappa = vertex_connectivity(g)
+        for n in (3, 4):
+            assert (kappa > 0) == is_connected(kronecker(g, make_complete(n))), (g, n)
+
+
+def test_super_connectivity_of_two_isolated_vertices():
+    """``A?`` has kappa = delta = 0, like ``K_1`` above, so its product is
+    disconnected and has no minimum cuts."""
+    rep = verify_super_connectivity(parse_graph6("A?"), 3)
+    assert rep.kappa_G == rep.delta_G == 0
+    assert rep.product_kappa == 0
+    assert rep.super_kappa_verdict is False
+    assert rep.min_cut_count == 0
+
+
+def test_connected_filter_reads_the_connectivity():
+    """The ``connected`` filter, read off a factor's kappa, agrees with a
+    search on every graph of orders 0 to 6."""
+    connected = product_analysis.FILTERS["connected"]
+    graphs = [parse_graph6("?")] + [g for order in range(1, 7)
+                                    for g in all_graphs(order)]
+    for g in graphs:
+        kappa = vertex_connectivity(g) if g.order else None
+        assert connected(g, kappa) == (g.order > 0 and is_connected(g)), g
 
 
 def test_super_connectivity_requires_kd_equal():
