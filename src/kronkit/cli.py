@@ -21,6 +21,7 @@ instance that needs more becomes a ``size-limit`` skip record.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import json.encoder
 import os
@@ -85,6 +86,15 @@ class IngestItem:
     error: str | None = None
 
 
+def _open_input(path: str):
+    """``path`` opened for :func:`ingest_corpus`; a file that cannot be
+    opened is fatal."""
+    try:
+        return open(path, "r", encoding="ascii", errors="replace")
+    except OSError as exc:
+        raise _Fatal(f"cannot read input file {path!r}: {exc}") from exc
+
+
 def ingest_corpus(paths: Iterable[str]) -> Iterator[IngestItem]:
     """Stream (location, graph) pairs from newline-delimited graph6 files.
 
@@ -93,11 +103,7 @@ def ingest_corpus(paths: Iterable[str]) -> Iterator[IngestItem]:
     line fails the graph6 alphabet check at its byte offset.
     """
     for path in paths:
-        try:
-            handle = open(path, "r", encoding="ascii", errors="replace")
-        except OSError as exc:
-            raise _Fatal(f"cannot read input file {path!r}: {exc}") from exc
-        with handle:
+        with _open_input(path) as handle:
             for lineno, line in enumerate(handle, start=1):
                 text = line.strip()
                 if text.startswith(GRAPH6_HEADER):
@@ -112,12 +118,15 @@ def ingest_corpus(paths: Iterable[str]) -> Iterator[IngestItem]:
 
 
 def _gather_inputs(args) -> Iterator[IngestItem]:
+    """The inline arguments, parsed at the call, then the items of the input
+    files as they are read; a malformed inline argument is fatal."""
+    inline = []
     for idx, text in enumerate(args.g6):
         try:
-            yield IngestItem(f"arg:{idx}", parse_graph6(text))
+            inline.append(IngestItem(f"arg:{idx}", parse_graph6(text)))
         except Graph6Error as exc:
             raise _Fatal(f"inline graph6 argument {idx}: {exc}") from exc
-    yield from ingest_corpus(args.input)
+    return itertools.chain(inline, ingest_corpus(args.input))
 
 
 # -- emission ------------------------------------------------------------------
@@ -260,12 +269,18 @@ def _gstar_records(g: Graph, n: int, trials: int, seed: int) -> Iterator[dict]:
 
 def _verify_records(args, n_values: list[int], filters: list[str],
                     budget: int) -> Iterator[dict]:
-    corpus = graphs_up_to(args.max_order, connected=False) if args.all_graphs else []
-    for item in _gather_inputs(args):
-        if item.error is not None:
-            yield {"source": item.location, "error": item.error}
-            continue
-        corpus.append(item.graph)
+    """``batch`` records over the ``--all-graphs`` corpus, then the inputs
+    read line by line; a parse-error record takes its line's place.
+
+    The inline arguments are parsed and the input files opened here first,
+    so that a bad one stops the run before any record."""
+    inputs = _gather_inputs(args)
+    for path in args.input:
+        _open_input(path).close()
+    corpus = itertools.chain(
+        graphs_up_to(args.max_order, connected=False) if args.all_graphs else (),
+        (item.graph if item.error is None
+         else {"source": item.location, "error": item.error} for item in inputs))
     for record in batch_verify(corpus, n_values, filters=tuple(filters),
                                budget=budget, workers=args.workers):
         if isinstance(record, VerificationReport):
@@ -279,6 +294,8 @@ def _verify_records(args, n_values: list[int], filters: list[str],
             yield skip_record(record)
         elif isinstance(record, BatchSummary):
             yield summary_record(record)
+        else:  # a parse-error record, in its line's place
+            yield record
 
 
 # -- argument parsing --------------------------------------------------------------

@@ -54,7 +54,7 @@ class Graph:
     @property
     def min_degree(self) -> int:
         """Smallest vertex degree; 0 for the empty graph."""
-        return min((m.bit_count() for m in self.adj), default=0)
+        return min(map(int.bit_count, self.adj), default=0)
 
     def full_mask(self) -> int:
         return (1 << self.order) - 1

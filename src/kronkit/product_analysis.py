@@ -18,10 +18,9 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import itertools
 import time
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import ExitStack
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -357,13 +356,13 @@ def check_residue_components(g: Graph, n: int, trials: int,
 
 # -- verification reports -------------------------------------------------------
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Per-instance verification outcome.
 
     ``super_kappa_verdict``, ``min_cut_count``, and ``non_isolating_cut`` are
     None when only the connectivity formula was checked.  ``severity`` is set
-    to ``"contradicts-paper"`` exactly when a computed check failed.
+    to ``"contradicts-paper"`` exactly when a computed check failed.  A named
+    tuple, so that each of a batch's records is built in one allocation.
     """
 
     graph6: str
@@ -380,8 +379,7 @@ class VerificationReport:
     severity: str | None = None
 
 
-@dataclass(frozen=True)
-class SkipRecord:
+class SkipRecord(NamedTuple):
     """A skipped instance; ``budget`` is set on ``size-limit`` skips."""
 
     graph6: str
@@ -542,56 +540,133 @@ def _verify_instance(g: Graph, g6: str, n: int, kappa_g: int | None,
         return SkipRecord(g6, n, "size-limit", str(exc), exc.budget)
 
 
-def _batch_worker(item: tuple[str, int, int | None, int | None]):
-    """:func:`_verify_instance` in a pool worker, which gets the graph6."""
-    return _verify_instance(parse_graph6(item[0]), *item)
+def _factor_records(g: Graph, g6: str, n_values: Sequence[int],
+                    filters: Sequence[str],
+                    budget: int | None) -> list[VerificationReport | SkipRecord]:
+    """The records of factor ``g``, whose graph6 is ``g6``, at each of
+    ``n_values``, none when it fails one of ``filters``; its connectivity is
+    computed once, for the filters and every instance alike."""
+    kappa_g = vertex_connectivity(g) if g.order else None
+    if not all(FILTERS[name](g, kappa_g) for name in filters):
+        return []
+    return [_verify_instance(g, g6, n, kappa_g, budget) for n in n_values]
 
 
-def batch_verify(corpus: Iterable[Graph], n_values: Sequence[int],
+def _task_records(task: Sequence[str | dict], n_values: Sequence[int],
+                  filters: Sequence[str], budget: int | None) -> list:
+    """The records of a pool task in order: a factor's, sent as its graph6,
+    from :func:`_factor_records`, and a dict as it is."""
+    records = []
+    for item in task:
+        if isinstance(item, dict):
+            records.append(item)
+        else:
+            records += _factor_records(parse_graph6(item), item, n_values,
+                                       filters, budget)
+    return records
+
+
+# The most corpus items in one pool task.  Tasks grow from one item to this,
+# doubling, so that a short corpus still spreads over the workers; a full
+# task of order-9 factors takes about 7 ms at one n (2-core Xeon VM).
+_TASK_ITEMS = 32
+
+
+def _pooled_records(corpus: Iterable[Graph | dict], workers: int,
+                    args: tuple) -> Iterator:
+    """:func:`_task_records` of the corpus, in order, with ``args`` being
+    ``(n_values, filters, budget)``.
+
+    About ``2 * workers`` tasks are in flight at once: the corpus is read a
+    task at a time as results are taken.  A first window of fewer than two
+    tasks, at most one item, runs here without a pool, and the pool has no
+    more processes than ``workers`` or the tasks of its first window.  An
+    exception that the corpus raises is raised after the records of the
+    items before it.
+    """
+    items = iter(corpus)
+    failure = None
+    size = 1
+
+    def next_task() -> list[str | dict]:
+        nonlocal failure, size
+        task = []
+        if failure is None:
+            try:
+                for item in items:
+                    task.append(item if isinstance(item, dict) else encode_graph6(item))
+                    if len(task) == size:
+                        break
+            except Exception as exc:  # raised in its place in the stream
+                failure = exc
+        size = min(2 * size, _TASK_ITEMS)
+        return task
+
+    window = []
+    while len(window) < 2 * workers and (task := next_task()):
+        window.append(task)
+    if len(window) < 2:
+        for task in window:
+            yield from _task_records(task, *args)
+    else:
+        with ProcessPoolExecutor(max_workers=min(workers, len(window))) as pool:
+            pending = deque(pool.submit(_task_records, task, *args) for task in window)
+            while pending:
+                records = pending.popleft().result()
+                if task := next_task():
+                    pending.append(pool.submit(_task_records, task, *args))
+                yield from records
+    if failure is not None:
+        raise failure
+
+
+def _serial_records(corpus: Iterable[Graph | dict], n_values: Sequence[int],
+                    filters: Sequence[str], budget: int | None) -> Iterator:
+    for item in corpus:
+        if isinstance(item, dict):
+            yield item
+        else:
+            yield from _factor_records(item, encode_graph6(item), n_values,
+                                       filters, budget)
+
+
+def batch_verify(corpus: Iterable[Graph | dict], n_values: Sequence[int],
                  filters: Sequence[str] = (), budget: int | None = None,
                  workers: int = 1) -> Iterator[VerificationReport | SkipRecord | BatchSummary]:
     """Verify every (graph, n) pair passing the filters, then yield a summary.
 
-    Records come out in corpus order regardless of ``workers``; per-instance
-    budget errors and empty factors become in-stream skip records and never
-    abort the batch.  ``budget`` caps each product's residual searches (None
-    for no limit).  Each factor's connectivity is computed once, and a
-    repeated ``n`` counts once, where it first appears.
+    The corpus is read lazily, one factor at a time, and records stream out
+    in corpus order whatever ``workers`` is.  Each factor's connectivity is
+    computed once, for the filters and its instances alike; with ``workers``
+    above 1, pool processes compute it, run the filters and verify, on tasks
+    of consecutive factors of which about ``2 * workers`` are in flight.
+    Per-instance budget errors and empty factors become in-stream skip
+    records and never abort the batch.  ``budget`` caps each product's
+    residual searches (None for no limit).  A repeated ``n`` counts once,
+    where it first appears.  A dict in the corpus, such as the CLI's record
+    of a malformed input line, is yielded as it is, in its place, and counts
+    toward no total of the summary.
     """
     n_values = list(dict.fromkeys(n_values))
     for n in n_values:
         if n < 3:
             raise ValueError(f"second factor needs n >= 3, got {n}")
     check_filters(filters)
-    items = []
-    for g in corpus:
-        kappa_g = vertex_connectivity(g) if g.order else None
-        if not all(FILTERS[name](g, kappa_g) for name in filters):
-            continue
-        g6 = encode_graph6(g)
-        items.extend((g, g6, n, kappa_g, budget) for n in n_values)
+    args = (n_values, tuple(filters), budget)
+    records = (_pooled_records(corpus, workers, args) if workers > 1
+               else _serial_records(corpus, *args))
     holds = violations = skips = 0
-    with ExitStack() as stack:
-        if workers > 1 and len(items) > 1:
-            pool = stack.enter_context(ProcessPoolExecutor(
-                max_workers=min(workers, len(items))))
-            records = pool.map(_batch_worker, [item[1:] for item in items],
-                               chunksize=8)
-        else:
-            records = itertools.starmap(_verify_instance, items)
-        for record in records:
-            holds, violations, skips = _tally(record, holds, violations, skips)
-            yield record
-    yield BatchSummary(instances=len(items), holds=holds,
+    for record in records:
+        if isinstance(record, VerificationReport):
+            if record.severity is None:
+                holds += 1
+            else:
+                violations += 1
+        elif isinstance(record, SkipRecord):
+            skips += 1
+        yield record
+    yield BatchSummary(instances=holds + violations + skips, holds=holds,
                        violations=violations, skips=skips)
-
-
-def _tally(record, holds: int, violations: int, skips: int) -> tuple[int, int, int]:
-    if isinstance(record, SkipRecord):
-        return holds, violations, skips + 1
-    if record.severity is not None:
-        return holds, violations + 1, skips
-    return holds + 1, violations, skips
 
 
 # -- JSON-lines records -----------------------------------------------------------

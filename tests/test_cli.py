@@ -403,6 +403,28 @@ def test_batch_empty_factor_is_an_in_stream_skip(capsys):
                                "skips": 2}
 
 
+def test_batch_parse_error_keeps_its_input_position(tmp_path, capsys):
+    path = tmp_path / "mixed.g6"
+    path.write_text("Bw\n!!bad!!\nCr\n")
+    for workers in ("1", "2"):
+        code, out, err = run_cli(["batch", "--n", "4", "--input", str(path),
+                                  "--workers", workers], capsys)
+        assert code == 2 and err == ""
+        records = jsonl(out)
+        assert [r["instance"]["graph6"] if "instance" in r else r.get("source")
+                for r in records[:-1]] == ["Bw", f"{path}:2", "Cr"]
+        assert records[-1] == {"instances": 2, "holds": 2, "violations": 0,
+                               "skips": 0}
+
+
+@pytest.mark.parametrize("inputs", [["--input", "/no/such/file.g6"],
+                                    ["--g6", "!!bad!!"]], ids=["missing", "inline"])
+def test_batch_bad_input_stops_before_the_corpus_streams(inputs, capsys):
+    code, out, err = run_cli(["batch", "--n", "3", "--all-graphs", "--max-order",
+                              "4", "--workers", "1", *inputs], capsys)
+    assert code == 2 and out == "" and "kronkit:" in err
+
+
 def test_verify_byte_determinism_across_worker_counts(tmp_path, capsys):
     runs = [
         # exit 1: the K_2 and C_4 violations are real and stable

@@ -4,6 +4,7 @@ import ctypes
 import itertools
 import random
 from collections import Counter
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -952,17 +953,46 @@ def test_filter_table_matches_networkx_definitions():
         assert kept == [g6 for g6 in corpus if definition(graphs[g6])], name
 
 
+def _rendered(records):
+    return [report_record(r) if isinstance(r, VerificationReport) else r
+            for r in records]
+
+
 def test_batch_parallel_matches_serial():
-    corpus = list(connected_graphs(4))
-    serial = list(batch_verify(corpus, [3], workers=1))
-    parallel = list(batch_verify(corpus, [3], workers=2))
-    strip = lambda recs: [
-        report_record(r) if isinstance(r, VerificationReport)
-        else r for r in recs]
-    assert strip(serial) == strip(parallel)
+    # With the filters, pool processes compute kappa and filter too.
+    for corpus, n_values, filters in [
+            (connected_graphs(4), [3], ()),
+            (connected_graphs(6), [3, 4], ("connected", "kd-equal"))]:
+        serial = list(batch_verify(corpus, n_values, filters=filters, workers=1))
+        parallel = list(batch_verify(corpus, n_values, filters=filters, workers=2))
+        assert _rendered(serial) == _rendered(parallel)
+        assert serial[-1].instances > 0
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("read", [1, 5])
+def test_batch_streams_records_before_reading_past_them(read, workers):
+    """The records of the factors read before the corpus raises come out
+    first, in order, and then its exception; with ``read`` 1 no pool starts,
+    with 5 a pool of two takes three tasks."""
+    factors = connected_graphs(5)[:read]
+
+    def corpus():
+        yield from factors
+        raise RuntimeError("corpus ended badly")
+
+    records = batch_verify(corpus(), [3], workers=workers)
+    first = next(records)
+    assert first.graph6 == encode_graph6(factors[0])
+    rest = list(itertools.islice(records, read - 1))
+    assert [r.graph6 for r in rest] == [encode_graph6(g) for g in factors[1:]]
+    with pytest.raises(RuntimeError, match="corpus ended badly"):
+        next(records)
 
 
 def test_batch_pool_has_no_more_workers_than_instances(monkeypatch):
+    """The pool starts no more processes than the tasks of its first window,
+    and none for a single factor; tasks hold 1, 2, 4, ... corpus items."""
     asked = []
 
     class InProcessPool:
@@ -975,16 +1005,20 @@ def test_batch_pool_has_no_more_workers_than_instances(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items, chunksize=1):
-            return map(fn, items)
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
 
     monkeypatch.setattr(product_analysis, "ProcessPoolExecutor", InProcessPool)
-    pooled = list(batch_verify([make_cycle(5)], [3, 4, 5], workers=10**6))
-    assert asked == [3]
-    serial = list(batch_verify([make_cycle(5)], [3, 4, 5]))
-    assert pooled[-1] == serial[-1] == BatchSummary(3, 3, 0, 0)
-    assert ([report_record(r) for r in pooled[:-1]]
-            == [report_record(r) for r in serial[:-1]])
+    for factors, pools in [([make_cycle(5)], []),
+                           ([make_cycle(5), make_complete(4), make_cycle(6)], [2]),
+                           (connected_graphs(5), [5])]:
+        asked.clear()
+        pooled = list(batch_verify(factors, [3, 4, 5], workers=10**6))
+        assert asked == pools
+        assert pooled[-1].instances == 3 * len(factors)
+        assert _rendered(pooled) == _rendered(list(batch_verify(factors, [3, 4, 5])))
 
 
 def test_record_serialization_shapes():
