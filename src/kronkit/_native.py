@@ -1,6 +1,7 @@
 """Build and load the C kernel: the split-flow network, ``_splitflow.c``,
 the canonical form of small graphs, ``_canon.c``, and the residue
-sampler's rejection loop with its verdicts, ``_residue.c``.
+sampler, ``_residue.c``: seeded PCG64 streams, the rejection loop and its
+verdicts.
 
 The sources are compiled on first use with the system C compiler into one
 library in the per-user cache (``$XDG_CACHE_HOME/kronkit``, else
@@ -13,8 +14,8 @@ load a complete library.
 :func:`library` raises :class:`~kronkit.errors.KernelBuildError`, naming
 the compiler, the cache and the cause, when a source, the compiler or the
 cache is unusable.  No computation falls back to Python then: the Python
-twins serve only inputs past the kernel's 64-bit masks, and the sampler's
-also a kernel whose draws fail numpy's probe streams.
+twins serve only inputs past the kernel's 64-bit masks, and the residue
+sampler has none.
 """
 
 from __future__ import annotations
@@ -46,10 +47,12 @@ _ENTRIES = {
     "splitflow_min_cuts": (_INT64, _WORDS, _INT, _WORDS, _INT64, _UBYTES, _BYTES),
     "canon_key": (_INT, _INT, _WORDS, _WORDS),
     "canon_children": (_INT, _INT, _WORDS, _INT, _WORDS),
+    "residue_seed": (_INT, _WORDS, _INT, _WORDS),
+    "residue_words": (None, _WORDS, _INT, _WORDS),
     "residue_choices": (_INT, _WORDS, _INT, _INT, _INT, _WORDS),
     "residue_sample": (_INT, _INT, _WORDS, _INT, _INT, _WORDS, _INT, _INT64,
                        _WORDS, _WORDS, _WORDS),
-    "residue_verdicts": (_INT, _INT, _WORDS, _WORDS, _INT, _WORDS),
+    "residue_verdicts": (_INT, _INT, _WORDS, _INT, _WORDS, _INT, _WORDS, _WORDS),
 }
 
 
@@ -102,3 +105,12 @@ def library() -> ctypes.CDLL:
         entry = getattr(lib, name)
         entry.restype, entry.argtypes = restype, argtypes
     return lib
+
+
+def seeded_stream(*entropy: int) -> ctypes.Array:
+    """The four words, the state's high and low halves and then the
+    increment's, of ``PCG64(SeedSequence(list(entropy)))`` for one or two
+    integers in ``0 .. 2**64 - 1``, seeded by the kernel."""
+    stream = (ctypes.c_uint64 * 4)()
+    library().residue_seed((ctypes.c_uint64 * 2)(*entropy), len(entropy), stream)
+    return stream

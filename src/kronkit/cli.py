@@ -35,7 +35,7 @@ from .connectivity import (
     enumerate_min_cuts,
     vertex_connectivity,
 )
-from .corpus import graphs_up_to
+from .corpus import all_graphs
 from .errors import BudgetExceededError, Graph6Error, KronkitError, PreconditionError
 from .graphs import (
     Graph,
@@ -278,7 +278,8 @@ def _verify_records(args, n_values: list[int], filters: list[str],
     for path in args.input:
         _open_input(path).close()
     corpus = itertools.chain(
-        graphs_up_to(args.max_order, connected=False) if args.all_graphs else (),
+        itertools.chain.from_iterable(map(all_graphs, range(1, args.max_order + 1)))
+        if args.all_graphs else (),
         (item.graph if item.error is None
          else {"source": item.location, "error": item.error} for item in inputs))
     for record in batch_verify(corpus, n_values, filters=tuple(filters),

@@ -89,9 +89,6 @@ def connected_graphs(order: int) -> tuple[Graph, ...]:
     return _layer(order, 1)
 
 
-def graphs_up_to(max_order: int, connected: bool = True) -> list[Graph]:
-    """Corpus of orders 1..max_order in generation order."""
-    out: list[Graph] = []
-    for n in range(1, max_order + 1):
-        out.extend(connected_graphs(n) if connected else all_graphs(n))
-    return out
+def graphs_up_to(max_order: int) -> list[Graph]:
+    """Connected corpus of orders 1..max_order in generation order."""
+    return [g for order in range(1, max_order + 1) for g in connected_graphs(order)]

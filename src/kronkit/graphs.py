@@ -8,11 +8,11 @@ the cut enumeration and the residue sampler.
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-import numpy as np
-
+from . import _native
 from .errors import Graph6Error, UnsupportedSizeError
 
 # Largest order the 3-byte graph6 size field can express.
@@ -40,9 +40,6 @@ class Graph:
 
     def degrees(self) -> list[int]:
         return [m.bit_count() for m in self.adj]
-
-    def neighbors(self, v: int) -> list[int]:
-        return list(iter_bits(self.adj[v]))
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
@@ -84,17 +81,22 @@ def random_graph(order: int, edge_probability: float, seed: int) -> Graph:
     """Seeded Erdos-Renyi graph: each pair is an edge with the given probability.
 
     The same ``(order, edge_probability, seed)`` always reproduces the same
-    graph; pairs are drawn in fixed ``(u, v), u < v`` order.
+    graph; pairs are drawn in fixed ``(u, v), u < v`` order, each against
+    the next double of the PCG64 stream seeded with ``seed % 2**64``, read
+    as ``Generator.random`` reads it off the stream's next word ``w``: ``(w
+    >> 11) * 2**-53``.  The kernel steps the stream, a row's words at a time.
     """
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
     if not 0.0 <= edge_probability <= 1.0:
         raise ValueError(f"edge probability must be in [0,1], got {edge_probability}")
-    rng = np.random.default_rng(seed % 2**64)
+    stream = _native.seeded_stream(seed % 2**64)
+    words = (ctypes.c_uint64 * order)()
     adj = [0] * order
     for u in range(order):
-        for v in range(u + 1, order):
-            if rng.random() < edge_probability:
+        _native.library().residue_words(stream, order - 1 - u, words)
+        for v, w in zip(range(u + 1, order), words):
+            if (w >> 11) * 2.0**-53 < edge_probability:
                 adj[u] |= 1 << v
                 adj[v] |= 1 << u
     return Graph(order, tuple(adj))
@@ -127,18 +129,6 @@ def is_connected(g: Graph) -> bool:
         return True
     full = g.full_mask()
     return reachable_mask(g.adj, full, 0) == full
-
-
-def components(adj: Sequence[int], alive: int) -> list[int]:
-    """Vertex masks of the components induced on ``alive``, by smallest member."""
-    comps = []
-    rest = alive
-    while rest:
-        start = (rest & -rest).bit_length() - 1
-        comp = reachable_mask(adj, rest, start)
-        comps.append(comp)
-        rest &= ~comp
-    return comps
 
 
 # -- graph6 ------------------------------------------------------------------

@@ -24,8 +24,6 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-import numpy as np
-
 from . import _native
 from .connectivity import (
     CutSet,
@@ -36,9 +34,7 @@ from .connectivity import (
 from .errors import BudgetExceededError, PreconditionError
 from .graphs import (
     Graph,
-    components,
     encode_graph6,
-    is_connected,
     iter_bits,
     make_complete,
     parse_graph6,
@@ -46,6 +42,7 @@ from .graphs import (
 from .products import is_bipartite, kronecker
 
 MAX_REJECTIONS = 100_000
+_NO_MEMORY = -2  # the residue kernel's return code for a failed allocation
 
 
 # -- the residue graph ---------------------------------------------------------
@@ -97,170 +94,59 @@ class TrialRecord(NamedTuple):
     error: str | None = None
 
 
-def _sample_valid_removals(g: Graph, n: int,
-                           seeds: ctypes.Array) -> tuple[tuple, ...]:
-    """Per trial seed of :func:`_trial_states`, a uniform ``(n-1) *
-    delta``-subset of ``g x K_n`` meeting the residue and isolation
-    conditions, by rejection, with its :func:`_verdicts`.
-
-    Each trial restores its PCG64 state in one generator and draws from
-    there.  The conditions are read per fiber rather than per product
-    vertex: with ``L_u`` the surviving labels of fiber ``u``, every ``L_u``
-    must be nonempty, and a survivor ``(u, x)`` is isolated exactly when the
-    labels surviving in the neighbouring fibers, together, lie inside
-    ``{x}``.  Returns (removed ids, label masks, rejections,
-    isolation-only rejections, G* connected, split fibers) per trial, with
-    the masks as :func:`build_gstar` reads them; a trial whose
-    ``MAX_REJECTIONS + 1`` draws in a row were rejected gives ``((), None,
-    rejections, isolation rejections, None, None)``.
-    """
-    product = kronecker(g, make_complete(n))
-    mn = product.order
-    size = (n - 1) * g.min_degree
-    neighbours = tuple(tuple(g.neighbors(u)) for u in range(g.order))
-    # The fiber and the label bit of each product id.
-    fiber = [v // n for v in range(mn)]
-    label_bit = [1 << v % n for v in range(mn)]
-    every_label = [(1 << n) - 1] * g.order
-    cap = MAX_REJECTIONS
-    rng = np.random.default_rng()  # its state is replaced before each trial
-    draws = []
-    for i in range(0, len(seeds), 4):
-        state_hi, state_lo, inc_hi, inc_lo = seeds[i:i + 4]
-        rng.bit_generator.state = {
-            "bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
-            "state": {"state": state_hi << 64 | state_lo,
-                      "inc": inc_hi << 64 | inc_lo}}
-        rejections = isolation_rejections = 0
-        while rejections <= cap:
-            # Python ints: the removed ids are emitted.
-            picked = rng.choice(mn, size=size, replace=False).tolist()
-            labels = every_label.copy()
-            for v in picked:
-                labels[fiber[v]] ^= label_bit[v]
-            if not all(labels):
-                rejections += 1
-            elif _fiber_isolates(neighbours, labels):
-                rejections += 1
-                isolation_rejections += 1
-            else:
-                labels = tuple(labels)
-                draws.append((tuple(sorted(picked)), labels, rejections,
-                              isolation_rejections, *_verdicts(g, product, labels)))
-                break
-        else:
-            draws.append(((), None, rejections, isolation_rejections, None, None))
-    return tuple(draws)
-
-
-def _verdicts(g: Graph, product: Graph,
-              labels: tuple[int, ...]) -> tuple[bool, tuple[int, ...]]:
-    """Whether G* of the fibers' label masks is connected, and the fibers
-    whose residue meets more than one component of the survivors in the
-    product ``g x K_n``."""
-    n = product.order // g.order
-    residues = [x << u * n for u, x in enumerate(labels)]
-    # The residues lie in disjoint blocks of n bits, so their sum is the
-    # mask of the survivors.
-    comps = components(product.adj, sum(residues))
-    split = () if len(comps) == 1 else tuple(
-        u for u, residue in enumerate(residues)
-        if not any(residue & ~comp == 0 for comp in comps))
-    return is_connected(build_gstar(g, labels)), split
-
-
-def _fiber_isolates(neighbours: Sequence[Sequence[int]],
-                    labels: Sequence[int]) -> bool:
-    """True when some survivor of ``g x K_n`` has no surviving neighbour.
-
-    ``neighbours[u]`` lists the neighbours of ``u`` in ``g``, and
-    ``labels[u]`` is the nonempty label mask of fiber ``u``'s survivors.
-    """
-    for u, nbrs in enumerate(neighbours):
-        seen = 0
-        for v in nbrs:
-            seen |= labels[v]
-        if seen & (seen - 1) == 0 and (seen == 0 or seen & labels[u]):
-            return True
-    return False
-
-
-# The kernel's masks hold at most 64 fibers and 64 labels per fiber.
-_KERNEL_MAX = 64
-# (seed, population, size, draws) of the streams on which the kernel's draws
-# must equal Generator.choice: draws that leave a 32-bit half over for the
-# next, a first Floyd step with j = 0, at seed 368 a Lemire rejection, and
-# a trial seed at the top of the seed range.
-_PROBES = ((1, 15, 4, 5), (0, 3, 3, 3), (3, 60, 1, 3), (2, 4096, 192, 2),
-           (368, 4096, 4000, 1), ([2**64 - 1, 999], 1000, 100, 3))
-
-
-def _seed_words(seed) -> tuple[int, int, int, int]:
-    """The state's high and low words, then the increment's, of numpy's
-    PCG64 seeded with ``seed``."""
-    state = np.random.PCG64(seed).state["state"]
-    return (state["state"] >> 64, state["state"] & 2**64 - 1,
-            state["inc"] >> 64, state["inc"] & 2**64 - 1)
-
-
 @functools.lru_cache(maxsize=1)
 def _trial_states(seed: int, trials: int) -> ctypes.Array:
-    """The four :func:`_seed_words` of PCG64 seeded with ``[seed, t]``,
-    trial after trial; ``seed`` lies in ``0 .. 2**64 - 1``.
+    """The PCG64 streams seeded with ``[seed, t]`` by the kernel, four words
+    each, trial after trial; ``seed`` lies in ``0 .. 2**64 - 1``.
 
     The states depend on neither the graph nor ``n``, so every instance of
-    a run with one seed and trial count, on either sampler route, starts
-    its trials from here instead of seeding its own generators.
-    """
-    seeds = (ctypes.c_uint64 * (4 * trials))()
-    for t in range(trials):
-        seeds[4 * t:4 * t + 4] = _seed_words([seed, t])
-    return seeds
+    a run with one seed and trial count starts its trials from here."""
+    return (ctypes.c_uint64 * (4 * trials))(
+        *(word for t in range(trials) for word in _native.seeded_stream(seed, t)))
 
 
-@functools.cache
-def _kernel_draws_match(lib) -> bool:
-    """True when the kernel steps PCG64 and rebuilds ``Generator.choice(mn,
-    size, replace=False)`` exactly on every stream of ``_PROBES``."""
-    for seed, mn, size, count in _PROBES:
-        rng = np.random.default_rng(seed)
-        expected = [v for _ in range(count)
-                    for v in rng.choice(mn, size=size, replace=False).tolist()]
-        out = (ctypes.c_uint64 * (count * size))()
-        if (lib.residue_choices((ctypes.c_uint64 * 4)(*_seed_words(seed)),
-                                mn, size, count, out) != 0
-                or out[:] != expected):
-            return False
-    return True
+def _words(masks: Sequence[int], width: int) -> ctypes.Array:
+    """The kernel's array of ``masks``, ``width`` words each, low word first."""
+    if width == 1:
+        return (ctypes.c_uint64 * len(masks))(*masks)
+    raw = b"".join(m.to_bytes(8 * width, "little") for m in masks)
+    return (ctypes.c_uint64 * (width * len(masks))).from_buffer_copy(raw)
+
+
+def _masks(words: ctypes.Array, width: int) -> list[int]:
+    """The masks of consecutive groups of ``width`` words, low word first."""
+    if width == 1:
+        return words[:]  # a list of Python ints slices faster than ctypes
+    raw, step = bytes(words), 8 * width
+    return [int.from_bytes(raw[i:i + step], "little") for i in range(0, len(raw), step)]
 
 
 def _kernel_removals(lib, g: Graph, n: int,
                      seeds: ctypes.Array) -> tuple[tuple, ...]:
-    """:func:`_sample_valid_removals` run in the kernel, verdicts included."""
-    order = g.order
-    size = (n - 1) * g.min_degree
-    trials = len(seeds) // 4
-    adj = (ctypes.c_uint64 * order)(*g.adj)
-    removed = (ctypes.c_uint64 * (trials * size))()
-    labels = (ctypes.c_uint64 * (trials * order))()
-    counts = (ctypes.c_uint64 * (2 * trials))()
-    verdicts = (ctypes.c_uint64 * (2 * trials))()
-    if (lib.residue_sample(order, adj, n, size, seeds, trials, MAX_REJECTIONS,
-                           removed, labels, counts)
-            or lib.residue_verdicts(order, adj, labels, trials, verdicts)):
-        raise RuntimeError(f"the residue kernel rejected order {order}, n {n}")
-    # Lists of Python ints slice faster than the ctypes arrays.
-    removed, labels = removed[:], labels[:]
-    counts, verdicts = counts[:], verdicts[:]
+    """:func:`_draw_trials` of each trial's stream in ``seeds``: a uniform
+    ``(n-1) * delta``-subset of ``g x K_n`` meeting the residue and isolation
+    conditions, by rejection, with its verdicts."""
+    order, lw, fw = g.order, -(-n // 64), -(-g.order // 64)
+    size, trials = (n - 1) * g.min_degree, len(seeds) // 4
+    adj = _words(g.adj, fw)
+    removed, labels, counts, connected, split = (
+        (ctypes.c_uint64 * words)() for words in (
+            trials * size, trials * order * lw, 2 * trials, trials, trials * fw))
+    if code := (lib.residue_sample(order, adj, n, size, seeds, trials, MAX_REJECTIONS,
+                                   removed, labels, counts)
+                or lib.residue_verdicts(order, adj, n, labels, trials, connected, split)):
+        error = MemoryError if code == _NO_MEMORY else ValueError
+        raise error(f"the residue kernel could not draw order {order}, n {n}")
+    removed, counts, connected = removed[:], counts[:], connected[:]
+    labels, split = _masks(labels, lw), _masks(split, fw)
     draws = []
     for t in range(trials):
         rejections, isolation_rejections = counts[2 * t:2 * t + 2]
         if rejections <= MAX_REJECTIONS:
-            connected, split = verdicts[2 * t:2 * t + 2]
             draws.append((tuple(removed[t * size:(t + 1) * size]),
                           tuple(labels[t * order:(t + 1) * order]),
-                          rejections, isolation_rejections,
-                          connected == 1, tuple(iter_bits(split)) if split else ()))
+                          rejections, isolation_rejections, connected[t] == 1,
+                          tuple(iter_bits(split[t])) if split[t] else ()))
         else:
             draws.append(((), None, rejections, isolation_rejections, None, None))
     return tuple(draws)
@@ -274,17 +160,12 @@ def _draw_trials(g: Graph, n: int, trials: int,
     K_n``; the label masks and both verdicts are None exactly when sampling
     ran out.
 
-    Trial ``t`` draws from the stream of a generator seeded with ``[seed,
-    t]``, so both checkers see the same removals for the same arguments;
-    the cache keeps the most recent draw only, which a checker run right
-    after another on the same arguments reuses.  Call with positional
-    arguments: the cache keys on them as given.
-
-    The kernel draws when the factor has at most 64 vertices, ``n`` is at
-    most 64, and its draws equal numpy's on the fixed streams of
-    ``_PROBES``, and then gives the verdicts too without building the
-    product; otherwise :func:`_sample_valid_removals` does, with the same
-    result.
+    Trial ``t`` draws from the PCG64 stream seeded with ``[seed, t]``, so
+    both checkers see the same removals for the same arguments; the cache
+    keeps the most recent draw only, which a checker run right after another
+    on the same arguments reuses.  Call with positional arguments: the cache
+    keys on them as given.  The kernel draws at any order and ``n``, and
+    decides the verdicts without building the product.
 
     The checkers' shared preconditions are checked here, so a reused draw
     does not compute the factor's connectivity again, nor does a factor
@@ -296,20 +177,16 @@ def _draw_trials(g: Graph, n: int, trials: int,
     _check_factor(g)
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
-    seeds = _trial_states(seed % 2**64, trials)
-    if g.order <= _KERNEL_MAX and n <= _KERNEL_MAX:
-        lib = _native.library()
-        if _kernel_draws_match(lib):
-            return encode_graph6(g), _kernel_removals(lib, g, n, seeds)
-    return encode_graph6(g), _sample_valid_removals(g, n, seeds)
+    return encode_graph6(g), _kernel_removals(
+        _native.library(), g, n, _trial_states(seed % 2**64, trials))
 
 
 @functools.lru_cache(maxsize=1)
 def _check_factor(g: Graph) -> None:
     """Raise unless ``g`` is connected with kappa equal to delta and positive."""
-    if not is_connected(g) or g.order == 0:
+    kappa = vertex_connectivity(g) if g.order else None
+    if not _connected(g, kappa):
         raise PreconditionError("checker needs a connected factor graph")
-    kappa = vertex_connectivity(g)
     if kappa != g.min_degree or kappa == 0:
         raise PreconditionError(
             "checker needs kappa equal to the minimum degree and positive")

@@ -10,7 +10,9 @@ route that follows the definition:
 * :func:`classify_cut` classifies an arbitrary vertex set by searching its
   survivors, and reports whether it separates.
 * :func:`naive_components` lists the components induced on a vertex set,
-  by a search over id sets; the bitmask ``components`` is compared with it.
+  by a search over id sets; :func:`components`, a search over bitmasks by
+  ``reachable_mask``, is compared with it, and serves the residue verdicts
+  of products too wide for the id-set search.
 * :func:`build_residue_system` evaluates a removal against the three removal
   conditions, which the residue sampler reads per fiber instead, and gives
   the per-fiber label masks that :func:`build_gstar` takes.
@@ -133,6 +135,17 @@ def has_isolated(adj: Sequence[int], alive: int) -> bool:
     return False
 
 
+def components(adj: Sequence[int], alive: int) -> list[int]:
+    """Vertex masks of the components induced on ``alive``, by smallest member."""
+    comps = []
+    rest = alive
+    while rest:
+        comp = reachable_mask(adj, rest, (rest & -rest).bit_length() - 1)
+        comps.append(comp)
+        rest &= ~comp
+    return comps
+
+
 def naive_components(g: Graph, alive: set[int]) -> list[frozenset[int]]:
     """The id sets of the components induced on ``alive``, by smallest id."""
     comps = []
@@ -142,7 +155,7 @@ def naive_components(g: Graph, alive: set[int]) -> list[frozenset[int]]:
         queue = [min(rest)]
         while queue:
             x = queue.pop()
-            for y in g.neighbors(x):
+            for y in iter_bits(g.adj[x]):
                 if y in rest and y not in seen:
                     seen.add(y)
                     queue.append(y)

@@ -101,7 +101,7 @@ def test_criterion_4_product_connectivity_formula(connected_upto_6):
 def _product_with_k3(g):
     """Bitmask adjacency of ``G x K_3`` from the rule ``(u,i)~(w,j)`` iff
     ``uw`` is an edge of ``G`` and ``i != j``; vertex ``(u,i)`` is ``3u+i``."""
-    return [sum(1 << (3 * w + j) for w in g.neighbors(u)
+    return [sum(1 << (3 * w + j) for w in iter_bits(g.adj[u])
                 for j in range(3) if j != i)
             for u in range(g.order) for i in range(3)]
 

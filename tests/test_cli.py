@@ -594,7 +594,7 @@ def test_empty_factor_is_an_in_stream_skip(command, capsys):
 def test_input_guards(argv, message, capsys, monkeypatch):
     def no_corpus(*_args, **_kwargs):  # fail fast instead of building order 9
         raise AssertionError("the corpus was built before the guard")
-    monkeypatch.setattr("kronkit.cli.graphs_up_to", no_corpus)
+    monkeypatch.setattr("kronkit.cli.all_graphs", no_corpus)
     code, out, err = run_cli(argv, capsys)
     assert code == 2 and out == ""
     assert "kronkit:" in err and message in err

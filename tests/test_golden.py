@@ -3,6 +3,9 @@
 The batch runs cover the formula route, the verdict route with its
 violation records, and the skip route; the gstar runs cover both residue
 checks, the second over every connected kd-equal factor to order 6.  The
+seeded runs pin ``gen random`` and ``gstar`` past 64 fibers, past 64
+labels and on numpy's tail-shuffle branch of ``choice``, with bytes first
+taken from numpy's own streams, and again with numpy unimportable.  The
 panel runs pin ``kappa``, ``super-kappa --format table``, ``cuts`` (one run
 per graph) and ``product --mapping`` on small factors.  Any change to the
 records of these runs, however small, fails here.
@@ -10,11 +13,44 @@ records of these runs, however small, fails here.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from kronkit.cli import main
 from kronkit.connectivity import vertex_connectivity
 from kronkit.corpus import connected_graphs
-from kronkit.graphs import encode_graph6
+from kronkit.graphs import encode_graph6, make_cycle
+
+
+# Seeded runs pinned from numpy's streams; the kernel seeds and steps them.
+_SEEDED = {
+    "gen-random-12": (
+        ["gen", "random", "--order", "12", "--p", "0.3", "--seed", "7", "--count", "50"],
+        "e6d94d9a4236505275ee57bc3c065f22b6146dfdddf5de15e04ecd775e166c82"),
+    "gen-random-70": (
+        ["gen", "random", "--order", "70", "--p", "0.5",
+         "--seed", "18446744073709551621", "--count", "3"],
+        "c497133ecb4b2eaabd355f84e6cb9b9a42a083b0c53f8281d6092ce1ea1844a1"),
+    "gstar-65-fibers": (
+        ["gstar", "--g6", encode_graph6(make_cycle(65)), "--n", "3",
+         "--trials", "10", "--seed", "3"],
+        "7a21f420261167f0a1ac6d2c6cb6ce7d0f35fd34493257dd7fb4eb7acaa83c05"),
+    "gstar-65-labels": (
+        ["gstar", "--g6", "Dhc", "--n", "65", "--trials", "10", "--seed", "3"],
+        "0d316cf1334a7b89e185858051f6784becfd0b86885598c9e5868bd9876e7d0c"),
+    # 10005 ids with 4000 drawn: numpy's tail-shuffle branch of choice
+    "gstar-tail-shuffle": (
+        ["gstar", "--g6", "Dhc", "--n", "2001", "--trials", "3", "--seed", "3"],
+        "46d1164ad9cc43fe15be728592b9562ddab0e399a8a1d139255450f8f5cd9496"),
+    "gstar-trials": (
+        ["gstar", "--n", "3", "--g6", "Bw", "--g6", "Cr", "--g6", "D~{",
+         "--trials", "20", "--seed", "5"],
+        "3d1e744d4cd7b2cd146459b381cabce06291c5c955d95121371bad6c6fb0121e"),
+}
 
 
 def _run(argv, capsys):
@@ -45,11 +81,10 @@ def test_golden_batch_violation_records(capsys):
 
 
 def test_golden_gstar_trials(capsys):
-    code, _, digest = _run(
-        ["gstar", "--n", "3", "--g6", "Bw", "--g6", "Cr", "--g6", "D~{",
-         "--trials", "20", "--seed", "5"], capsys)
+    argv, want = _SEEDED["gstar-trials"]
+    code, _, digest = _run(argv, capsys)
     assert code == 0
-    assert digest == "3d1e744d4cd7b2cd146459b381cabce06291c5c955d95121371bad6c6fb0121e"
+    assert digest == want
 
 
 def test_golden_gstar_over_kd_equal_factors(tmp_path, capsys):
@@ -109,3 +144,36 @@ def test_golden_product_with_mapping(tmp_path, capsys):
     assert digest == "90b4453f5f3bb9f6a4768a9b2908769ecc475ba4e96f3dd3bda8aee1c1485535"
     assert hashlib.sha256(mapping.read_bytes()).hexdigest() == \
         "30ef9204a3d9c37d9bff9dfbdc9cb6ebfd3db2380630a8c44e85ac055d3397b9"
+
+
+@pytest.mark.parametrize("name", [name for name in _SEEDED if name != "gstar-trials"])
+def test_golden_seeded_streams(name, capsys):
+    argv, want = _SEEDED[name]
+    code, _, digest = _run(argv, capsys)
+    assert code == 0
+    assert digest == want
+
+
+_WITHOUT_NUMPY = """
+import contextlib, hashlib, io, json, sys
+sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+from kronkit.cli import main
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    print(hashlib.sha256(out.getvalue().encode()).hexdigest())
+"""
+
+
+def test_seeded_runs_need_no_numpy():
+    """With numpy unimportable, gstar at 64 fibers or fewer and past 64, and
+    gen random, still give the pinned bytes."""
+    runs = ["gstar-trials", "gstar-65-fibers", "gen-random-12"]
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_NUMPY,
+         json.dumps([_SEEDED[name][0] for name in runs])],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == [_SEEDED[name][1] for name in runs]

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,7 +11,6 @@ from kronkit.corpus import all_graphs
 from kronkit.errors import Graph6Error, UnsupportedSizeError
 from kronkit.graphs import (
     Graph,
-    components,
     encode_graph6,
     is_connected,
     iter_bits,
@@ -21,6 +21,7 @@ from kronkit.graphs import (
 )
 
 from oracles import (
+    components,
     delete_vertex,
     edges,
     graph_from_edges,
@@ -122,6 +123,20 @@ def test_random_graph_rejects_bad_probability():
         random_graph(5, -0.1, 0)
 
 
+def _numpy_random_graph(order, p, seed):
+    """Oracle: the pairs in ``(u, v), u < v`` order against numpy's doubles."""
+    rng = np.random.default_rng(seed % 2**64)
+    return graph_from_edges(order, [(u, v) for u in range(order)
+                                    for v in range(u + 1, order) if rng.random() < p])
+
+
+@pytest.mark.parametrize("seed", [0, 7, -3, 2**32, 2**63, 2**64 - 1, 2**64 + 5])
+@pytest.mark.parametrize("order, p", [(0, 0.5), (1, 0.5), (2, 0.5), (12, 0.3),
+                                      (70, 0.5), (9, 1e-3), (9, 0.999)])
+def test_random_graph_equals_numpy_draws(order, p, seed):
+    assert random_graph(order, p, seed) == _numpy_random_graph(order, p, seed)
+
+
 def test_random_graph_accepts_signed_64_bit_seeds():
     g = random_graph(6, 0.5, -3)
     assert g == random_graph(6, 0.5, -3)
@@ -210,7 +225,7 @@ def test_bitmask_kernel_matches_set_based_versions():
         for alive_set in _alive_sets(g, i):
             alive = mask_of(alive_set)
             assert alive == sum(2 ** v for v in alive_set)
-            lonely = any(not set(g.neighbors(v)) & alive_set for v in alive_set)
+            lonely = any(not set(iter_bits(g.adj[v])) & alive_set for v in alive_set)
             assert has_isolated(g.adj, alive) == lonely
             comps = components(g.adj, alive)
             assert [set(iter_bits(c)) for c in comps] == naive_components(g, alive_set)

@@ -44,6 +44,7 @@ from oracles import (
     ResidueConditions,
     build_residue_system,
     classify_cut,
+    components,
     delete_vertex,
     edges,
     graph_from_edges,
@@ -162,10 +163,10 @@ def _scan_gstar(product, residues):
 def _oracle_verdicts(product, residues):
     """Oracle for a removal's verdicts: G* connected, by the product edge
     scan, and the fibers whose residue meets more than one component of
-    the survivors, by :func:`naive_components`."""
-    comps = naive_components(product, {v for res in residues for v in res})
+    the survivors, by the product search of :func:`components`."""
+    comps = components(product.adj, mask_of(v for res in residues for v in res))
     split = tuple(u for u, res in enumerate(residues)
-                  if sum(bool(comp & set(res)) for comp in comps) > 1)
+                  if sum(bool(comp & mask_of(res)) for comp in comps) > 1)
     return is_connected(_scan_gstar(product, residues)), split
 
 
@@ -214,31 +215,26 @@ def test_gstar_edge_cases_match_the_product_edge_scan(removed, joined):
 
 # -- the checks' verdicts ------------------------------------------------------
 
-def _kernel_verdicts(lib, g, masks):
-    """``residue_verdicts`` on the label masks of each trial in ``masks``, in
-    the form of :func:`product_analysis._verdicts`."""
-    flat = [x for labels in masks for x in labels]
-    out = (ctypes.c_uint64 * (2 * len(masks)))()
-    assert lib.residue_verdicts(g.order, (ctypes.c_uint64 * g.order)(*g.adj),
-                                (ctypes.c_uint64 * len(flat))(*flat),
-                                len(masks), out) == 0
-    return [(out[2 * t] == 1, tuple(iter_bits(out[2 * t + 1])))
-            for t in range(len(masks))]
+def _kernel_verdicts(g, n, masks):
+    """``residue_verdicts`` on the label masks of each trial in ``masks``, as
+    ``(G* connected, split fibers)`` like :func:`_oracle_verdicts`."""
+    lw, fw = -(-n // 64), -(-g.order // 64)
+    words = product_analysis._words
+    connected = (ctypes.c_uint64 * len(masks))()
+    split = (ctypes.c_uint64 * (fw * len(masks)))()
+    assert _native.library().residue_verdicts(
+        g.order, words(g.adj, fw), n, words([x for m in masks for x in m], lw),
+        len(masks), connected, split) == 0
+    return [(flag == 1, tuple(iter_bits(fibers)))
+            for flag, fibers in zip(connected, product_analysis._masks(split, fw))]
 
 
-def _route_verdicts(route, g, n, labels):
-    """The verdicts on one removal's label masks, from ``route``."""
-    if route == "python":
-        return product_analysis._verdicts(g, kronecker(g, make_complete(n)), labels)
-    (verdicts,) = _kernel_verdicts(_native.library(), g, [labels])
-    return verdicts
-
-
-def _record(g, n, removed, gstar, route):
-    """The trial record of a hand-made draw of ``removed`` with ``route``'s
+def _record(g, n, removed, gstar):
+    """The trial record of a hand-made draw of ``removed`` with the kernel's
     verdicts; ``gstar`` picks the field as the checkers do."""
     rs, _ = build_residue_system(g, n, removed)
-    trial = (rs.removed, rs.labels, 0, 0, *_route_verdicts(route, g, n, rs.labels))
+    (verdicts,) = _kernel_verdicts(g, n, [rs.labels])
+    trial = (rs.removed, rs.labels, 0, 0, *verdicts)
     (record,) = product_analysis._trial_records(encode_graph6(g), n, (trial,), gstar)
     assert record.removed == rs.removed and record.error is None
     return record
@@ -254,13 +250,12 @@ def test_split_check_reports_every_fiber_of_a_column_cut(g6):
     comps = naive_components(kronecker(g, make_complete(3)),
                              set(range(3 * g.order)) - set(removed))
     assert len(comps) == 2
-    for route in ("kernel", "python"):
-        record = _record(g, 3, removed, False, route)
-        assert record.gstar_connected is None, route
-        assert record.split_residues == tuple(range(g.order)), route
-        assert record.split_residues == tuple(
-            u for u in range(g.order)
-            if sum(bool(comp & {u * 3 + 1, u * 3 + 2}) for comp in comps) > 1)
+    record = _record(g, 3, removed, False)
+    assert record.gstar_connected is None
+    assert record.split_residues == tuple(range(g.order))
+    assert record.split_residues == tuple(
+        u for u in range(g.order)
+        if sum(bool(comp & {u * 3 + 1, u * 3 + 2}) for comp in comps) > 1)
 
 
 def test_gstar_check_reports_a_disconnected_residue_graph():
@@ -269,10 +264,9 @@ def test_gstar_check_reports_a_disconnected_residue_graph():
     rs, _ = build_residue_system(g, 3, (1, 2, 4, 5))
     assert rs.labels == (0b001, 0b001)
     assert _scan_gstar(rs.product, _residues(rs)).adj == (0, 0)
-    for route in ("kernel", "python"):
-        record = _record(g, 3, rs.removed, True, route)
-        assert record.gstar_connected is False, route
-        assert record.split_residues is None, route
+    record = _record(g, 3, rs.removed, True)
+    assert record.gstar_connected is False
+    assert record.split_residues is None
 
 
 def _random_labels(g, n, rnd):
@@ -282,7 +276,6 @@ def _random_labels(g, n, rnd):
 
 
 def test_kernel_verdicts_equal_the_oracles_on_random_label_masks():
-    lib = _native.library()
     rnd = random.Random(23)
     checked = disconnected = split = 0
     for order in range(1, 8):
@@ -292,7 +285,7 @@ def test_kernel_verdicts_equal_the_oracles_on_random_label_masks():
                 masks = [_random_labels(g, n, rnd) for _ in range(3)]
                 expected = [_oracle_verdicts(product, _label_residues(labels, n))
                             for labels in masks]
-                assert _kernel_verdicts(lib, g, masks) == expected, (g, n, masks)
+                assert _kernel_verdicts(g, n, masks) == expected, (g, n, masks)
                 for labels, (connected, fibers) in zip(masks, expected):
                     assert is_connected(build_gstar(g, labels)) == connected
                     disconnected += not connected
@@ -303,24 +296,36 @@ def test_kernel_verdicts_equal_the_oracles_on_random_label_masks():
     assert disconnected > 100 and split > 100
 
 
-@pytest.mark.parametrize("g, n", [(make_cycle(64), 3), (make_cycle(5), 64)],
-                         ids=["C64xK3", "C5xK64"])
-def test_kernel_verdicts_at_64_fibers_and_64_labels(g, n):
-    lib = _native.library()
+def _check_wide_verdicts(g, n):
+    """The kernel's verdicts on cycles ``g`` at ``n`` equal the oracles' on
+    masks of the top labels and random ones."""
     top = 1 << n - 1
     rnd = random.Random(64)
     masks = [(top,) * g.order, (top | top >> 1,) * g.order]
     masks += [_random_labels(g, n, rnd) for _ in range(20)]
     product = kronecker(g, make_complete(n))
-    python = [product_analysis._verdicts(g, product, labels) for labels in masks]
-    assert _kernel_verdicts(lib, g, masks) == python
-    assert python == [_oracle_verdicts(product, _label_residues(labels, n))
-                      for labels in masks]
+    expected = [_oracle_verdicts(product, _label_residues(labels, n))
+                for labels in masks]
+    assert _kernel_verdicts(g, n, masks) == expected
     # One label per fiber leaves every survivor isolated.  Two leave g x K_2:
-    # for C_64 two copies of C_64, each holding one survivor of every fiber,
-    # and for C_5 one C_10.
-    assert python[0] == (False, ())
-    assert python[1] == (True, tuple(range(64)) if g.order == 64 else ())
+    # for an even cycle two copies of it, each holding one survivor of every
+    # fiber, and for an odd one C_2m.
+    assert expected[0] == (False, ())
+    assert expected[1] == (True, () if g.order % 2 else tuple(range(g.order)))
+
+
+@pytest.mark.parametrize("g, n", [(make_cycle(64), 3), (make_cycle(5), 64)],
+                         ids=["C64xK3", "C5xK64"])
+def test_kernel_verdicts_at_64_fibers_and_64_labels(g, n):
+    _check_wide_verdicts(g, n)
+
+
+@pytest.mark.parametrize("g, n", [
+    (make_cycle(65), 3), (make_cycle(130), 3), (make_cycle(5), 65), (make_cycle(6), 130),
+], ids=["C65xK3", "C130xK3", "C5xK65", "C6xK130"])
+def test_kernel_verdicts_past_64_fibers_and_64_labels(g, n):
+    """Past 64, fiber masks and label masks take more than one word."""
+    _check_wide_verdicts(g, n)
 
 
 # -- sampled checks -----------------------------------------------------------
@@ -461,23 +466,6 @@ def _kernel_calls(monkeypatch) -> list:
     return calls
 
 
-@pytest.fixture
-def sampler_routes(monkeypatch, fresh_draws):
-    """Iterate over ``sampler_routes()`` to run the loop body once per
-    sampler route, with no draw reused across them: the kernel's, which
-    must have drawn in the kernel, and Python's, forced by a size cap of 0."""
-    def routes():
-        kernel = product_analysis._kernel_removals
-        calls = _kernel_calls(monkeypatch)
-        yield "kernel"
-        assert calls, "no draw ran in the kernel"
-        monkeypatch.setattr(product_analysis, "_kernel_removals", kernel)
-        monkeypatch.setattr(product_analysis, "_KERNEL_MAX", 0)
-        product_analysis._draw_trials.cache_clear()
-        yield "python"
-    return routes
-
-
 def _sampled(g, n, trials, seed):
     """``_draw_trials`` in the form of :func:`_reference_draws`."""
     graph6, draws = product_analysis._draw_trials(g, n, trials, seed)
@@ -524,24 +512,23 @@ def _reference_draws(g, n, trials, seed):
     (1, 3, 8, [(7, 2, 1)]),   # one draw of each kind rejected
 ], ids=["cap-0", "cap-1"])
 def test_exhausted_sampling_reports_every_rejection(cap, seed, trials, exhausted,
-                                                    monkeypatch, sampler_routes):
+                                                    monkeypatch, fresh_draws):
     monkeypatch.setattr(product_analysis, "MAX_REJECTIONS", cap)
     triangle = make_complete(3)
-    for route in sampler_routes():
-        for checker in (check_gstar_connected, check_residue_components):
-            records = checker(triangle, 3, trials, seed)
-            assert [(r.removed, r.rejections, r.isolation_rejections)
-                    for r in records] == [
-                (removed, rej, iso)
-                for removed, _, rej, iso, *_ in _reference_draws(triangle, 3, trials, seed)
-            ], route
-            assert [(r.trial, r.rejections, r.isolation_rejections)
-                    for r in records if r.error] == exhausted, route
-            for r in records:
-                if r.error:
-                    assert r.error == (f"no valid removal candidate after "
-                                       f"{r.rejections} rejections")
-                    assert r.gstar_connected is None and r.split_residues is None
+    for checker in (check_gstar_connected, check_residue_components):
+        records = checker(triangle, 3, trials, seed)
+        assert [(r.removed, r.rejections, r.isolation_rejections)
+                for r in records] == [
+            (removed, rej, iso)
+            for removed, _, rej, iso, *_ in _reference_draws(triangle, 3, trials, seed)
+        ]
+        assert [(r.trial, r.rejections, r.isolation_rejections)
+                for r in records if r.error] == exhausted
+        for r in records:
+            if r.error:
+                assert r.error == (f"no valid removal candidate after "
+                                   f"{r.rejections} rejections")
+                assert r.gstar_connected is None and r.split_residues is None
 
 
 def test_trial_record_fields_default_and_immutability():
@@ -561,38 +548,25 @@ def test_trial_record_fields_default_and_immutability():
     (make_complete(3), 3, 1, 3, 8),  # trial 7 runs out of draws
 ], ids=["C5xK4", "K3xK3-spent"])
 def test_both_routes_give_field_for_field_equal_records(g, n, cap, seed, trials,
-                                                        monkeypatch, sampler_routes):
+                                                        monkeypatch, fresh_draws):
+    """The checkers' records equal those built from :func:`_reference_draws`,
+    numpy's draws with the oracles' verdicts."""
     if cap is not None:
         monkeypatch.setattr(product_analysis, "MAX_REJECTIONS", cap)
-    by_route = {}
-    for route in sampler_routes():
-        by_route[route] = [checker(g, n, trials, seed)
-                           for checker in (check_gstar_connected, check_residue_components)]
+    kernel = [checker(g, n, trials, seed)
+              for checker in (check_gstar_connected, check_residue_components)]
+    reference = tuple(_reference_draws(g, n, trials, seed))
     # repr tells True from 1 and a tuple from a list, which equality does not.
-    assert ([list(map(repr, records)) for records in by_route["kernel"]]
-            == [list(map(repr, records)) for records in by_route["python"]])
-    gstar, split = by_route["kernel"]
+    assert [list(map(repr, records)) for records in kernel] == [
+        list(map(repr, product_analysis._trial_records(encode_graph6(g), n,
+                                                        reference, gstar)))
+        for gstar in (True, False)]
+    gstar, split = kernel
     assert [r.trial for r in gstar] == list(range(trials))
     for a, b in zip(gstar, split):
         assert a[:6] == b[:6] and a.error == b.error
         assert a.split_residues is None and b.gstar_connected is None
     assert any(r.error for r in gstar) == (cap is not None)
-
-
-def test_fiber_isolation_test_matches_the_product_scan():
-    # every removal that leaves each fiber nonempty, on small products; the
-    # last factor's isolated vertex leaves its whole fiber isolated
-    factors = (make_cycle(5), make_complete(4), graph_from_edges(3, [(0, 1), (1, 2)]),
-               graph_from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]),
-               graph_from_edges(4, [(0, 1), (1, 2), (2, 0)]))
-    for g in factors:
-        product = kronecker(g, make_complete(3))
-        neighbours = [g.neighbors(u) for u in range(g.order)]
-        for alive in range(1 << product.order):
-            labels = [alive >> (3 * u) & 7 for u in range(g.order)]
-            if all(labels):
-                assert (product_analysis._fiber_isolates(neighbours, labels)
-                        == has_isolated(product.adj, alive)), (g, alive)
 
 
 def test_residue_checker_reuses_the_gstar_draw():
@@ -627,44 +601,42 @@ def test_changed_sampler_arguments_never_reuse_a_draw(change):
     (make_cycle(5), 3), (make_complete(4), 4), (make_cycle(7), 5),
     (make_cycle(23), 3),  # 69 vertices, past bit 63
 ], ids=["C5xK3", "K4xK4", "C7xK5", "C23xK3"])
-def test_restored_trial_states_give_the_seeded_stream(g, n, seed, sampler_routes):
-    for route in sampler_routes():
-        for trials in (0, 1, 15):
-            assert _sampled(g, n, trials, seed) == _reference_draws(g, n, trials, seed), (
-                route, trials, seed)
+def test_restored_trial_states_give_the_seeded_stream(g, n, seed, fresh_draws):
+    for trials in (0, 1, 15):
+        assert _sampled(g, n, trials, seed) == _reference_draws(g, n, trials, seed), (
+            trials, seed)
 
 
 def test_trial_states_are_shared_by_every_graph_of_a_seed_and_trial_count(
-        sampler_routes):
-    """Both routes start their trials from the one cache of seeded states,
+        fresh_draws):
+    """Every draw starts its trials from the one cache of seeded states,
     filled once per (seed, trials) with four words per trial."""
     draws, states = product_analysis._draw_trials, product_analysis._trial_states
-    for route in sampler_routes():
-        states.cache_clear()
-        draws(make_cycle(5), 3, 15, 5)
-        assert (states.cache_info().hits, states.cache_info().misses) == (0, 1)
-        draws(make_complete(4), 4, 15, 5)
-        draws(make_cycle(7), 5, 15, 5 + 2**64)  # the same seed modulo 2**64
-        assert (states.cache_info().hits, states.cache_info().misses) == (2, 1)
-        draws(make_cycle(7), 5, 15, 6)
-        assert (states.cache_info().hits, states.cache_info().misses) == (2, 2)
-        draws(make_cycle(7), 5, 14, 6)
-        assert (states.cache_info().hits, states.cache_info().misses) == (2, 3)
-        assert states.cache_info().currsize == 1
-        assert len(states(5, 15)) == 4 * 15, route
+    draws(make_cycle(5), 3, 15, 5)
+    assert (states.cache_info().hits, states.cache_info().misses) == (0, 1)
+    draws(make_complete(4), 4, 15, 5)
+    draws(make_cycle(7), 5, 15, 5 + 2**64)  # the same seed modulo 2**64
+    assert (states.cache_info().hits, states.cache_info().misses) == (2, 1)
+    draws(make_cycle(7), 5, 15, 6)
+    assert (states.cache_info().hits, states.cache_info().misses) == (2, 2)
+    draws(make_cycle(7), 5, 14, 6)
+    assert (states.cache_info().hits, states.cache_info().misses) == (2, 3)
+    assert states.cache_info().currsize == 1
+    assert len(states(5, 15)) == 4 * 15
 
 
-@pytest.mark.parametrize("g, n, kernel", [
-    (make_cycle(64), 3, True), (make_cycle(65), 3, False),
-    (make_cycle(5), 64, True), (make_cycle(5), 65, False),
-], ids=["C64xK3", "C65xK3", "C5xK64", "C5xK65"])
-def test_kernel_draws_factors_and_labels_up_to_64(g, n, kernel, monkeypatch,
-                                                  fresh_draws):
-    """The kernel's masks hold 64 fibers and 64 labels; past either, the
-    draw runs in Python, and both routes give the seeded stream."""
+@pytest.mark.parametrize("g, n", [
+    (make_cycle(64), 3), (make_cycle(65), 3), (make_cycle(5), 64), (make_cycle(5), 65),
+    (make_cycle(5), 2001),
+], ids=["C64xK3", "C65xK3", "C5xK64", "C5xK65", "C5xK2001"])
+def test_kernel_draws_factors_and_labels_up_to_64(g, n, monkeypatch, fresh_draws):
+    """The kernel's fiber and label masks take one word up to 64 and more
+    past it; it draws on both sides of 64 fibers and of 64 labels, and at
+    C_5 x K_2001 from numpy's tail-shuffle branch (4000 of 10005 ids), and
+    gives the seeded stream."""
     calls = _kernel_calls(monkeypatch)
     assert _sampled(g, n, 3, 7) == _reference_draws(g, n, 3, 7)
-    assert bool(calls) == kernel
+    assert calls
 
 
 def test_a_trial_of_261_words_is_drawn_in_the_kernel(monkeypatch, fresh_draws):
@@ -672,8 +644,6 @@ def test_a_trial_of_261_words_is_drawn_in_the_kernel(monkeypatch, fresh_draws):
     1009, trial 5, reads 261 words of its stream, through 17 rejections; the
     kernel steps the generator as far as a trial needs."""
     calls = _kernel_calls(monkeypatch)
-    monkeypatch.setattr(product_analysis, "_sample_valid_removals",
-                        lambda *args: pytest.fail("drew in Python"))
     g, n, seed = parse_graph6("E~~w"), 4, 1009
     sampled = _sampled(g, n, 6, seed)
     assert calls
@@ -688,36 +658,60 @@ def test_a_trial_of_261_words_is_drawn_in_the_kernel(monkeypatch, fresh_draws):
             == np.random.PCG64([seed, 5]).advance(261).state["state"])
 
 
-class _ShiftedChoices:
-    """The kernel library with its first chosen id moved by one, so that
-    its draws differ from numpy's."""
-
-    def __init__(self, lib):
-        self.lib = lib
-        self.sampled = 0
-
-    def __getattr__(self, name):
-        return getattr(self.lib, name)
-
-    def residue_choices(self, seed, mn, size, count, out):
-        code = self.lib.residue_choices(seed, mn, size, count, out)
-        out[0] = (out[0] + 1) % mn
-        return code
-
-    def residue_sample(self, *args):
-        self.sampled += 1
-        return self.lib.residue_sample(*args)
+# (seed, population, size, draws) of streams on which the kernel's draws
+# must equal Generator.choice: draws that leave a 32-bit half over for the
+# next, a first Floyd step with j = 0, at seed 368 a Lemire rejection, a
+# trial seed at the top of the seed range, then populations past 10000 on
+# both sides of numpy's switch to a tail shuffle at size > mn // 50.
+_PROBES = ((1, 15, 4, 5), (0, 3, 3, 3), (3, 60, 1, 3), (2, 4096, 192, 2),
+           (368, 4096, 4000, 1), ([2**64 - 1, 999], 1000, 100, 3),
+           (4, 10005, 4000, 2), (5, 20000, 401, 2), (6, 20000, 400, 3),
+           (7, 10001, 10001, 1))
 
 
-def test_kernel_draws_unlike_numpy_take_the_python_route(monkeypatch, fresh_draws):
-    lib = _native.library()
-    assert product_analysis._kernel_draws_match(lib)
-    shifted = _ShiftedChoices(lib)
-    monkeypatch.setattr(_native, "library", lambda: shifted)
-    assert not product_analysis._kernel_draws_match(shifted)
-    g, n = make_cycle(5), 3
-    assert _sampled(g, n, 15, 5) == _reference_draws(g, n, 15, 5)
-    assert shifted.sampled == 0
+@pytest.mark.parametrize("seed, mn, size, count", _PROBES)
+def test_residue_choices_equal_numpy_choice(seed, mn, size, count):
+    rng = np.random.default_rng(seed)
+    expected = [v for _ in range(count)
+                for v in rng.choice(mn, size=size, replace=False).tolist()]
+    out = (ctypes.c_uint64 * (count * size))()
+    entropy = seed if isinstance(seed, list) else [seed]
+    assert _native.library().residue_choices(
+        _native.seeded_stream(*entropy), mn, size, count, out) == 0
+    assert out[:] == expected
+
+
+_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1)
+
+
+@pytest.mark.parametrize("entropy", [[s] for s in _SEEDS]
+                         + [[s, t] for s in _SEEDS for t in _SEEDS])
+def test_kernel_seeding_equals_numpy_pcg64(entropy):
+    state = np.random.PCG64(entropy if len(entropy) > 1 else entropy[0]).state
+    hi, lo, inc_hi, inc_lo = _native.seeded_stream(*entropy)
+    assert hi << 64 | lo == state["state"]["state"]
+    assert inc_hi << 64 | inc_lo == state["state"]["inc"]
+
+
+@pytest.mark.parametrize("entropy", [[2**64 - 1] * 3, [1, 2**40, 3, 2**64 - 1, 5],
+                                     [7] * 8])
+def test_kernel_seeding_mixes_entropy_past_four_words(entropy):
+    state = np.random.PCG64(entropy).state["state"]
+    out = (ctypes.c_uint64 * 4)()
+    assert _native.library().residue_seed(
+        (ctypes.c_uint64 * len(entropy))(*entropy), len(entropy), out) == 0
+    assert (out[0] << 64 | out[1], out[2] << 64 | out[3]) == (state["state"], state["inc"])
+    assert _native.library().residue_seed(out, 9, out) == -1  # at most 8 integers
+
+
+def test_kernel_word_stream_continues_across_calls():
+    stream = _native.seeded_stream(2**40 + 3)
+    words = (ctypes.c_uint64 * 7)()
+    drawn = []
+    for count in (0, 3, 7, 1):
+        _native.library().residue_words(stream, count, words)
+        drawn += words[:count]
+    assert drawn == np.random.PCG64(2**40 + 3).random_raw(11).tolist()
 
 
 def test_sampled_conditions_equal_the_residue_system_conditions():
@@ -931,10 +925,9 @@ def test_batch_rejects_small_n_and_unknown_filter():
 
 def test_filter_table_matches_networkx_definitions():
     nx = pytest.importorskip("networkx")
-    from kronkit.corpus import graphs_up_to
     from kronkit.graphs import encode_graph6
 
-    corpus = [encode_graph6(g) for g in graphs_up_to(5, connected=False)]
+    corpus = [encode_graph6(g) for order in range(1, 6) for g in all_graphs(order)]
 
     def kd_equal(h):  # kappa == delta, with the empty graph excluded
         return h.order() > 0 and nx.node_connectivity(h) == min(d for _, d in h.degree)
