@@ -13,9 +13,10 @@ load a complete library.
 
 :func:`library` raises :class:`~kronkit.errors.KernelBuildError`, naming
 the compiler, the cache and the cause, when a source, the compiler or the
-cache is unusable.  No computation falls back to Python then: the Python
-twins serve only inputs past the kernel's 64-bit masks, and the residue
-sampler has none.
+cache is unusable.  No computation falls back to Python then: each of the
+three computations has the kernel as its only route, at every input size.
+Masks cross into the kernel as arrays of 64-bit words, lowest bits first,
+a fixed number of words per mask (:func:`words` and :func:`masks`).
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import platform
 import subprocess
 import tempfile
 from pathlib import Path
+from typing import Sequence
 
 from .errors import KernelBuildError
 
@@ -36,15 +38,14 @@ SOURCES = tuple(Path(__file__).with_name(name)
 COMPILER = "cc"
 FLAGS = ("-O2", "-shared", "-fPIC")
 
-_WORDS = ctypes.POINTER(ctypes.c_uint64)
-_UBYTES, _BYTES = ctypes.POINTER(ctypes.c_ubyte), ctypes.POINTER(ctypes.c_byte)
+_WORDS, _INTS = ctypes.POINTER(ctypes.c_uint64), ctypes.POINTER(ctypes.c_int)
 _INT, _INT64 = ctypes.c_int, ctypes.c_int64
 # The return type, then the argument types, of each kernel entry point.
 _ENTRIES = {
     "splitflow_init": (None, _WORDS),
     "splitflow_max_flow": (_INT, _WORDS, _INT, _INT, _INT, _WORDS),
     "splitflow_min_separators": (_INT64, _WORDS, _INT, _INT, _WORDS, _WORDS, _INT64),
-    "splitflow_min_cuts": (_INT64, _WORDS, _INT, _WORDS, _INT64, _UBYTES, _BYTES),
+    "splitflow_min_cuts": (_INT64, _WORDS, _INT, _WORDS, _INT64, _INTS, _INTS),
     "canon_key": (_INT, _INT, _WORDS, _WORDS),
     "canon_children": (_INT, _INT, _WORDS, _INT, _WORDS),
     "residue_seed": (_INT, _WORDS, _INT, _WORDS),
@@ -105,6 +106,22 @@ def library() -> ctypes.CDLL:
         entry = getattr(lib, name)
         entry.restype, entry.argtypes = restype, argtypes
     return lib
+
+
+def words(masks: Sequence[int], width: int) -> ctypes.Array:
+    """The kernel's array of ``masks``, ``width`` words each, low word first."""
+    if width == 1:
+        return (ctypes.c_uint64 * len(masks))(*masks)
+    raw = b"".join(m.to_bytes(8 * width, "little") for m in masks)
+    return (ctypes.c_uint64 * (width * len(masks))).from_buffer_copy(raw)
+
+
+def masks(words: ctypes.Array, width: int) -> list[int]:
+    """The masks of consecutive groups of ``width`` words, low word first."""
+    if width == 1:
+        return words[:]  # a list of Python ints slices faster than ctypes
+    raw, step = bytes(words), 8 * width
+    return [int.from_bytes(raw[i:i + step], "little") for i in range(0, len(raw), step)]
 
 
 def seeded_stream(*entropy: int) -> ctypes.Array:

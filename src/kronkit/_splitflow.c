@@ -1,41 +1,50 @@
-/* The vertex-split flow network of kronkit.connectivity._SplitFlow for
- * graphs of at most 64 vertices, whose 128 nodes fit one unsigned __int128
- * mask.  Each function follows the Python method of the same name step for
- * step: the same common-neighbour seeding, layered breadth-first search and
- * lowest-node trace-back in max_flow, and the same reachability searches in
- * the same stack order in min_separators.  Every residual search is counted
- * in the network's header, and a function returns -1 at the first search
- * past the budget, so that Python raises BudgetExceededError after exactly
- * the searches its own network would have made.
+/* The vertex-split flow network of kronkit.connectivity, for graphs of any
+ * order.  Each function follows the Python network that the tests keep as
+ * their oracle (_SplitFlow in tests/oracles.py) step for step: the same
+ * common-neighbour seeding, layered breadth-first search and lowest-node
+ * trace-back in max_flow, and the same reachability searches in the same
+ * stack order in min_separators.  Every residual search is counted in the
+ * network's header, and a function returns -1 at the first search past the
+ * budget, so that Python raises BudgetExceededError after exactly the
+ * searches the oracle would have made.
+ *
+ * Node v is the in-node of vertex v and n + v its out-node.  A vertex mask
+ * takes vw = ceil(n / 64) words and a node mask nw = ceil(2n / 64) words,
+ * lowest bits first, except that nw is 2 up to 64 vertices.  Each function
+ * is one always_inline body compiled twice: at the constant widths nw = 2,
+ * vw = 1, which every graph of at most 64 vertices takes, and at the widths
+ * of the order.
  *
  * A network is one array of 64-bit words, laid out as
  *
  *     [0] order n    [1] budget (int64)    [2] searches spent
- *     [3 .. 3+n)     adjacency masks of the graph
- *     then 2n masks base_out and 2n masks base_in, two words each,
+ *     [3 .. 3 + n vw)   adjacency masks of the graph
+ *     then 2n node masks base_out and 2n node masks base_in,
  *
- * filled by splitflow_init from the first 3 + n words.  A residual network
- * is an array of 2n masks.  Node v is the in-node of vertex v and n + v its
- * out-node, as in the Python class.
+ * filled by splitflow_init from the first 3 + n vw words.  A residual
+ * network is an array of 2n node masks.
  *
- * splitflow_min_cuts is kronkit.connectivity._SplitFlow.min_cuts in one
- * call, and returns the finished cut list.  It first checks that the graph
- * is connected, by one search over the 64-bit adjacency masks that is not
- * a residual search and is not charged, as the Python network checks it
- * before its first flow.  It then builds the pairs of
- * _even_pairs, runs their flows and reads the separators of the pairs that
- * attain the least flow, charging the same searches in the same order, and
- * writes each distinct cut once.  It then closes the cuts under the label
- * swaps, sorts them as Python sorts their id tuples, and writes each cut's
- * vertex ids and its witness, the lowest vertex whose neighbourhood equals
- * the cut; none of that searches or charges.  It keeps the residual network
- * of every attaining pair in one heap block of 2n masks per pair of the
- * family, allocated at the call and freed before it returns.
+ * splitflow_min_cuts is the oracle's min_cuts in one call, and returns the
+ * finished cut list.  It first checks that the graph is connected, by one
+ * search over the adjacency masks that is not a residual search and is not
+ * charged, as the oracle checks it before its first flow.  It then builds
+ * the pairs of _even_pairs, runs their flows and reads the separators of
+ * the pairs that attain the least flow, charging the same searches in the
+ * same order, and writes each distinct cut once.  It then closes the cuts
+ * under the label swaps, sorts them as Python sorts their id tuples, and
+ * writes each cut's vertex ids and its witness, the lowest vertex whose
+ * neighbourhood equals the cut; none of that searches or charges.  It keeps
+ * the residual network of each attaining pair in one heap block that
+ * doubles as it fills, and frees it before it returns: whole up to 64
+ * vertices, and past them as the words in which it differs from the base
+ * network, since whole networks of that width would take more memory than
+ * the oracle's list of attaining networks, which share their unchanged
+ * masks.
  *
  * Return codes: a count of cuts or flow units (>= 0); -1 at the first
- * search past the budget; and, from splitflow_min_cuts only, -2 when the
- * residual storage cannot be allocated and -3 when the graph is
- * disconnected, which it reports before any charged search.
+ * search past the budget; -2 when a heap buffer cannot be allocated; and,
+ * from splitflow_min_cuts only, -3 when the graph is disconnected, which it
+ * reports before any charged search.
  *
  * Build, with _canon.c and _residue.c into one library as kronkit._native
  * does:
@@ -46,34 +55,56 @@
 #include <stdlib.h>
 #include <string.h>
 
-/* The word arrays come from ctypes, which aligns them to 8 bytes only. */
-typedef unsigned __int128 mask_t __attribute__((aligned(8)));
-
 #define HEADER 3
-#define MAX_ORDER 64
-#define MAX_NODES (2 * MAX_ORDER)
-/* Even's family has at most order - 1 pairs through s and C(order - 1, 2)
- * pairs of neighbours of s. */
-#define MAX_PAIRS ((MAX_ORDER - 1) * MAX_ORDER / 2)
+/* The most vertices of the constant widths: 128 nodes in two words. */
+#define NARROW 64
+#define WORDS(bits) (((bits) + 63) / 64)
 #define OVER_BUDGET -1
 #define NO_MEMORY -2
 #define DISCONNECTED -3
-#define BIT(i) ((mask_t)1 << (i))
+#define BOTH_WIDTHS static inline __attribute__((always_inline))
 
-static inline int low_bit(mask_t m)
+/* The words of a node mask of order n. */
+static inline int node_words(int n)
 {
-    uint64_t lo = (uint64_t)m;
-    return lo ? __builtin_ctzll(lo) : 64 + __builtin_ctzll((uint64_t)(m >> 64));
+    return n <= NARROW ? 2 : WORDS(2 * n);
 }
 
-static inline mask_t *base_out(uint64_t *net)
+static inline int has(const uint64_t *m, int x)
 {
-    return (mask_t *)(net + HEADER + net[0]);
+    return m[x >> 6] >> (x & 63) & 1;
 }
 
-static inline mask_t *base_in(uint64_t *net)
+static inline void add(uint64_t *m, int x)
 {
-    return base_out(net) + 2 * net[0];
+    m[x >> 6] |= (uint64_t)1 << (x & 63);
+}
+
+static inline void flip(uint64_t *m, int x)
+{
+    m[x >> 6] ^= (uint64_t)1 << (x & 63);
+}
+
+/* The lowest count bits, count clipped to 0 .. 64. */
+static inline uint64_t low_bits(int count)
+{
+    return count >= 64 ? ~(uint64_t)0 : count <= 0 ? 0 : ((uint64_t)1 << count) - 1;
+}
+
+/* The 64 bits of the width-word mask m from bit `from` on, which may be
+ * negative, reading the bits outside the mask as 0: word k of m >> j is
+ * bits_from(m, width, 64 k + j), and of m << j bits_from(m, width, 64 k - j). */
+static inline uint64_t bits_from(const uint64_t *m, int width, int from)
+{
+    int w = from >> 6, r = from & 63; /* w rounds down for negative from */
+    uint64_t lo = w >= 0 && w < width ? m[w] : 0;
+    uint64_t hi = w + 1 >= 0 && w + 1 < width ? m[w + 1] : 0;
+    return r ? lo >> r | hi << (64 - r) : lo;
+}
+
+static inline uint64_t *base_out(uint64_t *net, int vw)
+{
+    return net + HEADER + net[0] * vw;
 }
 
 /* Count one residual search; nonzero once the budget is exceeded. */
@@ -83,96 +114,143 @@ static inline int charge(uint64_t *net)
     return (int64_t)net[2] > (int64_t)net[1];
 }
 
-/* kronkit.graphs.reachable_mask over 128-bit masks. */
-static mask_t reach(const mask_t *adj, mask_t within, int start)
+/* The lowest bit of the width-word mask m, or -1 when it is empty. */
+BOTH_WIDTHS int lowest(const uint64_t *m, int width)
 {
-    mask_t seen = BIT(start), frontier = seen;
-    while (frontier) {
-        mask_t acc = 0;
-        for (mask_t m = frontier; m; m &= m - 1)
-            acc |= adj[low_bit(m)];
-        frontier = acc & within & ~seen;
-        seen |= frontier;
+    for (int w = 0; w < width; w++)
+        if (m[w])
+            return 64 * w + __builtin_ctzll(m[w]);
+    return -1;
+}
+
+/* kronkit.graphs.reachable_mask over width-word masks: the nodes that
+ * start reaches through adj inside within, start included, into seen. */
+BOTH_WIDTHS void reach(const uint64_t *adj, int width, const uint64_t *within,
+                       int start, uint64_t *seen)
+{
+    uint64_t frontier[width], acc[width];
+    memset(seen, 0, sizeof frontier);
+    add(seen, start);
+    memcpy(frontier, seen, sizeof frontier);
+    for (uint64_t any = 1; any;) {
+        memset(acc, 0, sizeof acc);
+        for (int w = 0; w < width; w++)
+            for (uint64_t b = frontier[w]; b; b &= b - 1) {
+                const uint64_t *m = adj + (size_t)(64 * w + __builtin_ctzll(b)) * width;
+                for (int k = 0; k < width; k++)
+                    acc[k] |= m[k];
+            }
+        any = 0;
+        for (int k = 0; k < width; k++) {
+            frontier[k] = acc[k] & within[k] & ~seen[k];
+            seen[k] |= frontier[k];
+            any |= frontier[k];
+        }
     }
-    return seen;
 }
 
 /* True when every vertex of the graph is reachable from vertex 0. */
-static int connected(const uint64_t *net)
+BOTH_WIDTHS int connected(uint64_t *net, int vw)
 {
     int n = (int)net[0];
-    const uint64_t *adj = net + HEADER;
-    uint64_t seen = 1, frontier = 1;
-    while (frontier) {
-        uint64_t acc = 0;
-        for (; frontier; frontier &= frontier - 1)
-            acc |= adj[__builtin_ctzll(frontier)];
-        frontier = acc & ~seen;
-        seen |= frontier;
-    }
-    return seen == (n == 64 ? ~(uint64_t)0 : ((uint64_t)1 << n) - 1);
+    uint64_t full[vw], seen[vw];
+    for (int k = 0; k < vw; k++)
+        full[k] = low_bits(n - 64 * k);
+    reach(net + HEADER, vw, full, 0, seen);
+    return !memcmp(seen, full, sizeof seen);
 }
 
-void splitflow_init(uint64_t *net)
+BOTH_WIDTHS void init(uint64_t *net, int nw, int vw)
 {
     int n = (int)net[0];
     const uint64_t *adj = net + HEADER;
-    mask_t *out = base_out(net), *in = base_in(net);
+    uint64_t *out = base_out(net, vw), *in = out + (size_t)2 * n * nw;
+    memset(out, 0, (size_t)4 * n * nw * sizeof *out);
     for (int v = 0; v < n; v++) {
-        out[v] = BIT(n + v);
-        out[n + v] = adj[v];
-        in[v] = (mask_t)adj[v] << n;
-        in[n + v] = BIT(v);
+        const uint64_t *a = adj + (size_t)v * vw;
+        add(out + (size_t)v * nw, n + v);
+        memcpy(out + (size_t)(n + v) * nw, a, vw * sizeof *a);
+        for (int k = 0; k < nw; k++) /* adj[v] << n */
+            in[(size_t)v * nw + k] = bits_from(a, vw, 64 * k - n);
+        add(in + (size_t)(n + v) * nw, v);
     }
 }
 
-int splitflow_max_flow(uint64_t *net, int s, int t, int cutoff, mask_t *out)
+/* The flow of splitflow_max_flow; layers holds 2n + 1 node masks.  Unless
+ * touched is NULL, it is set to the nodes whose masks the flow changed. */
+BOTH_WIDTHS int max_flow(uint64_t *net, int nw, int vw, int s, int t,
+                         int cutoff, uint64_t *out, uint64_t *layers,
+                         uint64_t *touched)
 {
     int n = (int)net[0];
-    const mask_t *base = base_out(net);
-    mask_t layers[MAX_NODES];
-    for (int x = 0; x < 2 * n; x++)
-        out[x] = base[x];
+    const uint64_t *base = base_out(net, vw);
+    memcpy(out, base, (size_t)2 * n * nw * sizeof *out);
     int src = n + s, dst = t, flow = 0;
-    mask_t common = base[src] & base[n + t];
-    while (common && flow < cutoff) {
-        int m = low_bit(common);
-        out[t] |= BIT(n + m);
-        out[n + m] |= BIT(m);
-        out[m] = BIT(src); /* its vertex arc is used; s_out -> m can be undone */
-        common &= common - 1;
-        flow++;
+    uint64_t common[nw], seen[nw];
+    for (int k = 0; k < nw; k++)
+        common[k] = base[(size_t)src * nw + k] & base[(size_t)(n + t) * nw + k];
+    if (touched)
+        memset(touched, 0, sizeof seen);
+    for (int m; flow < cutoff && (m = lowest(common, nw)) >= 0; flow++) {
+        if (touched) {
+            add(touched, t);
+            add(touched, n + m);
+            add(touched, m);
+        }
+        add(out + (size_t)t * nw, n + m);
+        add(out + (size_t)(n + m) * nw, m);
+        /* its vertex arc is used; s_out -> m can be undone */
+        memset(out + (size_t)m * nw, 0, nw * sizeof *out);
+        add(out + (size_t)m * nw, src);
+        flip(common, m);
     }
     while (flow < cutoff) {
         if (charge(net))
             return OVER_BUDGET;
-        mask_t seen = BIT(src), frontier = seen;
-        int depth = 0; /* each layer holds a new node, so at most 2n layers */
-        while (frontier && !(seen >> dst & 1)) {
-            layers[depth++] = frontier;
-            mask_t acc = 0;
-            for (; frontier; frontier &= frontier - 1)
-                acc |= out[low_bit(frontier)];
-            frontier = acc & ~seen;
-            seen |= frontier;
+        memset(seen, 0, sizeof seen);
+        add(seen, src);
+        memcpy(layers, seen, sizeof seen);
+        /* layers[depth] is the frontier of the search; each layer holds a
+         * new node, so there are at most 2n + 1 of them. */
+        int depth = 0;
+        for (uint64_t any = 1; any && !has(seen, dst);) {
+            const uint64_t *frontier = layers + (size_t)depth * nw;
+            uint64_t *next = layers + (size_t)++depth * nw;
+            memset(next, 0, sizeof seen);
+            for (int w = 0; w < nw; w++)
+                for (uint64_t b = frontier[w]; b; b &= b - 1) {
+                    const uint64_t *m = out + (size_t)(64 * w + __builtin_ctzll(b)) * nw;
+                    for (int k = 0; k < nw; k++)
+                        next[k] |= m[k];
+                }
+            any = 0;
+            for (int k = 0; k < nw; k++) {
+                next[k] &= ~seen[k];
+                seen[k] |= next[k];
+                any |= next[k];
+            }
         }
-        if (!(seen >> dst & 1))
+        if (!has(seen, dst))
             break;
-        int y = dst;
-        while (depth--) {
-            mask_t layer = layers[depth];
-            int x = low_bit(layer);
-            while (!(out[x] >> y & 1)) {
-                layer &= layer - 1;
-                x = low_bit(layer);
+        for (int y = dst; depth--;) {
+            const uint64_t *layer = layers + (size_t)depth * nw;
+            int x = -1;
+            for (int w = 0; x < 0; w++)
+                for (uint64_t b = layer[w]; b && x < 0; b &= b - 1)
+                    if (has(out + (size_t)(64 * w + __builtin_ctzll(b)) * nw, y))
+                        x = 64 * w + __builtin_ctzll(b);
+            uint64_t *ox = out + (size_t)x * nw, *oy = out + (size_t)y * nw;
+            if (touched) {
+                add(touched, x);
+                add(touched, y);
             }
             if (x - y == n || y - x == n) { /* a vertex arc, used or given back */
-                out[x] ^= BIT(y);
-                out[y] |= BIT(x);
+                flip(ox, y);
+                add(oy, x);
             } else if (x >= n) { /* an edge arc: stays open, can now be undone */
-                out[y] |= BIT(x);
+                add(oy, x);
             } else { /* undoes the flow on edge arc y -> x */
-                out[x] ^= BIT(y);
+                flip(ox, y);
             }
             y = x;
         }
@@ -181,79 +259,131 @@ int splitflow_max_flow(uint64_t *net, int s, int t, int cutoff, mask_t *out)
     return flow;
 }
 
-/* True when cuts[0 .. count) holds cut. */
-static int listed(const uint64_t *cuts, int64_t count, uint64_t cut)
+int splitflow_max_flow(uint64_t *net, int s, int t, int cutoff, uint64_t *out)
+{
+    int n = (int)net[0], nw = node_words(n);
+    if (n <= NARROW) {
+        uint64_t layers[(2 * NARROW + 1) * 2];
+        return max_flow(net, 2, 1, s, t, cutoff, out, layers, NULL);
+    }
+    uint64_t *layers = malloc((size_t)(2 * n + 1) * nw * sizeof *layers);
+    if (!layers)
+        return NO_MEMORY;
+    int flow = max_flow(net, nw, WORDS(n), s, t, cutoff, out, layers, NULL);
+    free(layers);
+    return flow;
+}
+
+/* True when the count vw-word masks at cuts hold cut. */
+BOTH_WIDTHS int listed(const uint64_t *cuts, int vw, int64_t count,
+                       const uint64_t *cut)
 {
     for (int64_t i = 0; i < count; i++)
-        if (cuts[i] == cut)
+        if (!memcmp(cuts + i * vw, cut, vw * sizeof *cut))
             return 1;
     return 0;
 }
 
-/* Appends the vertex mask of each minimum s-t separator that the buffer
- * does not hold yet at cuts[found], found being the masks counted so far,
- * and returns the new count, which goes on past capacity; -1 at the first
- * search past the budget.  A mask is compared only with those in the
- * buffer, so the count exceeds the distinct masks only once they do not
- * fit. */
-static int64_t separators(uint64_t *net, int s, int t, const mask_t *out,
-                          uint64_t *cuts, int64_t capacity, int64_t found)
+/* Appends cut at cuts[found] unless the buffer holds it already, and
+ * returns the new count, which goes on past capacity.  A mask is compared
+ * only with those in the buffer, so the count exceeds the distinct masks
+ * only once they do not fit. */
+BOTH_WIDTHS int64_t append(uint64_t *cuts, int vw, int64_t capacity,
+                           int64_t found, const uint64_t *cut)
+{
+    if (listed(cuts, vw, found < capacity ? found : capacity, cut))
+        return found;
+    if (found < capacity)
+        memcpy(cuts + found * vw, cut, vw * sizeof *cut);
+    return found + 1;
+}
+
+/* Appends the vertex mask of each minimum s-t separator to cuts (append)
+ * and returns the new count; -1 at the first search past the budget.  work
+ * holds 6n + 2 node masks. */
+BOTH_WIDTHS int64_t separators(uint64_t *net, int nw, int vw, int s, int t,
+                               const uint64_t *out, uint64_t *cuts,
+                               int64_t capacity, int64_t found, uint64_t *work)
 {
     int n = (int)net[0];
-    const mask_t *bout = base_out(net);
-    mask_t nodes = 2 * n == MAX_NODES ? ~(mask_t)0 : BIT(2 * n) - 1;
-    mask_t vertices = BIT(n) - 1;
+    size_t size = (size_t)2 * n * nw;
+    const uint64_t *bout = base_out(net, vw), *bin = bout + size;
+    uint64_t nodes[nw], inside[nw], outside[nw], flow_nodes[nw], within[nw];
+    uint64_t reached[nw], cut[vw];
+    for (int k = 0; k < nw; k++)
+        nodes[k] = low_bits(2 * n - 64 * k);
     if (charge(net))
         return OVER_BUDGET;
-    mask_t inside = reach(out, nodes, n + s) | BIT(s);
-    if (inside >> t & 1)
+    reach(out, nw, nodes, n + s, inside);
+    add(inside, s);
+    if (has(inside, t))
         return found;
-    mask_t flow_nodes = 0;
+    memset(flow_nodes, 0, sizeof flow_nodes);
     for (int v = 0; v < n; v++)
-        if (!(out[v] >> (n + v) & 1))
-            flow_nodes |= BIT(v) | BIT(n + v);
+        if (!has(out + (size_t)v * nw, n + v)) {
+            add(flow_nodes, v);
+            add(flow_nodes, n + v);
+        }
     /* Only the flow nodes and the sink differ from the base network. */
-    mask_t in[MAX_NODES];
-    const mask_t *bin = base_in(net);
-    for (int x = 0; x < 2 * n; x++)
-        in[x] = bin[x];
-    for (mask_t xs = flow_nodes | BIT(t); xs; xs &= xs - 1) {
-        int x = low_bit(xs);
-        for (mask_t ys = out[x] ^ bout[x]; ys; ys &= ys - 1)
-            in[low_bit(ys)] ^= BIT(x);
-    }
+    uint64_t *in = work, *stack = work + size;
+    memcpy(in, bin, size * sizeof *in);
+    memcpy(within, flow_nodes, sizeof within);
+    add(within, t);
+    for (int w = 0; w < nw; w++)
+        for (uint64_t xs = within[w]; xs; xs &= xs - 1) {
+            int x = 64 * w + __builtin_ctzll(xs);
+            for (int k = 0; k < nw; k++)
+                for (uint64_t ys = out[(size_t)x * nw + k] ^ bout[(size_t)x * nw + k];
+                     ys; ys &= ys - 1)
+                    flip(in + (size_t)(64 * k + __builtin_ctzll(ys)) * nw, x);
+        }
     if (charge(net))
         return OVER_BUDGET;
-    mask_t outside = reach(in, nodes, t) | BIT(n + t);
-    /* Each branch decides at least one flow node, so the stack holds at
+    reach(in, nw, nodes, t, outside);
+    add(outside, n + t);
+    /* Entry i of the stack is its inside and outside masks at stack + 2i
+     * nw.  Each branch decides at least one flow node, so the stack holds at
      * most one entry per flow node plus one. */
-    mask_t stack_in[MAX_NODES + 1], stack_out[MAX_NODES + 1];
-    int top = 0;
-    stack_in[top] = inside;
-    stack_out[top++] = outside;
+    int64_t top = 1;
+    memcpy(stack, inside, sizeof inside);
+    memcpy(stack + nw, outside, sizeof outside);
     while (top) {
-        top--;
-        inside = stack_in[top];
-        outside = stack_out[top];
-        mask_t undecided = flow_nodes & ~(inside | outside);
-        if (!undecided) {
-            uint64_t cut = (uint64_t)(inside & ~(inside >> n) & vertices);
-            if (!listed(cuts, found < capacity ? found : capacity, cut)) {
-                if (found < capacity)
-                    cuts[found] = cut;
-                found++;
-            }
+        uint64_t *entry = stack + --top * 2 * nw;
+        memcpy(inside, entry, sizeof inside);
+        memcpy(outside, entry + nw, sizeof outside);
+        int u = -1;
+        for (int k = 0; k < nw && u < 0; k++) {
+            uint64_t undecided = flow_nodes[k] & ~(inside[k] | outside[k]);
+            if (undecided)
+                u = 64 * k + __builtin_ctzll(undecided);
+        }
+        if (u < 0) {
+            for (int k = 0; k < vw; k++) /* inside & ~(inside >> n), vertices only */
+                cut[k] = inside[k] & ~bits_from(inside, nw, 64 * k + n)
+                         & low_bits(n - 64 * k);
+            found = append(cuts, vw, capacity, found, cut);
             continue;
         }
-        int u = low_bit(undecided);
         if (charge(net))
             return OVER_BUDGET;
-        stack_in[top] = inside | reach(out, nodes & ~inside, u);
-        stack_out[top++] = outside;
+        for (int k = 0; k < nw; k++)
+            within[k] = nodes[k] & ~inside[k];
+        reach(out, nw, within, u, reached);
+        for (int k = 0; k < nw; k++) {
+            entry[k] = inside[k] | reached[k];
+            entry[nw + k] = outside[k];
+        }
         if (charge(net))
             return OVER_BUDGET;
-        stack_in[top] = inside;
-        stack_out[top++] = outside | reach(in, nodes & ~outside, u);
+        for (int k = 0; k < nw; k++)
+            within[k] = nodes[k] & ~outside[k];
+        reach(in, nw, within, u, reached);
+        entry = stack + ++top * 2 * nw;
+        for (int k = 0; k < nw; k++) {
+            entry[k] = inside[k];
+            entry[nw + k] = outside[k] | reached[k];
+        }
+        top++;
     }
     return found;
 }
@@ -262,43 +392,89 @@ static int64_t separators(uint64_t *net, int s, int t, const mask_t *out,
  * capacity) and returns how many the search found, which may exceed
  * capacity: the caller then grows the buffer, restores the spent count and
  * calls again.  Returns -1 at the first search past the budget. */
-int64_t splitflow_min_separators(uint64_t *net, int s, int t, const mask_t *out,
+int64_t splitflow_min_separators(uint64_t *net, int s, int t, const uint64_t *out,
                                  uint64_t *cuts, int64_t capacity)
 {
-    return separators(net, s, t, out, cuts, capacity, 0);
+    int n = (int)net[0], nw = node_words(n);
+    uint64_t *work = malloc((size_t)(6 * n + 2) * nw * sizeof *work);
+    if (!work)
+        return NO_MEMORY;
+    int64_t found = n <= NARROW
+        ? separators(net, 2, 1, s, t, out, cuts, capacity, 0, work)
+        : separators(net, nw, WORDS(n), s, t, out, cuts, capacity, 0, work);
+    free(work);
+    return found;
+}
+
+BOTH_WIDTHS int degree(const uint64_t *m, int vw)
+{
+    int d = 0;
+    for (int k = 0; k < vw; k++)
+        d += __builtin_popcountll(m[k]);
+    return d;
 }
 
 /* The pairs of kronkit.connectivity._even_pairs, in the same order, as
- * x[i], y[i]; returns how many. */
-static int even_pairs(const uint64_t *net, int labels,
-                      unsigned char *x, unsigned char *y)
+ * x[i], y[i]; returns how many.  With x NULL it only counts them. */
+BOTH_WIDTHS int even_pairs(uint64_t *net, int vw, int labels, int *x, int *y)
 {
     int n = (int)net[0];
     const uint64_t *adj = net + HEADER;
     int s = 0;
     for (int v = 1; v < n; v++)
-        if (__builtin_popcountll(adj[v]) < __builtin_popcountll(adj[s]))
+        if (degree(adj + (size_t)v * vw, vw) < degree(adj + (size_t)s * vw, vw))
             s = v;
+    const uint64_t *as = adj + (size_t)s * vw;
     int count = 0;
     if (s % labels <= 1)
         for (int t = 0; t < n; t++)
-            if (t != s && !(adj[s] >> t & 1) && t % labels <= s % labels + 1) {
-                x[count] = (unsigned char)s;
-                y[count++] = (unsigned char)t;
+            if (t != s && !has(as, t) && t % labels <= s % labels + 1) {
+                if (x) {
+                    x[count] = s;
+                    y[count] = t;
+                }
+                count++;
             }
-    for (uint64_t us = adj[s]; us; us &= us - 1) {
-        int u = __builtin_ctzll(us);
-        if (u % labels > 1)
-            continue;
-        for (uint64_t vs = us & (us - 1) & ~adj[u]; vs; vs &= vs - 1) {
-            int v = __builtin_ctzll(vs);
-            if (v % labels <= u % labels + 1) {
-                x[count] = (unsigned char)u;
-                y[count++] = (unsigned char)v;
-            }
+    for (int w = 0; w < vw; w++)
+        for (uint64_t us = as[w]; us; us &= us - 1) {
+            int u = 64 * w + __builtin_ctzll(us);
+            const uint64_t *au = adj + (size_t)u * vw;
+            if (u % labels > 1)
+                continue;
+            for (int k = w; k < vw; k++) /* neighbours of s past u, not of u */
+                for (uint64_t vs = (k == w ? us & (us - 1) : as[k]) & ~au[k];
+                     vs; vs &= vs - 1) {
+                    int v = 64 * k + __builtin_ctzll(vs);
+                    if (v % labels <= u % labels + 1) {
+                        if (x) {
+                            x[count] = u;
+                            y[count] = v;
+                        }
+                        count++;
+                    }
+                }
         }
-    }
     return count;
+}
+
+/* Writes each word in which the residual network out differs from the base
+ * network, as its offset and then its value, to diff, and returns how many
+ * words that takes.  Only the touched nodes can differ, so diff must hold
+ * two words for each word of theirs.  Each of their words is written and
+ * only the differing ones kept, which spares a branch. */
+BOTH_WIDTHS size_t keep(uint64_t *diff, const uint64_t *out, const uint64_t *base,
+                        const uint64_t *touched, int nw)
+{
+    size_t end = 0;
+    for (int k = 0; k < nw; k++)
+        for (uint64_t b = touched[k]; b; b &= b - 1)
+            for (size_t w = (size_t)(64 * k + __builtin_ctzll(b)) * nw, last = w + nw;
+                 w < last; w++) {
+                diff[end] = w;
+                diff[end + 1] = out[w];
+                end += out[w] != base[w] ? 2 : 0;
+            }
+    return end;
 }
 
 /* Writes the vertex mask of every minimum cut that the kept pairs of Even's
@@ -307,97 +483,199 @@ static int even_pairs(const uint64_t *net, int labels,
  * graph, which has no pairs, gets its n cuts that leave one vertex.  The
  * count exceeds capacity, and may then exceed the distinct cuts, only when
  * they do not fit.  Returns -1 at the first search past the budget and -2
- * when the residual storage cannot be allocated. */
-static int64_t pair_cuts(uint64_t *net, int labels, uint64_t *cuts,
-                         int64_t capacity)
+ * when a buffer cannot be allocated. */
+BOTH_WIDTHS int64_t pair_cuts(uint64_t *net, int nw, int vw, int labels,
+                              uint64_t *cuts, int64_t capacity)
 {
     int n = (int)net[0];
-    unsigned char x[MAX_PAIRS], y[MAX_PAIRS];
-    int pairs = even_pairs(net, labels, x, y);
+    int pairs = even_pairs(net, vw, labels, NULL, NULL);
     if (!pairs) {
-        uint64_t full = n == 64 ? ~(uint64_t)0 : ((uint64_t)1 << n) - 1;
-        for (int v = 0; v < n && v < capacity; v++)
-            cuts[v] = full ^ (uint64_t)1 << v;
+        for (int v = 0; v < n && v < capacity; v++) {
+            uint64_t *cut = cuts + (size_t)v * vw;
+            for (int k = 0; k < vw; k++)
+                cut[k] = low_bits(n - 64 * k);
+            flip(cut, v);
+        }
         return n;
     }
-    /* Slot i holds the residual network of the i-th attaining pair. */
-    mask_t *kept = malloc((size_t)pairs * 2 * n * sizeof *kept);
-    if (!kept)
+    /* The work space of max_flow's layers, and then of separators; one
+     * residual network; where each attaining pair's network starts in kept;
+     * the pairs, and the indices of the attaining ones. */
+    size_t size = (size_t)2 * n * nw, space = (size_t)(6 * n + 2) * nw;
+    uint64_t *work = malloc((space + size + pairs + 1) * sizeof *work
+                            + 3 * (size_t)pairs * sizeof(int));
+    if (!work)
         return NO_MEMORY;
-    int attaining[MAX_PAIRS];
+    uint64_t *out = work + space, *start = out + size;
+    int *x = (int *)(start + pairs + 1), *y = x + pairs, *attaining = y + pairs;
+    even_pairs(net, vw, labels, x, y);
+    const uint64_t *base = base_out(net, vw);
+    /* The residual network of the j-th attaining pair is kept in
+     * kept[start[j] .. start[j + 1]): whole up to 64 vertices, and past
+     * them as the words in which it differs from the base network (keep). */
+    int whole = nw == 2;
+    uint64_t *kept = NULL, touched[nw];
+    size_t room = 0;
     int kappa = n - 1, count = 0;
     int64_t found = 0;
-    for (int i = 0; i < pairs; i++) {
-        mask_t *out = kept + (size_t)count * 2 * n;
-        int value = splitflow_max_flow(net, x[i], y[i], kappa, out);
+    start[0] = 0;
+    for (int i = 0; i < pairs && found >= 0; i++) {
+        int value = max_flow(net, nw, vw, x[i], y[i], kappa, out, work,
+                             whole ? NULL : touched);
         if (value < 0) {
             found = OVER_BUDGET;
-            goto done;
+            break;
         }
         if (value < kappa) {
             kappa = value;
-            if (count)
-                memcpy(kept, out, 2 * n * sizeof *kept);
             count = 0;
         }
+        size_t most = whole ? size : 0;
+        for (int k = 0; k < nw && !whole; k++)
+            most += 2 * nw * (size_t)__builtin_popcountll(touched[k]);
+        if (start[count] + most > room) {
+            room = 2 * (start[count] + most);
+            uint64_t *grown = realloc(kept, room * sizeof *kept);
+            if (!grown) {
+                found = NO_MEMORY;
+                break;
+            }
+            kept = grown;
+        }
+        if (whole)
+            memcpy(kept + start[count], out, size * sizeof *out);
+        start[count + 1] = start[count]
+            + (whole ? size : keep(kept + start[count], out, base, touched, nw));
         /* A flow stopped at the cutoff may hide a larger local
          * connectivity; its pair separates no minimum cut. */
         attaining[count++] = i;
     }
-    for (int j = 0; j < count && found >= 0; j++)
-        found = separators(net, x[attaining[j]], y[attaining[j]],
-                           kept + (size_t)j * 2 * n, cuts, capacity, found);
-done:
+    memcpy(out, base, size * sizeof *out);
+    for (int j = 0; j < count && found >= 0; j++) {
+        for (size_t e = start[j]; !whole && e < start[j + 1]; e += 2)
+            out[kept[e]] = kept[e + 1];
+        found = separators(net, nw, vw, x[attaining[j]], y[attaining[j]],
+                           whole ? kept + start[j] : out, cuts, capacity, found, work);
+        for (size_t e = start[j]; !whole && e < start[j + 1]; e += 2)
+            out[kept[e]] = base[kept[e]];
+    }
     free(kept);
+    free(work);
     return found;
 }
 
 /* Appends to the found cuts in cuts[0 .. capacity) their images under the
  * swaps of labels a and a + 1, 1 <= a <= labels - 2, and the images of
  * those, until the set is closed, and returns the new count.  Like
- * separators, it appends only masks that the buffer does not hold yet, and
- * keeps counting past capacity, so the count exceeds the closed set only
- * once the buffer is full. */
-static int64_t close_under_swaps(int n, int labels, uint64_t *cuts,
-                                 int64_t capacity, int64_t found)
+ * separators, it keeps counting past capacity, so the count exceeds the
+ * closed set only once the buffer is full. */
+BOTH_WIDTHS int64_t close_under_swaps(int n, int vw, int labels, uint64_t *cuts,
+                                      int64_t capacity, int64_t found)
 {
-    uint64_t column = 0; /* the ids of label 0 */
+    uint64_t column[vw], low[vw], high[vw], image[vw]; /* column: the ids of label 0 */
+    memset(column, 0, sizeof column);
     for (int v = 0; v < n; v += labels)
-        column |= (uint64_t)1 << v;
+        add(column, v);
     for (int64_t i = 0; i < found && i < capacity; i++)
         for (int a = 1; a <= labels - 2; a++) {
-            uint64_t low = column << a, high = column << (a + 1);
-            uint64_t mask = cuts[i];
-            uint64_t image = (mask & ~(low | high)) | (mask & low) << 1
-                             | (mask & high) >> 1;
-            if (!listed(cuts, found < capacity ? found : capacity, image)) {
-                if (found < capacity)
-                    cuts[found] = image;
-                found++;
+            const uint64_t *mask = cuts + i * vw;
+            for (int k = 0; k < vw; k++) { /* column << a and column << (a + 1) */
+                low[k] = bits_from(column, vw, 64 * k - a);
+                high[k] = bits_from(column, vw, 64 * k - a - 1);
             }
+            for (int k = 0; k < vw; k++)
+                image[k] = (mask[k] & ~(low[k] | high[k]))
+                           | (mask[k] & low[k]) << 1 | (mask[k] & high[k]) >> 1
+                           | (k > 0 ? (mask[k - 1] & low[k - 1]) >> 63 : 0)
+                           | (k + 1 < vw ? (mask[k + 1] & high[k + 1]) << 63 : 0);
+            found = append(cuts, vw, capacity, found, image);
         }
     return found;
 }
 
-/* The order of sorted id tuples on cut masks of one size: the mask that
- * holds the lowest id of either but not both comes first. */
-static int lexicographic(const void *pa, const void *pb)
+/* Whether cut mask a comes before b in the order of their sorted id tuples,
+ * for masks of one size: the mask that holds the lowest id of either but
+ * not both comes first. */
+BOTH_WIDTHS int precedes(const uint64_t *a, const uint64_t *b, int vw)
 {
-    uint64_t a = *(const uint64_t *)pa, b = *(const uint64_t *)pb;
-    uint64_t differ = a ^ b;
-    if (!differ)
-        return 0;
-    return (a & differ & -differ) ? -1 : 1;
+    for (int k = 0; k < vw; k++)
+        if (a[k] != b[k]) {
+            uint64_t differ = a[k] ^ b[k];
+            return (a[k] & differ & -differ) != 0;
+        }
+    return 0;
 }
 
-/* kronkit.connectivity._SplitFlow.min_cuts in one call: every minimum cut
- * of the graph, closed under the label swaps, in lexicographic order of
- * their sorted ids.  It reads the cuts of the kept pairs (pair_cuts),
- * closes them under the swaps that generate the relabellings fixing the
- * family's source (close_under_swaps), which search nothing, and sorts the
- * closed masks in cuts[0 .. count).  For cut i it writes the ids of its
+/* Sorts count distinct vw-word masks by precedes, by merging runs into tmp,
+ * which holds as many. */
+BOTH_WIDTHS void sort_cuts(uint64_t *cuts, int64_t count, int vw, uint64_t *tmp)
+{
+    for (int64_t run = 1; run < count; run *= 2) {
+        for (int64_t lo = 0; lo < count; lo += 2 * run) {
+            int64_t mid = lo + run < count ? lo + run : count;
+            int64_t hi = lo + 2 * run < count ? lo + 2 * run : count;
+            for (int64_t i = lo, j = mid, k = lo; k < hi; k++) {
+                int left = j == hi || (i < mid && precedes(cuts + i * vw, cuts + j * vw, vw));
+                memcpy(tmp + k * vw, cuts + (left ? i++ : j++) * vw, vw * sizeof *tmp);
+            }
+        }
+        memcpy(cuts, tmp, (size_t)count * vw * sizeof *tmp);
+    }
+}
+
+BOTH_WIDTHS int64_t min_cuts(uint64_t *net, int nw, int vw, int labels,
+                             uint64_t *cuts, int64_t capacity, int *ids,
+                             int *witness)
+{
+    int n = (int)net[0];
+    const uint64_t *adj = net + HEADER;
+    if (!connected(net, vw))
+        return DISCONNECTED;
+    int64_t found = pair_cuts(net, nw, vw, labels, cuts, capacity);
+    if (found < 0 || found > capacity)
+        return found;
+    found = close_under_swaps(n, vw, labels, cuts, capacity, found);
+    if (found > capacity)
+        return found;
+    if (found > 1) {
+        uint64_t *tmp = malloc((size_t)found * vw * sizeof *tmp);
+        if (!tmp)
+            return NO_MEMORY;
+        sort_cuts(cuts, found, vw, tmp);
+        free(tmp);
+    }
+    for (int64_t i = 0; i < found; i++) {
+        const uint64_t *cut = cuts + i * vw;
+        witness[i] = -1;
+        for (int v = 0; v < n; v++)
+            if (!memcmp(adj + (size_t)v * vw, cut, vw * sizeof *cut)) {
+                witness[i] = v;
+                break;
+            }
+        for (int k = 0; k < vw; k++)
+            for (uint64_t m = cut[k]; m; m &= m - 1)
+                *ids++ = 64 * k + __builtin_ctzll(m);
+    }
+    return found;
+}
+
+void splitflow_init(uint64_t *net)
+{
+    int n = (int)net[0];
+    if (n <= NARROW)
+        init(net, 2, 1);
+    else
+        init(net, node_words(n), WORDS(n));
+}
+
+/* The oracle's min_cuts in one call: every minimum cut of the graph, closed
+ * under the label swaps, in lexicographic order of their sorted ids.  It
+ * reads the cuts of the kept pairs (pair_cuts), closes them under the swaps
+ * that generate the relabellings fixing the family's source
+ * (close_under_swaps), which search nothing, and sorts the closed masks, vw
+ * words each, in cuts[0 .. count).  For cut i it writes the ids of its
  * vertices, in increasing order, to ids[i * kappa .. (i + 1) * kappa), so
- * ids must hold capacity * n bytes, and to witness[i] the lowest vertex v
+ * ids must hold capacity * n ints, and to witness[i] the lowest vertex v
  * whose neighbourhood adj[v] equals the cut, or -1 when there is none.
  * Returns the count of cuts; a count above capacity asks the caller to grow
  * the buffers to at least that count, restore the spent count and call
@@ -405,31 +683,12 @@ static int lexicographic(const void *pa, const void *pb)
  * that filled the buffer counts only the images of the cuts it holds, so
  * its count may fall short of the closed set.  Returns -3, before any
  * search, when the graph is disconnected, -1 at the first search past the
- * budget and -2 when the residual storage cannot be allocated. */
+ * budget and -2 when a buffer cannot be allocated. */
 int64_t splitflow_min_cuts(uint64_t *net, int labels, uint64_t *cuts,
-                           int64_t capacity, unsigned char *ids,
-                           signed char *witness)
+                           int64_t capacity, int *ids, int *witness)
 {
     int n = (int)net[0];
-    const uint64_t *adj = net + HEADER;
-    if (!connected(net))
-        return DISCONNECTED;
-    int64_t found = pair_cuts(net, labels, cuts, capacity);
-    if (found < 0 || found > capacity)
-        return found;
-    found = close_under_swaps(n, labels, cuts, capacity, found);
-    if (found > capacity)
-        return found;
-    qsort(cuts, (size_t)found, sizeof *cuts, lexicographic);
-    for (int64_t i = 0; i < found; i++) {
-        witness[i] = -1;
-        for (int v = 0; v < n; v++)
-            if (adj[v] == cuts[i]) {
-                witness[i] = (signed char)v;
-                break;
-            }
-        for (uint64_t m = cuts[i]; m; m &= m - 1)
-            *ids++ = (unsigned char)__builtin_ctzll(m);
-    }
-    return found;
+    return n <= NARROW
+        ? min_cuts(net, 2, 1, labels, cuts, capacity, ids, witness)
+        : min_cuts(net, node_words(n), WORDS(n), labels, cuts, capacity, ids, witness);
 }

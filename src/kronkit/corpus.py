@@ -77,13 +77,16 @@ def _layer(order: int, first_subset: int) -> tuple[Graph, ...]:
     return _extend_layer(corpus(order - 1), order, first_subset)
 
 
-@lru_cache(maxsize=None)
+# Building order k reads only order k - 1, so each corpus keeps its last
+# layer: a run over the orders in turn builds each once, and an earlier
+# layer is freed as soon as the next one is built.
+@lru_cache(maxsize=1)
 def all_graphs(order: int) -> tuple[Graph, ...]:
     """All graphs of the given order, one per isomorphism class."""
     return _layer(order, 0)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def connected_graphs(order: int) -> tuple[Graph, ...]:
     """All connected graphs of the given order, one per isomorphism class."""
     return _layer(order, 1)

@@ -105,22 +105,6 @@ def _trial_states(seed: int, trials: int) -> ctypes.Array:
         *(word for t in range(trials) for word in _native.seeded_stream(seed, t)))
 
 
-def _words(masks: Sequence[int], width: int) -> ctypes.Array:
-    """The kernel's array of ``masks``, ``width`` words each, low word first."""
-    if width == 1:
-        return (ctypes.c_uint64 * len(masks))(*masks)
-    raw = b"".join(m.to_bytes(8 * width, "little") for m in masks)
-    return (ctypes.c_uint64 * (width * len(masks))).from_buffer_copy(raw)
-
-
-def _masks(words: ctypes.Array, width: int) -> list[int]:
-    """The masks of consecutive groups of ``width`` words, low word first."""
-    if width == 1:
-        return words[:]  # a list of Python ints slices faster than ctypes
-    raw, step = bytes(words), 8 * width
-    return [int.from_bytes(raw[i:i + step], "little") for i in range(0, len(raw), step)]
-
-
 def _kernel_removals(lib, g: Graph, n: int,
                      seeds: ctypes.Array) -> tuple[tuple, ...]:
     """:func:`_draw_trials` of each trial's stream in ``seeds``: a uniform
@@ -128,7 +112,7 @@ def _kernel_removals(lib, g: Graph, n: int,
     conditions, by rejection, with its verdicts."""
     order, lw, fw = g.order, -(-n // 64), -(-g.order // 64)
     size, trials = (n - 1) * g.min_degree, len(seeds) // 4
-    adj = _words(g.adj, fw)
+    adj = _native.words(g.adj, fw)
     removed, labels, counts, connected, split = (
         (ctypes.c_uint64 * words)() for words in (
             trials * size, trials * order * lw, 2 * trials, trials, trials * fw))
@@ -138,7 +122,7 @@ def _kernel_removals(lib, g: Graph, n: int,
         error = MemoryError if code == _NO_MEMORY else ValueError
         raise error(f"the residue kernel could not draw order {order}, n {n}")
     removed, counts, connected = removed[:], counts[:], connected[:]
-    labels, split = _masks(labels, lw), _masks(split, fw)
+    labels, split = _native.masks(labels, lw), _native.masks(split, fw)
     draws = []
     for t in range(trials):
         rejections, isolation_rejections = counts[2 * t:2 * t + 2]
@@ -455,7 +439,7 @@ def _pooled_records(corpus: Iterable[Graph | dict], workers: int,
     ``(n_values, filters, budget)``.
 
     About ``2 * workers`` tasks are in flight at once: the corpus is read a
-    task at a time as results are taken.  A first window of fewer than two
+    task at a time, each time a finished task's records have been yielded.  A first window of fewer than two
     tasks, at most one item, runs here without a pool, and the pool has no
     more processes than ``workers`` or the tasks of its first window.  An
     exception that the corpus raises is raised after the records of the
@@ -489,10 +473,11 @@ def _pooled_records(corpus: Iterable[Graph | dict], workers: int,
         with ProcessPoolExecutor(max_workers=min(workers, len(window))) as pool:
             pending = deque(pool.submit(_task_records, task, *args) for task in window)
             while pending:
-                records = pending.popleft().result()
+                # A finished task's records go out before the corpus is read
+                # on, which may take long, as the next order's layer does.
+                yield from pending.popleft().result()
                 if task := next_task():
                     pending.append(pool.submit(_task_records, task, *args))
-                yield from records
     if failure is not None:
         raise failure
 

@@ -7,6 +7,10 @@ route that follows the definition:
   with a union-find separation test, and :func:`brute_force_min_cuts` scans
   every subset of size kappa; the flows and :func:`enumerate_min_cuts` are
   compared with them.
+* :class:`_SplitFlow` is the split-flow network of ``_splitflow.c`` in
+  Python, over one integer mask per node: the kernel's flows, residual
+  networks, separators, cut lists and charged searches are compared with
+  it, at every graph size.
 * :func:`classify_cut` classifies an arbitrary vertex set by searching its
   survivors, and reports whether it separates.
 * :func:`naive_components` lists the components induced on a vertex set,
@@ -36,7 +40,13 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from kronkit.connectivity import CutSet, vertex_connectivity
+from kronkit.connectivity import (
+    CutSet,
+    _disconnected,
+    _even_pairs,
+    _over_budget,
+    vertex_connectivity,
+)
 from kronkit.corpus import _child
 from kronkit.errors import PreconditionError, UnsupportedSizeError
 from kronkit.graphs import (
@@ -413,6 +423,209 @@ def classify_cut(g: Graph, s) -> tuple[CutSet, bool]:
     if vertices and not (0 <= vertices[0] and vertices[-1] < g.order):
         raise ValueError(f"cut contains ids outside 0..{g.order - 1}")
     return _classify_mask(g, mask_of(vertices), vertices)
+
+
+class _SplitFlow:
+    """Vertex-split network of a graph, for disjoint paths and minimum cuts.
+
+    Vertex ``v`` becomes ``in = v`` and ``out = order + v`` joined by a
+    capacity-1 arc; each edge contributes ``out -> in`` arcs both ways with
+    unlimited capacity, so every minimum cut consists of vertex arcs.  A
+    residual network is a list of out-neighbour masks, one per node.  Edge
+    arcs stay open in every residual network: vertex capacities keep the
+    flow on each arc at 0 or 1, so one bit records the reverse arc.
+
+    A flow between non-adjacent ``s`` and ``t`` starts from the paths
+    through their common neighbours, which :meth:`max_flow` reads off one
+    mask instead of searching for them.
+
+    The network is also the one place that charges work: each residual
+    search, that is each breadth-first search for an augmenting path and
+    each reachability search over a residual network, costs one unit of
+    ``budget``, and the first search past it raises
+    :class:`BudgetExceededError`.  Seeding the common-neighbour paths
+    searches nothing and is not charged.  ``budget=None`` means no limit.
+    """
+
+    __slots__ = ("order", "base_out", "base_in", "budget", "spent")
+
+    def __init__(self, g: Graph, budget: int | None = None):
+        n = g.order
+        self.order = n
+        self.base_out = [1 << (n + v) for v in range(n)] + list(g.adj)
+        self.base_in = [m << n for m in g.adj] + [1 << v for v in range(n)]
+        self.budget = budget
+        self.spent = 0
+
+    def _charge(self) -> None:
+        """Count one residual search; raise once the budget is exceeded."""
+        self.spent += 1
+        if self.budget is not None and self.spent > self.budget:
+            raise _over_budget(self.budget)
+
+    def _reach(self, masks: list[int], within: int, start: int) -> int:
+        self._charge()
+        return reachable_mask(masks, within, start)
+
+    def max_flow(self, s: int, t: int, cutoff: int) -> tuple[int, list[int]]:
+        """Internally disjoint s-t paths, counting at most ``cutoff``.
+
+        Returns the count and the residual network it leaves.  ``s`` and
+        ``t`` must be non-adjacent, as every pair of Even's family is.  The
+        flow starts from the paths ``s - m - t`` through the common
+        neighbours ``m``, taken in increasing order up to ``cutoff``: they
+        share no inner vertex, so one mask operation gives them all, and
+        seeding them is not charged.  Each further path costs one
+        breadth-first search, which keeps one node mask per layer and
+        traces the path back through the lowest node of each earlier layer
+        that has a residual arc to the current one.
+        """
+        n = self.order
+        out = self.base_out.copy()
+        src, dst = n + s, t
+        flow = 0
+        common = self.base_out[src] & self.base_out[n + t]
+        while common and flow < cutoff:
+            low = common & -common
+            m = low.bit_length() - 1
+            out[t] |= 1 << (n + m)
+            out[n + m] |= low
+            out[m] = 1 << src  # its vertex arc is used; s_out -> m can be undone
+            common ^= low
+            flow += 1
+        while flow < cutoff:
+            self._charge()
+            seen = frontier = 1 << src
+            layers = []
+            while frontier and not seen >> dst & 1:
+                layers.append(frontier)
+                reach = 0
+                while frontier:
+                    low = frontier & -frontier
+                    reach |= out[low.bit_length() - 1]
+                    frontier ^= low
+                frontier = reach & ~seen
+                seen |= frontier
+            if not seen >> dst & 1:
+                break
+            y = dst
+            for layer in reversed(layers):
+                x = (layer & -layer).bit_length() - 1
+                while not out[x] >> y & 1:
+                    layer &= layer - 1
+                    x = (layer & -layer).bit_length() - 1
+                if abs(x - y) == n:  # a vertex arc, used or given back
+                    out[x] ^= 1 << y
+                    out[y] |= 1 << x
+                elif x >= n:  # an edge arc: stays open, can now be undone
+                    out[y] |= 1 << x
+                else:  # undoes the flow on edge arc y -> x
+                    out[x] ^= 1 << y
+                y = x
+            flow += 1
+        return flow, out
+
+    def min_separators(self, s: int, t: int, out: list[int]) -> set[int]:
+        """Vertex masks of the minimum s-t separators, given a maximum flow.
+
+        ``out`` is the flow's residual network.  The minimum cuts are the
+        node sets closed under residual arcs that hold the source ``s_out``
+        and not the sink ``t_in`` (Picard and Queyranne 1980), so they lie
+        between the source's reach and the complement of the sink's
+        co-reach.  A minimum cut takes one saturated vertex arc from each
+        flow path, and the closure fixes every other node of the paths: a
+        path vertex before the cut lies inside, one after it outside.  So
+        the cuts correspond one to one to the placements of the flow nodes
+        (the in- and out-nodes of the vertices the flow passes through) that
+        extend to a closed set, and the search branches only on those: the
+        lowest undecided flow node either joins with everything it reaches
+        or stays out with everything that reaches it.  Neither branch can
+        fail, and once no flow node is undecided the inside set is closed,
+        so each leaf is a distinct cut and the search visits fewer than two
+        states per cut.  A vertex off the flow is never cut: its open
+        vertex arc takes its out-node inside along with its in-node.  Empty
+        when the source reaches the sink, that is when the flow was cut off
+        below its maximum.
+        """
+        n = self.order
+        nodes = (1 << 2 * n) - 1
+        inside = self._reach(out, nodes, n + s) | (1 << s)
+        if inside >> t & 1:
+            return set()
+        flow_nodes = 0
+        for v in range(n):
+            if not out[v] >> (n + v) & 1:
+                flow_nodes |= (1 << v) | (1 << (n + v))
+        # Only the flow nodes and the sink differ from the base network.
+        inn = self.base_in.copy()
+        for x in iter_bits(flow_nodes | (1 << t)):
+            for y in iter_bits(out[x] ^ self.base_out[x]):
+                inn[y] ^= 1 << x
+        outside = self._reach(inn, nodes, t) | (1 << (n + t))
+        found = set()
+        stack = [(inside, outside)]
+        while stack:
+            inside, outside = stack.pop()
+            free = flow_nodes & ~(inside | outside)
+            if not free:
+                found.add(inside & ~(inside >> n) & ((1 << n) - 1))
+                continue
+            u = (free & -free).bit_length() - 1
+            stack.append((inside | self._reach(out, nodes & ~inside, u), outside))
+            stack.append((inside, outside | self._reach(inn, nodes & ~outside, u)))
+        return found
+
+    def min_cuts(self, g: Graph, labels: int) -> list[CutSet]:
+        """Every minimum cut of ``g``, this network's graph, in
+        lexicographic order of its vertex ids.  Raises
+        :class:`PreconditionError` for a disconnected ``g``, before any
+        charged search.
+
+        Each pair of :func:`_even_pairs` has its flow cut off at the least
+        flow found so far, and the separators are read for the pairs whose
+        flow equals the final least one, which is kappa.  A flow stopped at
+        the cutoff may hide a larger local connectivity;
+        :meth:`min_separators` finds no cut for such a pair.  A complete
+        graph has no pairs, and its cuts are the ``order`` sets that leave
+        one vertex.
+
+        The cuts are then closed under the swaps of labels ``a`` and ``a +
+        1`` for ``1 <= a <= labels - 2``, which generate the relabellings
+        that fix the family's source: such a relabelling maps the minimum
+        cuts of a pair onto those of its image.  A cut's witness is the
+        lowest vertex whose neighbourhood equals it, or None.  Closing and
+        classifying move bits and search nothing.
+        """
+        if not is_connected(g):
+            raise _disconnected()
+        kappa, attaining = self.order - 1, []
+        for s, t in _even_pairs(g, labels):
+            value, out = self.max_flow(s, t, kappa)
+            if value < kappa:
+                kappa, attaining = value, []
+            attaining.append((s, t, out))
+        if attaining:
+            masks = set()
+            for s, t, out in attaining:
+                masks |= self.min_separators(s, t, out)
+        else:
+            full = g.full_mask()
+            masks = {full ^ (1 << v) for v in range(g.order)}
+        column = sum(1 << v for v in range(0, g.order, labels))
+        swaps = [(column << a, column << (a + 1)) for a in range(1, labels - 1)]
+        unclosed = list(masks)
+        while unclosed:
+            mask = unclosed.pop()
+            for low, high in swaps:
+                image = (mask & ~(low | high)) | (mask & low) << 1 | (mask & high) >> 1
+                if image not in masks:
+                    masks.add(image)
+                    unclosed.append(image)
+        lowest = {}
+        for v, nbrs in enumerate(g.adj):
+            lowest.setdefault(nbrs, v)
+        return [CutSet(vertices, mask in lowest, lowest.get(mask))
+                for vertices, mask in sorted((tuple(iter_bits(m)), m) for m in masks)]
 
 
 # -- residue systems ----------------------------------------------------------

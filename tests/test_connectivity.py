@@ -157,15 +157,14 @@ def test_vertex_connectivity_charges_each_search_against_the_budget():
 
 
 @pytest.fixture(params=["python", "native"])
-def kernel(request, monkeypatch):
-    """Routes every split-flow network through one kernel and returns its
-    class: the Python network, or the C one."""
-    from kronkit import connectivity
+def kernel(request):
+    """The class of a split-flow network: the Python oracle, or the C
+    kernel's."""
+    from kronkit.connectivity import _NativeSplitFlow
 
-    if request.param == "python":
-        monkeypatch.setattr(connectivity, "_NATIVE_MAX_ORDER", 0)
-        return connectivity._SplitFlow
-    return connectivity._NativeSplitFlow
+    from oracles import _SplitFlow
+
+    return _SplitFlow if request.param == "python" else _NativeSplitFlow
 
 
 def _separates(nbrs, removed, s, t):
@@ -192,7 +191,6 @@ def test_pair_flows_and_separators_against_networkx_and_subset_scan(kernel):
     )
     from networkx.algorithms.flow import build_residual_network
 
-    from kronkit.connectivity import _split_flow
     from kronkit.corpus import connected_graphs
 
     graphs = [g for order in range(2, 7) for g in connected_graphs(order)]
@@ -206,8 +204,7 @@ def test_pair_flows_and_separators_against_networkx_and_subset_scan(kernel):
         aux = build_auxiliary_node_connectivity(h)
         residual = build_residual_network(aux, "capacity")
         nbrs = [list(iter_bits(g.adj[v])) for v in range(g.order)]
-        net = _split_flow(g, None)
-        assert type(net) is kernel
+        net = kernel(g)
         for s, t in itertools.permutations(range(g.order), 2):
             if g.has_edge(s, t):
                 continue
@@ -285,31 +282,17 @@ def test_enumeration_equals_subset_scan_on_products(n):
     (None, [(0,)]),
     (3, [(0, 1), (0, 2), (1, 2)]),  # two of the three copies of the centre
 ])
-def test_enumeration_stays_small_when_a_cut_leaves_many_components(
-        monkeypatch, n, expected):
+def test_enumeration_stays_small_when_a_cut_leaves_many_components(n, expected):
     """The centre of K_{1,20} leaves 20 components, and each minimum cut of
     K_{1,20} x K_3 leaves 21.  The search branches only on the vertices the
     flow passes through, so it makes a few reachability searches per pair;
-    branching on the vertices off the flow too would take billions.  The
-    count is of the Python kernel's searches; ``test_native`` requires the
-    C kernel to make the same ones."""
-    import kronkit.connectivity as connectivity
-
-    monkeypatch.setattr(connectivity, "_NATIVE_MAX_ORDER", 0)
-
+    branching on the vertices off the flow too would take billions.  A
+    budget of 1000 residual searches, the flows' included, stops a search
+    that is not output-sensitive; ``test_native`` requires the oracle to
+    make the same searches."""
     star = graph_from_edges(21, [(0, leaf) for leaf in range(1, 21)])
     g = star if n is None else kronecker(star, make_complete(n))
-    calls = 0
-    reachable = connectivity.reachable_mask
-
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        assert calls <= 1000, "minimum-cut search is not output-sensitive"
-        return reachable(*args)
-
-    monkeypatch.setattr(connectivity, "reachable_mask", counted)
-    cuts = enumerate_min_cuts(g)
+    cuts = enumerate_min_cuts(g, budget=1000)
     assert [c.vertices for c in cuts] == expected
     assert all(c.isolates and c.witness is not None for c in cuts)
 

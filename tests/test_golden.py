@@ -1,14 +1,15 @@
 """Exact bytes of fixed CLI runs, pinned by the sha256 of standard output.
 
 The batch runs cover the formula route, the verdict route with its
-violation records, and the skip route; the gstar runs cover both residue
-checks, the second over every connected kd-equal factor to order 6.  The
-seeded runs pin ``gen random`` and ``gstar`` past 64 fibers, past 64
-labels and on numpy's tail-shuffle branch of ``choice``, with bytes first
-taken from numpy's own streams, and again with numpy unimportable.  The
-panel runs pin ``kappa``, ``super-kappa --format table``, ``cuts`` (one run
-per graph) and ``product --mapping`` on small factors.  Any change to the
-records of these runs, however small, fails here.
+violation records, the skip route, and products past 64 vertices; the gstar
+runs cover both residue checks, the second over every connected kd-equal
+factor to order 6.  The seeded runs pin ``gen random`` and ``gstar`` past 64
+fibers, past 64 labels and on numpy's tail-shuffle branch of ``choice``,
+with bytes first taken from numpy's own streams, and again with numpy
+unimportable.  The panel runs pin ``kappa``, ``super-kappa --format
+table``, ``cuts`` (one run per graph) and ``product --mapping`` on small
+factors.  Any change to the records of these runs, however small, fails
+here.
 """
 
 import hashlib
@@ -23,7 +24,7 @@ import pytest
 from kronkit.cli import main
 from kronkit.connectivity import vertex_connectivity
 from kronkit.corpus import connected_graphs
-from kronkit.graphs import encode_graph6, make_cycle
+from kronkit.graphs import encode_graph6, make_cycle, parse_graph6
 
 
 # Seeded runs pinned from numpy's streams; the kernel seeds and steps them.
@@ -78,6 +79,35 @@ def test_golden_batch_violation_records(capsys):
     assert out.splitlines()[-1] == \
         '{"instances":270,"holds":267,"violations":3,"skips":0}'
     assert digest == "a9bf01bd72db0c496c59c36f9f5cc6fd26182d923088b91189c03b457d89e214"
+
+
+# Factors to order 6 at n = 11, 12, 13: 335 of the 405 instances are
+# products past 64 vertices, which the flow kernel takes with multiword
+# masks.  Both digests were first taken from a Python flow network.
+_PAST_64 = ["batch", "--all-graphs", "--max-order", "6", "--n", "11,12,13",
+            "--filter", "connected,kd-equal"]
+
+
+def _past_64_vertices(out: str) -> int:
+    return sum(parse_graph6(r["instance"]["graph6"]).order * r["instance"]["n"] > 64
+               for r in map(json.loads, out.splitlines()) if "instance" in r)
+
+
+def test_golden_batch_past_64_vertices(capsys):
+    for workers in ("1", "2"):
+        code, out, digest = _run(_PAST_64 + ["--workers", workers], capsys)
+        assert code == 0
+        assert len(out.splitlines()) == 406 and _past_64_vertices(out) == 335
+        assert digest == "329aeea6853ffc677a3d5cff951f2e7c5bc2cf911d6680bcd464d7a90e81fa29"
+
+
+def test_golden_batch_budget_past_64_vertices(capsys):
+    """The budget charges the same searches past 64 vertices."""
+    code, out, digest = _run(_PAST_64 + ["--workers", "1", "--budget", "100"], capsys)
+    assert code == 3
+    records = [json.loads(line) for line in out.splitlines()]
+    assert sum(r.get("skip") == "size-limit" for r in records) == 123
+    assert digest == "7aeebe1c6fe017b757a8edb1c35eedf92084cdd204cf028a266e8da949a7ac65"
 
 
 def test_golden_gstar_trials(capsys):

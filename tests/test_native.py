@@ -1,8 +1,9 @@
-"""The C split-flow kernel against the Python one, which stays as the
-route past 64 vertices and as the oracle: identical flows, residual
-networks, separators and charged searches, the route each graph size takes,
-the build on first use into the per-user cache, and the clean stop when
-the kernel cannot be built."""
+"""The C split-flow kernel against the Python network kept as the oracle
+(``_SplitFlow`` in ``oracles.py``), at every graph size: identical flows,
+residual networks, separators, cut lists and charged searches, with the
+kernel's node masks of two words up to 64 vertices and of ``ceil(2n / 64)``
+words past them; the build on first use into the per-user cache, and the
+clean stop when the kernel cannot be built."""
 
 import os
 import shutil
@@ -17,8 +18,6 @@ from kronkit import _native, connectivity, product_analysis
 from kronkit.connectivity import (
     _even_pairs,
     _NativeSplitFlow,
-    _split_flow,
-    _SplitFlow,
     enumerate_min_cuts,
     vertex_connectivity,
 )
@@ -28,15 +27,9 @@ from kronkit.errors import BudgetExceededError, KernelBuildError, PreconditionEr
 from kronkit.graphs import is_connected, make_complete, make_cycle, parse_graph6
 from kronkit.products import kronecker
 
-from oracles import brute_force_min_cuts, edges, graph_from_edges, two_cycles
+from oracles import _SplitFlow, brute_force_min_cuts, edges, graph_from_edges, two_cycles
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-
-
-@pytest.fixture
-def native():
-    lib = _native.library()
-    return lambda g: _NativeSplitFlow(g, None, lib)
 
 
 @pytest.fixture
@@ -47,45 +40,51 @@ def fresh_library(request):
     request.addfinalizer(_native.library.cache_clear)
 
 
-def _masks(out) -> list[int]:
-    """A native residual network as one mask per node, as Python keeps it."""
-    return [out[i] | out[i + 1] << 64 for i in range(0, len(out), 2)]
+def _masks(out, order: int) -> list[int]:
+    """A kernel residual network as one mask per node, as the oracle keeps
+    it."""
+    return _native.masks(out, len(out) // (2 * order))
 
 
 def _spy(monkeypatch) -> list:
-    """Record every network the flow routes build."""
+    """Record every network that the flow routes build."""
     nets = []
+    network = _NativeSplitFlow
 
-    def recorded(g, budget):
-        nets.append(_split_flow(g, budget))
+    def recorded(g, budget=None):
+        nets.append(network(g, budget))
         return nets[-1]
 
-    monkeypatch.setattr(connectivity, "_split_flow", recorded)
+    monkeypatch.setattr(connectivity, "_NativeSplitFlow", recorded)
     return nets
 
 
 class _CountingLibrary:
-    """The kernel library, counting the calls into each of its functions."""
+    """The kernel library, counting the calls into each of its functions,
+    and recording the cut capacity of each ``splitflow_min_cuts`` call."""
 
     def __init__(self, lib):
         self.lib = lib
         self.calls = Counter()
+        self.capacities = []
 
     def __getattr__(self, name):
         fn = getattr(self.lib, name)
 
         def call(*args):
             self.calls[name] += 1
+            if name == "splitflow_min_cuts":
+                self.capacities.append(args[3])
             return fn(*args)
         return call
 
 
 @pytest.fixture
-def kernel_calls(monkeypatch):
-    """The calls that the flow routes make into the kernel, by function."""
+def kernel(monkeypatch):
+    """The kernel library that the flow routes call, counting the calls."""
     counting = _CountingLibrary(_native.library())
     monkeypatch.setattr(_native, "library", lambda: counting)
-    return counting.calls
+    return counting
 
 
 def _k44_times_k3():
@@ -99,19 +98,36 @@ def _hypercube(d: int):
                                      for i in range(d) if not v >> i & 1])
 
 
+def _kernel_and_oracle(pg, labels, nets) -> tuple:
+    """The cut list and the searches spent of one enumeration, by the kernel
+    through :func:`enumerate_min_cuts` (whose network ``nets`` records) and
+    by the oracle."""
+    cuts = enumerate_min_cuts(pg, labels=labels)
+    oracle = _SplitFlow(pg)
+    return (cuts, nets[-1].spent), (oracle.min_cuts(pg, labels), oracle.spent)
+
+
+def _oracle_connectivity(g) -> tuple[int, int]:
+    """:func:`vertex_connectivity` of a connected ``g`` on the oracle, and
+    the searches it spent."""
+    net, best = _SplitFlow(g), g.order - 1
+    for s, t in _even_pairs(g, 1):
+        best = min(best, net.max_flow(s, t, best)[0])
+    return best, net.spent
+
+
 def _agree(oracle, net, s, t, cutoff, case) -> int:
     value, out = oracle.max_flow(s, t, cutoff)
     native_value, native_out = net.max_flow(s, t, cutoff)
     assert (native_value, net.spent) == (value, oracle.spent), case
-    assert _masks(native_out) == out, case
+    assert _masks(native_out, oracle.order) == out, case
     assert net.min_separators(s, t, native_out) \
         == oracle.min_separators(s, t, out), case
     assert net.spent == oracle.spent, case
     return value
 
 
-def test_kernels_agree_on_every_even_pair_of_products_to_order_6(
-        connected_upto_6, native):
+def test_kernels_agree_on_every_even_pair_of_products_to_order_6(connected_upto_6):
     """Every pair of Even's family of every connected ``G x K_n``, G to
     order 6 and n = 3, 4, 5, on one network per product: the same flow
     value, searches spent, residual network and separators, at the cutoff
@@ -122,7 +138,7 @@ def test_kernels_agree_on_every_even_pair_of_products_to_order_6(
             pg = kronecker(g, make_complete(n))
             if not is_connected(pg):
                 continue
-            oracle, net = _SplitFlow(pg), native(pg)
+            oracle, net = _SplitFlow(pg), _NativeSplitFlow(pg)
             for s, t in _even_pairs(pg, 1):
                 value = _agree(oracle, net, s, t, pg.order - 1, (g, n, s, t))
                 for cutoff in range(value):
@@ -140,71 +156,86 @@ WORD_BOUNDARY = [
 
 @pytest.mark.parametrize("g, n", [case[1:] for case in WORD_BOUNDARY],
                          ids=[case[0] for case in WORD_BOUNDARY])
-def test_products_up_to_the_word_boundary(g, n, native, monkeypatch):
+def test_products_up_to_the_word_boundary(g, n, monkeypatch):
     """Products of up to 64 vertices, whose 128 nodes fill the kernel's
-    masks, take the native route and agree with the Python kernel on the
-    cuts and the searches, and with networkx on the connectivity."""
+    two-word masks, agree with the oracle on the connectivity, the cuts and
+    the searches, and with networkx on the connectivity."""
     nx = pytest.importorskip("networkx")
     pg = kronecker(g, make_complete(n))
     nets = _spy(monkeypatch)
-    results = {}
-    for max_order, kind in ((64, _NativeSplitFlow), (0, _SplitFlow)):
-        monkeypatch.setattr(connectivity, "_NATIVE_MAX_ORDER", max_order)
-        kappa = vertex_connectivity(pg)
-        cuts = enumerate_min_cuts(pg, labels=n)
-        assert [type(net) for net in nets] == [kind, kind]
-        results[kind] = (kappa, cuts, [net.spent for net in nets])
-        nets.clear()
-    assert results[_NativeSplitFlow] == results[_SplitFlow]
+    kappa = vertex_connectivity(pg)
+    assert (kappa, nets[-1].spent) == _oracle_connectivity(pg)
+    ours, oracle = _kernel_and_oracle(pg, n, nets)
+    assert ours == oracle
     h = nx.Graph()
     h.add_nodes_from(range(pg.order))
     h.add_edges_from(edges(pg))
-    assert kappa == nx.node_connectivity(h) == len(cuts[0].vertices)
+    assert kappa == nx.node_connectivity(h) == len(ours[0][0].vertices)
 
 
-def test_products_past_the_word_boundary_take_the_python_route():
-    pg = kronecker(make_cycle(13), make_complete(5))
-    assert pg.order == 65
-    assert type(_split_flow(pg, None)) is _SplitFlow
-    assert vertex_connectivity(pg) == 8
+PAST_THE_WORD_BOUNDARY = [
+    # name, factor, n, kappa, minimum cuts
+    ("C13xK5", make_cycle(13), 5, 8, 65),
+    ("K9xK9", make_complete(9), 9, 64, 81),  # more cuts than the default buffer
+    ("Q5xK4", _hypercube(5), 4, 15, 128),
+    ("Q6xK3", _hypercube(6), 3, 12, 192),  # ids and witnesses past 127
+    ("C86xK3", make_cycle(86), 3, 4, 258),  # ids and witnesses past 255
+]
 
 
-def test_budget_runs_out_at_the_same_search_on_both_kernels(native, monkeypatch):
-    """K_{4,4} x K_3 needs 223 searches.  Every smaller budget stops both
-    kernels at its first search past the budget, also while the native
-    result buffer, cut down to one cut, has to grow and search again."""
-    pg = _k44_times_k3()
+@pytest.mark.parametrize("g, n, kappa, count",
+                         [case[1:] for case in PAST_THE_WORD_BOUNDARY],
+                         ids=[case[0] for case in PAST_THE_WORD_BOUNDARY])
+def test_products_past_the_word_boundary(g, n, kappa, count, monkeypatch):
+    """Products past 64 vertices take the kernel's multiword masks and give
+    the oracle's connectivity, cut list and searches."""
+    pg = kronecker(g, make_complete(n))
+    assert pg.order > 64
+    nets = _spy(monkeypatch)
+    assert (vertex_connectivity(pg), nets[-1].spent) == (kappa, _oracle_connectivity(pg)[1])
+    ours, oracle = _kernel_and_oracle(pg, n, nets)
+    assert ours == oracle
+    cuts = ours[0]
+    assert len(cuts) == count and {len(cut.vertices) for cut in cuts} == {kappa}
+    assert max(cut.vertices[-1] for cut in cuts) == pg.order - 1
+    assert max(cut.witness for cut in cuts if cut.isolates) == pg.order - 1
+
+
+BUDGETED = [("K44xK3", _k44_times_k3(), 3, 9, 223),
+            ("K4xK17", kronecker(make_complete(4), make_complete(17)), 17, 68, 149)]
+
+
+def test_budget_runs_out_at_the_same_search_on_both_kernels(kernel, monkeypatch):
+    """K_{4,4} x K_3 needs 223 searches, and K_4 x K_17, past the word
+    boundary, 149.  Every smaller budget stops the kernel and the oracle at
+    their first search past the budget, also while the kernel's result
+    buffer, cut down to one cut, has to grow and search again."""
     monkeypatch.setattr(connectivity, "_NATIVE_CUTS", 1)
     nets = _spy(monkeypatch)
-    for max_order, kind in ((64, _NativeSplitFlow), (0, _SplitFlow)):
-        monkeypatch.setattr(connectivity, "_NATIVE_MAX_ORDER", max_order)
-        for budget in range(223):
+    for name, pg, labels, count, searches in BUDGETED:
+        oracle = _SplitFlow(pg)
+        expected = oracle.min_cuts(pg, labels)
+        assert oracle.spent == searches, name
+        for budget in range(searches):
             with pytest.raises(BudgetExceededError) as err:
-                enumerate_min_cuts(pg, budget=budget, labels=3)
+                enumerate_min_cuts(pg, budget=budget, labels=labels)
             assert err.value.budget == budget
-            assert type(nets[-1]) is kind and nets[-1].spent == budget + 1
-        cuts = enumerate_min_cuts(pg, budget=223, labels=3)
-        assert len(cuts) == 9 and nets[-1].spent == 223
-    assert len(nets[223]._cuts) > 1  # the native buffer grew
-
-
-def _both_routes(pg, labels, nets, monkeypatch) -> dict:
-    """The cut list and the searches spent of one enumeration on each
-    route, by network type."""
-    results = {}
-    for max_order in (64, 0):
-        monkeypatch.setattr(connectivity, "_NATIVE_MAX_ORDER", max_order)
-        cuts = enumerate_min_cuts(pg, labels=labels)
-        results[type(nets[-1])] = (cuts, nets[-1].spent)
-    return results
+            assert nets[-1].spent == budget + 1, (name, budget)
+            with pytest.raises(BudgetExceededError):
+                _SplitFlow(pg, budget).min_cuts(pg, labels)
+        kernel.capacities.clear()
+        cuts = enumerate_min_cuts(pg, budget=searches, labels=labels)
+        assert cuts == expected and len(cuts) == count
+        assert nets[-1].spent == searches
+        assert kernel.capacities[0] == 1 < kernel.capacities[-1]  # the buffer grew
 
 
 def test_one_kernel_call_per_enumeration_matches_the_python_route(
-        connected_upto_6, kernel_calls, monkeypatch):
+        connected_upto_6, kernel, monkeypatch):
     """Every connected ``G x K_n``, G to order 6 and n = 3, 4, 5, and the
-    complete graphs, which have no pairs: the native enumeration makes one
-    call into the kernel past building the network, and gives the Python
-    route's cut list and searches."""
+    complete graphs, which have no pairs: the enumeration makes one call
+    into the kernel past building the network, and gives the oracle's cut
+    list and searches."""
     cases = [(kronecker(g, make_complete(n)), n)
              for g in connected_upto_6 for n in (3, 4, 5)]
     cases = [(pg, n) for pg, n in cases if is_connected(pg)]
@@ -212,31 +243,30 @@ def test_one_kernel_call_per_enumeration_matches_the_python_route(
     nets = _spy(monkeypatch)
     cuts = 0
     for pg, n in cases:
-        results = _both_routes(pg, n, nets, monkeypatch)
-        assert results[_NativeSplitFlow] == results[_SplitFlow], (pg, n)
-        cuts += len(results[_SplitFlow][0])
-    assert kernel_calls == {"splitflow_init": len(cases),
+        ours, oracle = _kernel_and_oracle(pg, n, nets)
+        assert ours == oracle, (pg, n)
+        cuts += len(oracle[0])
+    assert kernel.calls == {"splitflow_init": len(cases),
                             "splitflow_min_cuts": len(cases)}
     assert (len(cases), cuts) == (433, 2915)
 
 
-def test_cut_buffer_grows_past_its_default_size(kernel_calls, monkeypatch):
+def test_cut_buffer_grows_past_its_default_size(kernel, monkeypatch):
     """The kernel writes each distinct cut once.  K_{4,4} x K_3 has 9
     minimum cuts, which its kept pairs separate 67 times in all: one call
     fills the default buffer with the 9, charging its 223 searches.  C_16
     has 104 minimum cuts, more than the default buffer holds: the kernel is
     called again into a grown buffer, charging the same searches once."""
     nets = _spy(monkeypatch)
-    results = _both_routes(_k44_times_k3(), 3, nets, monkeypatch)
-    assert results[_NativeSplitFlow] == results[_SplitFlow]
-    assert len(results[_SplitFlow][0]) == 9 and results[_SplitFlow][1] == 223
-    assert len(nets[0]._cuts) == connectivity._NATIVE_CUTS
-    assert kernel_calls["splitflow_min_cuts"] == 1
-    results = _both_routes(make_cycle(16), 1, nets, monkeypatch)
-    assert results[_NativeSplitFlow] == results[_SplitFlow]
-    assert len(results[_SplitFlow][0]) == 104 > connectivity._NATIVE_CUTS
-    assert len(nets[2]._cuts) >= 104
-    assert kernel_calls["splitflow_min_cuts"] == 3
+    ours, oracle = _kernel_and_oracle(_k44_times_k3(), 3, nets)
+    assert ours == oracle
+    assert len(oracle[0]) == 9 and oracle[1] == 223
+    assert kernel.capacities == [connectivity._NATIVE_CUTS]
+    ours, oracle = _kernel_and_oracle(make_cycle(16), 1, nets)
+    assert ours == oracle
+    assert len(oracle[0]) == 104 > connectivity._NATIVE_CUTS
+    assert kernel.capacities[:2] == [connectivity._NATIVE_CUTS] * 2
+    assert kernel.capacities[2] >= 104 and len(kernel.capacities) == 3
 
 
 @pytest.mark.parametrize("n, max_order", [(3, 5), (4, 5), (5, 4)])
@@ -244,28 +274,28 @@ def test_finished_cut_lists_equal_the_twin_and_the_subset_scan(
         n, max_order, monkeypatch):
     """At labels 3, 4 and 5 the kernel closes, sorts and classifies the
     cuts itself: on every connected ``G x K_n`` of at most 20 vertices its
-    list equals the Python network's, with the same searches, and the
-    subset scan's, which knows no labels."""
+    list equals the oracle's, with the same searches, and the subset
+    scan's, which knows no labels."""
     nets = _spy(monkeypatch)
     products = 0
     for g in (g for order in range(1, max_order + 1) for g in connected_graphs(order)):
         pg = kronecker(g, make_complete(n))
         if not is_connected(pg):
             continue
-        results = _both_routes(pg, n, nets, monkeypatch)
-        assert results[_NativeSplitFlow] == results[_SplitFlow], (g, n)
-        assert results[_SplitFlow][0] == brute_force_min_cuts(pg), (g, n)
+        ours, oracle = _kernel_and_oracle(pg, n, nets)
+        assert ours == oracle, (g, n)
+        assert oracle[0] == brute_force_min_cuts(pg), (g, n)
         products += 1
     assert products == {3: 30, 4: 30, 5: 9}[n]
 
 
 def test_buffer_that_holds_the_cuts_of_the_pairs_but_not_their_closure(
-        kernel_calls, monkeypatch):
+        kernel, monkeypatch):
     """The kept pairs of K_{4,4} x K_4 separate 5 of its 8 minimum cuts,
     and the label swaps give the other 3.  A buffer of 5 cuts holds what
     the pairs separate and fills during the closure: the kernel is called
     again into a grown buffer, charging the same 195 searches once, and
-    gives the Python network's list."""
+    gives the oracle's list."""
     pg = kronecker(parse_graph6("G?~vf_"), make_complete(4))
     oracle = _SplitFlow(pg)
     kappa, attaining = pg.order - 1, []
@@ -279,48 +309,46 @@ def test_buffer_that_holds_the_cuts_of_the_pairs_but_not_their_closure(
     assert len(separated) == 5
     monkeypatch.setattr(connectivity, "_NATIVE_CUTS", 5)
     nets = _spy(monkeypatch)
-    results = _both_routes(pg, 4, nets, monkeypatch)
-    assert results[_NativeSplitFlow] == results[_SplitFlow]
-    cuts, spent = results[_SplitFlow]
+    ours, oracle = _kernel_and_oracle(pg, 4, nets)
+    assert ours == oracle
+    cuts, spent = oracle
     assert (len(cuts), spent) == (8, 195)
     assert separated < {sum(1 << v for v in cut.vertices) for cut in cuts}
-    assert kernel_calls["splitflow_min_cuts"] == 2
-    assert len(nets[0]._cuts) == 10  # the buffer doubles
+    assert kernel.capacities == [5, 10]  # the buffer doubles
 
 
 DISCONNECTED = [
-    ("2C5", two_cycles(5), (64, 0)),
-    ("2C32", two_cycles(32), (64, 0)),
-    ("P63+K1", graph_from_edges(64, [(v, v + 1) for v in range(62)]), (64, 0)),
-    ("2C33", two_cycles(33), (64,)),
+    ("2C5", two_cycles(5)),
+    ("2C32", two_cycles(32)),
+    ("P63+K1", graph_from_edges(64, [(v, v + 1) for v in range(62)])),
+    ("2C33", two_cycles(33)),
 ]
 
 
-@pytest.mark.parametrize("g, max_orders", [case[1:] for case in DISCONNECTED],
+@pytest.mark.parametrize("g", [case[1] for case in DISCONNECTED],
                          ids=[case[0] for case in DISCONNECTED])
-def test_disconnected_graph_is_refused_before_any_search(
-        g, max_orders, kernel_calls, monkeypatch):
-    """Each network refuses a disconnected graph itself, before its first
-    charged search, so a budget of 0 still gets the precondition's error:
-    the kernel by its own search of the adjacency masks, in the one call
-    that enumerates, and the Python network, which graphs past 64 vertices
-    take, by ``is_connected``."""
+def test_disconnected_graph_is_refused_before_any_search(g, kernel, monkeypatch):
+    """The kernel refuses a disconnected graph itself, before its first
+    charged search, by its own search of the adjacency masks in the one
+    call that enumerates, at every order, so a budget of 0 still gets the
+    precondition's error.  The oracle refuses it by ``is_connected``."""
     nets = _spy(monkeypatch)
-    for max_order in max_orders:
-        monkeypatch.setattr(connectivity, "_NATIVE_MAX_ORDER", max_order)
-        kind = _NativeSplitFlow if g.order <= max_order else _SplitFlow
-        for budget in (None, 0):
-            with pytest.raises(PreconditionError,
-                               match="^min-cut enumeration needs a connected graph$"):
-                enumerate_min_cuts(g, budget=budget)
-            assert type(nets[-1]) is kind and nets[-1].spent == 0
-    assert kernel_calls["splitflow_min_cuts"] == (2 if g.order <= 64 else 0)
+    for budget in (None, 0):
+        with pytest.raises(PreconditionError,
+                           match="^min-cut enumeration needs a connected graph$"):
+            enumerate_min_cuts(g, budget=budget)
+        assert nets[-1].spent == 0
+        oracle = _SplitFlow(g, budget)
+        with pytest.raises(PreconditionError):
+            oracle.min_cuts(g, 1)
+        assert oracle.spent == 0
+    assert kernel.calls["splitflow_min_cuts"] == 2
 
 
-def test_failed_kernel_allocation_raises_memory_error(native):
-    net = native(make_cycle(5))
+def test_failed_kernel_allocation_raises_memory_error():
+    net = _NativeSplitFlow(make_cycle(5))
     with pytest.raises(MemoryError):
-        net._regrown(connectivity._NO_MEMORY, 0)
+        net._regrown(connectivity._NO_MEMORY, connectivity._NATIVE_CUTS, 0)
 
 
 def test_kernel_compiles_without_warnings():
@@ -350,10 +378,14 @@ def test_editing_any_source_renames_the_cached_library(tmp_path, monkeypatch):
     assert len(names) == len(copies) + 1
 
 
-def test_native_route_is_taken_when_a_compiler_is_present():
+def test_native_route_is_taken_when_a_compiler_is_present(kernel):
+    """Every flow and every enumeration runs in the kernel."""
     if shutil.which(_native.COMPILER) is None:
         pytest.skip(f"no {_native.COMPILER} on PATH")
-    assert type(_split_flow(make_cycle(5), None)) is _NativeSplitFlow
+    assert vertex_connectivity(make_cycle(5)) == 2
+    assert len(enumerate_min_cuts(make_cycle(5))) == 5
+    assert kernel.calls == {"splitflow_init": 2, "splitflow_max_flow": 3,
+                            "splitflow_min_cuts": 1}
 
 
 # C5, K4 and the Petersen graph are not bipartite, so gstar runs both
@@ -378,7 +410,7 @@ def test_failed_build_stops_with_one_line_and_exit_code_2(
     product_analysis._check_factor.cache_clear()
     all_graphs.cache_clear()
     with pytest.raises(KernelBuildError):
-        _split_flow(make_cycle(5), None)
+        _NativeSplitFlow(make_cycle(5))
     runs = [["batch", "--n", "3,4", "--all-graphs", "--max-order", "5"],
             ["gstar", "--n", "4", "--trials", "25", "--seed", "11",
              *(arg for g6 in GSTAR_FACTORS for arg in ("--g6", g6))]]

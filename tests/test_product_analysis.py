@@ -219,14 +219,14 @@ def _kernel_verdicts(g, n, masks):
     """``residue_verdicts`` on the label masks of each trial in ``masks``, as
     ``(G* connected, split fibers)`` like :func:`_oracle_verdicts`."""
     lw, fw = -(-n // 64), -(-g.order // 64)
-    words = product_analysis._words
+    words = _native.words
     connected = (ctypes.c_uint64 * len(masks))()
     split = (ctypes.c_uint64 * (fw * len(masks)))()
     assert _native.library().residue_verdicts(
         g.order, words(g.adj, fw), n, words([x for m in masks for x in m], lw),
         len(masks), connected, split) == 0
     return [(flag == 1, tuple(iter_bits(fibers)))
-            for flag, fibers in zip(connected, product_analysis._masks(split, fw))]
+            for flag, fibers in zip(connected, _native.masks(split, fw))]
 
 
 def _record(g, n, removed, gstar):
@@ -983,27 +983,33 @@ def test_batch_streams_records_before_reading_past_them(read, workers):
         next(records)
 
 
+class _InProcessPool:
+    """A stand-in for the process pool that runs each task when it is
+    submitted, and records the ``max_workers`` of each pool in ``asked``."""
+
+    asked: list = []
+
+    def __init__(self, max_workers):
+        self.asked.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
 def test_batch_pool_has_no_more_workers_than_instances(monkeypatch):
     """The pool starts no more processes than the tasks of its first window,
     and none for a single factor; tasks hold 1, 2, 4, ... corpus items."""
     asked = []
-
-    class InProcessPool:
-        def __init__(self, max_workers):
-            asked.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, *args):
-            future = Future()
-            future.set_result(fn(*args))
-            return future
-
-    monkeypatch.setattr(product_analysis, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(_InProcessPool, "asked", asked)
+    monkeypatch.setattr(product_analysis, "ProcessPoolExecutor", _InProcessPool)
     for factors, pools in [([make_cycle(5)], []),
                            ([make_cycle(5), make_complete(4), make_cycle(6)], [2]),
                            (connected_graphs(5), [5])]:
@@ -1012,6 +1018,31 @@ def test_batch_pool_has_no_more_workers_than_instances(monkeypatch):
         assert asked == pools
         assert pooled[-1].instances == 3 * len(factors)
         assert _rendered(pooled) == _rendered(list(batch_verify(factors, [3, 4, 5])))
+
+
+def test_pool_yields_a_finished_tasks_records_before_reading_on(monkeypatch):
+    """A pool of two keeps a window of four tasks, of 1, 2, 4, 8, 16 and 9
+    of 40 factors.  The records of a finished task come out before the next
+    task is read: those of task j when the corpus has been read through
+    task j + 3, and no further, so a slow corpus read, such as the next
+    order's whole layer, does not hold them back."""
+    monkeypatch.setattr(_InProcessPool, "asked", [])
+    monkeypatch.setattr(product_analysis, "ProcessPoolExecutor", _InProcessPool)
+    factors = [make_cycle(3 + i % 5) for i in range(40)]
+    read = 0
+
+    def corpus():
+        nonlocal read
+        for g in factors:
+            read += 1
+            yield g
+
+    reads = [read for record in batch_verify(corpus(), [3], workers=2)
+             if not isinstance(record, BatchSummary)]
+    ends = list(itertools.accumulate([1, 2, 4, 8, 16, 9]))
+    task = [j for j, size in enumerate([1, 2, 4, 8, 16, 9]) for _ in range(size)]
+    assert reads == [ends[min(task[i] + 3, len(ends) - 1)] for i in range(40)]
+    assert reads[0] == 15
 
 
 def test_record_serialization_shapes():
