@@ -9,7 +9,9 @@ library in the per-user cache (``$XDG_CACHE_HOME/kronkit``, else
 the compiler flags, so a changed kernel is never loaded from a stale build.
 The compiler writes a temporary file that ``os.replace`` then moves into
 place, so processes that build at the same time, such as pool workers, each
-load a complete library.
+load a complete library.  A build then deletes the cache's other builds, so
+a source tree whose build was deleted, such as a second checkout at another
+commit, builds again on its next run.
 
 :func:`library` raises :class:`~kronkit.errors.KernelBuildError`, naming
 the compiler, the cache and the cause, when a source, the compiler or the
@@ -21,6 +23,7 @@ a fixed number of words per mask (:func:`words` and :func:`masks`).
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import hashlib
@@ -44,8 +47,10 @@ _INT, _INT64 = ctypes.c_int, ctypes.c_int64
 _ENTRIES = {
     "splitflow_init": (None, _WORDS),
     "splitflow_max_flow": (_INT, _WORDS, _INT, _INT, _INT, _WORDS),
-    "splitflow_min_separators": (_INT64, _WORDS, _INT, _INT, _WORDS, _WORDS, _INT64),
-    "splitflow_min_cuts": (_INT64, _WORDS, _INT, _WORDS, _INT64, _INTS, _INTS),
+    # A pointer to a pointer: where the kernel puts the block it allocates.
+    "splitflow_min_separators": (_INT64, _WORDS, _INT, _INT, _WORDS, ctypes.POINTER(_WORDS)),
+    "splitflow_min_cuts": (_INT64, _WORDS, _INT, ctypes.POINTER(_INTS)),
+    "splitflow_free": (None, ctypes.c_void_p),
     "canon_key": (_INT, _INT, _WORDS, _WORDS),
     "canon_children": (_INT, _INT, _WORDS, _INT, _WORDS),
     "residue_seed": (_INT, _WORDS, _INT, _WORDS),
@@ -77,6 +82,11 @@ def _build(path: Path) -> None:
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+    # Superseded builds, and those of the old flow-only library, go.
+    for stale in (*path.parent.glob("kernel-*.so"), *path.parent.glob("splitflow-*.so")):
+        if stale != path:
+            with contextlib.suppress(OSError):
+                stale.unlink()
 
 
 def library_path() -> Path:

@@ -24,27 +24,30 @@
  * filled by splitflow_init from the first 3 + n vw words.  A residual
  * network is an array of 2n node masks.
  *
- * splitflow_min_cuts is the oracle's min_cuts in one call, and returns the
- * finished cut list.  It first checks that the graph is connected, by one
- * search over the adjacency masks that is not a residual search and is not
- * charged, as the oracle checks it before its first flow.  It then builds
- * the pairs of _even_pairs, runs their flows and reads the separators of
- * the pairs that attain the least flow, charging the same searches in the
- * same order, and writes each distinct cut once.  It then closes the cuts
- * under the label swaps, sorts them as Python sorts their id tuples, and
- * writes each cut's vertex ids and its witness, the lowest vertex whose
- * neighbourhood equals the cut; none of that searches or charges.  It keeps
- * the residual network of each attaining pair in one heap block that
- * doubles as it fills, and frees it before it returns: whole up to 64
- * vertices, and past them as the words in which it differs from the base
- * network, since whole networks of that width would take more memory than
- * the oracle's list of attaining networks, which share their unchanged
- * masks.
+ * splitflow_min_cuts is the oracle's min_cuts in one call, and hands the
+ * finished cut list to the caller once.  It first checks that the graph is
+ * connected, by one search over the adjacency masks that is not a residual
+ * search and is not charged, as the oracle checks it before its first
+ * flow.  It then builds the pairs of _even_pairs, runs their flows and
+ * reads the separators of the pairs that attain the least flow, charging
+ * the same searches in the same order, and lists each distinct cut once.
+ * It then closes the cuts under the label swaps, sorts them as Python sorts
+ * their id tuples, and writes each cut's vertex ids and its witness, the
+ * lowest vertex whose neighbourhood equals the cut; none of that searches
+ * or charges.  The cut list, and the residual network of each attaining
+ * pair, each grow in a heap block that doubles as it fills.  The residual
+ * networks are kept whole up to 64 vertices, and past them as the words in
+ * which each differs from the base network, since whole networks of that
+ * width would take more memory than the oracle's list of attaining
+ * networks, which share their unchanged masks.
  *
  * Return codes: a count of cuts or flow units (>= 0); -1 at the first
  * search past the budget; -2 when a heap buffer cannot be allocated; and,
  * from splitflow_min_cuts only, -3 when the graph is disconnected, which it
- * reports before any charged search.
+ * reports before any charged search.  On success splitflow_min_cuts and
+ * splitflow_min_separators hand their result over in a heap block that the
+ * caller releases with splitflow_free; on an error they have freed every
+ * buffer and hand over none.
  *
  * Build, with _canon.c and _residue.c into one library as kronkit._native
  * does:
@@ -274,36 +277,37 @@ int splitflow_max_flow(uint64_t *net, int s, int t, int cutoff, uint64_t *out)
     return flow;
 }
 
-/* True when the count vw-word masks at cuts hold cut. */
-BOTH_WIDTHS int listed(const uint64_t *cuts, int vw, int64_t count,
-                       const uint64_t *cut)
+/* A list of distinct vw-word cut masks, in a heap block that doubles as it
+ * fills. */
+struct cuts {
+    uint64_t *masks;
+    int64_t count, room;
+};
+
+/* Appends cut to list unless the list holds it already; returns 0, or -2
+ * when the block cannot grow. */
+BOTH_WIDTHS int append(struct cuts *list, int vw, const uint64_t *cut)
 {
-    for (int64_t i = 0; i < count; i++)
-        if (!memcmp(cuts + i * vw, cut, vw * sizeof *cut))
-            return 1;
+    for (int64_t i = 0; i < list->count; i++)
+        if (!memcmp(list->masks + i * vw, cut, vw * sizeof *cut))
+            return 0;
+    if (list->count == list->room) {
+        int64_t room = list->room ? 2 * list->room : 16;
+        uint64_t *grown = realloc(list->masks, (size_t)room * vw * sizeof *grown);
+        if (!grown)
+            return NO_MEMORY;
+        list->masks = grown;
+        list->room = room;
+    }
+    memcpy(list->masks + list->count++ * vw, cut, vw * sizeof *cut);
     return 0;
 }
 
-/* Appends cut at cuts[found] unless the buffer holds it already, and
- * returns the new count, which goes on past capacity.  A mask is compared
- * only with those in the buffer, so the count exceeds the distinct masks
- * only once they do not fit. */
-BOTH_WIDTHS int64_t append(uint64_t *cuts, int vw, int64_t capacity,
-                           int64_t found, const uint64_t *cut)
-{
-    if (listed(cuts, vw, found < capacity ? found : capacity, cut))
-        return found;
-    if (found < capacity)
-        memcpy(cuts + found * vw, cut, vw * sizeof *cut);
-    return found + 1;
-}
-
-/* Appends the vertex mask of each minimum s-t separator to cuts (append)
- * and returns the new count; -1 at the first search past the budget.  work
- * holds 6n + 2 node masks. */
-BOTH_WIDTHS int64_t separators(uint64_t *net, int nw, int vw, int s, int t,
-                               const uint64_t *out, uint64_t *cuts,
-                               int64_t capacity, int64_t found, uint64_t *work)
+/* Appends the vertex mask of each minimum s-t separator to list (append)
+ * and returns 0; -1 at the first search past the budget and -2 when the
+ * list cannot grow.  work holds 6n + 2 node masks. */
+BOTH_WIDTHS int separators(uint64_t *net, int nw, int vw, int s, int t,
+                           const uint64_t *out, struct cuts *list, uint64_t *work)
 {
     int n = (int)net[0];
     size_t size = (size_t)2 * n * nw;
@@ -317,7 +321,7 @@ BOTH_WIDTHS int64_t separators(uint64_t *net, int nw, int vw, int s, int t,
     reach(out, nw, nodes, n + s, inside);
     add(inside, s);
     if (has(inside, t))
-        return found;
+        return 0;
     memset(flow_nodes, 0, sizeof flow_nodes);
     for (int v = 0; v < n; v++)
         if (!has(out + (size_t)v * nw, n + v)) {
@@ -361,7 +365,8 @@ BOTH_WIDTHS int64_t separators(uint64_t *net, int nw, int vw, int s, int t,
             for (int k = 0; k < vw; k++) /* inside & ~(inside >> n), vertices only */
                 cut[k] = inside[k] & ~bits_from(inside, nw, 64 * k + n)
                          & low_bits(n - 64 * k);
-            found = append(cuts, vw, capacity, found, cut);
+            if (append(list, vw, cut))
+                return NO_MEMORY;
             continue;
         }
         if (charge(net))
@@ -385,25 +390,26 @@ BOTH_WIDTHS int64_t separators(uint64_t *net, int nw, int vw, int s, int t,
         }
         top++;
     }
-    return found;
+    return 0;
 }
 
-/* Writes the vertex mask of each minimum s-t separator to cuts[0 ..
- * capacity) and returns how many the search found, which may exceed
- * capacity: the caller then grows the buffer, restores the spent count and
- * calls again.  Returns -1 at the first search past the budget. */
+/* Returns the count of the minimum s-t separators, and at *cuts a block of
+ * their vertex masks, vw words each. */
 int64_t splitflow_min_separators(uint64_t *net, int s, int t, const uint64_t *out,
-                                 uint64_t *cuts, int64_t capacity)
+                                 uint64_t **cuts)
 {
     int n = (int)net[0], nw = node_words(n);
+    struct cuts list = {0};
     uint64_t *work = malloc((size_t)(6 * n + 2) * nw * sizeof *work);
-    if (!work)
-        return NO_MEMORY;
-    int64_t found = n <= NARROW
-        ? separators(net, 2, 1, s, t, out, cuts, capacity, 0, work)
-        : separators(net, nw, WORDS(n), s, t, out, cuts, capacity, 0, work);
+    int status = !work ? NO_MEMORY
+        : n <= NARROW ? separators(net, 2, 1, s, t, out, &list, work)
+        : separators(net, nw, WORDS(n), s, t, out, &list, work);
     free(work);
-    return found;
+    if (status)
+        free(list.masks);
+    else
+        *cuts = list.masks;
+    return status ? status : list.count;
 }
 
 BOTH_WIDTHS int degree(const uint64_t *m, int vw)
@@ -477,26 +483,26 @@ BOTH_WIDTHS size_t keep(uint64_t *diff, const uint64_t *out, const uint64_t *bas
     return end;
 }
 
-/* Writes the vertex mask of every minimum cut that the kept pairs of Even's
- * family separate to cuts[0 .. capacity), each distinct cut once however
- * many pairs separate it, and returns how many there are; a complete
- * graph, which has no pairs, gets its n cuts that leave one vertex.  The
- * count exceeds capacity, and may then exceed the distinct cuts, only when
- * they do not fit.  Returns -1 at the first search past the budget and -2
- * when a buffer cannot be allocated. */
-BOTH_WIDTHS int64_t pair_cuts(uint64_t *net, int nw, int vw, int labels,
-                              uint64_t *cuts, int64_t capacity)
+/* Appends to list the vertex mask of every minimum cut that the kept pairs
+ * of Even's family separate, each distinct cut once however many pairs
+ * separate it, and returns 0; a complete graph, which has no pairs, gets
+ * its n cuts that leave one vertex.  Returns -1 at the first search past
+ * the budget and -2 when a buffer cannot be allocated. */
+BOTH_WIDTHS int pair_cuts(uint64_t *net, int nw, int vw, int labels,
+                          struct cuts *list)
 {
     int n = (int)net[0];
     int pairs = even_pairs(net, vw, labels, NULL, NULL);
     if (!pairs) {
-        for (int v = 0; v < n && v < capacity; v++) {
-            uint64_t *cut = cuts + (size_t)v * vw;
+        uint64_t cut[vw];
+        for (int v = 0; v < n; v++) {
             for (int k = 0; k < vw; k++)
                 cut[k] = low_bits(n - 64 * k);
             flip(cut, v);
+            if (append(list, vw, cut))
+                return NO_MEMORY;
         }
-        return n;
+        return 0;
     }
     /* The work space of max_flow's layers, and then of separators; one
      * residual network; where each attaining pair's network starts in kept;
@@ -516,14 +522,13 @@ BOTH_WIDTHS int64_t pair_cuts(uint64_t *net, int nw, int vw, int labels,
     int whole = nw == 2;
     uint64_t *kept = NULL, touched[nw];
     size_t room = 0;
-    int kappa = n - 1, count = 0;
-    int64_t found = 0;
+    int kappa = n - 1, count = 0, status = 0;
     start[0] = 0;
-    for (int i = 0; i < pairs && found >= 0; i++) {
+    for (int i = 0; i < pairs && !status; i++) {
         int value = max_flow(net, nw, vw, x[i], y[i], kappa, out, work,
                              whole ? NULL : touched);
         if (value < 0) {
-            found = OVER_BUDGET;
+            status = OVER_BUDGET;
             break;
         }
         if (value < kappa) {
@@ -537,7 +542,7 @@ BOTH_WIDTHS int64_t pair_cuts(uint64_t *net, int nw, int vw, int labels,
             room = 2 * (start[count] + most);
             uint64_t *grown = realloc(kept, room * sizeof *kept);
             if (!grown) {
-                found = NO_MEMORY;
+                status = NO_MEMORY;
                 break;
             }
             kept = grown;
@@ -551,34 +556,31 @@ BOTH_WIDTHS int64_t pair_cuts(uint64_t *net, int nw, int vw, int labels,
         attaining[count++] = i;
     }
     memcpy(out, base, size * sizeof *out);
-    for (int j = 0; j < count && found >= 0; j++) {
+    for (int j = 0; j < count && !status; j++) {
         for (size_t e = start[j]; !whole && e < start[j + 1]; e += 2)
             out[kept[e]] = kept[e + 1];
-        found = separators(net, nw, vw, x[attaining[j]], y[attaining[j]],
-                           whole ? kept + start[j] : out, cuts, capacity, found, work);
+        status = separators(net, nw, vw, x[attaining[j]], y[attaining[j]],
+                            whole ? kept + start[j] : out, list, work);
         for (size_t e = start[j]; !whole && e < start[j + 1]; e += 2)
             out[kept[e]] = base[kept[e]];
     }
     free(kept);
     free(work);
-    return found;
+    return status;
 }
 
-/* Appends to the found cuts in cuts[0 .. capacity) their images under the
- * swaps of labels a and a + 1, 1 <= a <= labels - 2, and the images of
- * those, until the set is closed, and returns the new count.  Like
- * separators, it keeps counting past capacity, so the count exceeds the
- * closed set only once the buffer is full. */
-BOTH_WIDTHS int64_t close_under_swaps(int n, int vw, int labels, uint64_t *cuts,
-                                      int64_t capacity, int64_t found)
+/* Appends to the cuts of list their images under the swaps of labels a and
+ * a + 1, 1 <= a <= labels - 2, and the images of those, until the list is
+ * closed, and returns 0; -2 when the list cannot grow. */
+BOTH_WIDTHS int close_under_swaps(int n, int vw, int labels, struct cuts *list)
 {
     uint64_t column[vw], low[vw], high[vw], image[vw]; /* column: the ids of label 0 */
     memset(column, 0, sizeof column);
     for (int v = 0; v < n; v += labels)
         add(column, v);
-    for (int64_t i = 0; i < found && i < capacity; i++)
+    for (int64_t i = 0; i < list->count; i++)
         for (int a = 1; a <= labels - 2; a++) {
-            const uint64_t *mask = cuts + i * vw;
+            const uint64_t *mask = list->masks + i * vw; /* append may move it */
             for (int k = 0; k < vw; k++) { /* column << a and column << (a + 1) */
                 low[k] = bits_from(column, vw, 64 * k - a);
                 high[k] = bits_from(column, vw, 64 * k - a - 1);
@@ -588,9 +590,10 @@ BOTH_WIDTHS int64_t close_under_swaps(int n, int vw, int labels, uint64_t *cuts,
                            | (mask[k] & low[k]) << 1 | (mask[k] & high[k]) >> 1
                            | (k > 0 ? (mask[k - 1] & low[k - 1]) >> 63 : 0)
                            | (k + 1 < vw ? (mask[k + 1] & high[k + 1]) << 63 : 0);
-            found = append(cuts, vw, capacity, found, image);
+            if (append(list, vw, image))
+                return NO_MEMORY;
         }
-    return found;
+    return 0;
 }
 
 /* Whether cut mask a comes before b in the order of their sorted id tuples,
@@ -623,29 +626,30 @@ BOTH_WIDTHS void sort_cuts(uint64_t *cuts, int64_t count, int vw, uint64_t *tmp)
     }
 }
 
-BOTH_WIDTHS int64_t min_cuts(uint64_t *net, int nw, int vw, int labels,
-                             uint64_t *cuts, int64_t capacity, int *ids,
-                             int *witness)
+BOTH_WIDTHS int64_t min_cuts(uint64_t *net, int nw, int vw, int labels, int **result)
 {
     int n = (int)net[0];
     const uint64_t *adj = net + HEADER;
     if (!connected(net, vw))
         return DISCONNECTED;
-    int64_t found = pair_cuts(net, nw, vw, labels, cuts, capacity);
-    if (found < 0 || found > capacity)
-        return found;
-    found = close_under_swaps(n, vw, labels, cuts, capacity, found);
-    if (found > capacity)
-        return found;
-    if (found > 1) {
-        uint64_t *tmp = malloc((size_t)found * vw * sizeof *tmp);
-        if (!tmp)
-            return NO_MEMORY;
-        sort_cuts(cuts, found, vw, tmp);
-        free(tmp);
+    struct cuts list = {0};
+    int status = pair_cuts(net, nw, vw, labels, &list);
+    if (!status)
+        status = close_under_swaps(n, vw, labels, &list);
+    /* A connected graph has at least one minimum cut, of kappa vertices. */
+    int kappa = status ? 0 : degree(list.masks, vw);
+    int *block = status ? NULL : malloc((list.count * (kappa + 1) + 1) * sizeof *block);
+    uint64_t *tmp = block ? malloc(list.count * vw * sizeof *tmp) : NULL;
+    if (!tmp) {
+        free(block);
+        free(list.masks);
+        return status ? status : NO_MEMORY;
     }
-    for (int64_t i = 0; i < found; i++) {
-        const uint64_t *cut = cuts + i * vw;
+    sort_cuts(list.masks, list.count, vw, tmp);
+    free(tmp);
+    int *ids = block + 1, *witness = ids + list.count * kappa;
+    for (int64_t i = 0; i < list.count; i++) {
+        const uint64_t *cut = list.masks + i * vw;
         witness[i] = -1;
         for (int v = 0; v < n; v++)
             if (!memcmp(adj + (size_t)v * vw, cut, vw * sizeof *cut)) {
@@ -656,7 +660,10 @@ BOTH_WIDTHS int64_t min_cuts(uint64_t *net, int nw, int vw, int labels,
             for (uint64_t m = cut[k]; m; m &= m - 1)
                 *ids++ = 64 * k + __builtin_ctzll(m);
     }
-    return found;
+    free(list.masks);
+    block[0] = kappa;
+    *result = block;
+    return list.count;
 }
 
 void splitflow_init(uint64_t *net)
@@ -672,23 +679,21 @@ void splitflow_init(uint64_t *net)
  * under the label swaps, in lexicographic order of their sorted ids.  It
  * reads the cuts of the kept pairs (pair_cuts), closes them under the swaps
  * that generate the relabellings fixing the family's source
- * (close_under_swaps), which search nothing, and sorts the closed masks, vw
- * words each, in cuts[0 .. count).  For cut i it writes the ids of its
- * vertices, in increasing order, to ids[i * kappa .. (i + 1) * kappa), so
- * ids must hold capacity * n ints, and to witness[i] the lowest vertex v
- * whose neighbourhood adj[v] equals the cut, or -1 when there is none.
- * Returns the count of cuts; a count above capacity asks the caller to grow
- * the buffers to at least that count, restore the spent count and call
- * again, as for splitflow_min_separators, until the count fits: a closure
- * that filled the buffer counts only the images of the cuts it holds, so
- * its count may fall short of the closed set.  Returns -3, before any
- * search, when the graph is disconnected, -1 at the first search past the
- * budget and -2 when a buffer cannot be allocated. */
-int64_t splitflow_min_cuts(uint64_t *net, int labels, uint64_t *cuts,
-                           int64_t capacity, int *ids, int *witness)
+ * (close_under_swaps), which search nothing, and sorts them.  It returns
+ * their count, and at *result a block of kappa, the size of every cut;
+ * then the ids of each cut's vertices, in increasing order, kappa ints per
+ * cut; then each cut's witness, the lowest vertex v whose neighbourhood
+ * adj[v] equals the cut, or -1 when there is none. */
+int64_t splitflow_min_cuts(uint64_t *net, int labels, int **result)
 {
     int n = (int)net[0];
     return n <= NARROW
-        ? min_cuts(net, 2, 1, labels, cuts, capacity, ids, witness)
-        : min_cuts(net, node_words(n), WORDS(n), labels, cuts, capacity, ids, witness);
+        ? min_cuts(net, 2, 1, labels, result)
+        : min_cuts(net, node_words(n), WORDS(n), labels, result);
+}
+
+/* Releases the block of splitflow_min_cuts or splitflow_min_separators. */
+void splitflow_free(void *block)
+{
+    free(block);
 }

@@ -77,8 +77,6 @@ def cut_record(cut: CutSet) -> dict:
 
 # -- flow route ---------------------------------------------------------------
 
-# Cut masks the network's result buffer holds before it must grow.
-_NATIVE_CUTS = 64
 _INT64_MAX = (1 << 63) - 1
 # The kernel's return codes for a failed allocation and a disconnected graph.
 _NO_MEMORY = -2
@@ -159,8 +157,8 @@ class _NativeSplitFlow:
         """
         out = self._residual()
         flow = self._lib.splitflow_max_flow(self._net, s, t, cutoff, out)
-        if flow < 0:
-            self._raise(flow)
+        if flow < 0:  # checked inline: vertex_connectivity runs many flows
+            self._checked(flow)
         return flow, out
 
     def min_separators(self, s: int, t: int, out: ctypes.Array) -> set[int]:
@@ -177,18 +175,20 @@ class _NativeSplitFlow:
         states per cut.  Empty when the source reaches the sink, that is
         when the flow was cut off below its maximum.
         """
-        spent, capacity = self._net[2], _NATIVE_CUTS
-        while capacity:
-            cuts = (ctypes.c_uint64 * (capacity * self._vertex_words))()
-            found = self._lib.splitflow_min_separators(
-                self._net, s, t, out, cuts, capacity)
-            capacity = self._regrown(found, capacity, spent)
-        return set(_native.masks(cuts, self._vertex_words)[:found])
+        vw, block = self._vertex_words, ctypes.POINTER(ctypes.c_uint64)()
+        found = self._checked(self._lib.splitflow_min_separators(
+            self._net, s, t, out, ctypes.byref(block)))
+        try:
+            words = block[:found * vw]
+        finally:
+            self._lib.splitflow_free(block)
+        return {sum(word << 64 * k for k, word in enumerate(words[i:i + vw]))
+                for i in range(0, len(words), vw)}
 
-    def min_cuts(self, g: Graph, labels: int) -> list[CutSet]:
-        """Every minimum cut of ``g``, this network's graph, in
-        lexicographic order of its vertex ids, in one kernel call.  Raises
-        :class:`PreconditionError` for a disconnected ``g``, before any
+    def min_cuts(self, labels: int) -> list[CutSet]:
+        """Every minimum cut of this network's graph, in lexicographic order
+        of its vertex ids, in one kernel call.  Raises
+        :class:`PreconditionError` for a disconnected graph, before any
         charged search.
 
         Each pair of :func:`_even_pairs` has its flow cut off at the least
@@ -197,29 +197,28 @@ class _NativeSplitFlow:
         has no pairs, and its cuts are the ``order`` sets that leave one
         vertex.  The cuts are then closed under the swaps of labels ``a``
         and ``a + 1`` for ``1 <= a <= labels - 2``, which generate the
-        relabellings that fix the family's source.  The kernel writes the
-        sorted cut masks, each cut's ids and each cut's witness, the lowest
-        vertex whose neighbourhood equals it (-1 for none).
+        relabellings that fix the family's source.  The kernel sorts the
+        cuts and hands over one block: kappa, the ids of each cut, then each
+        cut's witness, the lowest vertex whose neighbourhood equals it (-1
+        for none).
         """
-        n, vw, spent, capacity = g.order, self._vertex_words, self._net[2], _NATIVE_CUTS
-        while capacity:
-            cuts = (ctypes.c_uint64 * (capacity * vw))()
-            ids = (ctypes.c_int * (capacity * n))()
-            witness = (ctypes.c_int * capacity)()
-            found = self._lib.splitflow_min_cuts(
-                self._net, labels, cuts, capacity, ids, witness)
-            capacity = self._regrown(found, capacity, spent)
-        # Every minimum cut has kappa ids; one word holds a cut up to 64
-        # vertices, read apart because summing the words costs more.
-        size = (cuts[0].bit_count() if vw == 1
-                else sum(map(int.bit_count, cuts[:vw])))
-        vertices = struct.iter_unpack(  # one tuple of ids per cut
-            f"{size}i", memoryview(ids).cast("B")[:found * size * ctypes.sizeof(ctypes.c_int)])
+        block = ctypes.POINTER(ctypes.c_int)()
+        found = self._checked(self._lib.splitflow_min_cuts(
+            self._net, labels, ctypes.byref(block)))
+        try:
+            size = block[0]
+            ints = memoryview(ctypes.string_at(
+                block, ctypes.sizeof(ctypes.c_int) * (1 + found * (size + 1)))).cast("i")
+        finally:
+            self._lib.splitflow_free(block)
+        ids = 1 + found * size
+        vertices = struct.iter_unpack(f"{size}i", ints[1:ids])  # a tuple per cut
         return [CutSet(cut, w >= 0, None if w < 0 else w)
-                for cut, w in zip(vertices, witness[:found])]
+                for cut, w in zip(vertices, ints[ids:])]
 
-    def _raise(self, code: int) -> None:
-        """Raise for ``code``, a kernel return code that reports an error."""
+    def _checked(self, code: int) -> int:
+        """``code``, a kernel return code, unless it reports an error, for
+        which this raises."""
         if code == _NO_MEMORY:
             raise MemoryError("the native kernel could not allocate its "
                               "residual networks")
@@ -227,25 +226,7 @@ class _NativeSplitFlow:
             raise _disconnected()
         if code < 0:
             raise _over_budget(self.budget)
-
-    def _regrown(self, found: int, capacity: int, spent: int) -> int:
-        """The capacity, in cuts, of the buffer with which a kernel search
-        that returned ``found`` into a buffer of ``capacity`` cuts must run
-        again, or 0 when it is done.
-
-        A count past the buffer asks for a buffer of that count, and at
-        least of twice the size, and restores ``spent``, the searches spent
-        before the first call, so that they are charged once.  The count of
-        a closure that filled the buffer holds only the images of the cuts
-        it held, so the next call may need a larger buffer still; doubling
-        bounds the calls by the logarithm of the cut count.  A negative
-        return code raises."""
-        if found < 0:
-            self._raise(found)
-        if found <= capacity:
-            return 0
-        self._net[2] = spent
-        return max(found, 2 * capacity)
+        return code
 
 
 def _even_pairs(g: Graph, labels: int) -> list[tuple[int, int]]:
@@ -346,7 +327,7 @@ def enumerate_min_cuts(g: Graph, budget: int | None = None,
     """
     if g.order < 2:
         raise PreconditionError("min-cut enumeration needs order >= 2")
-    return _NativeSplitFlow(g, budget).min_cuts(g, labels)
+    return _NativeSplitFlow(g, budget).min_cuts(labels)
 
 
 def connectivity_result(g: Graph, budget: int | None = None) -> ConnectivityResult:

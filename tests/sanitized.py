@@ -23,7 +23,8 @@ import pytest
 from kronkit import _native
 
 TESTS = Path(__file__).resolve().parent
-FILES = ("test_native.py", "test_connectivity.py", "test_corpus.py")
+FILES = ("test_native.py", "test_connectivity.py", "test_corpus.py",
+         "test_product_analysis.py", "test_graphs.py")
 
 if __name__ == "__main__":
     # Rebound before the first library() call, so every load builds with it.

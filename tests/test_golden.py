@@ -1,9 +1,9 @@
 """Exact bytes of fixed CLI runs, pinned by the sha256 of standard output.
 
 The batch runs cover the formula route, the verdict route with its
-violation records, the skip route, and products past 64 vertices; the gstar
-runs cover both residue checks, the second over every connected kd-equal
-factor to order 6.  The seeded runs pin ``gen random`` and ``gstar`` past 64
+violation records, the skip route, products past 64 vertices and lists of
+more than 64 minimum cuts; the gstar runs cover both residue checks, the
+second over every connected kd-equal factor to order 6.  The seeded runs pin ``gen random`` and ``gstar`` past 64
 fibers, past 64 labels and on numpy's tail-shuffle branch of ``choice``,
 with bytes first taken from numpy's own streams, and again with numpy
 unimportable.  The panel runs pin ``kappa``, ``super-kappa --format
@@ -25,6 +25,8 @@ from kronkit.cli import main
 from kronkit.connectivity import vertex_connectivity
 from kronkit.corpus import connected_graphs
 from kronkit.graphs import encode_graph6, make_cycle, parse_graph6
+
+from oracles import graph_from_edges
 
 
 # Seeded runs pinned from numpy's streams; the kernel seeds and steps them.
@@ -108,6 +110,19 @@ def test_golden_batch_budget_past_64_vertices(capsys):
     records = [json.loads(line) for line in out.splitlines()]
     assert sum(r.get("skip") == "size-limit" for r in records) == 123
     assert digest == "7aeebe1c6fe017b757a8edb1c35eedf92084cdd204cf028a266e8da949a7ac65"
+
+
+def test_golden_batch_past_64_cuts(capsys):
+    """The hypercube Q_7 times K_3 and K_4 has 384 and 512 minimum cuts."""
+    q7 = graph_from_edges(128, [(v, v | 1 << i) for v in range(128)
+                                for i in range(7) if not v >> i & 1])
+    code, out, digest = _run(["batch", "--n", "3,4", "--g6", encode_graph6(q7),
+                              "--workers", "1"], capsys)
+    assert code == 0
+    records = [json.loads(line) for line in out.splitlines()]
+    assert [r.get("min_cut_count") for r in records[:-1]] == [384, 512]
+    assert len(records) == 3
+    assert digest == "3d0135a901d5b86f91c5ee384c21296bf85eb5cdb8a7d105d8021e820673a267"
 
 
 def test_golden_gstar_trials(capsys):

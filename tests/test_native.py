@@ -60,21 +60,17 @@ def _spy(monkeypatch) -> list:
 
 
 class _CountingLibrary:
-    """The kernel library, counting the calls into each of its functions,
-    and recording the cut capacity of each ``splitflow_min_cuts`` call."""
+    """The kernel library, counting the calls into each of its functions."""
 
     def __init__(self, lib):
         self.lib = lib
         self.calls = Counter()
-        self.capacities = []
 
     def __getattr__(self, name):
         fn = getattr(self.lib, name)
 
         def call(*args):
             self.calls[name] += 1
-            if name == "splitflow_min_cuts":
-                self.capacities.append(args[3])
             return fn(*args)
         return call
 
@@ -127,11 +123,13 @@ def _agree(oracle, net, s, t, cutoff, case) -> int:
     return value
 
 
-def test_kernels_agree_on_every_even_pair_of_products_to_order_6(connected_upto_6):
+def test_kernels_agree_on_every_even_pair_of_products_to_order_6(
+        connected_upto_6, kernel):
     """Every pair of Even's family of every connected ``G x K_n``, G to
     order 6 and n = 3, 4, 5, on one network per product: the same flow
     value, searches spent, residual network and separators, at the cutoff
-    the routes start from and at every cutoff below the flow."""
+    the routes start from and at every cutoff below the flow.  Each block
+    of separators that the kernel returns is freed once."""
     cases = 0
     for g in connected_upto_6:
         for n in (3, 4, 5):
@@ -145,6 +143,8 @@ def test_kernels_agree_on_every_even_pair_of_products_to_order_6(connected_upto_
                     _agree(oracle, net, s, t, cutoff, (g, n, s, t, cutoff))
                 cases += 1 + value
     assert cases == 102822
+    assert kernel.calls["splitflow_min_separators"] == cases
+    assert kernel.calls["splitflow_free"] == cases
 
 
 WORD_BOUNDARY = [
@@ -176,25 +176,29 @@ def test_products_up_to_the_word_boundary(g, n, monkeypatch):
 PAST_THE_WORD_BOUNDARY = [
     # name, factor, n, kappa, minimum cuts
     ("C13xK5", make_cycle(13), 5, 8, 65),
-    ("K9xK9", make_complete(9), 9, 64, 81),  # more cuts than the default buffer
+    ("K9xK9", make_complete(9), 9, 64, 81),  # a vertex mask of 81 bits
     ("Q5xK4", _hypercube(5), 4, 15, 128),
     ("Q6xK3", _hypercube(6), 3, 12, 192),  # ids and witnesses past 127
     ("C86xK3", make_cycle(86), 3, 4, 258),  # ids and witnesses past 255
+    ("Q7xK3", _hypercube(7), 3, 14, 384),
 ]
 
 
 @pytest.mark.parametrize("g, n, kappa, count",
                          [case[1:] for case in PAST_THE_WORD_BOUNDARY],
                          ids=[case[0] for case in PAST_THE_WORD_BOUNDARY])
-def test_products_past_the_word_boundary(g, n, kappa, count, monkeypatch):
+def test_products_past_the_word_boundary(g, n, kappa, count, kernel, monkeypatch):
     """Products past 64 vertices take the kernel's multiword masks and give
-    the oracle's connectivity, cut list and searches."""
+    the oracle's connectivity, cut list and searches.  Each enumeration is
+    one kernel call, whose result is freed once, however many cuts it
+    holds."""
     pg = kronecker(g, make_complete(n))
     assert pg.order > 64
     nets = _spy(monkeypatch)
     assert (vertex_connectivity(pg), nets[-1].spent) == (kappa, _oracle_connectivity(pg)[1])
     ours, oracle = _kernel_and_oracle(pg, n, nets)
     assert ours == oracle
+    assert kernel.calls["splitflow_min_cuts"] == kernel.calls["splitflow_free"] == 1
     cuts = ours[0]
     assert len(cuts) == count and {len(cut.vertices) for cut in cuts} == {kappa}
     assert max(cut.vertices[-1] for cut in cuts) == pg.order - 1
@@ -207,15 +211,16 @@ BUDGETED = [("K44xK3", _k44_times_k3(), 3, 9, 223),
 
 def test_budget_runs_out_at_the_same_search_on_both_kernels(kernel, monkeypatch):
     """K_{4,4} x K_3 needs 223 searches, and K_4 x K_17, past the word
-    boundary, 149.  Every smaller budget stops the kernel and the oracle at
-    their first search past the budget, also while the kernel's result
-    buffer, cut down to one cut, has to grow and search again."""
-    monkeypatch.setattr(connectivity, "_NATIVE_CUTS", 1)
+    boundary and with 68 minimum cuts, 149.  Every smaller budget stops the
+    kernel and the oracle at their first search past the budget, and the
+    kernel, which has then freed its buffers itself, hands over no result
+    to free."""
     nets = _spy(monkeypatch)
     for name, pg, labels, count, searches in BUDGETED:
         oracle = _SplitFlow(pg)
         expected = oracle.min_cuts(pg, labels)
         assert oracle.spent == searches, name
+        frees = kernel.calls["splitflow_free"]
         for budget in range(searches):
             with pytest.raises(BudgetExceededError) as err:
                 enumerate_min_cuts(pg, budget=budget, labels=labels)
@@ -223,11 +228,11 @@ def test_budget_runs_out_at_the_same_search_on_both_kernels(kernel, monkeypatch)
             assert nets[-1].spent == budget + 1, (name, budget)
             with pytest.raises(BudgetExceededError):
                 _SplitFlow(pg, budget).min_cuts(pg, labels)
-        kernel.capacities.clear()
+        assert kernel.calls["splitflow_free"] == frees, name
         cuts = enumerate_min_cuts(pg, budget=searches, labels=labels)
         assert cuts == expected and len(cuts) == count
         assert nets[-1].spent == searches
-        assert kernel.capacities[0] == 1 < kernel.capacities[-1]  # the buffer grew
+        assert kernel.calls["splitflow_free"] == frees + 1, name
 
 
 def test_one_kernel_call_per_enumeration_matches_the_python_route(
@@ -247,26 +252,25 @@ def test_one_kernel_call_per_enumeration_matches_the_python_route(
         assert ours == oracle, (pg, n)
         cuts += len(oracle[0])
     assert kernel.calls == {"splitflow_init": len(cases),
-                            "splitflow_min_cuts": len(cases)}
+                            "splitflow_min_cuts": len(cases),
+                            "splitflow_free": len(cases)}
     assert (len(cases), cuts) == (433, 2915)
 
 
-def test_cut_buffer_grows_past_its_default_size(kernel, monkeypatch):
-    """The kernel writes each distinct cut once.  K_{4,4} x K_3 has 9
-    minimum cuts, which its kept pairs separate 67 times in all: one call
-    fills the default buffer with the 9, charging its 223 searches.  C_16
-    has 104 minimum cuts, more than the default buffer holds: the kernel is
-    called again into a grown buffer, charging the same searches once."""
+def test_long_cut_list_is_one_kernel_call(kernel, monkeypatch):
+    """The kernel lists each distinct cut once and hands the whole list over
+    in one call.  K_{4,4} x K_3 has 9 minimum cuts, which its kept pairs
+    separate 67 times in all, for 223 searches.  C_16 has 104 minimum cuts,
+    for 962 searches."""
     nets = _spy(monkeypatch)
-    ours, oracle = _kernel_and_oracle(_k44_times_k3(), 3, nets)
-    assert ours == oracle
-    assert len(oracle[0]) == 9 and oracle[1] == 223
-    assert kernel.capacities == [connectivity._NATIVE_CUTS]
-    ours, oracle = _kernel_and_oracle(make_cycle(16), 1, nets)
-    assert ours == oracle
-    assert len(oracle[0]) == 104 > connectivity._NATIVE_CUTS
-    assert kernel.capacities[:2] == [connectivity._NATIVE_CUTS] * 2
-    assert kernel.capacities[2] >= 104 and len(kernel.capacities) == 3
+    for pg, labels, count, searches in ((_k44_times_k3(), 3, 9, 223),
+                                        (make_cycle(16), 1, 104, 962)):
+        calls = kernel.calls["splitflow_min_cuts"]
+        ours, oracle = _kernel_and_oracle(pg, labels, nets)
+        assert ours == oracle
+        assert (len(oracle[0]), oracle[1]) == (count, searches)
+        assert kernel.calls["splitflow_min_cuts"] == calls + 1
+    assert kernel.calls["splitflow_free"] == 2
 
 
 @pytest.mark.parametrize("n, max_order", [(3, 5), (4, 5), (5, 4)])
@@ -289,13 +293,10 @@ def test_finished_cut_lists_equal_the_twin_and_the_subset_scan(
     assert products == {3: 30, 4: 30, 5: 9}[n]
 
 
-def test_buffer_that_holds_the_cuts_of_the_pairs_but_not_their_closure(
-        kernel, monkeypatch):
+def test_closure_adds_the_cuts_the_pairs_do_not_separate(kernel, monkeypatch):
     """The kept pairs of K_{4,4} x K_4 separate 5 of its 8 minimum cuts,
-    and the label swaps give the other 3.  A buffer of 5 cuts holds what
-    the pairs separate and fills during the closure: the kernel is called
-    again into a grown buffer, charging the same 195 searches once, and
-    gives the oracle's list."""
+    and the label swaps give the other 3, in the same kernel call, which
+    charges the 195 searches once and gives the oracle's list."""
     pg = kronecker(parse_graph6("G?~vf_"), make_complete(4))
     oracle = _SplitFlow(pg)
     kappa, attaining = pg.order - 1, []
@@ -307,14 +308,13 @@ def test_buffer_that_holds_the_cuts_of_the_pairs_but_not_their_closure(
     separated = set().union(*(oracle.min_separators(s, t, out)
                               for s, t, out in attaining))
     assert len(separated) == 5
-    monkeypatch.setattr(connectivity, "_NATIVE_CUTS", 5)
     nets = _spy(monkeypatch)
     ours, oracle = _kernel_and_oracle(pg, 4, nets)
     assert ours == oracle
     cuts, spent = oracle
     assert (len(cuts), spent) == (8, 195)
     assert separated < {sum(1 << v for v in cut.vertices) for cut in cuts}
-    assert kernel.capacities == [5, 10]  # the buffer doubles
+    assert kernel.calls["splitflow_min_cuts"] == kernel.calls["splitflow_free"] == 1
 
 
 DISCONNECTED = [
@@ -343,12 +343,24 @@ def test_disconnected_graph_is_refused_before_any_search(g, kernel, monkeypatch)
             oracle.min_cuts(g, 1)
         assert oracle.spent == 0
     assert kernel.calls["splitflow_min_cuts"] == 2
+    assert kernel.calls["splitflow_free"] == 0  # the kernel returned no block
 
 
-def test_failed_kernel_allocation_raises_memory_error():
+def test_failed_kernel_allocation_raises_memory_error(kernel, monkeypatch):
+    """A kernel entry that cannot allocate a buffer returns its code for it,
+    which raises MemoryError, and hands over no result to free."""
+    for name in ("splitflow_max_flow", "splitflow_min_separators",
+                 "splitflow_min_cuts"):
+        monkeypatch.setattr(kernel, name, lambda *args: connectivity._NO_MEMORY,
+                            raising=False)
     net = _NativeSplitFlow(make_cycle(5))
     with pytest.raises(MemoryError):
-        net._regrown(connectivity._NO_MEMORY, connectivity._NATIVE_CUTS, 0)
+        net.max_flow(0, 2, 2)
+    with pytest.raises(MemoryError):
+        net.min_separators(0, 2, net._residual())
+    with pytest.raises(MemoryError):
+        enumerate_min_cuts(make_cycle(5))
+    assert kernel.calls["splitflow_free"] == 0
 
 
 def test_kernel_compiles_without_warnings():
@@ -385,7 +397,7 @@ def test_native_route_is_taken_when_a_compiler_is_present(kernel):
     assert vertex_connectivity(make_cycle(5)) == 2
     assert len(enumerate_min_cuts(make_cycle(5))) == 5
     assert kernel.calls == {"splitflow_init": 2, "splitflow_max_flow": 3,
-                            "splitflow_min_cuts": 1}
+                            "splitflow_min_cuts": 1, "splitflow_free": 1}
 
 
 # C5, K4 and the Petersen graph are not bipartite, so gstar runs both
@@ -430,6 +442,26 @@ def test_every_kernel_source_ships_as_package_data():
     pyproject = tomllib.loads((SRC.parent / "pyproject.toml").read_text(encoding="utf-8"))
     shipped = pyproject["tool"]["setuptools"]["package-data"]["kronkit"]
     assert {source.name for source in _native.SOURCES} <= set(shipped)
+
+
+def test_build_removes_superseded_builds(tmp_path, monkeypatch, fresh_library):
+    """A build deletes the cache's other kernel builds and the old flow
+    kernel's, and spares itself, every build's temporary file, other files
+    and what it cannot delete."""
+    if shutil.which(_native.COMPILER) is None:
+        pytest.skip(f"no {_native.COMPILER} on PATH")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    cache = tmp_path / "kronkit"
+    cache.mkdir()
+    stale = ["kernel-0123456789abcdef-x86_64.so", "kernel-fedcba9876543210-aarch64.so",
+             "splitflow-0123456789abcdef-x86_64.so"]
+    kept = ["kernel-0123456789abcdef-x86_64abc123.tmp", "notes.txt"]
+    for name in stale + kept:
+        (cache / name).write_bytes(b"")
+    (cache / "kernel-directory.so").mkdir()  # unlink fails on a directory
+    _native.library()
+    assert sorted(path.name for path in cache.iterdir()) == sorted(
+        kept + ["kernel-directory.so", _native.library_path().name])
 
 
 CHILD = """
