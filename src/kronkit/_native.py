@@ -5,13 +5,13 @@ verdicts.
 
 The sources are compiled on first use with the system C compiler into one
 library in the per-user cache (``$XDG_CACHE_HOME/kronkit``, else
-``~/.cache/kronkit``), under a name keyed by the sha256 of every source and
-the compiler flags, so a changed kernel is never loaded from a stale build.
-The compiler writes a temporary file that ``os.replace`` then moves into
-place, so processes that build at the same time, such as pool workers, each
-load a complete library.  A build then deletes the cache's other builds, so
-a source tree whose build was deleted, such as a second checkout at another
-commit, builds again on its next run.
+``~/.cache/kronkit``), under a name keyed by the flags and by the sha256
+of every source and the flags, so a changed kernel is never loaded from a
+stale build.  The compiler writes a temporary file that ``os.replace`` then
+moves into place, so processes that build at the same time, such as pool
+workers, each load a complete library.  A build then deletes the cache's
+other builds with its flags, so a source tree whose build was deleted, such
+as a second checkout at another commit, builds again on its next run.
 
 :func:`library` raises :class:`~kronkit.errors.KernelBuildError`, naming
 the compiler, the cache and the cause, when a source, the compiler or the
@@ -50,6 +50,7 @@ _ENTRIES = {
     # A pointer to a pointer: where the kernel puts the block it allocates.
     "splitflow_min_separators": (_INT64, _WORDS, _INT, _INT, _WORDS, ctypes.POINTER(_WORDS)),
     "splitflow_min_cuts": (_INT64, _WORDS, _INT, ctypes.POINTER(_INTS)),
+    "splitflow_pairs": (_INT, _WORDS, _INT, ctypes.POINTER(_INTS)),
     "splitflow_free": (None, ctypes.c_void_p),
     "canon_key": (_INT, _INT, _WORDS, _WORDS),
     "canon_children": (_INT, _INT, _WORDS, _INT, _WORDS),
@@ -82,20 +83,24 @@ def _build(path: Path) -> None:
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
-    # Superseded builds, and those of the old flow-only library, go.
-    for stale in (*path.parent.glob("kernel-*.so"), *path.parent.glob("splitflow-*.so")):
-        if stale != path:
-            with contextlib.suppress(OSError):
-                stale.unlink()
+    # Superseded builds with these flags go, as do the old names: those of
+    # the flow-only library and those without the flags' field.
+    flags = path.name.split("-")[1]
+    for pattern in (f"kernel-{flags}-*.so", f"kernel-{'[0-9a-f]' * 16}-*.so", "splitflow-*.so"):
+        for stale in path.parent.glob(pattern):
+            if stale != path:
+                with contextlib.suppress(OSError):
+                    stale.unlink()
 
 
 def library_path() -> Path:
     """Where the build of the current sources and flags is cached."""
-    digest = hashlib.sha256()
+    flags, digest = " ".join(FLAGS).encode(), hashlib.sha256()
     for source in SOURCES:
         digest.update(source.name.encode() + b"\0" + source.read_bytes() + b"\0")
-    digest.update(" ".join(FLAGS).encode())
-    return _cache_dir() / f"kernel-{digest.hexdigest()[:16]}-{platform.machine()}.so"
+    digest.update(flags)
+    return _cache_dir() / (f"kernel-{hashlib.sha256(flags).hexdigest()[:8]}-"
+                           f"{digest.hexdigest()[:16]}-{platform.machine()}.so")
 
 
 @functools.cache

@@ -25,26 +25,27 @@
  * network is an array of 2n node masks.
  *
  * splitflow_min_cuts is the oracle's min_cuts in one call, and hands the
- * finished cut list to the caller once.  It first checks that the graph is
- * connected, by one search over the adjacency masks that is not a residual
- * search and is not charged, as the oracle checks it before its first
- * flow.  It then builds the pairs of _even_pairs, runs their flows and
- * reads the separators of the pairs that attain the least flow, charging
- * the same searches in the same order, and lists each distinct cut once.
- * It then closes the cuts under the label swaps, sorts them as Python sorts
- * their id tuples, and writes each cut's vertex ids and its witness, the
- * lowest vertex whose neighbourhood equals the cut; none of that searches
- * or charges.  The cut list, and the residual network of each attaining
- * pair, each grow in a heap block that doubles as it fills.  The residual
- * networks are kept whole up to 64 vertices, and past them as the words in
- * which each differs from the base network, since whole networks of that
- * width would take more memory than the oracle's list of attaining
- * networks, which share their unchanged masks.
+ * finished cut list to the caller once.  It takes Even's pair family from
+ * family, which splitflow_pairs hands to vertex_connectivity too: the one
+ * copy of the family and of the check that the graph is connected, by one
+ * uncharged search over the adjacency masks, as the oracle checks before
+ * its first flow.  It then runs the pairs' flows and reads the separators
+ * of the pairs that attain the least flow, charging the same searches in
+ * the same order, and lists each distinct cut once.  It then closes the
+ * cuts under the label swaps, sorts them as Python sorts their id tuples,
+ * and writes each cut's vertex ids and its witness, the lowest vertex
+ * whose neighbourhood equals the cut; none of that searches or charges.
+ * The cut list, and the residual network of each attaining pair, each
+ * grow in a heap block that doubles as it fills.  The residual networks
+ * are kept whole up to 64 vertices, and past them as the words in which
+ * each differs from the base network, since whole networks of that width
+ * would take more memory than the oracle's list of attaining networks,
+ * which share their unchanged masks.
  *
- * Return codes: a count of cuts or flow units (>= 0); -1 at the first
- * search past the budget; -2 when a heap buffer cannot be allocated; and,
- * from splitflow_min_cuts only, -3 when the graph is disconnected, which it
- * reports before any charged search.  On success splitflow_min_cuts and
+ * Return codes: a count of cuts, pairs or flow units (>= 0); -1 at the
+ * first search past the budget; -2 when a heap buffer cannot be allocated;
+ * and, from splitflow_min_cuts and splitflow_pairs only, -3 when the graph
+ * is disconnected, before any charged search.  On success these two and
  * splitflow_min_separators hand their result over in a heap block that the
  * caller releases with splitflow_free; on an error they have freed every
  * buffer and hand over none.
@@ -420,7 +421,7 @@ BOTH_WIDTHS int degree(const uint64_t *m, int vw)
     return d;
 }
 
-/* The pairs of kronkit.connectivity._even_pairs, in the same order, as
+/* The pairs of _even_pairs in tests/oracles.py, in the same order, as
  * x[i], y[i]; returns how many.  With x NULL it only counts them. */
 BOTH_WIDTHS int even_pairs(uint64_t *net, int vw, int labels, int *x, int *y)
 {
@@ -463,6 +464,21 @@ BOTH_WIDTHS int even_pairs(uint64_t *net, int vw, int labels, int *x, int *y)
     return count;
 }
 
+/* Even's pair family, once an uncharged search finds the graph connected:
+ * returns the count of even_pairs, and at *pairs a block of their first
+ * vertices, then their second ones; -3, and no block, if disconnected. */
+BOTH_WIDTHS int family(uint64_t *net, int vw, int labels, int **pairs)
+{
+    if (!connected(net, vw))
+        return DISCONNECTED;
+    int count = even_pairs(net, vw, labels, NULL, NULL);
+    *pairs = malloc((2 * (size_t)count + 1) * sizeof **pairs); /* never 0 bytes */
+    if (!*pairs)
+        return NO_MEMORY;
+    even_pairs(net, vw, labels, *pairs, *pairs + count);
+    return count;
+}
+
 /* Writes each word in which the residual network out differs from the base
  * network, as its offset and then its value, to diff, and returns how many
  * words that takes.  Only the touched nodes can differ, so diff must hold
@@ -483,16 +499,15 @@ BOTH_WIDTHS size_t keep(uint64_t *diff, const uint64_t *out, const uint64_t *bas
     return end;
 }
 
-/* Appends to list the vertex mask of every minimum cut that the kept pairs
- * of Even's family separate, each distinct cut once however many pairs
- * separate it, and returns 0; a complete graph, which has no pairs, gets
- * its n cuts that leave one vertex.  Returns -1 at the first search past
- * the budget and -2 when a buffer cannot be allocated. */
-BOTH_WIDTHS int pair_cuts(uint64_t *net, int nw, int vw, int labels,
+/* Appends to list the vertex mask of every minimum cut that the pairs x[i],
+ * y[i] = x[pairs + i] of family separate, each distinct cut once however
+ * many pairs separate it, and returns 0; a complete graph, which has no
+ * pairs, gets its n cuts that leave one vertex.  Returns -1 at the first
+ * search past the budget and -2 when a buffer cannot be allocated. */
+BOTH_WIDTHS int pair_cuts(uint64_t *net, int nw, int vw, const int *x, int pairs,
                           struct cuts *list)
 {
     int n = (int)net[0];
-    int pairs = even_pairs(net, vw, labels, NULL, NULL);
     if (!pairs) {
         uint64_t cut[vw];
         for (int v = 0; v < n; v++) {
@@ -506,15 +521,15 @@ BOTH_WIDTHS int pair_cuts(uint64_t *net, int nw, int vw, int labels,
     }
     /* The work space of max_flow's layers, and then of separators; one
      * residual network; where each attaining pair's network starts in kept;
-     * the pairs, and the indices of the attaining ones. */
+     * the indices of the attaining pairs. */
     size_t size = (size_t)2 * n * nw, space = (size_t)(6 * n + 2) * nw;
     uint64_t *work = malloc((space + size + pairs + 1) * sizeof *work
-                            + 3 * (size_t)pairs * sizeof(int));
+                            + (size_t)pairs * sizeof(int));
     if (!work)
         return NO_MEMORY;
     uint64_t *out = work + space, *start = out + size;
-    int *x = (int *)(start + pairs + 1), *y = x + pairs, *attaining = y + pairs;
-    even_pairs(net, vw, labels, x, y);
+    const int *y = x + pairs;
+    int *attaining = (int *)(start + pairs + 1);
     const uint64_t *base = base_out(net, vw);
     /* The residual network of the j-th attaining pair is kept in
      * kept[start[j] .. start[j + 1]): whole up to 64 vertices, and past
@@ -630,10 +645,12 @@ BOTH_WIDTHS int64_t min_cuts(uint64_t *net, int nw, int vw, int labels, int **re
 {
     int n = (int)net[0];
     const uint64_t *adj = net + HEADER;
-    if (!connected(net, vw))
-        return DISCONNECTED;
+    int *x, pairs = family(net, vw, labels, &x);
+    if (pairs < 0)
+        return pairs;
     struct cuts list = {0};
-    int status = pair_cuts(net, nw, vw, labels, &list);
+    int status = pair_cuts(net, nw, vw, x, pairs, &list);
+    free(x);
     if (!status)
         status = close_under_swaps(n, vw, labels, &list);
     /* A connected graph has at least one minimum cut, of kappa vertices. */
@@ -675,6 +692,12 @@ void splitflow_init(uint64_t *net)
         init(net, node_words(n), WORDS(n));
 }
 
+/* family, for the per-pair flows of vertex_connectivity; charges no search. */
+int splitflow_pairs(uint64_t *net, int labels, int **result)
+{
+    return family(net, WORDS((int)net[0]), labels, result);
+}
+
 /* The oracle's min_cuts in one call: every minimum cut of the graph, closed
  * under the label swaps, in lexicographic order of their sorted ids.  It
  * reads the cuts of the kept pairs (pair_cuts), closes them under the swaps
@@ -692,7 +715,7 @@ int64_t splitflow_min_cuts(uint64_t *net, int labels, int **result)
         : min_cuts(net, node_words(n), WORDS(n), labels, result);
 }
 
-/* Releases the block of splitflow_min_cuts or splitflow_min_separators. */
+/* Releases a block that a splitflow_ function handed over. */
 void splitflow_free(void *block)
 {
     free(block);

@@ -23,8 +23,8 @@ which gives the same flows, cuts and searches.  One enumeration is one
 kernel call, which checks that the graph is connected, walks the pairs,
 runs their flows, reads their separators, closes the cuts under the label
 swaps, sorts them and writes each cut's ids and witness, from which Python
-builds each :class:`CutSet` once.  :func:`vertex_connectivity` still makes
-one kernel call per pair.
+builds each :class:`CutSet` once.  :func:`vertex_connectivity` takes the
+pairs from the kernel, after the same check, and makes one call per pair.
 
 Removing all but one vertex counts as separating (the remainder is the
 trivial one-vertex graph), so complete graphs get connectivity ``n - 1`` and
@@ -40,7 +40,7 @@ from typing import NamedTuple
 
 from . import _native
 from .errors import BudgetExceededError, PreconditionError
-from .graphs import Graph, is_connected, iter_bits
+from .graphs import Graph
 
 
 class CutSet(NamedTuple):
@@ -185,22 +185,35 @@ class _NativeSplitFlow:
         return {sum(word << 64 * k for k, word in enumerate(words[i:i + vw]))
                 for i in range(0, len(words), vw)}
 
+    def even_pairs(self, labels: int) -> list[tuple[int, int]]:
+        """Even's pair family, in one kernel call that charges no search;
+        :class:`PreconditionError` for a disconnected graph.  The pairs are a
+        minimum-degree vertex ``s`` with each non-neighbour, then each
+        non-adjacent pair of neighbours of ``s``, one of which every minimum
+        cut separates, and only the first of each orbit of the relabellings
+        that fix ``s`` (the tests' oracle ``_even_pairs`` says why).
+        """
+        block = ctypes.POINTER(ctypes.c_int)()
+        count = self._checked(self._lib.splitflow_pairs(
+            self._net, labels, ctypes.byref(block)))
+        try:
+            ints = block[:2 * count]
+        finally:
+            self._lib.splitflow_free(block)
+        return list(zip(ints[:count], ints[count:]))
+
     def min_cuts(self, labels: int) -> list[CutSet]:
         """Every minimum cut of this network's graph, in lexicographic order
-        of its vertex ids, in one kernel call.  Raises
-        :class:`PreconditionError` for a disconnected graph, before any
-        charged search.
+        of its vertex ids, in one kernel call; :class:`PreconditionError`
+        for a disconnected graph, before any charged search.
 
-        Each pair of :func:`_even_pairs` has its flow cut off at the least
-        flow found so far, and the separators are read for the pairs whose
-        flow equals the final least one, which is kappa.  A complete graph
-        has no pairs, and its cuts are the ``order`` sets that leave one
-        vertex.  The cuts are then closed under the swaps of labels ``a``
-        and ``a + 1`` for ``1 <= a <= labels - 2``, which generate the
-        relabellings that fix the family's source.  The kernel sorts the
-        cuts and hands over one block: kappa, the ids of each cut, then each
-        cut's witness, the lowest vertex whose neighbourhood equals it (-1
-        for none).
+        The kernel cuts the flow of each pair of :meth:`even_pairs` off at
+        the least flow found so far, reads the separators of the pairs whose
+        flow is the final least one, kappa, closes the cuts under the label
+        swaps and sorts them; a complete graph has no pairs, and its cuts
+        leave one vertex each.  It hands over one block: kappa, the ids of
+        each cut, then each cut's witness, the lowest vertex whose
+        neighbourhood equals it (-1 for none).
         """
         block = ctypes.POINTER(ctypes.c_int)()
         found = self._checked(self._lib.splitflow_min_cuts(
@@ -220,45 +233,12 @@ class _NativeSplitFlow:
         """``code``, a kernel return code, unless it reports an error, for
         which this raises."""
         if code == _NO_MEMORY:
-            raise MemoryError("the native kernel could not allocate its "
-                              "residual networks")
+            raise MemoryError("the native kernel could not allocate a buffer")
         if code == _DISCONNECTED:
             raise _disconnected()
         if code < 0:
             raise _over_budget(self.budget)
         return code
-
-
-def _even_pairs(g: Graph, labels: int) -> list[tuple[int, int]]:
-    """Even's pair family around a fixed minimum-degree vertex ``s``, one
-    pair per orbit of the relabellings that fix ``s``.
-
-    The pairs are ``s`` with each non-neighbour, then each non-adjacent pair
-    of neighbours of ``s``.  Every minimum cut of a non-complete graph
-    separates one of them: a cut that misses ``s`` separates it from a
-    non-neighbour, and one that holds ``s`` separates two of its neighbours,
-    because each vertex of a minimum cut has a neighbour in every remaining
-    component.  A complete graph has no pairs.
-
-    ``g`` is ``H x K_labels`` with ids ``u * labels + a``; ``labels=1`` is
-    any plain graph.  Every permutation of the labels is an automorphism,
-    and ``s`` has label 0, since all ids of a fiber ``u`` share a degree,
-    so the relabellings of ``1..labels-1`` map the family onto itself (pairs
-    normalised as ``(s, t)`` or ``(min, max)``).  The first pair of each
-    orbit in family order is the one whose first label is at most 1 and
-    whose second exceeds the first by at most 1: ``(s, t)`` with ``t`` of
-    label 0 or 1, or two neighbours of label 1, or of labels 1 and 2.
-    """
-    order = g.order
-    degrees = g.degrees()
-    s = degrees.index(min(degrees))
-    s_mask = g.adj[s]
-    family = [(s, t) for t in range(order) if t != s and not s_mask >> t & 1]
-    nbrs = list(iter_bits(s_mask))
-    for i, x in enumerate(nbrs):
-        family.extend((x, y) for y in nbrs[i + 1:] if not g.has_edge(x, y))
-    return [(x, y) for x, y in family
-            if x % labels <= 1 and y % labels <= x % labels + 1]
 
 
 def vertex_connectivity(g: Graph, budget: int | None = None,
@@ -272,16 +252,16 @@ def vertex_connectivity(g: Graph, budget: int | None = None,
 
     ``g`` is ``H x K_labels`` with ids ``u * labels + a``, and ``labels=1``
     is any plain graph.  A pair and its relabellings have the same local
-    connectivity, so one flow per orbit suffices (see :func:`_even_pairs`).
+    connectivity, so one flow per orbit suffices (see
+    :meth:`_NativeSplitFlow.even_pairs`, which also checks connectedness).
     """
     if g.order == 0:
         raise ValueError("connectivity is undefined for the empty graph")
-    if g.order == 1:
-        return 0
-    if not is_connected(g):
-        return 0
-    pairs = _even_pairs(g, labels)
     net = _NativeSplitFlow(g, budget)
+    try:
+        pairs = net.even_pairs(labels)
+    except PreconditionError:  # disconnected
+        return 0
     best = g.order - 1
     for s, t in pairs:
         best = min(best, net.max_flow(s, t, best)[0])
@@ -305,21 +285,18 @@ def enumerate_min_cuts(g: Graph, budget: int | None = None,
 
     ``g`` is ``H x K_labels`` with ids ``u * labels + a``, and ``labels=1``
     is any plain graph.  The flows and separators run on one pair per orbit
-    of the relabellings that fix ``s`` (see :func:`_even_pairs`), and the
-    cut masks are closed under the swaps of labels ``a`` and ``a + 1`` for
-    ``a >= 1``, which generate those relabellings: a relabelling that fixes
-    ``s`` maps the minimum cuts of a pair onto those of its image.
+    of the relabellings that fix ``s`` (:meth:`_NativeSplitFlow.even_pairs`),
+    and the cut masks are closed under the swaps of labels ``a`` and ``a +
+    1`` for ``a >= 1``, which generate those relabellings: a relabelling
+    that fixes ``s`` maps the minimum cuts of a pair onto those of its image.
 
     A minimum cut ``S`` isolates ``v`` only if ``N(v) = S``, since ``N(v)``
     lies in ``S`` and ``|N(v)| >= delta >= kappa = |S|``; so the lowest
     such ``v`` is the cut's witness, and the cut isolates exactly when it
     has one.  The network returns the finished list of :class:`CutSet`,
     closed, sorted and classified (:meth:`_NativeSplitFlow.min_cuts`), in
-    one kernel call.  Closing, sorting and classifying search nothing.  The
-    kernel also checks that ``g`` is connected before its first search, by
-    one search of the adjacency masks that is not charged, and the network
-    raises :class:`PreconditionError` if not.  So this function checks only
-    the order itself.
+    one kernel call, which refuses a disconnected ``g`` before its first
+    search.  Closing, sorting and classifying search nothing.
 
     Every search of the flows and of the separator reading is charged
     against ``budget``, one unit each; the first search past it raises
@@ -335,9 +312,10 @@ def connectivity_result(g: Graph, budget: int | None = None) -> ConnectivityResu
     if g.order == 0:
         raise ValueError("connectivity is undefined for the empty graph")
     delta = g.min_degree
-    if g.order == 1 or not is_connected(g):
+    try:
+        cuts = tuple(enumerate_min_cuts(g, budget))
+    except PreconditionError:  # one vertex, or disconnected
         return ConnectivityResult(0, delta, delta == 0, (), False)
-    cuts = tuple(enumerate_min_cuts(g, budget))
     kappa = len(cuts[0].vertices)
     return ConnectivityResult(
         kappa=kappa,

@@ -38,12 +38,6 @@ class Graph:
     order: int
     adj: tuple[int, ...]
 
-    def degrees(self) -> list[int]:
-        return [m.bit_count() for m in self.adj]
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[u] >> v & 1)
-
     @property
     def edge_count(self) -> int:
         return sum(m.bit_count() for m in self.adj) // 2

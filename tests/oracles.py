@@ -10,7 +10,8 @@ route that follows the definition:
 * :class:`_SplitFlow` is the split-flow network of ``_splitflow.c`` in
   Python, over one integer mask per node: the kernel's flows, residual
   networks, separators, cut lists and charged searches are compared with
-  it, at every graph size.
+  it, at every graph size.  It walks :func:`_even_pairs`, the Python copy
+  of the kernel's pair family, which the tests compare with the kernel's.
 * :func:`classify_cut` classifies an arbitrary vertex set by searching its
   survivors, and reports whether it separates.
 * :func:`naive_components` lists the components induced on a vertex set,
@@ -27,7 +28,8 @@ route that follows the definition:
   key, by a refinement fingerprint and an isomorphism search.
 
 The builders (:func:`graph_from_edges`, :func:`two_cycles`,
-:func:`delete_vertex`, :func:`mask_of`) and :func:`validate` make and check test inputs.
+:func:`delete_vertex`, :func:`mask_of`), :func:`degrees` and
+:func:`validate` make and check test inputs.
 
 Removing all but one vertex counts as separating (the remainder is the
 trivial one-vertex graph), as in :mod:`kronkit.connectivity`.
@@ -40,13 +42,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from kronkit.connectivity import (
-    CutSet,
-    _disconnected,
-    _even_pairs,
-    _over_budget,
-    vertex_connectivity,
-)
+from kronkit.connectivity import CutSet, _disconnected, _over_budget, vertex_connectivity
 from kronkit.corpus import _child
 from kronkit.errors import PreconditionError, UnsupportedSizeError
 from kronkit.graphs import (
@@ -89,6 +85,11 @@ def two_cycles(k: int) -> Graph:
     """Two disjoint copies of ``C_k``, on ids ``0..k-1`` and ``k..2k-1``."""
     return graph_from_edges(2 * k, [(c * k + i, c * k + (i + 1) % k)
                                     for c in (0, 1) for i in range(k)])
+
+
+def degrees(g: Graph) -> list[int]:
+    """The degree of each vertex, by id."""
+    return [m.bit_count() for m in g.adj]
 
 
 def mask_of(ids: Iterable[int]) -> int:
@@ -423,6 +424,40 @@ def classify_cut(g: Graph, s) -> tuple[CutSet, bool]:
     if vertices and not (0 <= vertices[0] and vertices[-1] < g.order):
         raise ValueError(f"cut contains ids outside 0..{g.order - 1}")
     return _classify_mask(g, mask_of(vertices), vertices)
+
+
+def _even_pairs(g: Graph, labels: int) -> list[tuple[int, int]]:
+    """Even's pair family around a fixed minimum-degree vertex ``s``, one
+    pair per orbit of the relabellings that fix ``s``: the oracle of the
+    kernel's ``even_pairs``, which must give the same pairs in the same
+    order.
+
+    The pairs are ``s`` with each non-neighbour, then each non-adjacent pair
+    of neighbours of ``s``.  Every minimum cut of a non-complete graph
+    separates one of them: a cut that misses ``s`` separates it from a
+    non-neighbour, and one that holds ``s`` separates two of its neighbours,
+    because each vertex of a minimum cut has a neighbour in every remaining
+    component.  A complete graph has no pairs.
+
+    ``g`` is ``H x K_labels`` with ids ``u * labels + a``; ``labels=1`` is
+    any plain graph.  Every permutation of the labels is an automorphism,
+    and ``s`` has label 0, since all ids of a fiber ``u`` share a degree,
+    so the relabellings of ``1..labels-1`` map the family onto itself (pairs
+    normalised as ``(s, t)`` or ``(min, max)``).  The first pair of each
+    orbit in family order is the one whose first label is at most 1 and
+    whose second exceeds the first by at most 1: ``(s, t)`` with ``t`` of
+    label 0 or 1, or two neighbours of label 1, or of labels 1 and 2.
+    """
+    order = g.order
+    degree = degrees(g)
+    s = degree.index(min(degree))
+    s_mask = g.adj[s]
+    family = [(s, t) for t in range(order) if t != s and not s_mask >> t & 1]
+    nbrs = list(iter_bits(s_mask))
+    for i, x in enumerate(nbrs):
+        family.extend((x, y) for y in nbrs[i + 1:] if not g.adj[x] >> y & 1)
+    return [(x, y) for x, y in family
+            if x % labels <= 1 and y % labels <= x % labels + 1]
 
 
 class _SplitFlow:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import kronkit
 from kronkit.connectivity import (
     CutSet,
-    _even_pairs,
+    _NativeSplitFlow,
     connectivity_result,
     cut_record,
     enumerate_min_cuts,
@@ -21,6 +21,7 @@ from kronkit.graphs import is_connected, iter_bits, make_complete, make_cycle, r
 from kronkit.products import kronecker
 
 from oracles import (
+    _even_pairs,
     brute_force_connectivity,
     brute_force_min_cuts,
     classify_cut,
@@ -206,7 +207,7 @@ def test_pair_flows_and_separators_against_networkx_and_subset_scan(kernel):
         nbrs = [list(iter_bits(g.adj[v])) for v in range(g.order)]
         net = kernel(g)
         for s, t in itertools.permutations(range(g.order), 2):
-            if g.has_edge(s, t):
+            if g.adj[s] >> t & 1:
                 continue
             value, out = net.max_flow(s, t, g.order)
             assert value == local_node_connectivity(
@@ -403,13 +404,20 @@ def _orbit_representatives(pg, n):
 
 
 def test_label_pairs_are_the_first_of_each_orbit(connected_upto_6):
+    """The kernel's pair family is the oracle's, in the same order, with
+    and without labels, and with labels it keeps the first pair of each
+    orbit."""
     count = 0
     for g in connected_upto_6:
         for n in (3, 4, 5):
             pg = kronecker(g, make_complete(n))
             if not is_connected(pg):
                 continue
-            assert _even_pairs(pg, n) == _orbit_representatives(pg, n), (g, n)
+            net = _NativeSplitFlow(pg)
+            assert net.even_pairs(1) == _even_pairs(pg, 1), (g, n)
+            assert net.even_pairs(n) == _even_pairs(pg, n) \
+                == _orbit_representatives(pg, n), (g, n)
+            assert net.spent == 0
             count += 1
     assert count == 426
 

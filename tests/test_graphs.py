@@ -22,6 +22,7 @@ from kronkit.graphs import (
 
 from oracles import (
     components,
+    degrees,
     delete_vertex,
     edges,
     graph_from_edges,
@@ -79,7 +80,7 @@ def test_cycle_triangle():
 def test_cycle_is_2_regular(n):
     g = make_cycle(n)
     assert g.edge_count == n
-    assert g.degrees() == [2] * n
+    assert degrees(g) == [2] * n
     validate(g)
 
 
@@ -147,10 +148,10 @@ def test_random_graph_accepts_signed_64_bit_seeds():
 @settings(max_examples=150)
 def test_constructed_graphs_are_valid(g):
     validate(g)
-    degrees = g.degrees()
-    assert sum(degrees) == 2 * g.edge_count
+    degree = degrees(g)
+    assert sum(degree) == 2 * g.edge_count
     if g.order:
-        assert g.min_degree == min(degrees)
+        assert g.min_degree == min(degree)
 
 
 # -- vertex deletion -----------------------------------------------------
@@ -162,7 +163,7 @@ def test_delete_vertex_of_complete():
 def test_delete_vertex_of_cycle_gives_path():
     g = delete_vertex(make_cycle(5), 0)
     assert g.order == 4 and g.edge_count == 3
-    assert sorted(g.degrees()) == [1, 1, 2, 2]
+    assert sorted(degrees(g)) == [1, 1, 2, 2]
     assert g.min_degree == 1  # drops from 2 to 1
 
 
@@ -196,7 +197,7 @@ def test_min_degree_drop_bounded_on_seeded_corpus():
                 if u == v:
                     continue
                 nu = u if u < v else u - 1
-                drop = g.degrees()[u] - h.degrees()[nu]
+                drop = degrees(g)[u] - degrees(h)[nu]
                 assert drop in (0, 1)
             checked += 1
     assert checked > 200

@@ -5,6 +5,7 @@ kernel's node masks of two words up to 64 vertices and of ``ceil(2n / 64)``
 words past them; the build on first use into the per-user cache, and the
 clean stop when the kernel cannot be built."""
 
+import ctypes
 import os
 import shutil
 import subprocess
@@ -15,19 +16,21 @@ from pathlib import Path
 import pytest
 
 from kronkit import _native, connectivity, product_analysis
-from kronkit.connectivity import (
-    _even_pairs,
-    _NativeSplitFlow,
-    enumerate_min_cuts,
-    vertex_connectivity,
-)
+from kronkit.connectivity import _NativeSplitFlow, enumerate_min_cuts, vertex_connectivity
 from kronkit.cli import main
 from kronkit.corpus import all_graphs, connected_graphs
 from kronkit.errors import BudgetExceededError, KernelBuildError, PreconditionError
 from kronkit.graphs import is_connected, make_complete, make_cycle, parse_graph6
 from kronkit.products import kronecker
 
-from oracles import _SplitFlow, brute_force_min_cuts, edges, graph_from_edges, two_cycles
+from oracles import (
+    _even_pairs,
+    _SplitFlow,
+    brute_force_min_cuts,
+    edges,
+    graph_from_edges,
+    two_cycles,
+)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -189,16 +192,22 @@ PAST_THE_WORD_BOUNDARY = [
                          ids=[case[0] for case in PAST_THE_WORD_BOUNDARY])
 def test_products_past_the_word_boundary(g, n, kappa, count, kernel, monkeypatch):
     """Products past 64 vertices take the kernel's multiword masks and give
-    the oracle's connectivity, cut list and searches.  Each enumeration is
-    one kernel call, whose result is freed once, however many cuts it
-    holds."""
+    the oracle's connectivity, pairs, cut list and searches.  The
+    connectivity takes its pairs in one kernel call, and each enumeration is
+    one kernel call; each of their results is freed once, however many
+    pairs or cuts it holds."""
     pg = kronecker(g, make_complete(n))
     assert pg.order > 64
     nets = _spy(monkeypatch)
     assert (vertex_connectivity(pg), nets[-1].spent) == (kappa, _oracle_connectivity(pg)[1])
+    assert kernel.calls["splitflow_pairs"] == kernel.calls["splitflow_free"] == 1
     ours, oracle = _kernel_and_oracle(pg, n, nets)
     assert ours == oracle
-    assert kernel.calls["splitflow_min_cuts"] == kernel.calls["splitflow_free"] == 1
+    assert kernel.calls["splitflow_min_cuts"] == 1
+    assert kernel.calls["splitflow_free"] == 2
+    for labels in (1, n):
+        assert _NativeSplitFlow(pg).even_pairs(labels) == _even_pairs(pg, labels)
+    assert kernel.calls["splitflow_pairs"] == kernel.calls["splitflow_free"] - 1 == 3
     cuts = ours[0]
     assert len(cuts) == count and {len(cut.vertices) for cut in cuts} == {kappa}
     assert max(cut.vertices[-1] for cut in cuts) == pg.order - 1
@@ -325,6 +334,33 @@ DISCONNECTED = [
 ]
 
 
+DISCONNECTED_PRODUCTS = [
+    ("2C5xK3", kronecker(two_cycles(5), make_complete(3)), 3),
+    ("P2+K1xK4", kronecker(graph_from_edges(3, [(0, 1)]), make_complete(4)), 4),
+    ("2C11xK3", kronecker(two_cycles(11), make_complete(3)), 3),
+]
+
+
+@pytest.mark.parametrize("g, labels", [(case[1], 1) for case in DISCONNECTED]
+                         + [case[1:] for case in DISCONNECTED_PRODUCTS],
+                         ids=[case[0] for case in DISCONNECTED + DISCONNECTED_PRODUCTS])
+def test_disconnected_graph_has_connectivity_0_before_any_search(
+        g, labels, kernel, monkeypatch):
+    """The kernel finds a disconnected graph or product itself, by its
+    uncharged search of the adjacency masks, in the call that would hand
+    over the pairs, so the connectivity is 0 with no search spent, even at a
+    budget of 0, and the kernel hands over no block to free."""
+    nets = _spy(monkeypatch)
+    for budget in (None, 0):
+        assert vertex_connectivity(g, budget=budget, labels=labels) == 0
+        assert nets[-1].spent == 0
+    assert kernel.calls == {"splitflow_init": 2, "splitflow_pairs": 2}
+    net, block = nets[-1], ctypes.POINTER(ctypes.c_int)()
+    assert net._lib.splitflow_pairs(net._net, labels, ctypes.byref(block)) \
+        == connectivity._DISCONNECTED
+    assert not block
+
+
 @pytest.mark.parametrize("g", [case[1] for case in DISCONNECTED],
                          ids=[case[0] for case in DISCONNECTED])
 def test_disconnected_graph_is_refused_before_any_search(g, kernel, monkeypatch):
@@ -350,7 +386,7 @@ def test_failed_kernel_allocation_raises_memory_error(kernel, monkeypatch):
     """A kernel entry that cannot allocate a buffer returns its code for it,
     which raises MemoryError, and hands over no result to free."""
     for name in ("splitflow_max_flow", "splitflow_min_separators",
-                 "splitflow_min_cuts"):
+                 "splitflow_min_cuts", "splitflow_pairs"):
         monkeypatch.setattr(kernel, name, lambda *args: connectivity._NO_MEMORY,
                             raising=False)
     net = _NativeSplitFlow(make_cycle(5))
@@ -360,6 +396,8 @@ def test_failed_kernel_allocation_raises_memory_error(kernel, monkeypatch):
         net.min_separators(0, 2, net._residual())
     with pytest.raises(MemoryError):
         enumerate_min_cuts(make_cycle(5))
+    with pytest.raises(MemoryError):
+        vertex_connectivity(make_cycle(5))
     assert kernel.calls["splitflow_free"] == 0
 
 
@@ -391,13 +429,15 @@ def test_editing_any_source_renames_the_cached_library(tmp_path, monkeypatch):
 
 
 def test_native_route_is_taken_when_a_compiler_is_present(kernel):
-    """Every flow and every enumeration runs in the kernel."""
+    """Every pair family, flow and enumeration runs in the kernel, and the
+    block of pairs and the block of cuts are each freed once."""
     if shutil.which(_native.COMPILER) is None:
         pytest.skip(f"no {_native.COMPILER} on PATH")
     assert vertex_connectivity(make_cycle(5)) == 2
     assert len(enumerate_min_cuts(make_cycle(5))) == 5
-    assert kernel.calls == {"splitflow_init": 2, "splitflow_max_flow": 3,
-                            "splitflow_min_cuts": 1, "splitflow_free": 1}
+    assert kernel.calls == {"splitflow_init": 2, "splitflow_pairs": 1,
+                            "splitflow_max_flow": 3, "splitflow_min_cuts": 1,
+                            "splitflow_free": 2}
 
 
 # C5, K4 and the Petersen graph are not bipartite, so gstar runs both
@@ -445,23 +485,38 @@ def test_every_kernel_source_ships_as_package_data():
 
 
 def test_build_removes_superseded_builds(tmp_path, monkeypatch, fresh_library):
-    """A build deletes the cache's other kernel builds and the old flow
-    kernel's, and spares itself, every build's temporary file, other files
-    and what it cannot delete."""
+    """A build deletes the cache's other builds with its own flags, those
+    named before the flags had a field and the old flow kernel's, and spares
+    itself, the builds with other flags, every build's temporary file,
+    other files and what it cannot delete.  So builds with two sets of
+    flags, such as the sanitized one and the plain one, both stay."""
     if shutil.which(_native.COMPILER) is None:
         pytest.skip(f"no {_native.COMPILER} on PATH")
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.setattr(_native, "FLAGS", ("-O0", "-shared", "-fPIC"))
     cache = tmp_path / "kronkit"
     cache.mkdir()
-    stale = ["kernel-0123456789abcdef-x86_64.so", "kernel-fedcba9876543210-aarch64.so",
+    own, other = _native.library_path().name.split("-")[1], "0123abcd"
+    stale = [f"kernel-{own}-0123456789abcdef-x86_64.so",
+             "kernel-0123456789abcdef-x86_64.so", "kernel-fedcba9876543210-aarch64.so",
              "splitflow-0123456789abcdef-x86_64.so"]
-    kept = ["kernel-0123456789abcdef-x86_64abc123.tmp", "notes.txt"]
+    kept = [f"kernel-{other}-0123456789abcdef-x86_64.so",
+            f"kernel-{own}-0123456789abcdef-x86_64abc123.tmp", "notes.txt"]
     for name in stale + kept:
         (cache / name).write_bytes(b"")
-    (cache / "kernel-directory.so").mkdir()  # unlink fails on a directory
+    undeletable = f"kernel-{own}-directory-x86_64.so"
+    (cache / undeletable).mkdir()  # unlink fails on a directory
     _native.library()
+    first = _native.library_path().name
     assert sorted(path.name for path in cache.iterdir()) == sorted(
-        kept + ["kernel-directory.so", _native.library_path().name])
+        kept + [undeletable, first])
+    _native.library.cache_clear()
+    monkeypatch.setattr(_native, "FLAGS", ("-O0", "-shared", "-fPIC", "-g"))
+    _native.library()
+    second = _native.library_path().name
+    assert second.split("-")[1] not in (own, other)
+    assert sorted(path.name for path in cache.iterdir()) == sorted(
+        kept + [undeletable, first, second])
 
 
 CHILD = """

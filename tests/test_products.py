@@ -10,6 +10,7 @@ from kronkit.graphs import is_connected, make_complete, make_cycle, random_graph
 from kronkit.products import is_bipartite, kronecker, linearization_rows
 
 from oracles import (
+    degrees,
     edges,
     graph_from_edges,
     kronecker_by_loops,
@@ -36,7 +37,7 @@ def test_c3_times_k3_counts():
 def test_c3_times_k2_is_a_six_cycle():
     g = kronecker(make_cycle(3), make_complete(2))
     assert g.order == 6 and g.edge_count == 6
-    assert g.degrees() == [2] * 6
+    assert degrees(g) == [2] * 6
     assert is_connected(g)
 
 
@@ -55,7 +56,7 @@ def test_product_vertex_linearization():
     # id u*3+v is the pair (u, v): two ids are adjacent exactly when both
     # of their factor pairs are
     for (i, u1, v1), (j, u2, v2) in itertools.combinations(rows, 2):
-        assert p.has_edge(i, j) == (c5.has_edge(u1, u2) and k3.has_edge(v1, v2))
+        assert p.adj[i] >> j & 1 == (c5.adj[u1] >> u2 & k3.adj[v1] >> v2 & 1)
     assert linearization_rows(5, 3)[:4] == ["0 0 0", "1 0 1", "2 0 2", "3 1 0"]
 
 
@@ -64,10 +65,10 @@ def test_product_degree_examples():
     p = kronecker(c5, k3)
     for u in range(5):
         for v in range(3):
-            assert p.degrees()[u * 3 + v] == c5.degrees()[u] * k3.degrees()[v] == 4
-    assert kronecker(k4, k3).degrees()[0 * 3 + 0] == 6
+            assert degrees(p)[u * 3 + v] == degrees(c5)[u] * degrees(k3)[v] == 4
+    assert degrees(kronecker(k4, k3))[0 * 3 + 0] == 6
     lonely = graph_from_edges(3, [(0, 1)])  # vertex 2 isolated
-    assert kronecker(lonely, k3).degrees()[2 * 3 + 0] == 0
+    assert degrees(kronecker(lonely, k3))[2 * 3 + 0] == 0
 
 
 def _check_count_identities(g1, g2):
@@ -76,7 +77,7 @@ def _check_count_identities(g1, g2):
     assert g.order == g1.order * g2.order
     assert g.edge_count == 2 * g1.edge_count * g2.edge_count
     n2 = g2.order
-    dg, d1, d2 = g.degrees(), g1.degrees(), g2.degrees()
+    dg, d1, d2 = degrees(g), degrees(g1), degrees(g2)
     for u in range(g1.order):
         for v in range(n2):
             assert dg[u * n2 + v] == d1[u] * d2[v]
@@ -105,7 +106,7 @@ def test_commutativity_statistics():
         b = kronecker(g2, g1)
         assert a.order == b.order
         assert a.edge_count == b.edge_count
-        assert sorted(a.degrees()) == sorted(b.degrees())
+        assert sorted(degrees(a)) == sorted(degrees(b))
 
 
 # -- bipartiteness -------------------------------------------------------
@@ -122,7 +123,7 @@ def test_odd_cycle_witness_is_valid():
         assert walk[0] == walk[-1]
         assert (len(walk) - 1) % 2 == 1
         for a, b in zip(walk, walk[1:]):
-            assert g.has_edge(a, b)
+            assert g.adj[a] >> b & 1
 
 
 def test_bipartite_handles_disconnected_input():
@@ -186,7 +187,7 @@ def test_fibers_partition_and_independence():
     assert sorted(a for f in fs for a in f) == list(range(p.order))
     for f in fs:
         for a, b in itertools.combinations(f, 2):
-            assert not p.has_edge(a, b)
+            assert not p.adj[a] >> b & 1
 
 
 def test_fibers_of_k2_times_k3():
@@ -195,7 +196,7 @@ def test_fibers_of_k2_times_k3():
     assert _fiber_members(0, 3) == [0, 1, 2]
     assert _fiber_members(1, 3) == [3, 4, 5]
     for a in _fiber_members(0, 3):
-        assert [b for b in range(p.order) if p.has_edge(a, b)] == \
+        assert [b for b in range(p.order) if p.adj[a] >> b & 1] == \
             [b for b in _fiber_members(1, 3) if b % 3 != a % 3]
 
 
