@@ -46,9 +46,8 @@ _INT, _INT64 = ctypes.c_int, ctypes.c_int64
 # The return type, then the argument types, of each kernel entry point.
 _ENTRIES = {
     "splitflow_init": (None, _WORDS),
-    "splitflow_max_flow": (_INT, _WORDS, _INT, _INT, _INT, _WORDS),
+    "splitflow_max_flow": (_INT, _WORDS, _INT, _INT, _INT),
     # A pointer to a pointer: where the kernel puts the block it allocates.
-    "splitflow_min_separators": (_INT64, _WORDS, _INT, _INT, _WORDS, ctypes.POINTER(_WORDS)),
     "splitflow_min_cuts": (_INT64, _WORDS, _INT, ctypes.POINTER(_INTS)),
     "splitflow_pairs": (_INT, _WORDS, _INT, ctypes.POINTER(_INTS)),
     "splitflow_free": (None, ctypes.c_void_p),

@@ -3,10 +3,11 @@
  * their oracle (_SplitFlow in tests/oracles.py) step for step: the same
  * common-neighbour seeding, layered breadth-first search and lowest-node
  * trace-back in max_flow, and the same reachability searches in the same
- * stack order in min_separators.  Every residual search is counted in the
- * network's header, and a function returns -1 at the first search past the
- * budget, so that Python raises BudgetExceededError after exactly the
- * searches the oracle would have made.
+ * stack order in separators as in its min_separators.  Every residual
+ * search is counted in the network's header, and a function returns -1 at
+ * the first search past the budget, so that Python raises
+ * BudgetExceededError after exactly the searches the oracle would have
+ * made.
  *
  * Node v is the in-node of vertex v and n + v its out-node.  A vertex mask
  * takes vw = ceil(n / 64) words and a node mask nw = ceil(2n / 64) words,
@@ -22,7 +23,10 @@
  *     then 2n node masks base_out and 2n node masks base_in,
  *
  * filled by splitflow_init from the first 3 + n vw words.  A residual
- * network is an array of 2n node masks.
+ * network is an array of 2n node masks, and none leaves the kernel:
+ * splitflow_max_flow, vertex_connectivity's flow of one pair, keeps its
+ * own and returns only the flow, and splitflow_min_cuts reads the cuts off
+ * its networks itself.
  *
  * splitflow_min_cuts is the oracle's min_cuts in one call, and hands the
  * finished cut list to the caller once.  It takes Even's pair family from
@@ -45,10 +49,10 @@
  * Return codes: a count of cuts, pairs or flow units (>= 0); -1 at the
  * first search past the budget; -2 when a heap buffer cannot be allocated;
  * and, from splitflow_min_cuts and splitflow_pairs only, -3 when the graph
- * is disconnected, before any charged search.  On success these two and
- * splitflow_min_separators hand their result over in a heap block that the
- * caller releases with splitflow_free; on an error they have freed every
- * buffer and hand over none.
+ * is disconnected, before any charged search.  On success these two hand
+ * their result over in a heap block that the caller releases with
+ * splitflow_free; on an error they have freed every buffer and hand over
+ * none.  splitflow_max_flow frees its buffers before it returns.
  *
  * Build, with _canon.c and _residue.c into one library as kronkit._native
  * does:
@@ -263,18 +267,22 @@ BOTH_WIDTHS int max_flow(uint64_t *net, int nw, int vw, int s, int t,
     return flow;
 }
 
-int splitflow_max_flow(uint64_t *net, int s, int t, int cutoff, uint64_t *out)
+/* The flow of max_flow, in a residual network that the call keeps to
+ * itself: on the stack with its layers up to 64 vertices, and past them in
+ * one heap block, the residual network and then the layers. */
+int splitflow_max_flow(uint64_t *net, int s, int t, int cutoff)
 {
     int n = (int)net[0], nw = node_words(n);
     if (n <= NARROW) {
-        uint64_t layers[(2 * NARROW + 1) * 2];
+        uint64_t out[2 * NARROW * 2], layers[(2 * NARROW + 1) * 2];
         return max_flow(net, 2, 1, s, t, cutoff, out, layers, NULL);
     }
-    uint64_t *layers = malloc((size_t)(2 * n + 1) * nw * sizeof *layers);
-    if (!layers)
+    uint64_t *out = malloc((size_t)(4 * n + 1) * nw * sizeof *out);
+    if (!out)
         return NO_MEMORY;
-    int flow = max_flow(net, nw, WORDS(n), s, t, cutoff, out, layers, NULL);
-    free(layers);
+    int flow = max_flow(net, nw, WORDS(n), s, t, cutoff, out,
+                        out + (size_t)2 * n * nw, NULL);
+    free(out);
     return flow;
 }
 
@@ -392,25 +400,6 @@ BOTH_WIDTHS int separators(uint64_t *net, int nw, int vw, int s, int t,
         top++;
     }
     return 0;
-}
-
-/* Returns the count of the minimum s-t separators, and at *cuts a block of
- * their vertex masks, vw words each. */
-int64_t splitflow_min_separators(uint64_t *net, int s, int t, const uint64_t *out,
-                                 uint64_t **cuts)
-{
-    int n = (int)net[0], nw = node_words(n);
-    struct cuts list = {0};
-    uint64_t *work = malloc((size_t)(6 * n + 2) * nw * sizeof *work);
-    int status = !work ? NO_MEMORY
-        : n <= NARROW ? separators(net, 2, 1, s, t, out, &list, work)
-        : separators(net, nw, WORDS(n), s, t, out, &list, work);
-    free(work);
-    if (status)
-        free(list.masks);
-    else
-        *cuts = list.masks;
-    return status ? status : list.count;
 }
 
 BOTH_WIDTHS int degree(const uint64_t *m, int vw)

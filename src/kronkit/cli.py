@@ -64,6 +64,7 @@ from .products import is_bipartite, kronecker, linearization_rows
 
 GRAPH6_HEADER = ">>graph6<<"
 MAX_CORPUS_ORDER = 9  # all_graphs(9) takes 5.5 s (one run, 2-core Xeon VM)
+DEFAULT_MAX_ORDER = 5
 # Residual searches allowed per instance.  The order-8 kd-equal sweep at
 # n = 3, 4, 5 needs at most 335 (G]~v~w x K_5), so the default stops only a
 # runaway instance: a search takes some 90 us on the 128-vertex Q_5 x K_4,
@@ -368,7 +369,8 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument("--workers", type=int, default=os.cpu_count() or 1)
     batch.add_argument("--all-graphs", action="store_true",
                        help="use the exhaustive corpus up to --max-order")
-    batch.add_argument("--max-order", type=int, default=5)
+    batch.add_argument("--max-order", type=int,
+                       help=f"largest --all-graphs order (default {DEFAULT_MAX_ORDER})")
     batch.add_argument("--filter", action="append", default=[],
                        metavar="{" + ",".join(KNOWN_FILTERS) + "}",
                        help="corpus filter (repeatable or comma-separated)")
@@ -478,10 +480,15 @@ def _dispatch(parser: argparse.ArgumentParser, args) -> int:
             parser.error("verification needs --n >= 3")
         if args.workers < 1:
             parser.error(f"{command} needs --workers >= 1, got {args.workers}")
-        if args.all_graphs and args.max_order > MAX_CORPUS_ORDER:
+        if args.max_order is None:
+            args.max_order = DEFAULT_MAX_ORDER
+        elif not args.all_graphs:
+            parser.error(f"--max-order needs --all-graphs, got --max-order "
+                         f"{args.max_order} without it")
+        if args.max_order > MAX_CORPUS_ORDER:
             parser.error(f"--all-graphs needs --max-order <= {MAX_CORPUS_ORDER}, "
                          f"got {args.max_order}")
-        if args.all_graphs and args.max_order < 1:
+        if args.max_order < 1:
             parser.error(f"--all-graphs needs --max-order >= 1, got {args.max_order}")
         filters = []
         for chunk in args.filter:

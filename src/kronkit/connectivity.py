@@ -103,9 +103,9 @@ class _NativeSplitFlow:
     the searches spent, the adjacency, and the base masks that the kernel
     builds from it (the layout is documented in the C file).  A vertex mask
     takes ``ceil(order / 64)`` words and a node mask ``ceil(2 order / 64)``
-    words, or two up to 64 vertices.  A residual network is a word array of
-    one node mask per node, which :meth:`min_separators` takes back;
-    :meth:`min_cuts` keeps its residual networks inside C.
+    words, or two up to 64 vertices.  No residual network leaves the
+    kernel: :meth:`max_flow` returns only the flow, and :meth:`min_cuts`
+    reads the cuts off the residual networks inside C.
 
     The network is also the one place that charges work: each residual
     search, that is each breadth-first search for an augmenting path and
@@ -114,11 +114,10 @@ class _NativeSplitFlow:
     this class raises :class:`BudgetExceededError`.  Seeding the
     common-neighbour paths searches nothing and is not charged.
     ``budget=None`` means no limit.  The tests keep a Python network with
-    the same flows, residual networks, separators and searches as their
-    oracle.
+    the same flows, cut lists and searches as their oracle.
     """
 
-    __slots__ = ("budget", "_lib", "_net", "_vertex_words", "_residual")
+    __slots__ = ("budget", "_lib", "_net")
 
     def __init__(self, g: Graph, budget: int | None = None):
         n = g.order
@@ -135,55 +134,29 @@ class _NativeSplitFlow:
         net[1] = limit % (1 << 64)
         net[3:3 + n * vw] = g.adj if vw == 1 else _native.words(g.adj, vw)
         lib.splitflow_init(net)
-        self._vertex_words = vw
-        self._residual = ctypes.c_uint64 * (2 * n * nw)
 
     @property
     def spent(self) -> int:
         return self._net[2]
 
-    def max_flow(self, s: int, t: int, cutoff: int) -> tuple[int, ctypes.Array]:
+    def max_flow(self, s: int, t: int, cutoff: int) -> int:
         """Internally disjoint s-t paths, counting at most ``cutoff``.
 
-        Returns the count and the residual network it leaves.  ``s`` and
-        ``t`` must be non-adjacent, as every pair of Even's family is.  The
-        flow starts from the paths ``s - m - t`` through the common
-        neighbours ``m``, taken in increasing order up to ``cutoff``: they
-        share no inner vertex, so one mask operation gives them all, and
-        seeding them is not charged.  Each further path costs one
-        breadth-first search, which keeps one node mask per layer and
-        traces the path back through the lowest node of each earlier layer
-        that has a residual arc to the current one.
+        Returns only the count: the kernel keeps the residual network in a
+        buffer of its own and frees it.  ``s`` and ``t`` must be
+        non-adjacent, as every pair of Even's family is.  The flow starts
+        from the paths ``s - m - t`` through the common neighbours ``m``,
+        taken in increasing order up to ``cutoff``: they share no inner
+        vertex, so one mask operation gives them all, and seeding them is
+        not charged.  Each further path costs one breadth-first search,
+        which keeps one node mask per layer and traces the path back through
+        the lowest node of each earlier layer that has a residual arc to the
+        current one.
         """
-        out = self._residual()
-        flow = self._lib.splitflow_max_flow(self._net, s, t, cutoff, out)
+        flow = self._lib.splitflow_max_flow(self._net, s, t, cutoff)
         if flow < 0:  # checked inline: vertex_connectivity runs many flows
             self._checked(flow)
-        return flow, out
-
-    def min_separators(self, s: int, t: int, out: ctypes.Array) -> set[int]:
-        """Vertex masks of the minimum s-t separators, given a maximum flow
-        and its residual network ``out``.
-
-        The minimum cuts are the node sets closed under residual arcs that
-        hold the source ``s_out`` and not the sink ``t_in`` (Picard and
-        Queyranne 1980).  The search branches only on the flow nodes, the
-        in- and out-nodes of the vertices the flow passes through: the
-        lowest undecided one either joins with everything it reaches or
-        stays out with everything that reaches it.  Neither branch can fail,
-        so each leaf is a distinct cut and the search visits fewer than two
-        states per cut.  Empty when the source reaches the sink, that is
-        when the flow was cut off below its maximum.
-        """
-        vw, block = self._vertex_words, ctypes.POINTER(ctypes.c_uint64)()
-        found = self._checked(self._lib.splitflow_min_separators(
-            self._net, s, t, out, ctypes.byref(block)))
-        try:
-            words = block[:found * vw]
-        finally:
-            self._lib.splitflow_free(block)
-        return {sum(word << 64 * k for k, word in enumerate(words[i:i + vw]))
-                for i in range(0, len(words), vw)}
+        return flow
 
     def even_pairs(self, labels: int) -> list[tuple[int, int]]:
         """Even's pair family, in one kernel call that charges no search;
@@ -264,7 +237,7 @@ def vertex_connectivity(g: Graph, budget: int | None = None,
         return 0
     best = g.order - 1
     for s, t in pairs:
-        best = min(best, net.max_flow(s, t, best)[0])
+        best = min(best, net.max_flow(s, t, best))
     return best
 
 

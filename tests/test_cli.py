@@ -582,6 +582,10 @@ def test_empty_factor_is_an_in_stream_skip(command, capsys):
      "--max-order >= 1, got 0"),
     (["batch", "--n", "3", "--all-graphs", "--max-order", "-2"],
      "--max-order >= 1, got -2"),
+    (["batch", "--n", "3", "--g6", "Bw", "--max-order", "50"],
+     "--max-order needs --all-graphs, got --max-order 50 without it"),
+    (["batch", "--n", "3", "--g6", "Bw", "--max-order", "-4"],
+     "--max-order needs --all-graphs, got --max-order -4 without it"),
     (["gen", "random", "--order", "5", "--count", "0"], "--count >= 1, got 0"),
     (["gen", "random", "--order", "5", "--count", "-2"], "--count >= 1, got -2"),
     (["gen", "complete", "--order", "4", "--p", "7", "--seed", "-3"],
@@ -589,7 +593,8 @@ def test_empty_factor_is_an_in_stream_skip(command, capsys):
     (["gen", "cycle", "--order", "5", "--count", "3"],
      "unrecognized arguments: --count 3"),
 ], ids=["workers-0", "n-empty", "budget-flag-negative", "trials-negative", "max-order-10",
-        "max-order-0", "max-order-negative", "count-0", "count-negative",
+        "max-order-0", "max-order-negative", "max-order-alone",
+        "max-order-alone-negative", "count-0", "count-negative",
         "gen-complete-random-options", "gen-cycle-count"])
 def test_input_guards(argv, message, capsys, monkeypatch):
     def no_corpus(*_args, **_kwargs):  # fail fast instead of building order 9
@@ -597,7 +602,7 @@ def test_input_guards(argv, message, capsys, monkeypatch):
     monkeypatch.setattr("kronkit.cli.all_graphs", no_corpus)
     code, out, err = run_cli(argv, capsys)
     assert code == 2 and out == ""
-    assert "kronkit:" in err and message in err
+    assert err.count("kronkit: error:") == 1 and message in err
 
 
 def test_budget_is_not_read_from_the_environment(capsys, monkeypatch):

@@ -1,6 +1,7 @@
 """Every name a kronkit module imports is used in that module, every public
-name a module defines has a reader, and every defaulted parameter of a
-public function has a caller that sets it.
+name a module defines has a reader, every defaulted parameter of a public
+function has a caller that sets it, and every function the C kernel
+exports is an entry that ``src/`` calls.
 
 No linter runs on this repository, so these are the checks that a deletion
 leaves no dead import behind, that no API outlives its last reader, and that
@@ -12,6 +13,7 @@ so they pass the same check.
 """
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -172,3 +174,40 @@ def test_package_exports_what_it_imports():
                   and [t.id for t in node.targets] == ["__all__"]]
     assert sorted(ast.literal_eval(exports)) == sorted(imported)
     assert len(set(imported)) == len(imported)
+
+
+# A definition at the start of a line whose return type is not ``static``
+# (nor ``BOTH_WIDTHS``, the kernel's ``static inline``): a function that
+# the library exports.
+_EXPORTED = re.compile(r"^(?!static\b|BOTH_WIDTHS\b)[a-z_][\w ]*[ *](\w+)\(", re.M)
+# Entries only the tests call, each through a direct test of its own:
+# canon_key checks the canonical form of graphs of orders 9 to 16 one
+# graph at a time (through canon_children, an order-16 graph would take up
+# to 2**15 keys), and residue_choices both branches of numpy's
+# Generator.choice one draw at a time; residue_sample runs both inside
+# whole trials.
+_TEST_ONLY_ENTRIES = {"canon_key", "residue_choices"}
+
+
+def test_kernel_exports_only_the_entries_that_src_calls():
+    from kronkit import _native
+
+    exported = {name for source in _native.SOURCES
+                for name in _EXPORTED.findall(source.read_text(encoding="utf-8"))}
+    assert exported == set(_native._ENTRIES)
+
+    def callers(paths) -> set[str]:
+        text = "".join(path.read_text(encoding="utf-8") for path in paths)
+        return {name for name in _native._ENTRIES if re.search(rf"\b{name}\(", text)}
+
+    called = callers(SRC.glob("*.py"))
+    assert set(_native._ENTRIES) - called == _TEST_ONLY_ENTRIES
+    assert _TEST_ONLY_ENTRIES <= callers((ROOT / "tests").glob("test_*.py"))
+
+
+def test_exported_kernel_function_is_found():
+    source = ("static inline int has(int x)\nBOTH_WIDTHS int body(int n)\n"
+              "int64_t entry(uint64_t *net,\n    int **result)\n"
+              "void *other(void)\nstruct cuts {\n    int count;\n};\n"
+              "    return entry(net, result);\n#define WORDS(bits) ((bits) + 63)\n")
+    assert _EXPORTED.findall(source) == ["entry", "other"]

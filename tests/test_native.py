@@ -1,9 +1,11 @@
 """The C split-flow kernel against the Python network kept as the oracle
-(``_SplitFlow`` in ``oracles.py``), at every graph size: identical flows,
-residual networks, separators, cut lists and charged searches, with the
-kernel's node masks of two words up to 64 vertices and of ``ceil(2n / 64)``
-words past them; the build on first use into the per-user cache, and the
-clean stop when the kernel cannot be built."""
+(``_SplitFlow`` in ``oracles.py``), at every graph size: identical flow
+values, pair families, cut lists and charged searches, with the kernel's
+node masks of two words up to 64 vertices and of ``ceil(2n / 64)`` words
+past them; the build on first use into the per-user cache, and the clean
+stop when the kernel cannot be built.  No residual network leaves the
+kernel, so the separators of each pair are compared as part of the cut
+lists, through ``splitflow_min_cuts``."""
 
 import ctypes
 import os
@@ -41,12 +43,6 @@ def fresh_library(request):
     again under the test's cache and compiler."""
     _native.library.cache_clear()
     request.addfinalizer(_native.library.cache_clear)
-
-
-def _masks(out, order: int) -> list[int]:
-    """A kernel residual network as one mask per node, as the oracle keeps
-    it."""
-    return _native.masks(out, len(out) // (2 * order))
 
 
 def _spy(monkeypatch) -> list:
@@ -116,13 +112,8 @@ def _oracle_connectivity(g) -> tuple[int, int]:
 
 
 def _agree(oracle, net, s, t, cutoff, case) -> int:
-    value, out = oracle.max_flow(s, t, cutoff)
-    native_value, native_out = net.max_flow(s, t, cutoff)
-    assert (native_value, net.spent) == (value, oracle.spent), case
-    assert _masks(native_out, oracle.order) == out, case
-    assert net.min_separators(s, t, native_out) \
-        == oracle.min_separators(s, t, out), case
-    assert net.spent == oracle.spent, case
+    value = oracle.max_flow(s, t, cutoff)[0]
+    assert (net.max_flow(s, t, cutoff), net.spent) == (value, oracle.spent), case
     return value
 
 
@@ -130,24 +121,24 @@ def test_kernels_agree_on_every_even_pair_of_products_to_order_6(
         connected_upto_6, kernel):
     """Every pair of Even's family of every connected ``G x K_n``, G to
     order 6 and n = 3, 4, 5, on one network per product: the same flow
-    value, searches spent, residual network and separators, at the cutoff
-    the routes start from and at every cutoff below the flow.  Each block
-    of separators that the kernel returns is freed once."""
-    cases = 0
+    value and searches spent, at the cutoff the routes start from and at
+    every cutoff below the flow, in one kernel call per flow, which hands
+    over no block to free."""
+    products = cases = 0
     for g in connected_upto_6:
         for n in (3, 4, 5):
             pg = kronecker(g, make_complete(n))
             if not is_connected(pg):
                 continue
             oracle, net = _SplitFlow(pg), _NativeSplitFlow(pg)
+            products += 1
             for s, t in _even_pairs(pg, 1):
                 value = _agree(oracle, net, s, t, pg.order - 1, (g, n, s, t))
                 for cutoff in range(value):
                     _agree(oracle, net, s, t, cutoff, (g, n, s, t, cutoff))
                 cases += 1 + value
-    assert cases == 102822
-    assert kernel.calls["splitflow_min_separators"] == cases
-    assert kernel.calls["splitflow_free"] == cases
+    assert (products, cases) == (426, 102822)
+    assert kernel.calls == {"splitflow_init": products, "splitflow_max_flow": cases}
 
 
 WORD_BOUNDARY = [
@@ -385,15 +376,12 @@ def test_disconnected_graph_is_refused_before_any_search(g, kernel, monkeypatch)
 def test_failed_kernel_allocation_raises_memory_error(kernel, monkeypatch):
     """A kernel entry that cannot allocate a buffer returns its code for it,
     which raises MemoryError, and hands over no result to free."""
-    for name in ("splitflow_max_flow", "splitflow_min_separators",
-                 "splitflow_min_cuts", "splitflow_pairs"):
+    for name in ("splitflow_max_flow", "splitflow_min_cuts", "splitflow_pairs"):
         monkeypatch.setattr(kernel, name, lambda *args: connectivity._NO_MEMORY,
                             raising=False)
     net = _NativeSplitFlow(make_cycle(5))
     with pytest.raises(MemoryError):
         net.max_flow(0, 2, 2)
-    with pytest.raises(MemoryError):
-        net.min_separators(0, 2, net._residual())
     with pytest.raises(MemoryError):
         enumerate_min_cuts(make_cycle(5))
     with pytest.raises(MemoryError):
