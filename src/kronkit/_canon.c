@@ -1,6 +1,6 @@
-/* Canonical forms of graphs of at most 16 vertices, by which
- * kronkit.corpus deduplicates its exhaustive corpora with one set lookup
- * per candidate.
+/* Canonical forms of graphs of at most 16 vertices, and the table of seen
+ * forms by which kronkit.corpus keeps one graph per isomorphism class of
+ * its exhaustive corpora.
  *
  * The form is found by individualisation-refinement (McKay and Piperno
  * 2014, "Practical graph isomorphism, II").  An ordered partition of the
@@ -23,18 +23,32 @@
  * bits.  Keys of graphs of one order are equal exactly when the graphs
  * are isomorphic.
  *
- * Return codes: 0, or -1 when the order is out of range.
+ * The seen keys of one layer of a corpus sit in an open-addressing table
+ * with linear probing, which canon_seen_new allocates at SEEN_FIRST_SLOTS
+ * slots and which doubles whenever it would pass three quarters full.  No
+ * key sets the top byte of its high word, so a high word of all ones marks
+ * an empty slot.  canon_new_children canonicalises every child of a parent
+ * and writes out only those whose keys the table lacked, in the order it
+ * finds them; canon_seen_free releases the table.
  *
- * Build, with _splitflow.c and _residue.c into one library as kronkit._native
- * does:
- *     cc -O2 -shared -fPIC -o kernel.so _splitflow.c _canon.c _residue.c
+ * Return codes: a count (>= 0), or -1 when the order is out of range, or
+ * -2 when the table cannot grow; the table then keeps every key added so
+ * far and is still released by canon_seen_free.
+ *
+ * Build, with _splitflow.c, _residue.c and _graph6.c into one library as
+ * kronkit._native does:
+ *     cc -O2 -shared -fPIC -o kernel.so _splitflow.c _canon.c _residue.c _graph6.c
  */
 
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 
 #define CANON_MAX_ORDER 16
 #define OUT_OF_RANGE -1
+#define NO_MEMORY -2
+#define SEEN_FIRST_SLOTS 1024
+#define EMPTY UINT64_MAX
 
 typedef unsigned __int128 canon_t;
 
@@ -195,22 +209,113 @@ int canon_key(int order, const uint64_t *adj, uint64_t *key)
     return 0;
 }
 
-/* Writes to keys[2i .. 2i + 2) the key of the graph of the given order
- * whose first order - 1 vertices induce the parent and whose last vertex
- * is adjacent to exactly the vertices of subset first_subset + i, for
- * every subset from first_subset up to the last, 2^(order - 1) - 1. */
-int canon_children(int order, const uint64_t *parent_adj, int first_subset,
-                   uint64_t *keys)
+struct seen {
+    uint64_t *slots; /* two words per slot, the key's low word first */
+    size_t mask;     /* the number of slots, a power of two, less one */
+    size_t count;
+};
+
+/* The table's slot for key: the one holding it, else the empty slot where
+ * linear probing would put it. */
+static uint64_t *probe(const struct seen *seen, uint64_t low, uint64_t high)
+{
+    uint64_t h = (low ^ high * 0x9e3779b97f4a7c15u) * 0xd6e8feb86659fd93u;
+    for (size_t i = (h ^ h >> 32) & seen->mask;; i = (i + 1) & seen->mask) {
+        uint64_t *slot = seen->slots + 2 * i;
+        if (slot[1] == EMPTY || (slot[0] == low && slot[1] == high))
+            return slot;
+    }
+}
+
+/* Allocates slots empty slots, or returns NULL. */
+static uint64_t *empty_slots(size_t slots)
+{
+    uint64_t *words = malloc(2 * slots * sizeof *words);
+    if (words)
+        memset(words, 0xff, 2 * slots * sizeof *words);
+    return words;
+}
+
+/* Doubles the table; on a failed allocation it is left as it was. */
+static int grow(struct seen *seen)
+{
+    size_t slots = seen->mask + 1;
+    uint64_t *old = seen->slots, *words = empty_slots(2 * slots);
+    if (!words)
+        return NO_MEMORY;
+    seen->slots = words;
+    seen->mask = 2 * slots - 1;
+    for (size_t i = 0; i < slots; i++)
+        if (old[2 * i + 1] != EMPTY)
+            memcpy(probe(seen, old[2 * i], old[2 * i + 1]), old + 2 * i, 2 * sizeof *old);
+    free(old);
+    return 0;
+}
+
+/* Adds key to the table: 1 when it is new, 0 when it was there already,
+ * NO_MEMORY when the table had to grow and could not. */
+static int add(struct seen *seen, canon_t key)
+{
+    uint64_t low = (uint64_t)key, high = (uint64_t)(key >> 64);
+    uint64_t *slot = probe(seen, low, high);
+    if (slot[1] != EMPTY)
+        return 0;
+    if (4 * (seen->count + 1) > 3 * (seen->mask + 1)) {
+        if (grow(seen))
+            return NO_MEMORY;
+        slot = probe(seen, low, high);
+    }
+    slot[0] = low;
+    slot[1] = high;
+    seen->count++;
+    return 1;
+}
+
+/* An empty table, or NULL when it cannot be allocated. */
+struct seen *canon_seen_new(void)
+{
+    struct seen *seen = malloc(sizeof *seen);
+    uint64_t *slots = seen ? empty_slots(SEEN_FIRST_SLOTS) : NULL;
+    if (!slots) {
+        free(seen);
+        return NULL;
+    }
+    *seen = (struct seen){.slots = slots, .mask = SEEN_FIRST_SLOTS - 1};
+    return seen;
+}
+
+void canon_seen_free(struct seen *seen)
+{
+    if (seen)
+        free(seen->slots);
+    free(seen);
+}
+
+/* For each subset from first_subset up to the last, 2^(order - 1) - 1, in
+ * turn: adds to seen the key of the graph of the given order whose first
+ * order - 1 vertices induce the parent and whose last vertex is adjacent
+ * to exactly that subset, and when the key is new, writes the child's
+ * order adjacency masks to the next order words of children.  Returns the
+ * number of children written. */
+int canon_new_children(struct seen *seen, int order, const uint64_t *parent_adj,
+                       int first_subset, uint64_t *children)
 {
     if (order < 1 || order > CANON_MAX_ORDER || first_subset < 0)
         return OUT_OF_RANGE;
-    int last = order - 1;
-    uint16_t adj[CANON_MAX_ORDER];
+    int last = order - 1, found = 0;
+    uint16_t masks[CANON_MAX_ORDER];
     for (int subset = first_subset; subset < 1 << last; subset++) {
         for (int v = 0; v < last; v++)
-            adj[v] = (uint16_t)(parent_adj[v] | (uint64_t)(subset >> v & 1) << last);
-        adj[last] = (uint16_t)subset;
-        store(keys + 2 * (subset - first_subset), canonical(adj, order));
+            masks[v] = (uint16_t)(parent_adj[v] | (uint64_t)(subset >> v & 1) << last);
+        masks[last] = (uint16_t)subset;
+        int added = add(seen, canonical(masks, order));
+        if (added < 0)
+            return added;
+        if (!added)
+            continue;
+        for (int v = 0; v < order; v++)
+            *children++ = masks[v];
+        found++;
     }
-    return 0;
+    return found;
 }

@@ -1,7 +1,8 @@
 """Build and load the C kernel: the split-flow network, ``_splitflow.c``,
-the canonical form of small graphs, ``_canon.c``, and the residue
-sampler, ``_residue.c``: seeded PCG64 streams, the rejection loop and its
-verdicts.
+the canonical form of small graphs and the table of seen forms,
+``_canon.c``, the residue sampler, ``_residue.c``: seeded PCG64 streams,
+the rejection loop and its verdicts, and the graph6 payload reader,
+``_graph6.c``.
 
 The sources are compiled on first use with the system C compiler into one
 library in the per-user cache (``$XDG_CACHE_HOME/kronkit``, else
@@ -16,7 +17,7 @@ as a second checkout at another commit, builds again on its next run.
 :func:`library` raises :class:`~kronkit.errors.KernelBuildError`, naming
 the compiler, the cache and the cause, when a source, the compiler or the
 cache is unusable.  No computation falls back to Python then: each of the
-three computations has the kernel as its only route, at every input size.
+four computations has the kernel as its only route, at every input size.
 Masks cross into the kernel as arrays of 64-bit words, lowest bits first,
 a fixed number of words per mask (:func:`words` and :func:`masks`).
 """
@@ -29,15 +30,13 @@ import functools
 import hashlib
 import os
 import platform
-import subprocess
-import tempfile
 from pathlib import Path
 from typing import Sequence
 
 from .errors import KernelBuildError
 
 SOURCES = tuple(Path(__file__).with_name(name)
-                for name in ("_splitflow.c", "_canon.c", "_residue.c"))
+                for name in ("_splitflow.c", "_canon.c", "_residue.c", "_graph6.c"))
 COMPILER = "cc"
 FLAGS = ("-O2", "-shared", "-fPIC")
 
@@ -52,13 +51,16 @@ _ENTRIES = {
     "splitflow_pairs": (_INT, _WORDS, _INT, ctypes.POINTER(_INTS)),
     "splitflow_free": (None, ctypes.c_void_p),
     "canon_key": (_INT, _INT, _WORDS, _WORDS),
-    "canon_children": (_INT, _INT, _WORDS, _INT, _WORDS),
+    "canon_seen_new": (ctypes.c_void_p,),
+    "canon_new_children": (_INT, ctypes.c_void_p, _INT, _WORDS, _INT, _WORDS),
+    "canon_seen_free": (None, ctypes.c_void_p),
     "residue_seed": (_INT, _WORDS, _INT, _WORDS),
     "residue_words": (None, _WORDS, _INT, _WORDS),
     "residue_choices": (_INT, _WORDS, _INT, _INT, _INT, _WORDS),
     "residue_sample": (_INT, _INT, _WORDS, _INT, _INT, _WORDS, _INT, _INT64,
                        _WORDS, _WORDS, _WORDS),
     "residue_verdicts": (_INT, _INT, _WORDS, _INT, _WORDS, _INT, _WORDS, _WORDS),
+    "graph6_adjacency": (None, ctypes.c_char_p, _INT, _INT, _WORDS),
 }
 
 
@@ -68,12 +70,18 @@ def _cache_dir() -> Path:
 
 
 def _build(path: Path) -> None:
+    import subprocess  # only a build needs these, so they stay out of import
+    import tempfile
+
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.stem, suffix=".tmp")
     os.close(fd)
     try:
-        done = subprocess.run([COMPILER, *FLAGS, "-o", tmp, *map(str, SOURCES)],
-                              capture_output=True, errors="replace", timeout=300)
+        try:
+            done = subprocess.run([COMPILER, *FLAGS, "-o", tmp, *map(str, SOURCES)],
+                                  capture_output=True, errors="replace", timeout=300)
+        except subprocess.SubprocessError as exc:
+            raise RuntimeError(str(exc)) from exc
         if done.returncode:
             errors = [line for line in done.stderr.splitlines() if "error" in line]
             raise RuntimeError(f"the compiler exited with status {done.returncode}"
@@ -113,7 +121,7 @@ def library() -> ctypes.CDLL:
         if not path.exists():
             _build(path)
         lib = ctypes.CDLL(str(path))
-    except (OSError, RuntimeError, subprocess.SubprocessError) as exc:
+    except (OSError, RuntimeError) as exc:
         raise KernelBuildError(f"cannot build the C kernel with {COMPILER!r} "
                                f"in {cache}: {exc}") from exc
     for name, (restype, *argtypes) in _ENTRIES.items():

@@ -24,9 +24,9 @@
  * product.  Each check is inlined twice, once for one-word masks.
  *
  * Return codes: 0; -1 when a size is out of range; -2 when a buffer cannot
- * be allocated.  Build, with _splitflow.c and _canon.c into one library as
- * kronkit._native does:
- *     cc -O2 -shared -fPIC -o kernel.so _splitflow.c _canon.c _residue.c
+ * be allocated.  Build, with _splitflow.c, _canon.c and _graph6.c into one
+ * library as kronkit._native does:
+ *     cc -O2 -shared -fPIC -o kernel.so _splitflow.c _canon.c _residue.c _graph6.c
  */
 
 #include <limits.h>

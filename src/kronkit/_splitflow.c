@@ -54,9 +54,9 @@
  * splitflow_free; on an error they have freed every buffer and hand over
  * none.  splitflow_max_flow frees its buffers before it returns.
  *
- * Build, with _canon.c and _residue.c into one library as kronkit._native
- * does:
- *     cc -O2 -shared -fPIC -o kernel.so _splitflow.c _canon.c _residue.c
+ * Build, with _canon.c, _residue.c and _graph6.c into one library as
+ * kronkit._native does:
+ *     cc -O2 -shared -fPIC -o kernel.so _splitflow.c _canon.c _residue.c _graph6.c
  */
 
 #include <stdint.h>

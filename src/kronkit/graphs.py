@@ -8,7 +8,9 @@ the cut enumeration and the residue sampler.
 
 from __future__ import annotations
 
+import binascii
 import ctypes
+import re
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -17,6 +19,17 @@ from .errors import Graph6Error, UnsupportedSizeError
 
 # Largest order the 3-byte graph6 size field can express.
 GRAPH6_MAX_ORDER = 258047
+# A string of the graph6 alphabet, the characters 63 to 126.
+_GRAPH6_TEXT = re.compile("[?-~]+")
+# Each byte with its bits in reverse order, and base64's 64 digits mapped to
+# the graph6 characters of the same 6-bit values.
+_REVERSED_BITS = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+_BASE64_TO_GRAPH6 = bytes.maketrans(
+    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/",
+    bytes(range(63, 127)))
+# Payload bits that encode_graph6 packs into one integer before it sets the
+# integer's whole bytes aside.
+_FLUSH_BITS = 1 << 12
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -131,34 +144,35 @@ def encode_graph6(g: Graph) -> str:
     """Standard header-less graph6 encoding of ``g``.
 
     Orders up to 62 use the one-byte size field, orders up to
-    ``GRAPH6_MAX_ORDER`` the 3-byte extended field.
+    ``GRAPH6_MAX_ORDER`` the 3-byte extended field.  The payload's bits are
+    packed into an integer, column by column, lowest bit first, whose whole
+    bytes are set aside once it holds ``_FLUSH_BITS`` bits, so that each
+    shift stays short and the encoding takes time linear in the payload.
+    With the bits of each byte reversed the bytes are the payload's bit
+    stream, whose base64 groups are its 6-bit groups, most significant bit
+    first.
     """
     n = g.order
     if n > GRAPH6_MAX_ORDER:
         raise UnsupportedSizeError(
             f"graph6 supports order <= {GRAPH6_MAX_ORDER}, got {n}")
-    out = []
     if n <= 62:
-        out.append(chr(n + 63))
+        head = chr(n + 63)
     else:
-        out.append("~")
-        out.append(chr((n >> 12 & 63) + 63))
-        out.append(chr((n >> 6 & 63) + 63))
-        out.append(chr((n & 63) + 63))
-    group = 0
-    nbits = 0
-    for j in range(1, n):
-        col = g.adj[j]
-        for i in range(j):
-            group = group << 1 | (col >> i & 1)
-            nbits += 1
-            if nbits == 6:
-                out.append(chr(group + 63))
-                group = 0
-                nbits = 0
-    if nbits:
-        out.append(chr((group << (6 - nbits)) + 63))
-    return "".join(out)
+        head = "~" + chr((n >> 12 & 63) + 63) + chr((n >> 6 & 63) + 63) + chr((n & 63) + 63)
+    packed = bytearray()
+    stream = bits = 0
+    for j, col in enumerate(g.adj):
+        stream |= (col & ((1 << j) - 1)) << bits
+        bits += j
+        if bits >= _FLUSH_BITS:
+            packed += (stream & ((1 << (bits & ~7)) - 1)).to_bytes(bits >> 3, "little")
+            stream >>= bits & ~7
+            bits &= 7
+    packed += stream.to_bytes((bits + 7) // 8, "little")
+    groups = binascii.b2a_base64(packed.translate(_REVERSED_BITS), newline=False)
+    pairs = n * (n - 1) // 2
+    return head + groups[:(pairs + 5) // 6].translate(_BASE64_TO_GRAPH6).decode("ascii")
 
 
 def parse_graph6(text: str) -> Graph:
@@ -166,30 +180,29 @@ def parse_graph6(text: str) -> Graph:
 
     Raises :class:`Graph6Error` with the byte offset of the defect for
     malformed input.  ``parse_graph6(encode_graph6(g)) == g`` for every graph,
-    and re-encoding a canonical input reproduces it byte for byte.
+    and re-encoding a canonical input reproduces it byte for byte.  The
+    string is checked here; the kernel reads the edge payload.
     """
     s = text.rstrip("\r\n")
-    if s == "":
-        raise Graph6Error("empty graph6 string", offset=0)
-    for pos, ch in enumerate(s):
-        code = ord(ch)
-        if code < 63 or code > 126:
-            raise Graph6Error(f"character {ch!r} outside graph6 alphabet", offset=pos)
-    vals = [ord(c) - 63 for c in s]
-    if vals[0] == 63:
-        if len(vals) >= 2 and vals[1] == 63:
+    if not _GRAPH6_TEXT.fullmatch(s):
+        if s == "":
+            raise Graph6Error("empty graph6 string", offset=0)
+        pos, ch = next((pos, ch) for pos, ch in enumerate(s) if not "?" <= ch <= "~")
+        raise Graph6Error(f"character {ch!r} outside graph6 alphabet", offset=pos)
+    data = s.encode("ascii")
+    if data[0] == 126:
+        if len(data) >= 2 and data[1] == 126:
             raise Graph6Error("8-byte size field is not supported", offset=1)
-        if len(vals) < 4:
+        if len(data) < 4:
             raise Graph6Error("truncated extended size field", offset=len(s))
-        n = vals[1] << 12 | vals[2] << 6 | vals[3]
-        body = vals[4:]
+        n = (data[1] - 63) << 12 | (data[2] - 63) << 6 | (data[3] - 63)
         body_offset = 4
     else:
-        n = vals[0]
-        body = vals[1:]
+        n = data[0] - 63
         body_offset = 1
     pair_bits = n * (n - 1) // 2
     want = (pair_bits + 5) // 6
+    body = data[body_offset:]
     if len(body) < want:
         raise Graph6Error(
             f"edge payload truncated: order {n} needs {want} groups, got {len(body)}",
@@ -197,16 +210,9 @@ def parse_graph6(text: str) -> Graph:
     if len(body) > want:
         raise Graph6Error("trailing characters after edge payload",
                           offset=body_offset + want)
-    adj = [0] * n
-    idx = 0
-    for j in range(1, n):
-        for i in range(j):
-            if body[idx // 6] >> (5 - idx % 6) & 1:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-            idx += 1
-    while idx < 6 * want:
-        if body[idx // 6] >> (5 - idx % 6) & 1:
-            raise Graph6Error("nonzero padding bits", offset=body_offset + idx // 6)
-        idx += 1
-    return Graph(n, tuple(adj))
+    if want and (body[-1] - 63) & ((1 << (6 * want - pair_bits)) - 1):
+        raise Graph6Error("nonzero padding bits", offset=len(s) - 1)
+    width = max(1, (n + 63) // 64)
+    adj = (ctypes.c_uint64 * (n * width))()
+    _native.library().graph6_adjacency(body, n, width, adj)
+    return Graph(n, tuple(_native.masks(adj, width)))

@@ -19,7 +19,6 @@ from __future__ import annotations
 import ctypes
 import functools
 import time
-from concurrent.futures import ProcessPoolExecutor
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -445,6 +444,9 @@ def _pooled_records(corpus: Iterable[Graph | dict], workers: int,
     exception that the corpus raises is raised after the records of the
     items before it.
     """
+    # Only a pooled run loads the pool, with multiprocessing behind it.
+    from concurrent.futures import ProcessPoolExecutor
+
     items = iter(corpus)
     failure = None
     size = 1

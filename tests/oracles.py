@@ -21,6 +21,10 @@ route that follows the definition:
 * :func:`build_residue_system` evaluates a removal against the three removal
   conditions, which the residue sampler reads per fiber instead, and gives
   the per-fiber label masks that :func:`build_gstar` takes.
+* :func:`encode_graph6_by_loops` and :func:`parse_graph6_by_loops` write
+  and read a graph6 payload one bit at a time; :func:`encode_graph6`, which
+  packs the payload into one integer, and :func:`parse_graph6`, whose
+  payload the kernel reads, are compared with them.
 * :func:`kronecker_by_loops` builds a product edge by edge, and
   :func:`weichsel_connected` decides its connectedness from its factors;
   :func:`are_isomorphic` tests isomorphism exactly.
@@ -43,8 +47,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from kronkit.connectivity import CutSet, _disconnected, _over_budget, vertex_connectivity
-from kronkit.corpus import _child
-from kronkit.errors import PreconditionError, UnsupportedSizeError
+from kronkit.errors import Graph6Error, PreconditionError, UnsupportedSizeError
 from kronkit.graphs import (
     Graph,
     is_connected,
@@ -257,11 +260,19 @@ def are_isomorphic(g1: Graph, g2: Graph) -> bool:
     return _iso_search(g1, c1, g2, c2)
 
 
+def _child(parent: Graph, order: int, subset: int) -> Graph:
+    """The parent with a new last vertex adjacent to exactly ``subset``."""
+    new_bit = 1 << (order - 1)
+    adj = [m | new_bit if subset >> v & 1 else m for v, m in enumerate(parent.adj)]
+    adj.append(subset)
+    return Graph(order, tuple(adj))
+
+
 def _extend_by_search(parents: tuple[Graph, ...], order: int,
                       first_subset: int) -> tuple[Graph, ...]:
     """The children of ``parents`` whose new vertex is adjacent to a
     subset from ``first_subset`` on, one per class in order of first
-    appearance, as :func:`kronkit.corpus._extend_layer` keeps them."""
+    appearance, as :func:`kronkit.corpus.all_graphs` keeps them."""
     reps: list[Graph] = []
     buckets: dict[tuple, list[tuple[Graph, tuple[int, ...]]]] = {}
     for parent in parents:
@@ -284,6 +295,83 @@ def search_corpus(max_order: int, connected: bool) -> list[tuple[Graph, ...]]:
     for order in range(2, max_order + 1):
         layers.append(_extend_by_search(layers[-1], order, 1 if connected else 0))
     return layers
+
+
+def encode_graph6_by_loops(g: Graph) -> str:
+    """The graph6 string of ``g`` written one payload bit at a time: the
+    oracle for :func:`encode_graph6`, which packs the payload into one
+    integer."""
+    n = g.order
+    out = []
+    if n <= 62:
+        out.append(chr(n + 63))
+    else:
+        out.append("~")
+        out.append(chr((n >> 12 & 63) + 63))
+        out.append(chr((n >> 6 & 63) + 63))
+        out.append(chr((n & 63) + 63))
+    group = 0
+    nbits = 0
+    for j in range(1, n):
+        col = g.adj[j]
+        for i in range(j):
+            group = group << 1 | (col >> i & 1)
+            nbits += 1
+            if nbits == 6:
+                out.append(chr(group + 63))
+                group = 0
+                nbits = 0
+    if nbits:
+        out.append(chr((group << (6 - nbits)) + 63))
+    return "".join(out)
+
+
+def parse_graph6_by_loops(text: str) -> Graph:
+    """The graph6 string decoded one payload bit at a time, with the same
+    checks, messages and offsets: the oracle for :func:`parse_graph6`,
+    whose payload the kernel reads."""
+    s = text.rstrip("\r\n")
+    if s == "":
+        raise Graph6Error("empty graph6 string", offset=0)
+    for pos, ch in enumerate(s):
+        code = ord(ch)
+        if code < 63 or code > 126:
+            raise Graph6Error(f"character {ch!r} outside graph6 alphabet", offset=pos)
+    vals = [ord(c) - 63 for c in s]
+    if vals[0] == 63:
+        if len(vals) >= 2 and vals[1] == 63:
+            raise Graph6Error("8-byte size field is not supported", offset=1)
+        if len(vals) < 4:
+            raise Graph6Error("truncated extended size field", offset=len(s))
+        n = vals[1] << 12 | vals[2] << 6 | vals[3]
+        body = vals[4:]
+        body_offset = 4
+    else:
+        n = vals[0]
+        body = vals[1:]
+        body_offset = 1
+    pair_bits = n * (n - 1) // 2
+    want = (pair_bits + 5) // 6
+    if len(body) < want:
+        raise Graph6Error(
+            f"edge payload truncated: order {n} needs {want} groups, got {len(body)}",
+            offset=len(s))
+    if len(body) > want:
+        raise Graph6Error("trailing characters after edge payload",
+                          offset=body_offset + want)
+    adj = [0] * n
+    idx = 0
+    for j in range(1, n):
+        for i in range(j):
+            if body[idx // 6] >> (5 - idx % 6) & 1:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+            idx += 1
+    while idx < 6 * want:
+        if body[idx // 6] >> (5 - idx % 6) & 1:
+            raise Graph6Error("nonzero padding bits", offset=body_offset + idx // 6)
+        idx += 1
+    return Graph(n, tuple(adj))
 
 
 def kronecker_by_loops(g1: Graph, g2: Graph) -> Graph:

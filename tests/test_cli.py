@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from kronkit import cli, product_analysis
+from kronkit import cli, corpus, product_analysis
 from kronkit.cli import emit_report, ingest_corpus, main
 from kronkit.graphs import encode_graph6, make_complete, make_cycle, parse_graph6
 from kronkit.product_analysis import (
@@ -539,6 +539,31 @@ def test_closed_pipe_ends_the_run_quietly_with_exit_code_141():
         proc.stderr.close()
     assert json.loads(first)["instance"] == {"graph6": "@", "n": 3}
     assert (code, err) == (141, b"")
+
+
+def test_all_graphs_streams_its_top_order(capsys, monkeypatch):
+    """``--all-graphs`` takes the layers below ``--max-order`` whole, and
+    the top one as the kernel finds it: the order-6 layer is never held."""
+    whole, streamed = [], []
+
+    def all_graphs(order):
+        whole.append(order)
+        return corpus.all_graphs(order)
+
+    def iter_graphs(order):
+        streamed.append(order)
+        return corpus.iter_graphs(order)
+
+    monkeypatch.setattr(cli, "all_graphs", all_graphs)
+    monkeypatch.setattr(cli, "iter_graphs", iter_graphs)
+    code, out, _ = run_cli(["batch", "--all-graphs", "--max-order", "6", "--n", "3",
+                            "--workers", "1"], capsys)
+    assert code == 1  # the predicted K_{d,d} x K_3 violations
+    assert (whole, streamed) == ([1, 2, 3, 4, 5], [6])
+    layers = [g for order in range(1, 7) for g in corpus.all_graphs(order)]
+    records = jsonl(out)
+    assert [r["instance"]["graph6"] for r in records[:-1]] == [
+        encode_graph6(g) for g in layers]
 
 
 # -- per-command options and input guards --------------------------------------------

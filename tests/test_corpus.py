@@ -3,11 +3,13 @@
 import ctypes
 import itertools
 import random
+import re
+from pathlib import Path
 
 import pytest
 
-from kronkit import _native
-from kronkit.corpus import all_graphs, connected_graphs, graphs_up_to
+from kronkit import _native, corpus as corpus_module
+from kronkit.corpus import all_graphs, connected_graphs, graphs_up_to, iter_graphs
 from kronkit.errors import UnsupportedSizeError
 from kronkit.graphs import Graph, is_connected, make_complete, make_cycle
 
@@ -99,6 +101,96 @@ def test_orders_past_the_canonical_key_raise_before_building(corpus):
         corpus(17)
     assert all_graphs.cache_info().currsize == 0
     assert connected_graphs.cache_info().currsize == 0
+
+
+def test_iter_graphs_checks_the_order_at_the_call():
+    all_graphs.cache_clear()
+    with pytest.raises(UnsupportedSizeError, match="order 16, got 17"):
+        iter_graphs(17)
+    with pytest.raises(ValueError, match="order must be >= 0"):
+        iter_graphs(-1)
+    assert all_graphs.cache_info().currsize == 0
+
+
+def test_streamed_layer_equals_the_cached_corpus_to_order_8():
+    """The layer streamed from the kernel is the cached tuple, graph for
+    graph and in the same order."""
+    for order in range(9):
+        assert list(iter_graphs(order)) == list(all_graphs(order))
+
+
+def _first_slots() -> int:
+    """The slots of a new key table, as ``_canon.c`` defines them."""
+    source = Path(_native.__file__).with_name("_canon.c").read_text(encoding="utf-8")
+    return int(re.search(r"#define SEEN_FIRST_SLOTS (\d+)", source).group(1))
+
+
+def test_key_table_grows_and_keeps_every_key(lib):
+    """All 12346 graphs of order 8, more than twelve times the slots of a
+    new table, are new once; fed again to the grown table, none is.  An
+    order past 16 is refused."""
+    children = (ctypes.c_uint64 * (8 << 7))()
+    seen = lib.canon_seen_new()
+
+    def new_children(parent):
+        found = lib.canon_new_children(seen, 8, _native.words(parent.adj, 1), 0, children)
+        masks = children[:8 * found]
+        return [tuple(masks[i:i + 8]) for i in range(0, len(masks), 8)]
+    try:
+        layer = [adj for parent in all_graphs(7) for adj in new_children(parent)]
+        assert layer == [g.adj for g in all_graphs(8)]
+        assert len(layer) == 12346 > 12 * _first_slots()
+        assert not any(new_children(parent) for parent in all_graphs(7))
+        assert lib.canon_new_children(seen, 17, _native.words([0] * 16, 1), 0,
+                                      children) == -1
+    finally:
+        lib.canon_seen_free(seen)
+
+
+@pytest.fixture
+def fresh_corpora():
+    """Empty corpus caches, so that each layer is built afresh."""
+    all_graphs.cache_clear()
+    connected_graphs.cache_clear()
+    yield
+    all_graphs.cache_clear()
+    connected_graphs.cache_clear()
+
+
+def test_failed_table_growth_raises_memory_error_and_frees_the_table(
+        kernel, fresh_corpora, monkeypatch):
+    """A table that cannot grow at order 4 raises MemoryError there, whether
+    the layer is built whole or streamed, and every table is freed."""
+    def new_children(seen, order, *args):
+        if order == 4:
+            return corpus_module._NO_MEMORY
+        return kernel.lib.canon_new_children(seen, order, *args)
+
+    monkeypatch.setattr(kernel, "canon_new_children", new_children, raising=False)
+    with pytest.raises(MemoryError):
+        all_graphs(4)
+    stream = iter_graphs(4)
+    with pytest.raises(MemoryError):
+        next(stream)
+    assert kernel.calls["canon_seen_new"] == kernel.calls["canon_seen_free"] == 4 + 1
+
+
+def test_failed_table_allocation_raises_memory_error(kernel, fresh_corpora, monkeypatch):
+    """A table that cannot be allocated raises MemoryError, with nothing
+    to free."""
+    monkeypatch.setattr(kernel, "canon_seen_new", lambda: None, raising=False)
+    with pytest.raises(MemoryError):
+        connected_graphs(3)
+    assert kernel.calls["canon_new_children"] == kernel.calls["canon_seen_free"] == 0
+
+
+def test_abandoned_stream_frees_the_table(kernel, fresh_corpora):
+    """A stream closed before its end frees its table."""
+    stream = iter_graphs(8)
+    assert next(stream) == Graph(8, (0,) * 8)
+    assert kernel.calls["canon_seen_free"] == 7  # orders 1 to 7, built whole
+    stream.close()
+    assert kernel.calls["canon_seen_new"] == kernel.calls["canon_seen_free"] == 8
 
 
 def _key(lib, g: Graph) -> bytes:

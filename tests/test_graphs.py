@@ -28,7 +28,9 @@ from oracles import (
     graph_from_edges,
     has_isolated,
     mask_of,
+    encode_graph6_by_loops,
     naive_components,
+    parse_graph6_by_loops,
     validate,
 )
 
@@ -277,6 +279,61 @@ def test_graph6_rejects_nonzero_padding():
         parse_graph6("A" + chr(0b110000 + 63))
 
 
+MALFORMED_GRAPH6 = {
+    "": ("empty graph6 string", 0),
+    "\n": ("empty graph6 string", 0),
+    "D" + chr(20): ("character '\\x14' outside graph6 alphabet", 1),
+    "D?\x7f": ("character '\\x7f' outside graph6 alphabet", 2),
+    "C\u00e9": ("character '\u00e9' outside graph6 alphabet", 1),
+    "D?": ("edge payload truncated: order 5 needs 2 groups, got 1", 2),
+    "A_?": ("trailing characters after edge payload", 2),
+    "A" + chr(0b110000 + 63): ("nonzero padding bits", 1),
+    "D?@": ("nonzero padding bits", 2),
+    "~~??": ("8-byte size field is not supported", 1),
+    "~?": ("truncated extended size field", 2),
+    "~??": ("truncated extended size field", 3),
+    "~??~": ("edge payload truncated: order 63 needs 326 groups, got 0", 4),
+    "~??~" + "?" * 327: ("trailing characters after edge payload", 330),
+    "~?@@" + "?" * 346 + "@": ("nonzero padding bits", 350),
+}
+
+
+@pytest.mark.parametrize("parse", [parse_graph6, parse_graph6_by_loops],
+                         ids=["kernel", "oracle"])
+@pytest.mark.parametrize("text", MALFORMED_GRAPH6, ids=lambda text: repr(text[:8]))
+def test_graph6_malformed_input_keeps_its_message_and_offset(parse, text):
+    """Every check stays in Python, so the kernel's parse raises what the
+    bit-by-bit oracle raises, at the same byte offset."""
+    message, offset = MALFORMED_GRAPH6[text]
+    with pytest.raises(Graph6Error) as err:
+        parse(text)
+    assert str(err.value) == f"{message} (byte offset {offset})"
+    assert err.value.offset == offset
+
+
+def test_graph6_codec_equals_the_oracle_on_every_graph_to_order_8():
+    for order in range(9):
+        for g in all_graphs(order):
+            text = encode_graph6(g)
+            assert text == encode_graph6_by_loops(g)
+            assert parse_graph6(text) == parse_graph6_by_loops(text) == g
+
+
+@pytest.mark.parametrize("order", [62, 63, 64, 65, 91, 92, 127, 128, 129, 300])
+@pytest.mark.parametrize("p", [0.0, 0.05, 0.5, 1.0])
+def test_graph6_codec_equals_the_oracle_across_mask_words(order, p):
+    """Past 62 vertices the size field takes 3 bytes, past 64 a mask takes
+    more than one word, and past 91 the payload passes the 4096 bits at which
+    the encoder sets whole bytes aside."""
+    g = random_graph(order, p, order)
+    text = encode_graph6(g)
+    assert text == encode_graph6_by_loops(g)
+    assert text.startswith("~") == (order > 62)
+    assert parse_graph6(text) == parse_graph6_by_loops(text) == g
+    assert parse_graph6(text + "\n") == g
+
+
+
 def test_graph6_round_trip_100_seeded_random_graphs():
     for seed in range(100):
         g = random_graph(1 + seed % 10, 0.4, seed)
@@ -300,6 +357,7 @@ def test_graph6_oversize_rejected():
 @settings(max_examples=200)
 def test_graph6_round_trip_property(g):
     assert parse_graph6(encode_graph6(g)) == g
+    assert encode_graph6(g) == encode_graph6_by_loops(g)
 
 
 def test_graph6_matches_networkx_encoding():

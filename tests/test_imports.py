@@ -182,8 +182,8 @@ def test_package_exports_what_it_imports():
 _EXPORTED = re.compile(r"^(?!static\b|BOTH_WIDTHS\b)[a-z_][\w ]*[ *](\w+)\(", re.M)
 # Entries only the tests call, each through a direct test of its own:
 # canon_key checks the canonical form of graphs of orders 9 to 16 one
-# graph at a time (through canon_children, an order-16 graph would take up
-# to 2**15 keys), and residue_choices both branches of numpy's
+# graph at a time (through canon_new_children, an order-16 graph would take
+# up to 2**15 keys), and residue_choices both branches of numpy's
 # Generator.choice one draw at a time; residue_sample runs both inside
 # whole trials.
 _TEST_ONLY_ENTRIES = {"canon_key", "residue_choices"}

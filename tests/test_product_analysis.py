@@ -1,5 +1,6 @@
 """Tests for residue systems, the auxiliary graph, and verification records."""
 
+import concurrent.futures
 import ctypes
 import itertools
 import random
@@ -1009,7 +1010,7 @@ def test_batch_pool_has_no_more_workers_than_instances(monkeypatch):
     and none for a single factor; tasks hold 1, 2, 4, ... corpus items."""
     asked = []
     monkeypatch.setattr(_InProcessPool, "asked", asked)
-    monkeypatch.setattr(product_analysis, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
     for factors, pools in [([make_cycle(5)], []),
                            ([make_cycle(5), make_complete(4), make_cycle(6)], [2]),
                            (connected_graphs(5), [5])]:
@@ -1027,7 +1028,7 @@ def test_pool_yields_a_finished_tasks_records_before_reading_on(monkeypatch):
     task j + 3, and no further, so a slow corpus read, such as the next
     order's whole layer, does not hold them back."""
     monkeypatch.setattr(_InProcessPool, "asked", [])
-    monkeypatch.setattr(product_analysis, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
     factors = [make_cycle(3 + i % 5) for i in range(40)]
     read = 0
 
