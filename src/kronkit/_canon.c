@@ -35,9 +35,8 @@
  * -2 when the table cannot grow; the table then keeps every key added so
  * far and is still released by canon_seen_free.
  *
- * Build, with _splitflow.c, _residue.c and _graph6.c into one library as
- * kronkit._native does:
- *     cc -O2 -shared -fPIC -o kernel.so _splitflow.c _canon.c _residue.c _graph6.c
+ * Build with the other kernel sources into one library, as kronkit._native
+ * does: it lists the sources and the flags.
  */
 
 #include <stdint.h>

@@ -7,9 +7,8 @@
  * each character 63 plus its bits, most significant bit first.  A vertex's
  * mask takes width words, lowest bits first.
  *
- * Build, with _splitflow.c, _canon.c and _residue.c into one library as
- * kronkit._native does:
- *     cc -O2 -shared -fPIC -o kernel.so _splitflow.c _canon.c _residue.c _graph6.c
+ * Build with the other kernel sources into one library, as kronkit._native
+ * does: it lists the sources and the flags.
  */
 
 #include <stddef.h>

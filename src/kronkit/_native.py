@@ -42,6 +42,10 @@ FLAGS = ("-O2", "-shared", "-fPIC")
 
 _WORDS, _INTS = ctypes.POINTER(ctypes.c_uint64), ctypes.POINTER(ctypes.c_int)
 _INT, _INT64 = ctypes.c_int, ctypes.c_int64
+# The largest C int, so the largest size or count any entry takes.
+INT_MAX = 2**31 - 1
+# What an entry returns when it cannot allocate a buffer.
+NO_MEMORY = -2
 # The return type, then the argument types, of each kernel entry point.
 _ENTRIES = {
     "splitflow_init": (None, _WORDS),
@@ -57,7 +61,7 @@ _ENTRIES = {
     "residue_seed": (_INT, _WORDS, _INT, _WORDS),
     "residue_words": (None, _WORDS, _INT, _WORDS),
     "residue_choices": (_INT, _WORDS, _INT, _INT, _INT, _WORDS),
-    "residue_sample": (_INT, _INT, _WORDS, _INT, _INT, _WORDS, _INT, _INT64,
+    "residue_sample": (_INT, _INT, _WORDS, _INT, _INT, ctypes.c_uint64, _INT, _INT64,
                        _WORDS, _WORDS, _WORDS),
     "residue_verdicts": (_INT, _INT, _WORDS, _INT, _WORDS, _INT, _WORDS, _WORDS),
     "graph6_adjacency": (None, ctypes.c_char_p, _INT, _INT, _WORDS),

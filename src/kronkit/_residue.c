@@ -7,26 +7,27 @@
  * increment's.  Each 64-bit word advances the 128-bit state by state *
  * PCG_MULT + inc and is read off it by XSL-RR (O'Neill 2014, "PCG: A Family
  * of Simple Fast Space-Efficient Statistically Good Algorithms for Random
- * Number Generation").  residue_seed seeds a stream as numpy's
+ * Number Generation").  seed_stream seeds a stream as numpy's
  * PCG64(entropy): SeedSequence hashes the entropy's 32-bit words into a
  * pool of four, generate_state(4) reads four 64-bit words off the pool, and
  * PCG64 takes the first two as its initial state, the last two as its
- * stream.  choose rebuilds Generator.choice as numpy computes it, with
- * numpy's Lemire draws on 32-bit halves, a half left over by one draw
- * starting the next.
+ * stream.  residue_sample seeds each trial's stream so, from the run's seed
+ * and the trial's index, and residue_seed hands a stream to Python.  choose
+ * rebuilds Generator.choice as numpy computes it, with numpy's Lemire draws
+ * on 32-bit halves, a half left over by one draw starting the next.
  *
  * A mask of fibers takes fw = ceil(order / 64) words and a mask of labels
  * lw = ceil(n / 64), lowest bits first: adj holds the factor's adjacency
- * masks, and lab[u] the label mask of fiber u's survivors.  A draw is
+ * masks, and lab[u] the label mask of fiber u's survivors, which stay in
+ * the caller's buffer from residue_sample to residue_verdicts.  A draw is
  * rejected when some lab[u] is 0, and otherwise when a survivor (u, x) has
  * no surviving neighbour: when the masks of u's neighbours, together, lie
  * inside {x}.  The verdicts are searches over fibers that never build the
  * product.  Each check is inlined twice, once for one-word masks.
  *
  * Return codes: 0; -1 when a size is out of range; -2 when a buffer cannot
- * be allocated.  Build, with _splitflow.c, _canon.c and _graph6.c into one
- * library as kronkit._native does:
- *     cc -O2 -shared -fPIC -o kernel.so _splitflow.c _canon.c _residue.c _graph6.c
+ * be allocated.  Build with the other kernel sources into one library, as
+ * kronkit._native does: it lists the sources and the flags.
  */
 
 #include <limits.h>
@@ -91,11 +92,9 @@ static uint32_t hashmix(uint32_t value, uint32_t *hash, uint32_t mult)
 }
 
 /* The stream of numpy's PCG64 seeded with the count integers of entropy,
- * at most MAX_ENTROPY of them, written to seed. */
-int residue_seed(const uint64_t *entropy, int count, uint64_t *seed)
+ * count in 1 .. MAX_ENTROPY. */
+static struct stream seed_stream(const uint64_t *entropy, int count)
 {
-    if (count < 1 || count > MAX_ENTROPY)
-        return OUT_OF_RANGE;
     uint32_t words[2 * MAX_ENTROPY], pool[4], hash = 0x43B0D7E5;
     int size = 0;
     for (int i = 0; i < count; i++) {
@@ -123,6 +122,16 @@ int residue_seed(const uint64_t *entropy, int count, uint64_t *seed)
     next_word(&s);
     s.state += init.state;
     next_word(&s);
+    return s;
+}
+
+/* seed_stream of the count integers of entropy, at most MAX_ENTROPY of
+ * them, written to seed. */
+int residue_seed(const uint64_t *entropy, int count, uint64_t *seed)
+{
+    if (count < 1 || count > MAX_ENTROPY)
+        return OUT_OF_RANGE;
+    struct stream s = seed_stream(entropy, count);
     store(&s, seed);
     return 0;
 }
@@ -257,14 +266,15 @@ BOTH_WIDTHS int rejection(int order, int fw, const uint64_t *adj, int n, int lw,
     return 0;
 }
 
-/* The sampler over the streams of trials seeds, one after another, for the
- * factor with adjacency masks adj times K_n.  Per trial t it writes the
- * rejections to counts[2t], past cap exactly when cap + 1 draws in a row
- * were, and the isolation-only ones to counts[2t + 1]; on acceptance also
- * the removal's ids, ascending, to removed[t * size] on, and the fibers'
- * label masks to labels[t * order * lw] on. */
+/* The sampler of trials trials for the factor with adjacency masks adj
+ * times K_n, trial t drawing from the stream that numpy's PCG64 seeds with
+ * [seed, t].  Per trial t it writes the rejections to counts[2t], past cap
+ * exactly when cap + 1 draws in a row were, and the isolation-only ones to
+ * counts[2t + 1]; on acceptance also the removal's ids, ascending, to
+ * removed[t * size] on, and the fibers' label masks to labels[t * order *
+ * lw] on, where residue_verdicts reads them. */
 int residue_sample(int order, const uint64_t *adj, int n, int size,
-                   const uint64_t *seeds, int trials, int64_t cap,
+                   uint64_t seed, int trials, int64_t cap,
                    uint64_t *removed, uint64_t *labels, uint64_t *counts)
 {
     if (order < 1 || n < 1 || (int64_t)order * n > INT_MAX || size < 0
@@ -275,7 +285,7 @@ int residue_sample(int order, const uint64_t *adj, int n, int size,
     uint64_t *picked = calloc((size_t)WORDS(mn), sizeof *picked);
     int code = ids && picked ? 0 : NO_MEMORY;
     for (int t = 0; !code && t < trials; t++) {
-        struct stream s = seeded(seeds + 4 * (int64_t)t);
+        struct stream s = seed_stream((const uint64_t[]){seed, (uint64_t)t}, 2);
         uint64_t *lab = labels + (int64_t)t * order * lw;
         int64_t rejections = 0, isolation_rejections = 0;
         while (rejections <= cap) {

@@ -54,9 +54,8 @@
  * splitflow_free; on an error they have freed every buffer and hand over
  * none.  splitflow_max_flow frees its buffers before it returns.
  *
- * Build, with _canon.c, _residue.c and _graph6.c into one library as
- * kronkit._native does:
- *     cc -O2 -shared -fPIC -o kernel.so _splitflow.c _canon.c _residue.c _graph6.c
+ * Build with the other kernel sources into one library, as kronkit._native
+ * does: it lists the sources and the flags.
  */
 
 #include <stdint.h>

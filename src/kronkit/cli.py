@@ -29,6 +29,7 @@ import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+from . import _native
 from .connectivity import (
     connectivity_result,
     cut_record,
@@ -38,6 +39,7 @@ from .connectivity import (
 from .corpus import all_graphs, iter_graphs
 from .errors import BudgetExceededError, Graph6Error, KronkitError, PreconditionError
 from .graphs import (
+    GRAPH6_MAX_ORDER,
     Graph,
     encode_graph6,
     make_complete,
@@ -381,10 +383,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _budget(parser: argparse.ArgumentParser, args) -> int:
-    if args.budget < 0:
-        parser.error(f"--budget must be >= 0, got {args.budget}")
-    return args.budget
+def _within(parser: argparse.ArgumentParser, command: str, flag: str, value: int,
+            low: int, high: int | None = None) -> None:
+    """A usage error unless ``low <= value <= high``, ``high`` None for no
+    bound.  An output graph's order is bounded by graph6's largest, and
+    what a kernel entry takes by a C int."""
+    if value < low:
+        parser.error(f"{command} needs {flag} >= {low}, got {value}")
+    if high is not None and value > high:
+        parser.error(f"{command} needs {flag} <= {high}, got {value}")
 
 
 def _single_graph(args) -> Graph:
@@ -430,13 +437,13 @@ def _discard_stdout() -> None:
 def _dispatch(parser: argparse.ArgumentParser, args) -> int:
     command = args.command
     if command == "gen":
+        _within(parser, "gen", "--order", args.order, 0, GRAPH6_MAX_ORDER)
         if args.family == "complete":
             lines = [encode_graph6(make_complete(args.order))]
         elif args.family == "cycle":
             lines = [encode_graph6(make_cycle(args.order))]
         else:
-            if args.count < 1:
-                parser.error(f"gen needs --count >= 1, got {args.count}")
+            _within(parser, "gen", "--count", args.count, 1)
             lines = [encode_graph6(random_graph(args.order, args.p, args.seed + i))
                      for i in range(args.count)]
         _write_lines(lines, args.output)
@@ -445,14 +452,17 @@ def _dispatch(parser: argparse.ArgumentParser, args) -> int:
     # Opening --output empties it before the lazy record stream reads the inputs.
     if any(_same_file(path, args.output) for path in args.input):
         parser.error(f"--output {args.output!r} is also an --input file")
+    if "budget" in args:
+        _within(parser, command, "--budget", args.budget, 0)
 
     if command == "product":
-        if args.n < 2:
-            parser.error("product needs --n >= 2")
+        _within(parser, "product", "--n", args.n, 2, GRAPH6_MAX_ORDER)
         if any(_same_file(path, args.mapping) for path in [*args.input, args.output]):
             parser.error(f"--mapping {args.mapping!r} is also the --output "
                          "or an --input file")
         g = _single_graph(args)
+        _within(parser, "product", "|G|", g.order, 1)
+        _within(parser, "product", "|G| * --n", g.order * args.n, 0, GRAPH6_MAX_ORDER)
         _write_lines([encode_graph6(kronecker(g, make_complete(args.n)))], args.output)
         if args.mapping:
             _write_lines(linearization_rows(g.order, args.n), args.mapping)
@@ -461,16 +471,12 @@ def _dispatch(parser: argparse.ArgumentParser, args) -> int:
     if command == "kappa":
         records = _records_for_graphs(args, _kappa_records)
     elif command == "super-kappa":
-        records = _records_for_graphs(args, _super_kappa_records,
-                                      _budget(parser, args))
+        records = _records_for_graphs(args, _super_kappa_records, args.budget)
     elif command == "cuts":
-        budget = _budget(parser, args)
-        records = _cuts_records(_single_graph(args), budget)
+        records = _cuts_records(_single_graph(args), args.budget)
     elif command == "gstar":
-        if args.n < 3:
-            parser.error("gstar needs --n >= 3")
-        if args.trials < 0:
-            parser.error(f"gstar needs --trials >= 0, got {args.trials}")
+        _within(parser, "gstar", "--n", args.n, 3, _native.INT_MAX)
+        _within(parser, "gstar", "--trials", args.trials, 0, _native.INT_MAX)
         records = _records_for_graphs(args, _gstar_records, args.n, args.trials,
                                       args.seed)
     elif command in ("batch", "verify"):
@@ -480,25 +486,20 @@ def _dispatch(parser: argparse.ArgumentParser, args) -> int:
             parser.error(f"{command} needs integer --n values, got {args.n!r}")
         if not n_values:
             parser.error(f"{command} needs at least one --n value")
-        if any(n < 3 for n in n_values):
-            parser.error("verification needs --n >= 3")
-        if args.workers < 1:
-            parser.error(f"{command} needs --workers >= 1, got {args.workers}")
+        for n in n_values:
+            _within(parser, command, "--n", n, 3, _native.INT_MAX)
+        _within(parser, command, "--workers", args.workers, 1)
         if args.max_order is None:
             args.max_order = DEFAULT_MAX_ORDER
         elif not args.all_graphs:
             parser.error(f"--max-order needs --all-graphs, got --max-order "
                          f"{args.max_order} without it")
-        if args.max_order > MAX_CORPUS_ORDER:
-            parser.error(f"--all-graphs needs --max-order <= {MAX_CORPUS_ORDER}, "
-                         f"got {args.max_order}")
-        if args.max_order < 1:
-            parser.error(f"--all-graphs needs --max-order >= 1, got {args.max_order}")
+        _within(parser, "--all-graphs", "--max-order", args.max_order, 1, MAX_CORPUS_ORDER)
         filters = []
         for chunk in args.filter:
             filters.extend(part for part in chunk.split(",") if part)
         check_filters(filters)
-        records = _verify_records(args, n_values, filters, _budget(parser, args))
+        records = _verify_records(args, n_values, filters, args.budget)
     else:  # pragma: no cover - argparse enforces the choices
         parser.error(f"unknown command {command!r}")
 

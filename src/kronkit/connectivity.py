@@ -78,8 +78,7 @@ def cut_record(cut: CutSet) -> dict:
 # -- flow route ---------------------------------------------------------------
 
 _INT64_MAX = (1 << 63) - 1
-# The kernel's return codes for a failed allocation and a disconnected graph.
-_NO_MEMORY = -2
+# The kernel's return code for a disconnected graph.
 _DISCONNECTED = -3
 
 
@@ -205,7 +204,7 @@ class _NativeSplitFlow:
     def _checked(self, code: int) -> int:
         """``code``, a kernel return code, unless it reports an error, for
         which this raises."""
-        if code == _NO_MEMORY:
+        if code == _native.NO_MEMORY:
             raise MemoryError("the native kernel could not allocate a buffer")
         if code == _DISCONNECTED:
             raise _disconnected()

@@ -34,7 +34,6 @@ from .graphs import Graph
 
 # The kernel packs a key into the C(16, 2) = 120 bits of two 64-bit words.
 _CANON_MAX_ORDER = 16
-_NO_MEMORY = -2
 
 
 def _new_children(parents: Sequence[Graph], order: int,
@@ -53,7 +52,7 @@ def _new_children(parents: Sequence[Graph], order: int,
         for parent in parents:
             words[:] = parent.adj
             found = lib.canon_new_children(seen, order, words, first_subset, children)
-            if found == _NO_MEMORY:
+            if found == _native.NO_MEMORY:
                 raise MemoryError("cannot grow the table of canonical keys")
             if found < 0:
                 raise RuntimeError(f"canon_new_children rejected order {order}")

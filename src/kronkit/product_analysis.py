@@ -41,7 +41,6 @@ from .graphs import (
 from .products import is_bipartite, kronecker
 
 MAX_REJECTIONS = 100_000
-_NO_MEMORY = -2  # the residue kernel's return code for a failed allocation
 
 
 # -- the residue graph ---------------------------------------------------------
@@ -93,75 +92,69 @@ class TrialRecord(NamedTuple):
     error: str | None = None
 
 
-@functools.lru_cache(maxsize=1)
-def _trial_states(seed: int, trials: int) -> ctypes.Array:
-    """The PCG64 streams seeded with ``[seed, t]`` by the kernel, four words
-    each, trial after trial; ``seed`` lies in ``0 .. 2**64 - 1``.
-
-    The states depend on neither the graph nor ``n``, so every instance of
-    a run with one seed and trial count starts its trials from here."""
-    return (ctypes.c_uint64 * (4 * trials))(
-        *(word for t in range(trials) for word in _native.seeded_stream(seed, t)))
-
-
-def _kernel_removals(lib, g: Graph, n: int,
-                     seeds: ctypes.Array) -> tuple[tuple, ...]:
-    """:func:`_draw_trials` of each trial's stream in ``seeds``: a uniform
-    ``(n-1) * delta``-subset of ``g x K_n`` meeting the residue and isolation
-    conditions, by rejection, with its verdicts."""
-    order, lw, fw = g.order, -(-n // 64), -(-g.order // 64)
-    size, trials = (n - 1) * g.min_degree, len(seeds) // 4
-    adj = _native.words(g.adj, fw)
-    removed, labels, counts, connected, split = (
-        (ctypes.c_uint64 * words)() for words in (
-            trials * size, trials * order * lw, 2 * trials, trials, trials * fw))
-    if code := (lib.residue_sample(order, adj, n, size, seeds, trials, MAX_REJECTIONS,
-                                   removed, labels, counts)
-                or lib.residue_verdicts(order, adj, n, labels, trials, connected, split)):
-        error = MemoryError if code == _NO_MEMORY else ValueError
-        raise error(f"the residue kernel could not draw order {order}, n {n}")
-    removed, counts, connected = removed[:], counts[:], connected[:]
-    labels, split = _native.masks(labels, lw), _native.masks(split, fw)
-    draws = []
-    for t in range(trials):
-        rejections, isolation_rejections = counts[2 * t:2 * t + 2]
-        if rejections <= MAX_REJECTIONS:
-            draws.append((tuple(removed[t * size:(t + 1) * size]),
-                          tuple(labels[t * order:(t + 1) * order]),
-                          rejections, isolation_rejections, connected[t] == 1,
-                          tuple(iter_bits(split[t])) if split[t] else ()))
-        else:
-            draws.append(((), None, rejections, isolation_rejections, None, None))
-    return tuple(draws)
+def _check_n(n: int) -> None:
+    """Raise ``ValueError`` unless ``n``, the order of the ``K_n`` factor, is
+    at least 3 and fits the kernel's C int."""
+    if n < 3:
+        raise ValueError(f"second factor needs n >= 3, got {n}")
+    if n > _native.INT_MAX:
+        raise ValueError(f"second factor needs n <= {_native.INT_MAX}, got {n}")
 
 
 @functools.lru_cache(maxsize=1)
 def _draw_trials(g: Graph, n: int, trials: int,
                  seed: int) -> tuple[str, tuple[tuple, ...]]:
-    """The graph6 of ``g``, and one ``(removed ids, label masks, rejections,
-    isolation rejections, G* connected, split fibers)`` per trial of ``g x
-    K_n``; the label masks and both verdicts are None exactly when sampling
-    ran out.
+    """The graph6 of ``g``, and one ``(removed ids, rejections, isolation
+    rejections, G* connected, split fibers)`` per trial of ``g x K_n``: a
+    uniform ``(n-1) * delta``-subset meeting the residue and isolation
+    conditions, by rejection, with its verdicts.  A trial that ran out of
+    draws has more than ``MAX_REJECTIONS`` rejections, no ids and both
+    verdicts None.
 
-    Trial ``t`` draws from the PCG64 stream seeded with ``[seed, t]``, so
-    both checkers see the same removals for the same arguments; the cache
-    keeps the most recent draw only, which a checker run right after another
-    on the same arguments reuses.  Call with positional arguments: the cache
-    keys on them as given.  The kernel draws at any order and ``n``, and
-    decides the verdicts without building the product.
+    Trial ``t`` draws from the PCG64 stream that the kernel seeds with
+    ``[seed % 2**64, t]``, so both checkers see the same removals for the
+    same arguments; the cache keeps the most recent draw only, which a
+    checker run right after another on the same arguments reuses.  Call
+    with positional arguments: the cache keys on them as given.  The kernel
+    decides the verdicts on the fibers' label masks, which stay in its
+    buffer, without building the product.
 
     The checkers' shared preconditions are checked here, so a reused draw
     does not compute the factor's connectivity again, nor does a factor
     drawn at several ``n`` in a row (:func:`_check_factor`).  The cache
     keeps no exception, so a hit means that these arguments passed.
     """
-    if n < 3:
-        raise ValueError(f"second factor needs n >= 3, got {n}")
+    _check_n(n)
     _check_factor(g)
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
-    return encode_graph6(g), _kernel_removals(
-        _native.library(), g, n, _trial_states(seed % 2**64, trials))
+    order, size = g.order, (n - 1) * g.min_degree
+    if max(trials, order * n) > _native.INT_MAX:
+        raise ValueError(f"the residue kernel draws at most {_native.INT_MAX} trials of "
+                         f"{_native.INT_MAX} ids, got {trials} of {order * n}")
+    graph6, lw, fw = encode_graph6(g), -(-n // 64), -(-order // 64)
+    adj = _native.words(g.adj, fw)
+    removed, labels, counts, connected, split = (
+        (ctypes.c_uint64 * words)() for words in (
+            trials * size, trials * order * lw, 2 * trials, trials, trials * fw))
+    lib = _native.library()
+    if code := (lib.residue_sample(order, adj, n, size, seed % 2**64, trials,
+                                   MAX_REJECTIONS, removed, labels, counts)
+                or lib.residue_verdicts(order, adj, n, labels, trials, connected, split)):
+        error = MemoryError if code == _native.NO_MEMORY else ValueError
+        raise error(f"the residue kernel could not draw order {order}, n {n}")
+    removed, counts, connected = removed[:], counts[:], connected[:]
+    split = _native.masks(split, fw)
+    draws = []
+    for t in range(trials):
+        rejections, isolation_rejections = counts[2 * t:2 * t + 2]
+        if rejections <= MAX_REJECTIONS:
+            draws.append((tuple(removed[t * size:(t + 1) * size]),
+                          rejections, isolation_rejections, connected[t] == 1,
+                          tuple(iter_bits(split[t])) if split[t] else ()))
+        else:
+            draws.append(((), rejections, isolation_rejections, None, None))
+    return graph6, tuple(draws)
 
 
 @functools.lru_cache(maxsize=1)
@@ -182,10 +175,9 @@ def _trial_records(graph6: str, n: int, trials: tuple[tuple, ...],
     true, else ``split_residues``."""
     return [TrialRecord(graph6, n, t, removed, rej, iso_rej,
                         connected if gstar else None, None if gstar else split,
-                        None if labels is not None else
-                        f"no valid removal candidate after {rej} rejections")
-            for t, (removed, labels, rej, iso_rej, connected, split)
-            in enumerate(trials)]
+                        f"no valid removal candidate after {rej} rejections"
+                        if rej > MAX_REJECTIONS else None)
+            for t, (removed, rej, iso_rej, connected, split) in enumerate(trials)]
 
 
 def check_gstar_connected(g: Graph, n: int, trials: int,
@@ -258,8 +250,7 @@ class BatchSummary:
 
 
 def _check_instance(g: Graph, n: int) -> None:
-    if n < 3:
-        raise ValueError(f"second factor needs n >= 3, got {n}")
+    _check_n(n)
     if g.order == 0:
         raise ValueError("factor graph must be nonempty")
 
@@ -513,8 +504,7 @@ def batch_verify(corpus: Iterable[Graph | dict], n_values: Sequence[int],
     """
     n_values = list(dict.fromkeys(n_values))
     for n in n_values:
-        if n < 3:
-            raise ValueError(f"second factor needs n >= 3, got {n}")
+        _check_n(n)
     check_filters(filters)
     args = (n_values, tuple(filters), budget)
     records = (_pooled_records(corpus, workers, args) if workers > 1

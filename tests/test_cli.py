@@ -600,7 +600,7 @@ def test_empty_factor_is_an_in_stream_skip(command, capsys):
 @pytest.mark.parametrize("argv, message", [
     (["batch", "--n", "3", "--g6", "Bw", "--workers", "0"], "--workers >= 1"),
     (["batch", "--n", ",", "--g6", "Bw"], "batch needs at least one --n value"),
-    (["cuts", "--g6", "Bw", "--budget", "-1"], "--budget must be >= 0"),
+    (["cuts", "--g6", "Bw", "--budget", "-1"], "cuts needs --budget >= 0, got -1"),
     (["gstar", "--n", "3", "--g6", "Bw", "--trials", "-1"], "--trials >= 0"),
     (["batch", "--n", "3", "--all-graphs", "--max-order", "10"], "--max-order <= 9"),
     (["batch", "--n", "3", "--all-graphs", "--max-order", "0"],
@@ -617,17 +617,47 @@ def test_empty_factor_is_an_in_stream_skip(command, capsys):
      "unrecognized arguments: --p 7 --seed -3"),
     (["gen", "cycle", "--order", "5", "--count", "3"],
      "unrecognized arguments: --count 3"),
+    # Sizes past what the kernel or graph6 takes: each stops before a
+    # graph or a buffer is built.
+    (["batch", "--n", "100000000000000000000", "--g6", "Bw", "--workers", "1"],
+     "batch needs --n <= 2147483647, got 100000000000000000000"),
+    (["batch", "--n", "3,2147483648", "--g6", "Bw", "--workers", "1"],
+     "batch needs --n <= 2147483647, got 2147483648"),
+    (["product", "--n", "100000000000000000000", "--g6", "Bw"],
+     "product needs --n <= 258047, got 100000000000000000000"),
+    (["product", "--n", "2147483648", "--g6", "Bw"],
+     "product needs --n <= 258047, got 2147483648"),
+    (["product", "--n", "100000", "--g6", "Bw"],
+     "product needs |G| * --n <= 258047, got 300000"),
+    (["product", "--n", "258047", "--g6", "?"], "product needs |G| >= 1, got 0"),
+    (["gstar", "--n", "100000000000000000000", "--g6", "Bw", "--trials", "1"],
+     "gstar needs --n <= 2147483647, got 100000000000000000000"),
+    (["gstar", "--n", "2147483648", "--g6", "Bw", "--trials", "1"],
+     "gstar needs --n <= 2147483647, got 2147483648"),
+    (["gstar", "--n", "3", "--g6", "Bw", "--trials", "2147483648"],
+     "gstar needs --trials <= 2147483647, got 2147483648"),
+    (["gen", "complete", "--order", "300000"], "gen needs --order <= 258047, got 300000"),
+    (["gen", "cycle", "--order", "300000"], "gen needs --order <= 258047, got 300000"),
+    (["gen", "random", "--order", "300000"], "gen needs --order <= 258047, got 300000"),
 ], ids=["workers-0", "n-empty", "budget-flag-negative", "trials-negative", "max-order-10",
         "max-order-0", "max-order-negative", "max-order-alone",
         "max-order-alone-negative", "count-0", "count-negative",
-        "gen-complete-random-options", "gen-cycle-count"])
+        "gen-complete-random-options", "gen-cycle-count",
+        "batch-n-huge", "batch-n-past-int", "product-n-huge", "product-n-past-int",
+        "product-order-past-graph6", "product-empty-factor", "gstar-n-huge", "gstar-n-past-int",
+        "gstar-trials-past-int", "gen-complete-order", "gen-cycle-order",
+        "gen-random-order"])
 def test_input_guards(argv, message, capsys, monkeypatch):
-    def no_corpus(*_args, **_kwargs):  # fail fast instead of building order 9
-        raise AssertionError("the corpus was built before the guard")
-    monkeypatch.setattr("kronkit.cli.all_graphs", no_corpus)
+    def no_build(*_args, **_kwargs):  # fail fast instead of building order 9
+        raise AssertionError("a corpus, graph or buffer was built before the guard")
+    for name in ("cli.all_graphs", "cli.make_complete", "cli.make_cycle",
+                 "cli.random_graph", "cli.kronecker", "product_analysis._draw_trials",
+                 "product_analysis.make_complete"):
+        monkeypatch.setattr(f"kronkit.{name}", no_build)
     code, out, err = run_cli(argv, capsys)
     assert code == 2 and out == ""
     assert err.count("kronkit: error:") == 1 and message in err
+    assert "Traceback" not in err
 
 
 def test_budget_is_not_read_from_the_environment(capsys, monkeypatch):

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from kronkit import _native, corpus as corpus_module
+from kronkit import _native
 from kronkit.corpus import all_graphs, connected_graphs, graphs_up_to, iter_graphs
 from kronkit.errors import UnsupportedSizeError
 from kronkit.graphs import Graph, is_connected, make_complete, make_cycle
@@ -163,7 +163,7 @@ def test_failed_table_growth_raises_memory_error_and_frees_the_table(
     the layer is built whole or streamed, and every table is freed."""
     def new_children(seen, order, *args):
         if order == 4:
-            return corpus_module._NO_MEMORY
+            return _native.NO_MEMORY
         return kernel.lib.canon_new_children(seen, order, *args)
 
     monkeypatch.setattr(kernel, "canon_new_children", new_children, raising=False)

@@ -235,7 +235,7 @@ def _record(g, n, removed, gstar):
     verdicts; ``gstar`` picks the field as the checkers do."""
     rs, _ = build_residue_system(g, n, removed)
     (verdicts,) = _kernel_verdicts(g, n, [rs.labels])
-    trial = (rs.removed, rs.labels, 0, 0, *verdicts)
+    trial = (rs.removed, 0, 0, *verdicts)
     (record,) = product_analysis._trial_records(encode_graph6(g), n, (trial,), gstar)
     assert record.removed == rs.removed and record.error is None
     return record
@@ -371,12 +371,18 @@ KAPPA_MESSAGE = "checker needs kappa equal to the minimum degree and positive"
 @pytest.mark.parametrize("checker", [check_gstar_connected, check_residue_components])
 @pytest.mark.parametrize("g, n, error, message", [
     (make_cycle(5), 2, ValueError, "second factor needs n >= 3, got 2"),
+    (make_cycle(5), 2**31, ValueError,
+     "second factor needs n <= 2147483647, got 2147483648"),
+    # n fits a C int, but not the 5 * n ids of the product
+    (make_cycle(5), 2**31 - 1, ValueError,
+     "the residue kernel draws at most 2147483647 trials of 2147483647 ids, "
+     "got 5 of 10737418235"),
     (graph_from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]), 3,
      PreconditionError, "checker needs a connected factor graph"),
     (BOWTIE, 3, PreconditionError, KAPPA_MESSAGE),
     # K_1 is bipartite too; the kappa check reports first on both checkers
     (make_complete(1), 3, PreconditionError, KAPPA_MESSAGE),
-], ids=["n-2", "disconnected", "bowtie", "k1"])
+], ids=["n-2", "n-past-int", "product-past-int", "disconnected", "bowtie", "k1"])
 def test_checker_preconditions(checker, g, n, error, message):
     product_analysis._draw_trials.cache_clear()
     with pytest.raises(error) as info:
@@ -451,37 +457,42 @@ def test_samplers_reject_bad_arguments(checker):
         checker(make_cycle(5), 3, trials=-2, seed=0)
 
 
+@pytest.mark.parametrize("checker", [check_gstar_connected, check_residue_components])
+def test_samplers_refuse_trials_past_a_c_int(checker, kernel):
+    with pytest.raises(ValueError, match="got 2147483648 of 15$"):
+        checker(make_cycle(5), 3, trials=2**31, seed=0)
+    assert kernel.calls["residue_sample"] == 0  # refused before any buffer is sized
+
+
+def test_residue_sample_refuses_a_product_past_a_c_int():
+    """The kernel's first check: ``order * n`` ids must fit a C int.  No
+    buffer is read before it, so none is passed."""
+    lib = _native.library()
+    for order, n in ((2**16, 2**15), (2**31 - 1, 2), (3, 2**30)):
+        assert lib.residue_sample(order, None, n, 0, 0, 0, 0, None, None, None) == -1
+
+
 @pytest.fixture
 def fresh_draws(request):
-    """Forget the cached draw and trial states before and after the test."""
-    for cache in (product_analysis._draw_trials, product_analysis._trial_states):
-        cache.cache_clear()
-        request.addfinalizer(cache.cache_clear)
-
-
-def _kernel_calls(monkeypatch) -> list:
-    """Record the arguments of every draw that runs in the kernel."""
-    calls, kernel = [], product_analysis._kernel_removals
-    monkeypatch.setattr(product_analysis, "_kernel_removals",
-                        lambda *args: calls.append(args) or kernel(*args))
-    return calls
+    """Forget the cached draw before and after the test."""
+    product_analysis._draw_trials.cache_clear()
+    request.addfinalizer(product_analysis._draw_trials.cache_clear)
 
 
 def _sampled(g, n, trials, seed):
-    """``_draw_trials`` in the form of :func:`_reference_draws`."""
+    """``_draw_trials`` as a list, in the form of :func:`_reference_draws`."""
     graph6, draws = product_analysis._draw_trials(g, n, trials, seed)
     assert graph6 == encode_graph6(g)
-    return [(removed, None if labels is None else _label_residues(labels, n), *rest)
-            for removed, labels, *rest in draws]
+    return list(draws)
 
 
 def _reference_draws(g, n, trials, seed):
-    """Oracle for the trial draws: ``(removed, residues, rejections,
-    isolation rejections, G* connected, split fibers)`` per trial, from a
-    fresh generator seeded with ``[seed % 2**64, t]`` for each trial ``t``,
-    with the residues read off each fiber's block of the surviving ids,
-    isolation read off the product, and the verdicts from
-    :func:`_oracle_verdicts`."""
+    """Oracle for the trial draws: ``(removed, rejections, isolation
+    rejections, G* connected, split fibers)`` per trial, from a fresh
+    generator seeded with ``[seed % 2**64, t]`` for each trial ``t``, with
+    the residues read off each fiber's block of the surviving ids, isolation
+    read off the product, and the verdicts from :func:`_oracle_verdicts` on
+    the residues."""
     product = kronecker(g, make_complete(n))
     size = (n - 1) * g.min_degree
     draws = []
@@ -499,12 +510,11 @@ def _reference_draws(g, n, trials, seed):
                 rejections += 1
                 isolation_rejections += 1
             else:
-                draws.append((tuple(sorted(picked)), residues, rejections,
-                              isolation_rejections,
+                draws.append((tuple(sorted(picked)), rejections, isolation_rejections,
                               *_oracle_verdicts(product, residues)))
                 break
         else:
-            draws.append(((), None, rejections, isolation_rejections, None, None))
+            draws.append(((), rejections, isolation_rejections, None, None))
     return draws
 
 
@@ -521,7 +531,7 @@ def test_exhausted_sampling_reports_every_rejection(cap, seed, trials, exhausted
         assert [(r.removed, r.rejections, r.isolation_rejections)
                 for r in records] == [
             (removed, rej, iso)
-            for removed, _, rej, iso, *_ in _reference_draws(triangle, 3, trials, seed)
+            for removed, rej, iso, *_ in _reference_draws(triangle, 3, trials, seed)
         ]
         assert [(r.trial, r.rejections, r.isolation_rejections)
                 for r in records if r.error] == exhausted
@@ -608,49 +618,29 @@ def test_restored_trial_states_give_the_seeded_stream(g, n, seed, fresh_draws):
             trials, seed)
 
 
-def test_trial_states_are_shared_by_every_graph_of_a_seed_and_trial_count(
-        fresh_draws):
-    """Every draw starts its trials from the one cache of seeded states,
-    filled once per (seed, trials) with four words per trial."""
-    draws, states = product_analysis._draw_trials, product_analysis._trial_states
-    draws(make_cycle(5), 3, 15, 5)
-    assert (states.cache_info().hits, states.cache_info().misses) == (0, 1)
-    draws(make_complete(4), 4, 15, 5)
-    draws(make_cycle(7), 5, 15, 5 + 2**64)  # the same seed modulo 2**64
-    assert (states.cache_info().hits, states.cache_info().misses) == (2, 1)
-    draws(make_cycle(7), 5, 15, 6)
-    assert (states.cache_info().hits, states.cache_info().misses) == (2, 2)
-    draws(make_cycle(7), 5, 14, 6)
-    assert (states.cache_info().hits, states.cache_info().misses) == (2, 3)
-    assert states.cache_info().currsize == 1
-    assert len(states(5, 15)) == 4 * 15
-
-
 @pytest.mark.parametrize("g, n", [
     (make_cycle(64), 3), (make_cycle(65), 3), (make_cycle(5), 64), (make_cycle(5), 65),
     (make_cycle(5), 2001),
 ], ids=["C64xK3", "C65xK3", "C5xK64", "C5xK65", "C5xK2001"])
-def test_kernel_draws_factors_and_labels_up_to_64(g, n, monkeypatch, fresh_draws):
+def test_kernel_draws_factors_and_labels_up_to_64(g, n, kernel, fresh_draws):
     """The kernel's fiber and label masks take one word up to 64 and more
     past it; it draws on both sides of 64 fibers and of 64 labels, and at
     C_5 x K_2001 from numpy's tail-shuffle branch (4000 of 10005 ids), and
     gives the seeded stream."""
-    calls = _kernel_calls(monkeypatch)
     assert _sampled(g, n, 3, 7) == _reference_draws(g, n, 3, 7)
-    assert calls
+    assert kernel.calls["residue_sample"] == 1
 
 
-def test_a_trial_of_261_words_is_drawn_in_the_kernel(monkeypatch, fresh_draws):
+def test_a_trial_of_261_words_is_drawn_in_the_kernel(kernel, fresh_draws):
     """The longest trial over the residue-trials inputs, E~~w x K_4 at seed
     1009, trial 5, reads 261 words of its stream, through 17 rejections; the
     kernel steps the generator as far as a trial needs."""
-    calls = _kernel_calls(monkeypatch)
     g, n, seed = parse_graph6("E~~w"), 4, 1009
     sampled = _sampled(g, n, 6, seed)
-    assert calls
+    assert kernel.calls["residue_sample"] == 1
     assert sampled == _reference_draws(g, n, 6, seed)
     assert sampled[5][0] == (0, 2, 3, 4, 8, 9, 11, 12, 13, 14, 16, 19, 20, 21, 23)
-    assert sampled[5][2:4] == (17, 0)
+    assert sampled[5][1:3] == (17, 0)
     # The stream after the trial's draws is the seeded one advanced 261 words.
     rng = np.random.default_rng([seed, 5])
     for _ in range(18):
@@ -717,11 +707,10 @@ def test_kernel_word_stream_continues_across_calls():
 
 def test_sampled_conditions_equal_the_residue_system_conditions():
     for g, n in ((make_cycle(5), 3), (make_complete(4), 4), (make_cycle(7), 5)):
-        for removed, labels, *_ in product_analysis._draw_trials(g, n, 20, 3)[1]:
-            assert labels is not None
-            fresh, conditions = build_residue_system(g, n, removed)
+        for removed, rejections, *_ in product_analysis._draw_trials(g, n, 20, 3)[1]:
+            assert rejections <= product_analysis.MAX_REJECTIONS
+            _, conditions = build_residue_system(g, n, removed)
             assert conditions == ResidueConditions(True, True, True)
-            assert labels == fresh.labels
 
 
 # -- verification -------------------------------------------------------------
@@ -922,6 +911,19 @@ def test_batch_rejects_small_n_and_unknown_filter():
         list(batch_verify([make_cycle(5)], [2]))
     with pytest.raises(ValueError):
         list(batch_verify([make_cycle(5)], [3], filters=("planar",)))
+
+
+@pytest.mark.parametrize("n", [2**31, 10**20])
+def test_n_past_a_c_int_is_refused_before_the_product_is_built(n, monkeypatch):
+    def no_product(*_args):
+        raise AssertionError("K_n was built before the check")
+    monkeypatch.setattr(product_analysis, "make_complete", no_product)
+    message = f"second factor needs n <= 2147483647, got {n}"
+    with pytest.raises(ValueError, match=message):
+        list(batch_verify([make_cycle(5)], [3, n]))
+    for verify in (verify_connectivity_formula, verify_super_connectivity):
+        with pytest.raises(ValueError, match=message):
+            verify(make_cycle(5), n)
 
 
 def test_filter_table_matches_networkx_definitions():
