@@ -7,7 +7,7 @@ from .connectivity import (
     enumerate_min_cuts,
     vertex_connectivity,
 )
-from .corpus import all_graphs, connected_graphs, graphs_up_to
+from .corpus import all_graphs, connected_graphs
 from .errors import (
     BudgetExceededError,
     Graph6Error,
@@ -18,7 +18,6 @@ from .errors import (
 from .graphs import (
     Graph,
     encode_graph6,
-    is_connected,
     make_complete,
     make_cycle,
     parse_graph6,
@@ -29,7 +28,6 @@ from .product_analysis import (
     SkipRecord,
     VerificationReport,
     batch_verify,
-    build_gstar,
     check_gstar_connected,
     check_residue_components,
     predicted_counterexample,
@@ -52,16 +50,13 @@ __all__ = [
     "VerificationReport",
     "all_graphs",
     "batch_verify",
-    "build_gstar",
     "check_gstar_connected",
     "check_residue_components",
     "connected_graphs",
     "connectivity_result",
     "encode_graph6",
     "enumerate_min_cuts",
-    "graphs_up_to",
     "is_bipartite",
-    "is_connected",
     "kronecker",
     "make_complete",
     "make_cycle",

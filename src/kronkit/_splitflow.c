@@ -69,6 +69,8 @@
 #define OVER_BUDGET -1
 #define NO_MEMORY -2
 #define DISCONNECTED -3
+/* The constant-width bodies stay: without them super-sweep ran 4.9% slower
+ * (alternated benchmark pairs, 2-core Xeon VM). */
 #define BOTH_WIDTHS static inline __attribute__((always_inline))
 
 /* The words of a node mask of order n. */
@@ -268,7 +270,8 @@ BOTH_WIDTHS int max_flow(uint64_t *net, int nw, int vw, int s, int t,
 
 /* The flow of max_flow, in a residual network that the call keeps to
  * itself: on the stack with its layers up to 64 vertices, and past them in
- * one heap block, the residual network and then the layers. */
+ * one heap block, the residual network and then the layers.  The stack
+ * buffer stays: a heap block at every order ran formula-sweep 2.2% slower. */
 int splitflow_max_flow(uint64_t *net, int s, int t, int cutoff)
 {
     int n = (int)net[0], nw = node_words(n);
@@ -521,7 +524,8 @@ BOTH_WIDTHS int pair_cuts(uint64_t *net, int nw, int vw, const int *x, int pairs
     const uint64_t *base = base_out(net, vw);
     /* The residual network of the j-th attaining pair is kept in
      * kept[start[j] .. start[j + 1]): whole up to 64 vertices, and past
-     * them as the words in which it differs from the base network (keep). */
+     * them as the words in which it differs from the base network (keep).
+     * Whole networks stay: diffs at every order ran super-sweep 2.7% slower. */
     int whole = nw == 2;
     uint64_t *kept = NULL, touched[nw];
     size_t room = 0;

@@ -122,13 +122,16 @@ def ingest_corpus(paths: Iterable[str]) -> Iterator[IngestItem]:
 
 def _gather_inputs(args) -> Iterator[IngestItem]:
     """The inline arguments, parsed at the call, then the items of the input
-    files as they are read; a malformed inline argument is fatal."""
+    files as they are read.  A malformed inline argument, or an input file
+    that cannot be opened, is fatal at the call, before any record."""
     inline = []
     for idx, text in enumerate(args.g6):
         try:
             inline.append(IngestItem(f"arg:{idx}", parse_graph6(text)))
         except Graph6Error as exc:
             raise _Fatal(f"inline graph6 argument {idx}: {exc}") from exc
+    for path in args.input:
+        _open_input(path).close()
     return itertools.chain(inline, ingest_corpus(args.input))
 
 
@@ -204,13 +207,14 @@ def _size_limit(g: Graph, exc: BudgetExceededError) -> dict:
     return {**_skip(g, "size-limit", str(exc)), "budget": exc.budget}
 
 
-def _records_for_graphs(args, per_graph, *params) -> Iterator[dict]:
+def _records_for_graphs(items: Iterable[IngestItem], per_graph,
+                        *params) -> Iterator[dict]:
     """Records of ``per_graph(g, *params)`` for each input graph, in order.
 
     Parse errors and empty factors become in-stream records here, so the
     per-graph functions see only graphs with at least one vertex.
     """
-    for item in _gather_inputs(args):
+    for item in items:
         if item.error is not None:
             yield {"source": item.location, "error": item.error}
         elif item.graph.order == 0:
@@ -270,16 +274,10 @@ def _gstar_records(g: Graph, n: int, trials: int, seed: int) -> Iterator[dict]:
         yield trial_record(rec)
 
 
-def _verify_records(args, n_values: list[int], filters: list[str],
-                    budget: int) -> Iterator[dict]:
-    """``batch`` records over the ``--all-graphs`` corpus, then the inputs
-    read line by line; a parse-error record takes its line's place.
-
-    The inline arguments are parsed and the input files opened here first,
-    so that a bad one stops the run before any record."""
-    inputs = _gather_inputs(args)
-    for path in args.input:
-        _open_input(path).close()
+def _verify_records(args, items: Iterable[IngestItem], n_values: list[int],
+                    filters: list[str], budget: int) -> Iterator[dict]:
+    """``batch`` records over the ``--all-graphs`` corpus, then the input
+    items; a parse-error record takes its line's place."""
     # The top layer streams from the kernel as it is found; only the layers
     # below it are held.
     corpus = itertools.chain(
@@ -288,7 +286,7 @@ def _verify_records(args, n_values: list[int], filters: list[str],
             for order in range(1, args.max_order + 1))
         if args.all_graphs else (),
         (item.graph if item.error is None
-         else {"source": item.location, "error": item.error} for item in inputs))
+         else {"source": item.location, "error": item.error} for item in items))
     for record in batch_verify(corpus, n_values, filters=tuple(filters),
                                budget=budget, workers=args.workers):
         if isinstance(record, VerificationReport):
@@ -394,9 +392,9 @@ def _within(parser: argparse.ArgumentParser, command: str, flag: str, value: int
         parser.error(f"{command} needs {flag} <= {high}, got {value}")
 
 
-def _single_graph(args) -> Graph:
+def _single_graph(items: Iterable[IngestItem]) -> Graph:
     graphs = []
-    for item in _gather_inputs(args):
+    for item in items:
         if item.error is not None:
             raise _Fatal(f"{item.location}: {item.error}")
         graphs.append(item.graph)
@@ -444,8 +442,10 @@ def _dispatch(parser: argparse.ArgumentParser, args) -> int:
             lines = [encode_graph6(make_cycle(args.order))]
         else:
             _within(parser, "gen", "--count", args.count, 1)
-            lines = [encode_graph6(random_graph(args.order, args.p, args.seed + i))
-                     for i in range(args.count)]
+            if not 0 <= args.p <= 1:  # NaN too: the lines are written as drawn
+                parser.error(f"gen needs 0 <= --p <= 1, got {args.p}")
+            lines = (encode_graph6(random_graph(args.order, args.p, args.seed + i))
+                     for i in range(args.count))
         _write_lines(lines, args.output)
         return 0
 
@@ -460,25 +460,9 @@ def _dispatch(parser: argparse.ArgumentParser, args) -> int:
         if any(_same_file(path, args.mapping) for path in [*args.input, args.output]):
             parser.error(f"--mapping {args.mapping!r} is also the --output "
                          "or an --input file")
-        g = _single_graph(args)
-        _within(parser, "product", "|G|", g.order, 1)
-        _within(parser, "product", "|G| * --n", g.order * args.n, 0, GRAPH6_MAX_ORDER)
-        _write_lines([encode_graph6(kronecker(g, make_complete(args.n)))], args.output)
-        if args.mapping:
-            _write_lines(linearization_rows(g.order, args.n), args.mapping)
-        return 0
-
-    if command == "kappa":
-        records = _records_for_graphs(args, _kappa_records)
-    elif command == "super-kappa":
-        records = _records_for_graphs(args, _super_kappa_records, args.budget)
-    elif command == "cuts":
-        records = _cuts_records(_single_graph(args), args.budget)
     elif command == "gstar":
         _within(parser, "gstar", "--n", args.n, 3, _native.INT_MAX)
         _within(parser, "gstar", "--trials", args.trials, 0, _native.INT_MAX)
-        records = _records_for_graphs(args, _gstar_records, args.n, args.trials,
-                                      args.seed)
     elif command in ("batch", "verify"):
         try:
             n_values = [int(part) for part in args.n.split(",") if part]
@@ -499,9 +483,28 @@ def _dispatch(parser: argparse.ArgumentParser, args) -> int:
         for chunk in args.filter:
             filters.extend(part for part in chunk.split(",") if part)
         check_filters(filters)
-        records = _verify_records(args, n_values, filters, args.budget)
-    else:  # pragma: no cover - argparse enforces the choices
-        parser.error(f"unknown command {command!r}")
+
+    # Every input is parsed or opened here, before --output is, so that a
+    # bad one leaves the output file as it was.
+    items = _gather_inputs(args)
+    if command == "product":
+        g = _single_graph(items)
+        _within(parser, "product", "|G|", g.order, 1)
+        _within(parser, "product", "|G| * --n", g.order * args.n, 0, GRAPH6_MAX_ORDER)
+        _write_lines([encode_graph6(kronecker(g, make_complete(args.n)))], args.output)
+        if args.mapping:
+            _write_lines(linearization_rows(g.order, args.n), args.mapping)
+        return 0
+    if command == "kappa":
+        records = _records_for_graphs(items, _kappa_records)
+    elif command == "super-kappa":
+        records = _records_for_graphs(items, _super_kappa_records, args.budget)
+    elif command == "cuts":
+        records = _cuts_records(_single_graph(items), args.budget)
+    elif command == "gstar":
+        records = _records_for_graphs(items, _gstar_records, args.n, args.trials, args.seed)
+    else:  # batch, or its alias verify
+        records = _verify_records(args, items, n_values, filters, args.budget)
 
     tally = {"violations": 0, "skips": 0, "parse_errors": 0}
     emit_report(_tallied(records, tally), args.format, args.output)

@@ -391,30 +391,27 @@ def _verify_instance(g: Graph, g6: str, n: int, kappa_g: int | None,
         return SkipRecord(g6, n, "size-limit", str(exc), exc.budget)
 
 
-def _factor_records(g: Graph, g6: str, n_values: Sequence[int],
-                    filters: Sequence[str],
-                    budget: int | None) -> list[VerificationReport | SkipRecord]:
-    """The records of factor ``g``, whose graph6 is ``g6``, at each of
-    ``n_values``, none when it fails one of ``filters``; its connectivity is
-    computed once, for the filters and every instance alike."""
+def _item_records(item: Graph | str | dict, n_values: Sequence[int],
+                  filters: Sequence[str], budget: int | None) -> list:
+    """The records of one corpus item: a dict as it is, and a factor, given
+    as a ``Graph`` or as its graph6, at each of ``n_values``, none when it
+    fails one of ``filters``; the factor's connectivity is computed once,
+    for the filters and every instance alike."""
+    if isinstance(item, dict):
+        return [item]
+    if isinstance(item, str):  # a pool task's factor
+        g, g6 = parse_graph6(item), item
+    else:
+        g, g6 = item, encode_graph6(item)
     kappa_g = vertex_connectivity(g) if g.order else None
     if not all(FILTERS[name](g, kappa_g) for name in filters):
         return []
     return [_verify_instance(g, g6, n, kappa_g, budget) for n in n_values]
 
 
-def _task_records(task: Sequence[str | dict], n_values: Sequence[int],
-                  filters: Sequence[str], budget: int | None) -> list:
-    """The records of a pool task in order: a factor's, sent as its graph6,
-    from :func:`_factor_records`, and a dict as it is."""
-    records = []
-    for item in task:
-        if isinstance(item, dict):
-            records.append(item)
-        else:
-            records += _factor_records(parse_graph6(item), item, n_values,
-                                       filters, budget)
-    return records
+def _task_records(task: Sequence[str | dict], *args) -> list:
+    """The :func:`_item_records` of a pool task's items, in order."""
+    return [record for item in task for record in _item_records(item, *args)]
 
 
 # The most corpus items in one pool task.  Tasks grow from one item to this,
@@ -429,11 +426,11 @@ def _pooled_records(corpus: Iterable[Graph | dict], workers: int,
     ``(n_values, filters, budget)``.
 
     About ``2 * workers`` tasks are in flight at once: the corpus is read a
-    task at a time, each time a finished task's records have been yielded.  A first window of fewer than two
-    tasks, at most one item, runs here without a pool, and the pool has no
-    more processes than ``workers`` or the tasks of its first window.  An
-    exception that the corpus raises is raised after the records of the
-    items before it.
+    task at a time, each time a finished task's records have been yielded.
+    A first window of fewer than two tasks, at most one item, runs here
+    without a pool, and the pool has no more processes than ``workers`` or
+    the tasks of its first window.  An exception that the corpus raises is
+    raised after the records of the items before it.
     """
     # Only a pooled run loads the pool, with multiprocessing behind it.
     from concurrent.futures import ProcessPoolExecutor
@@ -475,26 +472,17 @@ def _pooled_records(corpus: Iterable[Graph | dict], workers: int,
         raise failure
 
 
-def _serial_records(corpus: Iterable[Graph | dict], n_values: Sequence[int],
-                    filters: Sequence[str], budget: int | None) -> Iterator:
-    for item in corpus:
-        if isinstance(item, dict):
-            yield item
-        else:
-            yield from _factor_records(item, encode_graph6(item), n_values,
-                                       filters, budget)
-
-
 def batch_verify(corpus: Iterable[Graph | dict], n_values: Sequence[int],
                  filters: Sequence[str] = (), budget: int | None = None,
                  workers: int = 1) -> Iterator[VerificationReport | SkipRecord | BatchSummary]:
     """Verify every (graph, n) pair passing the filters, then yield a summary.
 
     The corpus is read lazily, one factor at a time, and records stream out
-    in corpus order whatever ``workers`` is.  Each factor's connectivity is
-    computed once, for the filters and its instances alike; with ``workers``
-    above 1, pool processes compute it, run the filters and verify, on tasks
-    of consecutive factors of which about ``2 * workers`` are in flight.
+    in corpus order whatever ``workers`` is.  One function,
+    :func:`_item_records`, turns each item into its records at any
+    ``workers``, computing a factor's connectivity once, for the filters and
+    its instances alike; with ``workers`` above 1, pool processes run it on
+    tasks of consecutive factors of which about ``2 * workers`` are in flight.
     Per-instance budget errors and empty factors become in-stream skip
     records and never abort the batch.  ``budget`` caps each product's
     residual searches (None for no limit).  A repeated ``n`` counts once,
@@ -508,7 +496,7 @@ def batch_verify(corpus: Iterable[Graph | dict], n_values: Sequence[int],
     check_filters(filters)
     args = (n_values, tuple(filters), budget)
     records = (_pooled_records(corpus, workers, args) if workers > 1
-               else _serial_records(corpus, *args))
+               else (record for item in corpus for record in _item_records(item, *args)))
     holds = violations = skips = 0
     for record in records:
         if isinstance(record, VerificationReport):

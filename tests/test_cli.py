@@ -68,6 +68,22 @@ def test_gen_random_is_deterministic(capsys):
         parse_graph6(line)
 
 
+def test_gen_random_writes_each_graph_before_drawing_the_next(capsys, monkeypatch):
+    drawn = []
+    real = cli.random_graph
+
+    def third_fails(*args):
+        drawn.append(args)
+        if len(drawn) == 3:
+            raise RuntimeError("third graph")
+        return real(*args)
+    monkeypatch.setattr(cli, "random_graph", third_fails)
+    with pytest.raises(RuntimeError, match="third graph"):
+        main(["gen", "random", "--order", "6", "--seed", "4", "--count", "1000000"])
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [encode_graph6(real(6, 0.5, seed)) for seed in (4, 5)]
+
+
 # -- kappa / cuts / super-kappa -------------------------------------------------
 
 def test_kappa_inline(capsys):
@@ -208,6 +224,23 @@ def test_output_naming_a_missing_input_writes_nothing(tmp_path, capsys, monkeypa
     assert code == 2 and out == ""
     assert "--output './f.g6' is also an --input file" in err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("bad", ["missing-input", "malformed-g6"])
+@pytest.mark.parametrize("argv", [
+    ["kappa"], ["super-kappa"], ["cuts"], ["gstar", "--n", "3"],
+    ["batch", "--n", "3", "--workers", "1"], ["product", "--n", "3"],
+], ids=["kappa", "super-kappa", "cuts", "gstar", "batch", "product"])
+def test_bad_input_leaves_the_output_file_as_it_was(argv, bad, tmp_path, capsys):
+    # Each input is parsed or opened before --output is, by every command.
+    output = tmp_path / "out.txt"
+    output.write_bytes(b"earlier run\n")
+    inputs = (["--g6", "Bw", "--input", str(tmp_path / "missing.g6")]
+              if bad == "missing-input" else ["--g6", "Bw!"])
+    code, out, err = run_cli(argv + inputs + ["--output", str(output)], capsys)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("kronkit:")
+    assert output.read_bytes() == b"earlier run\n"
 
 
 def test_missing_file_is_fatal(capsys):
@@ -613,6 +646,8 @@ def test_empty_factor_is_an_in_stream_skip(command, capsys):
      "--max-order needs --all-graphs, got --max-order -4 without it"),
     (["gen", "random", "--order", "5", "--count", "0"], "--count >= 1, got 0"),
     (["gen", "random", "--order", "5", "--count", "-2"], "--count >= 1, got -2"),
+    (["gen", "random", "--order", "5", "--p", "2"], "gen needs 0 <= --p <= 1, got 2.0"),
+    (["gen", "random", "--order", "5", "--p", "nan"], "gen needs 0 <= --p <= 1, got nan"),
     (["gen", "complete", "--order", "4", "--p", "7", "--seed", "-3"],
      "unrecognized arguments: --p 7 --seed -3"),
     (["gen", "cycle", "--order", "5", "--count", "3"],
@@ -641,7 +676,7 @@ def test_empty_factor_is_an_in_stream_skip(command, capsys):
     (["gen", "random", "--order", "300000"], "gen needs --order <= 258047, got 300000"),
 ], ids=["workers-0", "n-empty", "budget-flag-negative", "trials-negative", "max-order-10",
         "max-order-0", "max-order-negative", "max-order-alone",
-        "max-order-alone-negative", "count-0", "count-negative",
+        "max-order-alone-negative", "count-0", "count-negative", "p-above-1", "p-nan",
         "gen-complete-random-options", "gen-cycle-count",
         "batch-n-huge", "batch-n-past-int", "product-n-huge", "product-n-past-int",
         "product-order-past-graph6", "product-empty-factor", "gstar-n-huge", "gstar-n-past-int",

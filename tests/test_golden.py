@@ -83,6 +83,20 @@ def test_golden_batch_violation_records(capsys):
     assert digest == "a9bf01bd72db0c496c59c36f9f5cc6fd26182d923088b91189c03b457d89e214"
 
 
+def test_golden_batch_order_7_sweep_at_both_worker_counts(capsys):
+    """Every connected kd-equal factor to order 7 at n = 3..15: the pool
+    route runs its per-item function over hundreds of tasks."""
+    for workers in ("1", "2"):
+        code, out, digest = _run(
+            ["batch", "--all-graphs", "--max-order", "7",
+             "--n", "3,4,5,6,7,8,9,10,11,12,13,14,15",
+             "--filter", "connected,kd-equal", "--workers", workers], capsys)
+        assert code == 1
+        assert out.splitlines()[-1] == \
+            '{"instances":12116,"holds":12113,"violations":3,"skips":0}'
+        assert digest == "c08cd8fea82a6fd27d7602dc62f1e1ea86cfdcc8f7b68b3edacf6d1336dba86a"
+
+
 # Factors to order 6 at n = 11, 12, 13: 335 of the 405 instances are
 # products past 64 vertices, which the flow kernel takes with multiword
 # masks.  Both digests were first taken from a Python flow network.
