@@ -49,6 +49,7 @@ NO_MEMORY = -2
 # The return type, then the argument types, of each kernel entry point.
 _ENTRIES = {
     "splitflow_init": (None, _WORDS),
+    "splitflow_product": (None, _WORDS, _INT, _WORDS, _INT),
     "splitflow_max_flow": (_INT, _WORDS, _INT, _INT, _INT),
     # A pointer to a pointer: where the kernel puts the block it allocates.
     "splitflow_min_cuts": (_INT64, _WORDS, _INT, ctypes.POINTER(_INTS)),

@@ -22,7 +22,11 @@
  *     [3 .. 3 + n vw)   adjacency masks of the graph
  *     then 2n node masks base_out and 2n node masks base_in,
  *
- * filled by splitflow_init from the first 3 + n vw words.  A residual
+ * filled by splitflow_init from the first 3 + n vw words.  The caller
+ * writes those words itself for a plain graph; for a product G x K_times,
+ * splitflow_product writes them from the factor G, the order n = |G| times
+ * and the adjacency of vertex u times + a, the neighbours (w, b) with w ~ u
+ * and b != a, and then runs the same init.  A residual
  * network is an array of 2n node masks, and none leaves the kernel:
  * splitflow_max_flow, vertex_connectivity's flow of one pair, keeps its
  * own and returns only the flow, and splitflow_min_cuts reads the cuts off
@@ -682,6 +686,36 @@ void splitflow_init(uint64_t *net)
         init(net, 2, 1);
     else
         init(net, node_words(n), WORDS(n));
+}
+
+/* splitflow_init for the product of the factor of order vertices with
+ * adjacency masks adj, WORDS(order) words each, and K_times: writes the
+ * order and the product's adjacency masks, with ids u times + a, into the
+ * first 3 + n vw words of net, which must be zero, and runs init.  Row (u,
+ * 0) is the fibers of the neighbours of u less label 0; row (u, a) is
+ * copied from the fibers and loses label a instead. */
+void splitflow_product(uint64_t *net, int order, const uint64_t *adj, int times)
+{
+    int n = order * times, vw = WORDS(n), fw = WORDS(order);
+    uint64_t *rows = net + HEADER;
+    net[0] = n;
+    for (int u = 0; u < order; u++) {
+        uint64_t *first = rows + (size_t)u * times * vw;
+        const uint64_t *au = adj + (size_t)u * fw;
+        for (int w = 0; w < order; w++)
+            if (has(au, w))
+                for (int lo = w * times, hi = lo + times; lo < hi; lo = (lo | 63) + 1)
+                    first[lo >> 6] |= low_bits(hi - (lo & ~63)) & ~low_bits(lo & 63);
+        for (int a = times - 1; a >= 0; a--) {
+            uint64_t *row = first + (size_t)a * vw;
+            if (a)
+                memcpy(row, first, vw * sizeof *row);
+            for (int w = 0; w < order; w++)
+                if (has(au, w))
+                    flip(row, w * times + a);
+        }
+    }
+    splitflow_init(net);
 }
 
 /* family, for the per-pair flows of vertex_connectivity; charges no search. */

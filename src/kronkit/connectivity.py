@@ -10,21 +10,27 @@ Even's pair family around a minimum-degree vertex:
   whose flow equals kappa off the closed sets of its residual network.
 
 Both charge each residual search of the network, the one unit of work,
-against an optional budget.  Both take the number of labels of a product
-``H x K_labels`` and then solve one pair per orbit of the relabellings that
-fix the family's source.
+against an optional budget, and both solve one pair per orbit of the
+relabellings of a product ``H x K_n`` that fix the family's source.
+:func:`enumerate_min_cuts` takes the factor ``H`` and ``times=n``, and the
+kernel builds the product in the network's own words, with ids ``u * n +
+a``, so the labels are its own; :func:`vertex_connectivity` takes a built
+product and its promise ``labels=n`` of that layout, since the formula route
+still builds its product with :func:`kronkit.products.kronecker`, the
+product layer that the benchmark times.
 
 The network runs in C (``_splitflow.c``, built on first use by
 :mod:`kronkit._native`) at every order, with vertex masks of ``ceil(n /
 64)`` words and node masks of ``ceil(2n / 64)`` words; every graph of at
 most 64 vertices takes a copy of the kernel compiled for two-word node
 masks.  The tests compare it with a Python network kept as their oracle,
-which gives the same flows, cuts and searches.  One enumeration is one
-kernel call, which checks that the graph is connected, walks the pairs,
-runs their flows, reads their separators, closes the cuts under the label
-swaps, sorts them and writes each cut's ids and witness, from which Python
-builds each :class:`CutSet` once.  :func:`vertex_connectivity` takes the
-pairs from the kernel, after the same check, and makes one call per pair.
+which gives the same flows, cuts and searches.  Past building the
+network, one enumeration is one kernel call, which checks that the graph is
+connected, walks the pairs, runs their flows, reads their separators, closes
+the cuts under the label swaps, sorts them and writes each cut's ids and
+witness, from which Python builds each :class:`CutSet` once.
+:func:`vertex_connectivity` takes the pairs from the kernel, after the same
+check, and makes one call per pair.
 
 Removing all but one vertex counts as separating (the remainder is the
 trivial one-vertex graph), so complete graphs get connectivity ``n - 1`` and
@@ -102,7 +108,9 @@ class _NativeSplitFlow:
     the searches spent, the adjacency, and the base masks that the kernel
     builds from it (the layout is documented in the C file).  A vertex mask
     takes ``ceil(order / 64)`` words and a node mask ``ceil(2 order / 64)``
-    words, or two up to 64 vertices.  No residual network leaves the
+    words, or two up to 64 vertices.  With ``times``, the network is of
+    ``g x K_times``, whose order and adjacency the kernel writes from
+    ``g``'s (``splitflow_product``).  No residual network leaves the
     kernel: :meth:`max_flow` returns only the flow, and :meth:`min_cuts`
     reads the cuts off the residual networks inside C.
 
@@ -118,21 +126,28 @@ class _NativeSplitFlow:
 
     __slots__ = ("budget", "_lib", "_net")
 
-    def __init__(self, g: Graph, budget: int | None = None):
-        n = g.order
+    def __init__(self, g: Graph, budget: int | None = None, times: int | None = None):
+        n = g.order if times is None else g.order * times
+        if n > _native.INT_MAX:  # the kernel reads the order as a C int
+            raise ValueError(f"the flow kernel takes at most {_native.INT_MAX} vertices, "
+                             f"got order {n}")
         vw = -(-n // 64)
         nw = 2 if n <= 64 else -(-n // 32)  # the kernel's node_words
         # The kernel reads the budget as a signed 64-bit word.
         limit = _INT64_MAX if budget is None else min(max(budget, -1), _INT64_MAX)
         self.budget = budget
         self._lib = lib = _native.library()
-        # Slice assignment fills the array faster than the constructor's
-        # arguments do.
         self._net = net = (ctypes.c_uint64 * (3 + n * vw + 4 * n * nw))()
-        net[0] = n
         net[1] = limit % (1 << 64)
-        net[3:3 + n * vw] = g.adj if vw == 1 else _native.words(g.adj, vw)
-        lib.splitflow_init(net)
+        if times is None:
+            net[0] = n
+            # Slice assignment fills the array faster than the constructor's
+            # arguments do.
+            net[3:3 + n * vw] = g.adj if vw == 1 else _native.words(g.adj, vw)
+            lib.splitflow_init(net)
+        else:  # the kernel writes the order and the product's adjacency
+            lib.splitflow_product(net, g.order, _native.words(g.adj, -(-g.order // 64)),
+                                  times)
 
     @property
     def spent(self) -> int:
@@ -243,8 +258,9 @@ def vertex_connectivity(g: Graph, budget: int | None = None,
 # -- enumeration --------------------------------------------------------------
 
 def enumerate_min_cuts(g: Graph, budget: int | None = None,
-                       labels: int = 1) -> list[CutSet]:
-    """Every separating set of size exactly kappa(g), lexicographically.
+                       times: int | None = None) -> list[CutSet]:
+    """Every separating set of size exactly kappa(g), or of kappa(g x
+    K_times) when ``times`` is given, lexicographically.
 
     One vertex-split network serves every pair of Even's family; for each
     pair whose maximum flow equals kappa, the minimum separators are read
@@ -255,28 +271,34 @@ def enumerate_min_cuts(g: Graph, budget: int | None = None,
     over the pairs is every minimum cut.  A complete graph has the ``order`` sets of
     size ``order - 1``, each leaving one vertex.
 
-    ``g`` is ``H x K_labels`` with ids ``u * labels + a``, and ``labels=1``
-    is any plain graph.  The flows and separators run on one pair per orbit
-    of the relabellings that fix ``s`` (:meth:`_NativeSplitFlow.even_pairs`),
+    With ``times``, ``g`` is the factor and the kernel builds the product
+    ``g x K_times`` in the network itself, with ids ``u * times + a``, so
+    the product never becomes a Python :class:`Graph`.  Its ids carry the
+    labels ``a``, and the flows and separators run on one pair per orbit of
+    the relabellings that fix ``s`` (:meth:`_NativeSplitFlow.even_pairs`),
     and the cut masks are closed under the swaps of labels ``a`` and ``a +
     1`` for ``a >= 1``, which generate those relabellings: a relabelling
     that fixes ``s`` maps the minimum cuts of a pair onto those of its image.
+    ``times=None`` enumerates ``g`` itself, with no labels.  The product's
+    order must fit a C int, else :class:`ValueError`.
 
     A minimum cut ``S`` isolates ``v`` only if ``N(v) = S``, since ``N(v)``
     lies in ``S`` and ``|N(v)| >= delta >= kappa = |S|``; so the lowest
     such ``v`` is the cut's witness, and the cut isolates exactly when it
     has one.  The network returns the finished list of :class:`CutSet`,
     closed, sorted and classified (:meth:`_NativeSplitFlow.min_cuts`), in
-    one kernel call, which refuses a disconnected ``g`` before its first
-    search.  Closing, sorting and classifying search nothing.
+    one kernel call, which refuses a disconnected graph or product before
+    its first search.  Closing, sorting and classifying search nothing.
 
     Every search of the flows and of the separator reading is charged
     against ``budget``, one unit each; the first search past it raises
     :class:`BudgetExceededError`.  ``None`` means no limit.
     """
-    if g.order < 2:
+    if times is not None and times < 1:
+        raise ValueError(f"the complete factor needs times >= 1, got {times}")
+    if g.order * (times or 1) < 2:
         raise PreconditionError("min-cut enumeration needs order >= 2")
-    return _NativeSplitFlow(g, budget).min_cuts(labels)
+    return _NativeSplitFlow(g, budget, times).min_cuts(times or 1)
 
 
 def connectivity_result(g: Graph, budget: int | None = None) -> ConnectivityResult:

@@ -271,25 +271,35 @@ def _report(g: Graph, g6: str, n: int, kappa_g: int, budget: int | None,
     them is not bipartite, and ``K_n`` is not), that is exactly when
     ``kappa_g > 0``.
     Either route charges the product's residual searches against
-    ``budget`` (None for no limit), and either passes the ``n`` labels of
+    ``budget`` (None for no limit), and either runs on the ``n`` labels of
     the ``K_n`` factor: the flows and separators run on one pair per orbit
     of the relabellings that fix the pair family's source vertex, whose
-    label is 0.
+    label is 0.  The verdict route hands the kernel the factor, and the
+    kernel builds the product itself (``enumerate_min_cuts(g, times=n)``).
+    The formula route still builds the product in Python with
+    :func:`kronecker` and passes its layout as ``labels=n``: the
+    benchmark's tracer times the product layer through this module's
+    ``kronecker``, and keeps that name until its bindings move.  Both
+    refuse, with :class:`ValueError`, a product whose order does not fit
+    the kernel's C int, before anything is built.
     """
     start = time.perf_counter()
+    if g.order * n > _native.INT_MAX:
+        raise ValueError(f"the flow kernel takes at most {_native.INT_MAX} vertices, "
+                         f"got order {g.order * n}")
     delta_g = g.min_degree
-    pg = kronecker(g, make_complete(n))
     super_kappa = min_cut_count = counterexample = None
     if not verdict:
-        product_kappa = vertex_connectivity(pg, budget=budget, labels=n)
+        product_kappa = vertex_connectivity(kronecker(g, make_complete(n)),
+                                            budget=budget, labels=n)
     elif kappa_g == 0:
         product_kappa, super_kappa, min_cut_count = 0, False, 0
     else:
-        cuts = enumerate_min_cuts(pg, budget=budget, labels=n)
+        cuts = enumerate_min_cuts(g, budget=budget, times=n)
         product_kappa = len(cuts[0].vertices)
-        super_kappa = all(c.isolates for c in cuts)
         min_cut_count = len(cuts)
         counterexample = next((c for c in cuts if not c.isolates), None)
+        super_kappa = counterexample is None
     rhs = min(n * kappa_g, (n - 1) * delta_g)
     holds = product_kappa == rhs
     return VerificationReport(

@@ -695,6 +695,22 @@ def test_input_guards(argv, message, capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("g6", ["Cl", "DxK"], ids=["c4-verdict", "bowtie-formula"])
+def test_batch_refuses_a_product_past_a_c_int(g6, capsys, monkeypatch):
+    """``--n 2**30`` fits a C int, but neither C_4's product (kappa = delta,
+    so the verdict route) nor the bowtie's (kappa < delta, the formula
+    route) does: ``batch`` exits 2 with one line, before K_n is built."""
+    def no_build(*_args, **_kwargs):
+        raise AssertionError("K_n was built before the check")
+    monkeypatch.setattr("kronkit.product_analysis.make_complete", no_build)
+    code, out, err = run_cli(["batch", "--n", str(2**30), "--g6", g6, "--workers", "1"],
+                             capsys)
+    assert code == 2 and out == ""
+    order = {"Cl": 4, "DxK": 5}[g6] * 2**30
+    assert err == ("kronkit: the flow kernel takes at most 2147483647 vertices, "
+                   f"got order {order}\n")
+
+
 def test_budget_is_not_read_from_the_environment(capsys, monkeypatch):
     # The budget comes from --budget or the default only: a variable that
     # once set it must not shrink it.

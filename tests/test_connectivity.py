@@ -373,7 +373,7 @@ def test_label_symmetry_keeps_every_minimum_cut_of_kd_equal_products():
     for g, n, pg in _products(6, (3, 4, 5)):
         if vertex_connectivity(g) != g.min_degree or not is_connected(pg):
             continue
-        assert enumerate_min_cuts(pg, labels=n) == enumerate_min_cuts(pg), g
+        assert enumerate_min_cuts(g, times=n) == enumerate_min_cuts(pg), g
         count += 1
     assert count > 100
 
@@ -438,13 +438,20 @@ def test_label_symmetry_spends_fewer_searches_on_k44_times_k4():
     # relabellings that fix label 0; the plain route needs 587 searches.
     from kronkit.graphs import parse_graph6
 
-    pg = kronecker(parse_graph6("G?~vf_"), make_complete(4))
-    cuts = enumerate_min_cuts(pg, budget=195, labels=4)
+    k44 = parse_graph6("G?~vf_")
+    pg = kronecker(k44, make_complete(4))
+    cuts = enumerate_min_cuts(k44, budget=195, times=4)
     assert cuts == enumerate_min_cuts(pg) and len(cuts) == 8
     with pytest.raises(BudgetExceededError):
-        enumerate_min_cuts(pg, budget=194, labels=4)
+        enumerate_min_cuts(k44, budget=194, times=4)
     with pytest.raises(BudgetExceededError):
         enumerate_min_cuts(pg, budget=195)
+
+
+def test_kernel_product_needs_a_complete_factor_with_a_vertex():
+    for times in (0, -3):
+        with pytest.raises(ValueError, match=f"needs times >= 1, got {times}$"):
+            enumerate_min_cuts(make_cycle(4), times=times)
 
 
 # -- super-connectivity ------------------------------------------------------
@@ -500,7 +507,7 @@ def test_lookup_classification_equals_the_search_on_every_minimum_cut(
             pg = kronecker(g, make_complete(n))
             if not is_connected(pg):
                 continue
-            for cut in enumerate_min_cuts(pg, labels=n):
+            for cut in enumerate_min_cuts(g, times=n):
                 assert classify_cut(pg, cut.vertices) == (cut, True), (g, n, cut)
                 cuts += 1
     assert cuts == 2880

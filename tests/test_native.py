@@ -50,18 +50,16 @@ def _spy(monkeypatch) -> list:
     nets = []
     network = _NativeSplitFlow
 
-    def recorded(g, budget=None):
-        nets.append(network(g, budget))
+    def recorded(g, budget=None, times=None):
+        nets.append(network(g, budget, times))
         return nets[-1]
 
     monkeypatch.setattr(connectivity, "_NativeSplitFlow", recorded)
     return nets
 
 
-def _k44_times_k3():
-    return kronecker(graph_from_edges(8, [(a, b) for a in range(4)
-                                          for b in range(4, 8)]),
-                     make_complete(3))
+def _k44():
+    return graph_from_edges(8, [(a, b) for a in range(4) for b in range(4, 8)])
 
 
 def _hypercube(d: int):
@@ -69,13 +67,16 @@ def _hypercube(d: int):
                                      for i in range(d) if not v >> i & 1])
 
 
-def _kernel_and_oracle(pg, labels, nets) -> tuple:
-    """The cut list and the searches spent of one enumeration, by the kernel
-    through :func:`enumerate_min_cuts` (whose network ``nets`` records) and
-    by the oracle."""
-    cuts = enumerate_min_cuts(pg, labels=labels)
+def _kernel_and_oracle(g, times, nets) -> tuple:
+    """The cut list and the searches spent of one enumeration of ``g``, or
+    of ``g x K_times`` when ``times`` is given, by the kernel through
+    :func:`enumerate_min_cuts` (whose network ``nets`` records), which
+    builds the product itself, and by the oracle on :func:`kronecker`'s
+    product with its ``times`` labels."""
+    cuts = enumerate_min_cuts(g, times=times)
+    pg = g if times is None else kronecker(g, make_complete(times))
     oracle = _SplitFlow(pg)
-    return (cuts, nets[-1].spent), (oracle.min_cuts(pg, labels), oracle.spent)
+    return (cuts, nets[-1].spent), (oracle.min_cuts(pg, times or 1), oracle.spent)
 
 
 def _oracle_connectivity(g) -> tuple[int, int]:
@@ -96,17 +97,18 @@ def _agree(oracle, net, s, t, cutoff, case) -> int:
 def test_kernels_agree_on_every_even_pair_of_products_to_order_6(
         connected_upto_6, kernel):
     """Every pair of Even's family of every connected ``G x K_n``, G to
-    order 6 and n = 3, 4, 5, on one network per product: the same flow
-    value and searches spent, at the cutoff the routes start from and at
-    every cutoff below the flow, in one kernel call per flow, which hands
-    over no block to free."""
+    order 6 and n = 3, 4, 5, on one network per product, which the kernel
+    builds from the factor in one call: the same flow value and searches
+    spent as the oracle on :func:`kronecker`'s product, at the cutoff the
+    routes start from and at every cutoff below the flow, in one kernel
+    call per flow, which hands over no block to free."""
     products = cases = 0
     for g in connected_upto_6:
         for n in (3, 4, 5):
             pg = kronecker(g, make_complete(n))
             if not is_connected(pg):
                 continue
-            oracle, net = _SplitFlow(pg), _NativeSplitFlow(pg)
+            oracle, net = _SplitFlow(pg), _NativeSplitFlow(g, times=n)
             products += 1
             for s, t in _even_pairs(pg, 1):
                 value = _agree(oracle, net, s, t, pg.order - 1, (g, n, s, t))
@@ -114,7 +116,7 @@ def test_kernels_agree_on_every_even_pair_of_products_to_order_6(
                     _agree(oracle, net, s, t, cutoff, (g, n, s, t, cutoff))
                 cases += 1 + value
     assert (products, cases) == (426, 102822)
-    assert kernel.calls == {"splitflow_init": products, "splitflow_max_flow": cases}
+    assert kernel.calls == {"splitflow_product": products, "splitflow_max_flow": cases}
 
 
 WORD_BOUNDARY = [
@@ -135,7 +137,7 @@ def test_products_up_to_the_word_boundary(g, n, monkeypatch):
     nets = _spy(monkeypatch)
     kappa = vertex_connectivity(pg)
     assert (kappa, nets[-1].spent) == _oracle_connectivity(pg)
-    ours, oracle = _kernel_and_oracle(pg, n, nets)
+    ours, oracle = _kernel_and_oracle(g, n, nets)
     assert ours == oracle
     h = nx.Graph()
     h.add_nodes_from(range(pg.order))
@@ -161,16 +163,17 @@ def test_products_past_the_word_boundary(g, n, kappa, count, kernel, monkeypatch
     """Products past 64 vertices take the kernel's multiword masks and give
     the oracle's connectivity, pairs, cut list and searches.  The
     connectivity takes its pairs in one kernel call, and each enumeration is
-    one kernel call; each of their results is freed once, however many
-    pairs or cuts it holds."""
+    one kernel call past the kernel's build of the product; each of their
+    results is freed once, however many pairs or cuts it holds."""
     pg = kronecker(g, make_complete(n))
     assert pg.order > 64
     nets = _spy(monkeypatch)
     assert (vertex_connectivity(pg), nets[-1].spent) == (kappa, _oracle_connectivity(pg)[1])
     assert kernel.calls["splitflow_pairs"] == kernel.calls["splitflow_free"] == 1
-    ours, oracle = _kernel_and_oracle(pg, n, nets)
+    ours, oracle = _kernel_and_oracle(g, n, nets)
     assert ours == oracle
-    assert kernel.calls["splitflow_min_cuts"] == 1
+    assert kernel.calls["splitflow_product"] == kernel.calls["splitflow_min_cuts"] == 1
+    assert kernel.calls["splitflow_init"] == 1
     assert kernel.calls["splitflow_free"] == 2
     for labels in (1, n):
         assert _NativeSplitFlow(pg).even_pairs(labels) == _even_pairs(pg, labels)
@@ -181,8 +184,7 @@ def test_products_past_the_word_boundary(g, n, kappa, count, kernel, monkeypatch
     assert max(cut.witness for cut in cuts if cut.isolates) == pg.order - 1
 
 
-BUDGETED = [("K44xK3", _k44_times_k3(), 3, 9, 223),
-            ("K4xK17", kronecker(make_complete(4), make_complete(17)), 17, 68, 149)]
+BUDGETED = [("K44xK3", _k44(), 3, 9, 223), ("K4xK17", make_complete(4), 17, 68, 149)]
 
 
 def test_budget_runs_out_at_the_same_search_on_both_kernels(kernel, monkeypatch):
@@ -192,20 +194,21 @@ def test_budget_runs_out_at_the_same_search_on_both_kernels(kernel, monkeypatch)
     kernel, which has then freed its buffers itself, hands over no result
     to free."""
     nets = _spy(monkeypatch)
-    for name, pg, labels, count, searches in BUDGETED:
+    for name, g, times, count, searches in BUDGETED:
+        pg = kronecker(g, make_complete(times))
         oracle = _SplitFlow(pg)
-        expected = oracle.min_cuts(pg, labels)
+        expected = oracle.min_cuts(pg, times)
         assert oracle.spent == searches, name
         frees = kernel.calls["splitflow_free"]
         for budget in range(searches):
             with pytest.raises(BudgetExceededError) as err:
-                enumerate_min_cuts(pg, budget=budget, labels=labels)
+                enumerate_min_cuts(g, budget=budget, times=times)
             assert err.value.budget == budget
             assert nets[-1].spent == budget + 1, (name, budget)
             with pytest.raises(BudgetExceededError):
-                _SplitFlow(pg, budget).min_cuts(pg, labels)
+                _SplitFlow(pg, budget).min_cuts(pg, times)
         assert kernel.calls["splitflow_free"] == frees, name
-        cuts = enumerate_min_cuts(pg, budget=searches, labels=labels)
+        cuts = enumerate_min_cuts(g, budget=searches, times=times)
         assert cuts == expected and len(cuts) == count
         assert nets[-1].spent == searches
         assert kernel.calls["splitflow_free"] == frees + 1, name
@@ -215,22 +218,24 @@ def test_one_kernel_call_per_enumeration_matches_the_python_route(
         connected_upto_6, kernel, monkeypatch):
     """Every connected ``G x K_n``, G to order 6 and n = 3, 4, 5, and the
     complete graphs, which have no pairs: the enumeration makes one call
-    into the kernel past building the network, and gives the oracle's cut
-    list and searches."""
-    cases = [(kronecker(g, make_complete(n)), n)
-             for g in connected_upto_6 for n in (3, 4, 5)]
-    cases = [(pg, n) for pg, n in cases if is_connected(pg)]
-    cases += [(make_complete(k), 1) for k in range(2, 9)]
+    into the kernel past building the network, which the kernel builds from
+    the factor in one call for a product and from the graph's words for a
+    plain graph, and gives the oracle's cut list and searches."""
+    products = [(g, n) for g in connected_upto_6 for n in (3, 4, 5)
+                if is_connected(kronecker(g, make_complete(n)))]
+    plain = [(make_complete(k), None) for k in range(2, 9)]
     nets = _spy(monkeypatch)
     cuts = 0
-    for pg, n in cases:
-        ours, oracle = _kernel_and_oracle(pg, n, nets)
-        assert ours == oracle, (pg, n)
+    for g, n in products + plain:
+        ours, oracle = _kernel_and_oracle(g, n, nets)
+        assert ours == oracle, (g, n)
         cuts += len(oracle[0])
-    assert kernel.calls == {"splitflow_init": len(cases),
-                            "splitflow_min_cuts": len(cases),
-                            "splitflow_free": len(cases)}
-    assert (len(cases), cuts) == (433, 2915)
+    cases = len(products) + len(plain)
+    assert kernel.calls == {"splitflow_product": len(products),
+                            "splitflow_init": len(plain),
+                            "splitflow_min_cuts": cases,
+                            "splitflow_free": cases}
+    assert (cases, cuts) == (433, 2915)
 
 
 def test_long_cut_list_is_one_kernel_call(kernel, monkeypatch):
@@ -239,10 +244,9 @@ def test_long_cut_list_is_one_kernel_call(kernel, monkeypatch):
     separate 67 times in all, for 223 searches.  C_16 has 104 minimum cuts,
     for 962 searches."""
     nets = _spy(monkeypatch)
-    for pg, labels, count, searches in ((_k44_times_k3(), 3, 9, 223),
-                                        (make_cycle(16), 1, 104, 962)):
+    for g, times, count, searches in ((_k44(), 3, 9, 223), (make_cycle(16), None, 104, 962)):
         calls = kernel.calls["splitflow_min_cuts"]
-        ours, oracle = _kernel_and_oracle(pg, labels, nets)
+        ours, oracle = _kernel_and_oracle(g, times, nets)
         assert ours == oracle
         assert (len(oracle[0]), oracle[1]) == (count, searches)
         assert kernel.calls["splitflow_min_cuts"] == calls + 1
@@ -262,7 +266,7 @@ def test_finished_cut_lists_equal_the_twin_and_the_subset_scan(
         pg = kronecker(g, make_complete(n))
         if not is_connected(pg):
             continue
-        ours, oracle = _kernel_and_oracle(pg, n, nets)
+        ours, oracle = _kernel_and_oracle(g, n, nets)
         assert ours == oracle, (g, n)
         assert oracle[0] == brute_force_min_cuts(pg), (g, n)
         products += 1
@@ -273,7 +277,8 @@ def test_closure_adds_the_cuts_the_pairs_do_not_separate(kernel, monkeypatch):
     """The kept pairs of K_{4,4} x K_4 separate 5 of its 8 minimum cuts,
     and the label swaps give the other 3, in the same kernel call, which
     charges the 195 searches once and gives the oracle's list."""
-    pg = kronecker(parse_graph6("G?~vf_"), make_complete(4))
+    k44 = parse_graph6("G?~vf_")
+    pg = kronecker(k44, make_complete(4))
     oracle = _SplitFlow(pg)
     kappa, attaining = pg.order - 1, []
     for s, t in _even_pairs(pg, 4):
@@ -285,12 +290,81 @@ def test_closure_adds_the_cuts_the_pairs_do_not_separate(kernel, monkeypatch):
                               for s, t, out in attaining))
     assert len(separated) == 5
     nets = _spy(monkeypatch)
-    ours, oracle = _kernel_and_oracle(pg, 4, nets)
+    ours, oracle = _kernel_and_oracle(k44, 4, nets)
     assert ours == oracle
     cuts, spent = oracle
     assert (len(cuts), spent) == (8, 195)
     assert separated < {sum(1 << v for v in cut.vertices) for cut in cuts}
     assert kernel.calls["splitflow_min_cuts"] == kernel.calls["splitflow_free"] == 1
+
+
+def test_kernel_product_gives_the_plain_enumeration_of_kronecker(connected_upto_6):
+    """Every connected factor to order 6 at n = 2 to 6: the cuts of the
+    product that the kernel builds, enumerated with its labels, equal the
+    plain enumeration of :func:`kronecker`'s product, which knows no labels,
+    so one assertion checks the kernel's product builder and the closure
+    under the label swaps.  A disconnected product, such as ``G x K_2`` for
+    a bipartite ``G``, is refused alike on both routes."""
+    equal = refused = 0
+    for g in connected_upto_6:
+        for n in range(2, 7):
+            pg = kronecker(g, make_complete(n))
+            if not is_connected(pg):
+                for product in ((g, n), (pg, None)):
+                    with pytest.raises(PreconditionError):
+                        enumerate_min_cuts(product[0], times=product[1])
+                refused += 1
+                continue
+            assert enumerate_min_cuts(g, times=n) == enumerate_min_cuts(pg), (g, n)
+            equal += 1
+    assert (equal, refused) == (683, 32)
+
+
+WIDE_PRODUCTS = [
+    ("Q5xK3", _hypercube(5), 3),  # 96 vertices
+    ("PetersenxK7", parse_graph6("IheA@GUAo"), 7),  # 70 vertices
+    ("C70xK5", make_cycle(70), 5),  # a factor past 64 vertices too
+    ("Q7xK3", _hypercube(7), 3),  # factor rows of two words, product rows of six
+]
+
+
+@pytest.mark.parametrize("g, n", [case[1:] for case in WIDE_PRODUCTS],
+                         ids=[case[0] for case in WIDE_PRODUCTS])
+def test_kernel_builds_products_past_the_word_boundary(g, n, kernel):
+    """Products past 64 vertices are built in the kernel's multiword masks,
+    in one call, and give the plain enumeration of :func:`kronecker`'s
+    product."""
+    pg = kronecker(g, make_complete(n))
+    assert pg.order > 64
+    assert enumerate_min_cuts(g, times=n) == enumerate_min_cuts(pg)
+    assert kernel.calls == {"splitflow_product": 1, "splitflow_init": 1,
+                            "splitflow_min_cuts": 2, "splitflow_free": 2}
+
+
+def test_product_past_a_c_int_is_refused_before_any_array(kernel):
+    """The kernel reads the product's order as a C int: ``C_4 x K_{2**30}``
+    has 2**32 vertices, and is refused by its order before a word array is
+    allocated or the kernel is called."""
+    with pytest.raises(ValueError, match="got order 4294967296$"):
+        enumerate_min_cuts(make_cycle(4), times=2**30)
+    assert kernel.calls == {}
+
+
+def test_one_product_build_and_one_enumeration_per_verdict(kernel, monkeypatch):
+    """``batch_verify`` hands each verdict instance's factor to the kernel,
+    which builds the product in one call and enumerates it in one more;
+    no product is built in Python.  The factors' own connectivity, once
+    per factor, builds one plain network each."""
+    def no_product(*_args):
+        raise AssertionError("the verdict route built a product in Python")
+    for name in ("kronkit.product_analysis.kronecker", "kronkit.products.kronecker"):
+        monkeypatch.setattr(name, no_product)
+    factors = [make_cycle(5), _k44(), _hypercube(3), parse_graph6("IheA@GUAo")]
+    records = list(product_analysis.batch_verify(
+        factors, [3, 4], filters=("connected", "kd-equal")))
+    assert records[-1] == product_analysis.BatchSummary(8, 7, 1, 0)  # K_{4,4} x K_3
+    assert kernel.calls["splitflow_product"] == kernel.calls["splitflow_min_cuts"] == 8
+    assert kernel.calls["splitflow_init"] == len(factors)
 
 
 DISCONNECTED = [

@@ -926,6 +926,22 @@ def test_n_past_a_c_int_is_refused_before_the_product_is_built(n, monkeypatch):
             verify(make_cycle(5), n)
 
 
+def test_product_order_past_a_c_int_is_refused_before_anything_is_built(
+        kernel, monkeypatch):
+    """n = 2**30 fits a C int, but the 2**32 vertices of C_4 x K_n do not:
+    the formula route and the verdict route both refuse the instance by its
+    order before K_n, the product or a flow network of it is built."""
+    def no_product(*_args):
+        raise AssertionError("K_n was built before the check")
+    monkeypatch.setattr(product_analysis, "make_complete", no_product)
+    message = "the flow kernel takes at most 2147483647 vertices, got order 4294967296$"
+    for verify in (verify_connectivity_formula, verify_super_connectivity):
+        with pytest.raises(ValueError, match=message):
+            verify(make_cycle(4), 2**30)
+    assert kernel.calls["splitflow_init"] == 2  # the factor's connectivity, per call
+    assert kernel.calls["splitflow_product"] == kernel.calls["splitflow_min_cuts"] == 0
+
+
 def test_filter_table_matches_networkx_definitions():
     nx = pytest.importorskip("networkx")
     from kronkit.graphs import encode_graph6
