@@ -138,7 +138,9 @@ def library() -> ctypes.CDLL:
 def words(masks: Sequence[int], width: int) -> ctypes.Array:
     """The kernel's array of ``masks``, ``width`` words each, low word first."""
     if width == 1:
-        return (ctypes.c_uint64 * len(masks))(*masks)
+        array = (ctypes.c_uint64 * len(masks))()
+        array[:] = masks  # faster than the constructor's arguments
+        return array
     raw = b"".join(m.to_bytes(8 * width, "little") for m in masks)
     return (ctypes.c_uint64 * (width * len(masks))).from_buffer_copy(raw)
 

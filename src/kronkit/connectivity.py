@@ -12,12 +12,9 @@ Even's pair family around a minimum-degree vertex:
 Both charge each residual search of the network, the one unit of work,
 against an optional budget, and both solve one pair per orbit of the
 relabellings of a product ``H x K_n`` that fix the family's source.
-:func:`enumerate_min_cuts` takes the factor ``H`` and ``times=n``, and the
-kernel builds the product in the network's own words, with ids ``u * n +
-a``, so the labels are its own; :func:`vertex_connectivity` takes a built
-product and its promise ``labels=n`` of that layout, since the formula route
-still builds its product with :func:`kronkit.products.kronecker`, the
-product layer that the benchmark times.
+Both take the factor ``H`` and ``times=n``, and the kernel builds the
+product in the network's own words, with ids ``u * n + a``, so the labels
+are its own and no caller promises a layout.
 
 The network runs in C (``_splitflow.c``, built on first use by
 :mod:`kronkit._native`) at every order, with vertex masks of ``ceil(n /
@@ -110,9 +107,10 @@ class _NativeSplitFlow:
     takes ``ceil(order / 64)`` words and a node mask ``ceil(2 order / 64)``
     words, or two up to 64 vertices.  With ``times``, the network is of
     ``g x K_times``, whose order and adjacency the kernel writes from
-    ``g``'s (``splitflow_product``).  No residual network leaves the
-    kernel: :meth:`max_flow` returns only the flow, and :meth:`min_cuts`
-    reads the cuts off the residual networks inside C.
+    ``g``'s (``splitflow_product``), and ``labels``, which the pairs and
+    the cut closure read off the ids, is ``times``, else 1.  No residual
+    network leaves the kernel: :meth:`max_flow` returns only the flow, and
+    :meth:`min_cuts` reads the cuts off the residual networks inside C.
 
     The network is also the one place that charges work: each residual
     search, that is each breadth-first search for an augmenting path and
@@ -124,10 +122,13 @@ class _NativeSplitFlow:
     the same flows, cut lists and searches as their oracle.
     """
 
-    __slots__ = ("budget", "_lib", "_net")
+    __slots__ = ("budget", "labels", "_lib", "_net")
 
     def __init__(self, g: Graph, budget: int | None = None, times: int | None = None):
-        n = g.order if times is None else g.order * times
+        if times is not None and times < 1:
+            raise ValueError(f"the complete factor needs times >= 1, got {times}")
+        self.labels = labels = times or 1
+        n = g.order * labels
         if n > _native.INT_MAX:  # the kernel reads the order as a C int
             raise ValueError(f"the flow kernel takes at most {_native.INT_MAX} vertices, "
                              f"got order {n}")
@@ -172,7 +173,7 @@ class _NativeSplitFlow:
             self._checked(flow)
         return flow
 
-    def even_pairs(self, labels: int) -> list[tuple[int, int]]:
+    def even_pairs(self) -> list[tuple[int, int]]:
         """Even's pair family, in one kernel call that charges no search;
         :class:`PreconditionError` for a disconnected graph.  The pairs are a
         minimum-degree vertex ``s`` with each non-neighbour, then each
@@ -182,14 +183,14 @@ class _NativeSplitFlow:
         """
         block = ctypes.POINTER(ctypes.c_int)()
         count = self._checked(self._lib.splitflow_pairs(
-            self._net, labels, ctypes.byref(block)))
+            self._net, self.labels, ctypes.byref(block)))
         try:
             ints = block[:2 * count]
         finally:
             self._lib.splitflow_free(block)
         return list(zip(ints[:count], ints[count:]))
 
-    def min_cuts(self, labels: int) -> list[CutSet]:
+    def min_cuts(self) -> list[CutSet]:
         """Every minimum cut of this network's graph, in lexicographic order
         of its vertex ids, in one kernel call; :class:`PreconditionError`
         for a disconnected graph, before any charged search.
@@ -204,7 +205,7 @@ class _NativeSplitFlow:
         """
         block = ctypes.POINTER(ctypes.c_int)()
         found = self._checked(self._lib.splitflow_min_cuts(
-            self._net, labels, ctypes.byref(block)))
+            self._net, self.labels, ctypes.byref(block)))
         try:
             size = block[0]
             ints = memoryview(ctypes.string_at(
@@ -229,27 +230,28 @@ class _NativeSplitFlow:
 
 
 def vertex_connectivity(g: Graph, budget: int | None = None,
-                        labels: int = 1) -> int:
-    """Connectivity of ``g`` via disjoint-path counts.
+                        times: int | None = None) -> int:
+    """Connectivity of ``g``, or of ``g x K_times`` when ``times`` is
+    given, via disjoint-path counts.
 
     0 for disconnected graphs and the one-vertex graph, ``n - 1`` for
     complete graphs.  Otherwise the minimum of the local connectivities over
     Even's pair family, one of which crosses every minimum cut.  The flows'
     searches are charged against ``budget`` (see :class:`_NativeSplitFlow`).
 
-    ``g`` is ``H x K_labels`` with ids ``u * labels + a``, and ``labels=1``
-    is any plain graph.  A pair and its relabellings have the same local
-    connectivity, so one flow per orbit suffices (see
-    :meth:`_NativeSplitFlow.even_pairs`, which also checks connectedness).
+    ``times`` is taken as by :func:`enumerate_min_cuts`.  A pair and its
+    relabellings have the same local connectivity, so one flow per orbit
+    suffices (see :meth:`_NativeSplitFlow.even_pairs`, which also checks
+    connectedness).
     """
     if g.order == 0:
         raise ValueError("connectivity is undefined for the empty graph")
-    net = _NativeSplitFlow(g, budget)
+    net = _NativeSplitFlow(g, budget, times)
     try:
-        pairs = net.even_pairs(labels)
+        pairs = net.even_pairs()
     except PreconditionError:  # disconnected
         return 0
-    best = g.order - 1
+    best = g.order * net.labels - 1
     for s, t in pairs:
         best = min(best, net.max_flow(s, t, best))
     return best
@@ -279,8 +281,8 @@ def enumerate_min_cuts(g: Graph, budget: int | None = None,
     and the cut masks are closed under the swaps of labels ``a`` and ``a +
     1`` for ``a >= 1``, which generate those relabellings: a relabelling
     that fixes ``s`` maps the minimum cuts of a pair onto those of its image.
-    ``times=None`` enumerates ``g`` itself, with no labels.  The product's
-    order must fit a C int, else :class:`ValueError`.
+    ``times=None`` enumerates ``g`` itself, with no labels.  A ``times``
+    below 1 or a product past a C int's order is a :class:`ValueError`.
 
     A minimum cut ``S`` isolates ``v`` only if ``N(v) = S``, since ``N(v)``
     lies in ``S`` and ``|N(v)| >= delta >= kappa = |S|``; so the lowest
@@ -294,11 +296,10 @@ def enumerate_min_cuts(g: Graph, budget: int | None = None,
     against ``budget``, one unit each; the first search past it raises
     :class:`BudgetExceededError`.  ``None`` means no limit.
     """
-    if times is not None and times < 1:
-        raise ValueError(f"the complete factor needs times >= 1, got {times}")
-    if g.order * (times or 1) < 2:
+    net = _NativeSplitFlow(g, budget, times)
+    if g.order * net.labels < 2:
         raise PreconditionError("min-cut enumeration needs order >= 2")
-    return _NativeSplitFlow(g, budget, times).min_cuts(times or 1)
+    return net.min_cuts()
 
 
 def connectivity_result(g: Graph, budget: int | None = None) -> ConnectivityResult:

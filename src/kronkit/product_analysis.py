@@ -23,7 +23,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from . import _native
+from . import _native, products
 from .connectivity import (
     CutSet,
     cut_record,
@@ -35,10 +35,12 @@ from .graphs import (
     Graph,
     encode_graph6,
     iter_bits,
-    make_complete,
     parse_graph6,
 )
-from .products import is_bipartite, kronecker
+from .products import is_bipartite
+
+# No caller here: bench/tracing.py times the product layer through this name.
+kronecker = products.kronecker
 
 MAX_REJECTIONS = 100_000
 
@@ -270,28 +272,18 @@ def _report(g: Graph, g6: str, n: int, kappa_g: int, budget: int | None,
     connected graphs with an edge each is connected exactly when one of
     them is not bipartite, and ``K_n`` is not), that is exactly when
     ``kappa_g > 0``.
-    Either route charges the product's residual searches against
-    ``budget`` (None for no limit), and either runs on the ``n`` labels of
-    the ``K_n`` factor: the flows and separators run on one pair per orbit
-    of the relabellings that fix the pair family's source vertex, whose
-    label is 0.  The verdict route hands the kernel the factor, and the
-    kernel builds the product itself (``enumerate_min_cuts(g, times=n)``).
-    The formula route still builds the product in Python with
-    :func:`kronecker` and passes its layout as ``labels=n``: the
-    benchmark's tracer times the product layer through this module's
-    ``kronecker``, and keeps that name until its bindings move.  Both
-    refuse, with :class:`ValueError`, a product whose order does not fit
-    the kernel's C int, before anything is built.
+    Either route hands the kernel the factor with ``times=n``, and the
+    kernel builds the product, charges its residual searches against
+    ``budget`` (None for no limit) and solves one pair per orbit of the
+    relabellings that fix the pair family's source vertex, whose label is
+    0.  Both refuse, with :class:`ValueError`, a product whose order does
+    not fit the kernel's C int, before its network is allocated.
     """
     start = time.perf_counter()
-    if g.order * n > _native.INT_MAX:
-        raise ValueError(f"the flow kernel takes at most {_native.INT_MAX} vertices, "
-                         f"got order {g.order * n}")
     delta_g = g.min_degree
     super_kappa = min_cut_count = counterexample = None
     if not verdict:
-        product_kappa = vertex_connectivity(kronecker(g, make_complete(n)),
-                                            budget=budget, labels=n)
+        product_kappa = vertex_connectivity(g, budget=budget, times=n)
     elif kappa_g == 0:
         product_kappa, super_kappa, min_cut_count = 0, False, 0
     else:
@@ -320,9 +312,9 @@ def _report(g: Graph, g6: str, n: int, kappa_g: int, budget: int | None,
 def verify_connectivity_formula(g: Graph, n: int) -> VerificationReport:
     """Check the product-connectivity formula by computing both sides.
 
-    The product side runs the flow-based connectivity on the constructed
-    product, with no limit on its residual searches; the formula side
-    combines the factor invariants.
+    The product side runs the flow-based connectivity on the product, which
+    the kernel builds from the factor, with no limit on its residual
+    searches; the formula side combines the factor invariants.
     """
     _check_instance(g, n)
     return _report(g, encode_graph6(g), n, vertex_connectivity(g), None,

@@ -682,33 +682,32 @@ def test_empty_factor_is_an_in_stream_skip(command, capsys):
         "product-order-past-graph6", "product-empty-factor", "gstar-n-huge", "gstar-n-past-int",
         "gstar-trials-past-int", "gen-complete-order", "gen-cycle-order",
         "gen-random-order"])
-def test_input_guards(argv, message, capsys, monkeypatch):
+def test_input_guards(argv, message, capsys, monkeypatch, kernel):
     def no_build(*_args, **_kwargs):  # fail fast instead of building order 9
         raise AssertionError("a corpus, graph or buffer was built before the guard")
     for name in ("cli.all_graphs", "cli.make_complete", "cli.make_cycle",
-                 "cli.random_graph", "cli.kronecker", "product_analysis._draw_trials",
-                 "product_analysis.make_complete"):
+                 "cli.random_graph", "cli.kronecker", "product_analysis._draw_trials"):
         monkeypatch.setattr(f"kronkit.{name}", no_build)
     code, out, err = run_cli(argv, capsys)
     assert code == 2 and out == ""
     assert err.count("kronkit: error:") == 1 and message in err
     assert "Traceback" not in err
+    assert kernel.calls["splitflow_product"] == 0
 
 
 @pytest.mark.parametrize("g6", ["Cl", "DxK"], ids=["c4-verdict", "bowtie-formula"])
-def test_batch_refuses_a_product_past_a_c_int(g6, capsys, monkeypatch):
+def test_batch_refuses_a_product_past_a_c_int(g6, capsys, kernel):
     """``--n 2**30`` fits a C int, but neither C_4's product (kappa = delta,
     so the verdict route) nor the bowtie's (kappa < delta, the formula
-    route) does: ``batch`` exits 2 with one line, before K_n is built."""
-    def no_build(*_args, **_kwargs):
-        raise AssertionError("K_n was built before the check")
-    monkeypatch.setattr("kronkit.product_analysis.make_complete", no_build)
+    route) does: ``batch`` exits 2 with one line, before the kernel builds
+    any of the product."""
     code, out, err = run_cli(["batch", "--n", str(2**30), "--g6", g6, "--workers", "1"],
                              capsys)
     assert code == 2 and out == ""
     order = {"Cl": 4, "DxK": 5}[g6] * 2**30
     assert err == ("kronkit: the flow kernel takes at most 2147483647 vertices, "
                    f"got order {order}\n")
+    assert kernel.calls["splitflow_product"] == 0
 
 
 def test_budget_is_not_read_from_the_environment(capsys, monkeypatch):

@@ -380,7 +380,7 @@ def test_label_symmetry_keeps_every_minimum_cut_of_kd_equal_products():
 
 def test_label_symmetry_keeps_product_connectivity():
     for g, n, pg in _products(6, (3, 4, 5)):
-        assert vertex_connectivity(pg, labels=n) == vertex_connectivity(pg), g
+        assert vertex_connectivity(g, times=n) == vertex_connectivity(pg), g
 
 
 def _orbit_representatives(pg, n):
@@ -415,20 +415,21 @@ def _orbit_representatives(pg, n):
 
 
 def test_label_pairs_are_the_first_of_each_orbit(connected_upto_6):
-    """The kernel's pair family is the oracle's, in the same order, with
-    and without labels, and with labels it keeps the first pair of each
-    orbit."""
+    """The kernel's pair family is the oracle's, in the same order, on
+    :func:`kronecker`'s product, which has no labels, and on the product
+    that the kernel builds from the factor, whose labels it keeps, where it
+    keeps the first pair of each orbit."""
     count = 0
     for g in connected_upto_6:
         for n in (3, 4, 5):
             pg = kronecker(g, make_complete(n))
             if not is_connected(pg):
                 continue
-            net = _NativeSplitFlow(pg)
-            assert net.even_pairs(1) == _even_pairs(pg, 1), (g, n)
-            assert net.even_pairs(n) == _even_pairs(pg, n) \
+            net, labelled = _NativeSplitFlow(pg), _NativeSplitFlow(g, times=n)
+            assert net.even_pairs() == _even_pairs(pg, 1), (g, n)
+            assert labelled.even_pairs() == _even_pairs(pg, n) \
                 == _orbit_representatives(pg, n), (g, n)
-            assert net.spent == 0
+            assert net.spent == labelled.spent == 0
             count += 1
     assert count == 426
 
@@ -450,8 +451,9 @@ def test_label_symmetry_spends_fewer_searches_on_k44_times_k4():
 
 def test_kernel_product_needs_a_complete_factor_with_a_vertex():
     for times in (0, -3):
-        with pytest.raises(ValueError, match=f"needs times >= 1, got {times}$"):
-            enumerate_min_cuts(make_cycle(4), times=times)
+        for route in (enumerate_min_cuts, vertex_connectivity):
+            with pytest.raises(ValueError, match=f"needs times >= 1, got {times}$"):
+                route(make_cycle(4), times=times)
 
 
 # -- super-connectivity ------------------------------------------------------

@@ -1,8 +1,8 @@
 """Exact bytes of fixed CLI runs, pinned by the sha256 of standard output.
 
 The batch runs cover the formula route, the verdict route with its
-violation records, the skip route, products past 64 vertices and lists of
-more than 64 minimum cuts; the gstar runs cover both residue checks, the
+violation records, the skip route, products past 64 vertices on both routes
+and lists of more than 64 minimum cuts; the gstar runs cover both residue checks, the
 second over every connected kd-equal factor to order 6.  The seeded runs pin ``gen random`` and ``gstar`` past 64
 fibers, past 64 labels and on numpy's tail-shuffle branch of ``choice``,
 with bytes first taken from numpy's own streams, and again with numpy
@@ -124,6 +124,41 @@ def test_golden_batch_budget_past_64_vertices(capsys):
     records = [json.loads(line) for line in out.splitlines()]
     assert sum(r.get("skip") == "size-limit" for r in records) == 123
     assert digest == "7aeebe1c6fe017b757a8edb1c35eedf92084cdd204cf028a266e8da949a7ac65"
+
+
+# Every connected factor to order 7 at n = 10: 64 of the 996 instances take
+# the formula route (kappa < delta), 56 of those on products past 64
+# vertices, which the kernel builds from the factor.
+_FORMULA_PAST_64 = ["batch", "--all-graphs", "--max-order", "7", "--n", "10",
+                    "--filter", "connected"]
+
+
+def _formula_route(out: str) -> str:
+    return "\n".join(line for line in out.splitlines()
+                     if '"super_kappa_verdict":null' in line)
+
+
+def test_golden_batch_formula_route_past_64_vertices(capsys):
+    for workers in ("1", "2"):
+        code, out, digest = _run(_FORMULA_PAST_64 + ["--workers", workers], capsys)
+        assert code == 0
+        assert out.splitlines()[-1] == \
+            '{"instances":996,"holds":996,"violations":0,"skips":0}'
+        formula = _formula_route(out)
+        assert len(formula.splitlines()) == 64 and _past_64_vertices(formula) == 56
+        assert digest == "687dbbf3fdc3b75668bbd001fa81e975bbbcef5de1cf9672c1a553946994a293"
+
+
+def test_golden_batch_budget_on_both_routes_past_64_vertices(capsys):
+    """The budget charges the same searches on the formula route too: 20 of
+    its 64 instances are skipped, and 44 reported."""
+    code, out, digest = _run(_FORMULA_PAST_64 + ["--workers", "1", "--budget", "60"],
+                             capsys)
+    assert code == 3
+    assert len(_formula_route(out).splitlines()) == 44
+    assert out.splitlines()[-1] == \
+        '{"instances":996,"holds":185,"violations":0,"skips":811}'
+    assert digest == "cd3418275adcdd52cda532f7cbb23af06f8c620f1a1adff922bdacd1bc2067a9"
 
 
 def test_golden_batch_past_64_cuts(capsys):

@@ -164,7 +164,9 @@ def test_products_past_the_word_boundary(g, n, kappa, count, kernel, monkeypatch
     the oracle's connectivity, pairs, cut list and searches.  The
     connectivity takes its pairs in one kernel call, and each enumeration is
     one kernel call past the kernel's build of the product; each of their
-    results is freed once, however many pairs or cuts it holds."""
+    results is freed once, however many pairs or cuts it holds.  The
+    product that the kernel builds has the connectivity of
+    :func:`kronecker`'s."""
     pg = kronecker(g, make_complete(n))
     assert pg.order > 64
     nets = _spy(monkeypatch)
@@ -175,13 +177,14 @@ def test_products_past_the_word_boundary(g, n, kappa, count, kernel, monkeypatch
     assert kernel.calls["splitflow_product"] == kernel.calls["splitflow_min_cuts"] == 1
     assert kernel.calls["splitflow_init"] == 1
     assert kernel.calls["splitflow_free"] == 2
-    for labels in (1, n):
-        assert _NativeSplitFlow(pg).even_pairs(labels) == _even_pairs(pg, labels)
+    assert _NativeSplitFlow(pg).even_pairs() == _even_pairs(pg, 1)
+    assert _NativeSplitFlow(g, times=n).even_pairs() == _even_pairs(pg, n)
     assert kernel.calls["splitflow_pairs"] == kernel.calls["splitflow_free"] - 1 == 3
     cuts = ours[0]
     assert len(cuts) == count and {len(cut.vertices) for cut in cuts} == {kappa}
     assert max(cut.vertices[-1] for cut in cuts) == pg.order - 1
     assert max(cut.witness for cut in cuts if cut.isolates) == pg.order - 1
+    assert vertex_connectivity(g, times=n) == kappa
 
 
 BUDGETED = [("K44xK3", _k44(), 3, 9, 223), ("K4xK17", make_complete(4), 17, 68, 149)]
@@ -351,20 +354,25 @@ def test_product_past_a_c_int_is_refused_before_any_array(kernel):
 
 
 def test_one_product_build_and_one_enumeration_per_verdict(kernel, monkeypatch):
-    """``batch_verify`` hands each verdict instance's factor to the kernel,
-    which builds the product in one call and enumerates it in one more;
-    no product is built in Python.  The factors' own connectivity, once
-    per factor, builds one plain network each."""
+    """``batch_verify`` hands each instance's factor to the kernel, which
+    builds the product in one call, and enumerates a verdict instance's in
+    one more; no product is built in Python on either route.  The bowtie
+    (kappa 1 < delta 2) takes the formula route, whose flows take the pairs
+    of the product in one call.  The factors' own connectivity, once per
+    factor, builds one plain network each."""
     def no_product(*_args):
-        raise AssertionError("the verdict route built a product in Python")
+        raise AssertionError("a route built a product in Python")
     for name in ("kronkit.product_analysis.kronecker", "kronkit.products.kronecker"):
         monkeypatch.setattr(name, no_product)
-    factors = [make_cycle(5), _k44(), _hypercube(3), parse_graph6("IheA@GUAo")]
-    records = list(product_analysis.batch_verify(
-        factors, [3, 4], filters=("connected", "kd-equal")))
-    assert records[-1] == product_analysis.BatchSummary(8, 7, 1, 0)  # K_{4,4} x K_3
-    assert kernel.calls["splitflow_product"] == kernel.calls["splitflow_min_cuts"] == 8
+    factors = [make_cycle(5), _k44(), _hypercube(3), parse_graph6("IheA@GUAo"),
+               parse_graph6("DxK")]
+    records = list(product_analysis.batch_verify(factors, [3, 4], filters=("connected",)))
+    assert records[-1] == product_analysis.BatchSummary(10, 9, 1, 0)  # K_{4,4} x K_3
+    assert [r.super_kappa_verdict for r in records[-3:-1]] == [None, None]
+    assert kernel.calls["splitflow_product"] == 10
+    assert kernel.calls["splitflow_min_cuts"] == 8
     assert kernel.calls["splitflow_init"] == len(factors)
+    assert kernel.calls["splitflow_pairs"] == len(factors) + 2
 
 
 DISCONNECTED = [
@@ -375,29 +383,34 @@ DISCONNECTED = [
 ]
 
 
+# A factor and n, with a product that the kernel builds.
 DISCONNECTED_PRODUCTS = [
-    ("2C5xK3", kronecker(two_cycles(5), make_complete(3)), 3),
-    ("P2+K1xK4", kronecker(graph_from_edges(3, [(0, 1)]), make_complete(4)), 4),
-    ("2C11xK3", kronecker(two_cycles(11), make_complete(3)), 3),
+    ("2C5xK3", two_cycles(5), 3),
+    ("P2+K1xK4", graph_from_edges(3, [(0, 1)]), 4),
+    ("2C11xK3", two_cycles(11), 3),
 ]
 
 
-@pytest.mark.parametrize("g, labels", [(case[1], 1) for case in DISCONNECTED]
+@pytest.mark.parametrize("g, times", [(case[1], None) for case in DISCONNECTED]
                          + [case[1:] for case in DISCONNECTED_PRODUCTS],
                          ids=[case[0] for case in DISCONNECTED + DISCONNECTED_PRODUCTS])
 def test_disconnected_graph_has_connectivity_0_before_any_search(
-        g, labels, kernel, monkeypatch):
+        g, times, kernel, monkeypatch):
     """The kernel finds a disconnected graph or product itself, by its
     uncharged search of the adjacency masks, in the call that would hand
     over the pairs, so the connectivity is 0 with no search spent, even at a
-    budget of 0, and the kernel hands over no block to free."""
+    budget of 0, and the kernel hands over no block to free.  A product is
+    disconnected as :func:`kronecker`'s is."""
+    if times is not None:
+        assert not is_connected(kronecker(g, make_complete(times)))
     nets = _spy(monkeypatch)
     for budget in (None, 0):
-        assert vertex_connectivity(g, budget=budget, labels=labels) == 0
+        assert vertex_connectivity(g, budget=budget, times=times) == 0
         assert nets[-1].spent == 0
-    assert kernel.calls == {"splitflow_init": 2, "splitflow_pairs": 2}
+    build = "splitflow_init" if times is None else "splitflow_product"
+    assert kernel.calls == {build: 2, "splitflow_pairs": 2}
     net, block = nets[-1], ctypes.POINTER(ctypes.c_int)()
-    assert net._lib.splitflow_pairs(net._net, labels, ctypes.byref(block)) \
+    assert net._lib.splitflow_pairs(net._net, net.labels, ctypes.byref(block)) \
         == connectivity._DISCONNECTED
     assert not block
 

@@ -877,7 +877,7 @@ def test_batch_computes_each_factor_connectivity_once(monkeypatch):
     calls = Counter()
 
     def counted(g, *args, **kwargs):
-        calls[g] += 1
+        calls[g, kwargs.get("times")] += 1  # a product's call names its n
         return original(g, *args, **kwargs)
 
     monkeypatch.setattr(kronkit.connectivity, "vertex_connectivity", counted)
@@ -885,7 +885,7 @@ def test_batch_computes_each_factor_connectivity_once(monkeypatch):
     for filters in ((), ("kd-equal",)):
         calls.clear()
         records = list(batch_verify(factors, [3, 4], filters=filters))
-        assert all(calls[g] == 1 for g in factors), filters
+        assert all(calls[g, None] == 1 for g in factors), filters
         items = records[-1].instances
         assert items == (12 if not filters else 8)
         assert sum(calls.values()) <= len(factors) + items
@@ -914,32 +914,32 @@ def test_batch_rejects_small_n_and_unknown_filter():
 
 
 @pytest.mark.parametrize("n", [2**31, 10**20])
-def test_n_past_a_c_int_is_refused_before_the_product_is_built(n, monkeypatch):
-    def no_product(*_args):
-        raise AssertionError("K_n was built before the check")
-    monkeypatch.setattr(product_analysis, "make_complete", no_product)
+def test_n_past_a_c_int_is_refused_before_the_product_is_built(n, kernel):
     message = f"second factor needs n <= 2147483647, got {n}"
     with pytest.raises(ValueError, match=message):
         list(batch_verify([make_cycle(5)], [3, n]))
     for verify in (verify_connectivity_formula, verify_super_connectivity):
         with pytest.raises(ValueError, match=message):
             verify(make_cycle(5), n)
+    assert kernel.calls["splitflow_product"] == 0
 
 
-def test_product_order_past_a_c_int_is_refused_before_anything_is_built(
-        kernel, monkeypatch):
+def test_product_order_past_a_c_int_is_refused_before_anything_is_built(kernel):
     """n = 2**30 fits a C int, but the 2**32 vertices of C_4 x K_n do not:
     the formula route and the verdict route both refuse the instance by its
-    order before K_n, the product or a flow network of it is built."""
-    def no_product(*_args):
-        raise AssertionError("K_n was built before the check")
-    monkeypatch.setattr(product_analysis, "make_complete", no_product)
+    order before the kernel builds a flow network of the product.  The
+    edgeless factor on two vertices has a disconnected product, whose
+    verdict needs no network, so it gets its report at any n."""
     message = "the flow kernel takes at most 2147483647 vertices, got order 4294967296$"
     for verify in (verify_connectivity_formula, verify_super_connectivity):
         with pytest.raises(ValueError, match=message):
             verify(make_cycle(4), 2**30)
     assert kernel.calls["splitflow_init"] == 2  # the factor's connectivity, per call
     assert kernel.calls["splitflow_product"] == kernel.calls["splitflow_min_cuts"] == 0
+    report = verify_super_connectivity(parse_graph6("A?"), 2**30)
+    assert (report.product_kappa, report.super_kappa_verdict) == (0, False)
+    assert report.theorem11_holds and report.min_cut_count == 0
+    assert kernel.calls["splitflow_product"] == 0
 
 
 def test_filter_table_matches_networkx_definitions():
