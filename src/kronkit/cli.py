@@ -1,11 +1,18 @@
-"""Command-line front end: corpus ingestion, subcommands, report emission.
+"""Command-line front end: corpus ingestion, subcommands, and the JSON-lines
+records, which only this module builds (``report_record``, ``skip_record``,
+``summary_record``, ``trial_record`` and ``cut_record``) and reads
+(``_classify``, for the exit code); the library returns typed records.
 
 Exit codes: 0 when all checks passed or an informational command completed,
 1 when at least one violation record was emitted, 2 for usage or parse
-errors and when the C kernel cannot be built, 3 when skip records (budget,
-size limit, empty factor) occurred without violations, 141 (128 + SIGPIPE)
-when standard output was closed before the run ended, as by ``| head``;
-the run then stops without a traceback or a line on standard error.
+errors, when the C kernel cannot be built and when memory runs out (one
+``kronkit: out of memory`` line, with the message if any), 3 when skip
+records (budget, size limit, empty factor) occurred without violations,
+141 (128 + SIGPIPE) when standard output was closed before the run ended,
+as by ``| head``; the run then stops without a traceback or a line on
+standard error.  A pool process that the system's out-of-memory killer
+ends still stops ``batch`` with a ``BrokenProcessPool`` traceback, and no
+failure yet becomes an in-stream error record.
 
 ``batch`` notes on standard error each violation that
 ``predicted_counterexample`` does not predict, one ``kronkit:`` line each.
@@ -31,8 +38,8 @@ from typing import Iterable, Iterator
 
 from . import _native
 from .connectivity import (
+    CutSet,
     connectivity_result,
-    cut_record,
     enumerate_min_cuts,
     vertex_connectivity,
 )
@@ -51,16 +58,13 @@ from .product_analysis import (
     KNOWN_FILTERS,
     BatchSummary,
     SkipRecord,
+    TrialRecord,
     VerificationReport,
     batch_verify,
     check_filters,
     check_gstar_connected,
     check_residue_components,
     predicted_counterexample,
-    report_record,
-    skip_record,
-    summary_record,
-    trial_record,
 )
 from .products import is_bipartite, kronecker, linearization_rows
 
@@ -169,16 +173,81 @@ def emit_report(records: Iterable[dict], fmt: str, output: str | None) -> None:
     _write_lines(map(render, records), output)
 
 
+def cut_record(cut: CutSet) -> dict:
+    """JSON-ready record with the fixed cut-list schema."""
+    return {
+        "cut": list(cut.vertices),
+        "isolates": cut.isolates,
+        "neighborhood_of": cut.witness,
+    }
+
+
+def report_record(report: VerificationReport, with_timing: bool = False) -> dict:
+    """JSON-ready record with the fixed field set; ``runtime_ms`` is 0 unless
+    real timing is requested, so that identical runs emit identical bytes."""
+    record = {
+        "instance": {"graph6": report.graph6, "n": report.n},
+        "kappa_G": report.kappa_G,
+        "delta_G": report.delta_G,
+        "product_kappa": report.product_kappa,
+        "formula_rhs": report.formula_rhs,
+        "theorem11_holds": report.theorem11_holds,
+        "super_kappa_verdict": report.super_kappa_verdict,
+        "min_cut_count": report.min_cut_count,
+        "non_isolating_cut": (None if report.non_isolating_cut is None
+                              else cut_record(report.non_isolating_cut)),
+        "runtime_ms": report.runtime_ms if with_timing else 0,
+    }
+    if report.severity is not None:
+        record["severity"] = report.severity
+    return record
+
+
+def skip_record(skip: SkipRecord) -> dict:
+    """A skip's record; its instance has no ``n`` when ``skip.n`` is None."""
+    instance = ({"graph6": skip.graph6} if skip.n is None
+                else {"graph6": skip.graph6, "n": skip.n})
+    record = {"instance": instance, "skip": skip.reason, "detail": skip.detail}
+    if skip.budget is not None:
+        record["budget"] = skip.budget
+    return record
+
+
+def summary_record(summary: BatchSummary) -> dict:
+    return {
+        "instances": summary.instances,
+        "holds": summary.holds,
+        "violations": summary.violations,
+        "skips": summary.skips,
+    }
+
+
+def trial_record(trial: TrialRecord) -> dict:
+    return {
+        "instance": {"graph6": trial.graph6, "n": trial.n},
+        "trial": trial.trial,
+        "removed": list(trial.removed),
+        "rejections": trial.rejections,
+        "isolation_rejections": trial.isolation_rejections,
+        "gstar_connected": trial.gstar_connected,
+        "split_residues": (None if trial.split_residues is None
+                           else list(trial.split_residues)),
+        "error": trial.error,
+    }
+
+
+def _parse_error(item: IngestItem) -> dict:
+    """The in-stream record of a malformed input line."""
+    return {"source": item.location, "error": item.error}
+
+
 def _classify(record: dict, tally: dict) -> None:
     if "skip" in record:
         tally["skips"] += 1
     elif record.get("severity") is not None:
         tally["violations"] += 1
     elif record.get("error"):
-        if "source" in record:
-            tally["parse_errors"] += 1
-        else:
-            tally["skips"] += 1
+        tally["parse_errors" if "source" in record else "skips"] += 1
 
 
 def _tallied(records: Iterable[dict], tally: dict) -> Iterator[dict]:
@@ -199,12 +268,9 @@ def _exit_code(tally: dict) -> int:
 
 # -- command implementations -----------------------------------------------------
 
-def _skip(g: Graph, reason: str, detail: str) -> dict:
-    return {"instance": {"graph6": encode_graph6(g)}, "skip": reason, "detail": detail}
-
-
 def _size_limit(g: Graph, exc: BudgetExceededError) -> dict:
-    return {**_skip(g, "size-limit", str(exc)), "budget": exc.budget}
+    return skip_record(SkipRecord(encode_graph6(g), None, "size-limit", str(exc),
+                                  exc.budget))
 
 
 def _records_for_graphs(items: Iterable[IngestItem], per_graph,
@@ -216,9 +282,10 @@ def _records_for_graphs(items: Iterable[IngestItem], per_graph,
     """
     for item in items:
         if item.error is not None:
-            yield {"source": item.location, "error": item.error}
+            yield _parse_error(item)
         elif item.graph.order == 0:
-            yield _skip(item.graph, "empty-factor", "factor graph must be nonempty")
+            yield skip_record(SkipRecord(encode_graph6(item.graph), None, "empty-factor",
+                                         "factor graph must be nonempty"))
         else:
             yield from per_graph(item.graph, *params)
 
@@ -285,8 +352,7 @@ def _verify_records(args, items: Iterable[IngestItem], n_values: list[int],
             all_graphs(order) if order < args.max_order else iter_graphs(order)
             for order in range(1, args.max_order + 1))
         if args.all_graphs else (),
-        (item.graph if item.error is None
-         else {"source": item.location, "error": item.error} for item in items))
+        (item.graph if item.error is None else _parse_error(item) for item in items))
     for record in batch_verify(corpus, n_values, filters=tuple(filters),
                                budget=budget, workers=args.workers):
         if isinstance(record, VerificationReport):
@@ -413,6 +479,10 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     except (_Fatal, ValueError, KronkitError) as exc:
         print(f"kronkit: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"kronkit: out of memory{detail}", file=sys.stderr)
         return 2
     except BrokenPipeError:  # a reader such as head closed standard output
         _discard_stdout()

@@ -69,15 +69,6 @@ class ConnectivityResult:
     super_kappa: bool
 
 
-def cut_record(cut: CutSet) -> dict:
-    """JSON-ready record with the fixed cut-list schema."""
-    return {
-        "cut": list(cut.vertices),
-        "isolates": cut.isolates,
-        "neighborhood_of": cut.witness,
-    }
-
-
 # -- flow route ---------------------------------------------------------------
 
 _INT64_MAX = (1 << 63) - 1

@@ -10,8 +10,9 @@ residues when at least one product edge survives between them.
 
 The verification entry points compute the product-connectivity formula
 ``min(n*kappa, (n-1)*delta)`` and the super-connectivity verdict by
-exhaustive minimum-cut enumeration, emitting structured records rather than
-asserting, so long corpus runs always finish with evidence in hand.
+exhaustive minimum-cut enumeration, returning typed records rather than
+asserting, so long corpus runs always finish with evidence in hand;
+:mod:`kronkit.cli` writes them as JSON lines.
 """
 
 from __future__ import annotations
@@ -24,12 +25,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import _native, products
-from .connectivity import (
-    CutSet,
-    cut_record,
-    enumerate_min_cuts,
-    vertex_connectivity,
-)
+from .connectivity import CutSet, enumerate_min_cuts, vertex_connectivity
 from .errors import BudgetExceededError, PreconditionError
 from .graphs import (
     Graph,
@@ -234,10 +230,11 @@ class VerificationReport(NamedTuple):
 
 
 class SkipRecord(NamedTuple):
-    """A skipped instance; ``budget`` is set on ``size-limit`` skips."""
+    """A skipped instance, or a skipped factor when ``n`` is None; ``budget``
+    is set on ``size-limit`` skips."""
 
     graph6: str
-    n: int
+    n: int | None
     reason: str
     detail: str
     budget: int | None = None
@@ -512,62 +509,3 @@ def batch_verify(corpus: Iterable[Graph | dict], n_values: Sequence[int],
     yield BatchSummary(instances=holds + violations + skips, holds=holds,
                        violations=violations, skips=skips)
 
-
-# -- JSON-lines records -----------------------------------------------------------
-
-def report_record(report: VerificationReport, with_timing: bool = False) -> dict:
-    """JSON-ready record with the fixed field set.
-
-    ``runtime_ms`` is normalized to 0 unless real timing is requested, so
-    that identical runs emit byte-identical lines.
-    """
-    record = {
-        "instance": {"graph6": report.graph6, "n": report.n},
-        "kappa_G": report.kappa_G,
-        "delta_G": report.delta_G,
-        "product_kappa": report.product_kappa,
-        "formula_rhs": report.formula_rhs,
-        "theorem11_holds": report.theorem11_holds,
-        "super_kappa_verdict": report.super_kappa_verdict,
-        "min_cut_count": report.min_cut_count,
-        "non_isolating_cut": (None if report.non_isolating_cut is None
-                              else cut_record(report.non_isolating_cut)),
-        "runtime_ms": report.runtime_ms if with_timing else 0,
-    }
-    if report.severity is not None:
-        record["severity"] = report.severity
-    return record
-
-
-def skip_record(skip: SkipRecord) -> dict:
-    record = {
-        "instance": {"graph6": skip.graph6, "n": skip.n},
-        "skip": skip.reason,
-        "detail": skip.detail,
-    }
-    if skip.budget is not None:
-        record["budget"] = skip.budget
-    return record
-
-
-def summary_record(summary: BatchSummary) -> dict:
-    return {
-        "instances": summary.instances,
-        "holds": summary.holds,
-        "violations": summary.violations,
-        "skips": summary.skips,
-    }
-
-
-def trial_record(trial: TrialRecord) -> dict:
-    return {
-        "instance": {"graph6": trial.graph6, "n": trial.n},
-        "trial": trial.trial,
-        "removed": list(trial.removed),
-        "rejections": trial.rejections,
-        "isolation_rejections": trial.isolation_rejections,
-        "gstar_connected": trial.gstar_connected,
-        "split_residues": (None if trial.split_residues is None
-                           else list(trial.split_residues)),
-        "error": trial.error,
-    }

@@ -16,13 +16,12 @@ reported cut independently, and prints the flagged records in full.
 
 import numpy as np
 
-from kronkit.cli import main
+from kronkit.cli import main, report_record
 from kronkit.connectivity import connectivity_result, vertex_connectivity
 from kronkit.graphs import Graph, encode_graph6, is_connected, iter_bits, make_cycle
 from kronkit.product_analysis import (
     check_gstar_connected,
     check_residue_components,
-    report_record,
     verify_connectivity_formula,
     verify_super_connectivity,
 )

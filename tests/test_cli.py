@@ -11,17 +11,21 @@ from pathlib import Path
 import pytest
 
 from kronkit import cli, corpus, product_analysis
-from kronkit.cli import emit_report, ingest_corpus, main
+from kronkit.cli import (
+    emit_report,
+    ingest_corpus,
+    main,
+    report_record,
+    skip_record,
+    summary_record,
+    trial_record,
+)
 from kronkit.graphs import encode_graph6, make_complete, make_cycle, parse_graph6
 from kronkit.product_analysis import (
     KNOWN_FILTERS,
     SkipRecord,
     batch_verify,
     check_gstar_connected,
-    report_record,
-    skip_record,
-    summary_record,
-    trial_record,
     verify_connectivity_formula,
     verify_super_connectivity,
 )
@@ -572,6 +576,35 @@ def test_closed_pipe_ends_the_run_quietly_with_exit_code_141():
         proc.stderr.close()
     assert json.loads(first)["instance"] == {"graph6": "@", "n": 3}
     assert (code, err) == (141, b"")
+
+
+def test_running_out_of_memory_is_one_line_and_exit_code_2():
+    """A buffer that cannot be allocated ends the run with exit code 2 and
+    one ``kronkit:`` line, not a traceback and exit code 1, which means
+    violations.  Only the child's address space is limited: 1.5 GB, less
+    than the 1.6 GB that 10**8 trials of ``Bw x K_3`` need for their
+    removal ids alone, so the allocation fails before any is made."""
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1_500_000 * 1024,) * 2)
+
+    argv = ["gstar", "--g6", "Bw", "--n", "3", "--trials", "100000000"]
+    proc = subprocess.run([sys.executable, "-m", "kronkit.cli", *argv],
+                          env={**os.environ, "PYTHONPATH": str(SRC)},
+                          preexec_fn=limit, capture_output=True, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, b"", b"kronkit: out of memory\n")
+
+
+def test_out_of_memory_line_carries_the_message(capsys, monkeypatch):
+    def draw(g, n, trials, seed):
+        raise MemoryError("the residue kernel could not draw order 3, n 3")
+
+    monkeypatch.setattr(cli, "check_gstar_connected", draw)
+    assert run_cli(["gstar", "--g6", "Bw", "--n", "3"], capsys) == (
+        2, "", "kronkit: out of memory: the residue kernel could not draw "
+        "order 3, n 3\n")
 
 
 def test_all_graphs_streams_its_top_order(capsys, monkeypatch):

@@ -8,11 +8,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import kronkit
+from kronkit.cli import cut_record
 from kronkit.connectivity import (
     CutSet,
     _NativeSplitFlow,
     connectivity_result,
-    cut_record,
     enumerate_min_cuts,
     vertex_connectivity,
 )

@@ -1,11 +1,13 @@
 """Every name a kronkit module imports is used in that module, every public
 name a module defines has a reader, every defaulted parameter of a public
-function has a caller that sets it, and every function the C kernel
-exports is an entry that ``src/`` calls.
+function has a caller that sets it, every function the C kernel exports is
+an entry that ``src/`` calls, and no module but ``cli.py`` writes a JSON-lines
+record: none has a dict display with a record key (``RECORD_KEYS``).
 
 No linter runs on this repository, so these are the checks that a deletion
-leaves no dead import behind, that no API outlives its last reader, and that
-no option is kept that only the tests set.
+leaves no dead import behind, that no API outlives its last reader, that
+no option is kept that only the tests set, and that the record format,
+which ``cli`` also reads for the exit code, is written in that one module.
 ``tests/oracles.py`` gets the import check only.  ``__init__.py`` is left
 out of all three: it imports to re-export.  Names the benchmark rebinds,
 such as ``product_analysis.parse_graph6``, are used in their modules too,
@@ -48,6 +50,29 @@ def test_module_uses_every_import(path):
 def test_unused_import_is_reported():
     tree = ast.parse("import os\nfrom sys import argv, path\nprint(path)\n")
     assert _unused_imports(tree) == ["line 1: os", "line 2: argv"]
+
+
+# Keys that only a JSON-lines record has: a record's "instance" (or a
+# summary's "instances"), a cut record's "cut", a parse error's "source".
+RECORD_KEYS = {"instance", "instances", "cut", "source"}
+
+
+def _record_dicts(tree: ast.Module) -> list[str]:
+    return [f"line {node.lineno}: {key.value}" for node in ast.walk(tree)
+            if isinstance(node, ast.Dict) for key in node.keys
+            if isinstance(key, ast.Constant) and key.value in RECORD_KEYS]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "cli.py"],
+                         ids=lambda p: p.name)
+def test_only_cli_writes_records(path):
+    assert _record_dicts(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_record_dict_is_reported():
+    tree = ast.parse('x = {"instance": {"graph6": "A_"}, "skip": "s"}\n'
+                     'y = {"cut": [], **x}\nz = {"graph6": "A_"}\n')
+    assert _record_dicts(tree) == ["line 1: instance", "line 2: cut"]
 
 
 def _public_api(tree: ast.Module):

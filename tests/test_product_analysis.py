@@ -33,12 +33,11 @@ from kronkit.product_analysis import (
     check_gstar_connected,
     check_residue_components,
     predicted_counterexample,
-    report_record,
-    summary_record,
     verify_connectivity_formula,
     verify_super_connectivity,
 )
 from kronkit import _native, product_analysis
+from kronkit.cli import report_record, summary_record
 from kronkit.products import kronecker
 
 from oracles import (
