@@ -141,24 +141,22 @@ def _gather_inputs(args) -> Iterator[IngestItem]:
 
 # -- emission ------------------------------------------------------------------
 
-def _format_table(record: dict) -> str:
-    return "  ".join(f"{key}={json.dumps(value, separators=(',', ':'))}"
-                     for key, value in record.items())
-
-
 def _jsonl_encoder():
-    """``json.dumps(record, separators=(",", ":"))`` as one function for a
+    """``json.dumps(value, separators=(",", ":"))`` as one function for a
     whole stream: ``JSONEncoder.encode`` builds a new C encoder on every
-    call, and this builds it once, with the settings ``encode`` gives it.
-    Without the C encoder, ``encode`` is the stdlib's own Python route."""
+    call, and this builds it once, with the settings ``encode`` gives it
+    but no circular-reference check (``markers`` None), since ``cli``'s
+    record builders make only trees: a value that contains itself raises
+    ``RecursionError``.  Without the C encoder, ``encode`` is the stdlib's
+    own Python route, whose check raises ``ValueError`` for it."""
     encoder = json.JSONEncoder(separators=(",", ":"))
     make = json.encoder.c_make_encoder
     if make is None:
         return encoder.encode
-    encode = make({}, encoder.default, json.encoder.encode_basestring_ascii,
+    encode = make(None, encoder.default, json.encoder.encode_basestring_ascii,
                   None, encoder.key_separator, encoder.item_separator,
                   encoder.sort_keys, encoder.skipkeys, encoder.allow_nan)
-    return lambda record: "".join(encode(record, 0))
+    return lambda value: "".join(encode(value, 0))
 
 
 def emit_report(records: Iterable[dict], fmt: str, output: str | None) -> None:
@@ -166,10 +164,15 @@ def emit_report(records: Iterable[dict], fmt: str, output: str | None) -> None:
 
     A JSON line is exactly ``json.dumps(record, separators=(",", ":"))``,
     ASCII-escaped and with keys in insertion order, so fixed inputs give
-    fixed bytes; one encoder renders the whole stream.  A record holding a
-    value JSON cannot encode raises ``TypeError``.
+    fixed bytes; one encoder renders the whole stream, and in a table each
+    value.  A record holding a value JSON cannot encode raises
+    ``TypeError``, and one that contains itself ``RecursionError`` (or
+    ``ValueError`` without the C encoder); the lines before it are written,
+    and no line for it.
     """
-    render = _jsonl_encoder() if fmt == "jsonl" else _format_table
+    encode = _jsonl_encoder()
+    render = encode if fmt == "jsonl" else lambda record: "  ".join(
+        f"{key}={encode(value)}" for key, value in record.items())
     _write_lines(map(render, records), output)
 
 
@@ -223,16 +226,16 @@ def summary_record(summary: BatchSummary) -> dict:
 
 
 def trial_record(trial: TrialRecord) -> dict:
+    graph6, n, t, removed, rejections, isolation_rejections, connected, split, error = trial
     return {
-        "instance": {"graph6": trial.graph6, "n": trial.n},
-        "trial": trial.trial,
-        "removed": list(trial.removed),
-        "rejections": trial.rejections,
-        "isolation_rejections": trial.isolation_rejections,
-        "gstar_connected": trial.gstar_connected,
-        "split_residues": (None if trial.split_residues is None
-                           else list(trial.split_residues)),
-        "error": trial.error,
+        "instance": {"graph6": graph6, "n": n},
+        "trial": t,
+        "removed": list(removed),
+        "rejections": rejections,
+        "isolation_rejections": isolation_rejections,
+        "gstar_connected": connected,
+        "split_residues": None if split is None else list(split),
+        "error": error,
     }
 
 

@@ -52,7 +52,8 @@ class CutSet(NamedTuple):
     ``isolates`` means some surviving vertex has no surviving neighbor;
     ``witness`` is the lowest vertex whose neighborhood the set equals
     exactly, or None when there is none.  A named tuple, so that each cut
-    is built in one allocation; like any tuple it is immutable and hashable.
+    is built by ``_make`` in one allocation; like any tuple it is immutable
+    and hashable.
     """
 
     vertices: tuple[int, ...]
@@ -205,7 +206,8 @@ class _NativeSplitFlow:
             self._lib.splitflow_free(block)
         ids = 1 + found * size
         vertices = struct.iter_unpack(f"{size}i", ints[1:ids])  # a tuple per cut
-        return [CutSet(cut, w >= 0, None if w < 0 else w)
+        make = CutSet._make
+        return [make((cut, w >= 0, None if w < 0 else w))
                 for cut, w in zip(vertices, ints[ids:])]
 
     def _checked(self, code: int) -> int:

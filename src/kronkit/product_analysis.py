@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import struct
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -71,12 +72,12 @@ def build_gstar(factor: Graph, labels: Sequence[int]) -> Graph:
 class TrialRecord(NamedTuple):
     """One sampled removal candidate and what was checked on it.
 
-    A named tuple, so that the thousands a run emits are each built in one
-    allocation; like any tuple it is immutable and hashable.  A record of
-    :func:`check_gstar_connected` leaves ``split_residues`` None, one of
-    :func:`check_residue_components` leaves ``gstar_connected`` None, and
-    both verdicts are None on a trial that ran out of draws, whose
-    ``error`` says so.
+    A named tuple, so that the thousands a run emits are each built by
+    ``_make`` in one allocation; like any tuple it is immutable and
+    hashable.  A record of :func:`check_gstar_connected` leaves
+    ``split_residues`` None, one of :func:`check_residue_components` leaves
+    ``gstar_connected`` None, and both verdicts are None on a trial that ran
+    out of draws, whose ``error`` says so.
     """
 
     graph6: str
@@ -141,18 +142,14 @@ def _draw_trials(g: Graph, n: int, trials: int,
                 or lib.residue_verdicts(order, adj, n, labels, trials, connected, split)):
         error = MemoryError if code == _native.NO_MEMORY else ValueError
         raise error(f"the residue kernel could not draw order {order}, n {n}")
-    removed, counts, connected = removed[:], counts[:], connected[:]
-    split = _native.masks(split, fw)
-    draws = []
-    for t in range(trials):
-        rejections, isolation_rejections = counts[2 * t:2 * t + 2]
-        if rejections <= MAX_REJECTIONS:
-            draws.append((tuple(removed[t * size:(t + 1) * size]),
-                          rejections, isolation_rejections, connected[t] == 1,
-                          tuple(iter_bits(split[t])) if split[t] else ()))
-        else:
-            draws.append(((), rejections, isolation_rejections, None, None))
-    return graph6, tuple(draws)
+    # One tuple of ids per trial, unpacked in C; the struct is never empty,
+    # as _check_factor has passed, so size >= 2.
+    ids = struct.iter_unpack(f"{size}Q", removed)
+    return graph6, tuple(
+        (removal, rej, iso_rej, ok == 1, tuple(iter_bits(mask)) if mask else ())
+        if rej <= MAX_REJECTIONS else ((), rej, iso_rej, None, None)
+        for removal, rej, iso_rej, ok, mask in zip(
+            ids, counts[0::2], counts[1::2], connected[:], _native.masks(split, fw)))
 
 
 @functools.lru_cache(maxsize=1)
@@ -171,10 +168,11 @@ def _trial_records(graph6: str, n: int, trials: tuple[tuple, ...],
     """One record per drawn trial of the factor ``graph6`` at ``n``: its
     removal and one of its verdicts, ``gstar_connected`` when ``gstar`` is
     true, else ``split_residues``."""
-    return [TrialRecord(graph6, n, t, removed, rej, iso_rej,
-                        connected if gstar else None, None if gstar else split,
-                        f"no valid removal candidate after {rej} rejections"
-                        if rej > MAX_REJECTIONS else None)
+    make = TrialRecord._make
+    return [make((graph6, n, t, removed, rej, iso_rej,
+                  connected if gstar else None, None if gstar else split,
+                  f"no valid removal candidate after {rej} rejections"
+                  if rej > MAX_REJECTIONS else None))
             for t, (removed, rej, iso_rej, connected, split) in enumerate(trials)]
 
 
@@ -212,7 +210,8 @@ class VerificationReport(NamedTuple):
     ``super_kappa_verdict``, ``min_cut_count``, and ``non_isolating_cut`` are
     None when only the connectivity formula was checked.  ``severity`` is set
     to ``"contradicts-paper"`` exactly when a computed check failed.  A named
-    tuple, so that each of a batch's records is built in one allocation.
+    tuple, so that each of a batch's records is built by ``_make`` in one
+    allocation.
     """
 
     graph6: str
@@ -291,19 +290,10 @@ def _report(g: Graph, g6: str, n: int, kappa_g: int, budget: int | None,
         super_kappa = counterexample is None
     rhs = min(n * kappa_g, (n - 1) * delta_g)
     holds = product_kappa == rhs
-    return VerificationReport(
-        graph6=g6, n=n,
-        kappa_G=kappa_g,
-        delta_G=delta_g,
-        product_kappa=product_kappa,
-        formula_rhs=rhs,
-        theorem11_holds=holds,
-        super_kappa_verdict=super_kappa,
-        min_cut_count=min_cut_count,
-        non_isolating_cut=counterexample,
-        runtime_ms=int((time.perf_counter() - start) * 1000),
-        severity=None if holds and counterexample is None else "contradicts-paper",
-    )
+    return VerificationReport._make((
+        g6, n, kappa_g, delta_g, product_kappa, rhs, holds, super_kappa,
+        min_cut_count, counterexample, int((time.perf_counter() - start) * 1000),
+        None if holds and counterexample is None else "contradicts-paper"))
 
 
 def verify_connectivity_formula(g: Graph, n: int) -> VerificationReport:

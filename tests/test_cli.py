@@ -519,6 +519,22 @@ def test_jsonl_lines_are_json_dumps_of_every_record_kind(c_encoder, tmp_path, mo
         + "\n" for r in records)
 
 
+@pytest.mark.parametrize("c_encoder", [True, False], ids=["c-encoder", "python-encoder"])
+def test_a_record_that_contains_itself_raises_and_writes_no_line(c_encoder, tmp_path,
+                                                                 monkeypatch):
+    """The C encoder has no circular-reference check, so such a record
+    recurses until ``RecursionError``; the Python route keeps the check."""
+    if not c_encoder:
+        monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+    record = {"instance": {"graph6": "Bw"}}
+    record["instance"]["self"] = record
+    path = tmp_path / "out.txt"
+    for fmt, first in (("jsonl", '{"trial":0}'), ("table", "trial=0")):
+        with pytest.raises(RecursionError if c_encoder else ValueError):
+            emit_report([{"trial": 0}, record], fmt, str(path))
+        assert path.read_text() == first + "\n"
+
+
 def test_a_record_json_cannot_encode_raises_type_error(tmp_path):
     with pytest.raises(TypeError, match="set"):
         emit_report([{"removed": [1]}, {"removed": {1}}], "jsonl",

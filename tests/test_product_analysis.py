@@ -10,7 +10,7 @@ from concurrent.futures import Future
 import numpy as np
 import pytest
 
-from kronkit.connectivity import vertex_connectivity
+from kronkit.connectivity import CutSet, enumerate_min_cuts, vertex_connectivity
 from kronkit.corpus import all_graphs, connected_graphs
 from kronkit.errors import PreconditionError
 from kronkit.graphs import (
@@ -577,6 +577,47 @@ def test_both_routes_give_field_for_field_equal_records(g, n, cap, seed, trials,
         assert a[:6] == b[:6] and a.error == b.error
         assert a.split_residues is None and b.gstar_connected is None
     assert any(r.error for r in gstar) == (cap is not None)
+
+
+def test_records_built_by_make_hold_each_value_in_its_field(monkeypatch, fresh_draws):
+    """``TrialRecord``, ``CutSet`` and ``VerificationReport`` are built by
+    ``_make`` from positional tuples, and the goldens cannot see two fields
+    swapped that hold equal values, as ``kappa_G`` and ``delta_G`` always
+    do on the verdict route; so each field is named here."""
+    violation = verify_super_connectivity(parse_graph6("C]"), 3)
+    assert violation._asdict() == {
+        "graph6": "C]", "n": 3, "kappa_G": 2, "delta_G": 2, "product_kappa": 4,
+        "formula_rhs": 4, "theorem11_holds": True, "super_kappa_verdict": False,
+        "min_cut_count": 9, "non_isolating_cut": CutSet((0, 3, 6, 9), False, None),
+        "runtime_ms": violation.runtime_ms, "severity": "contradicts-paper"}
+    assert type(violation.runtime_ms) is int
+    bowtie = graph_from_edges(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])
+    formula = verify_connectivity_formula(bowtie, 3)
+    assert formula._asdict() == {
+        "graph6": "DxK", "n": 3, "kappa_G": 1, "delta_G": 2, "product_kappa": 3,
+        "formula_rhs": 3, "theorem11_holds": True, "super_kappa_verdict": None,
+        "min_cut_count": None, "non_isolating_cut": None,
+        "runtime_ms": formula.runtime_ms, "severity": None}
+    assert [cut._asdict() for cut in enumerate_min_cuts(make_cycle(6))[:2]] == [
+        {"vertices": (0, 2), "isolates": True, "witness": 1},
+        {"vertices": (0, 3), "isolates": False, "witness": None}]
+    assert violation.non_isolating_cut._asdict() == {
+        "vertices": (0, 3, 6, 9), "isolates": False, "witness": None}
+
+    monkeypatch.setattr(product_analysis, "MAX_REJECTIONS", 1)
+    triangle = make_complete(3)
+    gstar = check_gstar_connected(triangle, 3, 8, 3)
+    split = check_residue_components(triangle, 3, 8, 3)
+    drawn = {"graph6": "Bw", "n": 3, "trial": 3, "removed": (1, 4, 6, 7),
+             "rejections": 1, "isolation_rejections": 0, "error": None}
+    assert gstar[3]._asdict() == {**drawn, "gstar_connected": True,
+                                  "split_residues": None}
+    assert split[3]._asdict() == {**drawn, "gstar_connected": None,
+                                  "split_residues": ()}
+    assert gstar[7]._asdict() == {
+        "graph6": "Bw", "n": 3, "trial": 7, "removed": (), "rejections": 2,
+        "isolation_rejections": 1, "gstar_connected": None, "split_residues": None,
+        "error": "no valid removal candidate after 2 rejections"}
 
 
 def test_residue_checker_reuses_the_gstar_draw():
