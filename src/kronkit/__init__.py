@@ -1,9 +1,7 @@
 """Connectivity toolkit for Kronecker products of graphs."""
 
 from .connectivity import (
-    ConnectivityResult,
     CutSet,
-    connectivity_result,
     enumerate_min_cuts,
     vertex_connectivity,
 )
@@ -39,7 +37,6 @@ from .products import is_bipartite, kronecker
 __all__ = [
     "BatchSummary",
     "BudgetExceededError",
-    "ConnectivityResult",
     "CutSet",
     "Graph",
     "Graph6Error",
@@ -53,7 +50,6 @@ __all__ = [
     "check_gstar_connected",
     "check_residue_components",
     "connected_graphs",
-    "connectivity_result",
     "encode_graph6",
     "enumerate_min_cuts",
     "is_bipartite",

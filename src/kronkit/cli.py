@@ -5,14 +5,14 @@ records, which only this module builds (``report_record``, ``skip_record``,
 
 Exit codes: 0 when all checks passed or an informational command completed,
 1 when at least one violation record was emitted, 2 for usage or parse
-errors, when the C kernel cannot be built and when memory runs out (one
-``kronkit: out of memory`` line, with the message if any), 3 when skip
-records (budget, size limit, empty factor) occurred without violations,
-141 (128 + SIGPIPE) when standard output was closed before the run ended,
-as by ``| head``; the run then stops without a traceback or a line on
-standard error.  A pool process that the system's out-of-memory killer
-ends still stops ``batch`` with a ``BrokenProcessPool`` traceback, and no
-failure yet becomes an in-stream error record.
+errors, when the C kernel cannot be built, when memory runs out (one
+``kronkit: out of memory`` line, with the message if any) and when
+``batch`` loses a pool process, as to the system's out-of-memory killer
+(one ``kronkit:`` line), 3 when skip records (budget, size limit, empty
+factor) occurred without violations, 141 (128 + SIGPIPE) when standard
+output was closed before the run ended, as by ``| head``; the run then
+stops without a traceback or a line on standard error.  No failure yet
+becomes an in-stream error record.
 
 ``batch`` notes on standard error each violation that
 ``predicted_counterexample`` does not predict, one ``kronkit:`` line each.
@@ -37,12 +37,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from . import _native
-from .connectivity import (
-    CutSet,
-    connectivity_result,
-    enumerate_min_cuts,
-    vertex_connectivity,
-)
+from .connectivity import CutSet, enumerate_min_cuts, vertex_connectivity
 from .corpus import all_graphs, iter_graphs
 from .errors import BudgetExceededError, Graph6Error, KronkitError, PreconditionError
 from .graphs import (
@@ -305,18 +300,21 @@ def _kappa_records(g: Graph) -> Iterator[dict]:
 
 def _super_kappa_records(g: Graph, budget: int) -> Iterator[dict]:
     try:
-        result = connectivity_result(g, budget=budget)
+        cuts = enumerate_min_cuts(g, budget=budget)
     except BudgetExceededError as exc:
         yield _size_limit(g, exc)
         return
-    counterexample = next((c for c in result.min_cuts if not c.isolates), None)
+    except PreconditionError:  # one vertex, or disconnected: no cuts
+        cuts = []
+    kappa = len(cuts[0].vertices) if cuts else 0
+    counterexample = next((c for c in cuts if not c.isolates), None)
     yield {
         "graph6": encode_graph6(g),
-        "kappa": result.kappa,
-        "delta": result.delta,
-        "maximally_connected": result.maximally_connected,
-        "super_kappa": result.super_kappa,
-        "min_cut_count": len(result.min_cuts),
+        "kappa": kappa,
+        "delta": g.min_degree,
+        "maximally_connected": kappa == g.min_degree,
+        "super_kappa": bool(cuts) and counterexample is None,
+        "min_cut_count": len(cuts),
         "non_isolating_cut": (None if counterexample is None
                               else cut_record(counterexample)),
     }

@@ -1,5 +1,8 @@
-"""Vertex connectivity, minimum-cut enumeration, and the
-super-connectivity decision.
+"""Vertex connectivity and minimum-cut enumeration.
+
+Each :class:`CutSet` says whether the cut isolates a vertex.  A graph is
+super-kappa when every minimum cut does, and the callers read that verdict
+off the list.
 
 The production routes share one vertex-split flow network per graph and
 Even's pair family around a minimum-degree vertex:
@@ -38,7 +41,6 @@ from __future__ import annotations
 
 import ctypes
 import struct
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import _native
@@ -59,15 +61,6 @@ class CutSet(NamedTuple):
     vertices: tuple[int, ...]
     isolates: bool
     witness: int | None
-
-
-@dataclass(frozen=True)
-class ConnectivityResult:
-    kappa: int
-    delta: int
-    maximally_connected: bool
-    min_cuts: tuple[CutSet, ...]
-    super_kappa: bool
 
 
 # -- flow route ---------------------------------------------------------------
@@ -293,23 +286,4 @@ def enumerate_min_cuts(g: Graph, budget: int | None = None,
     if g.order * net.labels < 2:
         raise PreconditionError("min-cut enumeration needs order >= 2")
     return net.min_cuts()
-
-
-def connectivity_result(g: Graph, budget: int | None = None) -> ConnectivityResult:
-    """Bundle kappa, delta, the full min-cut list, and the verdict."""
-    if g.order == 0:
-        raise ValueError("connectivity is undefined for the empty graph")
-    delta = g.min_degree
-    try:
-        cuts = tuple(enumerate_min_cuts(g, budget))
-    except PreconditionError:  # one vertex, or disconnected
-        return ConnectivityResult(0, delta, delta == 0, (), False)
-    kappa = len(cuts[0].vertices)
-    return ConnectivityResult(
-        kappa=kappa,
-        delta=delta,
-        maximally_connected=kappa == delta,
-        min_cuts=cuts,
-        super_kappa=all(c.isolates for c in cuts),
-    )
 

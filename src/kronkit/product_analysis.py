@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import os
 import struct
 import time
 from collections import deque
@@ -27,7 +28,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import _native, products
 from .connectivity import CutSet, enumerate_min_cuts, vertex_connectivity
-from .errors import BudgetExceededError, PreconditionError
+from .errors import BudgetExceededError, KronkitError, PreconditionError
 from .graphs import (
     Graph,
     encode_graph6,
@@ -419,10 +420,13 @@ def _pooled_records(corpus: Iterable[Graph | dict], workers: int,
     A first window of fewer than two tasks, at most one item, runs here
     without a pool, and the pool has no more processes than ``workers`` or
     the tasks of its first window.  An exception that the corpus raises is
-    raised after the records of the items before it.
+    raised after the records of the items before it.  A pool process that
+    ends before its task does, as one that the system's out-of-memory
+    killer stops, ends the run with a :class:`KronkitError`.
     """
     # Only a pooled run loads the pool, with multiprocessing behind it.
     from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
 
     items = iter(corpus)
     failure = None
@@ -449,14 +453,18 @@ def _pooled_records(corpus: Iterable[Graph | dict], workers: int,
         for task in window:
             yield from _task_records(task, *args)
     else:
-        with ProcessPoolExecutor(max_workers=min(workers, len(window))) as pool:
-            pending = deque(pool.submit(_task_records, task, *args) for task in window)
-            while pending:
-                # A finished task's records go out before the corpus is read
-                # on, which may take long, as the next order's layer does.
-                yield from pending.popleft().result()
-                if task := next_task():
-                    pending.append(pool.submit(_task_records, task, *args))
+        try:
+            with ProcessPoolExecutor(max_workers=min(workers, len(window))) as pool:
+                pending = deque(pool.submit(_task_records, t, *args) for t in window)
+                while pending:
+                    # A finished task's records go out before the corpus is
+                    # read on, which may take long, as the next order's
+                    # layer does.
+                    yield from pending.popleft().result()
+                    if task := next_task():
+                        pending.append(pool.submit(_task_records, task, *args))
+        except BrokenProcessPool as exc:
+            raise KronkitError(f"batch lost a pool process: {exc}") from exc
     if failure is not None:
         raise failure
 
@@ -470,8 +478,9 @@ def batch_verify(corpus: Iterable[Graph | dict], n_values: Sequence[int],
     in corpus order whatever ``workers`` is.  One function,
     :func:`_item_records`, turns each item into its records at any
     ``workers``, computing a factor's connectivity once, for the filters and
-    its instances alike; with ``workers`` above 1, pool processes run it on
-    tasks of consecutive factors of which about ``2 * workers`` are in flight.
+    its instances alike; with ``workers`` above 1, pool processes, no more
+    than the CPUs, run it on tasks of consecutive factors of which about
+    twice as many are in flight.
     Per-instance budget errors and empty factors become in-stream skip
     records and never abort the batch.  ``budget`` caps each product's
     residual searches (None for no limit).  A repeated ``n`` counts once,
@@ -484,6 +493,8 @@ def batch_verify(corpus: Iterable[Graph | dict], n_values: Sequence[int],
         _check_n(n)
     check_filters(filters)
     args = (n_values, tuple(filters), budget)
+    if workers > 1:
+        workers = min(workers, os.cpu_count() or 1)
     records = (_pooled_records(corpus, workers, args) if workers > 1
                else (record for item in corpus for record in _item_records(item, *args)))
     holds = violations = skips = 0

@@ -17,7 +17,7 @@ reported cut independently, and prints the flagged records in full.
 import numpy as np
 
 from kronkit.cli import main, report_record
-from kronkit.connectivity import connectivity_result, vertex_connectivity
+from kronkit.connectivity import enumerate_min_cuts, vertex_connectivity
 from kronkit.graphs import Graph, encode_graph6, is_connected, iter_bits, make_cycle
 from kronkit.product_analysis import (
     check_gstar_connected,
@@ -168,7 +168,8 @@ def test_criterion_5_every_minimum_product_cut_isolates(connected_upto_6):
 def test_criterion_6_cycle_family_verdicts():
     expected = {3: True, 4: True, 5: True, 6: False, 7: False, 8: False,
                 9: False, 10: False}
-    actual = {n: connectivity_result(make_cycle(n)).super_kappa for n in expected}
+    actual = {n: all(c.isolates for c in enumerate_min_cuts(make_cycle(n)))
+              for n in expected}
     print(f"\n[criterion 6] cycle super-connectivity verdicts: "
           f"{'PASS' if actual == expected else 'FAIL ' + str(actual)}")
     assert actual == expected

@@ -134,6 +134,17 @@ def test_super_kappa_on_c6_is_informational(capsys):
                                         "neighborhood_of": None}
 
 
+def test_super_kappa_without_cuts_is_false(capsys):
+    """The two-vertex graph without an edge and the one-vertex graph have no
+    minimum cut: kappa 0, and a false verdict with no counterexample."""
+    code, out, _ = run_cli(["super-kappa", "--g6", "A?", "--g6", "@"], capsys)
+    assert code == 0
+    for rec, g6 in zip(jsonl(out), ["A?", "@"], strict=True):
+        assert rec == {"graph6": g6, "kappa": 0, "delta": 0,
+                       "maximally_connected": True, "super_kappa": False,
+                       "min_cut_count": 0, "non_isolating_cut": None}
+
+
 def test_super_kappa_budget_skip(capsys):
     code, out, _ = run_cli(
         ["super-kappa", "--g6", encode_graph6(make_cycle(6)), "--budget", "2"], capsys)

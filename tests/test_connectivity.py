@@ -8,16 +8,22 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import kronkit
-from kronkit.cli import cut_record
+from kronkit.cli import cut_record, main
 from kronkit.connectivity import (
     CutSet,
     _NativeSplitFlow,
-    connectivity_result,
     enumerate_min_cuts,
     vertex_connectivity,
 )
 from kronkit.errors import BudgetExceededError, PreconditionError, UnsupportedSizeError
-from kronkit.graphs import is_connected, iter_bits, make_complete, make_cycle, random_graph
+from kronkit.graphs import (
+    encode_graph6,
+    is_connected,
+    iter_bits,
+    make_complete,
+    make_cycle,
+    random_graph,
+)
 from kronkit.products import kronecker
 
 from oracles import (
@@ -458,16 +464,29 @@ def test_kernel_product_needs_a_complete_factor_with_a_vertex():
 
 # -- super-connectivity ------------------------------------------------------
 
+def _is_super_kappa(g):
+    """Whether every minimum cut of the connected graph ``g`` isolates a
+    vertex, read off the enumeration."""
+    return all(c.isolates for c in enumerate_min_cuts(g))
+
+
 def test_super_kappa_of_cycles():
-    assert connectivity_result(make_cycle(3)).super_kappa
-    assert connectivity_result(make_cycle(4)).super_kappa
-    assert connectivity_result(make_cycle(5)).super_kappa
+    assert _is_super_kappa(make_cycle(3))
+    assert _is_super_kappa(make_cycle(4))
+    assert _is_super_kappa(make_cycle(5))
     for n in (6, 7, 8, 9, 10):
-        assert not connectivity_result(make_cycle(n)).super_kappa
+        assert not _is_super_kappa(make_cycle(n))
 
 
-def test_super_kappa_of_disconnected_is_false():
-    assert not connectivity_result(graph_from_edges(4, [(0, 1), (2, 3)])).super_kappa
+def test_super_kappa_of_disconnected_is_false(capsys):
+    """A disconnected graph has no minimum cut to enumerate, and the
+    ``super-kappa`` verdict on it is false."""
+    g = graph_from_edges(4, [(0, 1), (2, 3)])
+    with pytest.raises(PreconditionError, match="connected graph"):
+        enumerate_min_cuts(g)
+    assert main(["super-kappa", "--g6", encode_graph6(g)]) == 0
+    (record,) = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert record["super_kappa"] is False
 
 
 def test_super_kappa_implies_maximally_connected():
@@ -475,10 +494,11 @@ def test_super_kappa_implies_maximally_connected():
         g = random_graph(3 + seed % 6, 0.5, seed)
         if not is_connected(g):
             continue
-        res = connectivity_result(g)
-        if res.super_kappa:
-            assert res.maximally_connected
-        assert res.kappa <= res.delta
+        cuts = enumerate_min_cuts(g)
+        kappa, delta = len(cuts[0].vertices), g.min_degree
+        if all(c.isolates for c in cuts):
+            assert kappa == delta
+        assert kappa <= delta
 
 
 def test_isolating_iff_neighborhood_on_min_cuts_when_kd_equal():
@@ -486,10 +506,10 @@ def test_isolating_iff_neighborhood_on_min_cuts_when_kd_equal():
         g = random_graph(3 + seed % 6, 0.55, seed + 31)
         if not is_connected(g):
             continue
-        res = connectivity_result(g)
-        if res.kappa != res.delta:
+        cuts = enumerate_min_cuts(g)
+        if len(cuts[0].vertices) != g.min_degree:
             continue
-        for c in res.min_cuts:
+        for c in cuts:
             searched, separates = classify_cut(g, c.vertices)
             assert searched == c and separates
             assert searched.isolates == (searched.witness is not None)

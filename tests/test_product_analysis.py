@@ -6,13 +6,14 @@ import itertools
 import random
 from collections import Counter
 from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 
 from kronkit.connectivity import CutSet, enumerate_min_cuts, vertex_connectivity
 from kronkit.corpus import all_graphs, connected_graphs
-from kronkit.errors import PreconditionError
+from kronkit.errors import KronkitError, PreconditionError
 from kronkit.graphs import (
     Graph,
     encode_graph6,
@@ -37,7 +38,7 @@ from kronkit.product_analysis import (
     verify_super_connectivity,
 )
 from kronkit import _native, product_analysis
-from kronkit.cli import report_record, summary_record
+from kronkit.cli import main, report_record, summary_record
 from kronkit.products import kronecker
 
 from oracles import (
@@ -1064,14 +1065,16 @@ class _InProcessPool:
 
 
 def test_batch_pool_has_no_more_workers_than_instances(monkeypatch):
-    """The pool starts no more processes than the tasks of its first window,
-    and none for a single factor; tasks hold 1, 2, 4, ... corpus items."""
+    """The pool starts no more processes than the CPUs or the tasks of its
+    first window, and none for a single factor; tasks hold 1, 2, 4, ...
+    corpus items, so the 21 connected graphs of order 5 make five tasks."""
     asked = []
     monkeypatch.setattr(_InProcessPool, "asked", asked)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr("os.cpu_count", lambda: 3)
     for factors, pools in [([make_cycle(5)], []),
                            ([make_cycle(5), make_complete(4), make_cycle(6)], [2]),
-                           (connected_graphs(5), [5])]:
+                           (connected_graphs(5), [3])]:
         asked.clear()
         pooled = list(batch_verify(factors, [3, 4, 5], workers=10**6))
         assert asked == pools
@@ -1087,6 +1090,7 @@ def test_pool_yields_a_finished_tasks_records_before_reading_on(monkeypatch):
     order's whole layer, does not hold them back."""
     monkeypatch.setattr(_InProcessPool, "asked", [])
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
     factors = [make_cycle(3 + i % 5) for i in range(40)]
     read = 0
 
@@ -1102,6 +1106,49 @@ def test_pool_yields_a_finished_tasks_records_before_reading_on(monkeypatch):
     task = [j for j, size in enumerate([1, 2, 4, 8, 16, 9]) for _ in range(size)]
     assert reads == [ends[min(task[i] + 3, len(ends) - 1)] for i in range(40)]
     assert reads[0] == 15
+
+
+@pytest.mark.parametrize("cpus, pools", [(2, [2]), (None, [])])
+def test_batch_workers_are_clamped_to_the_cpus(monkeypatch, capsys, cpus, pools):
+    """``--workers 100`` asks the pool for no more processes than the CPUs,
+    and one CPU, or an unknown count, runs the batch without a pool; the
+    window follows the clamped count, and the bytes do not change."""
+    asked = []
+    monkeypatch.setattr(_InProcessPool, "asked", asked)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr("os.cpu_count", lambda: cpus)
+    argv = ["batch", "--all-graphs", "--max-order", "5", "--n", "4", "--workers"]
+    assert main([*argv, "100"]) == 0
+    pooled = capsys.readouterr().out
+    assert asked == pools
+    assert main([*argv, "1"]) == 0
+    assert capsys.readouterr().out == pooled
+
+
+class _BrokenPool(_InProcessPool):
+    """A stand-in pool whose every task fails as when its process is lost."""
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_exception(BrokenProcessPool("a process was terminated abruptly"))
+        return future
+
+
+def test_a_lost_pool_process_exits_2_with_one_line(monkeypatch, capsys):
+    monkeypatch.setattr(_BrokenPool, "asked", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _BrokenPool)
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    factors = [make_cycle(5), make_complete(4), make_cycle(6)]
+    with pytest.raises(KronkitError, match="lost a pool process"):
+        list(batch_verify(factors, [3], workers=2))
+    argv = ["batch", "--n", "3", "--workers", "2"]
+    for g in factors:
+        argv += ["--g6", encode_graph6(g)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("kronkit: batch lost a pool process: "
+                            "a process was terminated abruptly\n")
 
 
 def test_record_serialization_shapes():
