@@ -3,6 +3,7 @@
 from .connectivity import (
     CutSet,
     enumerate_min_cuts,
+    min_cut_verdict,
     vertex_connectivity,
 )
 from .corpus import all_graphs, connected_graphs
@@ -56,6 +57,7 @@ __all__ = [
     "kronecker",
     "make_complete",
     "make_cycle",
+    "min_cut_verdict",
     "parse_graph6",
     "predicted_counterexample",
     "random_graph",

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from . import _native
-from .connectivity import CutSet, enumerate_min_cuts, vertex_connectivity
+from .connectivity import CutSet, enumerate_min_cuts, min_cut_verdict, vertex_connectivity
 from .corpus import all_graphs, iter_graphs
 from .errors import BudgetExceededError, Graph6Error, KronkitError, PreconditionError
 from .graphs import (
@@ -89,16 +89,20 @@ class IngestItem:
 
 
 def _open_input(path: str):
-    """``path`` opened for :func:`ingest_corpus`; a file that cannot be
-    opened is fatal."""
+    """``path`` opened for :func:`ingest_corpus`, ``-`` being standard input,
+    read through a handle that leaves it open when closed; a file that
+    cannot be opened is fatal."""
     try:
+        if path == "-":
+            return open(0, "r", encoding="ascii", errors="replace", closefd=False)
         return open(path, "r", encoding="ascii", errors="replace")
     except OSError as exc:
         raise _Fatal(f"cannot read input file {path!r}: {exc}") from exc
 
 
 def ingest_corpus(paths: Iterable[str]) -> Iterator[IngestItem]:
-    """Stream (location, graph) pairs from newline-delimited graph6 files.
+    """Stream (location, graph) pairs from newline-delimited graph6 files,
+    ``-`` being standard input, whose locations read ``-:N``.
 
     Malformed lines become in-stream error items; a missing file is fatal.
     Each byte outside ASCII decodes to one replacement character, so such a
@@ -122,7 +126,8 @@ def ingest_corpus(paths: Iterable[str]) -> Iterator[IngestItem]:
 def _gather_inputs(args) -> Iterator[IngestItem]:
     """The inline arguments, parsed at the call, then the items of the input
     files as they are read.  A malformed inline argument, or an input file
-    that cannot be opened, is fatal at the call, before any record."""
+    that cannot be opened, is fatal at the call, before any record, as is
+    a closed standard input (``-``); opening it reads nothing."""
     inline = []
     for idx, text in enumerate(args.g6):
         try:
@@ -300,21 +305,19 @@ def _kappa_records(g: Graph) -> Iterator[dict]:
 
 def _super_kappa_records(g: Graph, budget: int) -> Iterator[dict]:
     try:
-        cuts = enumerate_min_cuts(g, budget=budget)
+        kappa, count, counterexample = min_cut_verdict(g, budget=budget)
     except BudgetExceededError as exc:
         yield _size_limit(g, exc)
         return
     except PreconditionError:  # one vertex, or disconnected: no cuts
-        cuts = []
-    kappa = len(cuts[0].vertices) if cuts else 0
-    counterexample = next((c for c in cuts if not c.isolates), None)
+        kappa, count, counterexample = 0, 0, None
     yield {
         "graph6": encode_graph6(g),
         "kappa": kappa,
         "delta": g.min_degree,
         "maximally_connected": kappa == g.min_degree,
-        "super_kappa": bool(cuts) and counterexample is None,
-        "min_cut_count": len(cuts),
+        "super_kappa": count > 0 and counterexample is None,
+        "min_cut_count": count,
         "non_isolating_cut": (None if counterexample is None
                               else cut_record(counterexample)),
     }
@@ -384,7 +387,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--g6", action="append", default=[], metavar="STRING",
                        help="inline graph6 string (repeatable)")
         p.add_argument("--input", action="append", default=[], metavar="PATH",
-                       help="newline-delimited graph6 file (repeatable)")
+                       help="newline-delimited graph6 file (repeatable); - reads "
+                            "standard input, once")
         if fmt:
             p.add_argument("--format", choices=("jsonl", "table"), default="jsonl")
         p.add_argument("--output", default=None, metavar="PATH",
@@ -520,6 +524,8 @@ def _dispatch(parser: argparse.ArgumentParser, args) -> int:
         _write_lines(lines, args.output)
         return 0
 
+    if args.input.count("-") > 1:
+        parser.error("--input - (standard input) can be given once")
     # Opening --output empties it before the lazy record stream reads the inputs.
     if any(_same_file(path, args.output) for path in args.input):
         parser.error(f"--output {args.output!r} is also an --input file")

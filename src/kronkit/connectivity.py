@@ -1,23 +1,27 @@
 """Vertex connectivity and minimum-cut enumeration.
 
 Each :class:`CutSet` says whether the cut isolates a vertex.  A graph is
-super-kappa when every minimum cut does, and the callers read that verdict
-off the list.
+super-kappa when every minimum cut does.  The verdict needs three facts,
+kappa, the number of minimum cuts and the first cut that isolates nothing,
+which :func:`min_cut_verdict` reads without a list; :func:`enumerate_min_cuts`
+lists every cut, for ``kronkit cuts`` and the library.
 
 The production routes share one vertex-split flow network per graph and
 Even's pair family around a minimum-degree vertex:
 
 * :func:`vertex_connectivity` minimizes the number of internally disjoint
   paths over the pairs.
-* :func:`enumerate_min_cuts` reads every minimum separator of each pair
-  whose flow equals kappa off the closed sets of its residual network.
+* :func:`enumerate_min_cuts` and :func:`min_cut_verdict` read every minimum
+  separator of each pair whose flow equals kappa off the closed sets of its
+  residual network.
 
-Both charge each residual search of the network, the one unit of work,
-against an optional budget, and both solve one pair per orbit of the
-relabellings of a product ``H x K_n`` that fix the family's source.
-Both take the factor ``H`` and ``times=n``, and the kernel builds the
-product in the network's own words, with ids ``u * n + a``, so the labels
-are its own and no caller promises a layout.
+Each charges each residual search of the network, the one unit of work,
+against an optional budget.  :func:`vertex_connectivity` and
+:func:`min_cut_verdict` take the factor ``H`` of a product ``H x K_n``
+and ``times=n``, and the kernel builds the product in the network's own
+words, with ids ``u * n + a``, so the labels are its own and no caller
+promises a layout; both then solve one pair per orbit of the relabellings
+that fix the family's source.
 
 The network runs in C (``_splitflow.c``, built on first use by
 :mod:`kronkit._native`) at every order, with vertex masks of ``ceil(n /
@@ -28,7 +32,8 @@ which gives the same flows, cuts and searches.  Past building the
 network, one enumeration is one kernel call, which checks that the graph is
 connected, walks the pairs, runs their flows, reads their separators, closes
 the cuts under the label swaps, sorts them and writes each cut's ids and
-witness, from which Python builds each :class:`CutSet` once.
+witness, from which Python builds each :class:`CutSet` once, or, for the
+verdict, only the first non-isolating one.
 :func:`vertex_connectivity` takes the pairs from the kernel, after the same
 check, and makes one call per pair.
 
@@ -175,33 +180,29 @@ class _NativeSplitFlow:
             self._lib.splitflow_free(block)
         return list(zip(ints[:count], ints[count:]))
 
-    def min_cuts(self) -> list[CutSet]:
-        """Every minimum cut of this network's graph, in lexicographic order
-        of its vertex ids, in one kernel call; :class:`PreconditionError`
-        for a disconnected graph, before any charged search.
+    def min_cuts(self, read):
+        """``read(block, found)`` of the kernel's block of this network's
+        ``found`` minimum cuts, in one kernel call, after which the block is
+        freed; :class:`PreconditionError` for a disconnected graph, before
+        any charged search.  The readers are :func:`_cut_list` and
+        :func:`_cut_verdict`.
 
         The kernel cuts the flow of each pair of :meth:`even_pairs` off at
         the least flow found so far, reads the separators of the pairs whose
         flow is the final least one, kappa, closes the cuts under the label
-        swaps and sorts them; a complete graph has no pairs, and its cuts
-        leave one vertex each.  It hands over one block: kappa, the ids of
-        each cut, then each cut's witness, the lowest vertex whose
-        neighbourhood equals it (-1 for none).
+        swaps and sorts them in lexicographic order of their vertex ids; a
+        complete graph has no pairs, and its cuts leave one vertex each.  It
+        hands over one block of C ints: kappa, the ids of each cut, then
+        each cut's witness, the lowest vertex whose neighbourhood equals it
+        (-1 for none).  A code that reports an error comes with no block.
         """
         block = ctypes.POINTER(ctypes.c_int)()
         found = self._checked(self._lib.splitflow_min_cuts(
             self._net, self.labels, ctypes.byref(block)))
         try:
-            size = block[0]
-            ints = memoryview(ctypes.string_at(
-                block, ctypes.sizeof(ctypes.c_int) * (1 + found * (size + 1)))).cast("i")
+            return read(block, found)
         finally:
             self._lib.splitflow_free(block)
-        ids = 1 + found * size
-        vertices = struct.iter_unpack(f"{size}i", ints[1:ids])  # a tuple per cut
-        make = CutSet._make
-        return [make((cut, w >= 0, None if w < 0 else w))
-                for cut, w in zip(vertices, ints[ids:])]
 
     def _checked(self, code: int) -> int:
         """``code``, a kernel return code, unless it reports an error, for
@@ -215,6 +216,32 @@ class _NativeSplitFlow:
         return code
 
 
+def _cut_list(block, found: int) -> list[CutSet]:
+    """Every cut of the kernel's block (:meth:`_NativeSplitFlow.min_cuts`),
+    copied out of C in one read, one :class:`CutSet` each."""
+    size = block[0]
+    ints = memoryview(ctypes.string_at(
+        block, ctypes.sizeof(ctypes.c_int) * (1 + found * (size + 1)))).cast("i")
+    ids = 1 + found * size
+    vertices = struct.iter_unpack(f"{size}i", ints[1:ids])  # a tuple per cut
+    make = CutSet._make
+    return [make((cut, w >= 0, None if w < 0 else w))
+            for cut, w in zip(vertices, ints[ids:])]
+
+
+def _cut_verdict(block, found: int) -> tuple[int, int, CutSet | None]:
+    """Kappa, the cut count and the first non-isolating cut of the kernel's
+    block: only the witnesses and that cut's ids leave C."""
+    size = block[0]
+    ids = 1 + found * size
+    try:
+        first = block[ids:ids + found].index(-1)
+    except ValueError:  # every cut has a witness, so isolates a vertex
+        return size, found, None
+    start = 1 + first * size
+    return size, found, CutSet(tuple(block[start:start + size]), False, None)
+
+
 def vertex_connectivity(g: Graph, budget: int | None = None,
                         times: int | None = None) -> int:
     """Connectivity of ``g``, or of ``g x K_times`` when ``times`` is
@@ -225,7 +252,7 @@ def vertex_connectivity(g: Graph, budget: int | None = None,
     Even's pair family, one of which crosses every minimum cut.  The flows'
     searches are charged against ``budget`` (see :class:`_NativeSplitFlow`).
 
-    ``times`` is taken as by :func:`enumerate_min_cuts`.  A pair and its
+    ``times`` is taken as by :func:`min_cut_verdict`.  A pair and its
     relabellings have the same local connectivity, so one flow per orbit
     suffices (see :meth:`_NativeSplitFlow.even_pairs`, which also checks
     connectedness).
@@ -245,10 +272,8 @@ def vertex_connectivity(g: Graph, budget: int | None = None,
 
 # -- enumeration --------------------------------------------------------------
 
-def enumerate_min_cuts(g: Graph, budget: int | None = None,
-                       times: int | None = None) -> list[CutSet]:
-    """Every separating set of size exactly kappa(g), or of kappa(g x
-    K_times) when ``times`` is given, lexicographically.
+def enumerate_min_cuts(g: Graph, budget: int | None = None) -> list[CutSet]:
+    """Every separating set of size exactly kappa(g), lexicographically.
 
     One vertex-split network serves every pair of Even's family; for each
     pair whose maximum flow equals kappa, the minimum separators are read
@@ -259,6 +284,37 @@ def enumerate_min_cuts(g: Graph, budget: int | None = None,
     over the pairs is every minimum cut.  A complete graph has the ``order`` sets of
     size ``order - 1``, each leaving one vertex.
 
+    A minimum cut ``S`` isolates ``v`` only if ``N(v) = S``, since ``N(v)``
+    lies in ``S`` and ``|N(v)| >= delta >= kappa = |S|``; so the lowest
+    such ``v`` is the cut's witness, and the cut isolates exactly when it
+    has one.  The network returns the finished list of :class:`CutSet`,
+    closed, sorted and classified (:meth:`_NativeSplitFlow.min_cuts`), in
+    one kernel call, which refuses a disconnected graph before its first
+    search.  Closing, sorting and classifying search nothing.
+
+    Every search of the flows and of the separator reading is charged
+    against ``budget``, one unit each; the first search past it raises
+    :class:`BudgetExceededError`.  ``None`` means no limit.  The list of a
+    product is that of :func:`~kronkit.products.kronecker`'s product; the
+    verdict route reads its three facts off the kernel instead
+    (:func:`min_cut_verdict`).
+    """
+    return _cut_network(g, budget, None).min_cuts(_cut_list)
+
+
+def min_cut_verdict(g: Graph, budget: int | None = None,
+                    times: int | None = None) -> tuple[int, int, CutSet | None]:
+    """``(kappa, cut count, first non-isolating cut or None)`` of ``g``, or
+    of ``g x K_times`` when ``times`` is given: the three facts of the
+    super-kappa verdict, which holds exactly when the last is None.
+
+    The kernel enumerates the minimum cuts as for :func:`enumerate_min_cuts`,
+    in one call, with the same errors and the same searches charged against
+    ``budget``, and the facts equal ``(len(cuts[0].vertices), len(cuts),
+    next((c for c in cuts if not c.isolates), None))`` of its list.  But
+    Python reads only the witnesses and the one non-isolating cut off the
+    kernel's block, and builds no :class:`CutSet` for the others.
+
     With ``times``, ``g`` is the factor and the kernel builds the product
     ``g x K_times`` in the network itself, with ids ``u * times + a``, so
     the product never becomes a Python :class:`Graph`.  Its ids carry the
@@ -267,23 +323,18 @@ def enumerate_min_cuts(g: Graph, budget: int | None = None,
     and the cut masks are closed under the swaps of labels ``a`` and ``a +
     1`` for ``a >= 1``, which generate those relabellings: a relabelling
     that fixes ``s`` maps the minimum cuts of a pair onto those of its image.
-    ``times=None`` enumerates ``g`` itself, with no labels.  A ``times``
-    below 1 or a product past a C int's order is a :class:`ValueError`.
-
-    A minimum cut ``S`` isolates ``v`` only if ``N(v) = S``, since ``N(v)``
-    lies in ``S`` and ``|N(v)| >= delta >= kappa = |S|``; so the lowest
-    such ``v`` is the cut's witness, and the cut isolates exactly when it
-    has one.  The network returns the finished list of :class:`CutSet`,
-    closed, sorted and classified (:meth:`_NativeSplitFlow.min_cuts`), in
-    one kernel call, which refuses a disconnected graph or product before
-    its first search.  Closing, sorting and classifying search nothing.
-
-    Every search of the flows and of the separator reading is charged
-    against ``budget``, one unit each; the first search past it raises
-    :class:`BudgetExceededError`.  ``None`` means no limit.
+    So the cuts are those of :func:`~kronkit.products.kronecker`'s product.
+    ``times=None`` reads ``g`` itself, with no labels.  A ``times`` below 1
+    or a product past a C int's order is a :class:`ValueError`.
     """
+    return _cut_network(g, budget, times).min_cuts(_cut_verdict)
+
+
+def _cut_network(g: Graph, budget: int | None, times: int | None) -> _NativeSplitFlow:
+    """The network of an enumeration; :class:`PreconditionError` for fewer
+    than two vertices, which have no separating set."""
     net = _NativeSplitFlow(g, budget, times)
     if g.order * net.labels < 2:
         raise PreconditionError("min-cut enumeration needs order >= 2")
-    return net.min_cuts()
+    return net
 

@@ -26,8 +26,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from . import _native, products
-from .connectivity import CutSet, enumerate_min_cuts, vertex_connectivity
+from . import _native, connectivity, products
+from .connectivity import CutSet, min_cut_verdict, vertex_connectivity
 from .errors import BudgetExceededError, KronkitError, PreconditionError
 from .graphs import (
     Graph,
@@ -37,8 +37,10 @@ from .graphs import (
 )
 from .products import is_bipartite
 
-# No caller here: bench/tracing.py times the product layer through this name.
+# No caller here: bench/tracing.py times the product layer and the cut list
+# through these names.
 kronecker = products.kronecker
+enumerate_min_cuts = connectivity.enumerate_min_cuts
 
 MAX_REJECTIONS = 100_000
 
@@ -260,8 +262,11 @@ def _report(g: Graph, g6: str, n: int, kappa_g: int, budget: int | None,
     connectivity.
 
     Without ``verdict`` only the formula is checked, by flow on the product.
-    With it every minimum cut of the product is enumerated; a disconnected
-    product has none and gets a False verdict without a counterexample.
+    With it every minimum cut of the product is enumerated, and the report
+    reads three facts off the kernel's cut block (:func:`min_cut_verdict`):
+    kappa, the number of cuts and the first cut that isolates no vertex,
+    the counterexample, with no list of every cut.  A disconnected product
+    has no cuts and gets a False verdict without a counterexample.
     Whether the product is connected is read off ``kappa_g``, the factor's
     connectivity, without a search: for ``n >= 3``, ``g x K_n`` is
     connected exactly when ``g`` is connected with at least two vertices
@@ -284,10 +289,8 @@ def _report(g: Graph, g6: str, n: int, kappa_g: int, budget: int | None,
     elif kappa_g == 0:
         product_kappa, super_kappa, min_cut_count = 0, False, 0
     else:
-        cuts = enumerate_min_cuts(g, budget=budget, times=n)
-        product_kappa = len(cuts[0].vertices)
-        min_cut_count = len(cuts)
-        counterexample = next((c for c in cuts if not c.isolates), None)
+        product_kappa, min_cut_count, counterexample = min_cut_verdict(
+            g, budget=budget, times=n)
         super_kappa = counterexample is None
     rhs = min(n * kappa_g, (n - 1) * delta_g)
     holds = product_kappa == rhs

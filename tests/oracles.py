@@ -33,7 +33,9 @@ route that follows the definition:
 
 The builders (:func:`graph_from_edges`, :func:`two_cycles`,
 :func:`delete_vertex`, :func:`mask_of`), :func:`degrees` and
-:func:`validate` make and check test inputs.
+:func:`validate` make and check test inputs, and :func:`labelled_min_cuts`
+gives the kernel's list of a product's minimum cuts with its labels,
+which the library reads only through ``min_cut_verdict``.
 
 Removing all but one vertex counts as separating (the remainder is the
 trivial one-vertex graph), as in :mod:`kronkit.connectivity`.
@@ -46,7 +48,14 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from kronkit.connectivity import CutSet, _disconnected, _over_budget, vertex_connectivity
+from kronkit.connectivity import (
+    CutSet,
+    _cut_list,
+    _cut_network,
+    _disconnected,
+    _over_budget,
+    vertex_connectivity,
+)
 from kronkit.errors import Graph6Error, PreconditionError, UnsupportedSizeError
 from kronkit.graphs import (
     Graph,
@@ -58,6 +67,18 @@ from kronkit.graphs import (
 from kronkit.products import is_bipartite, kronecker
 
 BRUTE_FORCE_MAX_ORDER = 20
+
+
+# -- the kernel's labelled cut list ------------------------------------------
+
+def labelled_min_cuts(g: Graph, times: int | None,
+                      budget: int | None = None) -> list[CutSet]:
+    """Every minimum cut of ``g x K_times``, which the kernel builds from
+    the factor and enumerates with its labels, as one :class:`CutSet` each,
+    or of ``g`` itself for ``times`` None: the list whose three facts
+    :func:`~kronkit.connectivity.min_cut_verdict` reads off the kernel's
+    block, by the same route, with the same errors and searches."""
+    return _cut_network(g, budget, times).min_cuts(_cut_list)
 
 
 # -- graphs -------------------------------------------------------------------

@@ -277,6 +277,68 @@ def test_header_line_is_accepted(tmp_path, capsys):
     assert code == 0 and jsonl(out)[0]["kappa"] == 2
 
 
+def _piped(argv, stdin: bytes) -> tuple[int, bytes, bytes]:
+    """Exit code, standard output and standard error of ``kronkit`` in a
+    process whose standard input is a pipe that carries ``stdin``."""
+    proc = subprocess.run([sys.executable, "-m", "kronkit.cli", *argv], input=stdin,
+                          env={**os.environ, "PYTHONPATH": str(SRC)},
+                          capture_output=True, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+# Cr is K_{2,2}, a predicted violation at n = 3.
+@pytest.mark.parametrize("argv", [
+    ["kappa"], ["super-kappa"], ["batch", "--n", "3,4", "--workers", "1"],
+], ids=["kappa", "super-kappa", "batch"])
+def test_input_dash_reads_standard_input_as_the_file(argv, tmp_path):
+    """``--input -`` reads a pipe, with the bytes and exit code of the same
+    lines in a file."""
+    data = b"Bw\nCr\n>>graph6<<D~{\n\nEhEG\n"
+    path = tmp_path / "corpus.g6"
+    path.write_bytes(data)
+    piped = _piped(argv + ["--input", "-"], data)
+    assert piped == _piped(argv + ["--input", str(path)], b"")
+    assert piped[1].count(b"\n") > 1 and piped[2] == b""
+
+
+@pytest.mark.parametrize("argv", [["kappa"], ["batch", "--n", "4", "--workers", "1"]],
+                         ids=["kappa", "batch"])
+def test_bad_line_on_standard_input_is_located_at_dash(argv, tmp_path):
+    """A byte outside ASCII on standard input fails at the offset it fails
+    at in a file, and its parse-error record is located at ``-:N``."""
+    data = b"Bw\n\xc3\xa9\nCr\n"
+    path = tmp_path / "bad.g6"
+    path.write_bytes(data)
+    code, out, err = _piped(argv + ["--input", "-"], data)
+    assert (code, err) == (2, b"")
+    assert [r for r in jsonl(out.decode()) if "source" in r] == [{
+        "source": "-:2",
+        "error": "character '\ufffd' outside graph6 alphabet (byte offset 0)"}]
+    from_file = _piped(argv + ["--input", str(path)], b"")
+    assert from_file == (code, out.replace(b'"-:2"', f'"{path}:2"'.encode()), err)
+
+
+def test_closed_standard_input_leaves_the_output_file_as_it_was(tmp_path):
+    """``--input -`` with standard input closed is fatal before ``--output``
+    is opened, as an input file that cannot be opened is."""
+    output = tmp_path / "out.txt"
+    output.write_bytes(b"earlier run\n")
+    proc = subprocess.run([sys.executable, "-m", "kronkit.cli", "kappa", "--input", "-",
+                           "--output", str(output)],
+                          env={**os.environ, "PYTHONPATH": str(SRC)},
+                          preexec_fn=lambda: os.close(0), capture_output=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert proc.stderr.startswith(b"kronkit: cannot read input file '-'")
+    assert output.read_bytes() == b"earlier run\n"
+
+
+def test_input_dash_twice_is_a_usage_error(capsys):
+    code, out, err = run_cli(["kappa", "--input", "-", "--g6", "Bw", "--input", "-"],
+                             capsys)
+    assert code == 2 and out == ""
+    assert "kronkit: error: --input - (standard input) can be given once" in err
+
+
 # -- product ---------------------------------------------------------------------
 
 def test_product_command_writes_graph_and_mapping(tmp_path, capsys):

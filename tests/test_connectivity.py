@@ -13,6 +13,7 @@ from kronkit.connectivity import (
     CutSet,
     _NativeSplitFlow,
     enumerate_min_cuts,
+    min_cut_verdict,
     vertex_connectivity,
 )
 from kronkit.errors import BudgetExceededError, PreconditionError, UnsupportedSizeError
@@ -34,6 +35,7 @@ from oracles import (
     delete_vertex,
     edges,
     graph_from_edges,
+    labelled_min_cuts,
 )
 
 
@@ -379,7 +381,7 @@ def test_label_symmetry_keeps_every_minimum_cut_of_kd_equal_products():
     for g, n, pg in _products(6, (3, 4, 5)):
         if vertex_connectivity(g) != g.min_degree or not is_connected(pg):
             continue
-        assert enumerate_min_cuts(g, times=n) == enumerate_min_cuts(pg), g
+        assert labelled_min_cuts(g, n) == enumerate_min_cuts(pg), g
         count += 1
     assert count > 100
 
@@ -447,17 +449,17 @@ def test_label_symmetry_spends_fewer_searches_on_k44_times_k4():
 
     k44 = parse_graph6("G?~vf_")
     pg = kronecker(k44, make_complete(4))
-    cuts = enumerate_min_cuts(k44, budget=195, times=4)
+    cuts = labelled_min_cuts(k44, 4, budget=195)
     assert cuts == enumerate_min_cuts(pg) and len(cuts) == 8
     with pytest.raises(BudgetExceededError):
-        enumerate_min_cuts(k44, budget=194, times=4)
+        labelled_min_cuts(k44, 4, budget=194)
     with pytest.raises(BudgetExceededError):
         enumerate_min_cuts(pg, budget=195)
 
 
 def test_kernel_product_needs_a_complete_factor_with_a_vertex():
     for times in (0, -3):
-        for route in (enumerate_min_cuts, vertex_connectivity):
+        for route in (min_cut_verdict, vertex_connectivity):
             with pytest.raises(ValueError, match=f"needs times >= 1, got {times}$"):
                 route(make_cycle(4), times=times)
 
@@ -519,7 +521,7 @@ def test_isolating_iff_neighborhood_on_min_cuts_when_kd_equal():
 
 def test_lookup_classification_equals_the_search_on_every_minimum_cut(
         connected_upto_6):
-    """``enumerate_min_cuts`` classifies each cut by looking its mask up
+    """The kernel's cut list classifies each cut by looking its mask up
     among the neighbourhoods; ``classify_cut`` searches the survivors.
     They agree on every minimum cut of every connected ``G x K_n``, G to
     order 6 and n = 3, 4, 5."""
@@ -529,7 +531,7 @@ def test_lookup_classification_equals_the_search_on_every_minimum_cut(
             pg = kronecker(g, make_complete(n))
             if not is_connected(pg):
                 continue
-            for cut in enumerate_min_cuts(g, times=n):
+            for cut in labelled_min_cuts(g, n):
                 assert classify_cut(pg, cut.vertices) == (cut, True), (g, n, cut)
                 cuts += 1
     assert cuts == 2880

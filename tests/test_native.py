@@ -18,7 +18,12 @@ from pathlib import Path
 import pytest
 
 from kronkit import _native, connectivity, product_analysis
-from kronkit.connectivity import _NativeSplitFlow, enumerate_min_cuts, vertex_connectivity
+from kronkit.connectivity import (
+    _NativeSplitFlow,
+    enumerate_min_cuts,
+    min_cut_verdict,
+    vertex_connectivity,
+)
 from kronkit.cli import main
 from kronkit.corpus import all_graphs, connected_graphs
 from kronkit.errors import BudgetExceededError, KernelBuildError, PreconditionError
@@ -31,6 +36,7 @@ from oracles import (
     brute_force_min_cuts,
     edges,
     graph_from_edges,
+    labelled_min_cuts,
     two_cycles,
 )
 
@@ -70,10 +76,10 @@ def _hypercube(d: int):
 def _kernel_and_oracle(g, times, nets) -> tuple:
     """The cut list and the searches spent of one enumeration of ``g``, or
     of ``g x K_times`` when ``times`` is given, by the kernel through
-    :func:`enumerate_min_cuts` (whose network ``nets`` records), which
+    :func:`labelled_min_cuts` (whose network ``nets`` records), which
     builds the product itself, and by the oracle on :func:`kronecker`'s
     product with its ``times`` labels."""
-    cuts = enumerate_min_cuts(g, times=times)
+    cuts = labelled_min_cuts(g, times)
     pg = g if times is None else kronecker(g, make_complete(times))
     oracle = _SplitFlow(pg)
     return (cuts, nets[-1].spent), (oracle.min_cuts(pg, times or 1), oracle.spent)
@@ -205,13 +211,13 @@ def test_budget_runs_out_at_the_same_search_on_both_kernels(kernel, monkeypatch)
         frees = kernel.calls["splitflow_free"]
         for budget in range(searches):
             with pytest.raises(BudgetExceededError) as err:
-                enumerate_min_cuts(g, budget=budget, times=times)
+                labelled_min_cuts(g, times, budget=budget)
             assert err.value.budget == budget
             assert nets[-1].spent == budget + 1, (name, budget)
             with pytest.raises(BudgetExceededError):
                 _SplitFlow(pg, budget).min_cuts(pg, times)
         assert kernel.calls["splitflow_free"] == frees, name
-        cuts = enumerate_min_cuts(g, budget=searches, times=times)
+        cuts = labelled_min_cuts(g, times, budget=searches)
         assert cuts == expected and len(cuts) == count
         assert nets[-1].spent == searches
         assert kernel.calls["splitflow_free"] == frees + 1, name
@@ -315,10 +321,10 @@ def test_kernel_product_gives_the_plain_enumeration_of_kronecker(connected_upto_
             if not is_connected(pg):
                 for product in ((g, n), (pg, None)):
                     with pytest.raises(PreconditionError):
-                        enumerate_min_cuts(product[0], times=product[1])
+                        labelled_min_cuts(*product)
                 refused += 1
                 continue
-            assert enumerate_min_cuts(g, times=n) == enumerate_min_cuts(pg), (g, n)
+            assert labelled_min_cuts(g, n) == enumerate_min_cuts(pg), (g, n)
             equal += 1
     assert (equal, refused) == (683, 32)
 
@@ -339,9 +345,103 @@ def test_kernel_builds_products_past_the_word_boundary(g, n, kernel):
     product."""
     pg = kronecker(g, make_complete(n))
     assert pg.order > 64
-    assert enumerate_min_cuts(g, times=n) == enumerate_min_cuts(pg)
+    assert labelled_min_cuts(g, n) == enumerate_min_cuts(pg)
     assert kernel.calls == {"splitflow_product": 1, "splitflow_init": 1,
                             "splitflow_min_cuts": 2, "splitflow_free": 2}
+
+
+def _listed(g, budget, times):
+    """:func:`enumerate_min_cuts` of ``g``, or the kernel's labelled list
+    of ``g x K_times``."""
+    if times is None:
+        return enumerate_min_cuts(g, budget)
+    return labelled_min_cuts(g, times, budget)
+
+
+def _both_routes(g, times, budget, nets) -> tuple:
+    """What :func:`min_cut_verdict` and the three facts of the cut list
+    give for ``g``, or ``g x K_times``, at ``budget``, each as ``(result or
+    exception type, searches spent)`` on the network that ``nets``
+    records."""
+    outcomes = []
+    for route in (min_cut_verdict, _listed):
+        try:
+            result = route(g, budget, times)
+        except (BudgetExceededError, PreconditionError) as exc:
+            result = type(exc)
+        else:
+            if route is _listed:
+                result = (len(result[0].vertices), len(result),
+                          next((c for c in result if not c.isolates), None))
+        outcomes.append((result, nets[-1].spent))
+    return tuple(outcomes)
+
+
+def _verdicts_agree(g, times, nets):
+    """Both routes agree on ``g`` (or ``g x K_times``) with no budget and,
+    past 0 searches, at a budget one search short; the verdict is
+    returned."""
+    verdict, listed = _both_routes(g, times, None, nets)
+    assert verdict == listed, (g, times)
+    result, spent = verdict
+    if spent:
+        short = _both_routes(g, times, spent - 1, nets)
+        assert short == ((BudgetExceededError, spent),) * 2, (g, times)
+    return result
+
+
+def test_verdict_reads_the_three_facts_of_the_cut_list(
+        connected_upto_6, kernel, monkeypatch):
+    """:func:`min_cut_verdict` gives kappa, the cut count and the first
+    non-isolating cut of :func:`enumerate_min_cuts`'s list, with the same
+    searches charged, the same :class:`BudgetExceededError` at a budget one
+    search short, and the same :class:`PreconditionError` for a graph of
+    fewer than two vertices or a disconnected one: on every connected
+    factor to order 6 at n = 3 and 4, and on every connected graph to
+    order 7.  Each route that finishes frees one block."""
+    nets = _spy(monkeypatch)
+    cases = [(g, n) for g in connected_upto_6 for n in (3, 4)]
+    cases += [(g, None) for order in range(1, 8) for g in connected_graphs(order)]
+    verdicts = [_verdicts_agree(g, times, nets) for g, times in cases]
+    refused = sum(v is PreconditionError for v in verdicts)
+    assert (len(cases), refused) == (2 * 143 + 996, 3)  # K_1 at n = 3, 4 and plain
+    assert kernel.calls["splitflow_free"] == 2 * (len(cases) - refused)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_verdict_finds_the_column_of_kdd_x_k3(d, monkeypatch):
+    """``K_{d,d} x K_3`` has a non-isolating minimum cut, a column of 2d
+    vertices, which both routes report first, with 2d as kappa."""
+    nets = _spy(monkeypatch)
+    kdd = graph_from_edges(2 * d, [(a, b) for a in range(d) for b in range(d, 2 * d)])
+    kappa, count, counterexample = _verdicts_agree(kdd, 3, nets)
+    assert kappa == len(counterexample.vertices) == 2 * d
+    assert not counterexample.isolates and counterexample.witness is None
+
+
+@pytest.mark.parametrize("g, n", [case[1:] for case in WIDE_PRODUCTS[:2]],
+                         ids=[case[0] for case in WIDE_PRODUCTS[:2]])
+def test_verdict_past_the_word_boundary(g, n, monkeypatch):
+    """Q_5 x K_3 and Petersen x K_7, past 64 vertices: the same three facts
+    and searches on both routes, with no copy of the whole cut block."""
+    nets = _spy(monkeypatch)
+    copies = []
+    string_at = ctypes.string_at
+    monkeypatch.setattr(ctypes, "string_at", lambda *args: copies.append(args)
+                        or string_at(*args))
+    assert min_cut_verdict(g, times=n)[2] is None and copies == []
+    assert _verdicts_agree(g, n, nets)[2] is None
+
+
+@pytest.mark.parametrize("g6", ["A?", "@"], ids=["two-vertices-no-edge", "one-vertex"])
+def test_verdict_refuses_what_the_list_refuses(g6, kernel, monkeypatch):
+    """A disconnected graph and the one-vertex graph are refused alike,
+    with no search spent; only the disconnected one reaches the kernel."""
+    nets = _spy(monkeypatch)
+    g = parse_graph6(g6)
+    assert _both_routes(g, None, None, nets) == ((PreconditionError, 0),) * 2
+    assert kernel.calls["splitflow_min_cuts"] == (2 if g.order == 2 else 0)
+    assert kernel.calls["splitflow_free"] == 0
 
 
 def test_product_past_a_c_int_is_refused_before_any_array(kernel):
@@ -349,7 +449,7 @@ def test_product_past_a_c_int_is_refused_before_any_array(kernel):
     has 2**32 vertices, and is refused by its order before a word array is
     allocated or the kernel is called."""
     with pytest.raises(ValueError, match="got order 4294967296$"):
-        enumerate_min_cuts(make_cycle(4), times=2**30)
+        min_cut_verdict(make_cycle(4), times=2**30)
     assert kernel.calls == {}
 
 
