@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import ctypes
 import struct
+from ctypes import byref
 from typing import NamedTuple
 
 from . import _native
@@ -71,6 +72,8 @@ class CutSet(NamedTuple):
 # -- flow route ---------------------------------------------------------------
 
 _INT64_MAX = (1 << 63) - 1
+# Where an entry puts the address of the block of C ints it allocates.
+_INTS = ctypes.POINTER(ctypes.c_int)
 # The kernel's return code for a disconnected graph.
 _DISCONNECTED = -3
 
@@ -145,7 +148,9 @@ class _NativeSplitFlow:
         return self._net[2]
 
     def max_flow(self, s: int, t: int, cutoff: int) -> int:
-        """Internally disjoint s-t paths, counting at most ``cutoff``.
+        """Internally disjoint s-t paths, counting at most ``cutoff``: the
+        tests' probe of one pair's flow.  :func:`vertex_connectivity` calls
+        the same kernel entry itself, with no method call per pair.
 
         Returns only the count: the kernel keeps the residual network in a
         buffer of its own and frees it.  ``s`` and ``t`` must be
@@ -159,7 +164,7 @@ class _NativeSplitFlow:
         current one.
         """
         flow = self._lib.splitflow_max_flow(self._net, s, t, cutoff)
-        if flow < 0:  # checked inline: vertex_connectivity runs many flows
+        if flow < 0:
             self._checked(flow)
         return flow
 
@@ -171,9 +176,10 @@ class _NativeSplitFlow:
         cut separates, and only the first of each orbit of the relabellings
         that fix ``s`` (the tests' oracle ``_even_pairs`` says why).
         """
-        block = ctypes.POINTER(ctypes.c_int)()
-        count = self._checked(self._lib.splitflow_pairs(
-            self._net, self.labels, ctypes.byref(block)))
+        block = _INTS()
+        count = self._lib.splitflow_pairs(self._net, self.labels, byref(block))
+        if count < 0:
+            self._checked(count)
         try:
             ints = block[:2 * count]
         finally:
@@ -196,24 +202,24 @@ class _NativeSplitFlow:
         each cut's witness, the lowest vertex whose neighbourhood equals it
         (-1 for none).  A code that reports an error comes with no block.
         """
-        block = ctypes.POINTER(ctypes.c_int)()
-        found = self._checked(self._lib.splitflow_min_cuts(
-            self._net, self.labels, ctypes.byref(block)))
+        block = _INTS()
+        found = self._lib.splitflow_min_cuts(self._net, self.labels, byref(block))
+        if found < 0:
+            self._checked(found)
         try:
             return read(block, found)
         finally:
             self._lib.splitflow_free(block)
 
-    def _checked(self, code: int) -> int:
-        """``code``, a kernel return code, unless it reports an error, for
-        which this raises."""
+    def _checked(self, code: int) -> None:
+        """Raise the error that ``code``, a negative kernel return code,
+        reports; the callers test the sign themselves, so that a result
+        costs no call."""
         if code == _native.NO_MEMORY:
             raise MemoryError("the native kernel could not allocate a buffer")
         if code == _DISCONNECTED:
             raise _disconnected()
-        if code < 0:
-            raise _over_budget(self.budget)
-        return code
+        raise _over_budget(self.budget)
 
 
 def _cut_list(block, found: int) -> list[CutSet]:
@@ -255,7 +261,10 @@ def vertex_connectivity(g: Graph, budget: int | None = None,
     ``times`` is taken as by :func:`min_cut_verdict`.  A pair and its
     relabellings have the same local connectivity, so one flow per orbit
     suffices (see :meth:`_NativeSplitFlow.even_pairs`, which also checks
-    connectedness).
+    connectedness).  Each pair's flow is one call of the kernel's
+    ``splitflow_max_flow``, cut off at the least flow so far, made here
+    rather than through :meth:`_NativeSplitFlow.max_flow`, which the tests
+    keep as their probe of one pair.
     """
     if g.order == 0:
         raise ValueError("connectivity is undefined for the empty graph")
@@ -265,8 +274,15 @@ def vertex_connectivity(g: Graph, budget: int | None = None,
     except PreconditionError:  # disconnected
         return 0
     best = g.order * net.labels - 1
+    # A flow is cut off at ``best``, so it is never larger; an error code,
+    # being negative, is smaller too.
+    max_flow, handle = net._lib.splitflow_max_flow, net._net
     for s, t in pairs:
-        best = min(best, net.max_flow(s, t, best))
+        flow = max_flow(handle, s, t, best)
+        if flow < best:
+            if flow < 0:
+                net._checked(flow)
+            best = flow
     return best
 
 

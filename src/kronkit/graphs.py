@@ -12,6 +12,7 @@ import binascii
 import ctypes
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Sequence
 
 from . import _native
@@ -55,9 +56,12 @@ class Graph:
     def edge_count(self) -> int:
         return sum(m.bit_count() for m in self.adj) // 2
 
-    @property
+    @cached_property
     def min_degree(self) -> int:
-        """Smallest vertex degree; 0 for the empty graph."""
+        """Smallest vertex degree; 0 for the empty graph.  Computed once per
+        graph, on first read, and kept in the instance's ``__dict__``, which
+        is not a field: equality, hashing and ``repr`` still read ``order``
+        and ``adj`` alone."""
         return min(map(int.bit_count, self.adj), default=0)
 
     def full_mask(self) -> int:

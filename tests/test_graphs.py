@@ -1,5 +1,7 @@
 """Tests for the core graph type, generators, and graph6 I/O."""
 
+import dataclasses
+import pickle
 import random
 
 import numpy as np
@@ -154,6 +156,30 @@ def test_constructed_graphs_are_valid(g):
     assert sum(degree) == 2 * g.edge_count
     if g.order:
         assert g.min_degree == min(degree)
+
+
+def test_min_degree_is_kept_without_changing_the_value_semantics():
+    """The minimum degree is computed on first read and kept, outside the
+    fields: the graph still compares, hashes, prints and pickles by
+    ``order`` and ``adj`` alone, and stays frozen."""
+    g = make_cycle(5)
+    text = repr(g)
+    assert "min_degree" not in vars(g)  # lazy: building a graph computes nothing
+    assert g.min_degree == 2 and vars(g)["min_degree"] == 2
+    same = Graph(g.order, g.adj)
+    assert g == same and hash(g) == hash(same) and repr(g) == text
+    assert [f.name for f in dataclasses.fields(Graph)] == ["order", "adj"]
+    copy = pickle.loads(pickle.dumps(g))
+    assert copy == g and copy.min_degree == 2
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        g.min_degree = 0
+    assert g.min_degree == 2
+    assert Graph(0, ()).min_degree == 0
+    for order in range(8):
+        for h in all_graphs(order):
+            fresh = Graph(h.order, h.adj)
+            assert fresh.min_degree == fresh.min_degree == min(map(int.bit_count, h.adj),
+                                                                default=0)
 
 
 # -- vertex deletion -----------------------------------------------------

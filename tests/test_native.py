@@ -85,11 +85,12 @@ def _kernel_and_oracle(g, times, nets) -> tuple:
     return (cuts, nets[-1].spent), (oracle.min_cuts(pg, times or 1), oracle.spent)
 
 
-def _oracle_connectivity(g) -> tuple[int, int]:
+def _oracle_connectivity(g, labels: int = 1) -> tuple[int, int]:
     """:func:`vertex_connectivity` of a connected ``g`` on the oracle, and
-    the searches it spent."""
+    the searches it spent, on one pair per orbit of ``labels`` labels (the
+    ``times`` route's pairs when ``g`` is :func:`kronecker`'s product)."""
     net, best = _SplitFlow(g), g.order - 1
-    for s, t in _even_pairs(g, 1):
+    for s, t in _even_pairs(g, labels):
         best = min(best, net.max_flow(s, t, best)[0])
     return best, net.spent
 
@@ -221,6 +222,33 @@ def test_budget_runs_out_at_the_same_search_on_both_kernels(kernel, monkeypatch)
         assert cuts == expected and len(cuts) == count
         assert nets[-1].spent == searches
         assert kernel.calls["splitflow_free"] == frees + 1, name
+
+
+# name, graph, times, kappa, the oracle's searches
+BUDGETED_CONNECTIVITY = [("K44xK3", _k44(), 3, 8, 89),
+                         ("Q5xK3", kronecker(_hypercube(5), make_complete(3)), None, 10, 1066)]
+
+
+@pytest.mark.parametrize("g, times, kappa, searches",
+                         [case[1:] for case in BUDGETED_CONNECTIVITY],
+                         ids=[case[0] for case in BUDGETED_CONNECTIVITY])
+def test_connectivity_stops_at_the_oracles_search_past_every_budget(
+        g, times, kappa, searches, monkeypatch):
+    """:func:`vertex_connectivity` of K_{4,4} x K_3, built by the kernel
+    from the factor, and of Q_5 x K_3, past 64 vertices, built by
+    :func:`kronecker`: every budget below the oracle's searches stops the
+    pair loop at the first search past it, with that budget on the error,
+    and the full budget gives the oracle's value and searches."""
+    pg = g if times is None else kronecker(g, make_complete(times))
+    assert _oracle_connectivity(pg, times or 1) == (kappa, searches)
+    nets = _spy(monkeypatch)
+    for budget in range(searches):
+        with pytest.raises(BudgetExceededError) as err:
+            vertex_connectivity(g, budget=budget, times=times)
+        assert err.value.budget == budget
+        assert nets[-1].spent == budget + 1, budget
+    assert vertex_connectivity(g, budget=searches, times=times) == kappa
+    assert nets[-1].spent == searches
 
 
 def test_one_kernel_call_per_enumeration_matches_the_python_route(
